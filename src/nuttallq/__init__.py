@@ -7,7 +7,8 @@ truncated tanh-rule quadrature of the defining integral.
 
 from .bessel import bessel_i, bessel_i_scaled, bessel_ratio
 from .errors import ConvergenceError, DomainError
-from .incgamma import gamma_ratio_q, gamma_shape_ratio, q_forward_step
+from .incgamma import (gamma_ratio_q, gamma_shape_ratio, q_forward_step,
+                       q_increment)
 from .logscale import LogScaled
 from .nuttall import (MomentQuery, RecurrenceTable, SeriesOutcome,
                       consistency_deviation, marcum_q, nuttall_q_homogeneous,
@@ -39,6 +40,7 @@ __all__ = [
     "nuttall_q_ladder",
     "nuttall_q_series",
     "q_forward_step",
+    "q_increment",
     "tanh_rule_integrate",
     "truncation_bounds",
 ]

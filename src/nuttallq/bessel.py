@@ -106,7 +106,9 @@ def bessel_i_scaled(order: float, arg: float) -> float:
         if p == 0.0:
             # Itilde <= prefactor (the series sum times exp(-z) is <= 1).
             return 0.0
-        return math.exp(-arg) * p * _series_sum(order, arg)
+        # p * sum is I_order(arg) <= I_0(700) ~ 1.5e302, so it cannot
+        # overflow; exp(-arg) * p first could underflow to a false 0.0.
+        return math.exp(-arg) * (p * _series_sum(order, arg))
     return exp_clipped(_log_series(order, arg) - arg)
 
 

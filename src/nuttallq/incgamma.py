@@ -139,22 +139,29 @@ def gamma_ratio_q(shape: float, lower_cut: float) -> float:
     return _q_cont_frac(shape, lower_cut)
 
 
-def q_forward_step(q_value: float, shape: float, lower_cut: float) -> float:
-    """One forward step Q_{shape+1}(y) = Q_shape(y) + y^shape e^{-y} / shape!.
+def q_increment(shape: float, lower_cut: float) -> float:
+    """The forward-step increment y^shape e^{-y} / Gamma(shape+1), y = lower_cut.
 
-    The increment is formed in log scale and materialized, so the step never
-    overflows even for shape up to 1e4.  Stable forward: the increment is
-    positive, so errors cannot amplify.
+    Equals Q_{shape+1}(y) - Q_shape(y).  The value is formed in log scale and
+    materialized once, so it never overflows even for shape up to 1e4; where
+    it lies below double range it is 0.0.  lower_cut == 0 gives exactly 0.0.
     """
     if not shape > 0.0 or math.isinf(shape):
         raise DomainError(f"shape must be finite and > 0, got {shape!r}")
     if not lower_cut >= 0.0 or math.isinf(lower_cut):
         raise DomainError(f"lower_cut must be finite and >= 0, got {lower_cut!r}")
     if lower_cut == 0.0:
-        return q_value
-    log_term = (_log_gamma_prefactor(shape + 1.0, lower_cut)
-                - math.log(lower_cut))
-    return q_value + exp_clipped(log_term)
+        return 0.0
+    return exp_clipped(_log_gamma_prefactor(shape + 1.0, lower_cut)
+                       - math.log(lower_cut))
+
+
+def q_forward_step(q_value: float, shape: float, lower_cut: float) -> float:
+    """One forward step Q_{shape+1}(y) = Q_shape(y) + q_increment(shape, y).
+
+    Stable forward: the increment is positive, so errors cannot amplify.
+    """
+    return q_value + q_increment(shape, lower_cut)
 
 
 def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:

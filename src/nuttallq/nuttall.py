@@ -9,9 +9,10 @@ is evaluated three independent ways:
 
 * ``nuttall_q_series`` - the expansion in incomplete gamma function ratios,
       e^{-x} sum_n x^n/n! * Gamma(eta+mu+n)/Gamma(mu+n) * Q_{eta+mu+n}(y),
-  with every per-term factor produced incrementally (one multiply for the
-  Poisson weight, one for the gamma ratio, one forward recurrence step for
-  the Q factor).
+  with every per-term factor produced incrementally: one multiply for the
+  Poisson weight, one for the gamma ratio, and for the Q factor one add of
+  the increment y^a e^{-y}/Gamma(a+1), itself kept as a running product
+  (re-seeded from its log form whenever it drops below 1e-300).
 * ``nuttall_q_ladder`` - the inhomogeneous recurrence in mu, written with the
   scaled Bessel function so the forcing term never forms e^{-x-y} I_mu
   directly.  All right-hand terms are positive, hence stable forward.
@@ -34,7 +35,7 @@ from math import fsum
 
 from .bessel import bessel_i_scaled, bessel_ratio
 from .errors import ConvergenceError, DomainError
-from .incgamma import _gamma_ratio_parts, gamma_ratio_q, q_forward_step
+from .incgamma import _gamma_ratio_parts, gamma_ratio_q, q_increment
 from .logscale import exp_clipped
 
 DEFAULT_TOL = 1e-14
@@ -46,6 +47,9 @@ _TOL_MAX = 1e-6
 _QUIET_TERMS = 3
 # Running-term scale that triggers a renormalization of the partial sums.
 _FOLD_LIMIT = 1e250
+# Below this the running Q increment is re-seeded from its log form, since a
+# multiply cannot climb back out of underflow or recover subnormal digits.
+_INC_RESEED = 1e-300
 
 
 def _require_finite(name: str, v: float) -> None:
@@ -121,7 +125,11 @@ def nuttall_q_series(q: MomentQuery, tol: float = DEFAULT_TOL,
     """Evaluate Q_{eta,mu}(x, y) by the incomplete-gamma-ratio expansion.
 
     The Q_{eta+mu+n}(y) factors come from one direct evaluation at n=0
-    followed by a forward recurrence step per term; term magnitudes are
+    followed by the forward recurrence Q_{a+1}(y) = Q_a(y) + inc_a with
+    inc_a = y^a e^{-y}/Gamma(a+1), a = eta+mu+n.  The increment is a running
+    product, inc_{a+1} = inc_a * y/(a+1), seeded from its log form
+    (``q_increment``) at the first step and re-seeded the same way whenever
+    it falls below 1e-300, where multiplies lose digits; term magnitudes are
     accumulated against a floating log offset and materialized exactly once
     at the end.  Termination requires the per-term contribution to stay
     below ``tol`` for three consecutive terms after the term peak near
@@ -145,6 +153,7 @@ def nuttall_q_series(q: MomentQuery, tol: float = DEFAULT_TOL,
         return SeriesOutcome(value, 1, 1e-16, True)
 
     q_cur = gamma_ratio_q(eta + mu, y) if y > 0.0 else 1.0
+    inc = 0.0     # y^a e^{-y}/Gamma(a+1), a = eta+mu+n; 0.0 forces a seed
     u = 1.0       # running x^n/n! * ratio-growth, relative to the n=0 term
     shift = 0.0   # log of what has been folded out of u and items
     items = [q_cur]
@@ -168,7 +177,10 @@ def nuttall_q_series(q: MomentQuery, tol: float = DEFAULT_TOL,
             break
         u *= x * (eta + mu + n) / ((n + 1.0) * (mu + n))
         if y > 0.0:
-            q_cur = q_forward_step(q_cur, eta + mu + n, y)
+            if inc < _INC_RESEED:
+                inc = q_increment(eta + mu + n, y)
+            q_cur += inc
+            inc *= y / (eta + mu + n + 1.0)
         n += 1
         if u > _FOLD_LIMIT:
             scale = 1.0 / u

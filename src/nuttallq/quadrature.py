@@ -2,11 +2,12 @@
 
 Independent cross-check for the series/recurrence evaluators: the improper
 integral is truncated around the peak of the profile t^g e^{-(sqrt t -
-sqrt x)^2}, g = eta + (mu-1)/2, mapped linearly onto [-1, 1], pushed through
-the change of variable s = tanh(u), and integrated with the trapezoidal
-rule on a uniform u-grid, doubling the node count until two consecutive
-results agree.  The integrand is always evaluated through its logarithm, so
-profiles reaching 1e89 never overflow a node.
+sqrt x)^2}, g = eta + (mu-1)/2 (at x = 0, where the integrand is
+t^{eta+mu-1} e^{-t}, g = eta + mu - 1), mapped linearly onto [-1, 1],
+pushed through the change of variable s = tanh(u), and integrated with the
+trapezoidal rule on a uniform u-grid, doubling the node count until two
+consecutive results agree.  The integrand is always evaluated through its
+logarithm, so profiles reaching 1e89 never overflow a node.
 """
 
 from __future__ import annotations
@@ -88,14 +89,21 @@ def integrand_scaled(q: MomentQuery, t: float) -> float:
 def truncation_bounds(q: MomentQuery, eps: float = 1e-16) -> QuadratureSpec:
     """Choose a finite window [a, b] around the integrand peak.
 
-    The peak of the profile sits at t* = (sqrt x + sqrt(x + 4 g))^2 / 4; the
-    half-width w doubles until the profile at both window ends has dropped
-    below eps times its maximum (the lower end needs no test once it hits y).
+    The peak of the profile t^g e^{-(sqrt t - sqrt x)^2} sits at
+    t* = (sqrt x + sqrt(x + 4 g))^2 / 4; the half-width w doubles until the
+    profile at both window ends has dropped below eps times its maximum (the
+    lower end needs no test once it hits y).  For x > 0, g = eta + (mu-1)/2
+    matches the integrand's large-t behaviour.  At x = 0 the integrand is
+    exactly t^{eta+mu-1} e^{-t}, so g = eta + mu - 1 there; the x > 0 value
+    would centre the window too low and cut off the upper tail for large mu.
     """
     _check_oracle_query(q)
     if not (_EPS_MIN <= eps <= _EPS_MAX):
         raise DomainError(f"eps must lie in [{_EPS_MIN}, {_EPS_MAX}], got {eps!r}")
-    gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
+    if q.x == 0.0:
+        gamma_exp = q.eta + q.mu - 1.0
+    else:
+        gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
     if gamma_exp == 0.0:
         peak = q.x
     else:

@@ -23,6 +23,15 @@ def test_scaled_order_one_matches_series_oracle():
     assert bessel_i_scaled(1.0, 2.0) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("order,arg,ref", [
+    # exp(-z) I_order(z) from mpmath.besseli at 40 digits.
+    (1000.0, 700.0, 6.1984596126116589987e-278),
+    (1000.0, 650.0, 4.8428136276875677843e-295),
+])
+def test_scaled_small_value_does_not_underflow(order, arg, ref):
+    assert bessel_i_scaled(order, arg) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_logscaled_at_zero_is_one():
     ls = bessel_i(0.0, 0.0)
     assert ls.sign == 1 and ls.log_magnitude == 0.0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuttallq import (DomainError, LogScaled, gamma_ratio_q, gamma_shape_ratio,
-                      q_forward_step)
+                      q_forward_step, q_increment)
 
 from oracles import gamma_q_half_integer, gamma_q_integer, rising_product_int
 
@@ -65,6 +65,19 @@ def test_forward_step_closed_forms():
     assert q_forward_step(math.exp(-1.0), 1.0, 1.0) == pytest.approx(
         2.0 * math.exp(-1.0), rel=1e-15)
     assert q_forward_step(1.0, 7.5, 0.0) == 1.0
+
+
+def test_forward_step_is_value_plus_increment_bit_for_bit():
+    for q, shape, y in ((0.25, 1.0, 1.0), (0.9, 7.5, 3.0), (1e-200, 30.0, 650.0),
+                        (0.5, 120.0, 0.1), (0.5, 1e4, 150.0), (0.3, 2.0, 0.0)):
+        assert q_forward_step(q, shape, y) == q + q_increment(shape, y)
+
+
+def test_increment_closed_forms():
+    assert q_increment(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert q_increment(3.0, 2.0) == pytest.approx(
+        8.0 * math.exp(-2.0) / 6.0, rel=1e-14)
+    assert q_increment(7.5, 0.0) == 0.0
 
 
 def test_forward_chain_50_vs_direct():
@@ -139,6 +152,8 @@ def test_domain_errors():
         gamma_shape_ratio(-1.0, 2.0)
     with pytest.raises(DomainError):
         q_forward_step(0.5, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        q_increment(1.0, -1.0)
 
 
 @settings(max_examples=300, deadline=None)

@@ -142,3 +142,15 @@ def test_quadrature_vs_series_x_zero():
     q = MomentQuery(2.0, 1.0, 0.0, 1.0)
     assert moment_by_quadrature(q) == pytest.approx(
         nuttall_q_series(q).value, rel=1e-10)
+
+
+@pytest.mark.parametrize("mu,y,ref", [
+    # Q_{0,mu}(0, y) = Gamma(mu, y)/Gamma(mu), from mpmath.gammainc at 40
+    # digits.  The x = 0 integrand t^{mu-1} e^{-t} peaks at t = mu - 1, far
+    # above the x > 0 window centre for large mu.
+    (45.95617295344748, 17.709579666678028, 0.9999999839045508),
+    (50.0, 0.0, 1.0),
+])
+def test_x_zero_window_covers_the_upper_tail(mu, y, ref):
+    q = MomentQuery(0.0, mu, 0.0, y)
+    assert moment_by_quadrature(q) == pytest.approx(ref, rel=1e-10)

@@ -1,6 +1,7 @@
 """Tests for the series evaluator, the Marcum base case, and the errRR metric."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
                       consistency_deviation, gamma_ratio_q, gamma_shape_ratio,
-                      marcum_q, nuttall_q_series)
+                      marcum_q, nuttall_q_series, q_increment)
 
 # Golden fixture rows (eta, mu, x, y, double-precision value, 50-digit value).
 GOLDEN_TABLE1 = [
@@ -30,6 +31,33 @@ def test_golden_table1(eta, mu, x, y, val_dp, val_ref):
     assert out.converged
     assert out.value == pytest.approx(val_dp, rel=5e-14)
     assert out.value == pytest.approx(val_ref, rel=5e-14)
+
+
+# (eta, mu, x, y, value) with y far above eta + mu, so the Q increment
+# y^a e^{-y}/Gamma(a+1) starts deep in the log range: below 1e-300 at the
+# first, third and fourth points, which re-seeds it, and subnormal at the
+# fourth, where a product carried on from the subnormal seed is off by 5e-7.
+# Values: the incomplete-gamma series summed at 40 digits with
+# mpmath.gammainc.
+DEEP_INCREMENT_POINTS = [
+    (0.0, 1.0, 5.0, 700.0, 6.483260420441983e-257),
+    (2.0, 3.0, 10.0, 600.0, 1.8124967783724893e-192),
+    (1.0, 1.0, 0.5, 720.0, 1.7918329198680487e-295),
+    (0.0, 1.0, 5.0, 740.0, 7.597504556869282e-273),
+]
+
+
+@pytest.mark.parametrize("eta,mu,x,y,ref", DEEP_INCREMENT_POINTS)
+def test_running_increment_deep_in_log_range(eta, mu, x, y, ref):
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y))
+    assert out.converged
+    assert out.value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_reseed_points_start_below_the_reseed_threshold():
+    assert q_increment(1.0, 700.0) < 1e-300
+    assert q_increment(2.0, 720.0) < 1e-300
+    assert 0.0 < q_increment(1.0, 740.0) < sys.float_info.min
 
 
 def test_trivial_whole_half_line():
