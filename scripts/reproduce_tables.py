@@ -9,27 +9,16 @@ at (eta=2, x=2, y=3) for N = 10 ... 60.
 Usage: python scripts/reproduce_tables.py
 """
 
-from nuttallq import (MomentQuery, marcum_q, moment_by_quadrature,
-                      nuttall_q_homogeneous, nuttall_q_series)
-
-GOLDEN_TABLE1 = [
-    (1.0, 1.0, 0.1, 1.5, 0.6644091427683566, 0.66440914276835656),
-    (5.0, 10.0, 0.1, 1.5, 252472.22699183668, 252472.226991836658),
-    (50.0, 30.0, 0.1, 1.5, 1.1944632251434243e+86, 1.19446322514344860e+86),
-    (1.0, 1.0, 1.2, 5.0, 0.5457546041478581, 0.54575460414785805),
-    (5.0, 10.0, 1.2, 5.0, 419098.1927146542, 419098.192714654143),
-    (50.0, 30.0, 1.2, 5.0, 6.809314196073125e+86, 6.80931419607285639e+86),
-    (1.0, 1.0, 5.0, 10.0, 1.4822515303982464, 1.48225153039824667),
-    (5.0, 10.0, 5.0, 10.0, 1654969.264263704, 1654969.26426370245),
-    (50.0, 30.0, 5.0, 10.0, 1.1734657613338925e+89, 1.17346576133388184e+89),
-]
+from nuttallq import (MomentQuery, homogeneous_table, moment_by_quadrature,
+                      nuttall_q_series)
+from nuttallq.cli import TABLE1
 
 
 def main() -> None:
     print("table 1: series vs stored references (and the quadrature route)")
     print(f"{'eta':>4} {'mu':>4} {'x':>5} {'y':>5} {'value':>24} "
           f"{'vs_dp':>10} {'vs_ref':>10} {'vs_quad':>10}")
-    for eta, mu, x, y, v_dp, v_ref in GOLDEN_TABLE1:
+    for eta, mu, x, y, v_dp, v_ref in TABLE1:
         q = MomentQuery(eta, mu, x, y)
         s = nuttall_q_series(q).value
         quad = moment_by_quadrature(q)
@@ -40,12 +29,7 @@ def main() -> None:
     print()
     print("table 2: homogeneous recurrence vs series at eta=2, x=2, y=3")
     x, y = 2.0, 3.0
-    n_cols = 60
-    row = [marcum_q(1.0 + m, x, y) for m in range(n_cols)]
-    for e in (1, 2):
-        s0 = nuttall_q_series(MomentQuery(e, 1.0, x, y)).value
-        s1 = nuttall_q_series(MomentQuery(e, 2.0, x, y)).value
-        row = nuttall_q_homogeneous(e, row, s0, s1, x, y, 1.0, n_cols)
+    row = homogeneous_table(2, 1.0, 60, x, y).values[2]
     print(f"{'N':>4} {'Q_rec':>24} {'E_r':>10}")
     for n in (10, 20, 30, 40, 50, 60):
         series = nuttall_q_series(MomentQuery(2.0, float(n), x, y)).value

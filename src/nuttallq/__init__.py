@@ -5,15 +5,14 @@ in incomplete gamma function ratios, stable recurrence ladders in mu, and a
 truncated tanh-rule quadrature of the defining integral.
 """
 
-from .bessel import bessel_i, bessel_i_scaled, bessel_ratio
+from .bessel import bessel_i_scaled, bessel_ratio
 from .errors import ConvergenceError, DomainError
-from .incgamma import (gamma_ratio_q, gamma_shape_ratio, q_forward_step,
-                       q_increment)
-from .logscale import LogScaled
+from .incgamma import gamma_ratio_q, q_forward_step, q_increment
 from .nuttall import (MomentQuery, RecurrenceTable, SeriesOutcome,
-                      consistency_deviation, marcum_q, nuttall_q_homogeneous,
-                      nuttall_q_ladder, nuttall_q_series)
-from .quadrature import (QuadratureSpec, integrand_scaled,
+                      consistency_deviation, homogeneous_table, marcum_q,
+                      nuttall_q_homogeneous, nuttall_q_ladder,
+                      nuttall_q_series)
+from .quadrature import (QuadratureOutcome, QuadratureSpec, integrand_scaled,
                          moment_by_quadrature, tanh_rule_integrate,
                          truncation_bounds)
 
@@ -22,17 +21,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "DomainError",
-    "LogScaled",
     "MomentQuery",
+    "QuadratureOutcome",
     "QuadratureSpec",
     "RecurrenceTable",
     "SeriesOutcome",
-    "bessel_i",
     "bessel_i_scaled",
     "bessel_ratio",
     "consistency_deviation",
     "gamma_ratio_q",
-    "gamma_shape_ratio",
+    "homogeneous_table",
     "integrand_scaled",
     "marcum_q",
     "moment_by_quadrature",

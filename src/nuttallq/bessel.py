@@ -2,8 +2,9 @@
 
 The evaluators downstream only ever need the exponentially scaled form
 Itilde_mu(z) = exp(-z) I_mu(z), which stays inside [0, 1], and the neighbor
-ratio I_{mu+1}(z)/I_mu(z).  Raw I values are exposed wrapped in LogScaled so
-they cannot overflow on the way out.
+ratio I_{mu+1}(z)/I_mu(z).  No raw I value leaves this module, so none can
+overflow on the way out; ``log_bessel_i_scaled`` gives the logarithm of the
+scaled form where that form itself underflows.
 
 All routines accept real (not just integer) order >= 0 and argument >= 0.
 """
@@ -14,7 +15,7 @@ import math
 from math import fsum
 
 from .errors import ConvergenceError, DomainError
-from .logscale import LogScaled, exp_clipped
+from .logscale import exp_clipped
 
 # Modified Lentz parameters for the ratio continued fraction.
 _LENTZ_TINY = 1e-30
@@ -121,23 +122,6 @@ def log_bessel_i_scaled(order: float, arg: float) -> float:
     if s > 0.0:
         return math.log(s)
     return _log_series(order, arg) - arg
-
-
-def bessel_i(order: float, arg: float) -> LogScaled:
-    """I_order(arg) in log-scaled form.
-
-    exp(log_magnitude) agrees with bessel_i_scaled * exp(arg) wherever both
-    stay inside double range.
-    """
-    _validate(order, arg)
-    if arg == 0.0:
-        if order == 0.0:
-            return LogScaled(1, 0.0)
-        return LogScaled(0, -math.inf)
-    s = bessel_i_scaled(order, arg)
-    if s > 0.0:
-        return LogScaled(1, arg + math.log(s))
-    return LogScaled(1, _log_series(order, arg))
 
 
 def bessel_ratio(order: float, arg: float) -> float:

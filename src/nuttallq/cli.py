@@ -20,11 +20,12 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .nuttall import (DEFAULT_MAX_TERMS, DEFAULT_TOL, MomentQuery, marcum_q,
-                      consistency_deviation, nuttall_q_homogeneous,
+from .incgamma import gamma_ratio_q
+from .logscale import exp_clipped
+from .nuttall import (DEFAULT_MAX_TERMS, DEFAULT_TOL, MomentQuery,
+                      consistency_deviation, homogeneous_table,
                       nuttall_q_ladder, nuttall_q_series)
-from .incgamma import _gamma_ratio_parts, gamma_ratio_q
-from .quadrature import _integrate_with_stats, truncation_bounds
+from .quadrature import tanh_rule_integrate, truncation_bounds
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,17 +34,18 @@ EXIT_SELFTEST_FAIL = 3
 
 METHODS = ("series", "ladder", "homogeneous", "quadrature")
 
-# Golden fixture: (eta, mu, x, y) rows of reference table 1.
-TABLE1_PARAMS = (
-    (1.0, 1.0, 0.1, 1.5),
-    (5.0, 10.0, 0.1, 1.5),
-    (50.0, 30.0, 0.1, 1.5),
-    (1.0, 1.0, 1.2, 5.0),
-    (5.0, 10.0, 1.2, 5.0),
-    (50.0, 30.0, 1.2, 5.0),
-    (1.0, 1.0, 5.0, 10.0),
-    (5.0, 10.0, 5.0, 10.0),
-    (50.0, 30.0, 5.0, 10.0),
+# Golden fixture, reference table 1: (eta, mu, x, y, double-precision value,
+# 50-digit value) rows.
+TABLE1 = (
+    (1.0, 1.0, 0.1, 1.5, 0.6644091427683566, 0.66440914276835656),
+    (5.0, 10.0, 0.1, 1.5, 252472.22699183668, 252472.226991836658),
+    (50.0, 30.0, 0.1, 1.5, 1.1944632251434243e+86, 1.19446322514344860e+86),
+    (1.0, 1.0, 1.2, 5.0, 0.5457546041478581, 0.54575460414785805),
+    (5.0, 10.0, 1.2, 5.0, 419098.1927146542, 419098.192714654143),
+    (50.0, 30.0, 1.2, 5.0, 6.809314196073125e+86, 6.80931419607285639e+86),
+    (1.0, 1.0, 5.0, 10.0, 1.4822515303982464, 1.48225153039824667),
+    (5.0, 10.0, 5.0, 10.0, 1654969.264263704, 1654969.26426370245),
+    (50.0, 30.0, 5.0, 10.0, 1.1734657613338925e+89, 1.17346576133388184e+89),
 )
 TABLE2_ETA = 2
 TABLE2_X = 2.0
@@ -136,8 +138,8 @@ def _eval_one(q: MomentQuery, method: str, tol: float,
         out = nuttall_q_series(q, tol, max_terms)
         return out.value, out.terms_used, out.est_error, out.converged
     if method == "quadrature":
-        value, nodes, diff = _integrate_with_stats(q, truncation_bounds(q))
-        return value, nodes, diff, True
+        out = tanh_rule_integrate(q, truncation_bounds(q))
+        return out.value, out.nodes, out.rel_diff, True
     # Recurrence methods: integer eta, x > 0.
     if not float(q.eta).is_integer():
         raise DomainError(f"method {method!r} requires integer eta, got {q.eta!r}")
@@ -145,25 +147,14 @@ def _eval_one(q: MomentQuery, method: str, tol: float,
     mu_start, n_cols = _recurrence_start(q.mu)
     if method == "ladder":
         table = nuttall_q_ladder(eta, mu_start, n_cols, q.x, q.y, tol, max_terms)
-        return table.entry(eta, n_cols - 1), (eta + 1) * n_cols, tol, True
-    if method == "homogeneous":
+    elif method == "homogeneous":
         if eta < 1:
             raise DomainError("homogeneous recurrence requires eta >= 1")
-        row = [marcum_q(mu_start + m, q.x, q.y, tol, max_terms)
-               for m in range(n_cols)]
-        for e in range(1, eta + 1):
-            s0 = nuttall_q_series(MomentQuery(e, mu_start, q.x, q.y), tol, max_terms)
-            s1o = None
-            if n_cols >= 2:
-                s1o = nuttall_q_series(MomentQuery(e, mu_start + 1.0, q.x, q.y),
-                                       tol, max_terms)
-            if not s0.converged or (s1o is not None and not s1o.converged):
-                raise ConvergenceError("homogeneous seed series did not converge")
-            row = nuttall_q_homogeneous(e, row, s0.value,
-                                        s1o.value if s1o else 0.0,
-                                        q.x, q.y, mu_start, n_cols)
-        return row[n_cols - 1], (eta + 1) * n_cols, tol, True
-    raise DomainError(f"unknown method {method!r}")
+        table = homogeneous_table(eta, mu_start, n_cols, q.x, q.y, tol,
+                                  max_terms)
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    return table.entry(eta, n_cols - 1), (eta + 1) * n_cols, tol, True
 
 
 def _emit_record(args, record: dict) -> None:
@@ -198,7 +189,7 @@ def _cmd_eval(args) -> int:
 
 def _table1_rows(tol: float, max_terms: int) -> list[tuple[float, ...]]:
     rows = []
-    for eta, mu, x, y in TABLE1_PARAMS:
+    for eta, mu, x, y, _, _ in TABLE1:
         out = nuttall_q_series(MomentQuery(eta, mu, x, y), tol, max_terms)
         if not out.converged:
             raise ConvergenceError(f"table 1 series stalled at {(eta, mu, x, y)}")
@@ -207,18 +198,14 @@ def _table1_rows(tol: float, max_terms: int) -> list[tuple[float, ...]]:
 
 
 def _table2_rows(tol: float, max_terms: int) -> list[tuple[int, float]]:
-    n_cols = max(TABLE2_NS)
     x, y = TABLE2_X, TABLE2_Y
-    row = [marcum_q(1.0 + m, x, y, tol, max_terms) for m in range(n_cols)]
-    for e in range(1, TABLE2_ETA + 1):
-        s0 = nuttall_q_series(MomentQuery(e, 1.0, x, y), tol, max_terms)
-        s1 = nuttall_q_series(MomentQuery(e, 2.0, x, y), tol, max_terms)
-        row = nuttall_q_homogeneous(e, row, s0.value, s1.value, x, y, 1.0, n_cols)
+    table = homogeneous_table(TABLE2_ETA, 1.0, max(TABLE2_NS), x, y, tol,
+                              max_terms)
     out = []
     for n in TABLE2_NS:
         series = nuttall_q_series(MomentQuery(TABLE2_ETA, float(n), x, y),
                                   tol, max_terms)
-        rel = abs(1.0 - series.value / row[n - 1])
+        rel = abs(1.0 - series.value / table.entry(TABLE2_ETA, n - 1))
         out.append((n, rel))
     return out
 
@@ -287,10 +274,11 @@ def _cmd_sweep(args) -> int:
 
 def _selftest_point(q: MomentQuery, tol: float, max_terms: int) -> float:
     if q.x == 0.0:
-        # No ladder at x = 0: check the series against the analytic
-        # reduction Gamma(eta+mu, y)/Gamma(mu) instead.
-        mant, offset = _gamma_ratio_parts(q.eta, q.mu)
-        closed = mant * math.exp(offset) * gamma_ratio_q(q.eta + q.mu, q.y)
+        # No ladder at x = 0: check the series against the closed form
+        # Gamma(eta+mu, y)/Gamma(mu), built from lgamma so that it shares
+        # no code with the series' own x = 0 branch.
+        closed = (exp_clipped(math.lgamma(q.eta + q.mu) - math.lgamma(q.mu))
+                  * gamma_ratio_q(q.eta + q.mu, q.y))
         got = nuttall_q_series(q, tol, max_terms).value
         return abs(1.0 - got / closed)
     return consistency_deviation(q, tol, max_terms)

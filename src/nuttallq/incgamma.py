@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConvergenceError, DomainError
-from .logscale import LogScaled, exp_clipped
+from .logscale import exp_clipped
 
 _TOL = 1e-15
 _MAX_ITER = 10_000
@@ -188,17 +188,3 @@ def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
         return math.exp(diff), 0.0
     return 1.0, diff
 
-
-def gamma_shape_ratio(eta: float, base: float) -> LogScaled:
-    """Gamma(eta + base) / Gamma(base) in log-scaled form.
-
-    Integer eta is computed as an exact rising product; real eta falls back
-    to the lgamma difference.  The large-base asymptotic base**eta is kept as
-    a cross-check property in the test suite, not as a runtime path.
-    """
-    if not eta >= 0.0 or math.isinf(eta):
-        raise DomainError(f"eta must be finite and >= 0, got {eta!r}")
-    if not base > 0.0 or math.isinf(base):
-        raise DomainError(f"base must be finite and > 0, got {base!r}")
-    mant, offset = _gamma_ratio_parts(eta, base)
-    return LogScaled(1, offset + math.log(mant))

@@ -1,9 +1,8 @@
-"""Sign/log representation for magnitudes outside double range."""
+"""Exponentials that saturate instead of overflowing."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # exp() overflows just above this; used to saturate instead of raising.
 _MAX_EXP_ARG = 709.782712893384
@@ -16,43 +15,3 @@ def exp_clipped(t: float) -> float:
     if t == -math.inf:
         return 0.0
     return math.exp(t)
-
-
-@dataclass(frozen=True)
-class LogScaled:
-    """A real number stored as (sign, ln|value|).
-
-    Lets gamma-function ratios and Bessel values far beyond 1e308 travel
-    through intermediate formulas; ``value()`` materializes back to a float,
-    saturating to 0.0 or +-inf outside double range.  ``log_magnitude`` is
-    ignored when ``sign == 0``.
-    """
-
-    sign: int
-    log_magnitude: float
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-
-    @classmethod
-    def from_value(cls, v: float) -> "LogScaled":
-        if v == 0.0:
-            return cls(0, -math.inf)
-        if v > 0:
-            return cls(1, math.log(v))
-        return cls(-1, math.log(-v))
-
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * exp_clipped(self.log_magnitude)
-
-    def __mul__(self, other: "LogScaled") -> "LogScaled":
-        if self.sign == 0 or other.sign == 0:
-            return LogScaled(0, -math.inf)
-        return LogScaled(self.sign * other.sign,
-                         self.log_magnitude + other.log_magnitude)
-
-    def __float__(self) -> float:
-        return self.value()

@@ -17,7 +17,8 @@ is evaluated three independent ways:
   scaled Bessel function so the forcing term never forms e^{-x-y} I_mu
   directly.  All right-hand terms are positive, hence stable forward.
 * ``nuttall_q_homogeneous`` - the three-term recurrence whose coefficient is
-  a Bessel-function ratio, so no raw Bessel magnitudes appear at all.
+  a Bessel-function ratio, so no raw Bessel magnitudes appear at all;
+  ``homogeneous_table`` drives it row by row.
 
 ``consistency_deviation`` rearranges the recurrence into a ratio whose
 distance from 1 measures the joint accuracy of everything above; it is the
@@ -97,7 +98,7 @@ class SeriesOutcome:
 
 @dataclass(frozen=True)
 class RecurrenceTable:
-    """Grid of Q_{e, mu_start+m} values built by the inhomogeneous ladder.
+    """Grid of Q_{e, mu_start+m} values built by a recurrence in mu.
 
     Row e=0 holds Marcum Q values (in [0, 1]); ``seed_method`` records how
     the boundary row and column were produced.
@@ -206,10 +207,16 @@ def marcum_q(mu: float, x: float, y: float, tol: float = DEFAULT_TOL,
     Shares the series code path bit for bit.  The complementary cumulative
     P is available as 1 - marcum_q; no separate algorithm exists for it.
     """
-    out = nuttall_q_series(MomentQuery(0.0, mu, x, y), tol, max_terms)
+    return _series_value(0.0, mu, x, y, tol, max_terms)
+
+
+def _series_value(eta: float, mu: float, x: float, y: float, tol: float,
+                  max_terms: int) -> float:
+    """The series value of Q_{eta,mu}(x, y); ConvergenceError if it stalls."""
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y), tol, max_terms)
     if not out.converged:
         raise ConvergenceError(
-            f"Marcum Q series did not converge for mu={mu}, x={x}, y={y}")
+            f"series did not converge at eta={eta}, mu={mu}, x={x}, y={y}")
     return out.value
 
 
@@ -217,6 +224,25 @@ def _require_integer_eta(eta: float, what: str) -> int:
     if not float(eta).is_integer():
         raise DomainError(f"{what} requires integer eta, got {eta!r}")
     return int(eta)
+
+
+def _check_table_args(what: str, eta_max: int, mu_start: float, n_cols: int,
+                      x: float, y: float) -> int:
+    """Validate the shared arguments of the table builders; eta_max as int."""
+    eta_max = _require_integer_eta(eta_max, what)
+    if eta_max < 0:
+        raise DomainError(f"eta_max must be >= 0, got {eta_max!r}")
+    if n_cols < 1:
+        raise DomainError(f"n_cols must be >= 1, got {n_cols!r}")
+    if not mu_start > 0.0:
+        raise DomainError(f"mu_start must be > 0, got {mu_start!r}")
+    if x == 0.0:
+        raise DomainError(f"{what} is undefined at x = 0; use the series path")
+    _require_finite("x", x)
+    _require_finite("y", y)
+    if x < 0.0 or y < 0.0:
+        raise DomainError("x and y must be >= 0")
+    return eta_max
 
 
 def _inhom_term(eta: float, mu: float, x: float, y: float,
@@ -254,19 +280,7 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
     bottom to top is stable.  x = 0 is rejected (the forcing term divides
     by x^{mu/2}); the series path must be used there instead.
     """
-    eta_max = _require_integer_eta(eta_max, "ladder")
-    if eta_max < 0:
-        raise DomainError(f"eta_max must be >= 0, got {eta_max!r}")
-    if n_cols < 1:
-        raise DomainError(f"n_cols must be >= 1, got {n_cols!r}")
-    if not mu_start > 0.0:
-        raise DomainError(f"mu_start must be > 0, got {mu_start!r}")
-    if x == 0.0:
-        raise DomainError("ladder is undefined at x = 0; use the series path")
-    _require_finite("x", x)
-    _require_finite("y", y)
-    if x < 0.0 or y < 0.0:
-        raise DomainError("x and y must be >= 0")
+    eta_max = _check_table_args("ladder", eta_max, mu_start, n_cols, x, y)
 
     z = 2.0 * math.sqrt(x * y)
     i_scaled = [bessel_i_scaled(mu_start + m, z) for m in range(n_cols - 1)]
@@ -275,11 +289,7 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
              for m in range(n_cols)]]
     for e in range(1, eta_max + 1):
         prev = rows[-1]
-        seed = nuttall_q_series(MomentQuery(e, mu_start, x, y), tol, max_terms)
-        if not seed.converged:
-            raise ConvergenceError(
-                f"ladder seed series did not converge at eta={e}, mu={mu_start}")
-        row = [seed.value]
+        row = [_series_value(e, mu_start, x, y, tol, max_terms)]
         for m in range(1, n_cols):
             t = _inhom_term(e, mu_start + m - 1.0, x, y, i_scaled[m - 1])
             row.append(row[m - 1] + e * prev[m] + t)
@@ -330,6 +340,32 @@ def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
     return out
 
 
+def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
+                      x: float, y: float, tol: float = DEFAULT_TOL,
+                      max_terms: int = DEFAULT_MAX_TERMS) -> RecurrenceTable:
+    """Build the table Q_{e, mu_start+m} by the homogeneous recurrence.
+
+    The counterpart of ``nuttall_q_ladder``, with the same arguments and
+    checks.  Row e=0 is seeded by marcum_q; each later row by the series at
+    mu_start and mu_start+1 (only the first when n_cols == 1) and then
+    filled by ``nuttall_q_homogeneous`` from the row below.  A seed series
+    that does not converge raises ConvergenceError.
+    """
+    eta_max = _check_table_args("homogeneous table", eta_max, mu_start,
+                                n_cols, x, y)
+    rows = [[marcum_q(mu_start + m, x, y, tol, max_terms)
+             for m in range(n_cols)]]
+    for e in range(1, eta_max + 1):
+        seed0 = _series_value(e, mu_start, x, y, tol, max_terms)
+        seed1 = (_series_value(e, mu_start + 1.0, x, y, tol, max_terms)
+                 if n_cols > 1 else 0.0)
+        rows.append(nuttall_q_homogeneous(e, rows[-1], seed0, seed1, x, y,
+                                          mu_start, n_cols))
+    return RecurrenceTable(eta_max, mu_start, n_cols,
+                           tuple(tuple(r) for r in rows),
+                           "row0:marcum_q,col0-1:series")
+
+
 def consistency_deviation(q: MomentQuery, tol: float = DEFAULT_TOL,
                           max_terms: int = DEFAULT_MAX_TERMS) -> float:
     """Distance from 1 of the rearranged-recurrence ratio.
@@ -346,15 +382,8 @@ def consistency_deviation(q: MomentQuery, tol: float = DEFAULT_TOL,
     if q.x == 0.0:
         raise DomainError("consistency check is undefined at x = 0")
     mu, x, y = q.mu, q.x, q.y
-
-    def _value(e: float, m: float) -> float:
-        out = nuttall_q_series(MomentQuery(e, m, x, y), tol, max_terms)
-        if not out.converged:
-            raise ConvergenceError(
-                f"series did not converge at eta={e}, mu={m}, x={x}, y={y}")
-        return out.value
-
-    num = _value(eta, mu + 1.0)
+    num = _series_value(eta, mu + 1.0, x, y, tol, max_terms)
     t = _inhom_term(eta, mu, x, y, bessel_i_scaled(mu, 2.0 * math.sqrt(x * y)))
-    den = _value(eta, mu) + eta * _value(eta - 1.0, mu + 1.0) + t
+    den = (_series_value(eta, mu, x, y, tol, max_terms)
+           + eta * _series_value(eta - 1.0, mu + 1.0, x, y, tol, max_terms) + t)
     return abs(1.0 - num / den)

@@ -149,45 +149,50 @@ def _trapezoid_pass(q: MomentQuery, a: float, b: float, n: int) -> float:
     return exp_clipped(top) * fsum(math.exp(v - top) for v in logs)
 
 
-def _integrate_with_stats(q: MomentQuery,
-                          spec: QuadratureSpec) -> tuple[float, int, float]:
-    """(value, nodes_used, last relative doubling difference)."""
-    _check_oracle_query(q)
-    if spec.upper < spec.lower:
-        raise DomainError(f"upper < lower in {spec!r}")
-    if spec.lower < q.y:
-        raise DomainError(f"window starts below y in {spec!r}")
-    if spec.upper == spec.lower:
-        return 0.0, 0, 0.0
-    n = max(spec.nodes, 16)
-    prev = None
-    while n <= _NODE_CAP:
-        cur = _trapezoid_pass(q, spec.lower, spec.upper, n)
-        if prev is not None:
-            if cur == 0.0 and prev == 0.0:
-                return 0.0, n, 0.0
-            diff = abs(cur - prev)
-            if diff <= _REL_TOL * abs(cur):
-                return cur, n, diff / abs(cur) if cur != 0.0 else 0.0
-        prev = cur
-        n *= 2
-    raise ConvergenceError(
-        f"tanh-rule quadrature did not converge within {_NODE_CAP} nodes for {q}")
+@dataclass(frozen=True)
+class QuadratureOutcome:
+    """Integral value plus the nodes of the last pass and its relative
+    difference from the pass before."""
+
+    value: float
+    nodes: int
+    rel_diff: float
 
 
-def tanh_rule_integrate(q: MomentQuery, spec: QuadratureSpec) -> float:
+def tanh_rule_integrate(q: MomentQuery,
+                        spec: QuadratureSpec) -> QuadratureOutcome:
     """Integrate the scaled integrand over the window by the tanh rule.
 
     Maps [lower, upper] linearly to [-1, 1], substitutes s = tanh(u), and
     applies the trapezoidal rule on a uniform u-grid, doubling ``nodes``
     until two passes agree to ~1e-12 relative; non-convergence within the
     2^20 node cap raises ConvergenceError.  Node contributions are combined
-    with exact summation in a fixed order, so results are reproducible.
+    with exact summation in a fixed order, so results are reproducible.  A
+    zero-width window gives QuadratureOutcome(0.0, 0, 0.0).
     """
-    value, _, _ = _integrate_with_stats(q, spec)
-    return value
+    _check_oracle_query(q)
+    if spec.upper < spec.lower:
+        raise DomainError(f"upper < lower in {spec!r}")
+    if spec.lower < q.y:
+        raise DomainError(f"window starts below y in {spec!r}")
+    if spec.upper == spec.lower:
+        return QuadratureOutcome(0.0, 0, 0.0)
+    n = max(spec.nodes, 16)
+    prev = None
+    while n <= _NODE_CAP:
+        cur = _trapezoid_pass(q, spec.lower, spec.upper, n)
+        if prev is not None:
+            if cur == 0.0 and prev == 0.0:
+                return QuadratureOutcome(0.0, n, 0.0)
+            diff = abs(cur - prev)
+            if diff <= _REL_TOL * abs(cur):
+                return QuadratureOutcome(cur, n, diff / abs(cur))
+        prev = cur
+        n *= 2
+    raise ConvergenceError(
+        f"tanh-rule quadrature did not converge within {_NODE_CAP} nodes for {q}")
 
 
 def moment_by_quadrature(q: MomentQuery, eps: float = 1e-16) -> float:
     """Convenience wrapper: truncation window plus tanh-rule integration."""
-    return tanh_rule_integrate(q, truncation_bounds(q, eps))
+    return tanh_rule_integrate(q, truncation_bounds(q, eps)).value

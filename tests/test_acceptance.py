@@ -8,12 +8,12 @@ import math
 import time
 
 from nuttallq import (DomainError, MomentQuery, bessel_ratio,
-                      consistency_deviation, gamma_ratio_q, marcum_q,
-                      moment_by_quadrature, nuttall_q_homogeneous,
-                      nuttall_q_ladder, nuttall_q_series, q_forward_step)
+                      consistency_deviation, gamma_ratio_q, homogeneous_table,
+                      marcum_q, moment_by_quadrature, nuttall_q_ladder,
+                      nuttall_q_series, q_forward_step)
+from nuttallq.cli import TABLE1
 
 from oracles import bessel_ratio_by_series
-from test_series import GOLDEN_TABLE1
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -24,7 +24,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 def test_criterion_1_table1_series_reproduction():
     t0 = time.perf_counter()
     worst = 0.0
-    for eta, mu, x, y, val_dp, val_ref in GOLDEN_TABLE1:
+    for eta, mu, x, y, val_dp, val_ref in TABLE1:
         out = nuttall_q_series(MomentQuery(eta, mu, x, y))
         assert out.converged
         worst = max(worst, abs(out.value / val_dp - 1.0),
@@ -38,12 +38,7 @@ def test_criterion_1_table1_series_reproduction():
 def test_criterion_2_table2_recurrence_reproduction():
     t0 = time.perf_counter()
     x, y = 2.0, 3.0
-    n_cols = 60
-    row = [marcum_q(1.0 + m, x, y) for m in range(n_cols)]
-    for e in (1, 2):
-        s0 = nuttall_q_series(MomentQuery(e, 1.0, x, y)).value
-        s1 = nuttall_q_series(MomentQuery(e, 2.0, x, y)).value
-        row = nuttall_q_homogeneous(e, row, s0, s1, x, y, 1.0, n_cols)
+    row = homogeneous_table(2, 1.0, 60, x, y).values[2]
     worst = 0.0
     for n in (10, 20, 30, 40, 50, 60):
         series = nuttall_q_series(MomentQuery(2.0, float(n), x, y)).value
@@ -78,7 +73,7 @@ def test_criterion_3_region_selftest():
 def test_criterion_4_quadrature_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
-    for eta, mu, x, y, _, _ in GOLDEN_TABLE1:
+    for eta, mu, x, y, _, _ in TABLE1:
         q = MomentQuery(eta, mu, x, y)
         quad = moment_by_quadrature(q)
         series = nuttall_q_series(q).value

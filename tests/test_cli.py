@@ -1,9 +1,13 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
+import ast
 import json
 
 import pytest
 
+import nuttallq.cli
+from nuttallq import (MomentQuery, homogeneous_table, tanh_rule_integrate,
+                      truncation_bounds)
 from nuttallq.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SELFTEST_FAIL,
                           EXIT_USAGE, main)
 
@@ -26,7 +30,7 @@ def test_eval_series_golden_value(capsys):
                        "--format", "csv")
     assert code == EXIT_OK
     row = parse_csv(out)[0]
-    assert float(row["value"]) == pytest.approx(0.6644091427683566, rel=5e-14)
+    assert float(row["value"]) == pytest.approx(0.6644091427683566, rel=5e-14, abs=0.0)
     assert row["method"] == "series"
 
 
@@ -44,7 +48,47 @@ def test_eval_quadrature_matches_series(capsys):
     assert code1 == code2 == EXIT_OK
     v1 = json.loads(out1)["value"]
     v2 = json.loads(out2)["value"]
-    assert v1 == pytest.approx(v2, rel=1e-10)
+    assert v1 == pytest.approx(v2, rel=1e-10, abs=0.0)
+
+
+def test_eval_quadrature_reports_nodes_as_terms(capsys):
+    code, out, _ = run(capsys, "eval", "--eta", "2", "--mu", "5", "--x", "2",
+                       "--y", "3", "--method", "quadrature", "--format", "json")
+    assert code == EXIT_OK
+    q = MomentQuery(2.0, 5.0, 2.0, 3.0)
+    outcome = tanh_rule_integrate(q, truncation_bounds(q))
+    record = json.loads(out)
+    assert record["terms"] == outcome.nodes
+    assert record["value"] == outcome.value
+    assert record["est_error"] == outcome.rel_diff
+
+
+@pytest.mark.parametrize("eta,mu,x,y,mu_start,n_cols", [
+    (2, 7.5, 2.0, 3.0, 0.5, 8),
+    (3, 4.0, 0.7, 9.0, 1.0, 4),
+    (1, 1.0, 5.0, 2.0, 1.0, 1),
+])
+def test_eval_homogeneous_prints_the_table_entry(capsys, eta, mu, x, y,
+                                                 mu_start, n_cols):
+    code, out, _ = run(capsys, "eval", "--eta", str(eta), "--mu", repr(mu),
+                       "--x", repr(x), "--y", repr(y),
+                       "--method", "homogeneous", "--format", "json")
+    assert code == EXIT_OK
+    table = homogeneous_table(eta, mu_start, n_cols, x, y)
+    assert json.loads(out)["value"] == table.entry(eta, n_cols - 1)
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse(open(nuttallq.cli.__file__, encoding="utf-8").read())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [a.name for a in node.names]
+            names += (node.module or "").split(".")
+        elif isinstance(node, ast.Import):
+            names += [part for a in node.names for part in a.name.split(".")]
+    assert names and not [n for n in names if n.startswith("_")
+                          and n != "__future__"]
 
 
 def test_eval_text_format_has_17_digit_roundtrip(capsys):
@@ -92,7 +136,7 @@ def test_table1_rows_and_golden_entry(capsys):
     assert list(rows[0]) == ["eta", "mu", "x", "y", "value"]
     row5 = rows[4]
     assert (float(row5["eta"]), float(row5["mu"])) == (5.0, 10.0)
-    assert float(row5["value"]) == pytest.approx(419098.1927146542, rel=5e-14)
+    assert float(row5["value"]) == pytest.approx(419098.1927146542, rel=5e-14, abs=0.0)
 
 
 def test_table2_errors_within_bound(capsys):
@@ -130,7 +174,7 @@ def test_sweep_csv_columns_and_agreement(capsys):
     for key, vals in by_point.items():
         ref = vals["series"]
         for method, v in vals.items():
-            assert v == pytest.approx(ref, rel=1e-10), (key, method)
+            assert v == pytest.approx(ref, rel=1e-10, abs=0.0), (key, method)
 
 
 def test_sweep_is_deterministic(capsys):
@@ -161,6 +205,17 @@ def test_selftest_json_region_pass(capsys):
     record = json.loads(out)
     assert record["result"] == "PASS"
     assert record["points"] == 3**4
+    assert record["convergence_failures"] == 0
+    assert record["max_deviation"] <= 1e-12
+
+
+def test_selftest_x_zero_region_passes(capsys):
+    # x = 0 points check the series against the lgamma closed form.
+    code, out, _ = run(capsys, "selftest", "--x", "0:20", "--steps", "5",
+                       "--format", "json")
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["result"] == "PASS"
     assert record["convergence_failures"] == 0
     assert record["max_deviation"] <= 1e-12
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from nuttallq import (DomainError, MomentQuery,
+from nuttallq import (DomainError, MomentQuery, QuadratureOutcome,
                       QuadratureSpec, integrand_scaled, marcum_q,
                       moment_by_quadrature, nuttall_q_series,
                       tanh_rule_integrate, truncation_bounds)
@@ -20,7 +20,7 @@ def _profile(gamma_exp, x, t):
 def test_integrand_trivial_origin():
     # mu=1, eta=0, t=0: x^0 t^0 e^{-x} I_0(0) = e^{-x}
     q = MomentQuery(0.0, 1.0, 2.5, 0.0)
-    assert integrand_scaled(q, 0.0) == pytest.approx(math.exp(-2.5), rel=1e-15)
+    assert integrand_scaled(q, 0.0) == pytest.approx(math.exp(-2.5), rel=1e-15, abs=0.0)
 
 
 def test_integrand_rejects_t_below_y():
@@ -52,7 +52,7 @@ def test_integrand_scaled_matches_naive_form():
     # At a benign point the scaled form equals the raw formula.
     q = MomentQuery(1.0, 1.0, 0.1, 1.5)
     ref = naive_integrand(1.0, 1.0, 0.1, 1.5)
-    assert integrand_scaled(q, 1.5) == pytest.approx(ref, rel=1e-13)
+    assert integrand_scaled(q, 1.5) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_truncation_gamma_zero_peak_is_x_exactly():
@@ -65,7 +65,7 @@ def test_truncation_peak_formula():
     spec = truncation_bounds(MomentQuery(1.0, 1.0, 1.2, 5.0))
     expected = (math.sqrt(1.2) + math.sqrt(1.2 + 4.0)) ** 2 / 4.0
     assert spec.gamma_exp == 1.0
-    assert spec.peak == pytest.approx(expected, rel=1e-15)
+    assert spec.peak == pytest.approx(expected, rel=1e-15, abs=0.0)
     assert spec.lower >= 5.0
     assert spec.nodes >= 16
 
@@ -81,13 +81,13 @@ def test_truncation_profile_below_eps_at_ends():
 def test_truncation_width_doubling_insensitive():
     q = MomentQuery(5.0, 10.0, 5.0, 10.0)
     spec = truncation_bounds(q, eps=1e-16)
-    base = tanh_rule_integrate(q, spec)
+    base = tanh_rule_integrate(q, spec).value
     center = max(spec.peak, q.y)
     wide = QuadratureSpec(spec.gamma_exp, spec.peak,
                           max(q.y, center - 2.0 * (center - spec.lower)
                               if spec.lower > q.y else q.y),
                           center + 2.0 * (spec.upper - center), spec.nodes)
-    assert tanh_rule_integrate(q, wide) == pytest.approx(base, rel=1e-12)
+    assert tanh_rule_integrate(q, wide).value == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 def test_truncation_eps_validation():
@@ -101,23 +101,38 @@ def test_truncation_eps_validation():
 def test_zero_width_window_integrates_to_zero():
     q = MomentQuery(1.0, 1.0, 1.0, 2.0)
     spec = QuadratureSpec(1.0, 1.0, 2.0, 2.0, 64)
-    assert tanh_rule_integrate(q, spec) == 0.0
+    assert tanh_rule_integrate(q, spec) == QuadratureOutcome(0.0, 0, 0.0)
+
+
+@pytest.mark.parametrize("eta,mu,x,y", [
+    (1.0, 1.0, 0.1, 1.5), (5.0, 10.0, 5.0, 10.0), (50.0, 30.0, 1.2, 5.0),
+    (2.0, 1.0, 0.0, 1.0),
+])
+def test_outcome_reports_the_converged_pass(eta, mu, x, y):
+    q = MomentQuery(eta, mu, x, y)
+    out = tanh_rule_integrate(q, truncation_bounds(q))
+    assert out.value == moment_by_quadrature(q)
+    k = (out.nodes // 64).bit_length() - 1
+    assert out.nodes >= 128 and out.nodes == 64 * 2**k
+    assert 0.0 <= out.rel_diff <= 1e-12
 
 
 def test_golden_row_first_moment():
     q = MomentQuery(1.0, 1.0, 1.2, 5.0)
-    assert moment_by_quadrature(q) == pytest.approx(0.5457546041478581, rel=1e-10)
+    assert moment_by_quadrature(q) == pytest.approx(
+        0.5457546041478581, rel=1e-10, abs=0.0)
 
 
 def test_golden_row_fifth_moment():
     q = MomentQuery(5.0, 10.0, 1.2, 5.0)
-    assert moment_by_quadrature(q) == pytest.approx(419098.1927146542, rel=1e-10)
+    assert moment_by_quadrature(q) == pytest.approx(
+        419098.1927146542, rel=1e-10, abs=0.0)
 
 
 def test_marcum_against_quadrature():
     q = MomentQuery(0.0, 10.0, 1.2, 5.0)
     assert moment_by_quadrature(q) == pytest.approx(
-        marcum_q(10.0, 1.2, 5.0), rel=1e-10)
+        marcum_q(10.0, 1.2, 5.0), rel=1e-10, abs=0.0)
 
 
 def test_node_doubling_differences_shrink():
@@ -141,7 +156,7 @@ def test_node_doubling_differences_shrink():
 def test_quadrature_vs_series_x_zero():
     q = MomentQuery(2.0, 1.0, 0.0, 1.0)
     assert moment_by_quadrature(q) == pytest.approx(
-        nuttall_q_series(q).value, rel=1e-10)
+        nuttall_q_series(q).value, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("mu,y,ref", [
@@ -153,4 +168,4 @@ def test_quadrature_vs_series_x_zero():
 ])
 def test_x_zero_window_covers_the_upper_tail(mu, y, ref):
     q = MomentQuery(0.0, mu, 0.0, y)
-    assert moment_by_quadrature(q) == pytest.approx(ref, rel=1e-10)
+    assert moment_by_quadrature(q) == pytest.approx(ref, rel=1e-10, abs=0.0)
