@@ -5,14 +5,18 @@ integral is truncated around the peak of the profile t^g e^{-(sqrt t -
 sqrt x)^2}, g = eta + (mu-1)/2 (at x = 0, where the integrand is
 t^{eta+mu-1} e^{-t}, g = eta + mu - 1), mapped linearly onto [-1, 1],
 pushed through the change of variable s = tanh(u), and integrated with the
-trapezoidal rule on a uniform u-grid, doubling the node count until two
-consecutive results agree.  The integrand is always evaluated through its
-logarithm, so profiles reaching 1e89 never overflow a node.
+trapezoidal rule on nested uniform u-grids of n -> 2n - 1 points until two
+consecutive results agree.  Each refinement halves the spacing, so the
+earlier nodes stay on the grid and their values are reused: every node is
+evaluated once, and the last grid's point count is the number of integrand
+evaluations.  The integrand is always evaluated through its logarithm, so
+profiles reaching 1e89 never overflow a node.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import fsum
 
@@ -127,32 +131,54 @@ def truncation_bounds(q: MomentQuery, eps: float = 1e-16) -> QuadratureSpec:
     return QuadratureSpec(gamma_exp, peak, lower, upper, 64)
 
 
-def _trapezoid_pass(q: MomentQuery, a: float, b: float, n: int) -> float:
+def _nested_passes(q: MomentQuery, a: float, b: float,
+                   n: int) -> Iterator[tuple[int, float]]:
+    """(points, trapezoid sum) of the tanh rule on [a, b] for nested u-grids
+    of n, 2n - 1, 4n - 3, ... points, up to the node cap.
+
+    Halving the spacing keeps the old nodes at the even indices of the new
+    grid, so a pass evaluates only its midpoints; its sum is one exact
+    ``fsum`` over every stored node, so reuse adds no rounding.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    h = 2.0 * _U_MAX / (n - 1)
     log_half = math.log(half)
-    logs = []
-    for i in range(n):
-        u = -_U_MAX + i * h
-        t = mid + half * math.tanh(u)
-        t = min(b, max(a, t))
-        lf = _log_integrand(q, t)
-        if lf == -math.inf:
-            continue
-        w = h if 0 < i < n - 1 else 0.5 * h
-        lc = lf + log_half + math.log(w) - 2.0 * math.log(math.cosh(u))
-        logs.append(lc)
-    if not logs:
-        return 0.0
-    top = max(logs)
-    return exp_clipped(top) * fsum(math.exp(v - top) for v in logs)
+    log_end_weight = math.log(0.5)
+    h = 2.0 * _U_MAX / (n - 1)
+    # ln of each node's u-space integrand without the spacing h, which every
+    # pass changes; the endpoints carry their trapezoid weight 1/2.  Nodes
+    # where the integrand is zero are not stored.
+    logs: list[float] = []
+    fresh = range(n)
+    while n <= _NODE_CAP:
+        for i in fresh:
+            u = -_U_MAX + i * h
+            t = min(b, max(a, mid + half * math.tanh(u)))
+            lf = _log_integrand(q, t)
+            if lf == -math.inf:
+                continue
+            if i == 0 or i == n - 1:
+                lf += log_end_weight
+            logs.append(lf + log_half - 2.0 * math.log(math.cosh(u)))
+        if logs:
+            top = max(logs)
+            yield n, (exp_clipped(top + math.log(h))
+                      * fsum(math.exp(v - top) for v in logs))
+        else:
+            yield n, 0.0
+        fresh = range(1, 2 * n - 1, 2)
+        n = 2 * n - 1
+        h *= 0.5
 
 
 @dataclass(frozen=True)
 class QuadratureOutcome:
     """Integral value plus the nodes of the last pass and its relative
-    difference from the pass before."""
+    difference from the pass before.
+
+    The grids are nested and no node is evaluated twice, so ``nodes`` is
+    also the number of integrand evaluations.
+    """
 
     value: float
     nodes: int
@@ -164,11 +190,14 @@ def tanh_rule_integrate(q: MomentQuery,
     """Integrate the scaled integrand over the window by the tanh rule.
 
     Maps [lower, upper] linearly to [-1, 1], substitutes s = tanh(u), and
-    applies the trapezoidal rule on a uniform u-grid, doubling ``nodes``
-    until two passes agree to ~1e-12 relative; non-convergence within the
-    2^20 node cap raises ConvergenceError.  Node contributions are combined
-    with exact summation in a fixed order, so results are reproducible.  A
-    zero-width window gives QuadratureOutcome(0.0, 0, 0.0).
+    applies the trapezoidal rule on nested uniform u-grids: the first has
+    ``nodes`` points, and each refinement halves the spacing, n -> 2n - 1,
+    so a pass evaluates only its n - 1 new midpoints and reuses the values
+    of every earlier node.  Refinement stops when two passes agree to
+    ~1e-12 relative; non-convergence within the 2^20 node cap raises
+    ConvergenceError.  Node contributions are combined with exact
+    summation, so results are reproducible.  A zero-width window gives
+    QuadratureOutcome(0.0, 0, 0.0).
     """
     _check_oracle_query(q)
     if spec.upper < spec.lower:
@@ -177,10 +206,9 @@ def tanh_rule_integrate(q: MomentQuery,
         raise DomainError(f"window starts below y in {spec!r}")
     if spec.upper == spec.lower:
         return QuadratureOutcome(0.0, 0, 0.0)
-    n = max(spec.nodes, 16)
     prev = None
-    while n <= _NODE_CAP:
-        cur = _trapezoid_pass(q, spec.lower, spec.upper, n)
+    for n, cur in _nested_passes(q, spec.lower, spec.upper,
+                                 max(spec.nodes, 16)):
         if prev is not None:
             if cur == 0.0 and prev == 0.0:
                 return QuadratureOutcome(0.0, n, 0.0)
@@ -188,7 +216,6 @@ def tanh_rule_integrate(q: MomentQuery,
             if diff <= _REL_TOL * abs(cur):
                 return QuadratureOutcome(cur, n, diff / abs(cur))
         prev = cur
-        n *= 2
     raise ConvergenceError(
         f"tanh-rule quadrature did not converge within {_NODE_CAP} nodes for {q}")
 

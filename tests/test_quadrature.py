@@ -8,7 +8,7 @@ from nuttallq import (DomainError, MomentQuery, QuadratureOutcome,
                       QuadratureSpec, integrand_scaled, marcum_q,
                       moment_by_quadrature, nuttall_q_series,
                       tanh_rule_integrate, truncation_bounds)
-from nuttallq.quadrature import _trapezoid_pass
+from nuttallq import quadrature
 
 from oracles import naive_integrand
 
@@ -104,17 +104,38 @@ def test_zero_width_window_integrates_to_zero():
     assert tanh_rule_integrate(q, spec) == QuadratureOutcome(0.0, 0, 0.0)
 
 
-@pytest.mark.parametrize("eta,mu,x,y", [
+CONVERGED_PASS_POINTS = [
     (1.0, 1.0, 0.1, 1.5), (5.0, 10.0, 5.0, 10.0), (50.0, 30.0, 1.2, 5.0),
     (2.0, 1.0, 0.0, 1.0),
-])
+]
+
+
+@pytest.mark.parametrize("eta,mu,x,y", CONVERGED_PASS_POINTS)
 def test_outcome_reports_the_converged_pass(eta, mu, x, y):
     q = MomentQuery(eta, mu, x, y)
     out = tanh_rule_integrate(q, truncation_bounds(q))
     assert out.value == moment_by_quadrature(q)
-    k = (out.nodes // 64).bit_length() - 1
-    assert out.nodes >= 128 and out.nodes == 64 * 2**k
+    # Nested grids: 64 points, then n -> 2n - 1, so 63 * 2^k + 1 after k
+    # refinements (k >= 1: the first pass has nothing to compare against).
+    k = ((out.nodes - 1) // 63).bit_length() - 1
+    assert k >= 1 and out.nodes == 63 * 2**k + 1
     assert 0.0 <= out.rel_diff <= 1e-12
+
+
+@pytest.mark.parametrize("eta,mu,x,y", CONVERGED_PASS_POINTS)
+def test_each_node_is_evaluated_once(eta, mu, x, y, monkeypatch):
+    calls = 0
+    log_integrand = quadrature._log_integrand
+
+    def counting(q, t):
+        nonlocal calls
+        calls += 1
+        return log_integrand(q, t)
+
+    monkeypatch.setattr(quadrature, "_log_integrand", counting)
+    q = MomentQuery(eta, mu, x, y)
+    out = tanh_rule_integrate(q, truncation_bounds(q))
+    assert calls == out.nodes
 
 
 def test_golden_row_first_moment():
@@ -141,10 +162,11 @@ def test_node_doubling_differences_shrink():
         q = MomentQuery(eta, mu, x, y)
         spec = truncation_bounds(q)
         results = []
-        n = 64
-        while n <= 2**14:
-            results.append(_trapezoid_pass(q, spec.lower, spec.upper, n))
-            n *= 2
+        for n, value in quadrature._nested_passes(q, spec.lower, spec.upper,
+                                                   64):
+            results.append(value)
+            if n > 2**13:
+                break
         diffs = [abs(b - a) / abs(b) for a, b in zip(results, results[1:])]
         # Differences decrease until they hit the rounding floor.
         for d0, d1 in zip(diffs, diffs[1:]):
@@ -168,4 +190,21 @@ def test_quadrature_vs_series_x_zero():
 ])
 def test_x_zero_window_covers_the_upper_tail(mu, y, ref):
     q = MomentQuery(0.0, mu, 0.0, y)
+    assert moment_by_quadrature(q) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("eta,mu,x,y,ref", [
+    # Corners and edges of the box eta in [0, 50], mu in [1, 50], x, y in
+    # [0, 20].  30-digit values from mpmath at 45 digits, where a gammainc
+    # series and mpmath.quad of the defining integral agree to 1e-45.
+    (0.0, 50.0, 0.0, 20.0, 0.999999987541073920280620765173),
+    (50.0, 50.0, 20.0, 0.0, 6.52551178815642645820680344876e+99),
+    (2.5, 1.0, 0.5, 0.0, 8.27775820006730943303127284995),
+    (49.9, 50.0, 20.0, 20.0, 4.00595771293275323151886179981e+99),
+    (0.0, 1.0, 20.0, 0.1, 0.999999999535527336647645484602),
+    (50.0, 1.0, 20.0, 0.1, 7.64559590257205552491511486050e+86),
+    (0.0, 1.0, 20.0, 20.0, 0.531639139937617665131211120176),
+])
+def test_quadrature_at_the_box_edges(eta, mu, x, y, ref):
+    q = MomentQuery(eta, mu, x, y)
     assert moment_by_quadrature(q) == pytest.approx(ref, rel=1e-10, abs=0.0)
