@@ -7,12 +7,12 @@ truncated tanh-rule quadrature of the defining integral.
 
 from .bessel import bessel_i_scaled, bessel_ratio
 from .errors import ConvergenceError, DomainError
-from .incgamma import gamma_ratio_q, q_forward_step, q_increment
+from .incgamma import gamma_ratio_q, q_increment
 from .nuttall import (MomentQuery, RecurrenceTable, SeriesOutcome,
                       consistency_deviation, homogeneous_table, marcum_q,
                       nuttall_q_homogeneous, nuttall_q_ladder,
                       nuttall_q_series)
-from .quadrature import (QuadratureOutcome, QuadratureSpec, integrand_scaled,
+from .quadrature import (QuadratureOutcome, QuadratureSpec,
                          moment_by_quadrature, tanh_rule_integrate,
                          truncation_bounds)
 
@@ -31,13 +31,11 @@ __all__ = [
     "consistency_deviation",
     "gamma_ratio_q",
     "homogeneous_table",
-    "integrand_scaled",
     "marcum_q",
     "moment_by_quadrature",
     "nuttall_q_homogeneous",
     "nuttall_q_ladder",
     "nuttall_q_series",
-    "q_forward_step",
     "q_increment",
     "tanh_rule_integrate",
     "truncation_bounds",

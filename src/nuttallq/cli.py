@@ -14,10 +14,10 @@ identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .incgamma import gamma_ratio_q
@@ -53,37 +53,9 @@ TABLE2_Y = 3.0
 TABLE2_NS = (10, 20, 30, 40, 50, 60)
 
 SELFTEST_THRESHOLD = 1e-12
-_DEFAULT_REGION = {
-    "eta": (1.0, 49.0),
-    "mu": (1.0, 50.0),
-    "x": (0.1, 20.0),
-    "y": (0.1, 20.0),
-}
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid axes (lo, hi, steps), method subset, and series tolerance."""
-
-    eta_range: tuple[float, float, int]
-    mu_range: tuple[float, float, int]
-    x_range: tuple[float, float, int]
-    y_range: tuple[float, float, int]
-    methods: tuple[str, ...]
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        for name in ("eta_range", "mu_range", "x_range", "y_range"):
-            lo, hi, steps = getattr(self, name)
-            if not lo <= hi:
-                raise DomainError(f"{name}: lo must be <= hi, got {lo} > {hi}")
-            if steps < 1:
-                raise DomainError(f"{name}: steps must be >= 1, got {steps}")
-        if not self.methods:
-            raise DomainError("at least one method must be selected")
-        for m in self.methods:
-            if m not in METHODS:
-                raise DomainError(f"unknown method {m!r}")
+# Default axes of the sweep and self-test grid: the working region.
+_DEFAULT_AXES = (("eta", "1:49"), ("mu", "1:50"), ("x", "0.1:20"),
+                 ("y", "0.1:20"))
 
 
 class _UsageError(Exception):
@@ -106,18 +78,39 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def _parse_range(text: str, steps_default: int) -> tuple[float, float, int]:
+    """(lo, hi, steps) from ``lo[:hi[:steps]]``; lo <= hi and steps >= 1."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            v = float(parts[0])
-            return (v, v, 1)
-        if len(parts) == 2:
-            return (float(parts[0]), float(parts[1]), steps_default)
-        if len(parts) == 3:
-            return (float(parts[0]), float(parts[1]), int(parts[2]))
+            lo = hi = float(parts[0])
+            steps = 1
+        elif len(parts) == 2:
+            lo, hi, steps = float(parts[0]), float(parts[1]), steps_default
+        elif len(parts) == 3:
+            lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        else:
+            raise _UsageError(f"bad range {text!r}: expected lo[:hi[:steps]]")
     except ValueError as exc:
         raise _UsageError(f"bad range {text!r}: {exc}") from exc
-    raise _UsageError(f"bad range {text!r}: expected lo[:hi[:steps]]")
+    if not lo <= hi:
+        raise _UsageError(f"bad range {text!r}: lo must be <= hi")
+    if steps < 1:
+        raise _UsageError(f"bad range {text!r}: steps must be >= 1, got {steps}")
+    return lo, hi, steps
+
+
+def _add_axes(parser: argparse.ArgumentParser) -> None:
+    for name, default in _DEFAULT_AXES:
+        parser.add_argument(f"--{name}", default=default,
+                            help="lo[:hi[:steps]]")
+    parser.add_argument("--steps", type=int, default=5,
+                        help="default steps per axis")
+
+
+def _axes(args) -> list[list[float]]:
+    """The eta, mu, x and y grid values of a ``sweep`` or ``selftest``."""
+    return [_linspace(*_parse_range(getattr(args, name), args.steps))
+            for name, _ in _DEFAULT_AXES]
 
 
 def _recurrence_start(mu: float) -> tuple[float, int]:
@@ -233,38 +226,30 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig(
-        eta_range=_parse_range(args.eta, args.steps),
-        mu_range=_parse_range(args.mu, args.steps),
-        x_range=_parse_range(args.x, args.steps),
-        y_range=_parse_range(args.y, args.steps),
-        methods=tuple(args.methods.split(",")),
-        tol=args.tol,
-    )
-    needs_integer_eta = any(m in ("ladder", "homogeneous") for m in cfg.methods)
-    etas = _linspace(*cfg.eta_range)
+    etas, mus, xs, ys = _axes(args)
+    methods = args.methods.split(",")
+    for m in methods:
+        if m not in METHODS:
+            raise DomainError(f"unknown method {m!r}")
+    needs_integer_eta = any(m in ("ladder", "homogeneous") for m in methods)
     if needs_integer_eta and not all(float(e).is_integer() for e in etas):
         raise DomainError(
             "ladder/homogeneous sweeps require an integer eta grid")
     failures = 0
     print("eta,mu,x,y,method,value,est_error,terms")
-    for eta in etas:
-        for mu in _linspace(*cfg.mu_range):
-            for x in _linspace(*cfg.x_range):
-                for y in _linspace(*cfg.y_range):
-                    q = MomentQuery(eta, mu, x, y)
-                    for method in cfg.methods:
-                        try:
-                            value, terms, est, conv = _eval_one(
-                                q, method, cfg.tol, args.max_terms)
-                        except ConvergenceError:
-                            failures += 1
-                            continue
-                        if not conv:
-                            failures += 1
-                        print(",".join((_fmt(eta), _fmt(mu), _fmt(x), _fmt(y),
-                                        method, _fmt(value), _fmt(est),
-                                        str(terms))))
+    for eta, mu, x, y in itertools.product(etas, mus, xs, ys):
+        q = MomentQuery(eta, mu, x, y)
+        for method in methods:
+            try:
+                value, terms, est, conv = _eval_one(q, method, args.tol,
+                                                    args.max_terms)
+            except ConvergenceError:
+                failures += 1
+                continue
+            if not conv:
+                failures += 1
+            print(",".join((_fmt(eta), _fmt(mu), _fmt(x), _fmt(y), method,
+                            _fmt(value), _fmt(est), str(terms))))
     if failures:
         print(f"warning: {failures} evaluations did not converge",
               file=sys.stderr)
@@ -285,29 +270,23 @@ def _selftest_point(q: MomentQuery, tol: float, max_terms: int) -> float:
 
 
 def _cmd_selftest(args) -> int:
-    eta_range = _parse_range(args.eta, args.steps)
-    mu_range = _parse_range(args.mu, args.steps)
-    x_range = _parse_range(args.x, args.steps)
-    y_range = _parse_range(args.y, args.steps)
-    etas = sorted({max(1, round(e)) for e in _linspace(*eta_range)})
+    etas, mus, xs, ys = _axes(args)
+    etas = sorted({max(1, round(e)) for e in etas})
     worst = -1.0
     worst_at = None
     n_points = 0
     failures = 0
-    for eta in etas:
-        for mu in _linspace(*mu_range):
-            for x in _linspace(*x_range):
-                for y in _linspace(*y_range):
-                    q = MomentQuery(float(eta), mu, x, y)
-                    n_points += 1
-                    try:
-                        dev = _selftest_point(q, args.tol, args.max_terms)
-                    except ConvergenceError:
-                        failures += 1
-                        continue
-                    if dev > worst:
-                        worst = dev
-                        worst_at = (eta, mu, x, y)
+    for eta, mu, x, y in itertools.product(etas, mus, xs, ys):
+        q = MomentQuery(float(eta), mu, x, y)
+        n_points += 1
+        try:
+            dev = _selftest_point(q, args.tol, args.max_terms)
+        except ConvergenceError:
+            failures += 1
+            continue
+        if dev > worst:
+            worst = dev
+            worst_at = (eta, mu, x, y)
     passed = failures == 0 and worst <= SELFTEST_THRESHOLD
     record = {
         "points": n_points,
@@ -362,12 +341,7 @@ def _build_parser() -> _Parser:
     p_table.set_defaults(func=_cmd_table)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a parameter grid")
-    p_sweep.add_argument("--eta", default="1:49", help="lo[:hi[:steps]]")
-    p_sweep.add_argument("--mu", default="1:50", help="lo[:hi[:steps]]")
-    p_sweep.add_argument("--x", default="0.1:20", help="lo[:hi[:steps]]")
-    p_sweep.add_argument("--y", default="0.1:20", help="lo[:hi[:steps]]")
-    p_sweep.add_argument("--steps", type=int, default=5,
-                         help="default steps per axis")
+    _add_axes(p_sweep)
     p_sweep.add_argument("--methods", default="series",
                          help="comma-separated subset of "
                               "series,ladder,homogeneous,quadrature")
@@ -377,11 +351,7 @@ def _build_parser() -> _Parser:
 
     p_self = sub.add_parser("selftest",
                             help="recurrence-consistency scan over a region")
-    p_self.add_argument("--eta", default="1:49", help="lo[:hi[:steps]]")
-    p_self.add_argument("--mu", default="1:50", help="lo[:hi[:steps]]")
-    p_self.add_argument("--x", default="0.1:20", help="lo[:hi[:steps]]")
-    p_self.add_argument("--y", default="0.1:20", help="lo[:hi[:steps]]")
-    p_self.add_argument("--steps", type=int, default=5)
+    _add_axes(p_self)
     p_self.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_self.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p_self.add_argument("--format", choices=("text", "json"), default="text")

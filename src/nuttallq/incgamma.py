@@ -1,4 +1,4 @@
-"""Incomplete gamma function ratio Q, its forward ladder, and gamma ratios.
+"""Incomplete gamma function ratio Q and its forward-step increment.
 
 Q_mu(y) = Gamma(mu, y) / Gamma(mu) is evaluated by the classical pair:
 a Taylor series for the complementary ratio P when y < mu + 1, and a
@@ -30,9 +30,6 @@ _STIRLING = (
     -3617.0 / 122400.0,
 )
 _STIRLING_MIN = 8.0
-
-# Rising products longer than this fall back to the lgamma difference.
-_PRODUCT_MAX_FACTORS = 20_000
 
 
 def _stirling_correction(a: float) -> float:
@@ -154,37 +151,4 @@ def q_increment(shape: float, lower_cut: float) -> float:
         return 0.0
     return exp_clipped(_log_gamma_prefactor(shape + 1.0, lower_cut)
                        - math.log(lower_cut))
-
-
-def q_forward_step(q_value: float, shape: float, lower_cut: float) -> float:
-    """One forward step Q_{shape+1}(y) = Q_shape(y) + q_increment(shape, y).
-
-    Stable forward: the increment is positive, so errors cannot amplify.
-    """
-    return q_value + q_increment(shape, lower_cut)
-
-
-def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
-    """Gamma(eta+base)/Gamma(base) as (mantissa, log_offset).
-
-    value = mantissa * exp(log_offset).  Integer eta uses the rising product
-    base (base+1) ... (base+eta-1), folding into the offset only when the
-    running product threatens double range; that keeps the mantissa accurate
-    to a few ulp instead of the ~|log| * eps an exp(lgamma-difference) costs.
-    """
-    if eta == 0.0:
-        return 1.0, 0.0
-    if float(eta).is_integer() and eta <= _PRODUCT_MAX_FACTORS:
-        mant = 1.0
-        offset = 0.0
-        for k in range(int(eta)):
-            mant *= base + k
-            if mant > 1e280:
-                offset += math.log(mant)
-                mant = 1.0
-        return mant, offset
-    diff = math.lgamma(eta + base) - math.lgamma(base)
-    if diff <= 700.0:
-        return math.exp(diff), 0.0
-    return 1.0, diff
 

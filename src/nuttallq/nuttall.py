@@ -36,7 +36,7 @@ from math import fsum
 
 from .bessel import bessel_i_scaled, bessel_ratio
 from .errors import ConvergenceError, DomainError
-from .incgamma import _gamma_ratio_parts, gamma_ratio_q, q_increment
+from .incgamma import gamma_ratio_q, q_increment
 from .logscale import exp_clipped
 
 DEFAULT_TOL = 1e-14
@@ -51,6 +51,8 @@ _FOLD_LIMIT = 1e250
 # Below this the running Q increment is re-seeded from its log form, since a
 # multiply cannot climb back out of underflow or recover subnormal digits.
 _INC_RESEED = 1e-300
+# Rising products longer than this fall back to the lgamma difference.
+_PRODUCT_MAX_FACTORS = 20_000
 
 
 def _require_finite(name: str, v: float) -> None:
@@ -119,6 +121,31 @@ def _validate_tol(tol: float, max_terms: int) -> None:
         raise DomainError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol!r}")
     if max_terms < 1:
         raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
+
+
+def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
+    """Gamma(eta+base)/Gamma(base) as (mantissa, log_offset).
+
+    value = mantissa * exp(log_offset).  Integer eta uses the rising product
+    base (base+1) ... (base+eta-1), folding into the offset only when the
+    running product threatens double range; that keeps the mantissa accurate
+    to a few ulp instead of the ~|log| * eps an exp(lgamma-difference) costs.
+    """
+    if eta == 0.0:
+        return 1.0, 0.0
+    if float(eta).is_integer() and eta <= _PRODUCT_MAX_FACTORS:
+        mant = 1.0
+        offset = 0.0
+        for k in range(int(eta)):
+            mant *= base + k
+            if mant > 1e280:
+                offset += math.log(mant)
+                mant = 1.0
+        return mant, offset
+    diff = math.lgamma(eta + base) - math.lgamma(base)
+    if diff <= 700.0:
+        return math.exp(diff), 0.0
+    return 1.0, diff
 
 
 def nuttall_q_series(q: MomentQuery, tol: float = DEFAULT_TOL,
@@ -228,7 +255,8 @@ def _require_integer_eta(eta: float, what: str) -> int:
 
 def _check_table_args(what: str, eta_max: int, mu_start: float, n_cols: int,
                       x: float, y: float) -> int:
-    """Validate the shared arguments of the table builders; eta_max as int."""
+    """Validate the arguments the table builders and the row filler share;
+    return eta_max as int."""
     eta_max = _require_integer_eta(eta_max, what)
     if eta_max < 0:
         raise DomainError(f"eta_max must be >= 0, got {eta_max!r}")
@@ -312,17 +340,10 @@ def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
     appear.  ``prev_row`` holds Q_{eta-1, mu_start+m}; ``seed0``/``seed1``
     are Q_{eta, mu_start} and Q_{eta, mu_start+1}.
     """
-    eta = _require_integer_eta(eta, "homogeneous recurrence")
+    eta = _check_table_args("homogeneous recurrence", eta, mu_start, n_cols,
+                            x, y)
     if eta < 1:
         raise DomainError(f"homogeneous recurrence requires eta >= 1, got {eta!r}")
-    if x == 0.0:
-        raise DomainError("homogeneous recurrence is undefined at x = 0")
-    if not x > 0.0 or not y >= 0.0:
-        raise DomainError("x must be > 0 and y >= 0")
-    if not mu_start > 0.0:
-        raise DomainError(f"mu_start must be > 0, got {mu_start!r}")
-    if n_cols < 1:
-        raise DomainError(f"n_cols must be >= 1, got {n_cols!r}")
     if len(prev_row) != n_cols:
         raise DomainError(
             f"prev_row has {len(prev_row)} entries, expected n_cols={n_cols}")

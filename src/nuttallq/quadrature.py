@@ -1,16 +1,18 @@
 """Brute-force evaluation of the defining moment integral.
 
 Independent cross-check for the series/recurrence evaluators: the improper
-integral is truncated around the peak of the profile t^g e^{-(sqrt t -
-sqrt x)^2}, g = eta + (mu-1)/2 (at x = 0, where the integrand is
-t^{eta+mu-1} e^{-t}, g = eta + mu - 1), mapped linearly onto [-1, 1],
-pushed through the change of variable s = tanh(u), and integrated with the
-trapezoidal rule on nested uniform u-grids of n -> 2n - 1 points until two
-consecutive results agree.  Each refinement halves the spacing, so the
-earlier nodes stay on the grid and their values are reused: every node is
-evaluated once, and the last grid's point count is the number of integrand
-evaluations.  The integrand is always evaluated through its logarithm, so
-profiles reaching 1e89 never overflow a node.
+integral is truncated to a window around the peak of the profile t^g
+e^{-(sqrt t - sqrt x)^2}, mapped linearly onto [-1, 1], pushed through the
+change of variable s = tanh(u), and integrated with the trapezoidal rule on
+nested uniform u-grids of n -> 2n - 1 points until two consecutive results
+agree.  For x > 0 the window is the union of two: one for g = eta +
+(mu-1)/2, the integrand's large-t shape, and one for the x = 0 profile
+t^{eta+mu-1} e^{-t}, which the integrand follows while x t is small next to
+mu^2; at x = 0 only the second is needed.  Each refinement halves the
+spacing, so the earlier nodes stay on the grid and their values are reused:
+every node is evaluated once, and the last grid's point count is the number
+of integrand evaluations.  The integrand is always evaluated through its
+logarithm, so profiles reaching 1e89 never overflow a node.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .nuttall import MomentQuery
 
 _NODE_CAP = 2**20
 _REL_TOL = 1e-12
-_EPS_MIN = 1e-18
-_EPS_MAX = 1e-8
+# Profile drop, relative to its peak, at which the window ends.
+_EPS = 1e-16
+# Points of the first u-grid.
+_FIRST_GRID = 64
 # u-range such that |tanh(u)| <= 1 - 1e-15; the clipped tail is below rounding.
 _U_MAX = math.atanh(1.0 - 1e-15)
 _WIDTH_DOUBLINGS = 400
@@ -36,13 +40,13 @@ _WIDTH_DOUBLINGS = 400
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation window, profile peak, and node count for one integral."""
+    """Truncation window for one integral, and the exponent g and peak of
+    the profile t^g e^{-(sqrt t - sqrt x)^2} it was centred on."""
 
     gamma_exp: float
     peak: float
     lower: float
     upper: float
-    nodes: int
 
 
 def _check_oracle_query(q: MomentQuery) -> None:
@@ -77,58 +81,61 @@ def _log_integrand(q: MomentQuery, t: float) -> float:
             + log_bessel_i_scaled(q.mu - 1.0, z))
 
 
-def integrand_scaled(q: MomentQuery, t: float) -> float:
-    """Scaled integrand x^{(1-mu)/2} t^{eta+(mu-1)/2} e^{-(sqrt t - sqrt x)^2}
-    Itilde_{mu-1}(2 sqrt(xt)).
+def _window(gamma_exp: float, x: float,
+            y: float) -> tuple[float, float, float]:
+    """(peak, lower, upper): the window in which the profile t^g e^{-(sqrt t
+    - sqrt x)^2}, g = gamma_exp, stays above _EPS times its maximum on
+    [y, inf).
 
-    Algebraically identical to the raw integrand via e^{-t-x} I = e^{-(sqrt t
-    - sqrt x)^2} Itilde; no exponential of a large argument is ever formed.
+    The peak sits at t* = (sqrt x + sqrt(x + 4 g))^2 / 4; the half-width w
+    around max(t*, y) doubles until the profile at both window ends has
+    dropped below _EPS times its value at max(t*, y) (the lower end needs no
+    test once it hits y).
     """
-    _check_oracle_query(q)
-    if t < q.y:
-        raise DomainError(f"t must be >= y, got t={t!r} < y={q.y!r}")
-    return exp_clipped(_log_integrand(q, t))
-
-
-def truncation_bounds(q: MomentQuery, eps: float = 1e-16) -> QuadratureSpec:
-    """Choose a finite window [a, b] around the integrand peak.
-
-    The peak of the profile t^g e^{-(sqrt t - sqrt x)^2} sits at
-    t* = (sqrt x + sqrt(x + 4 g))^2 / 4; the half-width w doubles until the
-    profile at both window ends has dropped below eps times its maximum (the
-    lower end needs no test once it hits y).  For x > 0, g = eta + (mu-1)/2
-    matches the integrand's large-t behaviour.  At x = 0 the integrand is
-    exactly t^{eta+mu-1} e^{-t}, so g = eta + mu - 1 there; the x > 0 value
-    would centre the window too low and cut off the upper tail for large mu.
-    """
-    _check_oracle_query(q)
-    if not (_EPS_MIN <= eps <= _EPS_MAX):
-        raise DomainError(f"eps must lie in [{_EPS_MIN}, {_EPS_MAX}], got {eps!r}")
-    if q.x == 0.0:
-        gamma_exp = q.eta + q.mu - 1.0
-    else:
-        gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
     if gamma_exp == 0.0:
-        peak = q.x
+        peak = x
     else:
-        s = 0.5 * (math.sqrt(q.x) + math.sqrt(q.x + 4.0 * gamma_exp))
+        s = 0.5 * (math.sqrt(x) + math.sqrt(x + 4.0 * gamma_exp))
         peak = s * s
-    center = max(peak, q.y)
-    log_eps = math.log(eps)
-    g_top = _log_profile(gamma_exp, q.x, center) if center > 0.0 else 0.0
+    center = max(peak, y)
+    log_eps = math.log(_EPS)
+    g_top = _log_profile(gamma_exp, x, center) if center > 0.0 else 0.0
     w = max(1.0, math.sqrt(center))
-    lower = q.y
+    lower = y
     upper = center + w
     for _ in range(_WIDTH_DOUBLINGS):
-        lower = max(q.y, center - w)
+        lower = max(y, center - w)
         upper = center + w
-        ok_hi = _log_profile(gamma_exp, q.x, upper) - g_top <= log_eps
-        ok_lo = (lower <= q.y
-                 or _log_profile(gamma_exp, q.x, lower) - g_top <= log_eps)
+        ok_hi = _log_profile(gamma_exp, x, upper) - g_top <= log_eps
+        ok_lo = (lower <= y
+                 or _log_profile(gamma_exp, x, lower) - g_top <= log_eps)
         if ok_hi and ok_lo:
             break
         w *= 2.0
-    return QuadratureSpec(gamma_exp, peak, lower, upper, 64)
+    return peak, lower, upper
+
+
+def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
+    """Choose a finite window [a, b] that holds the integrand's mass.
+
+    At x = 0 the integrand is exactly t^{eta+mu-1} e^{-t}, and the window
+    is the one of that profile (g = eta + mu - 1, x = 0).  For x > 0 it is
+    the union of that window and the one of the profile with g = eta +
+    (mu-1)/2 at the given x, which matches the integrand's large-t
+    behaviour; where x t is small next to mu^2 the integrand still follows
+    the x = 0 shape, and the x > 0 window alone would cut off its upper
+    tail for large mu.  ``gamma_exp`` and ``peak`` describe the x > 0
+    profile whenever x > 0.
+    """
+    _check_oracle_query(q)
+    g_zero = q.eta + q.mu - 1.0
+    peak0, lower0, upper0 = _window(g_zero, 0.0, q.y)
+    if q.x == 0.0:
+        return QuadratureSpec(g_zero, peak0, lower0, upper0)
+    gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
+    peak, lower, upper = _window(gamma_exp, q.x, q.y)
+    return QuadratureSpec(gamma_exp, peak, min(lower, lower0),
+                          max(upper, upper0))
 
 
 def _nested_passes(q: MomentQuery, a: float, b: float,
@@ -191,7 +198,7 @@ def tanh_rule_integrate(q: MomentQuery,
 
     Maps [lower, upper] linearly to [-1, 1], substitutes s = tanh(u), and
     applies the trapezoidal rule on nested uniform u-grids: the first has
-    ``nodes`` points, and each refinement halves the spacing, n -> 2n - 1,
+    64 points, and each refinement halves the spacing, n -> 2n - 1,
     so a pass evaluates only its n - 1 new midpoints and reuses the values
     of every earlier node.  Refinement stops when two passes agree to
     ~1e-12 relative; non-convergence within the 2^20 node cap raises
@@ -207,8 +214,7 @@ def tanh_rule_integrate(q: MomentQuery,
     if spec.upper == spec.lower:
         return QuadratureOutcome(0.0, 0, 0.0)
     prev = None
-    for n, cur in _nested_passes(q, spec.lower, spec.upper,
-                                 max(spec.nodes, 16)):
+    for n, cur in _nested_passes(q, spec.lower, spec.upper, _FIRST_GRID):
         if prev is not None:
             if cur == 0.0 and prev == 0.0:
                 return QuadratureOutcome(0.0, n, 0.0)
@@ -220,6 +226,6 @@ def tanh_rule_integrate(q: MomentQuery,
         f"tanh-rule quadrature did not converge within {_NODE_CAP} nodes for {q}")
 
 
-def moment_by_quadrature(q: MomentQuery, eps: float = 1e-16) -> float:
+def moment_by_quadrature(q: MomentQuery) -> float:
     """Convenience wrapper: truncation window plus tanh-rule integration."""
-    return tanh_rule_integrate(q, truncation_bounds(q, eps)).value
+    return tanh_rule_integrate(q, truncation_bounds(q)).value

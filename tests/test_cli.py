@@ -2,10 +2,11 @@
 
 import ast
 import json
+from pathlib import Path
 
 import pytest
 
-import nuttallq.cli
+import nuttallq
 from nuttallq import (MomentQuery, homogeneous_table, tanh_rule_integrate,
                       truncation_bounds)
 from nuttallq.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SELFTEST_FAIL,
@@ -78,8 +79,11 @@ def test_eval_homogeneous_prints_the_table_entry(capsys, eta, mu, x, y,
     assert json.loads(out)["value"] == table.entry(eta, n_cols - 1)
 
 
-def test_cli_imports_no_private_names():
-    tree = ast.parse(open(nuttallq.cli.__file__, encoding="utf-8").read())
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in Path(nuttallq.__file__).parent.glob("*.py")))
+def test_module_imports_no_private_names(module):
+    path = Path(nuttallq.__file__).parent / module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -87,8 +91,7 @@ def test_cli_imports_no_private_names():
             names += (node.module or "").split(".")
         elif isinstance(node, ast.Import):
             names += [part for a in node.names for part in a.name.split(".")]
-    assert names and not [n for n in names if n.startswith("_")
-                          and n != "__future__"]
+    assert not [n for n in names if n.startswith("_") and n != "__future__"]
 
 
 def test_eval_text_format_has_17_digit_roundtrip(capsys):
@@ -189,6 +192,17 @@ def test_sweep_rejects_non_integer_eta_for_recurrences(capsys):
                        "--x", "1", "--y", "1", "--methods", "ladder")
     assert code == EXIT_USAGE
     assert "integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("selftest", "--steps", "0"), ("selftest", "--eta", "5:1"),
+    ("sweep", "--steps", "0"), ("sweep", "--x", "5:1:2"),
+], ids=" ".join)
+def test_grid_rejects_an_empty_or_reversed_range(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "usage error" in err
 
 
 def test_selftest_degenerate_single_point(capsys):
