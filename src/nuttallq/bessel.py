@@ -12,6 +12,7 @@ All routines accept real (not just integer) order >= 0 and argument >= 0.
 from __future__ import annotations
 
 import math
+import sys
 from math import fsum
 
 from .errors import ConvergenceError, DomainError
@@ -124,7 +125,7 @@ def log_bessel_i_scaled(order: float, arg: float) -> float:
     if arg == 0.0:
         return 0.0 if order == 0.0 else -math.inf
     s = _i_scaled(order, arg)
-    if s > 0.0:
+    if s >= sys.float_info.min:  # a subnormal s has lost digits
         return math.log(s)
     return _log_series(order, arg) - arg
 

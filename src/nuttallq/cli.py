@@ -133,21 +133,14 @@ def _eval_one(q: MomentQuery, method: str, tol: float,
     if method == "quadrature":
         out = tanh_rule_integrate(q, truncation_bounds(q))
         return out.value, out.nodes, out.rel_diff, True
-    # Recurrence methods: integer eta, x > 0.
-    if not float(q.eta).is_integer():
-        raise DomainError(f"method {method!r} requires integer eta, got {q.eta!r}")
-    eta = int(q.eta)
+    # The builders check eta and x; at eta = 0 a homogeneous table is marcum_q.
+    if method == "homogeneous" and q.eta == 0.0:
+        raise DomainError("homogeneous recurrence requires eta >= 1")
     mu_start, n_cols = _recurrence_start(q.mu)
-    if method == "ladder":
-        table = nuttall_q_ladder(eta, mu_start, n_cols, q.x, q.y, tol, max_terms)
-    elif method == "homogeneous":
-        if eta < 1:
-            raise DomainError("homogeneous recurrence requires eta >= 1")
-        table = homogeneous_table(eta, mu_start, n_cols, q.x, q.y, tol,
-                                  max_terms)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return table.entry(eta, n_cols - 1), (eta + 1) * n_cols, tol, True
+    build = nuttall_q_ladder if method == "ladder" else homogeneous_table
+    table = build(q.eta, mu_start, n_cols, q.x, q.y, tol, max_terms)
+    return (table.entry(table.eta_max, n_cols - 1),
+            (table.eta_max + 1) * n_cols, tol, True)
 
 
 def _emit_record(args, record: dict) -> None:
@@ -271,7 +264,9 @@ def _selftest_point(q: MomentQuery, tol: float, max_terms: int) -> float:
 
 def _cmd_selftest(args) -> int:
     etas, mus, xs, ys = _axes(args)
-    etas = sorted({max(1, round(e)) for e in etas})
+    if not all(float(e).is_integer() and e >= 1.0 for e in etas):
+        raise DomainError("selftest requires an eta grid of integers >= 1")
+    etas = sorted({int(e) for e in etas})
     worst = -1.0
     worst_at = None
     n_points = 0

@@ -15,10 +15,11 @@ is evaluated three independent ways:
   (re-seeded from its log form whenever it drops below 1e-300).
 * ``nuttall_q_ladder`` - the inhomogeneous recurrence in mu, written with the
   scaled Bessel function so the forcing term never forms e^{-x-y} I_mu
-  directly.  All right-hand terms are positive, hence stable forward.
+  directly.  All right-hand terms are positive, hence stable forward; each
+  row, the eta = 0 Marcum row included, needs one series seed.
 * ``nuttall_q_homogeneous`` - the three-term recurrence whose coefficient is
   a Bessel-function ratio, so no raw Bessel magnitudes appear at all;
-  ``homogeneous_table`` drives it row by row.
+  ``homogeneous_table`` drives it row by row on a per-column Marcum row.
 
 ``consistency_deviation`` rearranges the recurrence into a ratio whose
 distance from 1 measures the joint accuracy of everything above; it is the
@@ -31,10 +32,11 @@ to the Marcum base case and therefore require integer eta.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import fsum
 
-from .bessel import bessel_i_scaled, bessel_ratio
+from .bessel import bessel_i_scaled, bessel_ratio, log_bessel_i_scaled
 from .errors import ConvergenceError, DomainError
 from .incgamma import gamma_ratio_q, q_increment
 from .logscale import exp_clipped
@@ -102,8 +104,8 @@ class SeriesOutcome:
 class RecurrenceTable:
     """Grid of Q_{e, mu_start+m} values built by a recurrence in mu.
 
-    Row e=0 holds Marcum Q values (in [0, 1]); ``seed_method`` records how
-    the boundary row and column were produced.
+    Row e=0 holds Marcum Q values (in [0, 1]); ``seed_method`` records which
+    entries were seeded by the series rather than recurred.
     """
 
     eta_max: int
@@ -279,18 +281,21 @@ def _inhom_term(eta: float, mu: float, x: float, y: float,
 
     ``i_scaled`` is the caller-supplied scaled Bessel value Itilde_mu.
     The raw e^{-x-y} I_mu product is never formed; the plain-float product
-    is used while each factor stays in range, log space otherwise.
+    is used while each factor stays in range, log space otherwise.  An
+    underflowed (0.0 or subnormal) ``i_scaled`` is replaced by its log.
     """
     if y == 0.0:
         return 0.0
     l_pow = 0.5 * mu * (math.log(y) - math.log(x))
     l_y = eta * math.log(y) if eta > 0.0 else 0.0
     l_exp = -((math.sqrt(x) - math.sqrt(y)) ** 2)
-    if i_scaled > 0.0 and abs(l_pow) < 680.0 and abs(l_y) < 680.0 \
-            and l_pow + l_y + l_exp + math.log(i_scaled) < 700.0:
+    normal = i_scaled >= sys.float_info.min  # a subnormal has lost digits
+    log_i = (math.log(i_scaled) if normal
+             else log_bessel_i_scaled(mu, 2.0 * math.sqrt(x * y)))
+    if normal and abs(l_pow) < 680.0 and abs(l_y) < 680.0 \
+            and l_pow + l_y + l_exp + log_i < 700.0:
         return ((y / x) ** (0.5 * mu)) * (y**eta if eta > 0.0 else 1.0) \
             * math.exp(l_exp) * i_scaled
-    log_i = math.log(i_scaled) if i_scaled > 0.0 else -math.inf
     return exp_clipped(l_pow + l_y + l_exp + log_i)
 
 
@@ -303,28 +308,27 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
                        + (y/x)^{mu/2} y^eta e^{-(sqrt x - sqrt y)^2}
                          Itilde_mu(2 sqrt(xy))
 
-    Row e=0 is seeded by marcum_q, column m=0 of each later row by the
-    series; every right-hand term is positive, so filling left to right and
-    bottom to top is stable.  x = 0 is rejected (the forcing term divides
-    by x^{mu/2}); the series path must be used there instead.
+    Each row e = 0..eta_max is seeded by the series in column m=0; row 0,
+    the Marcum recurrence, is clipped to 1 like marcum_q.  Every right-hand
+    term is positive, so filling left to right and bottom to top is stable.
+    x = 0 is rejected (the forcing term divides by x^{mu/2}); the series
+    path must be used there instead.
     """
     eta_max = _check_table_args("ladder", eta_max, mu_start, n_cols, x, y)
 
     z = 2.0 * math.sqrt(x * y)
     i_scaled = [bessel_i_scaled(mu_start + m, z) for m in range(n_cols - 1)]
 
-    rows = [[marcum_q(mu_start + m, x, y, tol, max_terms)
-             for m in range(n_cols)]]
-    for e in range(1, eta_max + 1):
-        prev = rows[-1]
+    rows: list[list[float]] = []
+    for e in range(eta_max + 1):
+        prev = rows[-1] if rows else [0.0] * n_cols
         row = [_series_value(e, mu_start, x, y, tol, max_terms)]
         for m in range(1, n_cols):
             t = _inhom_term(e, mu_start + m - 1.0, x, y, i_scaled[m - 1])
             row.append(row[m - 1] + e * prev[m] + t)
-        rows.append(row)
+        rows.append([min(v, 1.0) for v in row] if e == 0 else row)
     return RecurrenceTable(eta_max, mu_start, n_cols,
-                           tuple(tuple(r) for r in rows),
-                           "row0:marcum_q,col0:series")
+                           tuple(tuple(r) for r in rows), "col0:series")
 
 
 def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
@@ -367,10 +371,10 @@ def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
     """Build the table Q_{e, mu_start+m} by the homogeneous recurrence.
 
     The counterpart of ``nuttall_q_ladder``, with the same arguments and
-    checks.  Row e=0 is seeded by marcum_q; each later row by the series at
-    mu_start and mu_start+1 (only the first when n_cols == 1) and then
-    filled by ``nuttall_q_homogeneous`` from the row below.  A seed series
-    that does not converge raises ConvergenceError.
+    checks.  Row e=0 is one marcum_q per column; each later row is seeded by
+    the series at mu_start and mu_start+1 (only the first when n_cols == 1),
+    then filled by ``nuttall_q_homogeneous`` from the row below.  A seed
+    series that does not converge raises ConvergenceError.
     """
     eta_max = _check_table_args("homogeneous table", eta_max, mu_start,
                                 n_cols, x, y)

@@ -205,6 +205,20 @@ def test_grid_rejects_an_empty_or_reversed_range(capsys, argv):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--eta", "0:0.4:2", "--mu", "3", "--x", "1", "--y", "1"),
+    ("--eta", "0", "--mu", "3", "--x", "1", "--y", "1"),
+    ("--eta", "1:2:3", "--mu", "3", "--x", "1", "--y", "1"),
+    ("--steps", "6"),
+], ids=" ".join)
+def test_selftest_rejects_an_eta_grid_of_non_integers_or_zero(capsys, argv):
+    # The grid is checked as given, not rounded onto integers >= 1.
+    code, out, err = run(capsys, "selftest", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "integers >= 1" in err
+
+
 def test_selftest_degenerate_single_point(capsys):
     code, out, _ = run(capsys, "selftest", "--eta", "1", "--mu", "1",
                        "--x", "1", "--y", "1", "--steps", "1")

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
-                      homogeneous_table, marcum_q, nuttall_q_homogeneous,
-                      nuttall_q_ladder, nuttall_q_series)
+                      consistency_deviation, homogeneous_table, marcum_q,
+                      nuttall_q_homogeneous, nuttall_q_ladder,
+                      nuttall_q_series)
+from nuttallq import nuttall
 
 # The benchmark's recurrence-tables workload fills homogeneous tables by its
 # own sequence of public calls; homogeneous_table must reproduce it exactly.
@@ -54,10 +56,116 @@ def test_ladder_seed_tag_and_shape():
     table = nuttall_q_ladder(2, 1.5, 4, 1.0, 2.0)
     assert table.eta_max == 2 and table.n_cols == 4
     assert table.mu_start == 1.5
-    assert table.seed_method == "row0:marcum_q,col0:series"
+    assert table.seed_method == "col0:series"
     assert len(table.values) == 3 and all(len(r) == 4 for r in table.values)
     assert all(v >= 0.0 and math.isfinite(v) for r in table.values for v in r)
     assert all(0.0 <= v <= 1.0 for v in table.values[0])
+
+
+@pytest.mark.parametrize("eta_max,n_cols", [(0, 1), (0, 30), (3, 2), (3, 30)])
+def test_ladder_calls_the_series_once_per_row(monkeypatch, eta_max, n_cols):
+    calls = []
+    series = nuttall.nuttall_q_series
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return series(*args, **kwargs)
+
+    def no_marcum(*args, **kwargs):
+        raise AssertionError("the ladder must recur row 0, not call marcum_q")
+
+    monkeypatch.setattr(nuttall, "nuttall_q_series", counted)
+    monkeypatch.setattr(nuttall, "marcum_q", no_marcum)
+    nuttall_q_ladder(eta_max, 0.5, n_cols, 2.0, 3.0)
+    assert [q.eta for q in calls] == list(range(eta_max + 1))
+    assert all(q.mu == 0.5 for q in calls)
+
+
+# Q_{0, mu0+m}(x, y) at the corners of the working box.  30-digit values
+# from a 45-digit mpmath gammainc series, which agrees with mpmath.quad of
+# the defining integral to 1e-45.
+MARCUM_ROW0_EDGES = (
+    (0.5, 0.1, 20.0, 0, 2.09089590269041223880257997724e-09),
+    (0.5, 0.1, 20.0, 1, 3.01404792784771045127698314337e-08),
+    (0.5, 0.1, 20.0, 12, 0.0314250746834641984953198769295),
+    (0.5, 0.1, 20.0, 49, 0.999999981304244186473702916123),
+    (0.5, 20.0, 0.1, 0, 0.99999999792182581993781558002),
+    (0.5, 20.0, 0.1, 1, 0.999999999905230881385437800642),
+    (0.5, 20.0, 0.1, 12, 1.0),
+    (0.5, 20.0, 0.1, 49, 1.0),
+    (0.5, 20.0, 20.0, 0, 0.5),
+    (0.5, 20.0, 20.0, 1, 0.563078313050504001206178738059),
+    (0.5, 20.0, 20.0, 12, 0.971158864841499429683395554045),
+    (0.5, 20.0, 20.0, 49, 0.99999999999993713000623395591),
+    (0.5, 0.1, 0.1, 0, 0.685546684761348780256296851844),
+    (0.5, 0.1, 0.1, 1, 0.979641663001324436407443332532),
+    (0.5, 0.1, 0.1, 12, 0.999999999999999999999847399423),
+    (0.5, 0.1, 0.1, 49, 1.0),
+    (1.0, 0.1, 20.0, 0, 8.39514499268583811323641021673e-09),
+    (1.0, 0.1, 20.0, 1, 9.77228469249450665119387966612e-08),
+    (1.0, 0.1, 20.0, 12, 0.0417818724305457977020835050903),
+    (1.0, 0.1, 20.0, 49, 0.999999988281362204586452625471),
+    (1.0, 20.0, 0.1, 0, 0.999999999535527336647645484602),
+    (1.0, 20.0, 0.1, 1, 0.999999999982165846308941651389),
+    (1.0, 20.0, 0.1, 12, 1.0),
+    (1.0, 20.0, 0.1, 49, 1.0),
+    (1.0, 20.0, 20.0, 0, 0.531639139937617665131211120176),
+    (1.0, 20.0, 20.0, 1, 0.59412136901205972587886388456),
+    (1.0, 20.0, 20.0, 12, 0.975954560877019034056641072466),
+    (1.0, 20.0, 20.0, 49, 0.999999999999962954451750441908),
+    (1.0, 0.1, 0.1, 0, 0.913469275817164650076379662355),
+    (1.0, 0.1, 0.1, 1, 0.995752399345976794822671537117),
+    (1.0, 0.1, 0.1, 12, 0.999999999999999999999986747965),
+    (1.0, 0.1, 0.1, 49, 1.0),
+)
+
+
+def test_ladder_row0_matches_mpmath_marcum_at_box_edges():
+    tables = {}
+    for mu0, x, y, m, ref in MARCUM_ROW0_EDGES:
+        if (mu0, x, y) not in tables:
+            tables[mu0, x, y] = nuttall_q_ladder(0, mu0, 50, x, y)
+        got = tables[mu0, x, y].entry(0, m)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0), (mu0, x, y, m)
+
+
+def test_ladder_row0_stays_in_unit_interval():
+    # Recurred without a clip, this row reaches 1.0000000000000058.
+    row0 = nuttall_q_ladder(0, 1.0, 200, 1e-6, 30.0).values[0]
+    assert all(0.0 <= v <= 1.0 for v in row0)
+
+
+# Q_{e, mu0+m}(x, y) far outside the working box, where Itilde_mu(2 sqrt(xy))
+# underflows to 0.0 or to a subnormal.  30-digit values from a 45-digit
+# mpmath gammainc series, which agrees with itself at 70 digits to 1e-45.
+UNDERFLOWED_FORCING = (
+    (60.0, 1e-06, 200.0, 0, 0, 8.13578960895368881447404218287e-32),
+    (60.0, 1e-06, 200.0, 0, 30, 9.2844665119235182779152591031e-19),
+    (60.0, 1e-06, 200.0, 0, 35, 4.7181739699260617929102153087e-17),
+    (60.0, 1e-06, 200.0, 0, 59, 2.35525090905362659475833636506e-10),
+    (60.0, 1e-06, 200.0, 1, 0, 1.63863190798265076732284643441e-29),
+    (60.0, 1e-06, 200.0, 1, 30, 1.87339439114543928707609176636e-16),
+    (60.0, 1e-06, 200.0, 1, 35, 9.52397553697785643481217502023e-15),
+    (60.0, 1e-06, 200.0, 1, 59, 4.76614397678014331626534450748e-08),
+    (100.0, 1e-12, 400.0, 0, 0, 1.09437470873799596273631856143e-72),
+    (100.0, 1e-12, 400.0, 0, 30, 2.62744102928574880256091544117e-56),
+    (100.0, 1e-12, 400.0, 0, 35, 6.84095920795281685818410465077e-54),
+    (100.0, 1e-12, 400.0, 0, 59, 2.27424274423771654331457159327e-43),
+    (100.0, 1e-12, 400.0, 1, 0, 4.39201071758877263693849105697e-70),
+    (100.0, 1e-12, 400.0, 1, 30, 1.05484119244250569840005422541e-53),
+    (100.0, 1e-12, 400.0, 1, 35, 2.74663266062790768242169811074e-51),
+    (100.0, 1e-12, 400.0, 1, 59, 9.1343639952394757365413296829e-41),
+)
+
+
+def test_ladder_forcing_term_survives_bessel_underflow():
+    tables = {}
+    for mu0, x, y, e, m, ref in UNDERFLOWED_FORCING:
+        if (mu0, x, y) not in tables:
+            tables[mu0, x, y] = nuttall_q_ladder(1, mu0, 60, x, y)
+        got = tables[mu0, x, y].entry(e, m)
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (mu0, x, y, e, m)
+    assert consistency_deviation(MomentQuery(1, 118, 1e-6, 200)) <= 1e-12
 
 
 def test_ladder_rejects_x_zero():
@@ -126,9 +234,12 @@ def test_homogeneous_table_seed_tag_and_shape():
     table = homogeneous_table(2, 1.5, 4, 1.0, 2.0)
     assert (table.eta_max, table.mu_start, table.n_cols) == (2, 1.5, 4)
     assert table.seed_method == "row0:marcum_q,col0-1:series"
-    assert table.values[0] == nuttall_q_ladder(2, 1.5, 4, 1.0, 2.0).values[0]
-    assert homogeneous_table(0, 1.0, 3, 1.0, 2.0).values == (
-        nuttall_q_ladder(0, 1.0, 3, 1.0, 2.0).values)
+    # Row 0 is one marcum_q per column; the ladder recurs the same row from
+    # its column-0 seed.
+    marcum_row = tuple(marcum_q(1.5 + m, 1.0, 2.0) for m in range(4))
+    assert table.values[0] == marcum_row
+    assert nuttall_q_ladder(2, 1.5, 4, 1.0, 2.0).values[0] == pytest.approx(
+        marcum_row, rel=1e-14, abs=0.0)
 
 
 def test_homogeneous_table_validation():
