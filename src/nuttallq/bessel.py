@@ -19,7 +19,6 @@ from .errors import ConvergenceError, DomainError
 from .logscale import exp_clipped
 
 # Modified Lentz parameters for the ratio continued fraction.
-_LENTZ_TINY = 1e-30
 _LENTZ_TOL = 1e-15
 _LENTZ_MAX_ITER = 10_000
 
@@ -137,24 +136,22 @@ def bessel_ratio(order: float, arg: float) -> float:
 
         r = 1 / (2(order+1)/z + 1 / (2(order+2)/z + ...))
 
-    which follows from the three-term recurrence of I.  The value lies in
-    [0, 1), tends to z/(2(order+1)) as z -> 0, and arg == 0 returns exactly 0.
+    which follows from the three-term recurrence of I.  The fraction has no
+    leading term, so its first step is done in closed form (f = D =
+    z/(2(order+1)), C infinite) rather than from a floor value that would
+    swamp a tiny ratio; every later denominator is positive.  The value
+    lies in [0, 1), tends to z/(2(order+1)) as z -> 0, and arg == 0
+    returns exactly 0.
     """
     _validate(order, arg)
     if arg == 0.0:
         return 0.0
-    f = _LENTZ_TINY
-    c = f
-    d = 0.0
-    for j in range(1, _LENTZ_MAX_ITER + 1):
+    f = d = arg / (2.0 * (order + 1.0))
+    c = math.inf
+    for j in range(2, _LENTZ_MAX_ITER + 1):
         b = 2.0 * (order + j) / arg
-        d = b + d
-        if d == 0.0:
-            d = _LENTZ_TINY
+        d = 1.0 / (b + d)
         c = b + 1.0 / c
-        if c == 0.0:
-            c = _LENTZ_TINY
-        d = 1.0 / d
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < _LENTZ_TOL:

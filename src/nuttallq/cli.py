@@ -22,10 +22,9 @@ import sys
 from .errors import ConvergenceError, DomainError
 from .incgamma import gamma_ratio_q
 from .logscale import exp_clipped
-from .nuttall import (DEFAULT_MAX_TERMS, DEFAULT_TOL, MomentQuery,
-                      consistency_deviation, homogeneous_table,
-                      nuttall_q_ladder, nuttall_q_series)
-from .quadrature import tanh_rule_integrate, truncation_bounds
+from .nuttall import (SERIES_TOL, MomentQuery, consistency_deviation,
+                      homogeneous_table, nuttall_q_ladder, nuttall_q_series)
+from .quadrature import tanh_rule_integrate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -124,23 +123,22 @@ def _recurrence_start(mu: float) -> tuple[float, int]:
     return mu_start, back + 1
 
 
-def _eval_one(q: MomentQuery, method: str, tol: float,
-              max_terms: int) -> tuple[float, int, float, bool]:
+def _eval_one(q: MomentQuery, method: str) -> tuple[float, int, float, bool]:
     """(value, terms_or_nodes, est_error, converged) for one evaluation."""
     if method == "series":
-        out = nuttall_q_series(q, tol, max_terms)
+        out = nuttall_q_series(q)
         return out.value, out.terms_used, out.est_error, out.converged
     if method == "quadrature":
-        out = tanh_rule_integrate(q, truncation_bounds(q))
+        out = tanh_rule_integrate(q)
         return out.value, out.nodes, out.rel_diff, True
     # The builders check eta and x; at eta = 0 a homogeneous table is marcum_q.
     if method == "homogeneous" and q.eta == 0.0:
         raise DomainError("homogeneous recurrence requires eta >= 1")
     mu_start, n_cols = _recurrence_start(q.mu)
     build = nuttall_q_ladder if method == "ladder" else homogeneous_table
-    table = build(q.eta, mu_start, n_cols, q.x, q.y, tol, max_terms)
+    table = build(q.eta, mu_start, n_cols, q.x, q.y)
     return (table.entry(table.eta_max, n_cols - 1),
-            (table.eta_max + 1) * n_cols, tol, True)
+            (table.eta_max + 1) * n_cols, SERIES_TOL, True)
 
 
 def _emit_record(args, record: dict) -> None:
@@ -159,8 +157,7 @@ def _emit_record(args, record: dict) -> None:
 
 def _cmd_eval(args) -> int:
     q = MomentQuery(args.eta, args.mu, args.x, args.y)
-    value, terms, est, converged = _eval_one(q, args.method, args.tol,
-                                             args.max_terms)
+    value, terms, est, converged = _eval_one(q, args.method)
     record = {
         "eta": q.eta, "mu": q.mu, "x": q.x, "y": q.y,
         "method": args.method, "value": value, "est_error": est,
@@ -173,24 +170,22 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _table1_rows(tol: float, max_terms: int) -> list[tuple[float, ...]]:
+def _table1_rows() -> list[tuple[float, ...]]:
     rows = []
     for eta, mu, x, y, _, _ in TABLE1:
-        out = nuttall_q_series(MomentQuery(eta, mu, x, y), tol, max_terms)
+        out = nuttall_q_series(MomentQuery(eta, mu, x, y))
         if not out.converged:
             raise ConvergenceError(f"table 1 series stalled at {(eta, mu, x, y)}")
         rows.append((eta, mu, x, y, out.value))
     return rows
 
 
-def _table2_rows(tol: float, max_terms: int) -> list[tuple[int, float]]:
+def _table2_rows() -> list[tuple[int, float]]:
     x, y = TABLE2_X, TABLE2_Y
-    table = homogeneous_table(TABLE2_ETA, 1.0, max(TABLE2_NS), x, y, tol,
-                              max_terms)
+    table = homogeneous_table(TABLE2_ETA, 1.0, max(TABLE2_NS), x, y)
     out = []
     for n in TABLE2_NS:
-        series = nuttall_q_series(MomentQuery(TABLE2_ETA, float(n), x, y),
-                                  tol, max_terms)
+        series = nuttall_q_series(MomentQuery(TABLE2_ETA, float(n), x, y))
         rel = abs(1.0 - series.value / table.entry(TABLE2_ETA, n - 1))
         out.append((n, rel))
     return out
@@ -198,7 +193,7 @@ def _table2_rows(tol: float, max_terms: int) -> list[tuple[int, float]]:
 
 def _cmd_table(args) -> int:
     if args.which == 1:
-        rows = _table1_rows(args.tol, args.max_terms)
+        rows = _table1_rows()
         if args.format == "json":
             print(json.dumps([
                 {"eta": r[0], "mu": r[1], "x": r[2], "y": r[3], "value": r[4]}
@@ -208,7 +203,7 @@ def _cmd_table(args) -> int:
             for r in rows:
                 print(",".join(_fmt(v) for v in r))
     else:
-        rows = _table2_rows(args.tol, args.max_terms)
+        rows = _table2_rows()
         if args.format == "json":
             print(json.dumps([{"N": n, "rel_error": e} for n, e in rows]))
         else:
@@ -234,8 +229,7 @@ def _cmd_sweep(args) -> int:
         q = MomentQuery(eta, mu, x, y)
         for method in methods:
             try:
-                value, terms, est, conv = _eval_one(q, method, args.tol,
-                                                    args.max_terms)
+                value, terms, est, conv = _eval_one(q, method)
             except ConvergenceError:
                 failures += 1
                 continue
@@ -250,16 +244,16 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _selftest_point(q: MomentQuery, tol: float, max_terms: int) -> float:
+def _selftest_point(q: MomentQuery) -> float:
     if q.x == 0.0:
         # No ladder at x = 0: check the series against the closed form
         # Gamma(eta+mu, y)/Gamma(mu), built from lgamma so that it shares
         # no code with the series' own x = 0 branch.
         closed = (exp_clipped(math.lgamma(q.eta + q.mu) - math.lgamma(q.mu))
                   * gamma_ratio_q(q.eta + q.mu, q.y))
-        got = nuttall_q_series(q, tol, max_terms).value
+        got = nuttall_q_series(q).value
         return abs(1.0 - got / closed)
-    return consistency_deviation(q, tol, max_terms)
+    return consistency_deviation(q)
 
 
 def _cmd_selftest(args) -> int:
@@ -275,7 +269,7 @@ def _cmd_selftest(args) -> int:
         q = MomentQuery(float(eta), mu, x, y)
         n_points += 1
         try:
-            dev = _selftest_point(q, args.tol, args.max_terms)
+            dev = _selftest_point(q)
         except ConvergenceError:
             failures += 1
             continue
@@ -322,16 +316,12 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--x", type=float, required=True)
     p_eval.add_argument("--y", type=float, required=True)
     p_eval.add_argument("--method", choices=METHODS, default="series")
-    p_eval.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_eval.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p_eval.add_argument("--format", choices=("text", "csv", "json"),
                         default="text")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_table = sub.add_parser("table", help="emit a golden reference table")
     p_table.add_argument("which", type=int, choices=(1, 2))
-    p_table.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_table.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.set_defaults(func=_cmd_table)
 
@@ -340,15 +330,11 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--methods", default="series",
                          help="comma-separated subset of "
                               "series,ladder,homogeneous,quadrature")
-    p_sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_sweep.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_self = sub.add_parser("selftest",
                             help="recurrence-consistency scan over a region")
     _add_axes(p_self)
-    p_self.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_self.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p_self.add_argument("--format", choices=("text", "json"), default="text")
     p_self.set_defaults(func=_cmd_selftest)
     return parser

@@ -41,11 +41,11 @@ from .errors import ConvergenceError, DomainError
 from .incgamma import gamma_ratio_q, q_increment
 from .logscale import exp_clipped
 
-DEFAULT_TOL = 1e-14
-DEFAULT_MAX_TERMS = 2000
-
-_TOL_MIN = 1e-15
-_TOL_MAX = 1e-6
+# Relative contribution below which a series term counts as quiet; the CLI
+# also reports it as the recurrence methods' est_error.
+SERIES_TOL = 1e-14
+# Terms after which the series gives up and reports non-convergence.
+_MAX_TERMS = 2000
 # Consecutive below-tolerance terms required before the series may stop.
 _QUIET_TERMS = 3
 # Running-term scale that triggers a renormalization of the partial sums.
@@ -118,13 +118,6 @@ class RecurrenceTable:
         return self.values[eta][col]
 
 
-def _validate_tol(tol: float, max_terms: int) -> None:
-    if not (_TOL_MIN <= tol <= _TOL_MAX):
-        raise DomainError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol!r}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
-
-
 def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
     """Gamma(eta+base)/Gamma(base) as (mantissa, log_offset).
 
@@ -150,8 +143,7 @@ def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
     return 1.0, diff
 
 
-def nuttall_q_series(q: MomentQuery, tol: float = DEFAULT_TOL,
-                     max_terms: int = DEFAULT_MAX_TERMS) -> SeriesOutcome:
+def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     """Evaluate Q_{eta,mu}(x, y) by the incomplete-gamma-ratio expansion.
 
     The Q_{eta+mu+n}(y) factors come from one direct evaluation at n=0
@@ -162,11 +154,11 @@ def nuttall_q_series(q: MomentQuery, tol: float = DEFAULT_TOL,
     it falls below 1e-300, where multiplies lose digits; term magnitudes are
     accumulated against a floating log offset and materialized exactly once
     at the end.  Termination requires the per-term contribution to stay
-    below ``tol`` for three consecutive terms after the term peak near
-    n ~ x has been passed.  A non-converged outcome is reported explicitly,
-    never returned as a silent value.
+    below 1e-14 for three consecutive terms after the term peak near n ~ x
+    has been passed.  If that has not happened within 2000 terms (x beyond
+    ~1500), the outcome says so explicitly; it is never a silent value.
     """
-    _validate_tol(tol, max_terms)
+    tol, max_terms = SERIES_TOL, _MAX_TERMS
     eta, mu, x, y = q.eta, q.mu, q.x, q.y
 
     mant, offset = _gamma_ratio_parts(eta, mu)
@@ -229,20 +221,18 @@ def nuttall_q_series(q: MomentQuery, tol: float = DEFAULT_TOL,
     return SeriesOutcome(value, n + 1, est_error, converged)
 
 
-def marcum_q(mu: float, x: float, y: float, tol: float = DEFAULT_TOL,
-             max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def marcum_q(mu: float, x: float, y: float) -> float:
     """Generalized Marcum Q-function: the moment of order eta = 0.
 
     Shares the series code path bit for bit.  The complementary cumulative
     P is available as 1 - marcum_q; no separate algorithm exists for it.
     """
-    return _series_value(0.0, mu, x, y, tol, max_terms)
+    return _series_value(0.0, mu, x, y)
 
 
-def _series_value(eta: float, mu: float, x: float, y: float, tol: float,
-                  max_terms: int) -> float:
+def _series_value(eta: float, mu: float, x: float, y: float) -> float:
     """The series value of Q_{eta,mu}(x, y); ConvergenceError if it stalls."""
-    out = nuttall_q_series(MomentQuery(eta, mu, x, y), tol, max_terms)
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y))
     if not out.converged:
         raise ConvergenceError(
             f"series did not converge at eta={eta}, mu={mu}, x={x}, y={y}")
@@ -256,14 +246,14 @@ def _require_integer_eta(eta: float, what: str) -> int:
 
 
 def _check_table_args(what: str, eta_max: int, mu_start: float, n_cols: int,
-                      x: float, y: float) -> int:
+                      x: float, y: float) -> tuple[int, int]:
     """Validate the arguments the table builders and the row filler share;
-    return eta_max as int."""
+    return eta_max and n_cols as ints."""
     eta_max = _require_integer_eta(eta_max, what)
     if eta_max < 0:
         raise DomainError(f"eta_max must be >= 0, got {eta_max!r}")
-    if n_cols < 1:
-        raise DomainError(f"n_cols must be >= 1, got {n_cols!r}")
+    if not (float(n_cols).is_integer() and n_cols >= 1):
+        raise DomainError(f"n_cols must be an integer >= 1, got {n_cols!r}")
     if not mu_start > 0.0:
         raise DomainError(f"mu_start must be > 0, got {mu_start!r}")
     if x == 0.0:
@@ -272,7 +262,7 @@ def _check_table_args(what: str, eta_max: int, mu_start: float, n_cols: int,
     _require_finite("y", y)
     if x < 0.0 or y < 0.0:
         raise DomainError("x and y must be >= 0")
-    return eta_max
+    return eta_max, int(n_cols)
 
 
 def _inhom_term(eta: float, mu: float, x: float, y: float,
@@ -300,8 +290,7 @@ def _inhom_term(eta: float, mu: float, x: float, y: float,
 
 
 def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
-                     x: float, y: float, tol: float = DEFAULT_TOL,
-                     max_terms: int = DEFAULT_MAX_TERMS) -> RecurrenceTable:
+                     x: float, y: float) -> RecurrenceTable:
     """Build the table Q_{e, mu_start+m} by the scaled inhomogeneous ladder.
 
         Q_{eta,mu+1} = Q_{eta,mu} + eta Q_{eta-1,mu+1}
@@ -314,7 +303,8 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
     x = 0 is rejected (the forcing term divides by x^{mu/2}); the series
     path must be used there instead.
     """
-    eta_max = _check_table_args("ladder", eta_max, mu_start, n_cols, x, y)
+    eta_max, n_cols = _check_table_args("ladder", eta_max, mu_start, n_cols,
+                                        x, y)
 
     z = 2.0 * math.sqrt(x * y)
     i_scaled = [bessel_i_scaled(mu_start + m, z) for m in range(n_cols - 1)]
@@ -322,7 +312,7 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
     rows: list[list[float]] = []
     for e in range(eta_max + 1):
         prev = rows[-1] if rows else [0.0] * n_cols
-        row = [_series_value(e, mu_start, x, y, tol, max_terms)]
+        row = [_series_value(e, mu_start, x, y)]
         for m in range(1, n_cols):
             t = _inhom_term(e, mu_start + m - 1.0, x, y, i_scaled[m - 1])
             row.append(row[m - 1] + e * prev[m] + t)
@@ -344,8 +334,8 @@ def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
     appear.  ``prev_row`` holds Q_{eta-1, mu_start+m}; ``seed0``/``seed1``
     are Q_{eta, mu_start} and Q_{eta, mu_start+1}.
     """
-    eta = _check_table_args("homogeneous recurrence", eta, mu_start, n_cols,
-                            x, y)
+    eta, n_cols = _check_table_args("homogeneous recurrence", eta, mu_start,
+                                    n_cols, x, y)
     if eta < 1:
         raise DomainError(f"homogeneous recurrence requires eta >= 1, got {eta!r}")
     if len(prev_row) != n_cols:
@@ -366,8 +356,7 @@ def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
 
 
 def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
-                      x: float, y: float, tol: float = DEFAULT_TOL,
-                      max_terms: int = DEFAULT_MAX_TERMS) -> RecurrenceTable:
+                      x: float, y: float) -> RecurrenceTable:
     """Build the table Q_{e, mu_start+m} by the homogeneous recurrence.
 
     The counterpart of ``nuttall_q_ladder``, with the same arguments and
@@ -376,14 +365,12 @@ def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
     then filled by ``nuttall_q_homogeneous`` from the row below.  A seed
     series that does not converge raises ConvergenceError.
     """
-    eta_max = _check_table_args("homogeneous table", eta_max, mu_start,
-                                n_cols, x, y)
-    rows = [[marcum_q(mu_start + m, x, y, tol, max_terms)
-             for m in range(n_cols)]]
+    eta_max, n_cols = _check_table_args("homogeneous table", eta_max,
+                                        mu_start, n_cols, x, y)
+    rows = [[marcum_q(mu_start + m, x, y) for m in range(n_cols)]]
     for e in range(1, eta_max + 1):
-        seed0 = _series_value(e, mu_start, x, y, tol, max_terms)
-        seed1 = (_series_value(e, mu_start + 1.0, x, y, tol, max_terms)
-                 if n_cols > 1 else 0.0)
+        seed0 = _series_value(e, mu_start, x, y)
+        seed1 = _series_value(e, mu_start + 1.0, x, y) if n_cols > 1 else 0.0
         rows.append(nuttall_q_homogeneous(e, rows[-1], seed0, seed1, x, y,
                                           mu_start, n_cols))
     return RecurrenceTable(eta_max, mu_start, n_cols,
@@ -391,8 +378,7 @@ def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
                            "row0:marcum_q,col0-1:series")
 
 
-def consistency_deviation(q: MomentQuery, tol: float = DEFAULT_TOL,
-                          max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def consistency_deviation(q: MomentQuery) -> float:
     """Distance from 1 of the rearranged-recurrence ratio.
 
         | 1 - Q_{eta,mu+1} / (Q_{eta,mu} + eta Q_{eta-1,mu+1} + T) |
@@ -407,8 +393,8 @@ def consistency_deviation(q: MomentQuery, tol: float = DEFAULT_TOL,
     if q.x == 0.0:
         raise DomainError("consistency check is undefined at x = 0")
     mu, x, y = q.mu, q.x, q.y
-    num = _series_value(eta, mu + 1.0, x, y, tol, max_terms)
+    num = _series_value(eta, mu + 1.0, x, y)
     t = _inhom_term(eta, mu, x, y, bessel_i_scaled(mu, 2.0 * math.sqrt(x * y)))
-    den = (_series_value(eta, mu, x, y, tol, max_terms)
-           + eta * _series_value(eta - 1.0, mu + 1.0, x, y, tol, max_terms) + t)
+    den = (_series_value(eta, mu, x, y)
+           + eta * _series_value(eta - 1.0, mu + 1.0, x, y) + t)
     return abs(1.0 - num / den)

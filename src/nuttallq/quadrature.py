@@ -41,7 +41,13 @@ _WIDTH_DOUBLINGS = 400
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Truncation window for one integral, and the exponent g and peak of
-    the profile t^g e^{-(sqrt t - sqrt x)^2} it was centred on."""
+    the profile t^g e^{-(sqrt t - sqrt x)^2} it was centred on.
+
+    ``truncation_bounds`` returns it, and ``tanh_rule_integrate`` integrates
+    over the window it describes.  y <= lower <= upper always holds; lower
+    == upper only where the window's centre is so large (beyond ~1e272)
+    that adding its half-width rounds away.
+    """
 
     gamma_exp: float
     peak: float
@@ -192,25 +198,21 @@ class QuadratureOutcome:
     rel_diff: float
 
 
-def tanh_rule_integrate(q: MomentQuery,
-                        spec: QuadratureSpec) -> QuadratureOutcome:
-    """Integrate the scaled integrand over the window by the tanh rule.
+def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
+    """Integrate the scaled integrand by the tanh rule.
 
-    Maps [lower, upper] linearly to [-1, 1], substitutes s = tanh(u), and
-    applies the trapezoidal rule on nested uniform u-grids: the first has
-    64 points, and each refinement halves the spacing, n -> 2n - 1,
-    so a pass evaluates only its n - 1 new midpoints and reuses the values
-    of every earlier node.  Refinement stops when two passes agree to
+    Takes the window [lower, upper] from ``truncation_bounds(q)``, maps it
+    linearly to [-1, 1], substitutes s = tanh(u), and applies the
+    trapezoidal rule on nested uniform u-grids: the first has 64 points,
+    and each refinement halves the spacing, n -> 2n - 1, so a pass
+    evaluates only its n - 1 new midpoints and reuses the values of every
+    earlier node.  Refinement stops when two passes agree to
     ~1e-12 relative; non-convergence within the 2^20 node cap raises
     ConvergenceError.  Node contributions are combined with exact
-    summation, so results are reproducible.  A zero-width window gives
-    QuadratureOutcome(0.0, 0, 0.0).
+    summation, so results are reproducible.  A window that rounds to zero
+    width gives QuadratureOutcome(0.0, 0, 0.0).
     """
-    _check_oracle_query(q)
-    if spec.upper < spec.lower:
-        raise DomainError(f"upper < lower in {spec!r}")
-    if spec.lower < q.y:
-        raise DomainError(f"window starts below y in {spec!r}")
+    spec = truncation_bounds(q)
     if spec.upper == spec.lower:
         return QuadratureOutcome(0.0, 0, 0.0)
     prev = None
@@ -227,5 +229,5 @@ def tanh_rule_integrate(q: MomentQuery,
 
 
 def moment_by_quadrature(q: MomentQuery) -> float:
-    """Convenience wrapper: truncation window plus tanh-rule integration."""
-    return tanh_rule_integrate(q, truncation_bounds(q)).value
+    """The value of ``tanh_rule_integrate(q)``."""
+    return tanh_rule_integrate(q).value

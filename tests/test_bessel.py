@@ -73,6 +73,21 @@ def test_ratio_cf_vs_series_quotient_region():
     assert worst <= 1e-14
 
 
+# (order, z) with z/(2(order+1)) below 1e-15: where a floor value in the
+# continued fraction would swamp the ratio.  z^2/(4(order+1)(order+2)), the
+# relative size of the next term, is below 1e-17 at every point.
+TINY_RATIO_POINTS = [(0.0, 1e-16), (0.0, 1e-20), (40.0, 1e-14),
+                     (0.5, 1e-200), (1e300, 1.0)]
+
+
+@pytest.mark.parametrize("order,z", TINY_RATIO_POINTS)
+def test_ratio_tiny_values_keep_full_precision(order, z):
+    got = bessel_ratio(order, z)
+    assert got == pytest.approx(z / (2.0 * (order + 1.0)), rel=1e-15, abs=0.0)
+    assert got == pytest.approx(bessel_ratio_by_series(order, z), rel=1e-15,
+                                abs=0.0)
+
+
 def test_ratio_monotonic_grid():
     mus = [0.5 * k for k in range(61)]          # 0 .. 30
     zs = [0.1 + 39.9 * k / 19 for k in range(20)]  # 0.1 .. 40

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import nuttallq
-from nuttallq import (MomentQuery, homogeneous_table, tanh_rule_integrate,
-                      truncation_bounds)
+from nuttallq import MomentQuery, homogeneous_table, tanh_rule_integrate
+from nuttallq import nuttall
 from nuttallq.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SELFTEST_FAIL,
                           EXIT_USAGE, main)
 
@@ -57,7 +57,7 @@ def test_eval_quadrature_reports_nodes_as_terms(capsys):
                        "--y", "3", "--method", "quadrature", "--format", "json")
     assert code == EXIT_OK
     q = MomentQuery(2.0, 5.0, 2.0, 3.0)
-    outcome = tanh_rule_integrate(q, truncation_bounds(q))
+    outcome = tanh_rule_integrate(q)
     record = json.loads(out)
     assert record["terms"] == outcome.nodes
     assert record["value"] == outcome.value
@@ -103,11 +103,25 @@ def test_eval_text_format_has_17_digit_roundtrip(capsys):
     assert float(text) == float(format(float(text), ".17g"))
 
 
-def test_eval_non_convergence_exit_code(capsys):
+def test_eval_non_convergence_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(nuttall, "_MAX_TERMS", 4)
     code, _, err = run(capsys, "eval", "--eta", "2", "--mu", "2",
-                       "--x", "15", "--y", "3", "--max-terms", "4")
+                       "--x", "15", "--y", "3")
     assert code == EXIT_NO_CONVERGENCE
     assert "converge" in err
+
+
+@pytest.mark.parametrize("flag", ["--tol=1e-12", "--max-terms=500"])
+@pytest.mark.parametrize("command", [
+    ["eval", "--eta", "1", "--mu", "2", "--x", "3", "--y", "4"],
+    ["table", "1"],
+    ["sweep", "--steps", "1"],
+    ["selftest", "--steps", "1"],
+], ids=["eval", "table", "sweep", "selftest"])
+def test_removed_tolerance_flags_are_usage_errors(capsys, command, flag):
+    code, out, err = run(capsys, *command, flag)
+    assert code == EXIT_USAGE
+    assert out == "" and "usage error" in err
 
 
 def test_eval_ladder_x_zero_is_domain_error(capsys):

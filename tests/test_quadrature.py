@@ -74,22 +74,27 @@ def test_truncation_profile_below_eps_at_ends():
     assert _profile(g, q.x, spec.upper) <= 1e-16 * top
 
 
-def test_truncation_width_doubling_insensitive():
+def test_truncation_width_doubling_insensitive(monkeypatch):
     q = MomentQuery(5.0, 10.0, 5.0, 10.0)
     spec = truncation_bounds(q)
-    base = tanh_rule_integrate(q, spec).value
+    base = tanh_rule_integrate(q).value
     center = max(spec.peak, q.y)
     wide = QuadratureSpec(spec.gamma_exp, spec.peak,
                           max(q.y, center - 2.0 * (center - spec.lower)
                               if spec.lower > q.y else q.y),
                           center + 2.0 * (spec.upper - center))
-    assert tanh_rule_integrate(q, wide).value == pytest.approx(base, rel=1e-12, abs=0.0)
+    monkeypatch.setattr(quadrature, "truncation_bounds", lambda _: wide)
+    assert tanh_rule_integrate(q).value == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 def test_zero_width_window_integrates_to_zero():
-    q = MomentQuery(1.0, 1.0, 1.0, 2.0)
-    spec = QuadratureSpec(1.0, 1.0, 2.0, 2.0)
-    assert tanh_rule_integrate(q, spec) == QuadratureOutcome(0.0, 0, 0.0)
+    # At y = 1e300 the window's half-width is far below one ulp of its
+    # centre, so lower == upper; the series gives 0.0 there too.
+    q = MomentQuery(1.0, 1.0, 1.0, 1e300)
+    spec = truncation_bounds(q)
+    assert spec.lower == spec.upper == q.y
+    assert tanh_rule_integrate(q) == QuadratureOutcome(0.0, 0, 0.0)
+    assert nuttall_q_series(q).value == 0.0
 
 
 CONVERGED_PASS_POINTS = [
@@ -101,7 +106,7 @@ CONVERGED_PASS_POINTS = [
 @pytest.mark.parametrize("eta,mu,x,y", CONVERGED_PASS_POINTS)
 def test_outcome_reports_the_converged_pass(eta, mu, x, y):
     q = MomentQuery(eta, mu, x, y)
-    out = tanh_rule_integrate(q, truncation_bounds(q))
+    out = tanh_rule_integrate(q)
     assert out.value == moment_by_quadrature(q)
     # Nested grids: 64 points, then n -> 2n - 1, so 63 * 2^k + 1 after k
     # refinements (k >= 1: the first pass has nothing to compare against).
@@ -122,7 +127,7 @@ def test_each_node_is_evaluated_once(eta, mu, x, y, monkeypatch):
 
     monkeypatch.setattr(quadrature, "_log_integrand", counting)
     q = MomentQuery(eta, mu, x, y)
-    out = tanh_rule_integrate(q, truncation_bounds(q))
+    out = tanh_rule_integrate(q)
     assert calls == out.nodes
 
 

@@ -210,6 +210,37 @@ def test_homogeneous_validation():
         nuttall_q_homogeneous(1.5, prev, 1.0, 1.0, 1.0, 1.0, 1.0, 3)
 
 
+@pytest.mark.parametrize("n_cols", [2.5, math.nan])
+@pytest.mark.parametrize("build", [
+    lambda n: nuttall_q_ladder(1, 1.0, n, 1.0, 1.0),
+    lambda n: homogeneous_table(1, 1.0, n, 1.0, 1.0),
+    lambda n: nuttall_q_homogeneous(1, [1.0, 1.0, 1.0], 1.0, 1.0, 1.0, 1.0,
+                                    1.0, n),
+], ids=["ladder", "homogeneous_table", "nuttall_q_homogeneous"])
+def test_builders_reject_non_integer_n_cols(build, n_cols):
+    with pytest.raises(DomainError, match="n_cols must be an integer"):
+        build(n_cols)
+
+
+def test_builders_accept_integral_float_n_cols():
+    for build in (nuttall_q_ladder, homogeneous_table):
+        table = build(2, 1.0, 3.0, 1.0, 1.0)
+        assert table.n_cols == 3 and isinstance(table.n_cols, int)
+        assert table == build(2, 1.0, 3, 1.0, 1.0)
+
+
+def test_homogeneous_table_tiny_bessel_ratios():
+    # At x = 1e-50 the coefficients c are ~1e-50 / mu: tiny Bessel ratios
+    # that must keep full precision (a 1e-30 Lentz floor put the table 3.7e-5
+    # off the series here).
+    x, y = 1e-50, 5.0
+    table = homogeneous_table(3, 1.0, 12, x, y)
+    for e in range(4):
+        for m in range(12):
+            assert table.entry(e, m) == pytest.approx(
+                _series(float(e), 1.0 + m, x, y), rel=1e-14, abs=0.0), (e, m)
+
+
 def test_homogeneous_short_rows():
     prev = [1.0]
     assert nuttall_q_homogeneous(1, prev, 0.25, 0.0, 1.0, 1.0, 1.0, 1) == [0.25]
@@ -255,12 +286,13 @@ def test_homogeneous_table_validation():
         homogeneous_table(1, 1.0, 5, 0.0, 1.0)
 
 
-def test_homogeneous_table_seed_non_convergence_raises():
+def test_homogeneous_table_seed_non_convergence_raises(monkeypatch):
     # 46 terms converge the Marcum row 0 but not the eta = 1 seed.
+    monkeypatch.setattr(nuttall, "_MAX_TERMS", 46)
     for m in range(3):
-        marcum_q(1.0 + m, 10.0, 3.0, max_terms=46)
+        marcum_q(1.0 + m, 10.0, 3.0)
     with pytest.raises(ConvergenceError):
-        homogeneous_table(1, 1.0, 3, 10.0, 3.0, max_terms=46)
+        homogeneous_table(1, 1.0, 3, 10.0, 3.0)
 
 
 def test_three_method_agreement_region_grid():

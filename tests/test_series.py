@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
                       consistency_deviation, gamma_ratio_q, marcum_q,
                       nuttall_q_series, q_increment)
+from nuttallq import nuttall
 from nuttallq.cli import TABLE1
 
 from oracles import rising_product_int
@@ -61,19 +62,19 @@ def test_trivial_x_zero_single_term():
 
 
 def test_outcome_metadata_contract():
-    out = nuttall_q_series(MomentQuery(3.0, 4.0, 6.0, 2.0), tol=1e-12,
-                           max_terms=500)
+    out = nuttall_q_series(MomentQuery(3.0, 4.0, 6.0, 2.0))
     assert out.converged
     assert out.est_error <= 1e-12
     assert out.terms_used <= 500
 
 
-def test_non_convergence_is_explicit():
-    out = nuttall_q_series(MomentQuery(2.0, 2.0, 15.0, 3.0), max_terms=4)
+def test_non_convergence_is_explicit(monkeypatch):
+    monkeypatch.setattr(nuttall, "_MAX_TERMS", 4)
+    out = nuttall_q_series(MomentQuery(2.0, 2.0, 15.0, 3.0))
     assert not out.converged
     assert out.terms_used <= 4
     with pytest.raises(ConvergenceError):
-        marcum_q(2.0, 15.0, 3.0, max_terms=4)
+        marcum_q(2.0, 15.0, 3.0)
 
 
 def test_marcum_trivial_points():
@@ -147,7 +148,7 @@ def test_consistency_domain_errors():
         consistency_deviation(MomentQuery(0.0, 1.0, 1.0, 1.0))
 
 
-def test_query_and_tolerance_validation():
+def test_query_validation():
     with pytest.raises(DomainError):
         MomentQuery(-1.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
@@ -158,13 +159,6 @@ def test_query_and_tolerance_validation():
         MomentQuery(1.0, 1.0, 1.0, -0.1)
     with pytest.raises(DomainError):
         MomentQuery(1.0, math.inf, 1.0, 1.0)
-    q = MomentQuery(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        nuttall_q_series(q, tol=1e-5)
-    with pytest.raises(DomainError):
-        nuttall_q_series(q, tol=1e-16)
-    with pytest.raises(DomainError):
-        nuttall_q_series(q, max_terms=0)
 
 
 @settings(max_examples=150, deadline=None)
