@@ -178,9 +178,9 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     inc = 0.0     # y^a e^{-y}/Gamma(a+1), a = eta+mu+n; 0.0 forces a seed
     u = 1.0       # running x^n/n! * ratio-growth, relative to the n=0 term
     shift = 0.0   # log of what has been folded out of u and items
-    items = [q_cur]
+    items = [q_cur]  # terms since the last fold, after the carried sum
     running = q_cur
-    n = 0  # index of the newest term in items
+    n = 0  # index of the newest term
     quiet = 0
     converged = False
     contrib = math.inf
@@ -205,9 +205,12 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
             inc *= y / (eta + mu + n + 1.0)
         n += 1
         if u > _FOLD_LIMIT:
+            # Close the block of items so far: its exact sum, rescaled,
+            # is the one item carried into the next block, so a fold costs
+            # the items it closes and not every item stored before it.
             scale = 1.0 / u
             shift += math.log(u)
-            items = [it * scale for it in items]
+            items = [fsum(items) * scale]
             running *= scale
             u = 1.0
         items.append(u * q_cur)

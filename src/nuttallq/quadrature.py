@@ -1,7 +1,13 @@
 """Brute-force evaluation of the defining moment integral.
 
-Independent cross-check for the series/recurrence evaluators: the improper
-integral is truncated to a window around the peak of the profile t^g
+Independent cross-check for the series/recurrence evaluators.  With the
+x^{(1-mu)/2} factor cancelled against the power series of I_{mu-1}, the
+integrand is
+
+    f(t) = t^{eta+mu-1} e^{-t-x} 0F1(; mu; x t) / Gamma(mu),
+
+where 0F1(; mu; q) = sum_n q^n / (n! (mu)_n).  The improper integral is
+truncated to a window around the peak of the profile t^g
 e^{-(sqrt t - sqrt x)^2}, mapped linearly onto [-1, 1], pushed through the
 change of variable s = tanh(u), and integrated with the trapezoidal rule on
 nested uniform u-grids of n -> 2n - 1 points until two consecutive results
@@ -12,7 +18,8 @@ mu^2; at x = 0 only the second is needed.  Each refinement halves the
 spacing, so the earlier nodes stay on the grid and their values are reused:
 every node is evaluated once, and the last grid's point count is the number
 of integrand evaluations.  The integrand is always evaluated through its
-logarithm, so profiles reaching 1e89 never overflow a node.
+logarithm, so profiles reaching 1e89 never overflow a node, and by a kernel
+built once per integral that holds all that depends only on (eta, mu, x).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import fsum
 
-from .bessel import log_bessel_i_scaled
+from .bessel import FixedOrderSeries, log_bessel_i_scaled
 from .errors import ConvergenceError, DomainError
 from .logscale import exp_clipped
 from .nuttall import MomentQuery
@@ -70,21 +77,53 @@ def _log_profile(gamma_exp: float, x: float, t: float) -> float:
     return pw - (math.sqrt(t) - math.sqrt(x)) ** 2
 
 
-def _log_integrand(q: MomentQuery, t: float) -> float:
-    """ln of the scaled integrand; -inf where the integrand is zero."""
-    gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
-    if q.x == 0.0:
-        # Limit form: t^{eta+mu-1} e^{-t} / Gamma(mu).
-        if t == 0.0:
-            return 0.0 if q.eta + q.mu == 1.0 else -math.inf
-        return (q.eta + q.mu - 1.0) * math.log(t) - t - math.lgamma(q.mu)
+class _NodeKernel:
+    """What the nodes of one integral share: everything in ln f(t) that
+    depends only on (eta, mu, x), computed once.
+
+    The x^{(1-mu)/2} factor cancels against the (z/2)^{mu-1} of I_{mu-1}(z),
+    z = 2 sqrt(x t), so for z <= 700 a node needs only the series S of
+    ``FixedOrderSeries`` at order mu - 1:
+
+        ln f(t) = (eta+mu-1) ln t - (sqrt t - sqrt x)^2 - ln Gamma(mu)
+                  + ln(e^{-z} S(x t)).
+
+    Beyond its range (z > 700, or order mu - 1 > 20,000) a node takes the
+    Bessel factor from ``log_bessel_i_scaled``.
+    """
+
+    __slots__ = ("x", "sqrt_x", "power", "series", "gamma_exp", "log_x_part",
+                 "at_zero")
+
+    def __init__(self, q: MomentQuery) -> None:
+        self.x = q.x
+        self.sqrt_x = math.sqrt(q.x)
+        self.power = q.eta + q.mu - 1.0
+        self.series = FixedOrderSeries(q.mu - 1.0)
+        self.gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
+        if q.x == 0.0:
+            self.log_x_part = 0.0
+            self.at_zero = 0.0 if q.eta + q.mu == 1.0 else -math.inf
+        else:
+            self.log_x_part = 0.5 * (1.0 - q.mu) * math.log(q.x)
+            self.at_zero = -q.x if self.gamma_exp == 0.0 else -math.inf
+
+
+def _log_integrand(k: _NodeKernel, t: float) -> float:
+    """ln of the scaled integrand at t; -inf where the integrand is zero."""
     if t == 0.0:
-        return -q.x if gamma_exp == 0.0 else -math.inf
-    z = 2.0 * math.sqrt(q.x * t)
-    return (0.5 * (1.0 - q.mu) * math.log(q.x)
-            + gamma_exp * math.log(t)
-            - (math.sqrt(t) - math.sqrt(q.x)) ** 2
-            + log_bessel_i_scaled(q.mu - 1.0, z))
+        return k.at_zero
+    series = k.series
+    if k.x == 0.0:
+        # Limit form: t^{eta+mu-1} e^{-t} / Gamma(mu).
+        return k.power * math.log(t) - t - series.log_gamma
+    z = 2.0 * math.sqrt(k.x * t)
+    d = math.sqrt(t) - k.sqrt_x
+    if z <= series.max_arg:
+        return (k.power * math.log(t) - d * d - series.log_gamma
+                + series.log_scaled(k.x * t, z))
+    return (k.log_x_part + k.gamma_exp * math.log(t) - d * d
+            + log_bessel_i_scaled(series.order, z))
 
 
 def _window(gamma_exp: float, x: float,
@@ -144,7 +183,7 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
                           max(upper, upper0))
 
 
-def _nested_passes(q: MomentQuery, a: float, b: float,
+def _nested_passes(kernel: _NodeKernel, a: float, b: float,
                    n: int) -> Iterator[tuple[int, float]]:
     """(points, trapezoid sum) of the tanh rule on [a, b] for nested u-grids
     of n, 2n - 1, 4n - 3, ... points, up to the node cap.
@@ -167,7 +206,7 @@ def _nested_passes(q: MomentQuery, a: float, b: float,
         for i in fresh:
             u = -_U_MAX + i * h
             t = min(b, max(a, mid + half * math.tanh(u)))
-            lf = _log_integrand(q, t)
+            lf = _log_integrand(kernel, t)
             if lf == -math.inf:
                 continue
             if i == 0 or i == n - 1:
@@ -210,13 +249,20 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     ~1e-12 relative; non-convergence within the 2^20 node cap raises
     ConvergenceError.  Node contributions are combined with exact
     summation, so results are reproducible.  A window that rounds to zero
-    width gives QuadratureOutcome(0.0, 0, 0.0).
+    width gives QuadratureOutcome(0.0, 0, 0.0) where it sits at y, past
+    the profile's peak, and raises ConvergenceError where it sits on the
+    peak: there the integral is not negligible, only unresolvable.
     """
     spec = truncation_bounds(q)
     if spec.upper == spec.lower:
+        if spec.peak > q.y:
+            raise ConvergenceError(
+                f"tanh-rule window around the peak {spec.peak} rounds to "
+                f"zero width for {q}")
         return QuadratureOutcome(0.0, 0, 0.0)
     prev = None
-    for n, cur in _nested_passes(q, spec.lower, spec.upper, _FIRST_GRID):
+    for n, cur in _nested_passes(_NodeKernel(q), spec.lower, spec.upper,
+                                 _FIRST_GRID):
         if prev is not None:
             if cur == 0.0 and prev == 0.0:
                 return QuadratureOutcome(0.0, n, 0.0)

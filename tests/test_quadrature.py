@@ -1,14 +1,16 @@
 """Tests for the truncated tanh-rule quadrature oracle."""
 
 import math
+import random
 
 import pytest
 
-from nuttallq import (DomainError, MomentQuery, QuadratureOutcome,
-                      QuadratureSpec, marcum_q, moment_by_quadrature,
-                      nuttall_q_series, tanh_rule_integrate,
-                      truncation_bounds)
+from nuttallq import (ConvergenceError, DomainError, MomentQuery,
+                      QuadratureOutcome, QuadratureSpec, marcum_q,
+                      moment_by_quadrature, nuttall_q_series,
+                      tanh_rule_integrate, truncation_bounds)
 from nuttallq import quadrature
+from nuttallq.bessel import log_bessel_i_scaled
 
 from oracles import naive_integrand
 
@@ -19,8 +21,8 @@ def _profile(gamma_exp, x, t):
 
 def test_integrand_trivial_origin():
     # mu=1, eta=0, t=0: x^0 t^0 e^{-x} I_0(0) = e^{-x}
-    q = MomentQuery(0.0, 1.0, 2.5, 0.0)
-    assert math.exp(quadrature._log_integrand(q, 0.0)) == pytest.approx(
+    k = quadrature._NodeKernel(MomentQuery(0.0, 1.0, 2.5, 0.0))
+    assert math.exp(quadrature._log_integrand(k, 0.0)) == pytest.approx(
         math.exp(-2.5), rel=1e-15, abs=0.0)
 
 
@@ -46,10 +48,77 @@ def test_profile_peak_location_by_scan():
 
 def test_integrand_scaled_matches_naive_form():
     # At a benign point the scaled form equals the raw formula.
-    q = MomentQuery(1.0, 1.0, 0.1, 1.5)
+    k = quadrature._NodeKernel(MomentQuery(1.0, 1.0, 0.1, 1.5))
     ref = naive_integrand(1.0, 1.0, 0.1, 1.5)
-    assert math.exp(quadrature._log_integrand(q, 1.5)) == pytest.approx(
+    assert math.exp(quadrature._log_integrand(k, 1.5)) == pytest.approx(
         ref, rel=1e-13, abs=0.0)
+
+
+def _node_log_without_kernel(eta, mu, x, t):
+    """ln f(t) by the per-node formula the kernel replaced, and the largest
+    magnitude among its terms and those the kernel adds."""
+    if x == 0.0:
+        terms = [(eta + mu - 1.0) * math.log(t), -t, -math.lgamma(mu)]
+    else:
+        terms = [0.5 * (1.0 - mu) * math.log(x),
+                 (eta + 0.5 * (mu - 1.0)) * math.log(t),
+                 -(math.sqrt(t) - math.sqrt(x)) ** 2,
+                 log_bessel_i_scaled(mu - 1.0, 2.0 * math.sqrt(x * t))]
+    kernel_terms = [(eta + mu - 1.0) * math.log(t), math.lgamma(mu)]
+    return sum(terms), max(abs(v) for v in terms + kernel_terms)
+
+
+def _assert_kernel_matches(k, eta, mu, x, t):
+    ref, big = _node_log_without_kernel(eta, mu, x, t)
+    got = quadrature._log_integrand(k, t)
+    # Each form adds terms of up to `big` (its logs reach ~2000 at mu =
+    # 200), each good to a few ulp.  Where they cancel to |ln f| far below
+    # `big`, that rounding is the floor of both forms: the old one is itself
+    # up to 2.1e-13 off a 40-digit value at |ln f| < 3.
+    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref), big / 64.0), (
+        eta, mu, x, t, got, ref)
+
+
+def test_node_kernel_matches_the_per_node_formula():
+    rng = random.Random(9)
+    for _ in range(300):
+        eta = rng.uniform(0.0, 50.0)
+        mu = 1.0 if rng.random() < 0.25 else rng.uniform(1.0, 200.0)
+        x = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 4.0)
+        k = quadrature._NodeKernel(MomentQuery(eta, mu, x, 0.0))
+        # Several nodes per kernel, so later sums reuse and extend the step
+        # table that earlier ones built; z spans both sides of 700.
+        for _ in range(5):
+            z = rng.uniform(0.0, 1000.0)
+            t = z * z / (4.0 * x) if x > 0.0 else rng.uniform(1e-3, 1e3)
+            if t > 0.0:
+                _assert_kernel_matches(k, eta, mu, x, t)
+
+
+@pytest.mark.parametrize("mu", [1.0, 3.0, 57.5, 200.0])
+def test_node_kernel_across_the_series_switch(mu):
+    # z = 2 sqrt(x t) = 700 at x = 1225, t = 100.
+    x = 1225.0
+    ts = (100.0 * (1.0 - 1e-9), 100.0 * (1.0 + 1e-9))
+    assert [2.0 * math.sqrt(x * t) <= 700.0 for t in ts] == [True, False]
+    k = quadrature._NodeKernel(MomentQuery(2.0, mu, x, 0.0))
+    for t in ts:
+        _assert_kernel_matches(k, 2.0, mu, x, t)
+
+
+@pytest.mark.parametrize("mu", [1.0, 12.5, 200.0])
+def test_node_kernel_sums_past_its_table(mu):
+    # The first node tabulates the few step factors its sum needs; the
+    # second (z ~ 697.9) needs hundreds more and extends the table, the
+    # third repeats it from the table alone, the fourth (z ~ 698.6) goes a
+    # few terms past it again.
+    x = 1225.0
+    k = quadrature._NodeKernel(MomentQuery(0.0, mu, x, 0.0))
+    values = []
+    for t in (1e-3, 99.4, 99.4, 99.6):
+        _assert_kernel_matches(k, 0.0, mu, x, t)
+        values.append(quadrature._log_integrand(k, t))
+    assert values[1] == values[2]
 
 
 def test_truncation_gamma_zero_peak_is_x_exactly():
@@ -95,6 +164,19 @@ def test_zero_width_window_integrates_to_zero():
     assert spec.lower == spec.upper == q.y
     assert tanh_rule_integrate(q) == QuadratureOutcome(0.0, 0, 0.0)
     assert nuttall_q_series(q).value == 0.0
+
+
+def test_collapsed_window_on_the_peak_raises():
+    # eta = 1e300 puts the peak near 1e300, where the window's half-width
+    # rounds away.  The window sits on the peak, not at y, so the integral
+    # is not negligible (the series overflows to inf unconverged), and 0.0
+    # would be a silently wrong value.
+    q = MomentQuery(1e300, 1.0, 1.0, 1.0)
+    spec = truncation_bounds(q)
+    assert spec.lower == spec.upper and spec.peak > q.y
+    with pytest.raises(ConvergenceError):
+        tanh_rule_integrate(q)
+    assert not nuttall_q_series(q).converged
 
 
 CONVERGED_PASS_POINTS = [
@@ -155,8 +237,8 @@ def test_node_doubling_differences_shrink():
         q = MomentQuery(eta, mu, x, y)
         spec = truncation_bounds(q)
         results = []
-        for n, value in quadrature._nested_passes(q, spec.lower, spec.upper,
-                                                   64):
+        for n, value in quadrature._nested_passes(
+                quadrature._NodeKernel(q), spec.lower, spec.upper, 64):
             results.append(value)
             if n > 2**13:
                 break

@@ -44,6 +44,21 @@ def test_running_increment_deep_in_log_range(eta, mu, x, y, ref):
     assert out.value == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("y,terms,ref", [
+    # At x = 1000 the running term passes 1e250 near its peak at n ~ 1000
+    # and folds.  30 digits from mpmath at 50 digits, where the series and
+    # mpmath.quad of the defining integral agree to 1e-48.
+    (1000.0, 1252, 632121.430504892267664997620336),
+    # At y = 500 the terms before the fold carry weight: the value is the
+    # whole-line moment mu(mu+1) + 2(mu+1)x + x^2 = 1022110 to 35 digits.
+    (500.0, 1250, 1022110.0),
+])
+def test_fold_heavy_points_match_reference(y, terms, ref):
+    out = nuttall_q_series(MomentQuery(2.0, 10.0, 1000.0, y))
+    assert out.converged and out.terms_used == terms
+    assert out.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_reseed_points_start_below_the_reseed_threshold():
     assert q_increment(1.0, 700.0) < 1e-300
     assert q_increment(2.0, 720.0) < 1e-300
