@@ -23,8 +23,9 @@ _LENTZ_TOL = 1e-15
 _LENTZ_MAX_ITER = 10_000
 
 # The plain-float series path is used while exp(arg) and the power/gamma
-# prefactor stay comfortably inside double range; beyond that a log-space
-# accumulation takes over (slightly less accurate, never overflows).
+# prefactor stay comfortably inside double range and the prefactor's
+# O(order) product stays short; beyond that a log-space accumulation takes
+# over (slightly less accurate, never overflows).
 _LINEAR_MAX_ARG = 700.0
 _LINEAR_MAX_ORDER = 20_000.0
 
@@ -82,11 +83,11 @@ class FixedOrderSeries:
     so that I_order(z) = (z/2)^order S(q) / Gamma(order+1) (DLMF 10.25.2).
     The step factors 1/(n (order+n)) are tabulated once, as far as the
     longest sum so far has needed them, so a term costs two multiplies and
-    no divide.  ``log_scaled`` applies for z <= ``max_arg``, the range of
-    the linear path of ``bessel_i_scaled`` (empty beyond order 20,000).
-    ``log_gamma`` is ln Gamma(order+1), from the product of
-    ``_power_over_gamma`` while 1/Gamma stays a normal float (there it is
-    within 6e-14 of the true value, math.lgamma within 1.7e-13).
+    no divide.  ``log_scaled`` accepts every z >= 0 at every order; past
+    z = 700 it takes S from ``log_bessel_i_scaled``.  ``log_gamma`` is
+    ln Gamma(order+1), from the product of ``_power_over_gamma`` while
+    1/Gamma stays a normal float (there it is within 6e-14 of the true
+    value, math.lgamma within 1.7e-13).
     """
 
     def __init__(self, order: float) -> None:
@@ -94,16 +95,19 @@ class FixedOrderSeries:
         self.order = order
         self.log_gamma = (-math.log(_power_over_gamma(order, 2.0))
                           if order < 170.0 else math.lgamma(order + 1.0))
-        self.max_arg = (_LINEAR_MAX_ARG if order <= _LINEAR_MAX_ORDER
-                        else -math.inf)
         self._recips: list[float] = []
 
     def log_scaled(self, q: float, z: float) -> float:
-        """ln(e^{-z} S(q)) for z = 2 sqrt(q) <= ``max_arg``.
+        """ln(e^{-z} S(q)) for z = 2 sqrt(q) >= 0.
 
-        S(q) <= I_0(z) < 1.5e302 and e^{-z} S(q) >= e^{-700} stay normal
-        floats, so the product is formed before the log.
+        For z <= 700, S(q) <= I_0(z) < 1.5e302 and e^{-z} S(q) >= e^{-700}
+        stay normal floats, so the product is formed before the log.
+        Beyond that it is formed from ``log_bessel_i_scaled``, which
+        raises DomainError for an infinite z.
         """
+        if z > _LINEAR_MAX_ARG:
+            return (log_bessel_i_scaled(self.order, z) + self.log_gamma
+                    - self.order * math.log(0.5 * z))
         term = total = 1.0
         recips = self._recips
         for r in recips:
@@ -128,6 +132,11 @@ class FixedOrderSeries:
 def _log_series(order: float, arg: float) -> float:
     """ln I_order(arg) by log-space term collection (no overflow anywhere)."""
     q = arg * arg * 0.25
+    if q < _SERIES_CUTOFF * (order + 1.0):
+        # The sum is 1 to double precision, so ln I is its first term; q
+        # underflows below arg ~ 3e-154, and arg/2 at arg = 5e-324.
+        return (order * (math.log(arg) - math.log(2.0))
+                - math.lgamma(order + 1.0))
     lt = order * math.log(0.5 * arg) - math.lgamma(order + 1.0)
     logs = [lt]
     peak = lt

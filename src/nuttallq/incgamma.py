@@ -32,6 +32,13 @@ _STIRLING = (
 _STIRLING_MIN = 8.0
 
 
+def _validate(shape: float, lower_cut: float) -> None:
+    if not shape > 0.0 or math.isinf(shape):
+        raise DomainError(f"shape must be finite and > 0, got {shape!r}")
+    if not lower_cut >= 0.0 or math.isinf(lower_cut):
+        raise DomainError(f"lower_cut must be finite and >= 0, got {lower_cut!r}")
+
+
 def _stirling_correction(a: float) -> float:
     """theta(a) = lgamma(a) - [(a - 1/2) ln a - a + ln(2 pi)/2], for a >= 8."""
     inv = 1.0 / a
@@ -125,10 +132,7 @@ def gamma_ratio_q(shape: float, lower_cut: float) -> float:
     Lies in [0, 1]; relative accuracy ~1e-13 or better for shape in (0, 200]
     and lower_cut in [0, 200].
     """
-    if not shape > 0.0 or math.isinf(shape):
-        raise DomainError(f"shape must be finite and > 0, got {shape!r}")
-    if not lower_cut >= 0.0 or math.isinf(lower_cut):
-        raise DomainError(f"lower_cut must be finite and >= 0, got {lower_cut!r}")
+    _validate(shape, lower_cut)
     if lower_cut == 0.0:
         return 1.0
     if lower_cut < shape + 1.0:
@@ -143,10 +147,7 @@ def q_increment(shape: float, lower_cut: float) -> float:
     materialized once, so it never overflows even for shape up to 1e4; where
     it lies below double range it is 0.0.  lower_cut == 0 gives exactly 0.0.
     """
-    if not shape > 0.0 or math.isinf(shape):
-        raise DomainError(f"shape must be finite and > 0, got {shape!r}")
-    if not lower_cut >= 0.0 or math.isinf(lower_cut):
-        raise DomainError(f"lower_cut must be finite and >= 0, got {lower_cut!r}")
+    _validate(shape, lower_cut)
     if lower_cut == 0.0:
         return 0.0
     return exp_clipped(_log_gamma_prefactor(shape + 1.0, lower_cut)

@@ -126,8 +126,6 @@ def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
     running product threatens double range; that keeps the mantissa accurate
     to a few ulp instead of the ~|log| * eps an exp(lgamma-difference) costs.
     """
-    if eta == 0.0:
-        return 1.0, 0.0
     if float(eta).is_integer() and eta <= _PRODUCT_MAX_FACTORS:
         mant = 1.0
         offset = 0.0
@@ -274,21 +272,23 @@ def _inhom_term(eta: float, mu: float, x: float, y: float,
 
     ``i_scaled`` is the caller-supplied scaled Bessel value Itilde_mu.
     The raw e^{-x-y} I_mu product is never formed; the plain-float product
-    is used while each factor stays in range, log space otherwise.  An
-    underflowed (0.0 or subnormal) ``i_scaled`` is replaced by its log.
+    is used while each factor, y/x included, stays in range, log space
+    otherwise.  An underflowed (0.0 or subnormal) ``i_scaled`` is replaced
+    by its log.
     """
     if y == 0.0:
         return 0.0
-    l_pow = 0.5 * mu * (math.log(y) - math.log(x))
-    l_y = eta * math.log(y) if eta > 0.0 else 0.0
+    log_y = math.log(y)
+    l_ratio = log_y - math.log(x)
+    l_pow = 0.5 * mu * l_ratio
+    l_y = eta * log_y
     l_exp = -((math.sqrt(x) - math.sqrt(y)) ** 2)
     normal = i_scaled >= sys.float_info.min  # a subnormal has lost digits
     log_i = (math.log(i_scaled) if normal
-             else log_bessel_i_scaled(mu, 2.0 * math.sqrt(x * y)))
-    if normal and abs(l_pow) < 680.0 and abs(l_y) < 680.0 \
-            and l_pow + l_y + l_exp + log_i < 700.0:
-        return ((y / x) ** (0.5 * mu)) * (y**eta if eta > 0.0 else 1.0) \
-            * math.exp(l_exp) * i_scaled
+             else log_bessel_i_scaled(mu, 2.0 * math.sqrt(x) * math.sqrt(y)))
+    if normal and abs(l_ratio) < 700.0 and abs(l_pow) < 680.0 \
+            and abs(l_y) < 680.0 and l_pow + l_y + l_exp + log_i < 700.0:
+        return (y / x) ** (0.5 * mu) * y**eta * math.exp(l_exp) * i_scaled
     return exp_clipped(l_pow + l_y + l_exp + log_i)
 
 
@@ -309,7 +309,7 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
     eta_max, n_cols = _check_table_args("ladder", eta_max, mu_start, n_cols,
                                         x, y)
 
-    z = 2.0 * math.sqrt(x * y)
+    z = 2.0 * math.sqrt(x) * math.sqrt(y)
     i_scaled = [bessel_i_scaled(mu_start + m, z) for m in range(n_cols - 1)]
 
     rows: list[list[float]] = []
@@ -349,8 +349,8 @@ def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
     if n_cols == 1:
         return out
     out.append(seed1)
-    root = math.sqrt(y / x)
-    z = 2.0 * math.sqrt(x * y)
+    root = math.sqrt(y) / math.sqrt(x)
+    z = 2.0 * math.sqrt(x) * math.sqrt(y)
     for m in range(2, n_cols):
         c = root * bessel_ratio(mu_start + m - 2.0, z)
         out.append((1.0 + c) * out[m - 1] - c * out[m - 2]
@@ -397,7 +397,8 @@ def consistency_deviation(q: MomentQuery) -> float:
         raise DomainError("consistency check is undefined at x = 0")
     mu, x, y = q.mu, q.x, q.y
     num = _series_value(eta, mu + 1.0, x, y)
-    t = _inhom_term(eta, mu, x, y, bessel_i_scaled(mu, 2.0 * math.sqrt(x * y)))
+    z = 2.0 * math.sqrt(x) * math.sqrt(y)  # x y underflows at subnormal x
+    t = _inhom_term(eta, mu, x, y, bessel_i_scaled(mu, z))
     den = (_series_value(eta, mu, x, y)
            + eta * _series_value(eta - 1.0, mu + 1.0, x, y) + t)
     return abs(1.0 - num / den)

@@ -20,6 +20,8 @@ every node is evaluated once, and the last grid's point count is the number
 of integrand evaluations.  The integrand is always evaluated through its
 logarithm, so profiles reaching 1e89 never overflow a node, and by a kernel
 built once per integral that holds all that depends only on (eta, mu, x).
+Every node with t > 0 takes one formula, x = 0 and z = 2 sqrt(x t) > 700
+included.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import fsum
 
-from .bessel import FixedOrderSeries, log_bessel_i_scaled
+from .bessel import FixedOrderSeries
 from .errors import ConvergenceError, DomainError
 from .logscale import exp_clipped
 from .nuttall import MomentQuery
@@ -82,31 +84,24 @@ class _NodeKernel:
     depends only on (eta, mu, x), computed once.
 
     The x^{(1-mu)/2} factor cancels against the (z/2)^{mu-1} of I_{mu-1}(z),
-    z = 2 sqrt(x t), so for z <= 700 a node needs only the series S of
+    z = 2 sqrt(x t), so a node needs only the series S of
     ``FixedOrderSeries`` at order mu - 1:
 
         ln f(t) = (eta+mu-1) ln t - (sqrt t - sqrt x)^2 - ln Gamma(mu)
-                  + ln(e^{-z} S(x t)).
+                  + ln(e^{-z} S(x t)),
 
-    Beyond its range (z > 700, or order mu - 1 > 20,000) a node takes the
-    Bessel factor from ``log_bessel_i_scaled``.
+    for every t > 0 and x >= 0 (at x = 0, z = 0 and S = 1).  At t = 0 the
+    integrand is e^{-x} for eta = 0, mu = 1 and zero otherwise.
     """
 
-    __slots__ = ("x", "sqrt_x", "power", "series", "gamma_exp", "log_x_part",
-                 "at_zero")
+    __slots__ = ("x", "sqrt_x", "power", "series", "at_zero")
 
     def __init__(self, q: MomentQuery) -> None:
         self.x = q.x
         self.sqrt_x = math.sqrt(q.x)
         self.power = q.eta + q.mu - 1.0
         self.series = FixedOrderSeries(q.mu - 1.0)
-        self.gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
-        if q.x == 0.0:
-            self.log_x_part = 0.0
-            self.at_zero = 0.0 if q.eta + q.mu == 1.0 else -math.inf
-        else:
-            self.log_x_part = 0.5 * (1.0 - q.mu) * math.log(q.x)
-            self.at_zero = -q.x if self.gamma_exp == 0.0 else -math.inf
+        self.at_zero = -q.x if q.eta == 0.0 and q.mu == 1.0 else -math.inf
 
 
 def _log_integrand(k: _NodeKernel, t: float) -> float:
@@ -114,16 +109,9 @@ def _log_integrand(k: _NodeKernel, t: float) -> float:
     if t == 0.0:
         return k.at_zero
     series = k.series
-    if k.x == 0.0:
-        # Limit form: t^{eta+mu-1} e^{-t} / Gamma(mu).
-        return k.power * math.log(t) - t - series.log_gamma
-    z = 2.0 * math.sqrt(k.x * t)
     d = math.sqrt(t) - k.sqrt_x
-    if z <= series.max_arg:
-        return (k.power * math.log(t) - d * d - series.log_gamma
-                + series.log_scaled(k.x * t, z))
-    return (k.log_x_part + k.gamma_exp * math.log(t) - d * d
-            + log_bessel_i_scaled(series.order, z))
+    return (k.power * math.log(t) - d * d - series.log_gamma
+            + series.log_scaled(k.x * t, 2.0 * math.sqrt(k.x * t)))
 
 
 def _window(gamma_exp: float, x: float,

@@ -124,6 +124,17 @@ def test_log_helper_matches_scaled():
     assert log_bessel_i_scaled(2.0, 0.0) == -math.inf
 
 
+@pytest.mark.parametrize("z,ref", [
+    # ln(exp(-z) I_7(z)) from mpmath.besseli at 50 digits.  z^2/4 underflows
+    # to 0.0 at every point, and z/2 too at the smallest subnormal.
+    (5e-324, -5224.45769507465386766483724501),
+    (1e-162, -2624.50868708023283746387221088),
+    (1e-300, -4848.80588691248096772845456788),
+])
+def test_log_helper_below_the_underflow_of_z_squared(z, ref):
+    assert log_bessel_i_scaled(7.0, z) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         bessel_i_scaled(-1.0, 2.0)

@@ -95,15 +95,20 @@ def test_node_kernel_matches_the_per_node_formula():
                 _assert_kernel_matches(k, eta, mu, x, t)
 
 
-@pytest.mark.parametrize("mu", [1.0, 3.0, 57.5, 200.0])
+@pytest.mark.parametrize("mu", [1.0, 3.0, 57.5, 200.0, 25000.5])
 def test_node_kernel_across_the_series_switch(mu):
-    # z = 2 sqrt(x t) = 700 at x = 1225, t = 100.
+    # z = 2 sqrt(x t) = 700 at x = 1225, t = 100.  mu = 25000.5 lies above
+    # order 20,000, where bessel_i_scaled leaves its linear sum.
     x = 1225.0
     ts = (100.0 * (1.0 - 1e-9), 100.0 * (1.0 + 1e-9))
     assert [2.0 * math.sqrt(x * t) <= 700.0 for t in ts] == [True, False]
     k = quadrature._NodeKernel(MomentQuery(2.0, mu, x, 0.0))
     for t in ts:
         _assert_kernel_matches(k, 2.0, mu, x, t)
+    # At x = 0 the same formula runs with z = 0.
+    k = quadrature._NodeKernel(MomentQuery(2.0, mu, 0.0, 0.0))
+    for t in ts + (1e-3, mu):
+        _assert_kernel_matches(k, 2.0, mu, 0.0, t)
 
 
 @pytest.mark.parametrize("mu", [1.0, 12.5, 200.0])

@@ -168,6 +168,35 @@ def test_ladder_forcing_term_survives_bessel_underflow():
     assert consistency_deviation(MomentQuery(1, 118, 1e-6, 200)) <= 1e-12
 
 
+# Q_{e, 6}(x, y) at subnormal x, where y/x overflows and x y underflows.
+# There the values depend on x by less than 1e-300 relative, so one 30-digit
+# value per (y, e) holds at every x; from a 50-digit mpmath gammainc series,
+# which agrees with itself to 40 digits across the three x.
+SUBNORMAL_X_ROWS = {
+    0.1: (0.999999998725101307770208115019, 5.99999999989091966358758093605,
+          41.9999999999904688268096998188),
+    1.0: (0.999405815182418307001172908939, 5.99950055310427186135366681838,
+          41.9995695337396650488222970934),
+    20.0: (7.19088405284289259827997393361e-05,
+           0.00153073497513780439747863330543,
+           0.0327007834653092476139871305264),
+}
+
+
+@pytest.mark.parametrize("y", sorted(SUBNORMAL_X_ROWS))
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310])
+@pytest.mark.parametrize("build", [nuttall_q_ladder, homogeneous_table])
+def test_tables_at_subnormal_x(build, x, y):
+    table = build(2, 1.0, 6, x, y)
+    for e, ref in enumerate(SUBNORMAL_X_ROWS[y]):
+        assert table.entry(e, 5) == pytest.approx(ref, rel=1e-12, abs=0.0), e
+
+
+def test_consistency_at_subnormal_x():
+    # x y is subnormal and y/x overflows.
+    assert consistency_deviation(MomentQuery(2, 3, 1e-320, 0.1)) <= 1e-14
+
+
 def test_ladder_rejects_x_zero():
     with pytest.raises(DomainError):
         nuttall_q_ladder(2, 1.0, 5, 0.0, 3.0)
