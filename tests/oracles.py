@@ -103,3 +103,65 @@ def naive_integrand(eta: float, mu: float, x: float, y_t: float) -> float:
             * t ** (eta + 0.5 * (mu - 1.0))
             * math.exp(-t - x)
             * maclaurin_bessel_i(mu - 1.0, 2.0 * math.sqrt(x * t)))
+
+
+# Q_mu(x, y) = marcum_q(mu, x, y) from scipy 1.17.1, as the survival function
+# of the non-central chi-square with 2 mu degrees of freedom and
+# non-centrality 2 x at 2 y.  Rows are (mu, x, y, value); made once by
+#
+#     rng = random.Random(2013)
+#     points = []
+#     for _ in range(16):
+#         mu = rng.uniform(1.0, 200.0)
+#         x = rng.uniform(0.0, 1500.0)
+#         m, sd = x + mu, math.sqrt(mu + 2.0 * x)
+#         y = min(1500.0, max(0.0, m + rng.uniform(-4.0, 12.0) * sd))
+#         points.append((mu, x, y))
+#     points += [(200.0, 1500.0, 1500.0), (1.0, 1500.0, 1400.0),
+#                (200.0, 0.0, 150.0), (1.0, 0.0, 30.0)]
+#     rows = [(mu, x, y, float(scipy.stats.ncx2.sf(2 * y, 2 * mu, 2 * x)))
+#             for mu, x, y in points]
+#
+# so y runs from 4 standard deviations below the mean x + mu to 12 above.
+NCX2_SF_POINTS = [
+    (85.61031031482601, 77.86025691609471, 201.19925241379636,
+     0.010518912984838702),
+    (180.22282718518625, 1133.5204151308526, 1423.5379946309617,
+     0.014535367649186419),
+    (103.08574416109397, 614.3972884979383, 895.0599027501498,
+     2.138331316499448e-06),
+    (113.47523157742509, 1148.9723801842406, 1500.0,
+     1.804062788199814e-06),
+    (12.050594059809875, 590.676553358608, 509.3301152025412,
+     0.9974691743654439),
+    (165.18025996881596, 1051.2766741143453, 1450.8586202531158,
+     1.2637658715077387e-06),
+    (188.97709767878874, 1045.7199958172248, 1500.0,
+     6.390384586299803e-08),
+    (100.30135292669969, 414.8541915510555, 482.1372736700663,
+     0.8612218931473603),
+    (167.2862211492069, 876.3223025191847, 1378.231397568729,
+     6.676917997855198e-13),
+    (44.27346801671906, 190.80255470620656, 261.9216978957343,
+     0.09917183526557839),
+    (78.59198494325615, 1198.3726584001645, 1500.0,
+     8.215332744403838e-06),
+    (128.77677941230525, 1149.7608615197462, 1272.839238183533,
+     0.5421267917524331),
+    (184.6192305273219, 1313.3525281774164, 1297.5753418571167,
+     0.9999541671489278),
+    (50.41822172574177, 780.2831253009509, 775.9793828740144,
+     0.9153650413919767),
+    (125.63997406943984, 1304.4504569534329, 1345.3336117992676,
+     0.9491603072334672),
+    (41.8865515621104, 131.81643463511878, 113.58863566375629,
+     0.9999303376527771),
+    (200.0, 1500.0, 1500.0,
+     0.9998646763758513),
+    (1.0, 1500.0, 1400.0,
+     0.9690154754368031),
+    (200.0, 0.0, 150.0,
+     0.9999429031142579),
+    (1.0, 0.0, 30.0,
+     9.357622968840163e-14),
+]

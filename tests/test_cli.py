@@ -131,6 +131,14 @@ def test_eval_ladder_x_zero_is_domain_error(capsys):
     assert "ladder" in err
 
 
+def test_eval_quadrature_x_overflow_is_domain_error(capsys):
+    code, out, err = run(capsys, "eval", "--eta", "1", "--mu", "2",
+                         "--x", "1e300", "--y", "1", "--method", "quadrature")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("domain error: quadrature cannot take x = 1e+300")
+
+
 def test_eval_recurrence_needs_integer_eta(capsys):
     code, _, err = run(capsys, "eval", "--eta", "1.5", "--mu", "2",
                        "--x", "1", "--y", "1", "--method", "homogeneous")

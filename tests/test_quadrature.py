@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,10 +20,15 @@ def _profile(gamma_exp, x, t):
     return t**gamma_exp * math.exp(-((math.sqrt(t) - math.sqrt(x)) ** 2))
 
 
+def _node_log(k, t):
+    """ln f(t) as a node that runs its series computes it."""
+    return quadrature._log_integrand(k, t, quadrature._log_head(k, t)[0])
+
+
 def test_integrand_trivial_origin():
     # mu=1, eta=0, t=0: x^0 t^0 e^{-x} I_0(0) = e^{-x}
     k = quadrature._NodeKernel(MomentQuery(0.0, 1.0, 2.5, 0.0))
-    assert math.exp(quadrature._log_integrand(k, 0.0)) == pytest.approx(
+    assert math.exp(_node_log(k, 0.0)) == pytest.approx(
         math.exp(-2.5), rel=1e-15, abs=0.0)
 
 
@@ -50,7 +56,7 @@ def test_integrand_scaled_matches_naive_form():
     # At a benign point the scaled form equals the raw formula.
     k = quadrature._NodeKernel(MomentQuery(1.0, 1.0, 0.1, 1.5))
     ref = naive_integrand(1.0, 1.0, 0.1, 1.5)
-    assert math.exp(quadrature._log_integrand(k, 1.5)) == pytest.approx(
+    assert math.exp(_node_log(k, 1.5)) == pytest.approx(
         ref, rel=1e-13, abs=0.0)
 
 
@@ -70,7 +76,7 @@ def _node_log_without_kernel(eta, mu, x, t):
 
 def _assert_kernel_matches(k, eta, mu, x, t):
     ref, big = _node_log_without_kernel(eta, mu, x, t)
-    got = quadrature._log_integrand(k, t)
+    got = _node_log(k, t)
     # Each form adds terms of up to `big` (its logs reach ~2000 at mu =
     # 200), each good to a few ulp.  Where they cancel to |ln f| far below
     # `big`, that rounding is the floor of both forms: the old one is itself
@@ -122,7 +128,7 @@ def test_node_kernel_sums_past_its_table(mu):
     values = []
     for t in (1e-3, 99.4, 99.4, 99.6):
         _assert_kernel_matches(k, 0.0, mu, x, t)
-        values.append(quadrature._log_integrand(k, t))
+        values.append(_node_log(k, t))
     assert values[1] == values[2]
 
 
@@ -167,8 +173,17 @@ def test_zero_width_window_integrates_to_zero():
     q = MomentQuery(1.0, 1.0, 1.0, 1e300)
     spec = truncation_bounds(q)
     assert spec.lower == spec.upper == q.y
-    assert tanh_rule_integrate(q) == QuadratureOutcome(0.0, 0, 0.0)
+    assert tanh_rule_integrate(q) == QuadratureOutcome(0.0, 0, 0.0, 0)
     assert nuttall_q_series(q).value == 0.0
+
+
+def test_x_so_large_that_x_t_overflows_is_a_domain_error():
+    # x = 1e300 puts the window's upper end near 1e300, so the node argument
+    # x t overflows; the error names x and the route.
+    q = MomentQuery(1.0, 2.0, 1e300, 1.0)
+    assert not math.isfinite(q.x * truncation_bounds(q).upper)
+    with pytest.raises(DomainError, match=r"quadrature .* x = 1e\+300"):
+        tanh_rule_integrate(q)
 
 
 def test_collapsed_window_on_the_peak_raises():
@@ -204,18 +219,69 @@ def test_outcome_reports_the_converged_pass(eta, mu, x, y):
 
 @pytest.mark.parametrize("eta,mu,x,y", CONVERGED_PASS_POINTS)
 def test_each_node_is_evaluated_once(eta, mu, x, y, monkeypatch):
-    calls = 0
+    evaluated = []
     log_integrand = quadrature._log_integrand
 
-    def counting(q, t):
-        nonlocal calls
-        calls += 1
-        return log_integrand(q, t)
+    def recording(k, t, head):
+        evaluated.append(t)
+        return log_integrand(k, t, head)
 
-    monkeypatch.setattr(quadrature, "_log_integrand", counting)
+    monkeypatch.setattr(quadrature, "_log_integrand", recording)
     q = MomentQuery(eta, mu, x, y)
     out = tanh_rule_integrate(q)
-    assert calls == out.nodes
+    assert len(evaluated) + out.skipped == out.nodes
+    # Every evaluation is a distinct node of the last grid.  Near the window
+    # ends tanh(u) saturates and neighbouring nodes round to one t, so the
+    # check is on multisets.
+    spec = truncation_bounds(q)
+    a, b = spec.lower, spec.upper
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    h = 2.0 * quadrature._U_MAX / (out.nodes - 1)
+    grid = Counter(min(b, max(a, mid + half * math.tanh(
+        -quadrature._U_MAX + i * h))) for i in range(out.nodes))
+    assert not Counter(evaluated) - grid
+
+
+BOX_EDGE_POINTS = [
+    # Corners and edges of the box eta in [0, 50], mu in [1, 50], x, y in
+    # [0, 20].  30-digit values from mpmath at 45 digits, where a gammainc
+    # series and mpmath.quad of the defining integral agree to 1e-45.
+    (0.0, 50.0, 0.0, 20.0, 0.999999987541073920280620765173),
+    (50.0, 50.0, 20.0, 0.0, 6.52551178815642645820680344876e+99),
+    (2.5, 1.0, 0.5, 0.0, 8.27775820006730943303127284995),
+    (49.9, 50.0, 20.0, 20.0, 4.00595771293275323151886179981e+99),
+    (0.0, 1.0, 20.0, 0.1, 0.999999999535527336647645484602),
+    (50.0, 1.0, 20.0, 0.1, 7.64559590257205552491511486050e+86),
+    (0.0, 1.0, 20.0, 20.0, 0.531639139937617665131211120176),
+]
+
+
+def test_skipping_nodes_changes_no_value(monkeypatch):
+    points = CONVERGED_PASS_POINTS + [p[:4] for p in BOX_EDGE_POINTS]
+    skipping = [tanh_rule_integrate(MomentQuery(*p)) for p in points]
+    monkeypatch.setattr(quadrature, "_SKIP_MARGIN", math.inf)
+    for p, out in zip(points, skipping):
+        full = tanh_rule_integrate(MomentQuery(*p))
+        assert full.skipped == 0
+        assert (out.value, out.nodes) == (full.value, full.nodes), p
+    assert sum(out.skipped for out in skipping) > 0
+
+
+def test_node_bound_is_an_upper_bound():
+    # 4000 (query, t) pairs; with x up to 1500 most have z = 2 sqrt(x t)
+    # > 700, where the series comes from log_bessel_i_scaled.  At x = 0 the
+    # bound is exact.
+    rng = random.Random(11)
+    for _ in range(800):
+        eta = rng.uniform(0.0, 50.0)
+        mu = 1.0 if rng.random() < 0.1 else rng.uniform(1.0, 200.0)
+        x = 0.0 if rng.random() < 0.05 else rng.uniform(0.0, 1500.0)
+        k = quadrature._NodeKernel(MomentQuery(eta, mu, x, 0.0))
+        for _ in range(5):
+            t = rng.uniform(1e-3, 2.0 * x + 4.0 * (eta + mu))
+            head, bound = quadrature._log_head(k, t)
+            lf = quadrature._log_integrand(k, t, head)
+            assert lf <= bound + 1e-9, (eta, mu, x, t, lf, bound)
 
 
 def test_golden_row_first_moment():
@@ -242,7 +308,7 @@ def test_node_doubling_differences_shrink():
         q = MomentQuery(eta, mu, x, y)
         spec = truncation_bounds(q)
         results = []
-        for n, value in quadrature._nested_passes(
+        for n, value, _ in quadrature._nested_passes(
                 quadrature._NodeKernel(q), spec.lower, spec.upper, 64):
             results.append(value)
             if n > 2**13:
@@ -273,18 +339,7 @@ def test_x_zero_window_covers_the_upper_tail(mu, y, ref):
     assert moment_by_quadrature(q) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("eta,mu,x,y,ref", [
-    # Corners and edges of the box eta in [0, 50], mu in [1, 50], x, y in
-    # [0, 20].  30-digit values from mpmath at 45 digits, where a gammainc
-    # series and mpmath.quad of the defining integral agree to 1e-45.
-    (0.0, 50.0, 0.0, 20.0, 0.999999987541073920280620765173),
-    (50.0, 50.0, 20.0, 0.0, 6.52551178815642645820680344876e+99),
-    (2.5, 1.0, 0.5, 0.0, 8.27775820006730943303127284995),
-    (49.9, 50.0, 20.0, 20.0, 4.00595771293275323151886179981e+99),
-    (0.0, 1.0, 20.0, 0.1, 0.999999999535527336647645484602),
-    (50.0, 1.0, 20.0, 0.1, 7.64559590257205552491511486050e+86),
-    (0.0, 1.0, 20.0, 20.0, 0.531639139937617665131211120176),
-])
+@pytest.mark.parametrize("eta,mu,x,y,ref", BOX_EDGE_POINTS)
 def test_quadrature_at_the_box_edges(eta, mu, x, y, ref):
     q = MomentQuery(eta, mu, x, y)
     assert moment_by_quadrature(q) == pytest.approx(ref, rel=1e-10, abs=0.0)

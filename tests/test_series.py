@@ -13,7 +13,7 @@ from nuttallq import (ConvergenceError, DomainError, MomentQuery,
 from nuttallq import nuttall
 from nuttallq.cli import TABLE1
 
-from oracles import rising_product_int
+from oracles import NCX2_SF_POINTS, rising_product_int
 
 @pytest.mark.parametrize("eta,mu,x,y,val_dp,val_ref", TABLE1)
 def test_golden_table1(eta, mu, x, y, val_dp, val_ref):
@@ -100,6 +100,12 @@ def test_marcum_trivial_points():
 def test_marcum_equals_series_eta0_bitwise():
     for mu, x, y in ((1.0, 0.5, 2.0), (3.5, 4.0, 1.0), (10.0, 12.0, 18.0)):
         assert marcum_q(mu, x, y) == nuttall_q_series(MomentQuery(0.0, mu, x, y)).value
+
+
+@pytest.mark.parametrize("mu,x,y,ref", NCX2_SF_POINTS)
+def test_marcum_matches_scipy_ncx2_up_to_x_1500(mu, x, y, ref):
+    # Measured worst over these 20 points: 1.98e-13 relative.
+    assert marcum_q(mu, x, y) == pytest.approx(ref, rel=2e-13, abs=0.0)
 
 
 def test_marcum_reduction_full_half_line():
