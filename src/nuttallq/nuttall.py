@@ -21,6 +21,12 @@ is evaluated three independent ways:
   a Bessel-function ratio, so no raw Bessel magnitudes appear at all;
   ``homogeneous_table`` drives it row by row on a per-column Marcum row.
 
+Both recurrences take their Bessel data along the columns from one sweep of
+ratios r_mu = I_{mu+1}/I_mu at z = 2 sqrt(xy) (``_ratio_sweep``): one
+continued fraction at the top order, then a stable backward recurrence.
+The homogeneous coefficient is sqrt(y/x) r_mu, and the ladder carries its
+forcing term along a row as a running product with the same factor.
+
 ``consistency_deviation`` rearranges the recurrence into a ratio whose
 distance from 1 measures the joint accuracy of everything above; it is the
 library's internal accuracy metric.
@@ -272,9 +278,9 @@ def _inhom_term(eta: float, mu: float, x: float, y: float,
 
     ``i_scaled`` is the caller-supplied scaled Bessel value Itilde_mu.
     The raw e^{-x-y} I_mu product is never formed; the plain-float product
-    is used while each factor, y/x included, stays in range, log space
-    otherwise.  An underflowed (0.0 or subnormal) ``i_scaled`` is replaced
-    by its log.
+    is used while each factor, y/x included, and each partial product stays
+    a normal float, log space otherwise.  An underflowed (0.0 or subnormal)
+    ``i_scaled`` is replaced by its log.
     """
     if y == 0.0:
         return 0.0
@@ -286,38 +292,91 @@ def _inhom_term(eta: float, mu: float, x: float, y: float,
     normal = i_scaled >= sys.float_info.min  # a subnormal has lost digits
     log_i = (math.log(i_scaled) if normal
              else log_bessel_i_scaled(mu, 2.0 * math.sqrt(x) * math.sqrt(y)))
+    # The last two factors are <= 1, so the partial products of the plain
+    # product fall from e^{l_pow + l_y} to the value, and bounding those two
+    # bounds them all.
+    total = l_pow + l_y + l_exp + log_i
     if normal and abs(l_ratio) < 700.0 and abs(l_pow) < 680.0 \
-            and abs(l_y) < 680.0 and l_pow + l_y + l_exp + log_i < 700.0:
+            and abs(l_y) < 680.0 and l_exp > -700.0 \
+            and l_pow + l_y < 700.0 and total > -700.0:
         return (y / x) ** (0.5 * mu) * y**eta * math.exp(l_exp) * i_scaled
-    return exp_clipped(l_pow + l_y + l_exp + log_i)
+    return exp_clipped(total)
+
+
+def _ratio_sweep(mu_lo: float, n: int, z: float) -> list[float]:
+    """r_nu = I_{nu+1}(z)/I_nu(z) at nu = mu_lo, mu_lo+1, ..., mu_lo+n-1.
+
+    One ``bessel_ratio`` continued fraction at the top order, then the
+    backward recurrence r_{nu-1} = 1/(2 nu/z + r_nu), from I_{nu-1} -
+    I_{nu+1} = (2 nu/z) I_nu.  The ratios belong to the minimal solution
+    and every term is positive, so the recurrence is stable (Gautschi 1967):
+    each step multiplies the relative error by r_{nu-1} r_nu < 1.
+    """
+    if n <= 0 or z == 0.0:
+        return [0.0] * n
+    out = [0.0] * n
+    r = out[n - 1] = bessel_ratio(mu_lo + (n - 1), z)
+    for k in range(n - 2, -1, -1):
+        r = out[k] = 1.0 / (2.0 * (mu_lo + (k + 1)) / z + r)
+    return out
 
 
 def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
                      x: float, y: float) -> RecurrenceTable:
     """Build the table Q_{e, mu_start+m} by the scaled inhomogeneous ladder.
 
-        Q_{eta,mu+1} = Q_{eta,mu} + eta Q_{eta-1,mu+1}
-                       + (y/x)^{mu/2} y^eta e^{-(sqrt x - sqrt y)^2}
-                         Itilde_mu(2 sqrt(xy))
+        Q_{eta,mu+1} = Q_{eta,mu} + eta Q_{eta-1,mu+1} + y^eta T_mu,
+        T_mu = (y/x)^{mu/2} e^{-(sqrt x - sqrt y)^2} Itilde_mu(2 sqrt(xy))
 
     Each row e = 0..eta_max is seeded by the series in column m=0; row 0,
     the Marcum recurrence, is clipped to 1 like marcum_q.  Every right-hand
     term is positive, so filling left to right and bottom to top is stable.
-    x = 0 is rejected (the forcing term divides by x^{mu/2}); the series
-    path must be used there instead.
+    The forcing term T comes from ``_inhom_term`` and one scaled Bessel
+    value at mu_start, and is carried along the columns by T_{mu+1} = T_mu
+    sqrt(y/x) r_mu, with the ratios r_mu of one ``_ratio_sweep``.  Where the
+    running product falls below 1e-300 or overflows, or y^e T leaves the
+    normal float range, that entry is seeded again from ``_inhom_term``,
+    as the series re-seeds its increment.  x = 0 is rejected (the forcing
+    term divides by x^{mu/2}); the series path must be used there instead.
     """
     eta_max, n_cols = _check_table_args("ladder", eta_max, mu_start, n_cols,
                                         x, y)
 
     z = 2.0 * math.sqrt(x) * math.sqrt(y)
-    i_scaled = [bessel_i_scaled(mu_start + m, z) for m in range(n_cols - 1)]
+    i_scaled: list[float | None] = [None] * (n_cols - 1)
 
+    def seeded(e: int, k: int) -> float:
+        """y^e T at mu_start + k from its closed form."""
+        if i_scaled[k] is None:
+            i_scaled[k] = bessel_i_scaled(mu_start + k, z)
+        return _inhom_term(e, mu_start + k, x, y, i_scaled[k])
+
+    root = math.sqrt(y) / math.sqrt(x)
+    ratios = _ratio_sweep(mu_start, n_cols - 2, z)
+    forcing = []
+    t = 0.0  # forces a seed in the first column
+    for k in range(n_cols - 1):
+        if k:
+            t *= root * ratios[k - 1]
+        if not _INC_RESEED <= t < math.inf:
+            t = seeded(0, k)
+        forcing.append(t)
+
+    tiny = sys.float_info.min
     rows: list[list[float]] = []
     for e in range(eta_max + 1):
         prev = rows[-1] if rows else [0.0] * n_cols
+        try:
+            y_e = y**e
+        except OverflowError:
+            y_e = math.inf
+        carry = tiny <= y_e < math.inf
         row = [_series_value(e, mu_start, x, y)]
         for m in range(1, n_cols):
-            t = _inhom_term(e, mu_start + m - 1.0, x, y, i_scaled[m - 1])
+            t0 = forcing[m - 1]
+            t = t0 * y_e
+            if not (carry and t0 >= tiny and tiny <= t < math.inf):
+                t = seeded(e, m - 1)
             row.append(row[m - 1] + e * prev[m] + t)
         rows.append([min(v, 1.0) for v in row] if e == 0 else row)
     return RecurrenceTable(eta_max, mu_start, n_cols,
@@ -333,9 +392,10 @@ def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
                        + eta Q_{eta-1,mu+2} - eta c Q_{eta-1,mu+1},
         c = sqrt(y/x) I_{mu+1}(2 sqrt(xy)) / I_mu(2 sqrt(xy))
 
-    The coefficients come from bessel_ratio, so no raw Bessel magnitudes
-    appear.  ``prev_row`` holds Q_{eta-1, mu_start+m}; ``seed0``/``seed1``
-    are Q_{eta, mu_start} and Q_{eta, mu_start+1}.
+    The Bessel ratios come from one ``_ratio_sweep`` per call (one continued
+    fraction at the top order, none for n_cols <= 2), so no raw Bessel
+    magnitudes appear.  ``prev_row`` holds Q_{eta-1, mu_start+m};
+    ``seed0``/``seed1`` are Q_{eta, mu_start} and Q_{eta, mu_start+1}.
     """
     eta, n_cols = _check_table_args("homogeneous recurrence", eta, mu_start,
                                     n_cols, x, y)
@@ -351,8 +411,9 @@ def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
     out.append(seed1)
     root = math.sqrt(y) / math.sqrt(x)
     z = 2.0 * math.sqrt(x) * math.sqrt(y)
+    ratios = _ratio_sweep(mu_start, n_cols - 2, z)
     for m in range(2, n_cols):
-        c = root * bessel_ratio(mu_start + m - 2.0, z)
+        c = root * ratios[m - 2]
         out.append((1.0 + c) * out[m - 1] - c * out[m - 2]
                    + eta * prev_row[m] - eta * c * prev_row[m - 1])
     return out

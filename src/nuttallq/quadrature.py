@@ -301,7 +301,9 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     profile's peak, and raises ConvergenceError where it sits on the peak:
     there the integral is not negligible, only unresolvable.  An x so
     large that the node argument x t overflows on the window raises
-    DomainError.
+    DomainError; one large enough (x beyond ~1e5) that the Bessel series
+    of a node cannot converge raises ConvergenceError, and both messages
+    name x and the quadrature route.
     """
     spec = truncation_bounds(q)
     if spec.upper == spec.lower:
@@ -315,15 +317,22 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
             f"quadrature cannot take x = {q.x!r}: the Bessel argument x t "
             f"overflows on its window up to t = {spec.upper!r}")
     prev = None
-    for n, cur, skipped in _nested_passes(_NodeKernel(q), spec.lower,
-                                          spec.upper, _FIRST_GRID):
-        if prev is not None:
-            if cur == 0.0 and prev == 0.0:
-                return QuadratureOutcome(0.0, n, 0.0, skipped)
-            diff = abs(cur - prev)
-            if diff <= _REL_TOL * abs(cur):
-                return QuadratureOutcome(cur, n, diff / abs(cur), skipped)
-        prev = cur
+    try:
+        for n, cur, skipped in _nested_passes(_NodeKernel(q), spec.lower,
+                                              spec.upper, _FIRST_GRID):
+            if prev is not None:
+                if cur == 0.0 and prev == 0.0:
+                    return QuadratureOutcome(0.0, n, 0.0, skipped)
+                diff = abs(cur - prev)
+                if diff <= _REL_TOL * abs(cur):
+                    return QuadratureOutcome(cur, n, diff / abs(cur), skipped)
+            prev = cur
+    except ConvergenceError as exc:
+        # Only a node's Bessel series raises it here; its argument grows
+        # with x, so say which x and route gave up.
+        raise ConvergenceError(
+            f"quadrature cannot take x = {q.x!r} on its window up to "
+            f"t = {spec.upper!r}: {exc}") from exc
     raise ConvergenceError(
         f"tanh-rule quadrature did not converge within {_NODE_CAP} nodes for {q}")
 

@@ -139,6 +139,15 @@ def test_eval_quadrature_x_overflow_is_domain_error(capsys):
     assert err.startswith("domain error: quadrature cannot take x = 1e+300")
 
 
+def test_eval_quadrature_huge_x_is_a_named_convergence_failure(capsys):
+    code, out, err = run(capsys, "eval", "--eta", "1", "--mu", "2",
+                         "--x", "1e150", "--y", "1", "--method", "quadrature")
+    assert code == EXIT_NO_CONVERGENCE
+    assert out == ""
+    assert err.startswith(
+        "convergence failure: quadrature cannot take x = 1e+150")
+
+
 def test_eval_recurrence_needs_integer_eta(capsys):
     code, _, err = run(capsys, "eval", "--eta", "1.5", "--mu", "2",
                        "--x", "1", "--y", "1", "--method", "homogeneous")

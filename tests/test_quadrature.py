@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -183,6 +184,19 @@ def test_x_so_large_that_x_t_overflows_is_a_domain_error():
     q = MomentQuery(1.0, 2.0, 1e300, 1.0)
     assert not math.isfinite(q.x * truncation_bounds(q).upper)
     with pytest.raises(DomainError, match=r"quadrature .* x = 1e\+300"):
+        tanh_rule_integrate(q)
+
+
+@pytest.mark.parametrize("x", [1e12, 1e150])
+def test_x_past_the_bessel_series_is_a_named_convergence_error(x):
+    # x t stays finite, but the node arguments z = 2 sqrt(x t) are so large
+    # that the Bessel series behind the nodes gives up; the error names x
+    # and the route, not only the kernel.
+    q = MomentQuery(1.0, 2.0, x, 1.0)
+    assert math.isfinite(q.x * truncation_bounds(q).upper)
+    with pytest.raises(ConvergenceError,
+                       match=rf"^quadrature cannot take x = {re.escape(repr(x))} "
+                             r"on its window .*: Bessel series did not converge"):
         tanh_rule_integrate(q)
 
 

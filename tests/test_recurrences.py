@@ -1,6 +1,7 @@
 """Tests for the inhomogeneous ladder and the homogeneous three-term route."""
 
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from nuttallq import (ConvergenceError, DomainError, MomentQuery,
                       nuttall_q_homogeneous, nuttall_q_ladder,
                       nuttall_q_series)
 from nuttallq import nuttall
+from nuttallq.bessel import bessel_ratio
+from oracles import bessel_ratio_by_series
 
 # The benchmark's recurrence-tables workload fills homogeneous tables by its
 # own sequence of public calls; homogeneous_table must reproduce it exactly.
@@ -79,6 +82,33 @@ def test_ladder_calls_the_series_once_per_row(monkeypatch, eta_max, n_cols):
     nuttall_q_ladder(eta_max, 0.5, n_cols, 2.0, 3.0)
     assert [q.eta for q in calls] == list(range(eta_max + 1))
     assert all(q.mu == 0.5 for q in calls)
+
+
+@pytest.mark.parametrize("x,y", [(2.0, 3.0), (0.1, 20.0), (20.0, 0.1)])
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 30])
+def test_tables_take_one_ratio_sweep(monkeypatch, n_cols, x, y):
+    # Inside the box: one continued fraction per homogeneous row call, and
+    # one continued fraction and one scaled Bessel value per ladder.
+    calls = {"bessel_ratio": 0, "bessel_i_scaled": 0}
+
+    def counted(name):
+        kernel = getattr(nuttall, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(nuttall, name, counted(name))
+    prev = [marcum_q(0.5 + m, x, y) for m in range(n_cols)]
+    nuttall_q_homogeneous(1, prev, _series(1.0, 0.5, x, y),
+                          _series(1.0, 1.5, x, y), x, y, 0.5, n_cols)
+    assert calls == {"bessel_ratio": int(n_cols > 2), "bessel_i_scaled": 0}
+    calls.update(bessel_ratio=0)
+    nuttall_q_ladder(3, 0.5, n_cols, x, y)
+    assert calls == {"bessel_ratio": int(n_cols > 2),
+                     "bessel_i_scaled": int(n_cols > 1)}
 
 
 # Q_{0, mu0+m}(x, y) at the corners of the working box.  30-digit values
@@ -166,6 +196,48 @@ def test_ladder_forcing_term_survives_bessel_underflow():
         got = tables[mu0, x, y].entry(e, m)
         assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (mu0, x, y, e, m)
     assert consistency_deviation(MomentQuery(1, 118, 1e-6, 200)) <= 1e-12
+
+
+# Ladder entries Q_{e, mu0+m}(x, y) where the carried forcing term must be
+# seeded again from its closed form, keyed by (eta_max, mu0, n_cols, x, y):
+# - at (800, 30) the eta = 0 forcing falls below 1e-300 at column 94 and
+#   stays there (the entries are the full moments to 30 digits);
+# - at (1e-3, 735) it starts subnormal and climbs out by column 9; rows
+#   below 5 hold subnormal values and are not checked;
+# - at (100, 1000), y^e overflows from e = 103 on.
+# 30-digit values from a 45-digit mpmath gammainc series, which agrees with
+# itself at 60 digits to 2e-40.
+FORCING_RESEEDS = {
+    (2, 1.0, 120, 800.0, 30.0): (
+        (0, 93, 1.0),
+        (0, 95, 1.0),
+        (1, 94, 895.0),
+        (2, 93, 800930.0),
+        (2, 95, 804512.0),
+        (2, 119, 848120.0),
+    ),
+    (8, 0.5, 12, 1e-3, 735.0): (
+        (5, 1, 6.43886053571376426493559564876e-304),
+        (5, 6, 3.05471772620732208436281187946e-292),
+        (6, 4, 1.07859759240240903585098531331e-293),
+        (8, 3, 2.9046833567582113513901880153e-290),
+        (8, 11, 6.06306214205065501569869929452e-274),
+    ),
+    (104, 1.0, 6, 100.0, 1000.0): (
+        (100, 5, 7.49922584756401398140503116074e+97),
+        (102, 5, 7.52502277810460655188192699416e+103),
+        (103, 1, 7.65598455962651315432529065285e+104),
+        (103, 5, 7.53798774758261801123117488361e+106),
+        (104, 5, 7.55099735776243846634010269109e+109),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FORCING_RESEEDS))
+def test_ladder_reseeds_its_forcing_term(key):
+    table = nuttall_q_ladder(*key)
+    for e, m, ref in FORCING_RESEEDS[key]:
+        assert table.entry(e, m) == pytest.approx(ref, rel=1e-12, abs=0.0), (e, m)
 
 
 # Q_{e, 6}(x, y) at subnormal x, where y/x overflows and x y underflows.
@@ -268,6 +340,30 @@ def test_homogeneous_table_tiny_bessel_ratios():
         for m in range(12):
             assert table.entry(e, m) == pytest.approx(
                 _series(float(e), 1.0 + m, x, y), rel=1e-14, abs=0.0), (e, m)
+
+
+def test_ratio_sweep_matches_per_order_ratios_and_series_oracle():
+    # Runs of 1 to 200 orders from seeded starts in [0.5, 250], at z from
+    # the subnormal-x value 2 sqrt(5e-324) and the tiny-ratio z of the test
+    # above up to 1e3.  Over seeds 1960-1974 the sweep was at worst 3.8e-15
+    # from bessel_ratio and 9.6e-15 from the series quotient, whose own
+    # error reaches 9.4e-15 at z = 300 (against mpmath); that quotient
+    # overflows past z ~ 700.
+    rng = random.Random(1967)
+    zs = [2.0 * math.sqrt(5e-324), 1e-50, 2.0 * math.sqrt(5e-50), 1e-3, 0.5,
+          7.0, 40.0, 300.0, 1e3]
+    zs += [10.0 ** rng.uniform(-50.0, 3.0) for _ in range(12)]
+    for z in zs:
+        for n in (1, 2, 37, 200):
+            mu0 = rng.uniform(0.5, 251.0 - n)
+            for k, r in enumerate(nuttall._ratio_sweep(mu0, n, z)):
+                order = mu0 + k
+                assert r == pytest.approx(bessel_ratio(order, z), rel=5e-15,
+                                          abs=0.0), (order, z)
+                if z <= 700.0:
+                    assert r == pytest.approx(
+                        bessel_ratio_by_series(order, z), rel=1.5e-14,
+                        abs=0.0), (order, z)
 
 
 def test_homogeneous_short_rows():
