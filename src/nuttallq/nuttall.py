@@ -222,6 +222,12 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
 
     total = fsum(items)
     value = total * mant * exp_clipped(offset + shift - x)
+    if not math.isfinite(value) and total > 0.0:
+        # total * mant can overflow before e^{-x} brings the value back into
+        # range (119! times 7.6e111 at (119, 1, 100, 400)): take the whole
+        # product in log space there.
+        value = exp_clipped(math.log(total) + math.log(mant) + offset + shift
+                            - x)
     if eta == 0.0:
         value = min(value, 1.0)
     est_error = max(contrib, 1e-16)

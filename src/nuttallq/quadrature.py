@@ -22,6 +22,22 @@ built once per integral that holds all that depends only on (eta, mu, x).
 Every node with t > 0 takes one formula, x = 0 and z = 2 sqrt(x t) > 700
 included.
 
+The u-range is [-U_lo, U_hi], each end chosen once per integral.  The
+window already ends where its profiles are 1e-16 of their tops, so with
+tanh u saturating near |u| = 17.6 most nodes of a symmetric range would
+land in the window's outer 0.5%.  The tanh map is needed only at an end
+where the integrand is still large, or rises algebraically as
+t^{eta+mu-1} next to t = 0; elsewhere the trapezoidal rule converges
+exponentially once the integrand is negligible at both ends.  So each end
+starts at U = 3 and grows by 1 up to 17.6 until its outermost node t =
+mid +- half tanh(U) lies on the outer side of every window profile's
+maximum with each profile at or below 1e-16 of it.  Each profile is
+unimodal, so it stays below that bound over the whole dropped piece,
+which is at most half (1 - tanh U) long.  The node, not the window end, is
+tested: at y ~ 0 the end itself has a profile near 0 while the integrand
+still rises steeply next to it.  An end at y where the integrand is still
+large keeps U = 17.6.
+
 Most of a node's cost is the Bessel series, and after the first pass most
 new nodes sit in tails that cannot reach the sum.  So from the second pass
 on a node first bounds its log from above in closed form, and the series
@@ -64,6 +80,9 @@ _EPS = 1e-16
 _FIRST_GRID = 64
 # u-range such that |tanh(u)| <= 1 - 1e-15; the clipped tail is below rounding.
 _U_MAX = math.atanh(1.0 - 1e-15)
+# Each end of the u-range starts here and grows by _U_STEP up to _U_MAX.
+_U_FIRST = 3.0
+_U_STEP = 1.0
 _WIDTH_DOUBLINGS = 400
 # A node is skipped where its bound is below e^-45 ~ 2.9e-20 of the largest
 # term of the pass before.
@@ -72,19 +91,23 @@ _SKIP_MARGIN = 45.0
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation window for one integral, and the exponent g and peak of
-    the profile t^g e^{-(sqrt t - sqrt x)^2} it was centred on.
+    """Truncation window for one integral, the exponent g and peak of the
+    profile t^g e^{-(sqrt t - sqrt x)^2} it was centred on, and the u-range
+    [-u_lo, u_hi] of the tanh map over it.
 
     ``truncation_bounds`` returns it, and ``tanh_rule_integrate`` integrates
-    over the window it describes.  y <= lower <= upper always holds; lower
-    == upper only where the window's centre is so large (beyond ~1e272)
-    that adding its half-width rounds away.
+    over the window and u-range it describes.  y <= lower <= upper always
+    holds; lower == upper only where the window's centre is so large
+    (beyond ~1e272) that adding its half-width rounds away.  Each of u_lo
+    and u_hi lies in [3, _U_MAX] (see ``_u_end``).
     """
 
     gamma_exp: float
     peak: float
     lower: float
     upper: float
+    u_lo: float
+    u_hi: float
 
 
 def _check_oracle_query(q: MomentQuery) -> None:
@@ -154,15 +177,15 @@ def _log_integrand(k: _NodeKernel, t: float, head: float) -> float:
 
 
 def _window(gamma_exp: float, x: float,
-            y: float) -> tuple[float, float, float]:
-    """(peak, lower, upper): the window in which the profile t^g e^{-(sqrt t
-    - sqrt x)^2}, g = gamma_exp, stays above _EPS times its maximum on
-    [y, inf).
+            y: float) -> tuple[float, float, float, float]:
+    """(peak, lower, upper, top): the window in which the profile t^g
+    e^{-(sqrt t - sqrt x)^2}, g = gamma_exp, stays above _EPS times its
+    maximum on [y, inf), and the log of that maximum.
 
-    The peak sits at t* = (sqrt x + sqrt(x + 4 g))^2 / 4; the half-width w
-    around max(t*, y) doubles until the profile at both window ends has
-    dropped below _EPS times its value at max(t*, y) (the lower end needs no
-    test once it hits y).
+    The peak sits at t* = (sqrt x + sqrt(x + 4 g))^2 / 4, so the maximum on
+    [y, inf) is at max(t*, y); the half-width w around it doubles until the
+    profile at both window ends has dropped below _EPS times that maximum
+    (the lower end needs no test once it hits y).
     """
     if gamma_exp == 0.0:
         peak = x
@@ -184,11 +207,35 @@ def _window(gamma_exp: float, x: float,
         if ok_hi and ok_lo:
             break
         w *= 2.0
-    return peak, lower, upper
+    return peak, lower, upper, g_top
+
+
+def _u_end(profiles: list[tuple[float, float, float, float]], mid: float,
+           half: float, side: float) -> float:
+    """U for one end of the u-range, side = -1 for the lower end and +1 for
+    the upper: the first of 3, 4, ..., _U_MAX at which the outermost node
+    t = mid + side * half * tanh(U) lies on the outer side of every
+    profile's maximum and has each profile at or below _EPS times it (why
+    that suffices: see the module docstring).
+
+    ``profiles`` holds (g, x, centre, log top) per window profile, the
+    centre being where the profile takes its top on [y, inf).
+    """
+    log_eps = math.log(_EPS)
+    u = _U_FIRST
+    while u < _U_MAX:
+        t = mid + side * half * math.tanh(u)
+        if all(side * (t - centre) >= 0.0
+               and _log_profile(g, x, t) - top <= log_eps
+               for g, x, centre, top in profiles):
+            return u
+        u += _U_STEP
+    return _U_MAX
 
 
 def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
-    """Choose a finite window [a, b] that holds the integrand's mass.
+    """Choose a finite window [a, b] that holds the integrand's mass, and
+    the u-range of the tanh map over it.
 
     At x = 0 the integrand is exactly t^{eta+mu-1} e^{-t}, and the window
     is the one of that profile (g = eta + mu - 1, x = 0).  For x > 0 it is
@@ -197,24 +244,31 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     behaviour; where x t is small next to mu^2 the integrand still follows
     the x = 0 shape, and the x > 0 window alone would cut off its upper
     tail for large mu.  ``gamma_exp`` and ``peak`` describe the x > 0
-    profile whenever x > 0.
+    profile whenever x > 0.  Each end of the u-range is sized by every
+    window profile at its outermost node (``_u_end``).
     """
     _check_oracle_query(q)
     g_zero = q.eta + q.mu - 1.0
-    peak0, lower0, upper0 = _window(g_zero, 0.0, q.y)
-    if q.x == 0.0:
-        return QuadratureSpec(g_zero, peak0, lower0, upper0)
-    gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
-    peak, lower, upper = _window(gamma_exp, q.x, q.y)
-    return QuadratureSpec(gamma_exp, peak, min(lower, lower0),
-                          max(upper, upper0))
+    peak0, lower, upper, top0 = _window(g_zero, 0.0, q.y)
+    profiles = [(g_zero, 0.0, max(peak0, q.y), top0)]
+    gamma_exp, peak = g_zero, peak0
+    if q.x > 0.0:
+        gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
+        peak, lower_x, upper_x, top = _window(gamma_exp, q.x, q.y)
+        profiles.append((gamma_exp, q.x, max(peak, q.y), top))
+        lower, upper = min(lower, lower_x), max(upper, upper_x)
+    half, mid = 0.5 * (upper - lower), 0.5 * (lower + upper)
+    return QuadratureSpec(gamma_exp, peak, lower, upper,
+                          _u_end(profiles, mid, half, -1.0),
+                          _u_end(profiles, mid, half, 1.0))
 
 
-def _nested_passes(kernel: _NodeKernel, a: float, b: float,
+def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
                    n: int) -> Iterator[tuple[int, float, int]]:
-    """(points, trapezoid sum, skipped) of the tanh rule on [a, b] for nested
-    u-grids of n, 2n - 1, 4n - 3, ... points, up to the node cap; skipped
-    counts the grid's points whose series never ran.
+    """(points, trapezoid sum, skipped) of the tanh rule on the window [a, b]
+    of ``spec`` for nested grids of n, 2n - 1, 4n - 3, ... points on its
+    u-range [-u_lo, u_hi], up to the node cap; skipped counts the grid's
+    points whose series never ran.
 
     Halving the spacing keeps the old nodes at the even indices of the new
     grid, so a pass visits only its midpoints; its sum is one exact
@@ -225,11 +279,12 @@ def _nested_passes(kernel: _NodeKernel, a: float, b: float,
     largest term, and N such points move the sum by less than N * 2.9e-20
     of itself (see the module docstring).
     """
+    a, b, u_lo = spec.lower, spec.upper, spec.u_lo
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     log_half = math.log(half)
     log_end_weight = math.log(0.5)
-    h = 2.0 * _U_MAX / (n - 1)
+    h = (u_lo + spec.u_hi) / (n - 1)
     # ln of each node's u-space integrand without the spacing h, which every
     # pass changes; the endpoints carry their trapezoid weight 1/2.  Nodes
     # where the integrand is zero are not stored.
@@ -240,7 +295,7 @@ def _nested_passes(kernel: _NodeKernel, a: float, b: float,
     fresh = range(n)
     while n <= _NODE_CAP:
         for i in fresh:
-            u = -_U_MAX + i * h
+            u = -u_lo + i * h
             t = min(b, max(a, mid + half * math.tanh(u)))
             head, bound = _log_head(kernel, t)
             log_cosh2 = 2.0 * math.log(math.cosh(u))
@@ -286,13 +341,18 @@ class QuadratureOutcome:
 def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     """Integrate the scaled integrand by the tanh rule.
 
-    Takes the window [lower, upper] from ``truncation_bounds(q)``, maps it
-    linearly to [-1, 1], substitutes s = tanh(u), and applies the
-    trapezoidal rule on nested uniform u-grids: the first has 64 points,
-    and each refinement halves the spacing, n -> 2n - 1, so a pass
-    visits only its n - 1 new midpoints and reuses the values of every
-    earlier node; from the second pass on, it skips the midpoints that a
-    closed-form bound proves negligible (see ``_nested_passes``).
+    Takes the window [lower, upper] and the u-range [-u_lo, u_hi] from
+    ``truncation_bounds(q)``, maps the window linearly to [-1, 1],
+    substitutes s = tanh(u), and applies the trapezoidal rule on nested
+    uniform grids over the u-range.  Each end of the u-range stops where
+    the profiles at its outermost node, and so over the whole piece it
+    drops, are below 1e-16 of their tops, and stays at ~17.6 (tanh u = 1 -
+    1e-15) where the integrand is still large at the window end (see the
+    module docstring).  The first grid has 64 points, and each refinement
+    halves the spacing, n -> 2n - 1, so a pass visits only its n - 1 new
+    midpoints and reuses the values of every earlier node; from the second
+    pass on, it skips the midpoints that a closed-form bound proves
+    negligible (see ``_nested_passes``).
     Refinement stops when two passes agree to ~1e-12 relative;
     non-convergence within the 2^20 node cap raises ConvergenceError.
     Node contributions are combined with exact summation, so results are
@@ -318,8 +378,8 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
             f"overflows on its window up to t = {spec.upper!r}")
     prev = None
     try:
-        for n, cur, skipped in _nested_passes(_NodeKernel(q), spec.lower,
-                                              spec.upper, _FIRST_GRID):
+        for n, cur, skipped in _nested_passes(_NodeKernel(q), spec,
+                                              _FIRST_GRID):
             if prev is not None:
                 if cur == 0.0 and prev == 0.0:
                     return QuadratureOutcome(0.0, n, 0.0, skipped)

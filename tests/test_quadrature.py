@@ -156,6 +156,8 @@ def test_truncation_profile_below_eps_at_ends():
 
 
 def test_truncation_width_doubling_insensitive(monkeypatch):
+    # The widened window is integrated over the full u-range, so this also
+    # checks the u-range that truncation_bounds sized for the narrow one.
     q = MomentQuery(5.0, 10.0, 5.0, 10.0)
     spec = truncation_bounds(q)
     base = tanh_rule_integrate(q).value
@@ -163,7 +165,8 @@ def test_truncation_width_doubling_insensitive(monkeypatch):
     wide = QuadratureSpec(spec.gamma_exp, spec.peak,
                           max(q.y, center - 2.0 * (center - spec.lower)
                               if spec.lower > q.y else q.y),
-                          center + 2.0 * (spec.upper - center))
+                          center + 2.0 * (spec.upper - center),
+                          quadrature._U_MAX, quadrature._U_MAX)
     monkeypatch.setattr(quadrature, "truncation_bounds", lambda _: wide)
     assert tanh_rule_integrate(q).value == pytest.approx(base, rel=1e-12, abs=0.0)
 
@@ -250,9 +253,9 @@ def test_each_node_is_evaluated_once(eta, mu, x, y, monkeypatch):
     spec = truncation_bounds(q)
     a, b = spec.lower, spec.upper
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    h = 2.0 * quadrature._U_MAX / (out.nodes - 1)
+    h = (spec.u_lo + spec.u_hi) / (out.nodes - 1)
     grid = Counter(min(b, max(a, mid + half * math.tanh(
-        -quadrature._U_MAX + i * h))) for i in range(out.nodes))
+        -spec.u_lo + i * h))) for i in range(out.nodes))
     assert not Counter(evaluated) - grid
 
 
@@ -298,6 +301,85 @@ def test_node_bound_is_an_upper_bound():
             assert lf <= bound + 1e-9, (eta, mu, x, t, lf, bound)
 
 
+# y ~ 0 with the integrand still rising as t^{eta+mu-1} next to the
+# window's lower end.  Sizing that end by the profile at the window end
+# itself, near 0 there, cuts it to u = 3 and drops that rising mass: the
+# second point is then 9.9e-7 off in 32,257 nodes, the third 1.1e-10 off.
+# The last entry is the grid a fixed u-range [-_U_MAX, _U_MAX] needs.
+RISING_NEAR_ZERO_POINTS = [
+    (0.0, 3.322093321712608, 0.0, 2.0738036364741006e-07, 505),
+    (0.0, 4.9962344275158435, 0.0, 9.774383962105061e-05, 505),
+    (7.083696485270758, 1.0, 3.9412894238407415e-09, 4.541608812390834e-07,
+     1009),
+]
+
+
+@pytest.mark.parametrize("eta,mu,x,y,parent_nodes", RISING_NEAR_ZERO_POINTS)
+def test_u_range_keeps_the_rising_mass_near_zero(eta, mu, x, y, parent_nodes):
+    q = MomentQuery(eta, mu, x, y)
+    out = tanh_rule_integrate(q)
+    assert out.value == pytest.approx(nuttall_q_series(q).value, rel=1e-10,
+                                      abs=0.0)
+    assert out.nodes <= parent_nodes
+
+
+def _wide_box_point(rng):
+    """eta in [0, 50], mu in [1, 200], x in [0, 300] and y in [0, 400],
+    with x down to 1e-12 and y down to 1e-8 on a log scale."""
+    eta = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 50.0)
+    mu = 1.0 if rng.random() < 0.1 else rng.uniform(1.0, 200.0)
+    r = rng.random()
+    x = (0.0 if r < 0.05 else 10.0 ** rng.uniform(-12.0, 0.0) if r < 0.35
+         else rng.uniform(0.0, 300.0))
+    r = rng.random()
+    y = (0.0 if r < 0.05 else 10.0 ** rng.uniform(-8.0, 0.0) if r < 0.35
+         else rng.uniform(0.0, 400.0))
+    return MomentQuery(eta, mu, x, y)
+
+
+def test_quadrature_vs_series_on_a_wide_box():
+    rng = random.Random(13)
+    for _ in range(100):
+        q = _wide_box_point(rng)
+        ref = nuttall_q_series(q)
+        assert ref.converged, q
+        assert tanh_rule_integrate(q).value == pytest.approx(
+            ref.value, rel=1e-10, abs=0.0), q
+
+
+def test_u_range_ends_are_sized_by_the_outermost_node():
+    # Each end is the first of 3, 4, ..., 17, _U_MAX whose outermost node
+    # has every window profile below _EPS of its top (found here by a scan
+    # of [y, upper]); the candidate before it fails.
+    for eta, mu, x, y in CONVERGED_PASS_POINTS + [
+            p[:4] for p in RISING_NEAR_ZERO_POINTS]:
+        q = MomentQuery(eta, mu, x, y)
+        spec = truncation_bounds(q)
+        half = 0.5 * (spec.upper - spec.lower)
+        mid = 0.5 * (spec.upper + spec.lower)
+        profiles = [(eta + mu - 1.0, 0.0)]
+        if x > 0.0:
+            profiles.append((eta + 0.5 * (mu - 1.0), x))
+        scan = [y + i * 1e-3 * (spec.upper - y) for i in range(1001)]
+        tops = [max(_profile(g, px, t) for t in scan) for g, px in profiles]
+
+        def small_at(u, side):
+            t = mid + side * half * math.tanh(u)
+            return all(_profile(g, px, t) <= 1.01e-16 * top
+                       for (g, px), top in zip(profiles, tops))
+
+        for u, side in ((spec.u_lo, -1.0), (spec.u_hi, 1.0)):
+            assert 3.0 <= u <= quadrature._U_MAX
+            if u < quadrature._U_MAX:
+                assert small_at(u, side), (q, side, u)
+            if u > 3.0:
+                assert not small_at(math.ceil(u) - 1.0, side), (q, side, u)
+    # At y = 0 with eta = 0, mu = 1 the integrand is e^{-t}, largest at the
+    # lower end, which therefore keeps the full range.
+    assert truncation_bounds(MomentQuery(0.0, 1.0, 0.0, 0.0)).u_lo == \
+        quadrature._U_MAX
+
+
 def test_golden_row_first_moment():
     q = MomentQuery(1.0, 1.0, 1.2, 5.0)
     assert moment_by_quadrature(q) == pytest.approx(
@@ -323,7 +405,7 @@ def test_node_doubling_differences_shrink():
         spec = truncation_bounds(q)
         results = []
         for n, value, _ in quadrature._nested_passes(
-                quadrature._NodeKernel(q), spec.lower, spec.upper, 64):
+                quadrature._NodeKernel(q), spec, 64):
             results.append(value)
             if n > 2**13:
                 break

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
                       consistency_deviation, gamma_ratio_q, marcum_q,
-                      nuttall_q_series, q_increment)
+                      nuttall_q_ladder, nuttall_q_series, q_increment)
 from nuttallq import nuttall
 from nuttallq.cli import TABLE1
 
@@ -57,6 +57,20 @@ def test_fold_heavy_points_match_reference(y, terms, ref):
     out = nuttall_q_series(MomentQuery(2.0, 10.0, 1000.0, y))
     assert out.converged and out.terms_used == terms
     assert out.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_summed_terms_times_gamma_ratio_past_double_range():
+    # At (119, 1, 100, 400) the summed terms (7.6e111) times Gamma(120) =
+    # 119! (5.6e196) overflow before e^-100 brings the value back into
+    # range.  30 digits from mpmath at 45 digits, where the series and
+    # mpmath.quad of the defining integral agree to 1e-45.
+    out = nuttall_q_series(MomentQuery(119.0, 1.0, 100.0, 400.0))
+    assert out.converged
+    assert out.value == pytest.approx(1.56610899166125971860775223998e265,
+                                      rel=1e-13, abs=0.0)
+    # The ladder seeds each row from the series at its first column.
+    table = nuttall_q_ladder(120, 1.0, 6, 100.0, 400.0)
+    assert all(math.isfinite(v) for row in table.values[119:] for v in row)
 
 
 def test_reseed_points_start_below_the_reseed_threshold():
