@@ -130,7 +130,7 @@ def _eval_one(q: MomentQuery, method: str) -> tuple[float, int, float, bool]:
         return out.value, out.terms_used, out.est_error, out.converged
     if method == "quadrature":
         out = tanh_rule_integrate(q)
-        return out.value, out.nodes, out.rel_diff, True
+        return out.value, out.nodes, out.est_error, True
     # The builders check eta and x; at eta = 0 a homogeneous table is marcum_q.
     if method == "homogeneous" and q.eta == 0.0:
         raise DomainError("homogeneous recurrence requires eta >= 1")

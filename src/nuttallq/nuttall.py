@@ -147,6 +147,34 @@ def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
     return 1.0, diff
 
 
+def _times_exp(m: float, e: int, log_scale: float) -> float:
+    """m 2^e e^log_scale for m in [1/4, 1), inf where it overflows.
+
+    e^log_scale is applied as 2^j equal factors, each within e^+-700, and
+    the running product is renormalized by ``frexp`` after each, so no
+    partial product leaves the normal range, however far out of double
+    range 2^e and e^log_scale are; only the final ``ldexp`` rounds to a
+    subnormal or to zero where the value itself is that small.  Values far
+    past either end of the double range return inf or 0.0 at once.
+    """
+    log_value = log_scale + e * math.log(2.0)
+    if log_value > 712.0:
+        return math.inf
+    if log_value < -747.0:
+        return 0.0
+    pieces = 1
+    while abs(log_scale) > 700.0 * pieces:
+        pieces *= 2
+    factor = math.exp(log_scale / pieces)
+    for _ in range(pieces):
+        m, shift = math.frexp(m * factor)
+        e += shift
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.inf
+
+
 def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     """Evaluate Q_{eta,mu}(x, y) by the incomplete-gamma-ratio expansion.
 
@@ -224,10 +252,14 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     value = total * mant * exp_clipped(offset + shift - x)
     if not math.isfinite(value) and total > 0.0:
         # total * mant can overflow before e^{-x} brings the value back into
-        # range (119! times 7.6e111 at (119, 1, 100, 400)): take the whole
-        # product in log space there.
-        value = exp_clipped(math.log(total) + math.log(mant) + offset + shift
-                            - x)
+        # range (119! times 7.6e111 at (119, 1, 100, 400)).  There both keep
+        # their own binary exponents, and only offset + shift - x is
+        # exponentiated: ln(total) + ln(mant) would add two more logs of up
+        # to ~700, each rounded to ~700 eps.
+        m_total, e_total = math.frexp(total)
+        m_mant, e_mant = math.frexp(mant)
+        value = _times_exp(m_total * m_mant, e_total + e_mant,
+                           offset + shift - x)
     if eta == 0.0:
         value = min(value, 1.0)
     est_error = max(contrib, 1e-16)
@@ -411,14 +443,22 @@ def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
         raise DomainError(
             f"prev_row has {len(prev_row)} entries, expected n_cols={n_cols}")
 
-    out = [seed0]
-    if n_cols == 1:
-        return out
-    out.append(seed1)
     root = math.sqrt(y) / math.sqrt(x)
     z = 2.0 * math.sqrt(x) * math.sqrt(y)
-    ratios = _ratio_sweep(mu_start, n_cols - 2, z)
-    for m in range(2, n_cols):
+    return _homogeneous_row(eta, prev_row, seed0, seed1, root,
+                            _ratio_sweep(mu_start, n_cols - 2, z))
+
+
+def _homogeneous_row(eta: int, prev_row: list[float], seed0: float,
+                     seed1: float, root: float,
+                     ratios: list[float]) -> list[float]:
+    """The row of ``nuttall_q_homogeneous``, len(prev_row) long, with
+    coefficients c = root * r over the ``_ratio_sweep`` ratios r."""
+    out = [seed0]
+    if len(prev_row) == 1:
+        return out
+    out.append(seed1)
+    for m in range(2, len(prev_row)):
         c = root * ratios[m - 2]
         out.append((1.0 + c) * out[m - 1] - c * out[m - 2]
                    + eta * prev_row[m] - eta * c * prev_row[m - 1])
@@ -432,17 +472,21 @@ def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
     The counterpart of ``nuttall_q_ladder``, with the same arguments and
     checks.  Row e=0 is one marcum_q per column; each later row is seeded by
     the series at mu_start and mu_start+1 (only the first when n_cols == 1),
-    then filled by ``nuttall_q_homogeneous`` from the row below.  A seed
-    series that does not converge raises ConvergenceError.
+    then filled by the recurrence of ``nuttall_q_homogeneous`` from the row
+    below.  The coefficients depend on the column alone, so every row takes
+    them from one ratio sweep per table.  A seed series that does not
+    converge raises ConvergenceError.
     """
     eta_max, n_cols = _check_table_args("homogeneous table", eta_max,
                                         mu_start, n_cols, x, y)
     rows = [[marcum_q(mu_start + m, x, y) for m in range(n_cols)]]
+    root = math.sqrt(y) / math.sqrt(x)
+    z = 2.0 * math.sqrt(x) * math.sqrt(y)
+    ratios = _ratio_sweep(mu_start, n_cols - 2, z) if eta_max else []
     for e in range(1, eta_max + 1):
         seed0 = _series_value(e, mu_start, x, y)
         seed1 = _series_value(e, mu_start + 1.0, x, y) if n_cols > 1 else 0.0
-        rows.append(nuttall_q_homogeneous(e, rows[-1], seed0, seed1, x, y,
-                                          mu_start, n_cols))
+        rows.append(_homogeneous_row(e, rows[-1], seed0, seed1, root, ratios))
     return RecurrenceTable(eta_max, mu_start, n_cols,
                            tuple(tuple(r) for r in rows),
                            "row0:marcum_q,col0-1:series")

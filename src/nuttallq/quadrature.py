@@ -10,17 +10,30 @@ where 0F1(; mu; q) = sum_n q^n / (n! (mu)_n).  The improper integral is
 truncated to a window around the peak of the profile t^g
 e^{-(sqrt t - sqrt x)^2}, mapped linearly onto [-1, 1], pushed through the
 change of variable s = tanh(u), and integrated with the trapezoidal rule on
-nested uniform u-grids of n -> 2n - 1 points until two consecutive results
-agree.  For x > 0 the window is the union of two: one for g = eta +
-(mu-1)/2, the integrand's large-t shape, and one for the x = 0 profile
-t^{eta+mu-1} e^{-t}, which the integrand follows while x t is small next to
-mu^2; at x = 0 only the second is needed.  Each refinement halves the
-spacing, so the earlier nodes stay on the grid and their values are reused:
-no node is evaluated twice.  The integrand is always evaluated through its
-logarithm, so profiles reaching 1e89 never overflow a node, and by a kernel
-built once per integral that holds all that depends only on (eta, mu, x).
-Every node with t > 0 takes one formula, x = 0 and z = 2 sqrt(x t) > 700
-included.
+nested uniform u-grids of 33, 65, 129, ... points (n -> 2n - 1) until the
+estimated error of the last pass is small.  For x > 0 the window is the
+union of two: one for g = eta + (mu-1)/2, the integrand's large-t shape,
+and one for the x = 0 profile t^{eta+mu-1} e^{-t}, which the integrand
+follows while x t is small next to mu^2; at x = 0 only the second is
+needed.  Each refinement halves the spacing, so the earlier nodes stay on
+the grid and their values are reused: no node is evaluated twice.  The
+integrand is always evaluated through its logarithm, so profiles reaching
+1e89 never overflow a node, and by a kernel built once per integral that
+holds all that depends only on (eta, mu, x).  Every node with t > 0 takes
+one formula, x = 0 and z = 2 sqrt(x t) > 700 included.
+
+Refinement stops at pass k when the relative change d_k between passes k-1
+and k satisfies either
+
+    d_k <= 1e-12                       (two passes agree), or
+    d_k < d_{k-1} and d_k^2 <= 1e-14   (the error squares).
+
+Once the integrand is negligible at both ends of the u-range, the
+trapezoidal rule converges exponentially, and halving the spacing roughly
+squares its error (Trefethen & Weideman, SIAM Rev. 56, 2014).  Then d_k is
+about the error of pass k-1, and d_k^2 estimates the error of pass k, so
+the second condition accepts pass k without a confirming pass.  It needs
+d_k to shrink, so it cannot fire before the third pass, at 129 points.
 
 The u-range is [-U_lo, U_hi], each end chosen once per integral.  The
 window already ends where its profiles are 1e-16 of their tops, so with
@@ -73,11 +86,16 @@ from .logscale import exp_clipped
 from .nuttall import MomentQuery
 
 _NODE_CAP = 2**20
+# Two passes that agree to this relative change end the refinement.
 _REL_TOL = 1e-12
+# Or a pass whose relative change d is below the change of the pass before
+# with d^2 at or below this: halving the spacing roughly squares the error
+# of the trapezoidal rule, so d^2 then estimates the error of the pass.
+_SQUARED_TOL = 1e-14
 # Profile drop, relative to its peak, at which the window ends.
 _EPS = 1e-16
-# Points of the first u-grid.
-_FIRST_GRID = 64
+# Points of the first u-grid; the grids are 33, 65, 129, 257, ...
+_FIRST_GRID = 33
 # u-range such that |tanh(u)| <= 1 - 1e-15; the clipped tail is below rounding.
 _U_MAX = math.atanh(1.0 - 1e-15)
 # Each end of the u-range starts here and grows by _U_STEP up to _U_MAX.
@@ -322,9 +340,9 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
 
 @dataclass(frozen=True)
 class QuadratureOutcome:
-    """Integral value plus the nodes of the last pass, its relative
-    difference from the pass before, and how many of those nodes were
-    skipped.
+    """Integral value plus the nodes of the last pass, the estimated
+    relative error the stop rule accepted it on, and how many of those
+    nodes were skipped.
 
     The grids are nested and no node is evaluated twice, so ``nodes -
     skipped`` is the number of integrand evaluations; ``skipped`` counts
@@ -334,7 +352,7 @@ class QuadratureOutcome:
 
     value: float
     nodes: int
-    rel_diff: float
+    est_error: float
     skipped: int
 
 
@@ -348,13 +366,16 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     the profiles at its outermost node, and so over the whole piece it
     drops, are below 1e-16 of their tops, and stays at ~17.6 (tanh u = 1 -
     1e-15) where the integrand is still large at the window end (see the
-    module docstring).  The first grid has 64 points, and each refinement
+    module docstring).  The first grid has 33 points, and each refinement
     halves the spacing, n -> 2n - 1, so a pass visits only its n - 1 new
     midpoints and reuses the values of every earlier node; from the second
     pass on, it skips the midpoints that a closed-form bound proves
     negligible (see ``_nested_passes``).
-    Refinement stops when two passes agree to ~1e-12 relative;
-    non-convergence within the 2^20 node cap raises ConvergenceError.
+    Refinement stops when the relative change d between two passes is at
+    most 1e-12, or is below the change before it with d^2 <= 1e-14 (see the
+    module docstring); ``est_error`` is d in the first case and d^2 in the
+    second.  Non-convergence within the 2^20 node cap raises
+    ConvergenceError.
     Node contributions are combined with exact summation, so results are
     reproducible.  A window that rounds to zero width gives
     QuadratureOutcome(0.0, 0, 0.0, 0) where it sits at y, past the
@@ -377,15 +398,21 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
             f"quadrature cannot take x = {q.x!r}: the Bessel argument x t "
             f"overflows on its window up to t = {spec.upper!r}")
     prev = None
+    # The squaring stop needs a change before the current one to compare it
+    # with, so it cannot fire on the second pass.
+    d_prev = 0.0
     try:
         for n, cur, skipped in _nested_passes(_NodeKernel(q), spec,
                                               _FIRST_GRID):
             if prev is not None:
                 if cur == 0.0 and prev == 0.0:
                     return QuadratureOutcome(0.0, n, 0.0, skipped)
-                diff = abs(cur - prev)
-                if diff <= _REL_TOL * abs(cur):
-                    return QuadratureOutcome(cur, n, diff / abs(cur), skipped)
+                d = abs(cur - prev) / abs(cur) if cur != 0.0 else math.inf
+                if d <= _REL_TOL:
+                    return QuadratureOutcome(cur, n, d, skipped)
+                if d < d_prev and d * d <= _SQUARED_TOL:
+                    return QuadratureOutcome(cur, n, d * d, skipped)
+                d_prev = d
             prev = cur
     except ConvergenceError as exc:
         # Only a node's Bessel series raises it here; its argument grows

@@ -165,3 +165,82 @@ NCX2_SF_POINTS = [
     (1.0, 0.0, 30.0,
      9.357622968840163e-14),
 ]
+
+# Q_{eta,mu}(x, y) at the edges of the quadrature's working box, and one
+# point past it whose window has node arguments z = 2 sqrt(x t) > 700.
+# Rows are (eta, mu, x, y, value), the value to 40 significant digits; made
+# once by the series of ``perfbench/reference.py``,
+#
+#     e^{-x} sum_n x^n/n! Gamma(eta+mu+n)/Gamma(mu+n) Q(eta+mu+n, y),
+#
+# with every Q from ``mpmath.gammainc``, summed at 50 and at 60 digits; the
+# two sums agree to 1e-42 relative at every point.  All terms are positive,
+# so the sums lose no digits to cancellation.
+EDGE_POINTS = [
+    # small x > 0 with large mu
+    (0.0, 50.0, 1e-08, 10.0,
+     0.9999999999999999998145273131057467897221),
+    (10.0, 50.0, 0.01, 10.0,
+     2.284479249827091295526021498362262974087e+17),
+    (3.0, 45.0, 0.001, 30.0,
+     97151.74192004286987358442207900751639118),
+    (25.0, 50.0, 1e-05, 60.0,
+     5.252806250733582482845542065030226609099e+44),
+    (0.0, 48.5, 0.5, 48.0,
+     0.5379022310200838574747269520593472364324),
+    # mu near 1
+    (0.0, 1.0, 5.0, 3.0,
+     0.814938772486556194885449016227857140147),
+    (2.5, 1.0000001, 0.3, 1.0,
+     5.978623966097346290804036132674539978284),
+    (7.0, 1.01, 10.0, 15.0,
+     2.361322983767442288857564890580014102876e+8),
+    (1.0, 1.0, 0.001, 0.5,
+     0.9108573992725229771561888935190993189189),
+    # y ~ 0 and y = 0
+    (0.0, 3.322093321712608, 0.0, 2.0738036364741006e-07,
+     0.9999999999999999999999931196819126279883),
+    (5.0, 2.0, 4.0, 1e-10,
+     55024.0),
+    (1.0, 1.0, 0.001, 1e-12,
+     1.001000000000000000020816182211471768778),
+    (0.5, 1.5, 0.0, 0.0,
+     1.128379167095512573896158903121545171688),
+    (30.0, 20.0, 20.0, 0.0,
+     1.614811178311526811914692086828379567942e+53),
+    # x >> y
+    (3.0, 10.0, 20.0, 0.5,
+     31639.99999999999999999991809951967574055),
+    (0.0, 1.0, 20.0, 0.01,
+     0.9999999999773743755158336353035811604135),
+    (12.0, 2.0, 20.0, 0.001,
+     8.083601526170368e+17),
+    # y >> x
+    (2.0, 5.0, 0.1, 20.0,
+     0.01047113013610340946137140747414434126957),
+    (0.0, 1.0, 0.01, 20.0,
+     2.492265024649483130793485252723758123291e-9),
+    (50.0, 1.0, 0.001, 20.0,
+     3.195352598940127982334124702001739781803e+64),
+    (0.0, 2.0, 1e-06, 20.0,
+     4.328463830310219059435530421545554007258e-8),
+    # eta near 50
+    (50.0, 50.0, 20.0, 0.0,
+     6.52551178815642645820680344876162157896e+99),
+    (49.5, 10.0, 10.0, 20.0,
+     3.788814053070867750056876120956952214285e+83),
+    (48.0, 1.0, 0.5, 5.0,
+     2.367416568840082849149370677997239880881e+64),
+    (50.0, 25.0, 2.0, 90.0,
+     2.945951704234161476669194935808599228201e+84),
+    # real eta, x = 0 and the CLI's smoke point
+    (12.7, 7.3, 3.3, 8.8,
+     5.715588933455152770628147817619750571819e+15),
+    (4.0, 12.5, 0.0, 9.0,
+     37329.38653168129034406542603442997983106),
+    (4.0, 12.5, 7.0, 9.0,
+     2.125948564467991331073489970556076995489e+5),
+    # z = 2 sqrt(x t) > 700 on the window
+    (1.0, 3.0, 400.0, 300.0,
+     402.9848933369901556973423036082341357111),
+]

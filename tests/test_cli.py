@@ -61,7 +61,7 @@ def test_eval_quadrature_reports_nodes_as_terms(capsys):
     record = json.loads(out)
     assert record["terms"] == outcome.nodes
     assert record["value"] == outcome.value
-    assert record["est_error"] == outcome.rel_diff
+    assert record["est_error"] == outcome.est_error
 
 
 @pytest.mark.parametrize("eta,mu,x,y,mu_start,n_cols", [

@@ -6,6 +6,8 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
                       QuadratureOutcome, QuadratureSpec, marcum_q,
@@ -14,7 +16,7 @@ from nuttallq import (ConvergenceError, DomainError, MomentQuery,
 from nuttallq import quadrature
 from nuttallq.bessel import log_bessel_i_scaled
 
-from oracles import naive_integrand
+from oracles import EDGE_POINTS, naive_integrand
 
 
 def _profile(gamma_exp, x, t):
@@ -227,11 +229,44 @@ def test_outcome_reports_the_converged_pass(eta, mu, x, y):
     q = MomentQuery(eta, mu, x, y)
     out = tanh_rule_integrate(q)
     assert out.value == moment_by_quadrature(q)
-    # Nested grids: 64 points, then n -> 2n - 1, so 63 * 2^k + 1 after k
-    # refinements (k >= 1: the first pass has nothing to compare against).
-    k = ((out.nodes - 1) // 63).bit_length() - 1
-    assert k >= 1 and out.nodes == 63 * 2**k + 1
-    assert 0.0 <= out.rel_diff <= 1e-12
+    # Nested grids: n0 = _FIRST_GRID points, then n -> 2n - 1, so
+    # (n0 - 1) 2^k + 1 after k refinements (k >= 1: the first pass has
+    # nothing to compare against).
+    step = quadrature._FIRST_GRID - 1
+    k = ((out.nodes - 1) // step).bit_length() - 1
+    assert k >= 1 and out.nodes == step * 2**k + 1
+    assert 0.0 <= out.est_error <= 1e-12
+
+
+def test_outcome_stops_on_the_first_pass_a_rule_accepts():
+    # Replays the passes up to the one returned: no earlier pass meets
+    # either stop rule, and the returned one reports d where two passes
+    # agree and d^2 where the error squares.  Both rules occur here.
+    used = set()
+    for eta, mu, x, y in CONVERGED_PASS_POINTS + [(4.0, 12.5, 7.0, 9.0)]:
+        q = MomentQuery(eta, mu, x, y)
+        out = tanh_rule_integrate(q)
+        values = []
+        for n, value, _ in quadrature._nested_passes(
+                quadrature._NodeKernel(q), truncation_bounds(q),
+                quadrature._FIRST_GRID):
+            values.append(value)
+            if n == out.nodes:
+                break
+        d = [abs(b - a) / abs(b) for a, b in zip(values, values[1:])]
+
+        def estimate(k):
+            if d[k] <= 1e-12:
+                return "agree", d[k]
+            if k and d[k] < d[k - 1] and d[k] ** 2 <= 1e-14:
+                return "square", d[k] ** 2
+            return None
+
+        assert [estimate(k) for k in range(len(d) - 1)] == [None] * (len(d) - 1)
+        rule, est = estimate(len(d) - 1)
+        assert (out.value, out.est_error) == (values[-1], est)
+        used.add(rule)
+    assert used == {"agree", "square"}
 
 
 @pytest.mark.parametrize("eta,mu,x,y", CONVERGED_PASS_POINTS)
@@ -335,6 +370,31 @@ def _wide_box_point(rng):
     y = (0.0 if r < 0.05 else 10.0 ** rng.uniform(-8.0, 0.0) if r < 0.35
          else rng.uniform(0.0, 400.0))
     return MomentQuery(eta, mu, x, y)
+
+
+# The box of the quadrature-points benchmark, exact zeros and integer eta
+# drawn on purpose.
+_box_eta = st.one_of(st.integers(0, 50).map(float), st.floats(0.0, 50.0))
+_box_xy = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(eta=_box_eta, mu=st.floats(1.0, 50.0), x=_box_xy, y=_box_xy)
+def test_quadrature_agrees_with_the_series_on_the_box(eta, mu, x, y):
+    q = MomentQuery(eta, mu, x, y)
+    try:
+        value = moment_by_quadrature(q)
+    except (DomainError, ConvergenceError):
+        return
+    ref = nuttall_q_series(q)
+    assert ref.converged
+    assert value == pytest.approx(ref.value, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("eta,mu,x,y,ref", EDGE_POINTS)
+def test_quadrature_at_the_committed_edge_points(eta, mu, x, y, ref):
+    q = MomentQuery(eta, mu, x, y)
+    assert moment_by_quadrature(q) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_quadrature_vs_series_on_a_wide_box():

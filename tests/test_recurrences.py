@@ -386,6 +386,20 @@ def test_homogeneous_table_matches_benchmark_sequence(mu0, n_cols, x, y):
     assert flat == ref
 
 
+def test_homogeneous_table_makes_one_ratio_sweep(monkeypatch):
+    # The coefficients depend on the column alone, so the five recurred rows
+    # share one continued fraction at the top order.
+    calls = []
+
+    def counting(order, z):
+        calls.append((order, z))
+        return bessel_ratio(order, z)
+
+    monkeypatch.setattr(nuttall, "bessel_ratio", counting)
+    homogeneous_table(5, 0.5, 12, 3.0, 7.0)
+    assert len(calls) == 1
+
+
 def test_homogeneous_table_seed_tag_and_shape():
     table = homogeneous_table(2, 1.5, 4, 1.0, 2.0)
     assert (table.eta_max, table.mu_start, table.n_cols) == (2, 1.5, 4)

@@ -73,6 +73,32 @@ def test_summed_terms_times_gamma_ratio_past_double_range():
     assert all(math.isfinite(v) for row in table.values[119:] for v in row)
 
 
+@pytest.mark.parametrize("eta,mu,x,y,ref", [
+    # Values near 1e270 whose summed terms times Gamma(eta+mu)/Gamma(mu)
+    # overflow.  Taking that product through ln(total) + ln(mant), logs of
+    # up to ~700, left them 1.19e-13 and 9.3e-14 off.  40 digits from the
+    # series of perfbench/reference.py at 60 digits, which agrees with the
+    # same sum at 50 digits to 6e-46.
+    (110.0, 20.0, 200.0, 300.0, 1.175510197573831782864934003260827456236e+274),
+    (119.0, 1.0, 150.0, 500.0, 4.46296181480789686232535444204349830919e+275),
+])
+def test_overflowing_product_keeps_its_digits(eta, mu, x, y, ref):
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y))
+    assert out.converged
+    assert out.value == pytest.approx(ref, rel=5e-14, abs=0.0)
+
+
+def test_times_exp_stays_in_range_on_the_way():
+    # 2^1500 overflows and e^{-1500 ln 2} underflows; their product is ~1.
+    assert nuttall._times_exp(0.75, 1500, -1500.0 * math.log(2.0)) == \
+        pytest.approx(0.75, rel=1e-12, abs=0.0)
+    assert nuttall._times_exp(0.75, -1500, 1500.0 * math.log(2.0)) == \
+        pytest.approx(0.75, rel=1e-12, abs=0.0)
+    assert nuttall._times_exp(0.5, 0, 1e300) == math.inf
+    assert nuttall._times_exp(0.5, 0, -1e300) == 0.0
+    assert nuttall._times_exp(0.5, 1030, 0.0) == math.inf
+
+
 def test_reseed_points_start_below_the_reseed_threshold():
     assert q_increment(1.0, 700.0) < 1e-300
     assert q_increment(2.0, 720.0) < 1e-300
