@@ -5,6 +5,8 @@ a Taylor series for the complementary ratio P when y < mu + 1, and a
 Legendre-type continued fraction for Q otherwise.  The unnormalized
 Gamma(mu, y) is never formed; only the ratio and log-scaled products leave
 this module, so nothing overflows even where the raw values reach 1e89.
+Q and the increment also leave it as logarithms (``log_gamma_ratio_q``,
+``log_q_increment``), which stay finite where the values underflow.
 """
 
 from __future__ import annotations
@@ -105,6 +107,12 @@ def _q_cont_frac(a: float, y: float) -> float:
     pref = exp_clipped(_log_gamma_prefactor(a, y))
     if pref == 0.0:
         return 0.0
+    return pref * _cont_frac(a, y)
+
+
+def _cont_frac(a: float, y: float) -> float:
+    """Q(a, y) / e^{E(a, y)} by the Legendre continued fraction (modified
+    Lentz); requires y >= a + 1."""
     b = y + 1.0 - a
     c = 1.0 / _FPMIN
     d = 1.0 / b
@@ -122,7 +130,7 @@ def _q_cont_frac(a: float, y: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _TOL:
-            return pref * h
+            return h
     raise ConvergenceError(f"Q continued fraction stalled for shape={a}, y={y}")
 
 
@@ -140,16 +148,43 @@ def gamma_ratio_q(shape: float, lower_cut: float) -> float:
     return _q_cont_frac(shape, lower_cut)
 
 
-def q_increment(shape: float, lower_cut: float) -> float:
-    """The forward-step increment y^shape e^{-y} / Gamma(shape+1), y = lower_cut.
+def log_gamma_ratio_q(shape: float, lower_cut: float) -> float:
+    """ln Q_shape(y), y = lower_cut: finite where Q_shape(y) underflows.
 
-    Equals Q_{shape+1}(y) - Q_shape(y).  The value is formed in log scale and
-    materialized once, so it never overflows even for shape up to 1e4; where
-    it lies below double range it is 0.0.  lower_cut == 0 gives exactly 0.0.
+    Where ``gamma_ratio_q`` takes the continued fraction, this adds the log
+    of its prefactor to the log of the fraction instead of multiplying the
+    two, so ln Q stays finite however deep Q lies below double range.  On
+    the Taylor-series side Q = 1 - P cannot underflow; there the result is
+    log1p(-P), and -inf where P rounds to 1.  lower_cut == 0 gives 0.0.
     """
     _validate(shape, lower_cut)
     if lower_cut == 0.0:
         return 0.0
-    return exp_clipped(_log_gamma_prefactor(shape + 1.0, lower_cut)
-                       - math.log(lower_cut))
+    if lower_cut < shape + 1.0:
+        p = _p_series(shape, lower_cut)
+        return math.log1p(-p) if p < 1.0 else -math.inf
+    return (_log_gamma_prefactor(shape, lower_cut)
+            + math.log(_cont_frac(shape, lower_cut)))
 
+
+def log_q_increment(shape: float, lower_cut: float) -> float:
+    """ln of the forward-step increment y^shape e^{-y} / Gamma(shape+1).
+
+    Finite wherever lower_cut > 0, also where the increment itself lies
+    below double range; lower_cut == 0 gives -inf.
+    """
+    _validate(shape, lower_cut)
+    if lower_cut == 0.0:
+        return -math.inf
+    return (_log_gamma_prefactor(shape + 1.0, lower_cut)
+            - math.log(lower_cut))
+
+
+def q_increment(shape: float, lower_cut: float) -> float:
+    """The forward-step increment y^shape e^{-y} / Gamma(shape+1), y = lower_cut.
+
+    Equals Q_{shape+1}(y) - Q_shape(y).  The value is ``log_q_increment``
+    materialized once, so it never overflows even for shape up to 1e4; where
+    it lies below double range it is 0.0.  lower_cut == 0 gives exactly 0.0.
+    """
+    return exp_clipped(log_q_increment(shape, lower_cut))

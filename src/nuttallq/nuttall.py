@@ -12,7 +12,12 @@ is evaluated three independent ways:
   with every per-term factor produced incrementally: one multiply for the
   Poisson weight, one for the gamma ratio, and for the Q factor one add of
   the increment y^a e^{-y}/Gamma(a+1), itself kept as a running product
-  (re-seeded from its log form whenever it drops below 1e-300).
+  (re-seeded from its log form whenever it drops below 1e-300).  Once the
+  Q factor has reached its last bit it is no longer updated, and for
+  integer eta the rest of the sum is closed-form: the weights sum to
+  M(eta+mu; mu; x), which Kummer's transformation turns into e^x times a
+  polynomial of degree eta.  Q factors that underflow are carried relative
+  to Q_{eta+mu}(y), with its log as one more offset.
 * ``nuttall_q_ladder`` - the inhomogeneous recurrence in mu, written with the
   scaled Bessel function so the forcing term never forms e^{-x-y} I_mu
   directly.  All right-hand terms are positive, hence stable forward; each
@@ -44,7 +49,7 @@ from math import fsum
 
 from .bessel import bessel_i_scaled, bessel_ratio, log_bessel_i_scaled
 from .errors import ConvergenceError, DomainError
-from .incgamma import gamma_ratio_q, q_increment
+from .incgamma import gamma_ratio_q, log_gamma_ratio_q, log_q_increment
 from .logscale import exp_clipped
 
 # Relative contribution below which a series term counts as quiet; the CLI
@@ -59,6 +64,13 @@ _FOLD_LIMIT = 1e250
 # Below this the running Q increment is re-seeded from its log form, since a
 # multiply cannot climb back out of underflow or recover subnormal digits.
 _INC_RESEED = 1e-300
+# Below this ln Q_{eta+mu}(y), rounded to ~|ln Q| eps, keeps under ten digits.
+_LOG_Q_MIN = -1e6
+# The smallest normal double, and half an ulp of 1.
+_TINY = sys.float_info.min
+_ULP = 2.0 ** -53
+# An increment below this fraction of the Q factor is below half its ulp.
+_SATURATED = 2.0 ** -60
 # Rising products longer than this fall back to the lgamma difference.
 _PRODUCT_MAX_FACTORS = 20_000
 
@@ -98,7 +110,17 @@ class MomentQuery:
 
 @dataclass(frozen=True)
 class SeriesOutcome:
-    """Series value plus convergence metadata."""
+    """Series value plus convergence metadata.
+
+    value:      Q_{eta,mu}(x, y);
+    terms_used: terms summed one by one, n = 0 included; a closed-form
+                tail (see ``nuttall_q_series``) counts none;
+    est_error:  relative contribution of the last term summed, floored at
+                1e-16; 1e-16 where a closed-form tail ended the sum, and
+                0.0 for the exact eta = 0, y = 0 value 1;
+    converged:  True where the stop rule or a closed-form tail ended the
+                sum, False where 2000 terms ran out first.
+    """
 
     value: float
     terms_used: int
@@ -175,6 +197,46 @@ def _times_exp(m: float, e: int, log_scale: float) -> float:
         return math.inf
 
 
+def _kummer_polynomial(eta: float, mu: float, x: float) -> float:
+    """L = sum_{j=0}^{eta} C(eta, j) x^j / (mu)_j, a sum of positive terms.
+
+    By Kummer's transformation (DLMF 13.2.39), e^x L = M(eta+mu; mu; x) =
+    sum_n x^n/n! (eta+mu)_n/(mu)_n, the sum of the series' weights.  The
+    sum stops where the terms left add less than 2^-60 of it.
+    """
+    sat = _SATURATED
+    term = total = 1.0
+    k, j = float(eta), 0.0  # float counters: no int-to-float conversions
+    while j < k:
+        ratio = (k - j) * x / ((j + 1.0) * (mu + j))
+        term *= ratio
+        total += term
+        if term <= sat * total and ratio <= 0.5:
+            # The ratios fall with j, so the rest sums to at most term.
+            break
+        j += 1.0
+    return total
+
+
+def _scaled_value(total: float, mant: float, log_scale: float) -> float:
+    """total * mant * e^log_scale, also where a factor leaves double range.
+
+    total * mant can overflow before e^log_scale brings the value back into
+    range (119! times 7.6e111 at (119, 1, 100, 400)), and e^log_scale can
+    underflow, or lose digits as a subnormal, where total * mant would bring
+    it back.  There both keep their own binary exponents, and only
+    log_scale is exponentiated: ln(total) + ln(mant) would add two more logs
+    of up to ~700, each rounded to ~700 eps.
+    """
+    factor = exp_clipped(log_scale)
+    value = total * mant * factor
+    if total > 0.0 and not (factor >= _TINY and _TINY <= value < math.inf):
+        m_total, e_total = math.frexp(total)
+        m_mant, e_mant = math.frexp(mant)
+        value = _times_exp(m_total * m_mant, e_total + e_mant, log_scale)
+    return value
+
+
 def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     """Evaluate Q_{eta,mu}(x, y) by the incomplete-gamma-ratio expansion.
 
@@ -182,15 +244,32 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     followed by the forward recurrence Q_{a+1}(y) = Q_a(y) + inc_a with
     inc_a = y^a e^{-y}/Gamma(a+1), a = eta+mu+n.  The increment is a running
     product, inc_{a+1} = inc_a * y/(a+1), seeded from its log form
-    (``q_increment``) at the first step and re-seeded the same way whenever
-    it falls below 1e-300, where multiplies lose digits; term magnitudes are
-    accumulated against a floating log offset and materialized exactly once
-    at the end.  Termination requires the per-term contribution to stay
-    below 1e-14 for three consecutive terms after the term peak near n ~ x
-    has been passed.  If that has not happened within 2000 terms (x beyond
+    (``log_q_increment``) at the first step and re-seeded the same way
+    whenever it falls below 1e-300, where multiplies lose digits.  Term
+    magnitudes are accumulated against a floating log offset and
+    materialized exactly once at the end.
+
+    Once a + 2 > 2y and the increment is below 2^-60 of the Q factor, every
+    later increment is at most half the one before and below half an ulp of
+    the factor: the factor has saturated and is no longer updated.  For
+    integer eta with Q_{eta+mu}(y) >= 1/2, the rest of the series is then
+    known in closed form: the weights sum to e^x L (``_kummer_polynomial``),
+    so the terms not yet summed add Q * (e^x L - the weights summed so far),
+    and the sum stops there.  The guard keeps the whole sum at e^x L / 2 or
+    more, so that subtraction costs at most one bit.  This needs no fold of
+    the weights yet, and e^x L in double range.
+
+    Otherwise termination requires the per-term contribution to stay below
+    1e-14 for three consecutive terms after the term peak near n ~ x has
+    been passed.  If that has not happened within 2000 terms (x beyond
     ~1500), the outcome says so explicitly; it is never a silent value.
+
+    Where Q factors that underflowed (or lost digits as subnormals) could
+    move the sum by more than an ulp, as when Q_{eta+mu+n}(y) underflows
+    at every term summed, the sum is taken again with the factors carried
+    relative to Q_{eta+mu}(y) and ln Q_{eta+mu}(y) (``log_gamma_ratio_q``)
+    as one more log offset.
     """
-    tol, max_terms = SERIES_TOL, _MAX_TERMS
     eta, mu, x, y = q.eta, q.mu, q.x, q.y
 
     mant, offset = _gamma_ratio_parts(eta, mu)
@@ -198,27 +277,69 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     if eta == 0.0 and y == 0.0:
         # Integral over the whole half-line: exactly 1.
         return SeriesOutcome(1.0, 1, 0.0, True)
+
+    q0 = gamma_ratio_q(eta + mu, y) if y > 0.0 else 1.0
     if x == 0.0:
         # Only the n=0 term survives: Gamma(eta+mu, y) / Gamma(mu).
-        q0 = gamma_ratio_q(eta + mu, y) if y > 0.0 else 1.0
-        value = mant * q0 * exp_clipped(offset)
+        if q0 < _TINY:
+            # Underflowed, or lost digits as a subnormal: take its log.
+            q0, offset = 1.0, offset + log_gamma_ratio_q(eta + mu, y)
+        value = _scaled_value(q0, mant, offset)
         if eta == 0.0:
             value = min(value, 1.0)
         return SeriesOutcome(value, 1, 1e-16, True)
 
-    q_cur = gamma_ratio_q(eta + mu, y) if y > 0.0 else 1.0
-    inc = 0.0     # y^a e^{-y}/Gamma(a+1), a = eta+mu+n; 0.0 forces a seed
+    closed_tail = q0 >= 0.5 and float(eta).is_integer() and eta <= _MAX_TERMS
+    total, log_scale, n, contrib, converged, lost = _sum_terms(
+        eta, mu, x, y, q0, 0.0, 0.0, closed_tail)
+    if lost * _TINY > _ULP * total:
+        # Sum again with the Q factors relative to Q_{eta+mu}(y), where its
+        # log (rounded to ~|ln Q| eps) keeps ten digits and the first
+        # step's growth, 1 + inc/Q, fits the headroom a fold of u leaves.
+        q_log = log_gamma_ratio_q(eta + mu, y)
+        inc = exp_clipped(log_q_increment(eta + mu, y) - q_log)
+        if q_log > _LOG_Q_MIN and inc < 1e300 / _FOLD_LIMIT:
+            total, log_scale, n, contrib, converged, _ = _sum_terms(
+                eta, mu, x, y, 1.0, q_log, inc, False)
+    value = _scaled_value(total, mant, offset + log_scale - x)
+    if eta == 0.0:
+        value = min(value, 1.0)
+    est_error = max(contrib, 1e-16)
+    return SeriesOutcome(value, n + 1, est_error, converged)
+
+
+def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
+               q_log: float, inc: float, closed_tail: bool
+               ) -> tuple[float, float, int, float, bool, float]:
+    """The series loop of ``nuttall_q_series``, from x > 0 and the first Q
+    factor Q_{eta+mu}(y) = q_cur e^q_log with increment inc e^q_log (0.0
+    seeds it).  Returns the summed terms, the log of their scale, the index
+    of the last term, its relative contribution, whether the stop rule or
+    the closed tail ended the sum, and the weight of the terms whose Q
+    factor was below the normal range, in units of the summed terms."""
+    tol, max_terms = SERIES_TOL, _MAX_TERMS
+    em, two_y, sat = eta + mu, 2.0 * y, _SATURATED
+    saturated = y == 0.0  # no later increment can change q_cur
     u = 1.0       # running x^n/n! * ratio-growth, relative to the n=0 term
-    shift = 0.0   # log of what has been folded out of u and items
+    u_sum = 1.0   # the u of the terms summed so far
+    lost = 1.0 if q_cur < _TINY else 0.0
+    shift = q_log  # log of the scale of u, q_cur and items
     items = [q_cur]  # terms since the last fold, after the carried sum
-    running = q_cur
-    n = 0  # index of the newest term
+    running = last = q_cur
+    n = 0  # index of the newest term, which is last
     quiet = 0
     converged = False
     contrib = math.inf
 
     while True:
-        last = items[-1]
+        if saturated and closed_tail:
+            weights = exp_clipped(x) * _kummer_polynomial(eta, mu, x)
+            if shift == 0.0 and weights < math.inf:
+                items.append(q_cur * max(0.0, weights - u_sum))
+                contrib = 0.0
+                converged = True
+                break
+            closed_tail = False
         contrib = last / running if running > 0.0 else 0.0
         if contrib <= tol:
             quiet += 1
@@ -229,12 +350,22 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
             quiet = 0
         if n + 1 >= max_terms:
             break
-        u *= x * (eta + mu + n) / ((n + 1.0) * (mu + n))
-        if y > 0.0:
+        u *= x * (em + n) / ((n + 1.0) * (mu + n))
+        if not saturated:
             if inc < _INC_RESEED:
-                inc = q_increment(eta + mu + n, y)
+                inc = exp_clipped(log_q_increment(em + n, y) - q_log)
+                if q_cur + inc < _TINY:
+                    lost += u
             q_cur += inc
-            inc *= y / (eta + mu + n + 1.0)
+            inc *= y / (em + n + 1.0)
+            if q_cur > 2.0:
+                # Only a factor carried relative to an underflowed
+                # Q_{eta+mu}(y) grows past 1: hand its growth to u, whose
+                # fold keeps it in range.
+                u *= q_cur
+                inc /= q_cur
+                q_cur = 1.0
+            saturated = inc <= sat * q_cur and em + n + 2.0 > two_y
         n += 1
         if u > _FOLD_LIMIT:
             # Close the block of items so far: its exact sum, rescaled,
@@ -244,26 +375,13 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
             shift += math.log(u)
             items = [fsum(items) * scale]
             running *= scale
+            lost *= scale
             u = 1.0
-        items.append(u * q_cur)
-        running += u * q_cur
-
-    total = fsum(items)
-    value = total * mant * exp_clipped(offset + shift - x)
-    if not math.isfinite(value) and total > 0.0:
-        # total * mant can overflow before e^{-x} brings the value back into
-        # range (119! times 7.6e111 at (119, 1, 100, 400)).  There both keep
-        # their own binary exponents, and only offset + shift - x is
-        # exponentiated: ln(total) + ln(mant) would add two more logs of up
-        # to ~700, each rounded to ~700 eps.
-        m_total, e_total = math.frexp(total)
-        m_mant, e_mant = math.frexp(mant)
-        value = _times_exp(m_total * m_mant, e_total + e_mant,
-                           offset + shift - x)
-    if eta == 0.0:
-        value = min(value, 1.0)
-    est_error = max(contrib, 1e-16)
-    return SeriesOutcome(value, n + 1, est_error, converged)
+        last = u * q_cur
+        items.append(last)
+        running += last
+        u_sum += u
+    return fsum(items), shift, n, contrib, converged, lost
 
 
 def marcum_q(mu: float, x: float, y: float) -> float:

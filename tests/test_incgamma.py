@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuttallq import (DomainError, MomentQuery, gamma_ratio_q,
-                      nuttall_q_series, q_increment)
+                      log_gamma_ratio_q, log_q_increment, nuttall_q_series,
+                      q_increment)
 
 from oracles import gamma_q_half_integer, gamma_q_integer, rising_product_int
 
@@ -79,6 +80,26 @@ def test_increment_closed_forms():
     assert q_increment(3.0, 2.0) == pytest.approx(
         8.0 * math.exp(-2.0) / 6.0, rel=1e-14, abs=0.0)
     assert q_increment(7.5, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("shape,y,log_q,log_inc", [
+    # Q and the increment far below double range, and one pair inside it.
+    # 25 digits of ln Gamma(shape, y)/Gamma(shape) and of
+    # shape ln y - y - ln Gamma(shape+1) from mpmath at 40 digits.
+    (301.0, 2000.0, -1134.472696810451888106801, -1132.741319887650073472554),
+    (2.5, 900.0, -890.07942452229522864262, -884.1949866940362973477498),
+    (50.0, 40.0, -0.07293104448422514210843451, -4.033794246076216924914409),
+])
+def test_logs_of_q_and_increment(shape, y, log_q, log_inc):
+    # Both logs are rounded at their own magnitude, ~1e3 here.
+    assert log_gamma_ratio_q(shape, y) == pytest.approx(log_q, rel=0.0,
+                                                        abs=5e-13)
+    assert log_q_increment(shape, y) == pytest.approx(log_inc, rel=0.0,
+                                                      abs=5e-13)
+    assert q_increment(shape, y) == pytest.approx(math.exp(log_inc),
+                                                  rel=1e-12, abs=0.0)
+    assert log_gamma_ratio_q(shape, 0.0) == 0.0
+    assert log_q_increment(shape, 0.0) == -math.inf
 
 
 def test_forward_chain_50_vs_direct():

@@ -88,6 +88,67 @@ def test_overflowing_product_keeps_its_digits(eta, mu, x, y, ref):
     assert out.value == pytest.approx(ref, rel=5e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("eta,mu,x,y,ref", [
+    # Q_{eta+mu}(y) underflows to 0 while Gamma(eta+mu)/Gamma(mu) leaves
+    # double range (0 * inf gave nan), at x = 0 and at small x > 0.
+    # Values: the mpmath series of perfbench/reference.py at 40 digits.
+    (300.0, 1.0, 0.0, 2000.0, 6.174061470234286e121),
+    (200.5, 1.0, 0.0, 1500.0, 2.6720100756585208e-15),
+    (300.0, 1.0, 1e-3, 2000.0, 2.624541662518707e122),
+    # e^{log offset} underflows where the gamma ratio's mantissa brings the
+    # value back into range (nan as well before).
+    (300.0, 1.0, 0.0, 3000.0, 1.98916284951640171917506310065e-260),
+    # Q factors subnormal at the terms that carry the sum: half the value
+    # was lost to their missing digits.  30 digits from the series summed
+    # at 50 digits with mpmath.gammainc.
+    (35.0, 0.0715, 0.00507, 891.55, 5.46798083616269277268860733457e-286),
+])
+def test_underflowed_q_factor_is_carried_by_its_log(eta, mu, x, y, ref):
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y))
+    assert out.converged
+    assert out.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+# (eta, mu, x, y, value): integer eta and Q_{eta+mu}(y) >= 1/2, so the sum
+# ends in the closed-form tail once the Q factor saturates.  Values: the
+# series summed at 50 digits with mpmath.gammainc, to 30 digits.
+CLOSED_TAIL_POINTS = [
+    (0.0, 4.0, 6.0, 2.5, 0.993833653648206570611433038045),  # L = 1
+    (0.0, 30.0, 2.0, 1.0, 1.0),  # 1 - 2e-34
+    (1.0, 8.0, 20.0, 5.0, 27.9999968684538203828632645943),
+    (50.0, 10.0, 20.0, 15.0, 5.70867624487505265485765174828e+89),
+    (2.0, 0.5, 10.0, 1.0, 130.749418739691456905514536941),  # tables' mu0
+    (3.0, 50.0, 8.0, 30.0, 206743.648804685282068488481863),
+    (5.0, 2.5, 20.0, 0.0, 11961213.90625),  # y = 0: the tail from n = 0
+    # Q_5(y) = 1/2 at y = 4.670908882795984: just above 1/2 the tail ends
+    # the sum; just below, the guard leaves every term to the loop.
+    (2.0, 3.0, 5.0, 4.669908882795983, 74.7485587934246404484005673129),
+    (2.0, 3.0, 5.0, 4.671908882795984, 74.7443186164361850219113913397),
+]
+
+
+@pytest.mark.parametrize("eta,mu,x,y,ref", CLOSED_TAIL_POINTS)
+def test_closed_tail_matches_reference(eta, mu, x, y, ref):
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y))
+    assert out.converged
+    assert out.value == pytest.approx(ref, rel=1e-14, abs=0.0)
+    if eta == 0.0:
+        assert 0.0 <= out.value <= 1.0
+
+
+def test_closed_tail_work_counts():
+    # Saturated after the first step: 2 terms summed, 47 before.
+    out = nuttall_q_series(MomentQuery(3.0, 40.0, 10.0, 5.0))
+    assert out.converged and out.terms_used == 2
+    assert out.value == pytest.approx(134140.0, rel=1e-14, abs=0.0)
+    # y = 0: saturated from the start, 1 term summed, 71 before.
+    assert nuttall_q_series(MomentQuery(5.0, 2.5, 20.0, 0.0)).terms_used == 1
+    # Real eta, and integer eta with Q_{eta+mu}(y) < 1/2 (y > eta + mu):
+    # no closed tail, and the terms summed one by one as before.
+    assert nuttall_q_series(MomentQuery(2.5, 3.0, 6.0, 4.0)).terms_used == 39
+    assert nuttall_q_series(MomentQuery(2.0, 3.0, 6.0, 9.0)).terms_used == 38
+
+
 def test_times_exp_stays_in_range_on_the_way():
     # 2^1500 overflows and e^{-1500 ln 2} underflows; their product is ~1.
     assert nuttall._times_exp(0.75, 1500, -1500.0 * math.log(2.0)) == \
