@@ -7,8 +7,7 @@ truncated tanh-rule quadrature of the defining integral.
 
 from .bessel import bessel_i_scaled, bessel_ratio
 from .errors import ConvergenceError, DomainError
-from .incgamma import (gamma_ratio_q, log_gamma_ratio_q, log_q_increment,
-                       q_increment)
+from .incgamma import gamma_ratio_q, log_gamma_ratio_q, log_q_increment
 from .nuttall import (MomentQuery, RecurrenceTable, SeriesOutcome,
                       consistency_deviation, homogeneous_table, marcum_q,
                       nuttall_q_homogeneous, nuttall_q_ladder,
@@ -39,7 +38,6 @@ __all__ = [
     "nuttall_q_homogeneous",
     "nuttall_q_ladder",
     "nuttall_q_series",
-    "q_increment",
     "tanh_rule_integrate",
     "truncation_bounds",
 ]

@@ -154,8 +154,12 @@ def _log_series(order: float, arg: float) -> float:
     return peak + math.log(fsum(math.exp(v - peak) for v in logs))
 
 
-def _i_scaled(order: float, arg: float) -> float:
-    """``bessel_i_scaled`` for arguments already validated."""
+def bessel_i_scaled(order: float, arg: float) -> float:
+    """Exponentially scaled modified Bessel function exp(-z) I_order(z).
+
+    Bounded by [0, 1]; finite for every valid input, however large z gets.
+    """
+    _validate(order, arg)
     if arg == 0.0:
         return 1.0 if order == 0.0 else 0.0
     if arg <= _LINEAR_MAX_ARG and order <= _LINEAR_MAX_ORDER:
@@ -169,23 +173,13 @@ def _i_scaled(order: float, arg: float) -> float:
     return exp_clipped(_log_series(order, arg) - arg)
 
 
-def bessel_i_scaled(order: float, arg: float) -> float:
-    """Exponentially scaled modified Bessel function exp(-z) I_order(z).
-
-    Bounded by [0, 1]; finite for every valid input, however large z gets.
-    """
-    _validate(order, arg)
-    return _i_scaled(order, arg)
-
-
 def log_bessel_i_scaled(order: float, arg: float) -> float:
     """ln(exp(-z) I_order(z)); -inf where the value is an exact zero."""
-    _validate(order, arg)
-    if arg == 0.0:
-        return 0.0 if order == 0.0 else -math.inf
-    s = _i_scaled(order, arg)
+    s = bessel_i_scaled(order, arg)
     if s >= sys.float_info.min:  # a subnormal s has lost digits
         return math.log(s)
+    if arg == 0.0:
+        return -math.inf
     return _log_series(order, arg) - arg
 
 

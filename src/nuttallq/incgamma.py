@@ -71,8 +71,8 @@ def _log_gamma_prefactor(a: float, y: float) -> float:
 
     This exponent carries the whole magnitude of both incomplete-gamma
     branches and of the forward-recurrence increment, so it is assembled
-    from log1p(u)-u and the Stirling remainder instead of raw lgamma once
-    a is large enough for that to pay off.
+    from ln(1+u) - u, u = (y-a)/a, and the Stirling remainder instead of
+    raw lgamma once a is large enough for that to pay off.
     """
     if a < _STIRLING_MIN:
         return -y + a * math.log(y) - math.lgamma(a)
@@ -80,7 +80,9 @@ def _log_gamma_prefactor(a: float, y: float) -> float:
     if u <= -1.0:
         # y/a underflowed; deep left tail, nothing cancels in the plain form.
         return -y + a * math.log(y) - math.lgamma(a)
-    return (a * _log1pmx(u)
+    # 1 + u = y/a rounds away the digits of a small y/a: take its log whole.
+    lx = math.log(y / a) - u if u < -0.5 else _log1pmx(u)
+    return (a * lx
             + 0.5 * math.log(a / (2.0 * math.pi))
             - _stirling_correction(a))
 
@@ -179,12 +181,3 @@ def log_q_increment(shape: float, lower_cut: float) -> float:
     return (_log_gamma_prefactor(shape + 1.0, lower_cut)
             - math.log(lower_cut))
 
-
-def q_increment(shape: float, lower_cut: float) -> float:
-    """The forward-step increment y^shape e^{-y} / Gamma(shape+1), y = lower_cut.
-
-    Equals Q_{shape+1}(y) - Q_shape(y).  The value is ``log_q_increment``
-    materialized once, so it never overflows even for shape up to 1e4; where
-    it lies below double range it is 0.0.  lower_cut == 0 gives exactly 0.0.
-    """
-    return exp_clipped(log_q_increment(shape, lower_cut))

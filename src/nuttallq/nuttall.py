@@ -73,6 +73,9 @@ _ULP = 2.0 ** -53
 _SATURATED = 2.0 ** -60
 # Rising products longer than this fall back to the lgamma difference.
 _PRODUCT_MAX_FACTORS = 20_000
+# ln 2 = _LN2_HI + _LN2_LO as in fdlibm: the high part ends in 21 zero bits.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 def _require_finite(name: str, v: float) -> None:
@@ -132,15 +135,13 @@ class SeriesOutcome:
 class RecurrenceTable:
     """Grid of Q_{e, mu_start+m} values built by a recurrence in mu.
 
-    Row e=0 holds Marcum Q values (in [0, 1]); ``seed_method`` records which
-    entries were seeded by the series rather than recurred.
+    Row e=0 holds Marcum Q values (in [0, 1]).
     """
 
     eta_max: int
     mu_start: float
     n_cols: int
     values: tuple[tuple[float, ...], ...]
-    seed_method: str
 
     def entry(self, eta: int, col: int) -> float:
         return self.values[eta][col]
@@ -172,27 +173,24 @@ def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
 def _times_exp(m: float, e: int, log_scale: float) -> float:
     """m 2^e e^log_scale for m in [1/4, 1), inf where it overflows.
 
-    e^log_scale is applied as 2^j equal factors, each within e^+-700, and
-    the running product is renormalized by ``frexp`` after each, so no
-    partial product leaves the normal range, however far out of double
-    range 2^e and e^log_scale are; only the final ``ldexp`` rounds to a
-    subnormal or to zero where the value itself is that small.  Values far
-    past either end of the double range return inf or 0.0 at once.
+    e^log_scale is split as 2^k e^r with k = round(log_scale / ln 2), and r
+    = log_scale - k ln 2 is formed with fdlibm's two-part ln 2, whose high
+    part times k is exact for |k| < 2^21.  So m e^r stays within [0.17,
+    1.5], however far out of double range 2^e and e^log_scale are, and only
+    the final ``ldexp`` rounds to a subnormal or to zero where the value
+    itself is that small.  Values far past either end of the double range
+    return inf or 0.0 at once; as e is the sum of two doubles' exponents,
+    that also keeps |k| below 4000.
     """
     log_value = log_scale + e * math.log(2.0)
     if log_value > 712.0:
         return math.inf
     if log_value < -747.0:
         return 0.0
-    pieces = 1
-    while abs(log_scale) > 700.0 * pieces:
-        pieces *= 2
-    factor = math.exp(log_scale / pieces)
-    for _ in range(pieces):
-        m, shift = math.frexp(m * factor)
-        e += shift
+    k = round(log_scale / math.log(2.0))
+    r = (log_scale - k * _LN2_HI) - k * _LN2_LO
     try:
-        return math.ldexp(m, e)
+        return math.ldexp(m * math.exp(r), e + k)
     except OverflowError:
         return math.inf
 
@@ -428,26 +426,25 @@ def _check_table_args(what: str, eta_max: int, mu_start: float, n_cols: int,
     return eta_max, int(n_cols)
 
 
-def _inhom_term(eta: float, mu: float, x: float, y: float,
-                i_scaled: float) -> float:
+def _inhom_term(eta: float, mu: float, x: float, y: float) -> float:
     """(y/x)^{mu/2} y^eta e^{-(sqrt x - sqrt y)^2} Itilde_mu(2 sqrt(xy)).
 
-    ``i_scaled`` is the caller-supplied scaled Bessel value Itilde_mu.
     The raw e^{-x-y} I_mu product is never formed; the plain-float product
     is used while each factor, y/x included, and each partial product stays
     a normal float, log space otherwise.  An underflowed (0.0 or subnormal)
-    ``i_scaled`` is replaced by its log.
+    Itilde_mu is replaced by its log.
     """
     if y == 0.0:
         return 0.0
+    z = 2.0 * math.sqrt(x) * math.sqrt(y)  # x y underflows at subnormal x
+    i_scaled = bessel_i_scaled(mu, z)
     log_y = math.log(y)
     l_ratio = log_y - math.log(x)
     l_pow = 0.5 * mu * l_ratio
     l_y = eta * log_y
     l_exp = -((math.sqrt(x) - math.sqrt(y)) ** 2)
     normal = i_scaled >= sys.float_info.min  # a subnormal has lost digits
-    log_i = (math.log(i_scaled) if normal
-             else log_bessel_i_scaled(mu, 2.0 * math.sqrt(x) * math.sqrt(y)))
+    log_i = math.log(i_scaled) if normal else log_bessel_i_scaled(mu, z)
     # The last two factors are <= 1, so the partial products of the plain
     # product fall from e^{l_pow + l_y} to the value, and bounding those two
     # bounds them all.
@@ -487,27 +484,20 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
     Each row e = 0..eta_max is seeded by the series in column m=0; row 0,
     the Marcum recurrence, is clipped to 1 like marcum_q.  Every right-hand
     term is positive, so filling left to right and bottom to top is stable.
-    The forcing term T comes from ``_inhom_term`` and one scaled Bessel
-    value at mu_start, and is carried along the columns by T_{mu+1} = T_mu
-    sqrt(y/x) r_mu, with the ratios r_mu of one ``_ratio_sweep``.  Where the
-    running product falls below 1e-300 or overflows, or y^e T leaves the
-    normal float range, that entry is seeded again from ``_inhom_term``,
-    as the series re-seeds its increment.  x = 0 is rejected (the forcing
-    term divides by x^{mu/2}); the series path must be used there instead.
+    The forcing term T comes from ``_inhom_term`` at mu_start, which takes
+    its own scaled Bessel value, and is carried along the columns by
+    T_{mu+1} = T_mu sqrt(y/x) r_mu, with the ratios r_mu of one
+    ``_ratio_sweep``.  Where the running product falls below 1e-300 or
+    overflows, or y^e T leaves the normal float range, that entry is seeded
+    again from ``_inhom_term``, as the series re-seeds its increment.  x = 0
+    is rejected (the forcing term divides by x^{mu/2}); the series path
+    must be used there instead.
     """
     eta_max, n_cols = _check_table_args("ladder", eta_max, mu_start, n_cols,
                                         x, y)
 
-    z = 2.0 * math.sqrt(x) * math.sqrt(y)
-    i_scaled: list[float | None] = [None] * (n_cols - 1)
-
-    def seeded(e: int, k: int) -> float:
-        """y^e T at mu_start + k from its closed form."""
-        if i_scaled[k] is None:
-            i_scaled[k] = bessel_i_scaled(mu_start + k, z)
-        return _inhom_term(e, mu_start + k, x, y, i_scaled[k])
-
     root = math.sqrt(y) / math.sqrt(x)
+    z = 2.0 * math.sqrt(x) * math.sqrt(y)
     ratios = _ratio_sweep(mu_start, n_cols - 2, z)
     forcing = []
     t = 0.0  # forces a seed in the first column
@@ -515,7 +505,7 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
         if k:
             t *= root * ratios[k - 1]
         if not _INC_RESEED <= t < math.inf:
-            t = seeded(0, k)
+            t = _inhom_term(0, mu_start + k, x, y)
         forcing.append(t)
 
     tiny = sys.float_info.min
@@ -532,11 +522,11 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
             t0 = forcing[m - 1]
             t = t0 * y_e
             if not (carry and t0 >= tiny and tiny <= t < math.inf):
-                t = seeded(e, m - 1)
+                t = _inhom_term(e, mu_start + (m - 1), x, y)
             row.append(row[m - 1] + e * prev[m] + t)
         rows.append([min(v, 1.0) for v in row] if e == 0 else row)
     return RecurrenceTable(eta_max, mu_start, n_cols,
-                           tuple(tuple(r) for r in rows), "col0:series")
+                           tuple(tuple(r) for r in rows))
 
 
 def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
@@ -606,8 +596,7 @@ def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
         seed1 = _series_value(e, mu_start + 1.0, x, y) if n_cols > 1 else 0.0
         rows.append(_homogeneous_row(e, rows[-1], seed0, seed1, root, ratios))
     return RecurrenceTable(eta_max, mu_start, n_cols,
-                           tuple(tuple(r) for r in rows),
-                           "row0:marcum_q,col0-1:series")
+                           tuple(tuple(r) for r in rows))
 
 
 def consistency_deviation(q: MomentQuery) -> float:
@@ -626,8 +615,7 @@ def consistency_deviation(q: MomentQuery) -> float:
         raise DomainError("consistency check is undefined at x = 0")
     mu, x, y = q.mu, q.x, q.y
     num = _series_value(eta, mu + 1.0, x, y)
-    z = 2.0 * math.sqrt(x) * math.sqrt(y)  # x y underflows at subnormal x
-    t = _inhom_term(eta, mu, x, y, bessel_i_scaled(mu, z))
     den = (_series_value(eta, mu, x, y)
-           + eta * _series_value(eta - 1.0, mu + 1.0, x, y) + t)
+           + eta * _series_value(eta - 1.0, mu + 1.0, x, y)
+           + _inhom_term(eta, mu, x, y))
     return abs(1.0 - num / den)

@@ -109,9 +109,10 @@ _SKIP_MARGIN = 45.0
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation window for one integral, the exponent g and peak of the
-    profile t^g e^{-(sqrt t - sqrt x)^2} it was centred on, and the u-range
-    [-u_lo, u_hi] of the tanh map over it.
+    """Truncation window for one integral, the peak of the profile t^g
+    e^{-(sqrt t - sqrt x)^2} it was centred on, and the u-range [-u_lo,
+    u_hi] of the tanh map over it.  The profile's exponent g is eta +
+    (mu-1)/2, or eta + mu - 1 at x = 0 (see ``truncation_bounds``).
 
     ``truncation_bounds`` returns it, and ``tanh_rule_integrate`` integrates
     over the window and u-range it describes.  y <= lower <= upper always
@@ -120,7 +121,6 @@ class QuadratureSpec:
     and u_hi lies in [3, _U_MAX] (see ``_u_end``).
     """
 
-    gamma_exp: float
     peak: float
     lower: float
     upper: float
@@ -261,22 +261,21 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     (mu-1)/2 at the given x, which matches the integrand's large-t
     behaviour; where x t is small next to mu^2 the integrand still follows
     the x = 0 shape, and the x > 0 window alone would cut off its upper
-    tail for large mu.  ``gamma_exp`` and ``peak`` describe the x > 0
-    profile whenever x > 0.  Each end of the u-range is sized by every
-    window profile at its outermost node (``_u_end``).
+    tail for large mu.  ``peak`` is that of the x > 0 profile whenever
+    x > 0.  Each end of the u-range is sized by every window profile at
+    its outermost node (``_u_end``).
     """
     _check_oracle_query(q)
     g_zero = q.eta + q.mu - 1.0
-    peak0, lower, upper, top0 = _window(g_zero, 0.0, q.y)
-    profiles = [(g_zero, 0.0, max(peak0, q.y), top0)]
-    gamma_exp, peak = g_zero, peak0
+    peak, lower, upper, top0 = _window(g_zero, 0.0, q.y)
+    profiles = [(g_zero, 0.0, max(peak, q.y), top0)]
     if q.x > 0.0:
         gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
         peak, lower_x, upper_x, top = _window(gamma_exp, q.x, q.y)
         profiles.append((gamma_exp, q.x, max(peak, q.y), top))
         lower, upper = min(lower, lower_x), max(upper, upper_x)
     half, mid = 0.5 * (upper - lower), 0.5 * (lower + upper)
-    return QuadratureSpec(gamma_exp, peak, lower, upper,
+    return QuadratureSpec(peak, lower, upper,
                           _u_end(profiles, mid, half, -1.0),
                           _u_end(profiles, mid, half, 1.0))
 

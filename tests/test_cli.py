@@ -148,6 +148,14 @@ def test_eval_quadrature_huge_x_is_a_named_convergence_failure(capsys):
         "convergence failure: quadrature cannot take x = 1e+150")
 
 
+def test_eval_homogeneous_at_eta_zero_is_domain_error(capsys):
+    code, out, err = run(capsys, "eval", "--eta", "0", "--mu", "2",
+                         "--x", "1", "--y", "1", "--method", "homogeneous")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "homogeneous recurrence requires eta >= 1" in err
+
+
 def test_eval_recurrence_needs_integer_eta(capsys):
     code, _, err = run(capsys, "eval", "--eta", "1.5", "--mu", "2",
                        "--x", "1", "--y", "1", "--method", "homogeneous")
@@ -171,6 +179,18 @@ def test_table1_rows_and_golden_entry(capsys):
     row5 = rows[4]
     assert (float(row5["eta"]), float(row5["mu"])) == (5.0, 10.0)
     assert float(row5["value"]) == pytest.approx(419098.1927146542, rel=5e-14, abs=0.0)
+
+
+def test_table1_json_carries_the_csv_values(capsys):
+    code, out, _ = run(capsys, "table", "1", "--format", "json")
+    assert code == EXIT_OK
+    records = json.loads(out)
+    _, csv_out, _ = run(capsys, "table", "1")
+    rows = parse_csv(csv_out)
+    assert len(records) == len(rows) == 9
+    for record, row in zip(records, rows):
+        assert sorted(record) == ["eta", "mu", "value", "x", "y"]
+        assert all(record[k] == float(row[k]) for k in record)
 
 
 def test_table2_errors_within_bound(capsys):
@@ -223,6 +243,24 @@ def test_sweep_rejects_non_integer_eta_for_recurrences(capsys):
                        "--x", "1", "--y", "1", "--methods", "ladder")
     assert code == EXIT_USAGE
     assert "integer" in err
+
+
+def test_sweep_rejects_an_unknown_method(capsys):
+    code, out, err = run(capsys, "sweep", "--steps", "1", "--methods", "foo")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "domain error: unknown method 'foo'\n"
+
+
+def test_sweep_counts_evaluations_that_did_not_converge(capsys, monkeypatch):
+    # The series stops unconverged and its row is printed; the ladder's
+    # series seed raises ConvergenceError and its row is left out.
+    monkeypatch.setattr(nuttall, "_MAX_TERMS", 4)
+    code, out, err = run(capsys, "sweep", "--eta", "2", "--mu", "2",
+                         "--x", "15", "--y", "3", "--methods", "series,ladder")
+    assert code == EXIT_NO_CONVERGENCE
+    assert [r["method"] for r in parse_csv(out)] == ["series"]
+    assert err == "warning: 2 evaluations did not converge\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -294,6 +332,18 @@ def test_selftest_failure_exit_code(capsys, monkeypatch):
                        "--x", "1", "--y", "1", "--steps", "1")
     assert code == EXIT_SELFTEST_FAIL
     assert "result FAIL" in out
+
+
+def test_selftest_convergence_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(nuttall, "_MAX_TERMS", 4)
+    code, out, _ = run(capsys, "selftest", "--eta", "2", "--mu", "2",
+                       "--x", "15", "--y", "3", "--steps", "1",
+                       "--format", "json")
+    assert code == EXIT_NO_CONVERGENCE
+    record = json.loads(out)
+    assert record["points"] == record["convergence_failures"] == 1
+    assert record["argmax"] is None
+    assert record["result"] == "FAIL"
 
 
 def test_numbers_printed_with_17_significant_digits(capsys):

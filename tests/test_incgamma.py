@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuttallq import (DomainError, MomentQuery, gamma_ratio_q,
-                      log_gamma_ratio_q, log_q_increment, nuttall_q_series,
-                      q_increment)
+                      log_gamma_ratio_q, log_q_increment, nuttall_q_series)
 
 from oracles import gamma_q_half_integer, gamma_q_integer, rising_product_int
 
@@ -70,16 +69,18 @@ def test_monotonic_grid():
 
 
 def test_forward_step_closed_forms():
-    assert math.exp(-1.0) + q_increment(1.0, 1.0) == pytest.approx(
+    inc = math.exp(log_q_increment(1.0, 1.0))
+    assert math.exp(-1.0) + inc == pytest.approx(
         2.0 * math.exp(-1.0), rel=1e-15, abs=0.0)
-    assert 1.0 + q_increment(7.5, 0.0) == 1.0
+    assert 1.0 + math.exp(log_q_increment(7.5, 0.0)) == 1.0
 
 
 def test_increment_closed_forms():
-    assert q_increment(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15, abs=0.0)
-    assert q_increment(3.0, 2.0) == pytest.approx(
+    assert math.exp(log_q_increment(1.0, 1.0)) == pytest.approx(
+        math.exp(-1.0), rel=1e-15, abs=0.0)
+    assert math.exp(log_q_increment(3.0, 2.0)) == pytest.approx(
         8.0 * math.exp(-2.0) / 6.0, rel=1e-14, abs=0.0)
-    assert q_increment(7.5, 0.0) == 0.0
+    assert math.exp(log_q_increment(7.5, 0.0)) == 0.0
 
 
 @pytest.mark.parametrize("shape,y,log_q,log_inc", [
@@ -96,17 +97,30 @@ def test_logs_of_q_and_increment(shape, y, log_q, log_inc):
                                                         abs=5e-13)
     assert log_q_increment(shape, y) == pytest.approx(log_inc, rel=0.0,
                                                       abs=5e-13)
-    assert q_increment(shape, y) == pytest.approx(math.exp(log_inc),
-                                                  rel=1e-12, abs=0.0)
+    assert math.exp(log_q_increment(shape, y)) == pytest.approx(
+        math.exp(log_inc), rel=1e-12, abs=0.0)
     assert log_gamma_ratio_q(shape, 0.0) == 0.0
     assert log_q_increment(shape, 0.0) == -math.inf
+
+
+@pytest.mark.parametrize("shape,y,log_inc", [
+    # y far below shape: 25 digits of shape ln y - y - ln Gamma(shape+1)
+    # from mpmath at 40 digits, y taken as the double it is.
+    (196.0, 0.3, -1078.347563889583882476207),
+    (50.0, 0.01, -378.7462762511775994287104),
+    (42.0, 0.035, -258.6079845344394491839761),
+    (8.0, 1e-3, -65.86764513460234647833639),
+])
+def test_log_increment_where_y_is_far_below_shape(shape, y, log_inc):
+    assert log_q_increment(shape, y) == pytest.approx(log_inc, rel=0.0,
+                                                      abs=1e-12)
 
 
 def test_forward_chain_50_vs_direct():
     y = 1.5
     q = gamma_ratio_q(1.0, y)
     for s in range(1, 51):
-        q = q + q_increment(float(s), y)
+        q = q + math.exp(log_q_increment(float(s), y))
     assert q == pytest.approx(gamma_ratio_q(51.0, y), rel=1e-13, abs=0.0)
 
 
@@ -116,7 +130,7 @@ def test_forward_chain_100_vs_direct():
         q = gamma_ratio_q(mu0, y)
         shape = mu0
         for step in range(1, 101):
-            q = q + q_increment(shape, y)
+            q = q + math.exp(log_q_increment(shape, y))
             shape += 1.0
             if step % 10 == 0:
                 assert q == pytest.approx(
@@ -125,7 +139,7 @@ def test_forward_chain_100_vs_direct():
 
 
 def test_forward_step_large_shape_no_overflow():
-    v = q_increment(1e4, 150.0)
+    v = math.exp(log_q_increment(1e4, 150.0))
     assert math.isfinite(v)
 
 
@@ -167,9 +181,9 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         _shape_ratio(-1.0, 2.0)
     with pytest.raises(DomainError):
-        q_increment(0.0, 1.0)
+        log_q_increment(0.0, 1.0)
     with pytest.raises(DomainError):
-        q_increment(1.0, -1.0)
+        log_q_increment(1.0, -1.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -137,14 +137,12 @@ def test_node_kernel_sums_past_its_table(mu):
 
 def test_truncation_gamma_zero_peak_is_x_exactly():
     spec = truncation_bounds(MomentQuery(0.0, 1.0, 3.7, 0.0))
-    assert spec.gamma_exp == 0.0
     assert spec.peak == 3.7
 
 
 def test_truncation_peak_formula():
     spec = truncation_bounds(MomentQuery(1.0, 1.0, 1.2, 5.0))
     expected = (math.sqrt(1.2) + math.sqrt(1.2 + 4.0)) ** 2 / 4.0
-    assert spec.gamma_exp == 1.0
     assert spec.peak == pytest.approx(expected, rel=1e-15, abs=0.0)
     assert spec.lower >= 5.0
 
@@ -152,7 +150,7 @@ def test_truncation_peak_formula():
 def test_truncation_profile_below_eps_at_ends():
     q = MomentQuery(5.0, 10.0, 5.0, 10.0)
     spec = truncation_bounds(q)
-    g = spec.gamma_exp
+    g = q.eta + 0.5 * (q.mu - 1.0)
     top = _profile(g, q.x, max(spec.peak, q.y))
     assert _profile(g, q.x, spec.upper) <= 1e-16 * top
 
@@ -164,7 +162,7 @@ def test_truncation_width_doubling_insensitive(monkeypatch):
     spec = truncation_bounds(q)
     base = tanh_rule_integrate(q).value
     center = max(spec.peak, q.y)
-    wide = QuadratureSpec(spec.gamma_exp, spec.peak,
+    wide = QuadratureSpec(spec.peak,
                           max(q.y, center - 2.0 * (center - spec.lower)
                               if spec.lower > q.y else q.y),
                           center + 2.0 * (spec.upper - center),

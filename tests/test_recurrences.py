@@ -59,7 +59,6 @@ def test_ladder_seed_tag_and_shape():
     table = nuttall_q_ladder(2, 1.5, 4, 1.0, 2.0)
     assert table.eta_max == 2 and table.n_cols == 4
     assert table.mu_start == 1.5
-    assert table.seed_method == "col0:series"
     assert len(table.values) == 3 and all(len(r) == 4 for r in table.values)
     assert all(v >= 0.0 and math.isfinite(v) for r in table.values for v in r)
     assert all(0.0 <= v <= 1.0 for v in table.values[0])
@@ -403,7 +402,6 @@ def test_homogeneous_table_makes_one_ratio_sweep(monkeypatch):
 def test_homogeneous_table_seed_tag_and_shape():
     table = homogeneous_table(2, 1.5, 4, 1.0, 2.0)
     assert (table.eta_max, table.mu_start, table.n_cols) == (2, 1.5, 4)
-    assert table.seed_method == "row0:marcum_q,col0-1:series"
     # Row 0 is one marcum_q per column; the ladder recurs the same row from
     # its column-0 seed.
     marcum_row = tuple(marcum_q(1.5 + m, 1.0, 2.0) for m in range(4))

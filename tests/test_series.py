@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
-                      consistency_deviation, gamma_ratio_q, marcum_q,
-                      nuttall_q_ladder, nuttall_q_series, q_increment)
+                      consistency_deviation, gamma_ratio_q, log_q_increment,
+                      marcum_q, nuttall_q_ladder, nuttall_q_series)
 from nuttallq import nuttall
 from nuttallq.cli import TABLE1
 
@@ -149,6 +149,36 @@ def test_closed_tail_work_counts():
     assert nuttall_q_series(MomentQuery(2.0, 3.0, 6.0, 9.0)).terms_used == 38
 
 
+# (m, e, log_scale, m 2^e e^log_scale) from seeded draws, valued by mpmath at
+# 40 digits.
+TIMES_EXP_POINTS = [
+    (0.5211420811855564, 1836, -1576.7266996843657, 4.408826816685029e-133),
+    (0.4199835124244499, -2053, 1295.0845716822491, 1.1395521971744463e-56),
+    (0.7432793697957031, 20, -384.5360988748739, 7.759721922639531e-162),
+    (0.41682256018814645, 329, -507.95963210434616, 1.1343694912631064e-122),
+    (0.5012975130232893, -938, 1288.8583684355187, 1.1968424475645643e+277),
+    (0.7015809527231841, -1919, 1739.1434750859912, 2.950737517020909e+177),
+    (0.967153777942759, -24, -661.5663557031656, 2.7935596037126504e-295),
+    (0.3654698681513042, -1876, 1250.470170324584, 7.996030969225599e-23),
+    (0.699015633911353, 326, 460.44174735898287, 8.862894740529911e+297),
+    (0.8369885476853149, 863, -940.0465544197881, 2.8482260685368445e-149),
+    (0.8408689093921731, 749, -527.2373362825376, 0.00026298395138983453),
+    (0.6375574188848343, -689, 1111.6018177967371, 1.4367719278457927e+275),
+    (0.4697664971207576, -1740, 898.9491947403865, 1.9425149605245672e-134),
+    (0.31270382646045025, -2050, 1454.0011457133542, 70520656844442.31),
+    (0.4261002903239047, -835, 308.5221650508636, 1.8152618358379615e-118),
+    (0.48730593059704996, 1615, -1733.4965106345578, 1.0075711576423949e-267),
+    (0.7744639151669321, -1993, 1303.8587437969982, 1.566308992746028e-34),
+    (0.8982191448558043, -1986, 1968.7330585195114, 1.311337782468296e+257),
+    (0.6063086671698829, -1093, 692.9416500243642, 4.98475023250629e-29),
+    (0.709770484332854, 1989, -1160.4302058987114, 4.27901939861145e+94),
+    (0.9760628834959999, -198, 730.4621995497891, 4.1806244888208807e+257),
+    (0.9225747252027443, -1830, 1323.916558752851, 1.1214126586233799e+24),
+    (0.7445247135134414, 1176, -668.3457428619247, 4.210036785551248e+63),
+    (0.6081075790028408, -1520, 668.7030148775808, 4.289596085508492e-168),
+]
+
+
 def test_times_exp_stays_in_range_on_the_way():
     # 2^1500 overflows and e^{-1500 ln 2} underflows; their product is ~1.
     assert nuttall._times_exp(0.75, 1500, -1500.0 * math.log(2.0)) == \
@@ -158,12 +188,18 @@ def test_times_exp_stays_in_range_on_the_way():
     assert nuttall._times_exp(0.5, 0, 1e300) == math.inf
     assert nuttall._times_exp(0.5, 0, -1e300) == 0.0
     assert nuttall._times_exp(0.5, 1030, 0.0) == math.inf
+    # m in [1/4, 1), e in [-2100, 2100] and log_scale such that the value is
+    # a normal float: within 2.5e-16 of m 2^e e^log_scale from 40-digit
+    # mpmath.
+    for m, e, log_scale, ref in TIMES_EXP_POINTS:
+        assert nuttall._times_exp(m, e, log_scale) == pytest.approx(
+            ref, rel=2.5e-16, abs=0.0), (m, e, log_scale)
 
 
 def test_reseed_points_start_below_the_reseed_threshold():
-    assert q_increment(1.0, 700.0) < 1e-300
-    assert q_increment(2.0, 720.0) < 1e-300
-    assert 0.0 < q_increment(1.0, 740.0) < sys.float_info.min
+    assert math.exp(log_q_increment(1.0, 700.0)) < 1e-300
+    assert math.exp(log_q_increment(2.0, 720.0)) < 1e-300
+    assert 0.0 < math.exp(log_q_increment(1.0, 740.0)) < sys.float_info.min
 
 
 def test_trivial_whole_half_line():
