@@ -4,7 +4,8 @@ The evaluators downstream only ever need the exponentially scaled form
 Itilde_mu(z) = exp(-z) I_mu(z), which stays inside [0, 1], and the neighbor
 ratio I_{mu+1}(z)/I_mu(z).  No raw I value leaves this module, so none can
 overflow on the way out; ``log_bessel_i_scaled`` gives the logarithm of the
-scaled form where that form itself underflows.
+scaled form where that form underflows, and past z = 700, as a sum of
+products of Poisson probabilities (``log_poisson_pair_sum``).
 
 All routines accept real (not just integer) order >= 0 and argument >= 0.
 """
@@ -13,19 +14,19 @@ from __future__ import annotations
 
 import math
 import sys
-from math import fsum
 
 from .errors import ConvergenceError, DomainError
+from .incgamma import log_q_increment
 from .logscale import exp_clipped
 
 # Modified Lentz parameters for the ratio continued fraction.
 _LENTZ_TOL = 1e-15
 _LENTZ_MAX_ITER = 10_000
 
-# The plain-float series path is used while exp(arg) and the power/gamma
+# The plain-float power series is used while exp(arg) and the power/gamma
 # prefactor stay comfortably inside double range and the prefactor's
-# O(order) product stays short; beyond that a log-space accumulation takes
-# over (slightly less accurate, never overflows).
+# O(order) product stays short; beyond that ``log_poisson_pair_sum`` takes
+# over (as accurate, and ~sqrt(z) terms instead of ~z).
 _LINEAR_MAX_ARG = 700.0
 _LINEAR_MAX_ORDER = 20_000.0
 
@@ -59,35 +60,35 @@ def _power_over_gamma(order: float, arg: float) -> float:
     return p
 
 
-def _series_sum(order: float, arg: float) -> float:
-    """sum_n (arg^2/4)^n / (n! (order+1)_n), the series with its n=0 term 1."""
-    q = arg * arg * 0.25
-    term = 1.0
-    total = 1.0
-    n = 0
+def _series_sum(order: float, q: float, recips: list[float]) -> float:
+    """S(q) = sum_n q^n / (n! (order+1)_n), q = z^2/4, on the table recips
+    of step factors 1/(n (order+n)), extended in place as the sum needs."""
+    term = total = 1.0
+    for r in recips:
+        term *= q * r
+        total += term
+        if term < total * _SERIES_CUTOFF:
+            return total
+    # The sum outlasts the table: extend it by the terms it takes.
+    n = len(recips)
     while n < _SERIES_MAX_TERMS:
         n += 1
-        term *= q / (n * (order + n))
+        r = 1.0 / (n * (order + n))
+        recips.append(r)
+        term *= q * r
         total += term
         if term < total * _SERIES_CUTOFF:
             return total
     raise ConvergenceError(
-        f"Bessel series did not converge for order={order}, arg={arg}")
+        f"Bessel series did not converge for order={order}, q={q}")
 
 
 class FixedOrderSeries:
-    """The series of ``_series_sum`` at one order and many arguments:
-
-        S(q) = sum_n q^n / (n! (order+1)_n),  q = z^2/4,
-
-    so that I_order(z) = (z/2)^order S(q) / Gamma(order+1) (DLMF 10.25.2).
-    The step factors 1/(n (order+n)) are tabulated once, as far as the
-    longest sum so far has needed them, so a term costs two multiplies and
-    no divide.  ``log_scaled`` accepts every z >= 0 at every order; past
-    z = 700 it takes S from ``log_bessel_i_scaled``.  ``log_gamma`` is
-    ln Gamma(order+1), from the product of ``_power_over_gamma`` while
-    1/Gamma stays a normal float (there it is within 6e-14 of the true
-    value, math.lgamma within 1.7e-13).
+    """``_series_sum`` at one order and many arguments, on one table of step
+    factors: I_order(z) = (z/2)^order S(z^2/4) / Gamma(order+1) (DLMF
+    10.25.2).  ``log_gamma`` is ln Gamma(order+1), from the product of
+    ``_power_over_gamma`` while 1/Gamma stays a normal float (there it is
+    within 6e-14 of the true value, math.lgamma within 1.7e-13).
     """
 
     def __init__(self, order: float) -> None:
@@ -108,56 +109,50 @@ class FixedOrderSeries:
         if z > _LINEAR_MAX_ARG:
             return (log_bessel_i_scaled(self.order, z) + self.log_gamma
                     - self.order * math.log(0.5 * z))
-        term = total = 1.0
-        recips = self._recips
-        for r in recips:
-            term *= q * r
-            total += term
-            if term < total * _SERIES_CUTOFF:
-                return math.log(math.exp(-z) * total)
-        # The sum outlasts the table: extend it by the terms it takes.
-        n = len(recips)
-        while n < _SERIES_MAX_TERMS:
-            n += 1
-            r = 1.0 / (n * (self.order + n))
-            recips.append(r)
-            term *= q * r
-            total += term
-            if term < total * _SERIES_CUTOFF:
-                return math.log(math.exp(-z) * total)
-        raise ConvergenceError(
-            f"Bessel series did not converge for order={self.order}, q={q}")
+        return math.log(math.exp(-z) * _series_sum(self.order, q, self._recips))
 
 
-def _log_series(order: float, arg: float) -> float:
-    """ln I_order(arg) by log-space term collection (no overflow anywhere)."""
-    q = arg * arg * 0.25
-    if q < _SERIES_CUTOFF * (order + 1.0):
-        # The sum is 1 to double precision, so ln I is its first term; q
-        # underflows below arg ~ 3e-154, and arg/2 at arg = 5e-324.
-        return (order * (math.log(arg) - math.log(2.0))
-                - math.lgamma(order + 1.0))
-    lt = order * math.log(0.5 * arg) - math.lgamma(order + 1.0)
-    logs = [lt]
-    peak = lt
-    n = 0
-    while n < _SERIES_MAX_TERMS:
+def log_poisson_pair_sum(order: float, a: float, b: float) -> float:
+    """ln sum_n p(n; a) p(n+order; b), p(k; m) = m^k e^{-m} / Gamma(k+1).
+
+    The sum is (b/a)^{order/2} e^{-a-b} I_order(2 sqrt(ab)), so exp(-z)
+    I_order(z) at a = b = z/2.  Its terms lie in [0, 1] and are summed as
+    plain floats outward from the largest, at the first n where ab <= (n+1)
+    (n+order+1), whose log comes from ``log_q_increment`` (p(0; m) = e^{-m}).
+    """
+    _validate(order, a)
+    _validate(order, b)
+    c = a * b
+    # n0 + 1 = ceil(m), m (m + order) = c.  Where c overflows, m is not
+    # finite and the terms from n = 0 on run out of the term cap.
+    m = 2.0 * c / (math.sqrt(order * order + 4.0 * c) + order) if c else 0.0
+    n = n0 = max(0, math.ceil(m) - 1) if m < math.inf else 0
+    peak = ((log_q_increment(n0, a) if n0 else -a)
+            + (log_q_increment(n0 + order, b) if n0 + order else -b))
+    total = term = 1.0
+    for _ in range(_SERIES_MAX_TERMS):
         n += 1
-        lt += math.log(q / (n * (order + n)))
-        logs.append(lt)
-        peak = max(peak, lt)
-        if q < n * (order + n) and lt < peak + math.log(_SERIES_CUTOFF):
+        term *= c / (n * (n + order))
+        total += term
+        if term < total * _SERIES_CUTOFF:
             break
     else:
         raise ConvergenceError(
-            f"Bessel series did not converge for order={order}, arg={arg}")
-    return peak + math.log(fsum(math.exp(v - peak) for v in logs))
+            f"Bessel series did not converge for order={order}, a={a}, b={b}")
+    # The terms below the peak fall at least as fast as those above it.
+    term = 1.0
+    while n0 > 0 and term >= total * _SERIES_CUTOFF:
+        term *= n0 * (n0 + order) / c
+        total += term
+        n0 -= 1
+    return peak + math.log(total)
 
 
 def bessel_i_scaled(order: float, arg: float) -> float:
     """Exponentially scaled modified Bessel function exp(-z) I_order(z).
 
-    Bounded by [0, 1]; finite for every valid input, however large z gets.
+    Bounded by [0, 1].  Past z = 700 it is exp of ``log_bessel_i_scaled``,
+    which raises ConvergenceError from z ~ 7e8 (over 100,000 terms).
     """
     _validate(order, arg)
     if arg == 0.0:
@@ -169,18 +164,22 @@ def bessel_i_scaled(order: float, arg: float) -> float:
             return 0.0
         # p * sum is I_order(arg) <= I_0(700) ~ 1.5e302, so it cannot
         # overflow; exp(-arg) * p first could underflow to a false 0.0.
-        return math.exp(-arg) * (p * _series_sum(order, arg))
-    return exp_clipped(_log_series(order, arg) - arg)
+        return math.exp(-arg) * (p * _series_sum(order, arg * arg * 0.25, []))
+    return exp_clipped(log_bessel_i_scaled(order, arg))
 
 
 def log_bessel_i_scaled(order: float, arg: float) -> float:
     """ln(exp(-z) I_order(z)); -inf where the value is an exact zero."""
-    s = bessel_i_scaled(order, arg)
-    if s >= sys.float_info.min:  # a subnormal s has lost digits
-        return math.log(s)
-    if arg == 0.0:
-        return -math.inf
-    return _log_series(order, arg) - arg
+    if arg <= _LINEAR_MAX_ARG and order <= _LINEAR_MAX_ORDER:
+        s = bessel_i_scaled(order, arg)
+        if s >= sys.float_info.min:  # a subnormal s has lost digits
+            return math.log(s)
+    half = 0.5 * arg
+    if half == 0.0 < arg:
+        # z/2 underflows at z = 5e-324; the sum is then its first term.
+        return (order * (math.log(arg) - math.log(2.0))
+                - math.lgamma(order + 1.0))
+    return log_poisson_pair_sum(order, half, half)
 
 
 def bessel_ratio(order: float, arg: float) -> float:

@@ -245,6 +245,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _selftest_point(q: MomentQuery) -> float:
+    """The deviation at q; inf, a failed check, where it is not finite."""
     if q.x == 0.0:
         # No ladder at x = 0: check the series against the closed form
         # Gamma(eta+mu, y)/Gamma(mu), built from lgamma so that it shares
@@ -252,8 +253,10 @@ def _selftest_point(q: MomentQuery) -> float:
         closed = (exp_clipped(math.lgamma(q.eta + q.mu) - math.lgamma(q.mu))
                   * gamma_ratio_q(q.eta + q.mu, q.y))
         got = nuttall_q_series(q).value
-        return abs(1.0 - got / closed)
-    return consistency_deviation(q)
+        dev = abs(1.0 - got / closed) if closed else math.inf
+    else:
+        dev = consistency_deviation(q)
+    return dev if math.isfinite(dev) else math.inf
 
 
 def _cmd_selftest(args) -> int:

@@ -47,7 +47,7 @@ import sys
 from dataclasses import dataclass
 from math import fsum
 
-from .bessel import bessel_i_scaled, bessel_ratio, log_bessel_i_scaled
+from .bessel import bessel_i_scaled, bessel_ratio, log_poisson_pair_sum
 from .errors import ConvergenceError, DomainError
 from .incgamma import gamma_ratio_q, log_gamma_ratio_q, log_q_increment
 from .logscale import exp_clipped
@@ -431,8 +431,8 @@ def _inhom_term(eta: float, mu: float, x: float, y: float) -> float:
 
     The raw e^{-x-y} I_mu product is never formed; the plain-float product
     is used while each factor, y/x included, and each partial product stays
-    a normal float, log space otherwise.  An underflowed (0.0 or subnormal)
-    Itilde_mu is replaced by its log.
+    a normal float.  Otherwise y^eta T_mu is exponentiated from its log,
+    with ln T_mu = ``log_poisson_pair_sum(mu, x, y)``.
     """
     if y == 0.0:
         return 0.0
@@ -443,17 +443,14 @@ def _inhom_term(eta: float, mu: float, x: float, y: float) -> float:
     l_pow = 0.5 * mu * l_ratio
     l_y = eta * log_y
     l_exp = -((math.sqrt(x) - math.sqrt(y)) ** 2)
-    normal = i_scaled >= sys.float_info.min  # a subnormal has lost digits
-    log_i = math.log(i_scaled) if normal else log_bessel_i_scaled(mu, z)
-    # The last two factors are <= 1, so the partial products of the plain
-    # product fall from e^{l_pow + l_y} to the value, and bounding those two
-    # bounds them all.
-    total = l_pow + l_y + l_exp + log_i
-    if normal and abs(l_ratio) < 700.0 and abs(l_pow) < 680.0 \
-            and abs(l_y) < 680.0 and l_exp > -700.0 \
-            and l_pow + l_y < 700.0 and total > -700.0:
-        return (y / x) ** (0.5 * mu) * y**eta * math.exp(l_exp) * i_scaled
-    return exp_clipped(total)
+    # The last two factors are <= 1, so the partial products after the
+    # second fall to the value, and a normal value bounds them from below.
+    if i_scaled >= _TINY and abs(l_ratio) < 700.0 and abs(l_pow) < 680.0 \
+            and abs(l_y) < 680.0 and l_exp > -700.0 and l_pow + l_y < 700.0:
+        v = (y / x) ** (0.5 * mu) * y**eta * math.exp(l_exp) * i_scaled
+        if v >= _TINY:
+            return v
+    return exp_clipped(l_y + log_poisson_pair_sum(mu, x, y))
 
 
 def _ratio_sweep(mu_lo: float, n: int, z: float) -> list[float]:
@@ -508,7 +505,6 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
             t = _inhom_term(0, mu_start + k, x, y)
         forcing.append(t)
 
-    tiny = sys.float_info.min
     rows: list[list[float]] = []
     for e in range(eta_max + 1):
         prev = rows[-1] if rows else [0.0] * n_cols
@@ -516,12 +512,12 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
             y_e = y**e
         except OverflowError:
             y_e = math.inf
-        carry = tiny <= y_e < math.inf
+        carry = _TINY <= y_e < math.inf
         row = [_series_value(e, mu_start, x, y)]
         for m in range(1, n_cols):
             t0 = forcing[m - 1]
             t = t0 * y_e
-            if not (carry and t0 >= tiny and tiny <= t < math.inf):
+            if not (carry and t0 >= _TINY and _TINY <= t < math.inf):
                 t = _inhom_term(e, mu_start + (m - 1), x, y)
             row.append(row[m - 1] + e * prev[m] + t)
         rows.append([min(v, 1.0) for v in row] if e == 0 else row)
@@ -606,7 +602,8 @@ def consistency_deviation(q: MomentQuery) -> float:
 
     with T the scaled-Bessel forcing term.  All four constituents are
     produced by the series path; the result is the library's internal
-    accuracy metric (expected at or below ~1e-12 over the working region).
+    accuracy metric (expected at or below ~1e-12 over the working region),
+    and inf where the denominator underflows to 0.
     """
     eta = _require_integer_eta(q.eta, "consistency check")
     if eta < 1:
@@ -618,4 +615,4 @@ def consistency_deviation(q: MomentQuery) -> float:
     den = (_series_value(eta, mu, x, y)
            + eta * _series_value(eta - 1.0, mu + 1.0, x, y)
            + _inhom_term(eta, mu, x, y))
-    return abs(1.0 - num / den)
+    return abs(1.0 - num / den) if den else math.inf

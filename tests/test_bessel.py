@@ -1,13 +1,15 @@
 """Tests for the modified Bessel evaluators: scaled values and ratios."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuttallq import DomainError, bessel_i_scaled, bessel_ratio
-from nuttallq.bessel import log_bessel_i_scaled
+from nuttallq import (ConvergenceError, DomainError, bessel_i_scaled,
+                      bessel_ratio)
+from nuttallq.bessel import log_bessel_i_scaled, log_poisson_pair_sum
 
 from oracles import bessel_ratio_by_series, maclaurin_bessel_i
 
@@ -133,6 +135,68 @@ def test_log_helper_matches_scaled():
 ])
 def test_log_helper_below_the_underflow_of_z_squared(z, ref):
     assert log_bessel_i_scaled(7.0, z) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+# (order, z, ln(exp(-z) I_order(z))) at 12 seeded points with z in
+# [700, 3000] and order in [0, 1000], from mpmath.besseli at 50 digits.
+LARGE_ARG_POINTS = [
+    (0.0, 1489.01, -4.57178793088944688261653382345),
+    (321.191, 1874.74, -32.1416296224586495497068809206),
+    (731.21, 2651.86, -105.064116657671866780729402934),
+    (458.424, 2626.35, -44.7708939635283748640185781915),
+    (115.169, 2731.76, -7.30304851573993740816766892051),
+    (390.71, 2952.63, -30.7315035551789689162742704019),
+    (674.202, 714.823, -303.322381063066264340408957056),
+    (80.5939, 1315.3, -6.97908113839847041232797013422),
+    (795.003, 1027.45, -298.926401603752594870473850633),
+    (191.892, 1334.42, -18.2956697484988618361884415481),
+    (233.988, 1898.77, -19.0962901785182222572315026612),
+    (985.504, 2202.09, -221.857730394530923918025224811),
+]
+
+
+@pytest.mark.parametrize("order,z,ref", LARGE_ARG_POINTS)
+def test_log_helper_past_the_power_series(order, z, ref):
+    assert abs(log_bessel_i_scaled(order, z) - ref) <= 3e-13
+    assert bessel_i_scaled(order, z) == pytest.approx(math.exp(ref),
+                                                      rel=3e-13, abs=0.0)
+
+
+# (order, a, b, ln sum_n p(n; a) p(n+order; b)) from mpmath.besseli at 50
+# digits, each checked against the directly summed terms to 1e-25: the
+# ladder's forcing terms at (x, y) = (1000, 1200) and at the two
+# UNDERFLOWED_FORCING points of tests/test_recurrences.py, where e^{-z}
+# I_order(z) underflows.
+PAIR_SUM_POINTS = [
+    (1.0, 1000.0, 1200.0, -13.7837505554901017866666354199),
+    (0.0, 3.0, 0.5, -2.34766084241708184289835420318),
+    (60.0, 1e-06, 200.0, -70.7291291521009526418485751989),
+    (95.0, 1e-06, 200.0, -37.4749079654022225501420297861),
+    (100.0, 1e-12, 400.0, -164.592920844762331060995674258),
+    (159.0, 1e-12, 400.0, -97.7668199054846033376205683904),
+    (2.5, 900.0, 40.0, -568.31482170485954676807090227),
+]
+
+
+@pytest.mark.parametrize("order,a,b,ref", PAIR_SUM_POINTS)
+def test_poisson_pair_sum_at_unequal_arguments(order, a, b, ref):
+    assert abs(log_poisson_pair_sum(order, a, b) - ref) <= 3e-13
+
+
+def test_poisson_pair_sum_matches_the_power_series_in_its_box():
+    for order, z in itertools.product((0.0, 0.5, 3.0, 40.0, 250.0),
+                                      (0.01, 1.0, 30.0, 400.0, 700.0)):
+        if order < 250.0 or z >= 30.0:  # else e^{-z} I_250(z) underflows
+            got = log_poisson_pair_sum(order, 0.5 * z, 0.5 * z)
+            assert abs(got - math.log(bessel_i_scaled(order, z))) <= 1e-13
+    assert log_poisson_pair_sum(3.0, 2.0, 0.0) == -math.inf
+    assert log_poisson_pair_sum(0.0, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("z", [1e9, 1e200, 1.7e308])
+def test_scaled_past_the_term_cap_is_a_convergence_error(z):
+    with pytest.raises(ConvergenceError, match="Bessel series did not converge"):
+        bessel_i_scaled(2.0, z)
 
 
 def test_domain_errors():

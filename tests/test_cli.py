@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,26 @@ def test_selftest_failure_exit_code(capsys, monkeypatch):
                        "--x", "1", "--y", "1", "--steps", "1")
     assert code == EXIT_SELFTEST_FAIL
     assert "result FAIL" in out
+
+
+@pytest.mark.parametrize("eta,x,y", [
+    (200, 0, 1),    # the closed form and the series both overflow: inf/inf
+    (1, 0, 2000),   # the closed form underflows to 0
+    (1, 1, 2000),   # the consistency ratio's denominator underflows to 0
+])
+def test_selftest_fails_a_point_it_cannot_check(capsys, eta, x, y):
+    argv = ["selftest", "--eta", str(eta), "--mu", "1", "--x", str(x),
+            "--y", str(y)]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_SELFTEST_FAIL
+    assert "max_deviation inf" in out
+    assert f"argmax eta={eta} mu=1 x={x} y={y}" in out
+    assert "result FAIL" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    record = json.loads(out)
+    assert code == EXIT_SELFTEST_FAIL and record["result"] == "FAIL"
+    assert record["max_deviation"] == math.inf
+    assert record["argmax"] == {"eta": eta, "mu": 1.0, "x": x, "y": y}
 
 
 def test_selftest_convergence_failure_exit_code(capsys, monkeypatch):

@@ -190,6 +190,21 @@ def test_x_so_large_that_x_t_overflows_is_a_domain_error():
         tanh_rule_integrate(q)
 
 
+def test_nodes_past_z_700_match_the_reference():
+    # Its window spans z = 6000 to 6833, all past the power series.
+    got = tanh_rule_integrate(MomentQuery(2.0, 10.0, 3000.0, 3000.0)).value
+    # perfbench/reference.py, a 40-digit mpmath gammainc series.
+    assert got == pytest.approx(5159919.903182375, rel=5e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [1e5, 1e6])
+def test_large_x_nodes_give_the_closed_form(x):
+    # The full first moment is x + mu = x + 2, and its part below y = 1 is
+    # of order e^{-x}, far below one ulp.  The nodes reach z ~ 2e5 and 2e6.
+    got = tanh_rule_integrate(MomentQuery(1.0, 2.0, x, 1.0)).value
+    assert got == pytest.approx(x + 2.0, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("x", [1e12, 1e150])
 def test_x_past_the_bessel_series_is_a_named_convergence_error(x):
     # x t stays finite, but the node arguments z = 2 sqrt(x t) are so large

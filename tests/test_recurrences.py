@@ -197,6 +197,17 @@ def test_ladder_forcing_term_survives_bessel_underflow():
     assert consistency_deviation(MomentQuery(1, 118, 1e-6, 200)) <= 1e-12
 
 
+@pytest.mark.parametrize("eta_max,mu0,x,y,ref", [
+    # z = 2 sqrt(xy) = 2191 and 1549, past the power series; the values are
+    # from perfbench/reference.py, a 40-digit mpmath gammainc series.
+    (40, 1.0, 1000.0, 1200.0, 2.7971741986662927e118),
+    (5, 20.0, 600.0, 1000.0, 7.623944383036999e-07),
+])
+def test_ladder_forcing_term_past_z_700(eta_max, mu0, x, y, ref):
+    got = nuttall_q_ladder(eta_max, mu0, 3, x, y).entry(eta_max, 2)
+    assert got == pytest.approx(ref, rel=2e-13, abs=0.0)
+
+
 # Ladder entries Q_{e, mu0+m}(x, y) where the carried forcing term must be
 # seeded again from its closed form, keyed by (eta_max, mu0, n_cols, x, y):
 # - at (800, 30) the eta = 0 forcing falls below 1e-300 at column 94 and
