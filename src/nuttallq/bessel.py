@@ -32,6 +32,9 @@ _LINEAR_MAX_ORDER = 20_000.0
 
 _SERIES_CUTOFF = 5e-18
 _SERIES_MAX_TERMS = 100_000
+# Terms per separately summed block of a Poisson-pair sum: only sums with
+# z past ~5e4 run that long, so shorter ones are summed as a plain loop.
+_SUM_BLOCK = 1000
 
 
 def _validate(order: float, arg: float) -> None:
@@ -119,6 +122,9 @@ def log_poisson_pair_sum(order: float, a: float, b: float) -> float:
     I_order(z) at a = b = z/2.  Its terms lie in [0, 1] and are summed as
     plain floats outward from the largest, at the first n where ab <= (n+1)
     (n+order+1), whose log comes from ``log_q_increment`` (p(0; m) = e^{-m}).
+    The terms go into blocks of ``_SUM_BLOCK`` that are summed on their own
+    and then added up, so the tail terms of a long sum, each below half an
+    ulp of the whole, are not rounded away one by one.
     """
     _validate(order, a)
     _validate(order, b)
@@ -129,23 +135,35 @@ def log_poisson_pair_sum(order: float, a: float, b: float) -> float:
     n = n0 = max(0, math.ceil(m) - 1) if m < math.inf else 0
     peak = ((log_q_increment(n0, a) if n0 else -a)
             + (log_q_increment(n0 + order, b) if n0 + order else -b))
+    # total is the open block; done holds the blocks closed before it.
+    done = 0.0
     total = term = 1.0
+    close = n0 + _SUM_BLOCK
     for _ in range(_SERIES_MAX_TERMS):
         n += 1
         term *= c / (n * (n + order))
         total += term
-        if term < total * _SERIES_CUTOFF:
+        if term < (done + total) * _SERIES_CUTOFF:
             break
+        if n == close:
+            done += total
+            total = 0.0
+            close += _SUM_BLOCK
     else:
         raise ConvergenceError(
             f"Bessel series did not converge for order={order}, a={a}, b={b}")
     # The terms below the peak fall at least as fast as those above it.
     term = 1.0
-    while n0 > 0 and term >= total * _SERIES_CUTOFF:
+    close = n0 - _SUM_BLOCK
+    while n0 > 0 and term >= (done + total) * _SERIES_CUTOFF:
         term *= n0 * (n0 + order) / c
-        total += term
         n0 -= 1
-    return peak + math.log(total)
+        total += term
+        if n0 == close:
+            done += total
+            total = 0.0
+            close -= _SUM_BLOCK
+    return peak + math.log(done + total)
 
 
 def bessel_i_scaled(order: float, arg: float) -> float:

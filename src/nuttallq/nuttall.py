@@ -20,8 +20,13 @@ is evaluated three independent ways:
   to Q_{eta+mu}(y), with its log as one more offset.
 * ``nuttall_q_ladder`` - the inhomogeneous recurrence in mu, written with the
   scaled Bessel function so the forcing term never forms e^{-x-y} I_mu
-  directly.  All right-hand terms are positive, hence stable forward; each
-  row, the eta = 0 Marcum row included, needs one series seed.
+  directly, fills each row from its first entry.  Only Q_{0,mu} comes from
+  the series; every later row starts from the row below by the relation in
+  eta, Q_{e,mu} = (e-1+mu) Q_{e-1,mu} + x Q_{e-1,mu+1} + y^{e-1} (x
+  T_{mu+1} + mu T_mu), from shifting n by one in the series (derived at
+  the function), and from the series again where a factor leaves the
+  normal float range.  All right-hand terms of both relations are
+  positive, hence stable forward.
 * ``nuttall_q_homogeneous`` - the three-term recurrence whose coefficient is
   a Bessel-function ratio, so no raw Bessel magnitudes appear at all;
   ``homogeneous_table`` drives it row by row on a per-column Marcum row.
@@ -478,51 +483,84 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
         Q_{eta,mu+1} = Q_{eta,mu} + eta Q_{eta-1,mu+1} + y^eta T_mu,
         T_mu = (y/x)^{mu/2} e^{-(sqrt x - sqrt y)^2} Itilde_mu(2 sqrt(xy))
 
-    Each row e = 0..eta_max is seeded by the series in column m=0; row 0,
-    the Marcum recurrence, is clipped to 1 like marcum_q.  Every right-hand
-    term is positive, so filling left to right and bottom to top is stable.
+    fills each row left to right from its first entry.  Only the first entry
+    of row 0, the Marcum value Q_{0,mu_start}, comes from the series; row e
+    >= 1 starts from the row below by the relation in eta
+
+        Q_{e,mu} = (e-1+mu) Q_{e-1,mu} + x Q_{e-1,mu+1}
+                   + y^{e-1} (x T_{mu+1} + mu T_mu),   mu = mu_start.
+
+    In the series, write (mu+n)_e = (mu+n)_{e-1} (e-1+mu+n) and Q_{e+mu+n}(y)
+    = Q_{e-1+mu+n}(y) + y^{e-1+mu+n} e^{-y}/Gamma(e+mu+n).  The factor
+    e-1+mu gives (e-1+mu) Q_{e-1,mu}, the factor n shifts n by one into
+    x Q_{e-1,mu+1}, and the increments sum to y^e T_{mu-1}; y T_{mu-1} = x
+    T_{mu+1} + mu T_mu by I_{nu-1} = I_{nu+1} + (2 nu/z) I_nu, so no
+    negative order is needed.  Every right-hand term of both relations is
+    positive, so filling bottom to top and left to right is stable.  The
+    eta step reads columns 0 and 1 of the row below and T at mu_start and
+    mu_start+1, so a table with rows above 0 is built at least three
+    columns wide and only the first n_cols are returned.  Row 0 is clipped
+    to 1 like marcum_q.
+
     The forcing term T comes from ``_inhom_term`` at mu_start, which takes
     its own scaled Bessel value, and is carried along the columns by
     T_{mu+1} = T_mu sqrt(y/x) r_mu, with the ratios r_mu of one
     ``_ratio_sweep``.  Where the running product falls below 1e-300 or
     overflows, or y^e T leaves the normal float range, that entry is seeded
-    again from ``_inhom_term``, as the series re-seeds its increment.  x = 0
-    is rejected (the forcing term divides by x^{mu/2}); the series path
-    must be used there instead.
+    again from ``_inhom_term``, as the series re-seeds its increment.  Where
+    y^{e-1}, T_mu, T_{mu+1} or the stepped entry is not a normal float, the
+    row's first entry comes from the series instead.  A series that does
+    not converge raises ConvergenceError.  x = 0 is rejected (the forcing
+    term divides by x^{mu/2}); the series path must be used there instead.
     """
     eta_max, n_cols = _check_table_args("ladder", eta_max, mu_start, n_cols,
                                         x, y)
+    width = max(n_cols, 3) if eta_max else n_cols
 
     root = math.sqrt(y) / math.sqrt(x)
     z = 2.0 * math.sqrt(x) * math.sqrt(y)
-    ratios = _ratio_sweep(mu_start, n_cols - 2, z)
+    ratios = _ratio_sweep(mu_start, width - 2, z)
     forcing = []
     t = 0.0  # forces a seed in the first column
-    for k in range(n_cols - 1):
+    for k in range(width - 1):
         if k:
             t *= root * ratios[k - 1]
         if not _INC_RESEED <= t < math.inf:
             t = _inhom_term(0, mu_start + k, x, y)
         forcing.append(t)
 
+    # The forcing part of the eta step, over y^{e-1}: x T_{mu+1} + mu T_mu.
+    lift = 0.0
+    if eta_max and forcing[0] >= _TINY and forcing[1] >= _TINY:
+        lift = x * forcing[1] + mu_start * forcing[0]
+
     rows: list[list[float]] = []
+    prev = [0.0] * width
+    y_below = 1.0  # y^{e-1}
     for e in range(eta_max + 1):
-        prev = rows[-1] if rows else [0.0] * n_cols
         try:
             y_e = y**e
         except OverflowError:
             y_e = math.inf
         carry = _TINY <= y_e < math.inf
-        row = [_series_value(e, mu_start, x, y)]
-        for m in range(1, n_cols):
+        seed = math.nan
+        if e and lift > 0.0 and _TINY <= y_below < math.inf:
+            seed = ((e - 1 + mu_start) * prev[0] + x * prev[1]
+                    + y_below * lift)
+        if not _TINY <= seed < math.inf:
+            seed = _series_value(e, mu_start, x, y)
+        row = [seed]
+        for m in range(1, width):
             t0 = forcing[m - 1]
             t = t0 * y_e
             if not (carry and t0 >= _TINY and _TINY <= t < math.inf):
                 t = _inhom_term(e, mu_start + (m - 1), x, y)
             row.append(row[m - 1] + e * prev[m] + t)
-        rows.append([min(v, 1.0) for v in row] if e == 0 else row)
+        prev = [min(v, 1.0) for v in row] if e == 0 else row
+        rows.append(prev)
+        y_below = y_e
     return RecurrenceTable(eta_max, mu_start, n_cols,
-                           tuple(tuple(r) for r in rows))
+                           tuple(tuple(r[:n_cols]) for r in rows))
 
 
 def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,

@@ -183,6 +183,32 @@ def test_poisson_pair_sum_at_unequal_arguments(order, a, b, ref):
     assert abs(log_poisson_pair_sum(order, a, b) - ref) <= 3e-13
 
 
+# ln sum_n p(n; a) p(n+order; b) for long sums, about 2.5e4 to 1.5e5 terms:
+# rows (order, a, b, value), 40 digits of ln((b/a)^{order/2} e^{-a-b}
+# I_order(2 sqrt(ab))) from mpmath.besseli at 40 digits, which agrees with
+# the same at 60 digits to 4e-33.  Added up term by term, each tail term
+# below half an ulp of the sum was rounded away on its own, and the sum was
+# up to 1.2e-13 off at z = 3e8.
+LONG_PAIR_SUMS = [
+    (0.0, 5e6, 5e6, -8.977986346183832010843234723624069525256),
+    (2.5, 1e7, 1.0005e7, -9.948904022695713609831705072343025685134),
+    (0.0, 3e7, 3e7, -9.873866091214526785555093761138612560043),
+    (7.0, 2e7, 2.0004e7, -9.870464216048841885642491059185976160085),
+    (1.0, 5e7, 5e7, -10.12927890893085549660229571920557593717),
+    (30.5, 8e7, 8.0015e7, -11.06453047917522858655656588332663597632),
+    (0.0, 1e8, 1e8, -10.47585249483582813099841160773414137027),
+    (3.0, 1.5e8, 1.5e8, -10.67858506409824368118880702535973614242),
+    (0.5, 1.2e8, 1.2001e8, -10.77533792708766912039562140467379041305),
+    (100.0, 1.5e8, 1.5e8, -10.67860171576493810047903082397139313721),
+    (12.0, 1.4e8, 1.4003e8, -12.24982754590319927988165126655835672204),
+]
+
+
+@pytest.mark.parametrize("order,a,b,ref", LONG_PAIR_SUMS)
+def test_poisson_pair_sum_keeps_its_tail_terms(order, a, b, ref):
+    assert abs(log_poisson_pair_sum(order, a, b) - ref) <= 2.5e-14
+
+
 def test_poisson_pair_sum_matches_the_power_series_in_its_box():
     for order, z in itertools.product((0.0, 0.5, 3.0, 40.0, 250.0),
                                       (0.01, 1.0, 30.0, 400.0, 700.0)):

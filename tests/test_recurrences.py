@@ -65,7 +65,8 @@ def test_ladder_seed_tag_and_shape():
 
 
 @pytest.mark.parametrize("eta_max,n_cols", [(0, 1), (0, 30), (3, 2), (3, 30)])
-def test_ladder_calls_the_series_once_per_row(monkeypatch, eta_max, n_cols):
+def test_ladder_calls_the_series_once_per_table(monkeypatch, eta_max, n_cols):
+    # Rows above 0 start from the row below by the relation in eta.
     calls = []
     series = nuttall.nuttall_q_series
 
@@ -79,15 +80,15 @@ def test_ladder_calls_the_series_once_per_row(monkeypatch, eta_max, n_cols):
     monkeypatch.setattr(nuttall, "nuttall_q_series", counted)
     monkeypatch.setattr(nuttall, "marcum_q", no_marcum)
     nuttall_q_ladder(eta_max, 0.5, n_cols, 2.0, 3.0)
-    assert [q.eta for q in calls] == list(range(eta_max + 1))
-    assert all(q.mu == 0.5 for q in calls)
+    assert [(q.eta, q.mu) for q in calls] == [(0.0, 0.5)]
 
 
 @pytest.mark.parametrize("x,y", [(2.0, 3.0), (0.1, 20.0), (20.0, 0.1)])
 @pytest.mark.parametrize("n_cols", [1, 2, 3, 30])
 def test_tables_take_one_ratio_sweep(monkeypatch, n_cols, x, y):
     # Inside the box: one continued fraction per homogeneous row call, and
-    # one continued fraction and one scaled Bessel value per ladder.
+    # one continued fraction and one scaled Bessel value per ladder, whose
+    # eta step needs T at mu_start and mu_start+1 at any n_cols.
     calls = {"bessel_ratio": 0, "bessel_i_scaled": 0}
 
     def counted(name):
@@ -106,8 +107,7 @@ def test_tables_take_one_ratio_sweep(monkeypatch, n_cols, x, y):
     assert calls == {"bessel_ratio": int(n_cols > 2), "bessel_i_scaled": 0}
     calls.update(bessel_ratio=0)
     nuttall_q_ladder(3, 0.5, n_cols, x, y)
-    assert calls == {"bessel_ratio": int(n_cols > 2),
-                     "bessel_i_scaled": int(n_cols > 1)}
+    assert calls == {"bessel_ratio": 1, "bessel_i_scaled": 1}
 
 
 # Q_{0, mu0+m}(x, y) at the corners of the working box.  30-digit values
@@ -162,6 +162,52 @@ def test_ladder_row0_stays_in_unit_interval():
     # Recurred without a clip, this row reaches 1.0000000000000058.
     row0 = nuttall_q_ladder(0, 1.0, 200, 1e-6, 30.0).values[0]
     assert all(0.0 <= v <= 1.0 for v in row0)
+
+
+# Q_{e, mu0+m}(x, y) at the corners of the benchmark's table box, up to eta
+# = 50, where the first column of every row above 0 is stepped up in eta.
+# 40-digit values from a 70-digit mpmath gammainc series, which agrees with
+# the same series at 50 digits to 1e-40.
+ETA_STEP_EDGES = (
+    (0.5, 0.1, 0.1, 50, 0, 1.019607013191799396706968975358797989779e+65),
+    (0.5, 0.1, 0.1, 7, 3, 413892.3179616000035637132017892639932505),
+    (0.5, 0.1, 20.0, 50, 0, 1.019607011806700555805229214248581449571e+65),
+    (0.5, 0.1, 20.0, 25, 1, 304896207378026765361145715.3697059202177),
+    (0.5, 20.0, 0.1, 50, 2, 2.406616762938205199481210032479949266731e+87),
+    (0.5, 20.0, 0.1, 1, 0, 20.49999999989015576507255200151480199307),
+    (0.5, 20.0, 20.0, 50, 0, 5.195712123950548784075794037285052449532e+86),
+    (0.5, 20.0, 20.0, 12, 5, 2589706424896545969.693248717008908964625),
+    (1.0, 0.1, 0.1, 50, 1, 1.021115959629210975884959527448459833877e+67),
+    (1.0, 0.1, 20.0, 50, 0, 5.034142506287291470724377356882718393248e+65),
+    (1.0, 20.0, 0.1, 33, 0, 2.27064968375660338809956606394750138866e+54),
+    (1.0, 20.0, 20.0, 50, 4, 1.563272125114017821446160778161099626588e+88),
+)
+
+
+def test_ladder_eta_step_matches_mpmath_at_box_corners():
+    tables = {}
+    for mu0, x, y, e, m, ref in ETA_STEP_EDGES:
+        if (mu0, x, y) not in tables:
+            tables[mu0, x, y] = nuttall_q_ladder(50, mu0, 6, x, y)
+        got = tables[mu0, x, y].entry(e, m)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0), (mu0, x, y, e, m)
+
+
+def test_ladder_eta_step_falls_back_to_the_series(monkeypatch):
+    # y^e overflows from e = 103 on, so the step to row 104, which needs
+    # y^103, leaves the normal range; that row's first entry is the series.
+    calls = []
+    series = nuttall.nuttall_q_series
+
+    def counted(q):
+        calls.append(q.eta)
+        return series(q)
+
+    monkeypatch.setattr(nuttall, "nuttall_q_series", counted)
+    table = nuttall_q_ladder(104, 1.0, 6, 100.0, 1000.0)
+    assert calls == [0.0, 104.0]
+    assert table.entry(104, 0) == _series(104.0, 1.0, 100.0, 1000.0)
+    assert all(math.isfinite(v) for row in table.values for v in row)
 
 
 # Q_{e, mu0+m}(x, y) far outside the working box, where Itilde_mu(2 sqrt(xy))

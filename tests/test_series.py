@@ -68,7 +68,8 @@ def test_summed_terms_times_gamma_ratio_past_double_range():
     assert out.converged
     assert out.value == pytest.approx(1.56610899166125971860775223998e265,
                                       rel=1e-13, abs=0.0)
-    # The ladder seeds each row from the series at its first column.
+    # The ladder steps its first column up in eta from row 0; at row 120,
+    # where y^119 overflows, that entry comes from the series instead.
     table = nuttall_q_ladder(120, 1.0, 6, 100.0, 400.0)
     assert all(math.isfinite(v) for row in table.values[119:] for v in row)
 
