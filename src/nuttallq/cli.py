@@ -7,8 +7,11 @@ Subcommands:
     selftest  scan the recurrence-consistency deviation over a region
 
 Exit codes: 0 success, 1 usage/domain error, 2 convergence failure,
-3 self-test failure.  All numeric output uses 17 significant digits and
-identical invocations produce byte-identical output.
+3 self-test failure, 141 (128 + SIGPIPE, as a shell reports a program that
+SIGPIPE ended) when the reader closes standard output early; that last
+case prints nothing to standard error.  All numeric output uses 17
+significant digits and identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 from .errors import ConvergenceError, DomainError
@@ -30,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_SELFTEST_FAIL = 3
+EXIT_BROKEN_PIPE = 141
 
 METHODS = ("series", "ladder", "homogeneous", "quadrature")
 
@@ -347,7 +352,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so that a reader gone away is caught below and not at
+        # interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send what is left in the buffer to /dev/null, so that the flush
+        # at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,20 +7,21 @@ integrand is
     f(t) = t^{eta+mu-1} e^{-t-x} 0F1(; mu; x t) / Gamma(mu),
 
 where 0F1(; mu; q) = sum_n q^n / (n! (mu)_n).  The improper integral is
-truncated to a window around the peak of the profile t^g
-e^{-(sqrt t - sqrt x)^2}, mapped linearly onto [-1, 1], pushed through the
-change of variable s = tanh(u), and integrated with the trapezoidal rule on
-nested uniform u-grids of 33, 65, 129, ... points (n -> 2n - 1) until the
-estimated error of the last pass is small.  For x > 0 the window is the
-union of two: one for g = eta + (mu-1)/2, the integrand's large-t shape,
-and one for the x = 0 profile t^{eta+mu-1} e^{-t}, which the integrand
-follows while x t is small next to mu^2; at x = 0 only the second is
-needed.  Each refinement halves the spacing, so the earlier nodes stay on
-the grid and their values are reused: no node is evaluated twice.  The
-integrand is always evaluated through its logarithm, so profiles reaching
-1e89 never overflow a node, and by a kernel built once per integral that
-holds all that depends only on (eta, mu, x).  Every node with t > 0 takes
-one formula, x = 0 and z = 2 sqrt(x t) > 700 included.
+truncated to a window [a, b] around the peak of the profile t^g
+e^{-(sqrt t - sqrt x)^2}, mapped from the real line by t = mid + half tanh
+u (or, where the lower end is cut, by the cubic map below), and integrated
+with the trapezoidal rule on nested uniform u-grids of 33, 65, 129, ...
+points (n -> 2n - 1) until the estimated error of the last pass is small.
+For x > 0 the window is the union of two: one for g = eta + (mu-1)/2, the
+integrand's large-t shape, and one for the x = 0 profile t^{eta+mu-1}
+e^{-t}, which the integrand follows while x t is small next to mu^2; at
+x = 0 only the second is needed.  Each refinement halves the spacing, so
+the earlier nodes stay on the grid and their values are reused: no node is
+evaluated twice.  The integrand is always evaluated through its logarithm,
+so profiles reaching 1e89 never overflow a node, and by a kernel built
+once per integral that holds all that depends only on (eta, mu, x).  Every
+node with t > 0 takes one formula, x = 0 and z = 2 sqrt(x t) > 700
+included.
 
 Refinement stops at pass k when the relative change d_k between passes k-1
 and k satisfies either
@@ -38,18 +39,41 @@ d_k to shrink, so it cannot fire before the third pass, at 129 points.
 The u-range is [-U_lo, U_hi], each end chosen once per integral.  The
 window already ends where its profiles are 1e-16 of their tops, so with
 tanh u saturating near |u| = 17.6 most nodes of a symmetric range would
-land in the window's outer 0.5%.  The tanh map is needed only at an end
-where the integrand is still large, or rises algebraically as
-t^{eta+mu-1} next to t = 0; elsewhere the trapezoidal rule converges
+land in the window's outer 0.5%.  The trapezoidal rule converges
 exponentially once the integrand is negligible at both ends.  So each end
 starts at U = 3 and grows by 1 up to 17.6 until its outermost node t =
 mid +- half tanh(U) lies on the outer side of every window profile's
 maximum with each profile at or below 1e-16 of it.  Each profile is
-unimodal, so it stays below that bound over the whole dropped piece,
-which is at most half (1 - tanh U) long.  The node, not the window end, is
-tested: at y ~ 0 the end itself has a profile near 0 while the integrand
-still rises steeply next to it.  An end at y where the integrand is still
-large keeps U = 17.6.
+unimodal, so it stays below that bound over the whole dropped piece.  The
+node, not the window end, is tested: at y ~ 0 the end itself has a
+profile near 0 while the integrand still rises steeply as t^{eta+mu-1}
+next to it.
+
+A lower end that no U below 17.6 passes is cut: the window ends at y
+while the integrand is still large there, or rises steeply next to it.
+The tanh weight half sech^2 u decays only like e^{2u}, so that end would
+need U = 17.6 and put about half of all nodes within 0.5% of the window
+next to y.  A cut end takes the cubic map instead,
+
+    t = a + W v^3,  W = b - a,  v = (1 + tanh u)/2 = 1/(1 + e^{-2u}),
+    dt/du = 6 W e^{2u} / (2 cosh u)^4,
+
+whose weight decays like e^{6u}: a polynomial end map of the kind of
+Sidi's sin^m transformations (Sidi 1993).  The integrand is never
+singular at y (mu >= 1), so the rule on the u-grid keeps its exponential
+convergence.  The upper end keeps its test, at the cubic map's node.  The
+lower end drops [a, a + d] with d = W v(-U)^3 < W e^{-6U}.  Each profile
+p is log-concave, since (g ln t - (sqrt t - sqrt x)^2)'' = -g/t^2 -
+sqrt(x)/(2 t^{3/2}) <= 0.  So on [c, b], from its centre c to the
+window's upper end, p lies above the exponential chord from its top e^T
+to p(b) = e^{T - delta}, and its mass is at least e^T (b - c) (1 -
+e^{-delta}) / delta, while its dropped piece is at most d e^T.  U_lo is
+the first of 3, 4, ... with
+
+    d delta <= 1e-16 (b - c) (1 - e^{-delta})     for every profile,
+
+so the dropped piece is below 1e-16 of each profile's mass.  With delta
+~ 37 that is U_lo = 7 or 8, not 17.6.
 
 Most of a node's cost is the Bessel series, and after the first pass most
 new nodes sit in tails that cannot reach the sum.  So from the second pass
@@ -76,7 +100,7 @@ N * 2.9e-20 of itself: below half an ulp for N < ~3800, and at most
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import fsum
 
@@ -110,15 +134,19 @@ _SKIP_MARGIN = 45.0
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Truncation window for one integral, the peak of the profile t^g
-    e^{-(sqrt t - sqrt x)^2} it was centred on, and the u-range [-u_lo,
-    u_hi] of the tanh map over it.  The profile's exponent g is eta +
-    (mu-1)/2, or eta + mu - 1 at x = 0 (see ``truncation_bounds``).
+    e^{-(sqrt t - sqrt x)^2} it was centred on, the u-range [-u_lo, u_hi]
+    of the map onto it, and that map: ``lower_map`` is "tanh" for t = mid
+    + half tanh u, or "cubic" for t = lower + (upper - lower) v^3, v = (1
+    + tanh u)/2, where the lower end is cut (see the module docstring).
+    The profile's exponent g is eta + (mu-1)/2, or eta + mu - 1 at x = 0
+    (see ``truncation_bounds``).
 
     ``truncation_bounds`` returns it, and ``tanh_rule_integrate`` integrates
     over the window and u-range it describes.  y <= lower <= upper always
     holds; lower == upper only where the window's centre is so large
     (beyond ~1e272) that adding its half-width rounds away.  Each of u_lo
-    and u_hi lies in [3, _U_MAX] (see ``_u_end``).
+    and u_hi lies in [3, _U_MAX] (see ``_u_end`` and ``_cut_end``); a
+    cubic lower end takes u_lo = 7 or 8 on the working box.
     """
 
     peak: float
@@ -126,6 +154,7 @@ class QuadratureSpec:
     upper: float
     u_lo: float
     u_hi: float
+    lower_map: str
 
 
 def _check_oracle_query(q: MomentQuery) -> None:
@@ -228,13 +257,42 @@ def _window(gamma_exp: float, x: float,
     return peak, lower, upper, g_top
 
 
-def _u_end(profiles: list[tuple[float, float, float, float]], mid: float,
-           half: float, side: float) -> float:
+def _node_map(lower_map: str, a: float,
+              b: float) -> Callable[[float], tuple[float, float]]:
+    """u -> (t, shape) under the map of the window [a, b] that
+    ``lower_map`` names, with dt/du = e^{scale - shape} and the constant
+    scale from ``_map_scale``.  The shape is 2 ln cosh u for the tanh map,
+    and 4 ln(2 cosh u) - 2u = 2u + 4 ln(1 + e^{-2u}) for the cubic one, so
+    that it never forms 1 + tanh u (see the module docstring).
+    """
+    if lower_map == "cubic":
+        w = b - a
+
+        def node(u: float) -> tuple[float, float]:
+            e = math.exp(-2.0 * u)
+            return a + w / (1.0 + e) ** 3, 2.0 * u + 4.0 * math.log1p(e)
+    else:
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+
+        def node(u: float) -> tuple[float, float]:
+            return mid + half * math.tanh(u), 2.0 * math.log(math.cosh(u))
+    return node
+
+
+def _map_scale(lower_map: str, a: float, b: float) -> float:
+    """The constant log weight of ``_node_map``: ln(6 W) for the cubic map,
+    ln(half) for the tanh map."""
+    return math.log(6.0 * (b - a) if lower_map == "cubic" else 0.5 * (b - a))
+
+
+def _u_end(profiles: list[tuple[float, float, float, float]],
+           node: Callable[[float], tuple[float, float]], side: float) -> float:
     """U for one end of the u-range, side = -1 for the lower end and +1 for
     the upper: the first of 3, 4, ..., _U_MAX at which the outermost node
-    t = mid + side * half * tanh(U) lies on the outer side of every
-    profile's maximum and has each profile at or below _EPS times it (why
-    that suffices: see the module docstring).
+    t = node(side * U) lies on the outer side of every profile's maximum
+    and has each profile at or below _EPS times it (why that suffices: see
+    the module docstring).  _U_MAX where none does: at the lower end, the
+    end is then cut.
 
     ``profiles`` holds (g, x, centre, log top) per window profile, the
     centre being where the profile takes its top on [y, inf).
@@ -242,7 +300,7 @@ def _u_end(profiles: list[tuple[float, float, float, float]], mid: float,
     log_eps = math.log(_EPS)
     u = _U_FIRST
     while u < _U_MAX:
-        t = mid + side * half * math.tanh(u)
+        t = node(side * u)[0]
         if all(side * (t - centre) >= 0.0
                and _log_profile(g, x, t) - top <= log_eps
                for g, x, centre, top in profiles):
@@ -251,9 +309,30 @@ def _u_end(profiles: list[tuple[float, float, float, float]], mid: float,
     return _U_MAX
 
 
+def _cut_end(profiles: list[tuple[float, float, float, float]], a: float,
+             b: float) -> float:
+    """U for a cut lower end under the cubic map: the first of 3, 4, ...,
+    _U_MAX at which the dropped length W v(-U)^3 = W / (1 + e^{2U})^3 is at
+    most _EPS (b - c) (1 - e^{-delta}) / delta for every profile, with c its
+    centre and delta its drop in log from its top to b.  Then the dropped
+    piece is below _EPS of each profile's mass (see the module docstring).
+    """
+    need = math.inf
+    for g, x, centre, top in profiles:
+        drop = top - _log_profile(g, x, b)
+        need = min(need, (b - centre) * -math.expm1(-drop) / drop
+                   if drop > 0.0 else 0.0)
+    u = _U_FIRST
+    while u < _U_MAX:
+        if (b - a) / (1.0 + math.exp(2.0 * u)) ** 3 <= _EPS * need:
+            return u
+        u += _U_STEP
+    return _U_MAX
+
+
 def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     """Choose a finite window [a, b] that holds the integrand's mass, and
-    the u-range of the tanh map over it.
+    the u-range and lower-end map over it.
 
     At x = 0 the integrand is exactly t^{eta+mu-1} e^{-t}, and the window
     is the one of that profile (g = eta + mu - 1, x = 0).  For x > 0 it is
@@ -263,7 +342,9 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     the x = 0 shape, and the x > 0 window alone would cut off its upper
     tail for large mu.  ``peak`` is that of the x > 0 profile whenever
     x > 0.  Each end of the u-range is sized by every window profile at
-    its outermost node (``_u_end``).
+    its outermost node (``_u_end``); where the tanh map finds no lower end
+    below _U_MAX, the lower end is cut, takes the cubic map, and is sized
+    by its dropped piece (``_cut_end``).
     """
     _check_oracle_query(q)
     g_zero = q.eta + q.mu - 1.0
@@ -274,18 +355,23 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
         peak, lower_x, upper_x, top = _window(gamma_exp, q.x, q.y)
         profiles.append((gamma_exp, q.x, max(peak, q.y), top))
         lower, upper = min(lower, lower_x), max(upper, upper_x)
-    half, mid = 0.5 * (upper - lower), 0.5 * (lower + upper)
-    return QuadratureSpec(peak, lower, upper,
-                          _u_end(profiles, mid, half, -1.0),
-                          _u_end(profiles, mid, half, 1.0))
+    lower_map = "tanh"
+    node = _node_map(lower_map, lower, upper)
+    u_lo = _u_end(profiles, node, -1.0)
+    if u_lo == _U_MAX:
+        lower_map = "cubic"
+        node = _node_map(lower_map, lower, upper)
+        u_lo = _cut_end(profiles, lower, upper)
+    return QuadratureSpec(peak, lower, upper, u_lo,
+                          _u_end(profiles, node, 1.0), lower_map)
 
 
 def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
                    n: int) -> Iterator[tuple[int, float, int]]:
-    """(points, trapezoid sum, skipped) of the tanh rule on the window [a, b]
-    of ``spec`` for nested grids of n, 2n - 1, 4n - 3, ... points on its
-    u-range [-u_lo, u_hi], up to the node cap; skipped counts the grid's
-    points whose series never ran.
+    """(points, trapezoid sum, skipped) of the trapezoidal rule on the
+    window [a, b] of ``spec`` under its map (``_node_map``) for nested grids
+    of n, 2n - 1, 4n - 3, ... points on its u-range [-u_lo, u_hi], up to the
+    node cap; skipped counts the grid's points whose series never ran.
 
     Halving the spacing keeps the old nodes at the even indices of the new
     grid, so a pass visits only its midpoints; its sum is one exact
@@ -297,9 +383,8 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     of itself (see the module docstring).
     """
     a, b, u_lo = spec.lower, spec.upper, spec.u_lo
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    log_half = math.log(half)
+    node = _node_map(spec.lower_map, a, b)
+    scale = _map_scale(spec.lower_map, a, b)
     log_end_weight = math.log(0.5)
     h = (u_lo + spec.u_hi) / (n - 1)
     # ln of each node's u-space integrand without the spacing h, which every
@@ -312,11 +397,10 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     fresh = range(n)
     while n <= _NODE_CAP:
         for i in fresh:
-            u = -u_lo + i * h
-            t = min(b, max(a, mid + half * math.tanh(u)))
+            t, shape = node(-u_lo + i * h)
+            t = min(b, max(a, t))
             head, bound = _log_head(kernel, t)
-            log_cosh2 = 2.0 * math.log(math.cosh(u))
-            if bound + log_half - log_cosh2 < floor:
+            if bound + scale - shape < floor:
                 skipped += 1
                 continue
             lf = _log_integrand(kernel, t, head)
@@ -324,7 +408,7 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
                 continue
             if i == 0 or i == n - 1:
                 lf += log_end_weight
-            logs.append(lf + log_half - log_cosh2)
+            logs.append(lf + scale - shape)
         if logs:
             top = max(logs)
             floor = top - _SKIP_MARGIN
@@ -358,18 +442,18 @@ class QuadratureOutcome:
 def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     """Integrate the scaled integrand by the tanh rule.
 
-    Takes the window [lower, upper] and the u-range [-u_lo, u_hi] from
-    ``truncation_bounds(q)``, maps the window linearly to [-1, 1],
-    substitutes s = tanh(u), and applies the trapezoidal rule on nested
-    uniform grids over the u-range.  Each end of the u-range stops where
-    the profiles at its outermost node, and so over the whole piece it
-    drops, are below 1e-16 of their tops, and stays at ~17.6 (tanh u = 1 -
-    1e-15) where the integrand is still large at the window end (see the
-    module docstring).  The first grid has 33 points, and each refinement
-    halves the spacing, n -> 2n - 1, so a pass visits only its n - 1 new
-    midpoints and reuses the values of every earlier node; from the second
-    pass on, it skips the midpoints that a closed-form bound proves
-    negligible (see ``_nested_passes``).
+    Takes the window [lower, upper], the u-range [-u_lo, u_hi] and the map
+    from ``truncation_bounds(q)``, maps the real line onto the window by
+    t = mid + half tanh u, or by the cubic map where the lower end is cut,
+    and applies the trapezoidal rule on nested uniform grids over the
+    u-range.  Each end of the u-range stops where the profiles at its
+    outermost node, and so over the whole piece it drops, are below 1e-16
+    of their tops; a cut lower end stops where its dropped piece is below
+    1e-16 of each profile's mass (see the module docstring).  The first
+    grid has 33 points, and each refinement halves the spacing, n -> 2n -
+    1, so a pass visits only its n - 1 new midpoints and reuses the values
+    of every earlier node; from the second pass on, it skips the midpoints
+    that a closed-form bound proves negligible (see ``_nested_passes``).
     Refinement stops when the relative change d between two passes is at
     most 1e-12, or is below the change before it with d^2 <= 1e-14 (see the
     module docstring); ``est_error`` is d in the first case and d^2 in the

@@ -3,6 +3,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,8 +13,8 @@ import pytest
 import nuttallq
 from nuttallq import MomentQuery, homogeneous_table, tanh_rule_integrate
 from nuttallq import nuttall
-from nuttallq.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SELFTEST_FAIL,
-                          EXIT_USAGE, main)
+from nuttallq.cli import (EXIT_BROKEN_PIPE, EXIT_NO_CONVERGENCE, EXIT_OK,
+                          EXIT_SELFTEST_FAIL, EXIT_USAGE, main)
 
 
 def run(capsys, *argv):
@@ -392,3 +395,28 @@ def test_numbers_printed_with_17_significant_digits(capsys):
     # .17g round-trips exactly
     assert float(value) == float(format(float(value), ".17g"))
     assert value == format(float(value), ".17g")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--eta", "1", "--mu", "8", "--x", "5e-324", "--y", "1",
+     "--method", "ladder"],
+    ["sweep", "--steps", "2"],
+])
+def test_closed_stdout_exits_without_a_traceback(argv, buffered):
+    # The pipe's read end is closed before the CLI starts, so its first
+    # write (unbuffered) or its flush (buffered) meets a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(nuttallq.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nuttallq", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == EXIT_BROKEN_PIPE

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,18 @@ from oracles import EDGE_POINTS, naive_integrand
 
 def _profile(gamma_exp, x, t):
     return t**gamma_exp * math.exp(-((math.sqrt(t) - math.sqrt(x)) ** 2))
+
+
+def _map_t(spec, lower_map, u):
+    """t at u under the map named lower_map over the window of spec,
+    clamped to the window: mid + half tanh u, or lower + W v^3 with W the
+    window's width and v = (1 + tanh u)/2 = 1/(1 + e^{-2u})."""
+    a, b = spec.lower, spec.upper
+    if lower_map == "cubic":
+        t = a + (b - a) / (1.0 + math.exp(-2.0 * u)) ** 3
+    else:
+        t = 0.5 * (a + b) + 0.5 * (b - a) * math.tanh(u)
+    return min(b, max(a, t))
 
 
 def _node_log(k, t):
@@ -162,11 +175,11 @@ def test_truncation_width_doubling_insensitive(monkeypatch):
     spec = truncation_bounds(q)
     base = tanh_rule_integrate(q).value
     center = max(spec.peak, q.y)
-    wide = QuadratureSpec(spec.peak,
-                          max(q.y, center - 2.0 * (center - spec.lower)
-                              if spec.lower > q.y else q.y),
-                          center + 2.0 * (spec.upper - center),
-                          quadrature._U_MAX, quadrature._U_MAX)
+    wide = replace(spec,
+                   lower=max(q.y, center - 2.0 * (center - spec.lower)
+                             if spec.lower > q.y else q.y),
+                   upper=center + 2.0 * (spec.upper - center),
+                   u_lo=quadrature._U_MAX, u_hi=quadrature._U_MAX)
     monkeypatch.setattr(quadrature, "truncation_bounds", lambda _: wide)
     assert tanh_rule_integrate(q).value == pytest.approx(base, rel=1e-12, abs=0.0)
 
@@ -295,15 +308,13 @@ def test_each_node_is_evaluated_once(eta, mu, x, y, monkeypatch):
     q = MomentQuery(eta, mu, x, y)
     out = tanh_rule_integrate(q)
     assert len(evaluated) + out.skipped == out.nodes
-    # Every evaluation is a distinct node of the last grid.  Near the window
-    # ends tanh(u) saturates and neighbouring nodes round to one t, so the
-    # check is on multisets.
+    # Every evaluation is a distinct node of the last grid, under the map
+    # the spec names.  Near the window ends the map saturates and
+    # neighbouring nodes round to one t, so the check is on multisets.
     spec = truncation_bounds(q)
-    a, b = spec.lower, spec.upper
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
     h = (spec.u_lo + spec.u_hi) / (out.nodes - 1)
-    grid = Counter(min(b, max(a, mid + half * math.tanh(
-        -spec.u_lo + i * h))) for i in range(out.nodes))
+    grid = Counter(_map_t(spec, spec.lower_map, -spec.u_lo + i * h)
+                   for i in range(out.nodes))
     assert not Counter(evaluated) - grid
 
 
@@ -421,36 +432,96 @@ def test_quadrature_vs_series_on_a_wide_box():
 
 
 def test_u_range_ends_are_sized_by_the_outermost_node():
-    # Each end is the first of 3, 4, ..., 17, _U_MAX whose outermost node
-    # has every window profile below _EPS of its top (found here by a scan
-    # of [y, upper]); the candidate before it fails.
+    # Each end is the first of 3, 4, ..., 17, _U_MAX whose outermost node,
+    # under the map the spec names, has every window profile below _EPS of
+    # its top (found here by a scan of [y, upper]); the candidate before it
+    # fails.  A lower end is cut, and takes the cubic map, exactly where no
+    # tanh node qualifies; its length is checked in
+    # test_cut_lower_end_drops_below_eps_of_the_integral.
+    cut = 0
     for eta, mu, x, y in CONVERGED_PASS_POINTS + [
             p[:4] for p in RISING_NEAR_ZERO_POINTS]:
         q = MomentQuery(eta, mu, x, y)
         spec = truncation_bounds(q)
-        half = 0.5 * (spec.upper - spec.lower)
-        mid = 0.5 * (spec.upper + spec.lower)
         profiles = [(eta + mu - 1.0, 0.0)]
         if x > 0.0:
             profiles.append((eta + 0.5 * (mu - 1.0), x))
         scan = [y + i * 1e-3 * (spec.upper - y) for i in range(1001)]
         tops = [max(_profile(g, px, t) for t in scan) for g, px in profiles]
 
-        def small_at(u, side):
-            t = mid + side * half * math.tanh(u)
+        def small_at(u, side, lower_map):
+            t = _map_t(spec, lower_map, side * u)
             return all(_profile(g, px, t) <= 1.01e-16 * top
                        for (g, px), top in zip(profiles, tops))
 
-        for u, side in ((spec.u_lo, -1.0), (spec.u_hi, 1.0)):
+        tanh_lo = [small_at(float(u), -1.0, "tanh") for u in range(3, 18)]
+        assert (spec.lower_map == "cubic") == (not any(tanh_lo)), q
+        ends = [(spec.u_hi, 1.0)]
+        if spec.lower_map == "cubic":
+            cut += 1
+            assert 3.0 <= spec.u_lo < quadrature._U_MAX
+        else:
+            ends.append((spec.u_lo, -1.0))
+        for u, side in ends:
             assert 3.0 <= u <= quadrature._U_MAX
             if u < quadrature._U_MAX:
-                assert small_at(u, side), (q, side, u)
+                assert small_at(u, side, spec.lower_map), (q, side, u)
             if u > 3.0:
-                assert not small_at(math.ceil(u) - 1.0, side), (q, side, u)
+                assert not small_at(math.ceil(u) - 1.0, side,
+                                    spec.lower_map), (q, side, u)
+    assert cut > 0
     # At y = 0 with eta = 0, mu = 1 the integrand is e^{-t}, largest at the
-    # lower end, which therefore keeps the full range.
-    assert truncation_bounds(MomentQuery(0.0, 1.0, 0.0, 0.0)).u_lo == \
-        quadrature._U_MAX
+    # lower end, which is therefore cut.
+    assert truncation_bounds(MomentQuery(0.0, 1.0, 0.0, 0.0)).lower_map == \
+        "cubic"
+
+
+def _cut_points():
+    """Queries whose lower end is cut: y in the integrand's mass, y ~ 0
+    with the integrand rising next to it, and seeded points of the box
+    eta in [0, 50], mu in [1, 50], x, y in [0, 20]."""
+    fixed = (CONVERGED_PASS_POINTS + [p[:4] for p in RISING_NEAR_ZERO_POINTS]
+             + [p[:4] for p in BOX_EDGE_POINTS] + [(0.0, 1.0, 0.0, 0.0)])
+    rng = random.Random(17)
+    box = [(rng.uniform(0.0, 50.0), rng.uniform(1.0, 50.0),
+            rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0))
+           for _ in range(300)]
+    return [q for q in (MomentQuery(*p) for p in fixed + box)
+            if truncation_bounds(q).lower_map == "cubic"]
+
+
+def test_cut_lower_end_drops_below_eps_of_the_integral():
+    # The cubic map leaves out [lower, lower + d], d = W v(-u_lo)^3 with W the
+    # window's width; d is often below an ulp of lower.  That piece, d times
+    # the integrand's largest value on a scan of it, is below _EPS of the
+    # integral.
+    points = _cut_points()
+    assert len(points) >= 60
+    for q in points:
+        spec = truncation_bounds(q)
+        a = spec.lower
+        d = (spec.upper - a) / (1.0 + math.exp(2.0 * spec.u_lo)) ** 3
+        assert spec.u_lo < quadrature._U_MAX and d > 0.0, q
+        k = quadrature._NodeKernel(q)
+        top = max(_node_log(k, a + i * 0.01 * d) for i in range(101))
+        value = tanh_rule_integrate(q).value
+        assert value > 0.0, q
+        assert (math.log(d) + top - math.log(value)
+                <= math.log(quadrature._EPS)), q
+
+
+def test_cubic_map_weight_is_dt_du():
+    # The cubic map's closed-form log weight, scale - shape, against a
+    # central difference of its node formula.  The window starts at 0, so
+    # that t keeps its digits down to u = -7.
+    a, b = 0.0, 40.0
+    node = quadrature._node_map("cubic", a, b)
+    scale = quadrature._map_scale("cubic", a, b)
+    for u in (-7.0, -3.5, -0.5, 0.0, 1.0, 4.0):
+        step = 1e-4
+        slope = (node(u + step)[0] - node(u - step)[0]) / (2.0 * step)
+        assert math.exp(scale - node(u)[1]) == pytest.approx(
+            slope, rel=1e-7, abs=0.0), u
 
 
 def test_golden_row_first_moment():
