@@ -7,6 +7,15 @@ Gamma(mu, y) is never formed; only the ratio and log-scaled products leave
 this module, so nothing overflows even where the raw values reach 1e89.
 Q and the increment also leave it as logarithms (``log_gamma_ratio_q``,
 ``log_q_increment``), which stay finite where the values underflow.
+
+Both branches scale one prefactor e^{E(a, y)}, E = -y + a ln y - ln Gamma(a),
+whose cancellations are grouped as in DiDonato & Morris (ACM TOMS 12, 1986):
+a ln(y/a) + a - y enters as a (log(1+u) - u), u = (y-a)/a, summed near u = 0
+by the atanh series of log(1+u), and ln Gamma(a) by Stirling's series
+beyond a = 8.  The first forward-step increment is e^{E(a, y)}/a, so
+``q_with_log_increment`` returns Q with the increment's log from the same
+prefactor.  ``log_pochhammer`` applies the same Stirling grouping to
+Gamma(c+f)/Gamma(c).
 """
 
 from __future__ import annotations
@@ -44,26 +53,33 @@ def _validate(shape: float, lower_cut: float) -> None:
 def _stirling_correction(a: float) -> float:
     """theta(a) = lgamma(a) - [(a - 1/2) ln a - a + ln(2 pi)/2], for a >= 8."""
     inv = 1.0 / a
-    inv2 = inv * inv
-    acc = _STIRLING[-1]
-    for c in reversed(_STIRLING[:-1]):
-        acc = c + acc * inv2
-    return acc * inv
+    z = inv * inv
+    c0, c1, c2, c3, c4, c5, c6, c7 = _STIRLING
+    return (c0 + z * (c1 + z * (c2 + z * (c3 + z * (c4 + z * (c5 + z * (
+        c6 + z * c7))))))) * inv
 
 
 def _log1pmx(u: float) -> float:
-    """log(1+u) - u, accurate near u = 0."""
+    """log(1+u) - u, accurate near u = 0.
+
+    For |u| <= 0.4 it sums log(1+u) = 2 atanh(s), s = u/(2+u), as
+    2 (s^3/3 + s^5/5 + ...) - u s: |s| <= 1/4 there, so about 13 terms.
+    The sum stops at a term that adds nothing, which s = 0 reaches at once.
+    """
     if abs(u) > 0.4:
         return math.log1p(u) - u
+    s = u / (2.0 + u)
+    s2 = s * s
+    power = s * s2
     total = 0.0
-    uk = 1.0
-    for k in range(2, 100):
-        t = uk / k
+    k = 3.0
+    while True:
+        t = power / k
         total += t
-        if abs(t) < 1e-18 * abs(total):
-            break
-        uk *= -u
-    return -u * u * total
+        if abs(t) <= 1e-17 * abs(total):
+            return 2.0 * total - u * s
+        power *= s2
+        k += 2.0
 
 
 def _log_gamma_prefactor(a: float, y: float) -> float:
@@ -87,9 +103,40 @@ def _log_gamma_prefactor(a: float, y: float) -> float:
             - _stirling_correction(a))
 
 
-def _p_series(a: float, y: float) -> float:
-    """P(a, y) = 1 - Q(a, y) by its Taylor series; requires y < a + 1."""
-    pref = exp_clipped(_log_gamma_prefactor(a, y))
+def log_pochhammer(base: float, step: float) -> float:
+    """ln (base)_step = ln Gamma(base+step)/Gamma(base), base > 0, step >= 0.
+
+    With c = base shifted up to 8 or more by Gamma(c+1) = c Gamma(c), the
+    Stirling grouping of ``_log_gamma_prefactor`` gives
+
+        (c - 1/2) log1p(step/c) + step ln(c+step) - step
+        + theta(c+step) - theta(c),
+
+    whose terms are of the size of the result, about step ln c, where
+    lgamma(base+step) - lgamma(base) cancels two values of size c ln c.
+    """
+    if not (0.0 < base < math.inf and 0.0 <= step < math.inf):
+        raise DomainError("log_pochhammer needs finite base > 0 and step"
+                          f" >= 0, got {base!r}, {step!r}")
+    shift = 0.0
+    if base < _STIRLING_MIN:
+        num = den = 1.0
+        while base < _STIRLING_MIN:
+            num *= base
+            den *= base + step
+            base += 1.0
+        ratio = num / den
+        # Below 1e-300 (base itself near underflow) take the two logs apart.
+        shift = (math.log(ratio) if ratio >= _FPMIN
+                 else math.log(num) - math.log(den))
+    return (shift + (base - 0.5) * math.log1p(step / base)
+            + step * math.log(base + step) - step
+            + (_stirling_correction(base + step) - _stirling_correction(base)))
+
+
+def _p_series(a: float, y: float, pref: float) -> float:
+    """P(a, y) = 1 - Q(a, y) by its Taylor series, with pref = e^{E(a, y)};
+    requires y < a + 1."""
     if pref == 0.0:
         return 0.0
     term = 1.0 / a
@@ -102,14 +149,6 @@ def _p_series(a: float, y: float) -> float:
         if term < total * _TOL:
             return pref * total
     raise ConvergenceError(f"P series stalled for shape={a}, y={y}")
-
-
-def _q_cont_frac(a: float, y: float) -> float:
-    """Q(a, y) by the Legendre continued fraction; requires y >= a + 1."""
-    pref = exp_clipped(_log_gamma_prefactor(a, y))
-    if pref == 0.0:
-        return 0.0
-    return pref * _cont_frac(a, y)
 
 
 def _cont_frac(a: float, y: float) -> float:
@@ -136,18 +175,34 @@ def _cont_frac(a: float, y: float) -> float:
     raise ConvergenceError(f"Q continued fraction stalled for shape={a}, y={y}")
 
 
+def q_with_log_increment(shape: float,
+                         lower_cut: float) -> tuple[float, float]:
+    """(Q_shape(y), ln inc) with inc = y^shape e^{-y} / Gamma(shape+1).
+
+    Both come from one prefactor e^{E(shape, y)}: the P series or the
+    continued fraction scales it to Q, and inc = e^{E(shape, y)} / shape, so
+    a caller that steps Q forward pays for E once.  lower_cut == 0 gives
+    (1.0, -inf).
+    """
+    _validate(shape, lower_cut)
+    if lower_cut == 0.0:
+        return 1.0, -math.inf
+    log_pref = _log_gamma_prefactor(shape, lower_cut)
+    pref = exp_clipped(log_pref)
+    if lower_cut < shape + 1.0:
+        q = 1.0 - _p_series(shape, lower_cut, pref)
+    else:
+        q = pref * _cont_frac(shape, lower_cut) if pref else 0.0
+    return q, log_pref - math.log(shape)
+
+
 def gamma_ratio_q(shape: float, lower_cut: float) -> float:
     """Incomplete gamma function ratio Q_shape(y) = Gamma(shape, y)/Gamma(shape).
 
     Lies in [0, 1]; relative accuracy ~1e-13 or better for shape in (0, 200]
     and lower_cut in [0, 200].
     """
-    _validate(shape, lower_cut)
-    if lower_cut == 0.0:
-        return 1.0
-    if lower_cut < shape + 1.0:
-        return 1.0 - _p_series(shape, lower_cut)
-    return _q_cont_frac(shape, lower_cut)
+    return q_with_log_increment(shape, lower_cut)[0]
 
 
 def log_gamma_ratio_q(shape: float, lower_cut: float) -> float:
@@ -162,11 +217,11 @@ def log_gamma_ratio_q(shape: float, lower_cut: float) -> float:
     _validate(shape, lower_cut)
     if lower_cut == 0.0:
         return 0.0
+    log_pref = _log_gamma_prefactor(shape, lower_cut)
     if lower_cut < shape + 1.0:
-        p = _p_series(shape, lower_cut)
+        p = _p_series(shape, lower_cut, exp_clipped(log_pref))
         return math.log1p(-p) if p < 1.0 else -math.inf
-    return (_log_gamma_prefactor(shape, lower_cut)
-            + math.log(_cont_frac(shape, lower_cut)))
+    return log_pref + math.log(_cont_frac(shape, lower_cut))
 
 
 def log_q_increment(shape: float, lower_cut: float) -> float:
@@ -180,4 +235,3 @@ def log_q_increment(shape: float, lower_cut: float) -> float:
         return -math.inf
     return (_log_gamma_prefactor(shape + 1.0, lower_cut)
             - math.log(lower_cut))
-

@@ -11,10 +11,12 @@ is evaluated three independent ways:
       e^{-x} sum_n x^n/n! * Gamma(eta+mu+n)/Gamma(mu+n) * Q_{eta+mu+n}(y),
   with every per-term factor produced incrementally: one multiply for the
   Poisson weight, one for the gamma ratio, and for the Q factor one add of
-  the increment y^a e^{-y}/Gamma(a+1), itself kept as a running product
-  (re-seeded from its log form whenever it drops below 1e-300).  Once the
-  Q factor has reached its last bit it is no longer updated, and for
-  integer eta the rest of the sum is closed-form: the weights sum to
+  the increment y^a e^{-y}/Gamma(a+1), itself kept as a running product.
+  Its first value comes with Q_{eta+mu}(y) from one incomplete-gamma
+  prefactor, and it is re-seeded from its log form whenever it drops below
+  1e-300.  Once the Q factor has reached its last bit it is no longer
+  updated, and a second loop steps only the weights; for integer eta the
+  rest of the sum is then closed-form: the weights sum to
   M(eta+mu; mu; x), which Kummer's transformation turns into e^x times a
   polynomial of degree eta.  Q factors that underflow are carried relative
   to Q_{eta+mu}(y), with its log as one more offset.
@@ -54,7 +56,8 @@ from math import fsum
 
 from .bessel import bessel_i_scaled, bessel_ratio, log_poisson_pair_sum
 from .errors import ConvergenceError, DomainError
-from .incgamma import gamma_ratio_q, log_gamma_ratio_q, log_q_increment
+from .incgamma import (log_gamma_ratio_q, log_pochhammer, log_q_increment,
+                       q_with_log_increment)
 from .logscale import exp_clipped
 
 # Relative contribution below which a series term counts as quiet; the CLI
@@ -104,6 +107,10 @@ class MomentQuery:
     y: float
 
     def __post_init__(self) -> None:
+        inf = math.inf
+        if (0.0 <= self.eta < inf and 0.0 < self.mu < inf
+                and 0.0 <= self.x < inf and 0.0 <= self.y < inf):
+            return
         for name in ("eta", "mu", "x", "y"):
             _require_finite(name, getattr(self, name))
         if self.eta < 0.0:
@@ -155,19 +162,30 @@ class RecurrenceTable:
 def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
     """Gamma(eta+base)/Gamma(base) as (mantissa, log_offset).
 
-    value = mantissa * exp(log_offset).  Integer eta uses the rising product
-    base (base+1) ... (base+eta-1), folding into the offset only when the
-    running product threatens double range; that keeps the mantissa accurate
-    to a few ulp instead of the ~|log| * eps an exp(lgamma-difference) costs.
+    value = mantissa * exp(log_offset).  The integer part m of eta uses the
+    rising product base (base+1) ... (base+m-1), folding into the offset
+    only when the running product threatens double range; that keeps the
+    mantissa accurate to a few ulp instead of the ~|log| * eps an
+    exp(lgamma-difference) costs.  A fractional part f multiplies in
+    Gamma(c+f)/Gamma(c), c = base+m, from ``log_pochhammer``, whose log is
+    of the size of f ln c.
     """
-    if float(eta).is_integer() and eta <= _PRODUCT_MAX_FACTORS:
+    if eta <= _PRODUCT_MAX_FACTORS:
+        m = math.floor(eta)
         mant = 1.0
         offset = 0.0
-        for k in range(int(eta)):
+        for k in range(m):
             mant *= base + k
             if mant > 1e280:
                 offset += math.log(mant)
                 mant = 1.0
+        frac = eta - m
+        if frac:
+            log_frac = log_pochhammer(base + m, frac)
+            if abs(log_frac) < 64.0:
+                mant *= math.exp(log_frac)
+            else:
+                offset += log_frac
         return mant, offset
     diff = math.lgamma(eta + base) - math.lgamma(base)
     if diff <= 700.0:
@@ -245,16 +263,19 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
 
     The Q_{eta+mu+n}(y) factors come from one direct evaluation at n=0
     followed by the forward recurrence Q_{a+1}(y) = Q_a(y) + inc_a with
-    inc_a = y^a e^{-y}/Gamma(a+1), a = eta+mu+n.  The increment is a running
-    product, inc_{a+1} = inc_a * y/(a+1), seeded from its log form
-    (``log_q_increment``) at the first step and re-seeded the same way
-    whenever it falls below 1e-300, where multiplies lose digits.  Term
-    magnitudes are accumulated against a floating log offset and
-    materialized exactly once at the end.
+    inc_a = y^a e^{-y}/Gamma(a+1), a = eta+mu+n.  The n = 0 evaluation and
+    the first increment share one prefactor e^{E(a, y)}, E = -y + a ln y -
+    ln Gamma(a), as inc_a = e^{E(a, y)}/a (``q_with_log_increment``).  The
+    increment is then a running product, inc_{a+1} = inc_a * y/(a+1),
+    re-seeded from its log form (``log_q_increment``) whenever it falls
+    below 1e-300, where multiplies lose digits.  Term magnitudes are
+    accumulated against a floating log offset and materialized exactly once
+    at the end.
 
     Once a + 2 > 2y and the increment is below 2^-60 of the Q factor, every
     later increment is at most half the one before and below half an ulp of
-    the factor: the factor has saturated and is no longer updated.  For
+    the factor: the factor has saturated and is no longer updated, and the
+    rest of the sum runs in a second loop that only steps the weights.  For
     integer eta with Q_{eta+mu}(y) >= 1/2, the rest of the series is then
     known in closed form: the weights sum to e^x L (``_kummer_polynomial``),
     so the terms not yet summed add Q * (e^x L - the weights summed so far),
@@ -281,7 +302,9 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
         # Integral over the whole half-line: exactly 1.
         return SeriesOutcome(1.0, 1, 0.0, True)
 
-    q0 = gamma_ratio_q(eta + mu, y) if y > 0.0 else 1.0
+    # Q_{eta+mu}(y) and the log of its first increment, from one prefactor.
+    q0, log_inc = (q_with_log_increment(eta + mu, y) if y > 0.0
+                   else (1.0, -math.inf))
     if x == 0.0:
         # Only the n=0 term survives: Gamma(eta+mu, y) / Gamma(mu).
         if q0 < _TINY:
@@ -294,13 +317,13 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
 
     closed_tail = q0 >= 0.5 and float(eta).is_integer() and eta <= _MAX_TERMS
     total, log_scale, n, contrib, converged, lost = _sum_terms(
-        eta, mu, x, y, q0, 0.0, 0.0, closed_tail)
+        eta, mu, x, y, q0, 0.0, exp_clipped(log_inc), closed_tail)
     if lost * _TINY > _ULP * total:
         # Sum again with the Q factors relative to Q_{eta+mu}(y), where its
         # log (rounded to ~|ln Q| eps) keeps ten digits and the first
         # step's growth, 1 + inc/Q, fits the headroom a fold of u leaves.
         q_log = log_gamma_ratio_q(eta + mu, y)
-        inc = exp_clipped(log_q_increment(eta + mu, y) - q_log)
+        inc = exp_clipped(log_inc - q_log)
         if q_log > _LOG_Q_MIN and inc < 1e300 / _FOLD_LIMIT:
             total, log_scale, n, contrib, converged, _ = _sum_terms(
                 eta, mu, x, y, 1.0, q_log, inc, False)
@@ -315,12 +338,17 @@ def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
                q_log: float, inc: float, closed_tail: bool
                ) -> tuple[float, float, int, float, bool, float]:
     """The series loop of ``nuttall_q_series``, from x > 0 and the first Q
-    factor Q_{eta+mu}(y) = q_cur e^q_log with increment inc e^q_log (0.0
-    seeds it).  Returns the summed terms, the log of their scale, the index
-    of the last term, its relative contribution, whether the stop rule or
-    the closed tail ended the sum, and the weight of the terms whose Q
-    factor was below the normal range, in units of the summed terms."""
-    tol, max_terms = SERIES_TOL, _MAX_TERMS
+    factor Q_{eta+mu}(y) = q_cur e^q_log with increment inc e^q_log (one
+    below 1e-300 is seeded again from its log).  Returns the summed terms,
+    the log of their scale, the index of the last term, its relative
+    contribution, whether the stop rule or the closed tail ended the sum,
+    and the weight of the terms whose Q factor was below the normal range,
+    in units of the summed terms.
+
+    The first loop runs while the Q factor still changes.  Once it has
+    saturated, the closed tail is tried once, and a second loop does only
+    the stop test, the weight step, the fold and the append."""
+    tol, max_terms, fold_limit = SERIES_TOL, _MAX_TERMS, _FOLD_LIMIT
     em, two_y, sat = eta + mu, 2.0 * y, _SATURATED
     saturated = y == 0.0  # no later increment can change q_cur
     u = 1.0       # running x^n/n! * ratio-growth, relative to the n=0 term
@@ -329,20 +357,12 @@ def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
     shift = q_log  # log of the scale of u, q_cur and items
     items = [q_cur]  # terms since the last fold, after the carried sum
     running = last = q_cur
-    n = 0  # index of the newest term, which is last
+    n = 0.0  # index of the newest term, which is last (a float counter)
     quiet = 0
     converged = False
     contrib = math.inf
 
-    while True:
-        if saturated and closed_tail:
-            weights = exp_clipped(x) * _kummer_polynomial(eta, mu, x)
-            if shift == 0.0 and weights < math.inf:
-                items.append(q_cur * max(0.0, weights - u_sum))
-                contrib = 0.0
-                converged = True
-                break
-            closed_tail = False
+    while not saturated:
         contrib = last / running if running > 0.0 else 0.0
         if contrib <= tol:
             quiet += 1
@@ -351,40 +371,72 @@ def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
                 break
         else:
             quiet = 0
-        if n + 1 >= max_terms:
+        if n + 1.0 >= max_terms:
             break
         u *= x * (em + n) / ((n + 1.0) * (mu + n))
-        if not saturated:
-            if inc < _INC_RESEED:
-                inc = exp_clipped(log_q_increment(em + n, y) - q_log)
-                if q_cur + inc < _TINY:
-                    lost += u
-            q_cur += inc
-            inc *= y / (em + n + 1.0)
-            if q_cur > 2.0:
-                # Only a factor carried relative to an underflowed
-                # Q_{eta+mu}(y) grows past 1: hand its growth to u, whose
-                # fold keeps it in range.
-                u *= q_cur
-                inc /= q_cur
-                q_cur = 1.0
-            saturated = inc <= sat * q_cur and em + n + 2.0 > two_y
-        n += 1
-        if u > _FOLD_LIMIT:
-            # Close the block of items so far: its exact sum, rescaled,
-            # is the one item carried into the next block, so a fold costs
-            # the items it closes and not every item stored before it.
-            scale = 1.0 / u
-            shift += math.log(u)
-            items = [fsum(items) * scale]
-            running *= scale
-            lost *= scale
+        if inc < _INC_RESEED:
+            inc = exp_clipped(log_q_increment(em + n, y) - q_log)
+            if q_cur + inc < _TINY:
+                lost += u
+        q_cur += inc
+        inc *= y / (em + n + 1.0)
+        if q_cur > 2.0:
+            # Only a factor carried relative to an underflowed
+            # Q_{eta+mu}(y) grows past 1: hand its growth to u, whose
+            # fold keeps it in range.
+            u *= q_cur
+            inc /= q_cur
+            q_cur = 1.0
+        saturated = inc <= sat * q_cur and em + n + 2.0 > two_y
+        n += 1.0
+        if u > fold_limit:
+            items, running, lost, shift = _fold(items, u, running, lost,
+                                                shift)
             u = 1.0
         last = u * q_cur
         items.append(last)
         running += last
         u_sum += u
-    return fsum(items), shift, n, contrib, converged, lost
+    else:  # the Q factor saturated; the loop above was not broken
+        if closed_tail and shift == 0.0:
+            weights = exp_clipped(x) * _kummer_polynomial(eta, mu, x)
+            if weights < math.inf:
+                items.append(q_cur * max(0.0, weights - u_sum))
+                return fsum(items), shift, int(n), 0.0, True, lost
+        while True:
+            contrib = last / running if running > 0.0 else 0.0
+            if contrib <= tol:
+                quiet += 1
+                if quiet >= _QUIET_TERMS and n > x:
+                    converged = True
+                    break
+            else:
+                quiet = 0
+            if n + 1.0 >= max_terms:
+                break
+            u *= x * (em + n) / ((n + 1.0) * (mu + n))
+            n += 1.0
+            if u > fold_limit:
+                items, running, lost, shift = _fold(items, u, running, lost,
+                                                    shift)
+                u = 1.0
+            last = u * q_cur
+            items.append(last)
+            running += last
+    return fsum(items), shift, int(n), contrib, converged, lost
+
+
+def _fold(items: list[float], u: float, running: float, lost: float,
+          shift: float) -> tuple[list[float], float, float, float]:
+    """Rescale the loop of ``_sum_terms`` by 1/u, with u the running weight.
+
+    The block of items so far closes: its exact sum, rescaled, is the one
+    item carried into the next block, so a fold costs the items it closes
+    and not every item stored before it.  Returns the new items, running
+    sum, lost weight and log scale; u itself restarts at 1."""
+    scale = 1.0 / u
+    return [fsum(items) * scale], running * scale, lost * scale, \
+        shift + math.log(u)
 
 
 def marcum_q(mu: float, x: float, y: float) -> float:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from nuttallq import (DomainError, MomentQuery, gamma_ratio_q,
                       log_gamma_ratio_q, log_q_increment, nuttall_q_series)
+from nuttallq import incgamma
+from nuttallq.incgamma import log_pochhammer, q_with_log_increment
 
 from oracles import gamma_q_half_integer, gamma_q_integer, rising_product_int
 
@@ -116,6 +118,81 @@ def test_log_increment_where_y_is_far_below_shape(shape, y, log_inc):
                                                       abs=1e-12)
 
 
+# (u, log(1+u) - u) from mpmath at 40 digits, u taken as the double it is:
+# u = 0 and +-1e-300 (where s = u/(2+u) squares to 0), and both sides of
+# the switch to log1p at |u| = 0.4.
+LOG1PMX_POINTS = [
+    (0.0, 0.0),
+    (1e-300, 0.0),
+    (-1e-300, 0.0),
+    (1e-8, -4.9999999666666671258922708757e-17),
+    (-1e-8, -5.00000003333333379255894572687e-17),
+    (0.1, -4.68982019567514046069470609431e-3),
+    (-0.1, -5.36051565782630184429155007551e-3),
+    (0.4, -6.35277633787870758395381590696e-2),
+    (-0.4, -1.10825623765990698008487757972e-1),
+    (0.4000000000000001, -6.35277633787870916998670822861e-2),
+    (-0.4000000000000001, -1.10825623765990735015921912144e-1),
+]
+
+
+@pytest.mark.parametrize("u,ref", LOG1PMX_POINTS)
+def test_log1pmx_against_reference(u, ref):
+    assert incgamma._log1pmx(u) == pytest.approx(ref, rel=5e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("shape,y,log_inc", [
+    # 25 digits of shape ln y - y - ln Gamma(shape+1) from mpmath at 40
+    # digits, y taken as the double it is.
+    (1.0, 1.5, -1.094534891891835618021987),
+    (7.5, 3.0, -4.309675092290175026272801),
+    (50.0, 40.0, -4.033794246076216924914409),
+    (12.0, 30.0, -9.172845915716021644558522),
+    (301.0, 2000.0, -1132.741319887650073472554),
+    (2.5, 900.0, -884.1949866940362973477498),
+    (196.0, 0.3, -1078.347563889583882476207),
+    (0.3, 1e-5, -3.345712829983207904600558),
+])
+def test_q_with_log_increment(shape, y, log_inc):
+    # Q as gamma_ratio_q gives it, and the increment's log from the same
+    # prefactor, E(shape, y) - ln shape.
+    q, got = q_with_log_increment(shape, y)
+    assert q == gamma_ratio_q(shape, y)
+    assert got == pytest.approx(log_inc, rel=5e-16, abs=0.0)
+    assert q_with_log_increment(shape, 0.0) == (1.0, -math.inf)
+
+
+# (base, step, ln Gamma(base+step)/Gamma(base)) from mpmath loggamma, 25
+# digits: bases below 8 (shifted up), at 8 and above, near underflow, and
+# far above double range for lgamma's digits.
+LOG_POCHHAMMER_POINTS = [
+    (0.5, 0.5, -0.5723649429247000870717137),
+    (3.0, 2.5, 3.264666787058770984460169),
+    (7.9, 0.3, 0.6066632379015406680489095),
+    (8.0, 0.5, 1.024105896235583411571609),
+    (30.3, 0.4, 1.360494505404743545829394),
+    (82.176, 0.848, 3.737932910391433492596429),
+    (1e6, 0.75, 10.36163282472321339058389),
+    (1e300, 0.5, 345.3877639491068526289511),
+    (1e-300, 0.5, -690.2031629552890050932666),
+    (5e-324, 0.999, -744.4394938828483709338691),
+]
+
+
+@pytest.mark.parametrize("base,step,ref", LOG_POCHHAMMER_POINTS)
+def test_log_pochhammer_against_reference(base, step, ref):
+    assert log_pochhammer(base, step) == pytest.approx(ref, rel=1e-15,
+                                                       abs=0.0)
+
+
+@pytest.mark.parametrize("base,step", [
+    (0.0, 0.5), (-1.0, 0.5), (-math.inf, 0.5), (math.inf, 0.5),
+    (math.nan, 0.5), (2.0, -0.5), (2.0, math.nan), (2.0, math.inf)])
+def test_log_pochhammer_domain_errors(base, step):
+    with pytest.raises(DomainError):
+        log_pochhammer(base, step)
+
+
 def test_forward_chain_50_vs_direct():
     y = 1.5
     q = gamma_ratio_q(1.0, y)
@@ -167,6 +244,10 @@ def test_shape_ratio_large_base_asymptotic():
         base = 1e6
         ratio = _shape_ratio(eta, base) / base**eta
         assert abs(ratio - 1.0) < 1e-5
+    # Real eta where lgamma(base) ~ 7e302 rounds the difference to 0.  The
+    # ratio's log, 345.4, is exponentiated once: ~345 eps.
+    assert _shape_ratio(0.5, 1e300) == pytest.approx(1e150, rel=1e-13,
+                                                     abs=0.0)
 
 
 def test_domain_errors():

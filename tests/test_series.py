@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
                       consistency_deviation, gamma_ratio_q, log_q_increment,
                       marcum_q, nuttall_q_ladder, nuttall_q_series)
-from nuttallq import nuttall
+from nuttallq import incgamma, nuttall
 from nuttallq.cli import TABLE1
 
 from oracles import NCX2_SF_POINTS, rising_product_int
@@ -135,6 +135,108 @@ def test_closed_tail_matches_reference(eta, mu, x, y, ref):
     assert out.value == pytest.approx(ref, rel=1e-14, abs=0.0)
     if eta == 0.0:
         assert 0.0 <= out.value <= 1.0
+
+
+# (eta, mu, x, y, value) at real eta in the benchmark's box, where
+# Gamma(eta+mu)/Gamma(mu) from exp(lgamma - lgamma) left the series 7e-14 to
+# 9.7e-14 off: the first point, then the 22 worst of the real-eta points of
+# pass 0 of seeds 1-3 of series-points.  Values: the series summed at 40
+# digits with mpmath.gammainc, to 30 digits.
+REAL_ETA_POINTS = [
+    (34.848, 48.176,
+     0.523, 12.76,
+     1.50637223457522570859060678111e+63),
+    (44.254439144485175, 43.76063644767285,
+     11.748175386988535, 16.93067076632093,
+     1.54685886552803034095986492088e+84),
+    (44.21624815838907, 32.365255682913286,
+     4.531832029543979, 2.017318153891584,
+     2.40412383284248216654740502717e+78),
+    (24.251893385494235, 43.451831336112065,
+     18.740291804662995, 2.271325962370978,
+     4.9440235181243508535209288761e+45),
+    (38.85572905392361, 47.45537915979272,
+     10.759597913194227, 9.61943857818297,
+     6.35303372320319662693159753433e+73),
+    (40.507076913314364, 46.575589812848804,
+     7.493020951659645, 5.412732490046488,
+     1.02436587522583456612273084774e+76),
+    (46.14806780830353, 38.4768455628705,
+     18.59698043664877, 2.585546856578455,
+     7.82258474119717563961455221815e+88),
+    (44.18322962622165, 35.390962942775886,
+     9.0337535822343, 9.512306613834095,
+     1.13160568093437485448860325673e+81),
+    (42.28193384084317, 37.97689862091088,
+     10.494512184405263, 1.988339249443543,
+     2.82164176824987211641983678986e+78),
+    (43.025634066380064, 26.596576351565353,
+     12.994118512069281, 10.094581308166735,
+     7.30732567611650156438361852046e+77),
+    (21.205548040557243, 38.80107406347048,
+     9.810290778290211, 9.156230696484474,
+     5.49628338852408807834253667131e+37),
+    (45.36422362852653, 39.79754406610416,
+     17.888000677440363, 17.3184030328502,
+     2.3347178889725000762489507356e+87),
+    (32.05341757122438, 44.94723717210917,
+     11.708549468206241, 12.482373407925138,
+     9.67945704962642859177745956233e+59),
+    (37.687913026796046, 41.75249885006487,
+     0.0834728373357046, 15.699644745217462,
+     6.27269250341047264026146952305e+66),
+    (22.942504522691472, 49.57745987646565,
+     14.461637521848822, 16.241094785724776,
+     1.88691615916895223034429534936e+43),
+    (38.06112524606404, 30.165719331688926,
+     10.904390431724401, 8.334393795384598,
+     2.24751282222238971172692775452e+68),
+    (45.63696598943578, 38.57156651513471,
+     10.167845136320917, 0.1279684131198557,
+     1.58553388458927963916774193879e+85),
+    (49.572718276629956, 39.24653983711382,
+     7.338457615760441, 5.45290299486513,
+     1.69316433718976887748315639124e+92),
+    (29.473365740991035, 40.303891454724734,
+     5.567377633290741, 10.842343960856981,
+     4.21330685516021290445843541725e+52),
+    (41.08131678295476, 48.13809895472199,
+     18.705635953578163, 6.699366117763679,
+     2.75145918440269864641899682765e+80),
+    (20.304836086855403, 47.61658656181006,
+     3.7679876793483107, 1.44277815911988,
+     2.04277208714592369979115263228e+36),
+    (38.9777694547334, 43.95960573811951,
+     1.449970825076789, 1.5503659089066915,
+     2.42288871647781680197737671601e+70),
+    (37.17000160254667, 45.68870087136494,
+     3.0992702848306726, 18.862023298901022,
+     7.58231034973047316514424651853e+67),
+]
+
+
+@pytest.mark.parametrize("eta,mu,x,y,ref", REAL_ETA_POINTS)
+def test_real_eta_matches_reference(eta, mu, x, y, ref):
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y))
+    assert out.converged
+    assert out.value == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("eta,mu,x,y", [row[:4] for row in TABLE1])
+def test_series_forms_one_incomplete_gamma_prefactor(monkeypatch, eta, mu,
+                                                     x, y):
+    # Q_{eta+mu}(y) and the first increment of the Q factor come from the
+    # same prefactor E(eta+mu, y).
+    calls = []
+    prefactor = incgamma._log_gamma_prefactor
+
+    def counted(a, y):
+        calls.append(a)
+        return prefactor(a, y)
+
+    monkeypatch.setattr(incgamma, "_log_gamma_prefactor", counted)
+    assert nuttall_q_series(MomentQuery(eta, mu, x, y)).converged
+    assert calls == [eta + mu]
 
 
 def test_closed_tail_work_counts():
@@ -318,6 +420,14 @@ def test_query_validation():
         MomentQuery(1.0, 1.0, 1.0, -0.1)
     with pytest.raises(DomainError):
         MomentQuery(1.0, math.inf, 1.0, 1.0)
+    # Non-finite values of every field fall through the fast check of valid
+    # input to the per-field checks, whose message names the field.
+    for i, name in enumerate(("eta", "mu", "x", "y")):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = [1.0, 1.0, 1.0, 1.0]
+            args[i] = bad
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
+                MomentQuery(*args)
 
 
 @settings(max_examples=150, deadline=None)
