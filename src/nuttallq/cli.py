@@ -136,7 +136,8 @@ def _eval_one(q: MomentQuery, method: str) -> tuple[float, int, float, bool]:
     if method == "quadrature":
         out = tanh_rule_integrate(q)
         return out.value, out.nodes, out.est_error, True
-    # The builders check eta and x; at eta = 0 a homogeneous table is marcum_q.
+    # The builders check eta and x.  The homogeneous method keeps the eta >= 1
+    # domain of nuttall_q_homogeneous, although its table recurs row 0 too.
     if method == "homogeneous" and q.eta == 0.0:
         raise DomainError("homogeneous recurrence requires eta >= 1")
     mu_start, n_cols = _recurrence_start(q.mu)

@@ -31,7 +31,10 @@ is evaluated three independent ways:
   positive, hence stable forward.
 * ``nuttall_q_homogeneous`` - the three-term recurrence whose coefficient is
   a Bessel-function ratio, so no raw Bessel magnitudes appear at all;
-  ``homogeneous_table`` drives it row by row on a per-column Marcum row.
+  ``homogeneous_table`` drives it row by row, row 0 included, from the
+  first two columns of the ladder's table.  The two tables then share their
+  one series call and their forcing terms, so their agreement checks the
+  two recurrences in mu, not the boundary.
 
 Both recurrences take their Bessel data along the columns from one sweep of
 ratios r_mu = I_{mu+1}/I_mu at z = 2 sqrt(xy) (``_ratio_sweep``): one
@@ -84,6 +87,8 @@ _PRODUCT_MAX_FACTORS = 20_000
 # ln 2 = _LN2_HI + _LN2_LO as in fdlibm: the high part ends in 21 zero bits.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+# 2^27 + 1: Veltkamp's constant, which splits a double into two 26-bit halves.
+_SPLIT = 134217729.0
 
 
 def _require_finite(name: str, v: float) -> None:
@@ -483,13 +488,54 @@ def _check_table_args(what: str, eta_max: int, mu_start: float, n_cols: int,
     return eta_max, int(n_cols)
 
 
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """(p, err) with p = fl(a b) and a b = p + err exactly (Dekker's
+    product, by Veltkamp splitting), barring overflow and underflow."""
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(s, err) with s = fl(a + b) and a + b = s + err exactly (Knuth)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _gap_square(x: float, y: float) -> tuple[float, float]:
+    """(sqrt x - sqrt y)^2 as hi + lo, |lo| at most half an ulp of hi.
+
+    Each square root is its rounded value plus a residual (x - s^2)/(2 s),
+    with x - s^2 exact from ``_two_prod``; the difference of the rounded
+    roots is a ``_two_sum``, and its square a ``_two_prod``.  The plain
+    (sqrt x - sqrt y)^2 is rounded twice over before it is squared, which
+    at an exponent of -467 leaves e^{-gap^2} 6.7e-14 off."""
+    sx, sy = math.sqrt(x), math.sqrt(y)
+    p, err = _two_prod(sx, sx)
+    res_x = ((x - p) - err) / (2.0 * sx)
+    p, err = _two_prod(sy, sy)
+    res_y = ((y - p) - err) / (2.0 * sy)
+    d, d_lo = _two_sum(sx, -sy)
+    d_lo += res_x - res_y
+    sq, sq_lo = _two_prod(d, d)
+    return _two_sum(sq, sq_lo + (2.0 * d + d_lo) * d_lo)
+
+
 def _inhom_term(eta: float, mu: float, x: float, y: float) -> float:
     """(y/x)^{mu/2} y^eta e^{-(sqrt x - sqrt y)^2} Itilde_mu(2 sqrt(xy)).
 
     The raw e^{-x-y} I_mu product is never formed; the plain-float product
     is used while each factor, y/x included, and each partial product stays
-    a normal float.  Otherwise y^eta T_mu is exponentiated from its log,
-    with ln T_mu = ``log_poisson_pair_sum(mu, x, y)``.
+    a normal float.  Its exponent comes as a two-part sum hi + lo from
+    ``_gap_square``, and e^{-lo} enters as the factor 1 - lo.  Otherwise
+    y^eta T_mu is exponentiated from its log, with ln T_mu =
+    ``log_poisson_pair_sum(mu, x, y)``.
     """
     if y == 0.0:
         return 0.0
@@ -499,12 +545,13 @@ def _inhom_term(eta: float, mu: float, x: float, y: float) -> float:
     l_ratio = log_y - math.log(x)
     l_pow = 0.5 * mu * l_ratio
     l_y = eta * log_y
-    l_exp = -((math.sqrt(x) - math.sqrt(y)) ** 2)
+    gap_hi, gap_lo = _gap_square(x, y)
     # The last two factors are <= 1, so the partial products after the
     # second fall to the value, and a normal value bounds them from below.
     if i_scaled >= _TINY and abs(l_ratio) < 700.0 and abs(l_pow) < 680.0 \
-            and abs(l_y) < 680.0 and l_exp > -700.0 and l_pow + l_y < 700.0:
-        v = (y / x) ** (0.5 * mu) * y**eta * math.exp(l_exp) * i_scaled
+            and abs(l_y) < 680.0 and gap_hi < 700.0 and l_pow + l_y < 700.0:
+        v = ((y / x) ** (0.5 * mu) * y**eta
+             * (math.exp(-gap_hi) * (1.0 - gap_lo)) * i_scaled)
         if v >= _TINY:
             return v
     return exp_clipped(l_y + log_poisson_pair_sum(mu, x, y))
@@ -664,25 +711,28 @@ def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
     """Build the table Q_{e, mu_start+m} by the homogeneous recurrence.
 
     The counterpart of ``nuttall_q_ladder``, with the same arguments and
-    checks.  Row e=0 is one marcum_q per column; each later row is seeded by
-    the series at mu_start and mu_start+1 (only the first when n_cols == 1),
-    then filled by the recurrence of ``nuttall_q_homogeneous`` from the row
-    below.  The coefficients depend on the column alone, so every row takes
-    them from one ratio sweep per table.  A seed series that does not
-    converge raises ConvergenceError.
+    checks.  Its boundary, column 0 of every row and column 1 where n_cols
+    > 1, is the first min(n_cols, 2) columns of the ladder's table, so a
+    table takes one series call, at (0, mu_start).  Every row, row 0 with
+    eta = 0 and a row of zeros below it included, is then filled by the
+    recurrence of ``nuttall_q_homogeneous`` from the row below; row 0 is
+    clipped to 1 like marcum_q.  The coefficients depend on the column
+    alone, so every row takes them from one ratio sweep per table.  A
+    series that does not converge raises ConvergenceError.
     """
     eta_max, n_cols = _check_table_args("homogeneous table", eta_max,
                                         mu_start, n_cols, x, y)
-    rows = [[marcum_q(mu_start + m, x, y) for m in range(n_cols)]]
+    edge = nuttall_q_ladder(eta_max, mu_start, min(n_cols, 2), x, y).values
     root = math.sqrt(y) / math.sqrt(x)
     z = 2.0 * math.sqrt(x) * math.sqrt(y)
-    ratios = _ratio_sweep(mu_start, n_cols - 2, z) if eta_max else []
-    for e in range(1, eta_max + 1):
-        seed0 = _series_value(e, mu_start, x, y)
-        seed1 = _series_value(e, mu_start + 1.0, x, y) if n_cols > 1 else 0.0
-        rows.append(_homogeneous_row(e, rows[-1], seed0, seed1, root, ratios))
-    return RecurrenceTable(eta_max, mu_start, n_cols,
-                           tuple(tuple(r) for r in rows))
+    ratios = _ratio_sweep(mu_start, n_cols - 2, z)
+    rows = []
+    prev = [0.0] * n_cols
+    for e, seeds in enumerate(edge):
+        row = _homogeneous_row(e, prev, seeds[0], seeds[-1], root, ratios)
+        prev = [min(v, 1.0) for v in row] if e == 0 else row
+        rows.append(tuple(prev))
+    return RecurrenceTable(eta_max, mu_start, n_cols, tuple(rows))
 
 
 def consistency_deviation(q: MomentQuery) -> float:

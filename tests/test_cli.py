@@ -39,9 +39,9 @@ def test_eval_series_golden_value(capsys):
     assert row["method"] == "series"
 
 
-def test_eval_ladder_recurs_at_mu_one(capsys, monkeypatch):
-    # At mu <= 1 the ladder's table has one column, and its eta = 1 entry is
-    # stepped up from row 0, not a copy of a series value.
+def _eval_at_mu_one(capsys, monkeypatch, method):
+    # At mu <= 1 the table has one column, and its eta = 1 entry is stepped
+    # up from row 0, not a copy of a series value.
     calls = []
     series = nuttall.nuttall_q_series
 
@@ -51,11 +51,20 @@ def test_eval_ladder_recurs_at_mu_one(capsys, monkeypatch):
 
     monkeypatch.setattr(nuttall, "nuttall_q_series", counted)
     code, out, _ = run(capsys, "eval", "--eta", "1", "--mu", "1", "--x", "0.1",
-                       "--y", "1.5", "--method", "ladder", "--format", "json")
+                       "--y", "1.5", "--method", method, "--format", "json")
     assert code == EXIT_OK
     assert [(q.eta, q.mu) for q in calls] == [(0.0, 1.0)]
     assert json.loads(out)["value"] == pytest.approx(0.6644091427683566,
                                                      rel=1e-13, abs=0.0)
+
+
+def test_eval_ladder_recurs_at_mu_one(capsys, monkeypatch):
+    _eval_at_mu_one(capsys, monkeypatch, "ladder")
+
+
+def test_eval_homogeneous_recurs_at_mu_one(capsys, monkeypatch):
+    # The homogeneous table's one-column boundary is the ladder's.
+    _eval_at_mu_one(capsys, monkeypatch, "homogeneous")
 
 
 def test_eval_trivial_full_half_line(capsys):

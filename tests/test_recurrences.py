@@ -16,7 +16,8 @@ from nuttallq.bessel import bessel_ratio
 from oracles import bessel_ratio_by_series
 
 # The benchmark's recurrence-tables workload fills homogeneous tables by its
-# own sequence of public calls; homogeneous_table must reproduce it exactly.
+# own sequence of public calls, seeded by the series; homogeneous_table takes
+# its boundary from the ladder and must stay within rounding of it.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import TableOp, _table  # noqa: E402
 
@@ -64,9 +65,9 @@ def test_ladder_seed_tag_and_shape():
     assert all(0.0 <= v <= 1.0 for v in table.values[0])
 
 
-@pytest.mark.parametrize("eta_max,n_cols", [(0, 1), (0, 30), (3, 2), (3, 30)])
-def test_ladder_calls_the_series_once_per_table(monkeypatch, eta_max, n_cols):
-    # Rows above 0 start from the row below by the relation in eta.
+def _series_calls(monkeypatch, build, eta_max, n_cols):
+    """The (eta, mu) of every series call build makes for one table; a
+    marcum_q call fails."""
     calls = []
     series = nuttall.nuttall_q_series
 
@@ -75,12 +76,19 @@ def test_ladder_calls_the_series_once_per_table(monkeypatch, eta_max, n_cols):
         return series(*args, **kwargs)
 
     def no_marcum(*args, **kwargs):
-        raise AssertionError("the ladder must recur row 0, not call marcum_q")
+        raise AssertionError("tables must recur row 0, not call marcum_q")
 
     monkeypatch.setattr(nuttall, "nuttall_q_series", counted)
     monkeypatch.setattr(nuttall, "marcum_q", no_marcum)
-    nuttall_q_ladder(eta_max, 0.5, n_cols, 2.0, 3.0)
-    assert [(q.eta, q.mu) for q in calls] == [(0.0, 0.5)]
+    build(eta_max, 0.5, n_cols, 2.0, 3.0)
+    return [(q.eta, q.mu) for q in calls]
+
+
+@pytest.mark.parametrize("eta_max,n_cols", [(0, 1), (0, 30), (3, 2), (3, 30)])
+def test_ladder_calls_the_series_once_per_table(monkeypatch, eta_max, n_cols):
+    # Rows above 0 start from the row below by the relation in eta.
+    assert _series_calls(monkeypatch, nuttall_q_ladder, eta_max,
+                         n_cols) == [(0.0, 0.5)]
 
 
 @pytest.mark.parametrize("x,y", [(2.0, 3.0), (0.1, 20.0), (20.0, 0.1)])
@@ -252,6 +260,36 @@ def test_ladder_forcing_term_survives_bessel_underflow():
 def test_ladder_forcing_term_past_z_700(eta_max, mu0, x, y, ref):
     got = nuttall_q_ladder(eta_max, mu0, 3, x, y).entry(eta_max, 2)
     assert got == pytest.approx(ref, rel=2e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("x,y,ref", [
+    # T_1 = (y/x)^{1/2} e^{-x-y} I_1(2 sqrt(xy)) from mpmath.besseli at 40
+    # digits; its exponent -(sqrt x - sqrt y)^2 is -467.
+    (100.0, 1000.0, 4.44789859038405777680606016951e-205),
+    (1000.0, 100.0, 4.44789859038405777680606016951e-206),
+])
+def test_forcing_term_at_a_large_exponent(x, y, ref):
+    # A plain exp of the rounded exponent is 6.7e-14 off here.
+    got = nuttall._inhom_term(0, 1.0, x, y)
+    assert got == pytest.approx(ref, rel=2e-14, abs=0.0)
+
+
+# Q_{e, 1+m}(100, 1000), which the forcing term dominates, from
+# perfbench/reference.py (a 40-digit mpmath gammainc series).
+LARGE_EXPONENT_TABLE = (
+    (2.0572265468543414e-205, 6.505125137238399e-205, 2.053726945216656e-204),
+    (2.0602320703538943e-202, 6.514635785875191e-202, 2.0567317370255518e-201),
+    (2.063246372811427e-199, 6.524174234767235e-199, 2.0597453184435906e-198),
+)
+
+
+@pytest.mark.parametrize("build", [nuttall_q_ladder, homogeneous_table])
+def test_tables_at_a_large_forcing_exponent(build):
+    table = build(2, 1.0, 3, 100.0, 1000.0)
+    for e, row in enumerate(LARGE_EXPONENT_TABLE):
+        for m, ref in enumerate(row):
+            assert table.entry(e, m) == pytest.approx(
+                ref, rel=2e-14, abs=0.0), (e, m)
 
 
 # Ladder entries Q_{e, mu0+m}(x, y) where the carried forcing term must be
@@ -435,16 +473,19 @@ def test_homogeneous_table_matches_benchmark_sequence(mu0, n_cols, x, y):
     flat = [v for row in table.values for v in row]
     if n_cols == 1:
         # The benchmark always seeds two columns; its first column is the
-        # same series value homogeneous_table seeds alone.
+        # series value at the entry homogeneous_table takes from the ladder.
         ref = _table(TableOp("homogeneous", 3, mu0, 2, x, y))[0::2]
     else:
         ref = _table(TableOp("homogeneous", 3, mu0, n_cols, x, y))
-    assert flat == ref
+    assert len(flat) == len(ref)
+    for got, want in zip(flat, ref):
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_homogeneous_table_makes_one_ratio_sweep(monkeypatch):
-    # The coefficients depend on the column alone, so the five recurred rows
-    # share one continued fraction at the top order.
+    # The coefficients depend on the column alone, so the six recurred rows
+    # share one continued fraction at the top order; the ladder that builds
+    # the boundary takes one more, at any eta_max.
     calls = []
 
     def counting(order, z):
@@ -452,17 +493,28 @@ def test_homogeneous_table_makes_one_ratio_sweep(monkeypatch):
         return bessel_ratio(order, z)
 
     monkeypatch.setattr(nuttall, "bessel_ratio", counting)
-    homogeneous_table(5, 0.5, 12, 3.0, 7.0)
-    assert len(calls) == 1
+    for eta_max in (1, 5, 20):
+        calls.clear()
+        homogeneous_table(eta_max, 0.5, 12, 3.0, 7.0)
+        assert len(calls) == 2, eta_max
+
+
+@pytest.mark.parametrize("eta_max,n_cols", [(0, 1), (0, 30), (3, 1), (3, 2),
+                                            (3, 30)])
+def test_homogeneous_table_calls_the_series_once_per_table(
+        monkeypatch, eta_max, n_cols):
+    # The boundary comes from the ladder, which calls the series once.
+    assert _series_calls(monkeypatch, homogeneous_table, eta_max,
+                         n_cols) == [(0.0, 0.5)]
 
 
 def test_homogeneous_table_seed_tag_and_shape():
     table = homogeneous_table(2, 1.5, 4, 1.0, 2.0)
     assert (table.eta_max, table.mu_start, table.n_cols) == (2, 1.5, 4)
-    # Row 0 is one marcum_q per column; the ladder recurs the same row from
-    # its column-0 seed.
+    # Row 0 recurs from the ladder's first two entries; it matches one
+    # marcum_q per column, as the ladder's row 0 does.
     marcum_row = tuple(marcum_q(1.5 + m, 1.0, 2.0) for m in range(4))
-    assert table.values[0] == marcum_row
+    assert table.values[0] == pytest.approx(marcum_row, rel=1e-14, abs=0.0)
     assert nuttall_q_ladder(2, 1.5, 4, 1.0, 2.0).values[0] == pytest.approx(
         marcum_row, rel=1e-14, abs=0.0)
 
@@ -481,10 +533,13 @@ def test_homogeneous_table_validation():
 
 
 def test_homogeneous_table_seed_non_convergence_raises(monkeypatch):
-    # 46 terms converge the Marcum row 0 but not the eta = 1 seed.
+    # The table's one series call is the Marcum seed Q_{0,1}(10, 3), which
+    # takes 46 terms; the eta = 1 series, which takes 47, is not called.
     monkeypatch.setattr(nuttall, "_MAX_TERMS", 46)
-    for m in range(3):
-        marcum_q(1.0 + m, 10.0, 3.0)
+    homogeneous_table(1, 1.0, 3, 10.0, 3.0)
+    monkeypatch.setattr(nuttall, "_MAX_TERMS", 45)
+    with pytest.raises(ConvergenceError):
+        marcum_q(1.0, 10.0, 3.0)
     with pytest.raises(ConvergenceError):
         homogeneous_table(1, 1.0, 3, 10.0, 3.0)
 
