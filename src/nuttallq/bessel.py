@@ -63,35 +63,52 @@ def _power_over_gamma(order: float, arg: float) -> float:
     return p
 
 
-def _series_sum(order: float, q: float, recips: list[float]) -> float:
-    """S(q) = sum_n q^n / (n! (order+1)_n), q = z^2/4, on the table recips
-    of step factors 1/(n (order+n)), extended in place as the sum needs."""
+def _series_sum(order: float, q: float,
+                groups: list[tuple[float, float, float, float]] | tuple[()]
+                ) -> float:
+    """S(q) = sum_n q^n / (n! (order+1)_n), q = z^2/4, four terms per stop
+    test.  ``groups`` holds the step factors 1/(n (order+n)) in tuples of
+    four, n = 1, 2, ...; past its end they are formed as the sum needs them
+    and, where ``groups`` is a list, appended to it.  A one-off sum passes
+    ``()`` and builds no table.  The terms fall once n (order+n) > q, so a
+    test on the last of each four stops at most three terms late."""
     term = total = 1.0
-    for r in recips:
-        term *= q * r
-        total += term
+    for r0, r1, r2, r3 in groups:
+        t0 = term * q * r0
+        t1 = t0 * q * r1
+        t2 = t1 * q * r2
+        term = t2 * q * r3
+        total += t0 + t1 + t2 + term
         if term < total * _SERIES_CUTOFF:
             return total
-    # The sum outlasts the table: extend it by the terms it takes.
-    n = len(recips)
+    keep = groups.append if isinstance(groups, list) else None
+    n = 4 * len(groups)
     while n < _SERIES_MAX_TERMS:
-        n += 1
-        r = 1.0 / (n * (order + n))
-        recips.append(r)
-        term *= q * r
-        total += term
+        r0 = 1.0 / ((n + 1) * (order + (n + 1)))
+        r1 = 1.0 / ((n + 2) * (order + (n + 2)))
+        r2 = 1.0 / ((n + 3) * (order + (n + 3)))
+        r3 = 1.0 / ((n + 4) * (order + (n + 4)))
+        if keep:
+            keep((r0, r1, r2, r3))
+        t0 = term * q * r0
+        t1 = t0 * q * r1
+        t2 = t1 * q * r2
+        term = t2 * q * r3
+        total += t0 + t1 + t2 + term
         if term < total * _SERIES_CUTOFF:
             return total
+        n += 4
     raise ConvergenceError(
         f"Bessel series did not converge for order={order}, q={q}")
 
 
 class FixedOrderSeries:
     """``_series_sum`` at one order and many arguments, on one table of step
-    factors: I_order(z) = (z/2)^order S(z^2/4) / Gamma(order+1) (DLMF
-    10.25.2).  ``log_gamma`` is ln Gamma(order+1), from the product of
-    ``_power_over_gamma`` while 1/Gamma stays a normal float (there it is
-    within 6e-14 of the true value, math.lgamma within 1.7e-13).
+    factors that the sums extend as they need: I_order(z) = (z/2)^order
+    S(z^2/4) / Gamma(order+1) (DLMF 10.25.2).  ``log_gamma`` is ln
+    Gamma(order+1), from the product of ``_power_over_gamma`` while 1/Gamma
+    stays a normal float (there it is within 6e-14 of the true value,
+    math.lgamma within 1.7e-13).
     """
 
     def __init__(self, order: float) -> None:
@@ -99,7 +116,7 @@ class FixedOrderSeries:
         self.order = order
         self.log_gamma = (-math.log(_power_over_gamma(order, 2.0))
                           if order < 170.0 else math.lgamma(order + 1.0))
-        self._recips: list[float] = []
+        self._groups: list[tuple[float, float, float, float]] = []
 
     def log_scaled(self, q: float, z: float) -> float:
         """ln(e^{-z} S(q)) for z = 2 sqrt(q) >= 0.
@@ -112,7 +129,8 @@ class FixedOrderSeries:
         if z > _LINEAR_MAX_ARG:
             return (log_bessel_i_scaled(self.order, z) + self.log_gamma
                     - self.order * math.log(0.5 * z))
-        return math.log(math.exp(-z) * _series_sum(self.order, q, self._recips))
+        return math.log(math.exp(-z)
+                        * _series_sum(self.order, q, self._groups))
 
 
 def log_poisson_pair_sum(order: float, a: float, b: float) -> float:
@@ -182,7 +200,7 @@ def bessel_i_scaled(order: float, arg: float) -> float:
             return 0.0
         # p * sum is I_order(arg) <= I_0(700) ~ 1.5e302, so it cannot
         # overflow; exp(-arg) * p first could underflow to a false 0.0.
-        return math.exp(-arg) * (p * _series_sum(order, arg * arg * 0.25, []))
+        return math.exp(-arg) * (p * _series_sum(order, arg * arg * 0.25, ()))
     return exp_clipped(log_bessel_i_scaled(order, arg))
 
 

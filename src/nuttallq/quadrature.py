@@ -9,13 +9,16 @@ integrand is
 where 0F1(; mu; q) = sum_n q^n / (n! (mu)_n).  The improper integral is
 truncated to a window [a, b] around the peak of the profile t^g
 e^{-(sqrt t - sqrt x)^2}, mapped from the real line by t = mid + half tanh
-u (or, where the lower end is cut, by the cubic map below), and integrated
+u (or, where the lower end is cut, by the power map below), and integrated
 with the trapezoidal rule on nested uniform u-grids of 33, 65, 129, ...
 points (n -> 2n - 1) until the estimated error of the last pass is small.
 For x > 0 the window is the union of two: one for g = eta + (mu-1)/2, the
 integrand's large-t shape, and one for the x = 0 profile t^{eta+mu-1}
 e^{-t}, which the integrand follows while x t is small next to mu^2; at
-x = 0 only the second is needed.  Each refinement halves the spacing, so
+x = 0 only the second is needed.  Where the integrand over all of the
+second window lies far below its value at the first one's centre (x >>
+mu^2), that window still widens [a, b] but no longer sizes the ends of the
+u-range below.  Each refinement halves the spacing, so
 the earlier nodes stay on the grid and their values are reused: no node is
 evaluated twice.  The integrand is always evaluated through its logarithm,
 so profiles reaching 1e89 never overflow a node, and by a kernel built
@@ -53,27 +56,32 @@ A lower end that no U below 17.6 passes is cut: the window ends at y
 while the integrand is still large there, or rises steeply next to it.
 The tanh weight half sech^2 u decays only like e^{2u}, so that end would
 need U = 17.6 and put about half of all nodes within 0.5% of the window
-next to y.  A cut end takes the cubic map instead,
+next to y.  A cut end takes the power map instead,
 
-    t = a + W v^3,  W = b - a,  v = (1 + tanh u)/2 = 1/(1 + e^{-2u}),
-    dt/du = 6 W e^{2u} / (2 cosh u)^4,
+    t = a + W v^p,  p = 20,  W = b - a,
+    v = (1 + tanh u)/2 = 1/(1 + e^{-2u}),
+    dt/du = 2 p W e^{-2u} / (1 + e^{-2u})^{p+1},
 
-whose weight decays like e^{6u}: a polynomial end map of the kind of
-Sidi's sin^m transformations (Sidi 1993).  The integrand is never
-singular at y (mu >= 1), so the rule on the u-grid keeps its exponential
-convergence.  The upper end keeps its test, at the cubic map's node.  The
-lower end drops [a, a + d] with d = W v(-U)^3 < W e^{-6U}.  Each profile
-p is log-concave, since (g ln t - (sqrt t - sqrt x)^2)'' = -g/t^2 -
-sqrt(x)/(2 t^{3/2}) <= 0.  So on [c, b], from its centre c to the
-window's upper end, p lies above the exponential chord from its top e^T
-to p(b) = e^{T - delta}, and its mass is at least e^T (b - c) (1 -
-e^{-delta}) / delta, while its dropped piece is at most d e^T.  U_lo is
-the first of 3, 4, ... with
+whose weight decays like e^{2pu} = e^{40u} as u -> -inf: a polynomial end
+map of the kind of Sidi's sin^m transformations (Sidi 1993).  The
+integrand is never singular at y (mu >= 1), so the rule on the u-grid
+keeps its exponential convergence.  The upper end keeps its test, at the
+power map's node.  The lower end drops [a, a + d] with d = W v(-U)^p = W /
+(1 + e^{2U})^p.  Each profile p(t) is log-concave, since (g ln t - (sqrt
+t - sqrt x)^2)'' = -g/t^2 - sqrt(x)/(2 t^{3/2}) <= 0.  So on [c, b], from
+its centre c to the window's upper end, it lies above the exponential
+chord from its top e^T to p(b) = e^{T - delta}, and its mass is at least
+e^T (b - c) (1 - e^{-delta}) / delta, while its dropped piece is at most
+d e^T.  U_lo is the U with
 
-    d delta <= 1e-16 (b - c) (1 - e^{-delta})     for every profile,
+    d = 1e-16 need,   need = min over the profiles of
+                             (b - c) (1 - e^{-delta}) / delta,
 
-so the dropped piece is below 1e-16 of each profile's mass.  With delta
-~ 37 that is U_lo = 7 or 8, not 17.6.
+that is U_lo = 1/2 ln((W / (1e-16 need))^{1/p} - 1), so the dropped piece
+is at most 1e-16 of each profile's mass.  On the working box that is U_lo
+~ 0.96.  The power sets how fast the nodes thin out towards a: p = 3 needed
+U_lo = 7 or 8 and left most cut integrals 6e-11 off at 129 points; 16 to 32
+stop nearly all of them there.
 
 Most of a node's cost is the Bessel series, and after the first pass most
 new nodes sit in tails that cannot reach the sum.  So from the second pass
@@ -122,13 +130,16 @@ _EPS = 1e-16
 _FIRST_GRID = 33
 # u-range such that |tanh(u)| <= 1 - 1e-15; the clipped tail is below rounding.
 _U_MAX = math.atanh(1.0 - 1e-15)
-# Each end of the u-range starts here and grows by _U_STEP up to _U_MAX.
+# Each end that ``_u_end`` sizes starts here and grows by _U_STEP up to
+# _U_MAX.
 _U_FIRST = 3.0
 _U_STEP = 1.0
 _WIDTH_DOUBLINGS = 400
 # A node is skipped where its bound is below e^-45 ~ 2.9e-20 of the largest
 # term of the pass before.
 _SKIP_MARGIN = 45.0
+# Power p of a cut lower end's map t = a + W v^p.
+_POWER = 20
 
 
 @dataclass(frozen=True)
@@ -136,7 +147,7 @@ class QuadratureSpec:
     """Truncation window for one integral, the peak of the profile t^g
     e^{-(sqrt t - sqrt x)^2} it was centred on, the u-range [-u_lo, u_hi]
     of the map onto it, and that map: ``lower_map`` is "tanh" for t = mid
-    + half tanh u, or "cubic" for t = lower + (upper - lower) v^3, v = (1
+    + half tanh u, or "power" for t = lower + (upper - lower) v^20, v = (1
     + tanh u)/2, where the lower end is cut (see the module docstring).
     The profile's exponent g is eta + (mu-1)/2, or eta + mu - 1 at x = 0
     (see ``truncation_bounds``).
@@ -144,9 +155,10 @@ class QuadratureSpec:
     ``truncation_bounds`` returns it, and ``tanh_rule_integrate`` integrates
     over the window and u-range it describes.  y <= lower <= upper always
     holds; lower == upper only where the window's centre is so large
-    (beyond ~1e272) that adding its half-width rounds away.  Each of u_lo
-    and u_hi lies in [3, _U_MAX] (see ``_u_end`` and ``_cut_end``); a
-    cubic lower end takes u_lo = 7 or 8 on the working box.
+    (beyond ~1e272) that adding its half-width rounds away.  u_hi, and
+    u_lo under the tanh map, lie in [3, _U_MAX] (see ``_u_end``); a power
+    lower end takes u_lo in (0.8, _U_MAX] from a closed form, about 0.96 on
+    the working box (see ``_cut_end``).
     """
 
     peak: float
@@ -262,15 +274,16 @@ def _node_map(lower_map: str, a: float,
     """u -> (t, shape) under the map of the window [a, b] that
     ``lower_map`` names, with dt/du = e^{scale - shape} and the constant
     scale from ``_map_scale``.  The shape is 2 ln cosh u for the tanh map,
-    and 4 ln(2 cosh u) - 2u = 2u + 4 ln(1 + e^{-2u}) for the cubic one, so
-    that it never forms 1 + tanh u (see the module docstring).
+    and 2u + (p+1) ln(1 + e^{-2u}) for the power one, so that it never
+    forms 1 + tanh u (see the module docstring).
     """
-    if lower_map == "cubic":
+    if lower_map == "power":
         w = b - a
 
         def node(u: float) -> tuple[float, float]:
             e = math.exp(-2.0 * u)
-            return a + w / (1.0 + e) ** 3, 2.0 * u + 4.0 * math.log1p(e)
+            return (a + w / (1.0 + e) ** _POWER,
+                    2.0 * u + (_POWER + 1) * math.log1p(e))
     else:
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
 
@@ -280,9 +293,10 @@ def _node_map(lower_map: str, a: float,
 
 
 def _map_scale(lower_map: str, a: float, b: float) -> float:
-    """The constant log weight of ``_node_map``: ln(6 W) for the cubic map,
-    ln(half) for the tanh map."""
-    return math.log(6.0 * (b - a) if lower_map == "cubic" else 0.5 * (b - a))
+    """The constant log weight of ``_node_map``: ln(2 p W) for the power
+    map, ln(half) for the tanh map."""
+    return math.log(2.0 * _POWER * (b - a) if lower_map == "power"
+                    else 0.5 * (b - a))
 
 
 def _u_end(profiles: list[tuple[float, float, float, float]],
@@ -311,23 +325,57 @@ def _u_end(profiles: list[tuple[float, float, float, float]],
 
 def _cut_end(profiles: list[tuple[float, float, float, float]], a: float,
              b: float) -> float:
-    """U for a cut lower end under the cubic map: the first of 3, 4, ...,
-    _U_MAX at which the dropped length W v(-U)^3 = W / (1 + e^{2U})^3 is at
-    most _EPS (b - c) (1 - e^{-delta}) / delta for every profile, with c its
-    centre and delta its drop in log from its top to b.  Then the dropped
-    piece is below _EPS of each profile's mass (see the module docstring).
+    """U for a cut lower end under the power map: the U at which the
+    dropped length W v(-U)^p = W / (1 + e^{2U})^p equals the least, over
+    the profiles, of _EPS (b - c) (1 - e^{-delta}) / delta, with c the
+    profile's centre and delta its drop in log from its top to b.  Then the
+    dropped piece is at most _EPS of each profile's mass (see the module
+    docstring).  In closed form U = 1/2 ln((W / (_EPS need))^{1/p} - 1),
+    capped at _U_MAX; need <= W, so U >= 1/2 ln(expm1(ln(1e16) / p)) > 0.8.
     """
     need = math.inf
     for g, x, centre, top in profiles:
         drop = top - _log_profile(g, x, b)
         need = min(need, (b - centre) * -math.expm1(-drop) / drop
                    if drop > 0.0 else 0.0)
-    u = _U_FIRST
-    while u < _U_MAX:
-        if (b - a) / (1.0 + math.exp(2.0 * u)) ** 3 <= _EPS * need:
-            return u
-        u += _U_STEP
-    return _U_MAX
+    if need <= 0.0:
+        return _U_MAX
+    return min(_U_MAX, 0.5 * math.log(
+        math.expm1(math.log((b - a) / (_EPS * need)) / _POWER)))
+
+
+def _far_below(q: MomentQuery, lower: float, upper: float,
+               centre: float) -> bool:
+    """Whether the integrand's piece over [lower, upper], the window of the
+    x = 0 profile, is below _EPS^2 f(centre) (times unit length): below
+    _EPS of the integral, with a factor _EPS to spare for a peak at centre
+    narrower than 1.
+
+    On [lower, upper] the bound of ``_log_head`` is at most (eta+mu-1) ln
+    upper - d^2 - ln Gamma(mu), with d the distance from sqrt x to [sqrt
+    lower, sqrt upper].  The bound at centre, which is above ln f there,
+    settles most queries before the integrand is evaluated.  The answer is
+    no where the window has rounded to zero width, where x centre
+    overflows, or where the series at centre does not converge; then
+    ``tanh_rule_integrate`` handles the window or reports the x it cannot
+    take.
+    """
+    if not (upper > lower and math.isfinite(q.x * centre)):
+        return False
+    power = q.eta + q.mu - 1.0
+    sqrt_x = math.sqrt(q.x)
+    d = max(0.0, math.sqrt(lower) - sqrt_x, sqrt_x - math.sqrt(upper))
+    # Both sides without ln Gamma(mu); at centre the bound is the profile.
+    piece = power * math.log(upper) - d * d + math.log(upper - lower)
+    limit = 2.0 * math.log(_EPS)
+    if piece - _log_profile(power, q.x, centre) >= limit:
+        return False
+    k = _NodeKernel(q)
+    try:
+        lf = _log_integrand(k, centre, _log_head(k, centre)[0])
+    except ConvergenceError:
+        return False
+    return piece - k.series.log_gamma - lf < limit
 
 
 def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
@@ -343,8 +391,10 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     tail for large mu.  ``peak`` is that of the x > 0 profile whenever
     x > 0.  Each end of the u-range is sized by every window profile at
     its outermost node (``_u_end``); where the tanh map finds no lower end
-    below _U_MAX, the lower end is cut, takes the cubic map, and is sized
-    by its dropped piece (``_cut_end``).
+    below _U_MAX, the lower end is cut, takes the power map, and is sized
+    by its dropped piece (``_cut_end``).  The x = 0 profile sizes neither
+    end where the integrand over its whole window is far below the
+    integrand at the x > 0 centre (``_far_below``).
     """
     _check_oracle_query(q)
     g_zero = q.eta + q.mu - 1.0
@@ -353,13 +403,16 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     if q.x > 0.0:
         gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
         peak, lower_x, upper_x, top = _window(gamma_exp, q.x, q.y)
-        profiles.append((gamma_exp, q.x, max(peak, q.y), top))
+        centre = max(peak, q.y)
+        if _far_below(q, lower, upper, centre):
+            profiles = []
+        profiles.append((gamma_exp, q.x, centre, top))
         lower, upper = min(lower, lower_x), max(upper, upper_x)
     lower_map = "tanh"
     node = _node_map(lower_map, lower, upper)
     u_lo = _u_end(profiles, node, -1.0)
     if u_lo == _U_MAX:
-        lower_map = "cubic"
+        lower_map = "power"
         node = _node_map(lower_map, lower, upper)
         u_lo = _cut_end(profiles, lower, upper)
     return QuadratureSpec(peak, lower, upper, u_lo,
@@ -444,11 +497,11 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
 
     Takes the window [lower, upper], the u-range [-u_lo, u_hi] and the map
     from ``truncation_bounds(q)``, maps the real line onto the window by
-    t = mid + half tanh u, or by the cubic map where the lower end is cut,
+    t = mid + half tanh u, or by the power map where the lower end is cut,
     and applies the trapezoidal rule on nested uniform grids over the
     u-range.  Each end of the u-range stops where the profiles at its
     outermost node, and so over the whole piece it drops, are below 1e-16
-    of their tops; a cut lower end stops where its dropped piece is below
+    of their tops; a cut lower end stops where its dropped piece is at most
     1e-16 of each profile's mass (see the module docstring).  The first
     grid has 33 points, and each refinement halves the spacing, n -> 2n -
     1, so a pass visits only its n - 1 new midpoints and reuses the values

@@ -26,11 +26,11 @@ def _profile(gamma_exp, x, t):
 
 def _map_t(spec, lower_map, u):
     """t at u under the map named lower_map over the window of spec,
-    clamped to the window: mid + half tanh u, or lower + W v^3 with W the
-    window's width and v = (1 + tanh u)/2 = 1/(1 + e^{-2u})."""
+    clamped to the window: mid + half tanh u, or lower + W v^p with W the
+    window's width, v = (1 + tanh u)/2 = 1/(1 + e^{-2u}) and p = 20."""
     a, b = spec.lower, spec.upper
-    if lower_map == "cubic":
-        t = a + (b - a) / (1.0 + math.exp(-2.0 * u)) ** 3
+    if lower_map == "power":
+        t = a + (b - a) / (1.0 + math.exp(-2.0 * u)) ** 20
     else:
         t = 0.5 * (a + b) + 0.5 * (b - a) * math.tanh(u)
     return min(b, max(a, t))
@@ -216,6 +216,19 @@ def test_large_x_nodes_give_the_closed_form(x):
     # of order e^{-x}, far below one ulp.  The nodes reach z ~ 2e5 and 2e6.
     got = tanh_rule_integrate(MomentQuery(1.0, 2.0, x, 1.0)).value
     assert got == pytest.approx(x + 2.0, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [1e5, 1e6])
+def test_x_zero_profile_is_left_out_far_below_the_peak(x):
+    # At y = 1 the x = 0 profile t^2 e^{-t} is near its top, but the
+    # integrand there is ~e^{-x}.  The window still reaches down to y, yet
+    # that profile no longer sizes the ends, so the lower end takes the
+    # tanh map instead of a cut power map (1.6e-13 off x + 2 at 1e6).
+    q = MomentQuery(1.0, 2.0, x, 1.0)
+    spec = truncation_bounds(q)
+    assert spec.lower == 1.0 and spec.lower_map == "tanh"
+    got = tanh_rule_integrate(q).value
+    assert got == pytest.approx(x + 2.0, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("x", [1e12, 1e150])
@@ -435,9 +448,10 @@ def test_u_range_ends_are_sized_by_the_outermost_node():
     # Each end is the first of 3, 4, ..., 17, _U_MAX whose outermost node,
     # under the map the spec names, has every window profile below _EPS of
     # its top (found here by a scan of [y, upper]); the candidate before it
-    # fails.  A lower end is cut, and takes the cubic map, exactly where no
+    # fails.  A lower end is cut, and takes the power map, exactly where no
     # tanh node qualifies; its length is checked in
-    # test_cut_lower_end_drops_below_eps_of_the_integral.
+    # test_cut_lower_end_drops_below_eps_of_the_integral, and its closed
+    # form, above 0.8, in test_cut_end_is_the_closed_form_of_its_bound.
     cut = 0
     for eta, mu, x, y in CONVERGED_PASS_POINTS + [
             p[:4] for p in RISING_NEAR_ZERO_POINTS]:
@@ -455,11 +469,11 @@ def test_u_range_ends_are_sized_by_the_outermost_node():
                        for (g, px), top in zip(profiles, tops))
 
         tanh_lo = [small_at(float(u), -1.0, "tanh") for u in range(3, 18)]
-        assert (spec.lower_map == "cubic") == (not any(tanh_lo)), q
+        assert (spec.lower_map == "power") == (not any(tanh_lo)), q
         ends = [(spec.u_hi, 1.0)]
-        if spec.lower_map == "cubic":
+        if spec.lower_map == "power":
             cut += 1
-            assert 3.0 <= spec.u_lo < quadrature._U_MAX
+            assert 0.8 <= spec.u_lo < quadrature._U_MAX
         else:
             ends.append((spec.u_lo, -1.0))
         for u, side in ends:
@@ -473,7 +487,7 @@ def test_u_range_ends_are_sized_by_the_outermost_node():
     # At y = 0 with eta = 0, mu = 1 the integrand is e^{-t}, largest at the
     # lower end, which is therefore cut.
     assert truncation_bounds(MomentQuery(0.0, 1.0, 0.0, 0.0)).lower_map == \
-        "cubic"
+        "power"
 
 
 def _cut_points():
@@ -487,20 +501,20 @@ def _cut_points():
             rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0))
            for _ in range(300)]
     return [q for q in (MomentQuery(*p) for p in fixed + box)
-            if truncation_bounds(q).lower_map == "cubic"]
+            if truncation_bounds(q).lower_map == "power"]
 
 
 def test_cut_lower_end_drops_below_eps_of_the_integral():
-    # The cubic map leaves out [lower, lower + d], d = W v(-u_lo)^3 with W the
-    # window's width; d is often below an ulp of lower.  That piece, d times
-    # the integrand's largest value on a scan of it, is below _EPS of the
-    # integral.
+    # The power map leaves out [lower, lower + d], d = W v(-u_lo)^20 with W
+    # the window's width; d is often below an ulp of lower.  That piece, d
+    # times the integrand's largest value on a scan of it, is below _EPS of
+    # the integral.
     points = _cut_points()
     assert len(points) >= 60
     for q in points:
         spec = truncation_bounds(q)
         a = spec.lower
-        d = (spec.upper - a) / (1.0 + math.exp(2.0 * spec.u_lo)) ** 3
+        d = (spec.upper - a) / (1.0 + math.exp(2.0 * spec.u_lo)) ** 20
         assert spec.u_lo < quadrature._U_MAX and d > 0.0, q
         k = quadrature._NodeKernel(q)
         top = max(_node_log(k, a + i * 0.01 * d) for i in range(101))
@@ -510,15 +524,58 @@ def test_cut_lower_end_drops_below_eps_of_the_integral():
                 <= math.log(quadrature._EPS)), q
 
 
-def test_cubic_map_weight_is_dt_du():
-    # The cubic map's closed-form log weight, scale - shape, against a
+def _profile_log(g, x, t):
+    return g * math.log(t) - (math.sqrt(t) - math.sqrt(x)) ** 2
+
+
+def test_cut_end_is_the_closed_form_of_its_bound():
+    # The dropped length W / (1 + e^{2U})^20 of a cut lower end is at most
+    # _EPS times the least, over the window profiles, of (b - c) (1 -
+    # e^{-delta}) / delta (c the profile's centre, delta its log drop from
+    # c to b), up to rounding; 0.05 less in U breaks it.  The window
+    # profiles of each cut point, from their closed-form peaks.
+    for q in _cut_points():
+        spec = truncation_bounds(q)
+        a, b = spec.lower, spec.upper
+        profiles = []
+        need = math.inf
+        shapes = [(q.eta + q.mu - 1.0, 0.0)]
+        if q.x > 0.0:
+            shapes.append((q.eta + 0.5 * (q.mu - 1.0), q.x))
+        for g, x in shapes:
+            peak = x if g == 0.0 else (
+                (math.sqrt(x) + math.sqrt(x + 4.0 * g)) / 2.0) ** 2
+            c = max(peak, q.y)
+            top = _profile_log(g, x, c) if c > 0.0 else 0.0
+            profiles.append((g, x, c, top))
+            delta = top - _profile_log(g, x, b)
+            need = min(need, (b - c) * -math.expm1(-delta) / delta)
+        u = quadrature._cut_end(profiles, a, b)
+
+        def dropped(v):
+            return (b - a) / (1.0 + math.exp(2.0 * v)) ** 20
+
+        assert 0.8 < u < quadrature._U_MAX, q
+        assert dropped(u) <= 1e-16 * need * (1.0 + 1e-12), q
+        assert dropped(u - 0.05) > 1e-16 * need, q
+
+
+def test_most_cut_integrals_stop_within_129_points():
+    points = _cut_points()
+    short = [tanh_rule_integrate(q).nodes <= 129 for q in points]
+    assert sum(short) >= 0.9 * len(points), (sum(short), len(points))
+
+
+def test_power_map_weight_is_dt_du():
+    # The power map's closed-form log weight, scale - shape, against a
     # central difference of its node formula.  The window starts at 0, so
-    # that t keeps its digits down to u = -7.
+    # that t keeps its digits down to u = -7.  The weight varies like
+    # e^{40u} there, so the step is 1e-6.
     a, b = 0.0, 40.0
-    node = quadrature._node_map("cubic", a, b)
-    scale = quadrature._map_scale("cubic", a, b)
+    node = quadrature._node_map("power", a, b)
+    scale = quadrature._map_scale("power", a, b)
     for u in (-7.0, -3.5, -0.5, 0.0, 1.0, 4.0):
-        step = 1e-4
+        step = 1e-6
         slope = (node(u + step)[0] - node(u - step)[0]) / (2.0 * step)
         assert math.exp(scale - node(u)[1]) == pytest.approx(
             slope, rel=1e-7, abs=0.0), u
