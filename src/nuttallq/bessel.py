@@ -3,9 +3,9 @@
 The evaluators downstream only ever need the exponentially scaled form
 Itilde_mu(z) = exp(-z) I_mu(z), which stays inside [0, 1], and the neighbor
 ratio I_{mu+1}(z)/I_mu(z).  No raw I value leaves this module, so none can
-overflow on the way out; ``log_bessel_i_scaled`` gives the logarithm of the
-scaled form where that form underflows, and past z = 700, as a sum of
-products of Poisson probabilities (``log_poisson_pair_sum``).
+overflow on the way out.  Where the scaled form underflows, and past z =
+700, ``log_poisson_pair_sum`` at a = b = z/2 gives its logarithm as a sum
+of products of Poisson probabilities.
 
 All routines accept real (not just integer) order >= 0 and argument >= 0.
 """
@@ -13,7 +13,6 @@ All routines accept real (not just integer) order >= 0 and argument >= 0.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import ConvergenceError, DomainError
 from .incgamma import log_q_increment
@@ -123,12 +122,13 @@ class FixedOrderSeries:
 
         For z <= 700, S(q) <= I_0(z) < 1.5e302 and e^{-z} S(q) >= e^{-700}
         stay normal floats, so the product is formed before the log.
-        Beyond that it is formed from ``log_bessel_i_scaled``, which
-        raises DomainError for an infinite z.
+        Beyond that it is formed from ``log_poisson_pair_sum`` at a = b =
+        z/2, which raises DomainError for an infinite z.
         """
         if z > _LINEAR_MAX_ARG:
-            return (log_bessel_i_scaled(self.order, z) + self.log_gamma
-                    - self.order * math.log(0.5 * z))
+            half = 0.5 * z
+            return (log_poisson_pair_sum(self.order, half, half)
+                    + self.log_gamma - self.order * math.log(half))
         return math.log(math.exp(-z)
                         * _series_sum(self.order, q, self._groups))
 
@@ -187,8 +187,9 @@ def log_poisson_pair_sum(order: float, a: float, b: float) -> float:
 def bessel_i_scaled(order: float, arg: float) -> float:
     """Exponentially scaled modified Bessel function exp(-z) I_order(z).
 
-    Bounded by [0, 1].  Past z = 700 it is exp of ``log_bessel_i_scaled``,
-    which raises ConvergenceError from z ~ 7e8 (over 100,000 terms).
+    Bounded by [0, 1].  Past z = 700 it is exp of ``log_poisson_pair_sum``
+    at a = b = z/2, which raises ConvergenceError from z ~ 7e8 (over
+    100,000 terms).
     """
     _validate(order, arg)
     if arg == 0.0:
@@ -201,21 +202,8 @@ def bessel_i_scaled(order: float, arg: float) -> float:
         # p * sum is I_order(arg) <= I_0(700) ~ 1.5e302, so it cannot
         # overflow; exp(-arg) * p first could underflow to a false 0.0.
         return math.exp(-arg) * (p * _series_sum(order, arg * arg * 0.25, ()))
-    return exp_clipped(log_bessel_i_scaled(order, arg))
-
-
-def log_bessel_i_scaled(order: float, arg: float) -> float:
-    """ln(exp(-z) I_order(z)); -inf where the value is an exact zero."""
-    if arg <= _LINEAR_MAX_ARG and order <= _LINEAR_MAX_ORDER:
-        s = bessel_i_scaled(order, arg)
-        if s >= sys.float_info.min:  # a subnormal s has lost digits
-            return math.log(s)
     half = 0.5 * arg
-    if half == 0.0 < arg:
-        # z/2 underflows at z = 5e-324; the sum is then its first term.
-        return (order * (math.log(arg) - math.log(2.0))
-                - math.lgamma(order + 1.0))
-    return log_poisson_pair_sum(order, half, half)
+    return exp_clipped(log_poisson_pair_sum(order, half, half))
 
 
 def bessel_ratio(order: float, arg: float) -> float:

@@ -8,23 +8,19 @@ integrand is
 
 where 0F1(; mu; q) = sum_n q^n / (n! (mu)_n).  The improper integral is
 truncated to a window [a, b] around the peak of the profile t^g
-e^{-(sqrt t - sqrt x)^2}, mapped from the real line by t = mid + half tanh
-u (or, where the lower end is cut, by the power map below), and integrated
-with the trapezoidal rule on nested uniform u-grids of 33, 65, 129, ...
-points (n -> 2n - 1) until the estimated error of the last pass is small.
-For x > 0 the window is the union of two: one for g = eta + (mu-1)/2, the
-integrand's large-t shape, and one for the x = 0 profile t^{eta+mu-1}
-e^{-t}, which the integrand follows while x t is small next to mu^2; at
-x = 0 only the second is needed.  Where the integrand over all of the
-second window lies far below its value at the first one's centre (x >>
-mu^2), that window still widens [a, b] but no longer sizes the ends of the
-u-range below.  Each refinement halves the spacing, so
-the earlier nodes stay on the grid and their values are reused: no node is
-evaluated twice.  The integrand is always evaluated through its logarithm,
-so profiles reaching 1e89 never overflow a node, and by a kernel built
-once per integral that holds all that depends only on (eta, mu, x).  Every
-node with t > 0 takes one formula, x = 0 and z = 2 sqrt(x t) > 700
-included.
+e^{-(sqrt t - sqrt x)^2}, mapped from the real line by the power map below,
+and integrated with the trapezoidal rule on nested uniform u-grids of 33,
+65, 129, ... points (n -> 2n - 1) until the estimated error of the last
+pass is small.  For x > 0 the window is the union of two: one for g = eta +
+(mu-1)/2, the integrand's large-t shape, and one for the x = 0 profile
+t^{eta+mu-1} e^{-t}, which the integrand follows while x t is small next to
+mu^2; at x = 0 only the second is needed.  Each refinement halves the
+spacing, so the earlier nodes stay on the grid and their values are
+reused: no node is evaluated twice.  The integrand is always evaluated
+through its logarithm, so profiles reaching 1e89 never overflow a node,
+and by a kernel built once per integral that holds all that depends only
+on (eta, mu, x).  Every node with t > 0 takes one formula, x = 0 and z = 2
+sqrt(x t) > 700 included.
 
 Refinement stops at pass k when the relative change d_k between passes k-1
 and k satisfies either
@@ -39,49 +35,59 @@ about the error of pass k-1, and d_k^2 estimates the error of pass k, so
 the second condition accepts pass k without a confirming pass.  It needs
 d_k to shrink, so it cannot fire before the third pass, at 129 points.
 
-The u-range is [-U_lo, U_hi], each end chosen once per integral.  The
-window already ends where its profiles are 1e-16 of their tops, so with
-tanh u saturating near |u| = 17.6 most nodes of a symmetric range would
-land in the window's outer 0.5%.  The trapezoidal rule converges
-exponentially once the integrand is negligible at both ends.  So each end
-starts at U = 3 and grows by 1 up to 17.6 until its outermost node t =
-mid +- half tanh(U) lies on the outer side of every window profile's
-maximum with each profile at or below 1e-16 of it.  Each profile is
-unimodal, so it stays below that bound over the whole dropped piece.  The
-node, not the window end, is tested: at y ~ 0 the end itself has a
-profile near 0 while the integrand still rises steeply as t^{eta+mu-1}
-next to it.
-
-A lower end that no U below 17.6 passes is cut: the window ends at y
-while the integrand is still large there, or rises steeply next to it.
-The tanh weight half sech^2 u decays only like e^{2u}, so that end would
-need U = 17.6 and put about half of all nodes within 0.5% of the window
-next to y.  A cut end takes the power map instead,
+Every integral takes the same map,
 
     t = a + W v^p,  p = 20,  W = b - a,
     v = (1 + tanh u)/2 = 1/(1 + e^{-2u}),
     dt/du = 2 p W e^{-2u} / (1 + e^{-2u})^{p+1},
 
-whose weight decays like e^{2pu} = e^{40u} as u -> -inf: a polynomial end
-map of the kind of Sidi's sin^m transformations (Sidi 1993).  The
-integrand is never singular at y (mu >= 1), so the rule on the u-grid
-keeps its exponential convergence.  The upper end keeps its test, at the
-power map's node.  The lower end drops [a, a + d] with d = W v(-U)^p = W /
-(1 + e^{2U})^p.  Each profile p(t) is log-concave, since (g ln t - (sqrt
-t - sqrt x)^2)'' = -g/t^2 - sqrt(x)/(2 t^{3/2}) <= 0.  So on [c, b], from
-its centre c to the window's upper end, it lies above the exponential
-chord from its top e^T to p(b) = e^{T - delta}, and its mass is at least
-e^T (b - c) (1 - e^{-delta}) / delta, while its dropped piece is at most
-d e^T.  U_lo is the U with
+whose weight decays like e^{-2u} as u -> inf, as the tanh map's does, and
+like e^{2pu} = e^{40u} as u -> -inf: at a it is a polynomial end map of
+the kind of Sidi's sin^m transformations (Sidi 1993).  The lower end needs
+that: wherever y lies in the integrand's mass, or the integrand rises
+steeply as t^{eta+mu-1} next to y ~ 0, the window ends at y while the
+integrand is still large there, and a weight that decays only like e^{2u}
+would put about half of all nodes within 0.5% of the window next to y.
+The integrand is never singular at y (mu >= 1), so the rule on the u-grid
+keeps its exponential convergence.  The crowding costs nodes wherever the
+window reaches far below the integrand's mass: where a is small next to
+t, ln t goes like ln W - 20 e^{-2u}, and the integrand's t^{eta+mu-1}
+turns that into a double-exponential rise, steep for eta + mu ~ 90.  So
+the window's lower end is not left where the doubling of its width
+overshot, but bisected back to the profile's 1e-16 drop (``_window``).
+On passes 0-6 of seeds 1-3 of the quadrature-points benchmark that took
+the integrals past 129 points from 245 of 2100 down to 55.  The node
+forms v^p as e^{-p log1p(e^{-2u})}, so that t and its log weight share one
+log1p and t stays within an ulp: (1 + e^{-2u})^p would round 1 + e^{-2u}
+first and put t up to 16 ulp off as v -> 1, where the peak of a large-x
+integral lies.
+
+The u-range is [-U_lo, U_hi], each end chosen once per integral.  The
+window already ends where its profiles are 1e-16 of their tops, so with
+v^p saturating near u = 17.6 most nodes of a u-range that long would land
+in the window's outer 0.5% next to b.  The trapezoidal rule converges
+exponentially once the integrand is negligible at both ends.  So the
+upper end starts at U = 3 and grows by 1 up to 17.6 (where tanh U = 1 -
+1e-15) until its outermost node t = a + W v(U)^p lies above every window
+profile's maximum with each profile at or below 1e-16 of it.  Each profile
+is unimodal, so it stays below that bound over the whole dropped piece.
+
+The lower end drops [a, a + d] with d = W v(-U)^p = W / (1 + e^{2U})^p.
+Each profile p(t) is log-concave, since (g ln t - (sqrt t - sqrt x)^2)'' =
+-g/t^2 - sqrt(x)/(2 t^{3/2}) <= 0.  So on [c, b], from its centre c to the
+window's upper end, it lies above the exponential chord from its top e^T
+to p(b) = e^{T - delta}, and its mass is at least e^T (b - c) (1 -
+e^{-delta}) / delta, while its dropped piece is at most d e^T.  U_lo is
+the U with
 
     d = 1e-16 need,   need = min over the profiles of
                              (b - c) (1 - e^{-delta}) / delta,
 
 that is U_lo = 1/2 ln((W / (1e-16 need))^{1/p} - 1), so the dropped piece
-is at most 1e-16 of each profile's mass.  On the working box that is U_lo
-~ 0.96.  The power sets how fast the nodes thin out towards a: p = 3 needed
-U_lo = 7 or 8 and left most cut integrals 6e-11 off at 129 points; 16 to 32
-stop nearly all of them there.
+is at most 1e-16 of each profile's mass, wherever a lies.  On the working
+box that is U_lo ~ 0.96.  The power sets how fast the nodes thin out
+towards a: p = 3 needed U_lo = 7 or 8 and left most integrals cut at y
+6e-11 off at 129 points; 16 to 32 stop nearly all of them there.
 
 Most of a node's cost is the Bessel series, and after the first pass most
 new nodes sit in tails that cannot reach the sum.  So from the second pass
@@ -126,39 +132,40 @@ _REL_TOL = 1e-12
 _SQUARED_TOL = 1e-14
 # Profile drop, relative to its peak, at which the window ends.
 _EPS = 1e-16
+_LOG_EPS = math.log(_EPS)
 # Points of the first u-grid; the grids are 33, 65, 129, 257, ...
 _FIRST_GRID = 33
-# u-range such that |tanh(u)| <= 1 - 1e-15; the clipped tail is below rounding.
+# Cap on each end of the u-range, where tanh u = 1 - 1e-15.
 _U_MAX = math.atanh(1.0 - 1e-15)
-# Each end that ``_u_end`` sizes starts here and grows by _U_STEP up to
-# _U_MAX.
+# The upper end, which ``_u_end`` sizes, starts here and grows by _U_STEP
+# up to _U_MAX.
 _U_FIRST = 3.0
 _U_STEP = 1.0
 _WIDTH_DOUBLINGS = 400
+# The window's lower end is bisected to within 1/1024 of the width the
+# doublings reached, above where the profile drops below _EPS.
+_LOWER_BISECTIONS = 10
 # A node is skipped where its bound is below e^-45 ~ 2.9e-20 of the largest
 # term of the pass before.
 _SKIP_MARGIN = 45.0
-# Power p of a cut lower end's map t = a + W v^p.
+# Power p of the map t = a + W v^p.
 _POWER = 20
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Truncation window for one integral, the peak of the profile t^g
-    e^{-(sqrt t - sqrt x)^2} it was centred on, the u-range [-u_lo, u_hi]
-    of the map onto it, and that map: ``lower_map`` is "tanh" for t = mid
-    + half tanh u, or "power" for t = lower + (upper - lower) v^20, v = (1
-    + tanh u)/2, where the lower end is cut (see the module docstring).
-    The profile's exponent g is eta + (mu-1)/2, or eta + mu - 1 at x = 0
-    (see ``truncation_bounds``).
+    e^{-(sqrt t - sqrt x)^2} it was centred on, and the u-range [-u_lo,
+    u_hi] of the map t = lower + (upper - lower) v^20, v = (1 + tanh u)/2,
+    onto it (see the module docstring).  The profile's exponent g is eta +
+    (mu-1)/2, or eta + mu - 1 at x = 0 (see ``truncation_bounds``).
 
     ``truncation_bounds`` returns it, and ``tanh_rule_integrate`` integrates
     over the window and u-range it describes.  y <= lower <= upper always
     holds; lower == upper only where the window's centre is so large
-    (beyond ~1e272) that adding its half-width rounds away.  u_hi, and
-    u_lo under the tanh map, lie in [3, _U_MAX] (see ``_u_end``); a power
-    lower end takes u_lo in (0.8, _U_MAX] from a closed form, about 0.96 on
-    the working box (see ``_cut_end``).
+    (beyond ~1e272) that adding its half-width rounds away.  u_hi lies in
+    [3, _U_MAX] (see ``_u_end``), and u_lo in (0.8, _U_MAX] from a closed
+    form, about 0.96 on the working box (see ``_cut_end``).
     """
 
     peak: float
@@ -166,7 +173,6 @@ class QuadratureSpec:
     upper: float
     u_lo: float
     u_hi: float
-    lower_map: str
 
 
 def _check_oracle_query(q: MomentQuery) -> None:
@@ -244,7 +250,12 @@ def _window(gamma_exp: float, x: float,
     The peak sits at t* = (sqrt x + sqrt(x + 4 g))^2 / 4, so the maximum on
     [y, inf) is at max(t*, y); the half-width w around it doubles until the
     profile at both window ends has dropped below _EPS times that maximum
-    (the lower end needs no test once it hits y).
+    (the lower end needs no test once it hits y).  The lower end is then
+    bisected back towards the centre, _LOWER_BISECTIONS times in (0, w],
+    keeping that drop: the map crowds its nodes next to the lower end (see
+    the module docstring), and an end up to a doubling below the drop left
+    the mass with too few of them.  The upper end keeps its overshoot,
+    which lets ``_u_end`` stop the u-range short of _U_MAX.
     """
     if gamma_exp == 0.0:
         peak = x
@@ -252,71 +263,56 @@ def _window(gamma_exp: float, x: float,
         s = 0.5 * (math.sqrt(x) + math.sqrt(x + 4.0 * gamma_exp))
         peak = s * s
     center = max(peak, y)
-    log_eps = math.log(_EPS)
     g_top = _log_profile(gamma_exp, x, center) if center > 0.0 else 0.0
+
+    def dropped(t: float) -> bool:
+        return _log_profile(gamma_exp, x, t) - g_top <= _LOG_EPS
+
     w = max(1.0, math.sqrt(center))
-    lower = y
-    upper = center + w
-    for _ in range(_WIDTH_DOUBLINGS):
-        lower = max(y, center - w)
-        upper = center + w
-        ok_hi = _log_profile(gamma_exp, x, upper) - g_top <= log_eps
-        ok_lo = (lower <= y
-                 or _log_profile(gamma_exp, x, lower) - g_top <= log_eps)
-        if ok_hi and ok_lo:
+    for _ in range(_WIDTH_DOUBLINGS - 1):
+        if dropped(center + w) and (center - w <= y or dropped(center - w)):
             break
         w *= 2.0
-    return peak, lower, upper, g_top
+    upper, inner = center + w, 0.0
+    # The lower end's drop lies within w of the centre, or below y.
+    for _ in range(_LOWER_BISECTIONS):
+        mid = 0.5 * (inner + w)
+        if center - mid <= y or dropped(center - mid):
+            w = mid
+        else:
+            inner = mid
+    return peak, max(y, center - w), upper, g_top
 
 
-def _node_map(lower_map: str, a: float,
-              b: float) -> Callable[[float], tuple[float, float]]:
-    """u -> (t, shape) under the map of the window [a, b] that
-    ``lower_map`` names, with dt/du = e^{scale - shape} and the constant
-    scale from ``_map_scale``.  The shape is 2 ln cosh u for the tanh map,
-    and 2u + (p+1) ln(1 + e^{-2u}) for the power one, so that it never
-    forms 1 + tanh u (see the module docstring).
+def _node_map(a: float, b: float) -> Callable[[float], tuple[float, float]]:
+    """u -> (t, shape) under the map t = a + W v^p of the window [a, b], W =
+    b - a, v = 1/(1 + e^{-2u}), with shape = 2u + (p+1) ln(1 + e^{-2u}) so
+    that dt/du = 2 p W e^{-shape}.  v^p is formed as e^{-p ln(1 + e^{-2u})},
+    on the one log1p that the shape takes too (see the module docstring).
     """
-    if lower_map == "power":
-        w = b - a
+    w = b - a
 
-        def node(u: float) -> tuple[float, float]:
-            e = math.exp(-2.0 * u)
-            return (a + w / (1.0 + e) ** _POWER,
-                    2.0 * u + (_POWER + 1) * math.log1p(e))
-    else:
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-
-        def node(u: float) -> tuple[float, float]:
-            return mid + half * math.tanh(u), 2.0 * math.log(math.cosh(u))
+    def node(u: float) -> tuple[float, float]:
+        log_inv_v = math.log1p(math.exp(-2.0 * u))
+        return (a + w * math.exp(-_POWER * log_inv_v),
+                2.0 * u + (_POWER + 1) * log_inv_v)
     return node
 
 
-def _map_scale(lower_map: str, a: float, b: float) -> float:
-    """The constant log weight of ``_node_map``: ln(2 p W) for the power
-    map, ln(half) for the tanh map."""
-    return math.log(2.0 * _POWER * (b - a) if lower_map == "power"
-                    else 0.5 * (b - a))
-
-
 def _u_end(profiles: list[tuple[float, float, float, float]],
-           node: Callable[[float], tuple[float, float]], side: float) -> float:
-    """U for one end of the u-range, side = -1 for the lower end and +1 for
-    the upper: the first of 3, 4, ..., _U_MAX at which the outermost node
-    t = node(side * U) lies on the outer side of every profile's maximum
-    and has each profile at or below _EPS times it (why that suffices: see
-    the module docstring).  _U_MAX where none does: at the lower end, the
-    end is then cut.
+           node: Callable[[float], tuple[float, float]]) -> float:
+    """U for the upper end of the u-range: the first of 3, 4, ..., _U_MAX
+    at which the outermost node t = node(U) lies at or above every
+    profile's maximum and has each profile at or below _EPS times it (why
+    that suffices: see the module docstring); _U_MAX where none does.
 
     ``profiles`` holds (g, x, centre, log top) per window profile, the
     centre being where the profile takes its top on [y, inf).
     """
-    log_eps = math.log(_EPS)
     u = _U_FIRST
     while u < _U_MAX:
-        t = node(side * u)[0]
-        if all(side * (t - centre) >= 0.0
-               and _log_profile(g, x, t) - top <= log_eps
+        t = node(u)[0]
+        if all(t >= centre and _log_profile(g, x, t) - top <= _LOG_EPS
                for g, x, centre, top in profiles):
             return u
         u += _U_STEP
@@ -325,9 +321,9 @@ def _u_end(profiles: list[tuple[float, float, float, float]],
 
 def _cut_end(profiles: list[tuple[float, float, float, float]], a: float,
              b: float) -> float:
-    """U for a cut lower end under the power map: the U at which the
-    dropped length W v(-U)^p = W / (1 + e^{2U})^p equals the least, over
-    the profiles, of _EPS (b - c) (1 - e^{-delta}) / delta, with c the
+    """U for the lower end of the u-range: the U at which the dropped
+    length W v(-U)^p = W / (1 + e^{2U})^p equals the least, over the
+    profiles, of _EPS (b - c) (1 - e^{-delta}) / delta, with c the
     profile's centre and delta its drop in log from its top to b.  Then the
     dropped piece is at most _EPS of each profile's mass (see the module
     docstring).  In closed form U = 1/2 ln((W / (_EPS need))^{1/p} - 1),
@@ -344,43 +340,9 @@ def _cut_end(profiles: list[tuple[float, float, float, float]], a: float,
         math.expm1(math.log((b - a) / (_EPS * need)) / _POWER)))
 
 
-def _far_below(q: MomentQuery, lower: float, upper: float,
-               centre: float) -> bool:
-    """Whether the integrand's piece over [lower, upper], the window of the
-    x = 0 profile, is below _EPS^2 f(centre) (times unit length): below
-    _EPS of the integral, with a factor _EPS to spare for a peak at centre
-    narrower than 1.
-
-    On [lower, upper] the bound of ``_log_head`` is at most (eta+mu-1) ln
-    upper - d^2 - ln Gamma(mu), with d the distance from sqrt x to [sqrt
-    lower, sqrt upper].  The bound at centre, which is above ln f there,
-    settles most queries before the integrand is evaluated.  The answer is
-    no where the window has rounded to zero width, where x centre
-    overflows, or where the series at centre does not converge; then
-    ``tanh_rule_integrate`` handles the window or reports the x it cannot
-    take.
-    """
-    if not (upper > lower and math.isfinite(q.x * centre)):
-        return False
-    power = q.eta + q.mu - 1.0
-    sqrt_x = math.sqrt(q.x)
-    d = max(0.0, math.sqrt(lower) - sqrt_x, sqrt_x - math.sqrt(upper))
-    # Both sides without ln Gamma(mu); at centre the bound is the profile.
-    piece = power * math.log(upper) - d * d + math.log(upper - lower)
-    limit = 2.0 * math.log(_EPS)
-    if piece - _log_profile(power, q.x, centre) >= limit:
-        return False
-    k = _NodeKernel(q)
-    try:
-        lf = _log_integrand(k, centre, _log_head(k, centre)[0])
-    except ConvergenceError:
-        return False
-    return piece - k.series.log_gamma - lf < limit
-
-
 def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     """Choose a finite window [a, b] that holds the integrand's mass, and
-    the u-range and lower-end map over it.
+    the u-range of the map onto it.
 
     At x = 0 the integrand is exactly t^{eta+mu-1} e^{-t}, and the window
     is the one of that profile (g = eta + mu - 1, x = 0).  For x > 0 it is
@@ -389,12 +351,9 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     behaviour; where x t is small next to mu^2 the integrand still follows
     the x = 0 shape, and the x > 0 window alone would cut off its upper
     tail for large mu.  ``peak`` is that of the x > 0 profile whenever
-    x > 0.  Each end of the u-range is sized by every window profile at
-    its outermost node (``_u_end``); where the tanh map finds no lower end
-    below _U_MAX, the lower end is cut, takes the power map, and is sized
-    by its dropped piece (``_cut_end``).  The x = 0 profile sizes neither
-    end where the integrand over its whole window is far below the
-    integrand at the x > 0 centre (``_far_below``).
+    x > 0.  Every window profile sizes both ends of the u-range: the upper
+    one at its outermost node (``_u_end``), the lower one by its dropped
+    piece (``_cut_end``).
     """
     _check_oracle_query(q)
     g_zero = q.eta + q.mu - 1.0
@@ -403,26 +362,17 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     if q.x > 0.0:
         gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
         peak, lower_x, upper_x, top = _window(gamma_exp, q.x, q.y)
-        centre = max(peak, q.y)
-        if _far_below(q, lower, upper, centre):
-            profiles = []
-        profiles.append((gamma_exp, q.x, centre, top))
+        profiles.append((gamma_exp, q.x, max(peak, q.y), top))
         lower, upper = min(lower, lower_x), max(upper, upper_x)
-    lower_map = "tanh"
-    node = _node_map(lower_map, lower, upper)
-    u_lo = _u_end(profiles, node, -1.0)
-    if u_lo == _U_MAX:
-        lower_map = "power"
-        node = _node_map(lower_map, lower, upper)
-        u_lo = _cut_end(profiles, lower, upper)
-    return QuadratureSpec(peak, lower, upper, u_lo,
-                          _u_end(profiles, node, 1.0), lower_map)
+    return QuadratureSpec(peak, lower, upper,
+                          _cut_end(profiles, lower, upper),
+                          _u_end(profiles, _node_map(lower, upper)))
 
 
 def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
                    n: int) -> Iterator[tuple[int, float, int]]:
     """(points, trapezoid sum, skipped) of the trapezoidal rule on the
-    window [a, b] of ``spec`` under its map (``_node_map``) for nested grids
+    window [a, b] of ``spec`` under the map (``_node_map``) for nested grids
     of n, 2n - 1, 4n - 3, ... points on its u-range [-u_lo, u_hi], up to the
     node cap; skipped counts the grid's points whose series never ran.
 
@@ -436,8 +386,9 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     of itself (see the module docstring).
     """
     a, b, u_lo = spec.lower, spec.upper, spec.u_lo
-    node = _node_map(spec.lower_map, a, b)
-    scale = _map_scale(spec.lower_map, a, b)
+    node = _node_map(a, b)
+    # ln dt/du = scale - shape.
+    scale = math.log(2.0 * _POWER * (b - a))
     log_end_weight = math.log(0.5)
     h = (u_lo + spec.u_hi) / (n - 1)
     # ln of each node's u-space integrand without the spacing h, which every
@@ -495,14 +446,14 @@ class QuadratureOutcome:
 def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     """Integrate the scaled integrand by the tanh rule.
 
-    Takes the window [lower, upper], the u-range [-u_lo, u_hi] and the map
-    from ``truncation_bounds(q)``, maps the real line onto the window by
-    t = mid + half tanh u, or by the power map where the lower end is cut,
-    and applies the trapezoidal rule on nested uniform grids over the
-    u-range.  Each end of the u-range stops where the profiles at its
-    outermost node, and so over the whole piece it drops, are below 1e-16
-    of their tops; a cut lower end stops where its dropped piece is at most
-    1e-16 of each profile's mass (see the module docstring).  The first
+    Takes the window [lower, upper] and the u-range [-u_lo, u_hi] from
+    ``truncation_bounds(q)``, maps the real line onto the window by t =
+    lower + (upper - lower) v^20, v = (1 + tanh u)/2, and applies the
+    trapezoidal rule on nested uniform grids over the u-range.  The upper
+    end of the u-range stops where the profiles at its outermost node, and
+    so over the whole piece it drops, are below 1e-16 of their tops; the
+    lower end stops where its dropped piece is at most 1e-16 of each
+    profile's mass (see the module docstring).  The first
     grid has 33 points, and each refinement halves the spacing, n -> 2n -
     1, so a pass visits only its n - 1 new midpoints and reuses the values
     of every earlier node; from the second pass on, it skips the midpoints
@@ -518,9 +469,9 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     profile's peak, and raises ConvergenceError where it sits on the peak:
     there the integral is not negligible, only unresolvable.  An x so
     large that the node argument x t overflows on the window raises
-    DomainError; one large enough (x beyond ~1e5) that the Bessel series
-    of a node cannot converge raises ConvergenceError, and both messages
-    name x and the quadrature route.
+    DomainError; one large enough (from about x = 5e8) that the Bessel
+    series of a node cannot converge raises ConvergenceError, and both
+    messages name x and the quadrature route.
     """
     spec = truncation_bounds(q)
     if spec.upper == spec.lower:

@@ -15,7 +15,7 @@ from nuttallq import (ConvergenceError, DomainError, MomentQuery,
                       moment_by_quadrature, nuttall_q_series,
                       tanh_rule_integrate, truncation_bounds)
 from nuttallq import quadrature
-from nuttallq.bessel import log_bessel_i_scaled
+from nuttallq.bessel import log_poisson_pair_sum
 
 from oracles import EDGE_POINTS, naive_integrand
 
@@ -24,15 +24,12 @@ def _profile(gamma_exp, x, t):
     return t**gamma_exp * math.exp(-((math.sqrt(t) - math.sqrt(x)) ** 2))
 
 
-def _map_t(spec, lower_map, u):
-    """t at u under the map named lower_map over the window of spec,
-    clamped to the window: mid + half tanh u, or lower + W v^p with W the
-    window's width, v = (1 + tanh u)/2 = 1/(1 + e^{-2u}) and p = 20."""
+def _map_t(spec, u):
+    """t at u under the map over the window of spec, clamped to the window:
+    lower + W v^p with W the window's width, v = (1 + tanh u)/2 = 1/(1 +
+    e^{-2u}) and p = 20, v^p formed as e^{-p log1p(e^{-2u})}."""
     a, b = spec.lower, spec.upper
-    if lower_map == "power":
-        t = a + (b - a) / (1.0 + math.exp(-2.0 * u)) ** 20
-    else:
-        t = 0.5 * (a + b) + 0.5 * (b - a) * math.tanh(u)
+    t = a + (b - a) * math.exp(-20.0 * math.log1p(math.exp(-2.0 * u)))
     return min(b, max(a, t))
 
 
@@ -85,7 +82,8 @@ def _node_log_without_kernel(eta, mu, x, t):
         terms = [0.5 * (1.0 - mu) * math.log(x),
                  (eta + 0.5 * (mu - 1.0)) * math.log(t),
                  -(math.sqrt(t) - math.sqrt(x)) ** 2,
-                 log_bessel_i_scaled(mu - 1.0, 2.0 * math.sqrt(x * t))]
+                 log_poisson_pair_sum(mu - 1.0, math.sqrt(x * t),
+                                      math.sqrt(x * t))]
     kernel_terms = [(eta + mu - 1.0) * math.log(t), math.lgamma(mu)]
     return sum(terms), max(abs(v) for v in terms + kernel_terms)
 
@@ -218,17 +216,17 @@ def test_large_x_nodes_give_the_closed_form(x):
     assert got == pytest.approx(x + 2.0, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("x", [1e5, 1e6])
+@pytest.mark.parametrize("x", [1e5, 1e6, 1e7])
 def test_x_zero_profile_is_left_out_far_below_the_peak(x):
     # At y = 1 the x = 0 profile t^2 e^{-t} is near its top, but the
-    # integrand there is ~e^{-x}.  The window still reaches down to y, yet
-    # that profile no longer sizes the ends, so the lower end takes the
-    # tanh map instead of a cut power map (1.6e-13 off x + 2 at 1e6).
+    # integrand there is ~e^{-x}.  The window still reaches down to y, so
+    # the peak lies within 5% of the window next to its upper end (0.5% at
+    # 1e7), where the map's t must keep its digits: with v^20 formed as (1
+    # + e^{-2u})^-20, t is up to 16 ulp off there and 1e7 is 7.1e-14 off.
     q = MomentQuery(1.0, 2.0, x, 1.0)
-    spec = truncation_bounds(q)
-    assert spec.lower == 1.0 and spec.lower_map == "tanh"
+    assert truncation_bounds(q).lower == 1.0
     got = tanh_rule_integrate(q).value
-    assert got == pytest.approx(x + 2.0, rel=1e-13, abs=0.0)
+    assert got == pytest.approx(x + 2.0, rel=2e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("x", [1e12, 1e150])
@@ -321,12 +319,12 @@ def test_each_node_is_evaluated_once(eta, mu, x, y, monkeypatch):
     q = MomentQuery(eta, mu, x, y)
     out = tanh_rule_integrate(q)
     assert len(evaluated) + out.skipped == out.nodes
-    # Every evaluation is a distinct node of the last grid, under the map
-    # the spec names.  Near the window ends the map saturates and
-    # neighbouring nodes round to one t, so the check is on multisets.
+    # Every evaluation is a distinct node of the last grid.  Near the
+    # window ends the map saturates and neighbouring nodes round to one t,
+    # so the check is on multisets.
     spec = truncation_bounds(q)
     h = (spec.u_lo + spec.u_hi) / (out.nodes - 1)
-    grid = Counter(_map_t(spec, spec.lower_map, -spec.u_lo + i * h)
+    grid = Counter(_map_t(spec, -spec.u_lo + i * h)
                    for i in range(out.nodes))
     assert not Counter(evaluated) - grid
 
@@ -358,7 +356,7 @@ def test_skipping_nodes_changes_no_value(monkeypatch):
 
 def test_node_bound_is_an_upper_bound():
     # 4000 (query, t) pairs; with x up to 1500 most have z = 2 sqrt(x t)
-    # > 700, where the series comes from log_bessel_i_scaled.  At x = 0 the
+    # > 700, where the series comes from log_poisson_pair_sum.  At x = 0 the
     # bound is exact.
     rng = random.Random(11)
     for _ in range(800):
@@ -445,14 +443,12 @@ def test_quadrature_vs_series_on_a_wide_box():
 
 
 def test_u_range_ends_are_sized_by_the_outermost_node():
-    # Each end is the first of 3, 4, ..., 17, _U_MAX whose outermost node,
-    # under the map the spec names, has every window profile below _EPS of
-    # its top (found here by a scan of [y, upper]); the candidate before it
-    # fails.  A lower end is cut, and takes the power map, exactly where no
-    # tanh node qualifies; its length is checked in
+    # The upper end is the first of 3, 4, ..., 17, _U_MAX whose outermost
+    # node has every window profile below _EPS of its top (found here by a
+    # scan of [y, upper]); the candidate before it fails.  The lower end's
+    # dropped piece is checked in
     # test_cut_lower_end_drops_below_eps_of_the_integral, and its closed
     # form, above 0.8, in test_cut_end_is_the_closed_form_of_its_bound.
-    cut = 0
     for eta, mu, x, y in CONVERGED_PASS_POINTS + [
             p[:4] for p in RISING_NEAR_ZERO_POINTS]:
         q = MomentQuery(eta, mu, x, y)
@@ -463,49 +459,36 @@ def test_u_range_ends_are_sized_by_the_outermost_node():
         scan = [y + i * 1e-3 * (spec.upper - y) for i in range(1001)]
         tops = [max(_profile(g, px, t) for t in scan) for g, px in profiles]
 
-        def small_at(u, side, lower_map):
-            t = _map_t(spec, lower_map, side * u)
+        def small_at(u):
+            t = _map_t(spec, u)
             return all(_profile(g, px, t) <= 1.01e-16 * top
                        for (g, px), top in zip(profiles, tops))
 
-        tanh_lo = [small_at(float(u), -1.0, "tanh") for u in range(3, 18)]
-        assert (spec.lower_map == "power") == (not any(tanh_lo)), q
-        ends = [(spec.u_hi, 1.0)]
-        if spec.lower_map == "power":
-            cut += 1
-            assert 0.8 <= spec.u_lo < quadrature._U_MAX
-        else:
-            ends.append((spec.u_lo, -1.0))
-        for u, side in ends:
-            assert 3.0 <= u <= quadrature._U_MAX
-            if u < quadrature._U_MAX:
-                assert small_at(u, side, spec.lower_map), (q, side, u)
-            if u > 3.0:
-                assert not small_at(math.ceil(u) - 1.0, side,
-                                    spec.lower_map), (q, side, u)
-    assert cut > 0
-    # At y = 0 with eta = 0, mu = 1 the integrand is e^{-t}, largest at the
-    # lower end, which is therefore cut.
-    assert truncation_bounds(MomentQuery(0.0, 1.0, 0.0, 0.0)).lower_map == \
-        "power"
+        assert 0.8 <= spec.u_lo < quadrature._U_MAX, q
+        u = spec.u_hi
+        assert 3.0 <= u <= quadrature._U_MAX
+        if u < quadrature._U_MAX:
+            assert small_at(u), (q, u)
+        if u > 3.0:
+            assert not small_at(math.ceil(u) - 1.0), (q, u)
 
 
 def _cut_points():
-    """Queries whose lower end is cut: y in the integrand's mass, y ~ 0
-    with the integrand rising next to it, and seeded points of the box
-    eta in [0, 50], mu in [1, 50], x, y in [0, 20]."""
+    """Queries for the lower end the map cuts off at a + d: y in the
+    integrand's mass, y ~ 0 with the integrand rising next to it, the box
+    edges, and 300 seeded points of the box eta in [0, 50], mu in [1, 50],
+    x, y in [0, 20]."""
     fixed = (CONVERGED_PASS_POINTS + [p[:4] for p in RISING_NEAR_ZERO_POINTS]
              + [p[:4] for p in BOX_EDGE_POINTS] + [(0.0, 1.0, 0.0, 0.0)])
     rng = random.Random(17)
     box = [(rng.uniform(0.0, 50.0), rng.uniform(1.0, 50.0),
             rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0))
            for _ in range(300)]
-    return [q for q in (MomentQuery(*p) for p in fixed + box)
-            if truncation_bounds(q).lower_map == "power"]
+    return [MomentQuery(*p) for p in fixed + box]
 
 
 def test_cut_lower_end_drops_below_eps_of_the_integral():
-    # The power map leaves out [lower, lower + d], d = W v(-u_lo)^20 with W
+    # The map leaves out [lower, lower + d], d = W v(-u_lo)^20 with W
     # the window's width; d is often below an ulp of lower.  That piece, d
     # times the integrand's largest value on a scan of it, is below _EPS of
     # the integral.
@@ -528,12 +511,34 @@ def _profile_log(g, x, t):
     return g * math.log(t) - (math.sqrt(t) - math.sqrt(x)) ** 2
 
 
+def test_window_lower_end_sits_at_the_profile_drop():
+    # Where a window profile's lower end lies above y, the profile there is
+    # at or below _EPS of its top, and 1/64 of the width nearer the centre
+    # it is still above: the doublings' overshoot is bisected away.
+    raised = 0
+    for q in _cut_points():
+        shapes = [(q.eta + q.mu - 1.0, 0.0)]
+        if q.x > 0.0:
+            shapes.append((q.eta + 0.5 * (q.mu - 1.0), q.x))
+        for g, x in shapes:
+            peak, lower, _, top = quadrature._window(g, x, q.y)
+            if lower <= q.y:
+                continue
+            raised += 1
+            c = max(peak, q.y)
+            w = c - lower
+            drop = math.log(1e-16)
+            assert _profile_log(g, x, lower) - top <= drop, q
+            assert _profile_log(g, x, c - w * 63 / 64) - top > drop, q
+    assert raised >= 100
+
+
 def test_cut_end_is_the_closed_form_of_its_bound():
     # The dropped length W / (1 + e^{2U})^20 of a cut lower end is at most
     # _EPS times the least, over the window profiles, of (b - c) (1 -
     # e^{-delta}) / delta (c the profile's centre, delta its log drop from
     # c to b), up to rounding; 0.05 less in U breaks it.  The window
-    # profiles of each cut point, from their closed-form peaks.
+    # profiles of each point, from their closed-form peaks.
     for q in _cut_points():
         spec = truncation_bounds(q)
         a, b = spec.lower, spec.upper
@@ -566,19 +571,60 @@ def test_most_cut_integrals_stop_within_129_points():
     assert sum(short) >= 0.9 * len(points), (sum(short), len(points))
 
 
+@pytest.mark.parametrize("eta,mu,x,y", [
+    (47.1, 46.0, 11.0, 2.45), (36.0, 33.2, 8.49, 0.0),
+    (0.0, 34.4, 7.66, 0.0), (50.0, 21.9, 9.07, 8.72),
+    (41.0, 38.4, 1.95, 8.25), (44.0, 40.9, 4.87, 0.0),
+])
+def test_high_power_integrals_stop_within_129_points(eta, mu, x, y):
+    # t^{eta+mu-1} rises over tens of decades below the mass.  A lower end
+    # left a doubling below the profile's drop (the integrand e^-140 to
+    # e^-300 there) crowded the map's nodes where it is negligible, and
+    # these took 257 points.
+    q = MomentQuery(eta, mu, x, y)
+    out = tanh_rule_integrate(q)
+    assert out.nodes <= 129, q
+    assert out.value == pytest.approx(nuttall_q_series(q).value, rel=1e-10,
+                                      abs=0.0)
+
+
 def test_power_map_weight_is_dt_du():
-    # The power map's closed-form log weight, scale - shape, against a
-    # central difference of its node formula.  The window starts at 0, so
-    # that t keeps its digits down to u = -7.  The weight varies like
-    # e^{40u} there, so the step is 1e-6.
+    # The map's closed-form log weight, ln(2 p W) - shape, against a central
+    # difference of its node formula.  The window starts at 0, so that t
+    # keeps its digits down to u = -7.  The weight varies like e^{40u}
+    # there, so the step is 1e-6.
     a, b = 0.0, 40.0
-    node = quadrature._node_map("power", a, b)
-    scale = quadrature._map_scale("power", a, b)
+    node = quadrature._node_map(a, b)
+    scale = math.log(2.0 * 20 * (b - a))
     for u in (-7.0, -3.5, -0.5, 0.0, 1.0, 4.0):
         step = 1e-6
         slope = (node(u + step)[0] - node(u - step)[0]) / (2.0 * step)
         assert math.exp(scale - node(u)[1]) == pytest.approx(
             slope, rel=1e-7, abs=0.0), u
+
+
+# (u, a + W / (1 + e^{-2u})^20) on the window [a, b] = [1, 1.0016e8] of a
+# large-x integral, for t within 1e5 of its peak near 1e8, from mpmath at
+# 40 digits with u taken as the double it is.
+NEAR_ONE_NODES = [
+    (4.48, 99903043.16204242392813235), (4.53, 99927466.01088124030687297),
+    (4.58, 99949570.12097171287838415), (4.63, 99969575.17123357735117484),
+    (4.68, 99987680.11241967293600743), (4.73, 100004065.1076411991780162),
+    (4.78, 100018893.2940131816850608), (4.83, 100032312.381398914394973),
+    (4.88, 100044456.1028995269275702), (4.93, 100055445.5304952925246929),
+    (4.98, 100065390.2680959858088007), (5.03, 100074389.5331949172688106),
+    (5.08, 100082533.1373410440733626), (5.13, 100089902.3747412772511108),
+    (5.18, 100096570.8274761290456382),
+]
+
+
+def test_power_map_node_keeps_its_digits_near_v_one():
+    # Within one ulp (1.5e-8) of the double nearest each value; t = a + W /
+    # (1 + e^{-2u})^20 rounds 1 + e^{-2u} first and is up to 2.2e-7 off at
+    # these points.
+    node = quadrature._node_map(1.0, 1.0016e8)
+    for u, ref in NEAR_ONE_NODES:
+        assert abs(node(u)[0] - ref) <= math.ulp(ref), u
 
 
 def test_golden_row_first_moment():
