@@ -48,7 +48,8 @@ def _power_over_gamma(order: float, arg: float) -> float:
 
     The integer part of the order is handled by a running product, so no
     large log is ever exponentiated; progressive underflow to 0.0 is fine
-    because Itilde <= this prefactor.
+    because Itilde <= this prefactor, and the product stops there, as no
+    later factor can move it from 0.0.
     """
     half = 0.5 * arg
     m = int(order)
@@ -59,6 +60,8 @@ def _power_over_gamma(order: float, arg: float) -> float:
         p = 1.0
     for k in range(1, m + 1):
         p *= half / (f + k)
+        if p == 0.0:
+            break
     return p
 
 

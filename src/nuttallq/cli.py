@@ -57,6 +57,9 @@ TABLE2_Y = 3.0
 TABLE2_NS = (10, 20, 30, 40, 50, 60)
 
 SELFTEST_THRESHOLD = 1e-12
+# Entries (eta + 1) * n_cols above which a ladder or homogeneous query is
+# refused before its table is built.
+MAX_TABLE_ENTRIES = 10**6
 # Default axes of the sweep and self-test grid: the working region.
 _DEFAULT_AXES = (("eta", "1:49"), ("mu", "1:50"), ("x", "0.1:20"),
                  ("y", "0.1:20"))
@@ -117,17 +120,6 @@ def _axes(args) -> list[list[float]]:
             for name, _ in _DEFAULT_AXES]
 
 
-def _recurrence_start(mu: float) -> tuple[float, int]:
-    """mu_start and column count so the ladder actually recurses up to mu."""
-    back = int(math.floor(mu - 1e-12))
-    back = max(back, 0)
-    mu_start = mu - back
-    if mu_start <= 0.0:
-        back -= 1
-        mu_start = mu - back
-    return mu_start, back + 1
-
-
 def _eval_one(q: MomentQuery, method: str) -> tuple[float, int, float, bool]:
     """(value, terms_or_nodes, est_error, converged) for one evaluation."""
     if method == "series":
@@ -136,29 +128,16 @@ def _eval_one(q: MomentQuery, method: str) -> tuple[float, int, float, bool]:
     if method == "quadrature":
         out = tanh_rule_integrate(q)
         return out.value, out.nodes, out.est_error, True
-    # The builders check eta and x.  The homogeneous method keeps the eta >= 1
-    # domain of nuttall_q_homogeneous, although its table recurs row 0 too.
-    if method == "homogeneous" and q.eta == 0.0:
-        raise DomainError("homogeneous recurrence requires eta >= 1")
-    mu_start, n_cols = _recurrence_start(q.mu)
+    # The table recurs up to mu from mu_start in (0, 1] (up to a 1e-12
+    # slack); the builders check eta and x.
+    n_cols = max(1, math.ceil(q.mu - 1e-12))
+    entries = (math.floor(q.eta) + 1) * n_cols
+    if entries > MAX_TABLE_ENTRIES:
+        raise DomainError(f"{method} table of {entries} entries exceeds the "
+                          f"limit of {MAX_TABLE_ENTRIES}")
     build = nuttall_q_ladder if method == "ladder" else homogeneous_table
-    table = build(q.eta, mu_start, n_cols, q.x, q.y)
-    return (table.entry(table.eta_max, n_cols - 1),
-            (table.eta_max + 1) * n_cols, SERIES_TOL, True)
-
-
-def _emit_record(args, record: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(record, sort_keys=True))
-    elif args.format == "csv":
-        keys = ["eta", "mu", "x", "y", "method", "value", "est_error", "terms"]
-        print(",".join(keys))
-        print(",".join(_fmt(record[k]) if isinstance(record[k], float) else str(record[k])
-                       for k in keys))
-    else:
-        for k in ("value", "method", "terms", "est_error", "converged"):
-            v = record[k]
-            print(f"{k} {_fmt(v) if isinstance(v, float) else v}")
+    table = build(q.eta, q.mu - (n_cols - 1), n_cols, q.x, q.y)
+    return table.entry(table.eta_max, n_cols - 1), entries, SERIES_TOL, True
 
 
 def _cmd_eval(args) -> int:
@@ -169,7 +148,12 @@ def _cmd_eval(args) -> int:
         "method": args.method, "value": value, "est_error": est,
         "terms": terms, "converged": converged,
     }
-    _emit_record(args, record)
+    if args.format == "json":
+        print(json.dumps(record, sort_keys=True))
+    else:
+        for k in ("value", "method", "terms", "est_error", "converged"):
+            v = record[k]
+            print(f"{k} {_fmt(v) if isinstance(v, float) else v}")
     if not converged:
         print("warning: series did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -325,8 +309,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--x", type=float, required=True)
     p_eval.add_argument("--y", type=float, required=True)
     p_eval.add_argument("--method", choices=METHODS, default="series")
-    p_eval.add_argument("--format", choices=("text", "csv", "json"),
-                        default="text")
+    p_eval.add_argument("--format", choices=("text", "json"), default="text")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_table = sub.add_parser("table", help="emit a golden reference table")

@@ -192,10 +192,7 @@ def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
             else:
                 offset += log_frac
         return mant, offset
-    diff = math.lgamma(eta + base) - math.lgamma(base)
-    if diff <= 700.0:
-        return math.exp(diff), 0.0
-    return 1.0, diff
+    return 1.0, math.lgamma(eta + base) - math.lgamma(base)
 
 
 def _times_exp(m: float, e: int, log_scale: float) -> float:
@@ -470,21 +467,15 @@ def _require_integer_eta(eta: float, what: str) -> int:
 
 def _check_table_args(what: str, eta_max: int, mu_start: float, n_cols: int,
                       x: float, y: float) -> tuple[int, int]:
-    """Validate the arguments the table builders and the row filler share;
-    return eta_max and n_cols as ints."""
+    """Validate the arguments the table builders and the row filler share,
+    with the checks of ``MomentQuery`` on (eta_max, mu_start, x, y); return
+    eta_max and n_cols as ints."""
     eta_max = _require_integer_eta(eta_max, what)
-    if eta_max < 0:
-        raise DomainError(f"eta_max must be >= 0, got {eta_max!r}")
     if not (float(n_cols).is_integer() and n_cols >= 1):
         raise DomainError(f"n_cols must be an integer >= 1, got {n_cols!r}")
-    if not mu_start > 0.0:
-        raise DomainError(f"mu_start must be > 0, got {mu_start!r}")
     if x == 0.0:
         raise DomainError(f"{what} is undefined at x = 0; use the series path")
-    _require_finite("x", x)
-    _require_finite("y", y)
-    if x < 0.0 or y < 0.0:
-        raise DomainError("x and y must be >= 0")
+    MomentQuery(eta_max, mu_start, x, y)
     return eta_max, int(n_cols)
 
 
@@ -557,8 +548,12 @@ def _inhom_term(eta: float, mu: float, x: float, y: float) -> float:
     return exp_clipped(l_y + log_poisson_pair_sum(mu, x, y))
 
 
-def _ratio_sweep(mu_lo: float, n: int, z: float) -> list[float]:
-    """r_nu = I_{nu+1}(z)/I_nu(z) at nu = mu_lo, mu_lo+1, ..., mu_lo+n-1.
+def _ratio_sweep(mu_lo: float, n: int, x: float,
+                 y: float) -> tuple[float, list[float]]:
+    """(sqrt(y/x), [r_nu]) with r_nu = I_{nu+1}(z)/I_nu(z), z = 2 sqrt(xy),
+    at nu = mu_lo, mu_lo+1, ..., mu_lo+n-1: the factor and the ratios whose
+    products are the homogeneous coefficients and the steps of the ladder's
+    forcing term.
 
     One ``bessel_ratio`` continued fraction at the top order, then the
     backward recurrence r_{nu-1} = 1/(2 nu/z + r_nu), from I_{nu-1} -
@@ -566,13 +561,15 @@ def _ratio_sweep(mu_lo: float, n: int, z: float) -> list[float]:
     and every term is positive, so the recurrence is stable (Gautschi 1967):
     each step multiplies the relative error by r_{nu-1} r_nu < 1.
     """
-    if n <= 0 or z == 0.0:
-        return [0.0] * n
+    root = math.sqrt(y) / math.sqrt(x)
+    z = 2.0 * math.sqrt(x) * math.sqrt(y)  # x y underflows at subnormal x
     out = [0.0] * n
+    if n <= 0 or z == 0.0:
+        return root, out
     r = out[n - 1] = bessel_ratio(mu_lo + (n - 1), z)
     for k in range(n - 2, -1, -1):
         r = out[k] = 1.0 / (2.0 * (mu_lo + (k + 1)) / z + r)
-    return out
+    return root, out
 
 
 def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
@@ -616,9 +613,7 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
                                         x, y)
     width = max(n_cols, 3) if eta_max else n_cols
 
-    root = math.sqrt(y) / math.sqrt(x)
-    z = 2.0 * math.sqrt(x) * math.sqrt(y)
-    ratios = _ratio_sweep(mu_start, width - 2, z)
+    root, ratios = _ratio_sweep(mu_start, width - 2, x, y)
     forcing = []
     t = 0.0  # forces a seed in the first column
     for k in range(width - 1):
@@ -684,10 +679,8 @@ def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
         raise DomainError(
             f"prev_row has {len(prev_row)} entries, expected n_cols={n_cols}")
 
-    root = math.sqrt(y) / math.sqrt(x)
-    z = 2.0 * math.sqrt(x) * math.sqrt(y)
-    return _homogeneous_row(eta, prev_row, seed0, seed1, root,
-                            _ratio_sweep(mu_start, n_cols - 2, z))
+    return _homogeneous_row(eta, prev_row, seed0, seed1,
+                            *_ratio_sweep(mu_start, n_cols - 2, x, y))
 
 
 def _homogeneous_row(eta: int, prev_row: list[float], seed0: float,
@@ -723,9 +716,7 @@ def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
     eta_max, n_cols = _check_table_args("homogeneous table", eta_max,
                                         mu_start, n_cols, x, y)
     edge = nuttall_q_ladder(eta_max, mu_start, min(n_cols, 2), x, y).values
-    root = math.sqrt(y) / math.sqrt(x)
-    z = 2.0 * math.sqrt(x) * math.sqrt(y)
-    ratios = _ratio_sweep(mu_start, n_cols - 2, z)
+    root, ratios = _ratio_sweep(mu_start, n_cols - 2, x, y)
     rows = []
     prev = [0.0] * n_cols
     for e, seeds in enumerate(edge):

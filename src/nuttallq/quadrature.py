@@ -19,8 +19,9 @@ spacing, so the earlier nodes stay on the grid and their values are
 reused: no node is evaluated twice.  The integrand is always evaluated
 through its logarithm, so profiles reaching 1e89 never overflow a node,
 and by a kernel built once per integral that holds all that depends only
-on (eta, mu, x).  Every node with t > 0 takes one formula, x = 0 and z = 2
-sqrt(x t) > 700 included.
+on (eta, mu, x).  Every node takes one formula, x = 0 and z = 2 sqrt(x t) >
+700 included; no node reaches t = 0, as the map below puts each at t >= a
++ 9.4e-307 W with a >= 0 and W >= 1.
 
 Refinement stops at pass k when the relative change d_k between passes k-1
 and k satisfies either
@@ -55,12 +56,10 @@ t, ln t goes like ln W - 20 e^{-2u}, and the integrand's t^{eta+mu-1}
 turns that into a double-exponential rise, steep for eta + mu ~ 90.  So
 the window's lower end is not left where the doubling of its width
 overshot, but bisected back to the profile's 1e-16 drop (``_window``).
-On passes 0-6 of seeds 1-3 of the quadrature-points benchmark that took
-the integrals past 129 points from 245 of 2100 down to 55.  The node
-forms v^p as e^{-p log1p(e^{-2u})}, so that t and its log weight share one
-log1p and t stays within an ulp: (1 + e^{-2u})^p would round 1 + e^{-2u}
-first and put t up to 16 ulp off as v -> 1, where the peak of a large-x
-integral lies.
+The node forms v^p as e^{-p log1p(e^{-2u})}, so that t and its log weight
+share one log1p and t stays within an ulp: (1 + e^{-2u})^p would round 1 +
+e^{-2u} first and put t up to 16 ulp off as v -> 1, where the peak of a
+large-x integral lies.
 
 The u-range is [-U_lo, U_hi], each end chosen once per integral.  The
 window already ends where its profiles are 1e-16 of their tops, so with
@@ -85,9 +84,7 @@ the U with
 
 that is U_lo = 1/2 ln((W / (1e-16 need))^{1/p} - 1), so the dropped piece
 is at most 1e-16 of each profile's mass, wherever a lies.  On the working
-box that is U_lo ~ 0.96.  The power sets how fast the nodes thin out
-towards a: p = 3 needed U_lo = 7 or 8 and left most integrals cut at y
-6e-11 off at 129 points; 16 to 32 stop nearly all of them there.
+box that is U_lo ~ 0.96.
 
 Most of a node's cost is the Bessel series, and after the first pass most
 new nodes sit in tails that cannot reach the sum.  So from the second pass
@@ -182,12 +179,8 @@ def _check_oracle_query(q: MomentQuery) -> None:
 
 
 def _log_profile(gamma_exp: float, x: float, t: float) -> float:
-    """ln of the peak-estimate profile t^g e^{-(sqrt t - sqrt x)^2}."""
-    if t == 0.0:
-        pw = 0.0 if gamma_exp == 0.0 else -math.inf
-    else:
-        pw = gamma_exp * math.log(t)
-    return pw - (math.sqrt(t) - math.sqrt(x)) ** 2
+    """ln of the peak-estimate profile t^g e^{-(sqrt t - sqrt x)^2}, t > 0."""
+    return gamma_exp * math.log(t) - (math.sqrt(t) - math.sqrt(x)) ** 2
 
 
 class _NodeKernel:
@@ -201,11 +194,10 @@ class _NodeKernel:
         ln f(t) = (eta+mu-1) ln t - (sqrt t - sqrt x)^2 - ln Gamma(mu)
                   + ln(e^{-z} S(x t)),
 
-    for every t > 0 and x >= 0 (at x = 0, z = 0 and S = 1).  At t = 0 the
-    integrand is e^{-x} for eta = 0, mu = 1 and zero otherwise.
+    for every t > 0 and x >= 0 (at x = 0, z = 0 and S = 1).
     """
 
-    __slots__ = ("x", "sqrt_x", "mu", "power", "series", "at_zero")
+    __slots__ = ("x", "sqrt_x", "mu", "power", "series")
 
     def __init__(self, q: MomentQuery) -> None:
         self.x = q.x
@@ -213,7 +205,6 @@ class _NodeKernel:
         self.mu = q.mu
         self.power = q.eta + q.mu - 1.0
         self.series = FixedOrderSeries(q.mu - 1.0)
-        self.at_zero = -q.x if q.eta == 0.0 and q.mu == 1.0 else -math.inf
 
 
 def _log_head(k: _NodeKernel, t: float) -> tuple[float, float]:
@@ -222,10 +213,8 @@ def _log_head(k: _NodeKernel, t: float) -> tuple[float, float]:
         head = (eta+mu-1) ln t - (sqrt t - sqrt x)^2 - ln Gamma(mu),
 
     and head + min(0, x t / mu - 2 sqrt(x t)), an upper bound on ln f(t)
-    (see the module docstring).  At t = 0 both are ln f(0).
+    (see the module docstring).
     """
-    if t == 0.0:
-        return k.at_zero, k.at_zero
     sqrt_t = math.sqrt(t)
     d = sqrt_t - k.sqrt_x
     head = k.power * math.log(t) - d * d - k.series.log_gamma

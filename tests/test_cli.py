@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import nuttallq
-from nuttallq import MomentQuery, homogeneous_table, tanh_rule_integrate
-from nuttallq import nuttall
+from nuttallq import (DomainError, MomentQuery, homogeneous_table,
+                      tanh_rule_integrate)
+from nuttallq import cli, nuttall
 from nuttallq.cli import (EXIT_BROKEN_PIPE, EXIT_NO_CONVERGENCE, EXIT_OK,
                           EXIT_SELFTEST_FAIL, EXIT_USAGE, main)
 
@@ -30,9 +31,9 @@ def parse_csv(text):
 
 
 def test_eval_series_golden_value(capsys):
-    code, out, _ = run(capsys, "eval", "--eta", "1", "--mu", "1",
-                       "--x", "0.1", "--y", "1.5", "--method", "series",
-                       "--format", "csv")
+    # sweep is the one CSV writer; at one point it prints eval's record.
+    code, out, _ = run(capsys, "sweep", "--eta", "1", "--mu", "1",
+                       "--x", "0.1", "--y", "1.5")
     assert code == EXIT_OK
     row = parse_csv(out)[0]
     assert float(row["value"]) == pytest.approx(0.6644091427683566, rel=5e-14, abs=0.0)
@@ -156,6 +157,14 @@ def test_removed_tolerance_flags_are_usage_errors(capsys, command, flag):
     assert out == "" and "usage error" in err
 
 
+def test_eval_csv_format_is_a_usage_error(capsys):
+    # A one-point CSV row comes from sweep.
+    code, out, err = run(capsys, "eval", "--eta", "1", "--mu", "2", "--x", "3",
+                         "--y", "4", "--format", "csv")
+    assert code == EXIT_USAGE
+    assert out == "" and "usage error" in err
+
+
 def test_eval_ladder_x_zero_is_domain_error(capsys):
     code, _, err = run(capsys, "eval", "--eta", "1", "--mu", "1",
                        "--x", "0", "--y", "1", "--method", "ladder")
@@ -180,12 +189,41 @@ def test_eval_quadrature_huge_x_is_a_named_convergence_failure(capsys):
         "convergence failure: quadrature cannot take x = 1e+150")
 
 
-def test_eval_homogeneous_at_eta_zero_is_domain_error(capsys):
-    code, out, err = run(capsys, "eval", "--eta", "0", "--mu", "2",
-                         "--x", "1", "--y", "1", "--method", "homogeneous")
+def test_eval_homogeneous_at_eta_zero_matches_series(capsys):
+    # The homogeneous table recurs row 0 as well.
+    values = {}
+    for method in ("homogeneous", "series"):
+        code, out, _ = run(capsys, "eval", "--eta", "0", "--mu", "5.5",
+                           "--x", "2", "--y", "3", "--method", method,
+                           "--format", "json")
+        assert code == EXIT_OK
+        values[method] = json.loads(out)["value"]
+    assert values["homogeneous"] == pytest.approx(values["series"], rel=1e-14,
+                                                  abs=0.0)
+
+
+@pytest.mark.parametrize("method", ["ladder", "homogeneous"])
+@pytest.mark.parametrize("command,entries", [
+    (["eval", "--eta", "1", "--mu", "1e9", "--method"], 2 * 10**9),
+    (["sweep", "--eta", "2000", "--mu", "500", "--methods"], 2001 * 500),
+    (["eval", "--eta", "0", "--mu", "1e6", "--method"], None),
+], ids=["eval-columns", "sweep-rows", "at-the-limit"])
+def test_recurrence_tables_past_the_entry_limit_are_refused(
+        capsys, monkeypatch, command, entries, method):
+    # A query over 10^6 entries is refused by its count before any table is
+    # built; one at the limit reaches the builder.
+    def builder(*args):
+        raise DomainError("builder reached")
+
+    monkeypatch.setattr(cli, "nuttall_q_ladder", builder)
+    monkeypatch.setattr(cli, "homogeneous_table", builder)
+    code, out, err = run(capsys, *command, method, "--x", "1", "--y", "1")
     assert code == EXIT_USAGE
-    assert out == ""
-    assert "homogeneous recurrence requires eta >= 1" in err
+    if entries is None:
+        assert err == "domain error: builder reached\n"
+    else:
+        assert err == (f"domain error: {method} table of {entries} entries "
+                       f"exceeds the limit of {cli.MAX_TABLE_ENTRIES}\n")
 
 
 def test_eval_recurrence_needs_integer_eta(capsys):

@@ -39,9 +39,10 @@ def _node_log(k, t):
 
 
 def test_integrand_trivial_origin():
-    # mu=1, eta=0, t=0: x^0 t^0 e^{-x} I_0(0) = e^{-x}
+    # mu=1, eta=0, t -> 0: x^0 t^0 e^{-x} I_0(0) = e^{-x}; no node reaches
+    # t = 0, so the limit is taken at the least positive t.
     k = quadrature._NodeKernel(MomentQuery(0.0, 1.0, 2.5, 0.0))
-    assert math.exp(_node_log(k, 0.0)) == pytest.approx(
+    assert math.exp(_node_log(k, math.ulp(0.0))) == pytest.approx(
         math.exp(-2.5), rel=1e-15, abs=0.0)
 
 
@@ -500,7 +501,10 @@ def test_cut_lower_end_drops_below_eps_of_the_integral():
         d = (spec.upper - a) / (1.0 + math.exp(2.0 * spec.u_lo)) ** 20
         assert spec.u_lo < quadrature._U_MAX and d > 0.0, q
         k = quadrature._NodeKernel(q)
-        top = max(_node_log(k, a + i * 0.01 * d) for i in range(101))
+        # No node reaches t = 0; at a = 0 the integrand's limit there is its
+        # value at the least positive t.
+        top = max(_node_log(k, max(a + i * 0.01 * d, math.ulp(0.0)))
+                  for i in range(101))
         value = tanh_rule_integrate(q).value
         assert value > 0.0, q
         assert (math.log(d) + top - math.log(value)

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -450,7 +451,8 @@ def test_ratio_sweep_matches_per_order_ratios_and_series_oracle():
     for z in zs:
         for n in (1, 2, 37, 200):
             mu0 = rng.uniform(0.5, 251.0 - n)
-            for k, r in enumerate(nuttall._ratio_sweep(mu0, n, z)):
+            _, ratios = nuttall._ratio_sweep(mu0, n, 0.5 * z, 0.5 * z)
+            for k, r in enumerate(ratios):
                 order = mu0 + k
                 assert r == pytest.approx(bessel_ratio(order, z), rel=5e-15,
                                           abs=0.0), (order, z)
@@ -480,6 +482,19 @@ def test_homogeneous_table_matches_benchmark_sequence(mu0, n_cols, x, y):
     assert len(flat) == len(ref)
     for got, want in zip(flat, ref):
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_wide_ladder_stays_fast_once_its_forcing_term_underflows():
+    # Past mu ~ 250 at (3, 5) the forcing term is below 1e-300, so every
+    # column seeds it again from a scaled Bessel value; that value's
+    # prefactor stops its product once it underflows to 0.0, and does not
+    # run on through all mu factors.
+    start = time.perf_counter()
+    ladder = nuttall_q_ladder(0, 1.0, 10_000, 3.0, 5.0)
+    assert time.perf_counter() - start < 5.0
+    table = homogeneous_table(0, 1.0, 10_000, 3.0, 5.0)
+    for got, want in zip(ladder.values[0], table.values[0]):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_homogeneous_table_makes_one_ratio_sweep(monkeypatch):
