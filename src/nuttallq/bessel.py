@@ -195,8 +195,6 @@ def bessel_i_scaled(order: float, arg: float) -> float:
     100,000 terms).
     """
     _validate(order, arg)
-    if arg == 0.0:
-        return 1.0 if order == 0.0 else 0.0
     if arg <= _LINEAR_MAX_ARG and order <= _LINEAR_MAX_ORDER:
         p = _power_over_gamma(order, arg)
         if p == 0.0:

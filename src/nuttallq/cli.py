@@ -57,9 +57,6 @@ TABLE2_Y = 3.0
 TABLE2_NS = (10, 20, 30, 40, 50, 60)
 
 SELFTEST_THRESHOLD = 1e-12
-# Entries (eta + 1) * n_cols above which a ladder or homogeneous query is
-# refused before its table is built.
-MAX_TABLE_ENTRIES = 10**6
 # Default axes of the sweep and self-test grid: the working region.
 _DEFAULT_AXES = (("eta", "1:49"), ("mu", "1:50"), ("x", "0.1:20"),
                  ("y", "0.1:20"))
@@ -129,14 +126,11 @@ def _eval_one(q: MomentQuery, method: str) -> tuple[float, int, float, bool]:
         out = tanh_rule_integrate(q)
         return out.value, out.nodes, out.est_error, True
     # The table recurs up to mu from mu_start in (0, 1] (up to a 1e-12
-    # slack); the builders check eta and x.
+    # slack); the builders check eta, x and the table's size.
     n_cols = max(1, math.ceil(q.mu - 1e-12))
-    entries = (math.floor(q.eta) + 1) * n_cols
-    if entries > MAX_TABLE_ENTRIES:
-        raise DomainError(f"{method} table of {entries} entries exceeds the "
-                          f"limit of {MAX_TABLE_ENTRIES}")
     build = nuttall_q_ladder if method == "ladder" else homogeneous_table
     table = build(q.eta, q.mu - (n_cols - 1), n_cols, q.x, q.y)
+    entries = (table.eta_max + 1) * n_cols
     return table.entry(table.eta_max, n_cols - 1), entries, SERIES_TOL, True
 
 

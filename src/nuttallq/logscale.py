@@ -12,6 +12,4 @@ def exp_clipped(t: float) -> float:
     """exp(t) that saturates to inf instead of raising OverflowError."""
     if t > _MAX_EXP_ARG:
         return math.inf
-    if t == -math.inf:
-        return 0.0
     return math.exp(t)

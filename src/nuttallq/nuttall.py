@@ -14,9 +14,9 @@ is evaluated three independent ways:
   the increment y^a e^{-y}/Gamma(a+1), itself kept as a running product.
   Its first value comes with Q_{eta+mu}(y) from one incomplete-gamma
   prefactor, and it is re-seeded from its log form whenever it drops below
-  1e-300.  Once the Q factor has reached its last bit it is no longer
-  updated, and a second loop steps only the weights; for integer eta the
-  rest of the sum is then closed-form: the weights sum to
+  1e-300.  One loop adds the positive terms to a running sum, and stops
+  updating the Q factor once it has reached its last bit; for integer eta
+  the rest of the sum is then closed-form: the weights sum to
   M(eta+mu; mu; x), which Kummer's transformation turns into e^x times a
   polynomial of degree eta.  Q factors that underflow are carried relative
   to Q_{eta+mu}(y), with its log as one more offset.
@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from math import fsum
 
 from .bessel import bessel_i_scaled, bessel_ratio, log_poisson_pair_sum
 from .errors import ConvergenceError, DomainError
@@ -82,6 +81,9 @@ _TINY = sys.float_info.min
 _ULP = 2.0 ** -53
 # An increment below this fraction of the Q factor is below half its ulp.
 _SATURATED = 2.0 ** -60
+# Entries (eta_max + 1) * n_cols above which a table is refused before it is
+# built.
+MAX_TABLE_ENTRIES = 10**6
 # Rising products longer than this fall back to the lgamma difference.
 _PRODUCT_MAX_FACTORS = 20_000
 # ln 2 = _LN2_HI + _LN2_LO as in fdlibm: the high part ends in 21 zero bits.
@@ -270,20 +272,22 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     ln Gamma(a), as inc_a = e^{E(a, y)}/a (``q_with_log_increment``).  The
     increment is then a running product, inc_{a+1} = inc_a * y/(a+1),
     re-seeded from its log form (``log_q_increment``) whenever it falls
-    below 1e-300, where multiplies lose digits.  Term magnitudes are
-    accumulated against a floating log offset and materialized exactly once
-    at the end.
+    below 1e-300, where multiplies lose digits.  The terms go into one
+    running sum against a floating log offset, which is applied once at the
+    end.  They are positive, so the sum's rounding is at most (n-1) eps of
+    it for n terms (Higham 2002, section 4.2), as much as each term carries
+    from its running products: an exact sum would gain nothing.
 
     Once a + 2 > 2y and the increment is below 2^-60 of the Q factor, every
     later increment is at most half the one before and below half an ulp of
-    the factor: the factor has saturated and is no longer updated, and the
-    rest of the sum runs in a second loop that only steps the weights.  For
-    integer eta with Q_{eta+mu}(y) >= 1/2, the rest of the series is then
-    known in closed form: the weights sum to e^x L (``_kummer_polynomial``),
-    so the terms not yet summed add Q * (e^x L - the weights summed so far),
-    and the sum stops there.  The guard keeps the whole sum at e^x L / 2 or
-    more, so that subtraction costs at most one bit.  This needs no fold of
-    the weights yet, and e^x L in double range.
+    the factor: the factor has saturated and is no longer updated, while
+    the same loop goes on stepping the weights.  For integer eta with
+    Q_{eta+mu}(y) >= 1/2, the rest of the series is then known in closed
+    form: the weights sum to e^x L (``_kummer_polynomial``), so the terms
+    not yet summed add Q * (e^x L - the weights summed so far), and the sum
+    stops there.  The guard keeps the whole sum at e^x L / 2 or more, so
+    that subtraction costs at most one bit.  This needs no fold of the
+    weights yet, and e^x L in double range.
 
     Otherwise termination requires the per-term contribution to stay below
     1e-14 for three consecutive terms after the term peak near n ~ x has
@@ -347,24 +351,29 @@ def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
     and the weight of the terms whose Q factor was below the normal range,
     in units of the summed terms.
 
-    The first loop runs while the Q factor still changes.  Once it has
-    saturated, the closed tail is tried once, and a second loop does only
-    the stop test, the weight step, the fold and the append."""
+    One loop steps the weight of every term, and the Q factor only until it
+    has saturated; the closed tail is tried once, at the top of the first
+    pass after that.  The value is the running sum the stop test reads."""
     tol, max_terms, fold_limit = SERIES_TOL, _MAX_TERMS, _FOLD_LIMIT
     em, two_y, sat = eta + mu, 2.0 * y, _SATURATED
     saturated = y == 0.0  # no later increment can change q_cur
     u = 1.0       # running x^n/n! * ratio-growth, relative to the n=0 term
     u_sum = 1.0   # the u of the terms summed so far
     lost = 1.0 if q_cur < _TINY else 0.0
-    shift = q_log  # log of the scale of u, q_cur and items
-    items = [q_cur]  # terms since the last fold, after the carried sum
+    shift = q_log  # log of the scale of u, q_cur and running
     running = last = q_cur
     n = 0.0  # index of the newest term, which is last (a float counter)
     quiet = 0
     converged = False
-    contrib = math.inf
 
-    while not saturated:
+    while True:
+        if saturated and closed_tail:
+            closed_tail = False
+            if shift == 0.0:
+                weights = exp_clipped(x) * _kummer_polynomial(eta, mu, x)
+                if weights < math.inf:
+                    running += q_cur * max(0.0, weights - u_sum)
+                    return running, shift, int(n), 0.0, True, lost
         contrib = last / running if running > 0.0 else 0.0
         if contrib <= tol:
             quiet += 1
@@ -376,69 +385,34 @@ def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
         if n + 1.0 >= max_terms:
             break
         u *= x * (em + n) / ((n + 1.0) * (mu + n))
-        if inc < _INC_RESEED:
-            inc = exp_clipped(log_q_increment(em + n, y) - q_log)
-            if q_cur + inc < _TINY:
-                lost += u
-        q_cur += inc
-        inc *= y / (em + n + 1.0)
-        if q_cur > 2.0:
-            # Only a factor carried relative to an underflowed
-            # Q_{eta+mu}(y) grows past 1: hand its growth to u, whose
-            # fold keeps it in range.
-            u *= q_cur
-            inc /= q_cur
-            q_cur = 1.0
-        saturated = inc <= sat * q_cur and em + n + 2.0 > two_y
+        if not saturated:
+            if inc < _INC_RESEED:
+                inc = exp_clipped(log_q_increment(em + n, y) - q_log)
+                if q_cur + inc < _TINY:
+                    lost += u
+            q_cur += inc
+            inc *= y / (em + n + 1.0)
+            if q_cur > 2.0:
+                # Only a factor carried relative to an underflowed
+                # Q_{eta+mu}(y) grows past 1: hand its growth to u, whose
+                # fold keeps it in range.
+                u *= q_cur
+                inc /= q_cur
+                q_cur = 1.0
+            saturated = inc <= sat * q_cur and em + n + 2.0 > two_y
         n += 1.0
         if u > fold_limit:
-            items, running, lost, shift = _fold(items, u, running, lost,
-                                                shift)
+            # Rescale by 1/u; the closed tail needs shift == 0, so u_sum,
+            # which only it reads, is left as it is.
+            scale = 1.0 / u
+            running *= scale
+            lost *= scale
+            shift += math.log(u)
             u = 1.0
         last = u * q_cur
-        items.append(last)
         running += last
         u_sum += u
-    else:  # the Q factor saturated; the loop above was not broken
-        if closed_tail and shift == 0.0:
-            weights = exp_clipped(x) * _kummer_polynomial(eta, mu, x)
-            if weights < math.inf:
-                items.append(q_cur * max(0.0, weights - u_sum))
-                return fsum(items), shift, int(n), 0.0, True, lost
-        while True:
-            contrib = last / running if running > 0.0 else 0.0
-            if contrib <= tol:
-                quiet += 1
-                if quiet >= _QUIET_TERMS and n > x:
-                    converged = True
-                    break
-            else:
-                quiet = 0
-            if n + 1.0 >= max_terms:
-                break
-            u *= x * (em + n) / ((n + 1.0) * (mu + n))
-            n += 1.0
-            if u > fold_limit:
-                items, running, lost, shift = _fold(items, u, running, lost,
-                                                    shift)
-                u = 1.0
-            last = u * q_cur
-            items.append(last)
-            running += last
-    return fsum(items), shift, int(n), contrib, converged, lost
-
-
-def _fold(items: list[float], u: float, running: float, lost: float,
-          shift: float) -> tuple[list[float], float, float, float]:
-    """Rescale the loop of ``_sum_terms`` by 1/u, with u the running weight.
-
-    The block of items so far closes: its exact sum, rescaled, is the one
-    item carried into the next block, so a fold costs the items it closes
-    and not every item stored before it.  Returns the new items, running
-    sum, lost weight and log scale; u itself restarts at 1."""
-    scale = 1.0 / u
-    return [fsum(items) * scale], running * scale, lost * scale, \
-        shift + math.log(u)
+    return running, shift, int(n), contrib, converged, lost
 
 
 def marcum_q(mu: float, x: float, y: float) -> float:
@@ -459,8 +433,13 @@ def _series_value(eta: float, mu: float, x: float, y: float) -> float:
     return out.value
 
 
+def _is_integer(v: float) -> bool:
+    # An int is tested as it is: float() of one past 1e308 would overflow.
+    return isinstance(v, int) or float(v).is_integer()
+
+
 def _require_integer_eta(eta: float, what: str) -> int:
-    if not float(eta).is_integer():
+    if not _is_integer(eta):
         raise DomainError(f"{what} requires integer eta, got {eta!r}")
     return int(eta)
 
@@ -469,14 +448,20 @@ def _check_table_args(what: str, eta_max: int, mu_start: float, n_cols: int,
                       x: float, y: float) -> tuple[int, int]:
     """Validate the arguments the table builders and the row filler share,
     with the checks of ``MomentQuery`` on (eta_max, mu_start, x, y); return
-    eta_max and n_cols as ints."""
+    eta_max and n_cols as ints.  More than MAX_TABLE_ENTRIES entries
+    (eta_max + 1) * n_cols are refused before anything is built."""
     eta_max = _require_integer_eta(eta_max, what)
-    if not (float(n_cols).is_integer() and n_cols >= 1):
+    if not (_is_integer(n_cols) and n_cols >= 1):
         raise DomainError(f"n_cols must be an integer >= 1, got {n_cols!r}")
+    n_cols = int(n_cols)
+    entries = (eta_max + 1) * n_cols
+    if entries > MAX_TABLE_ENTRIES:
+        raise DomainError(f"{what} needs (eta + 1) * n_cols = {entries} "
+                          f"entries, over the limit of {MAX_TABLE_ENTRIES}")
     if x == 0.0:
         raise DomainError(f"{what} is undefined at x = 0; use the series path")
     MomentQuery(eta_max, mu_start, x, y)
-    return eta_max, int(n_cols)
+    return eta_max, n_cols
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
@@ -669,7 +654,8 @@ def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
     The Bessel ratios come from one ``_ratio_sweep`` per call (one continued
     fraction at the top order, none for n_cols <= 2), so no raw Bessel
     magnitudes appear.  ``prev_row`` holds Q_{eta-1, mu_start+m};
-    ``seed0``/``seed1`` are Q_{eta, mu_start} and Q_{eta, mu_start+1}.
+    ``seed0``/``seed1`` are Q_{eta, mu_start} and Q_{eta, mu_start+1}.  The
+    row is row eta of a table, and the table's size limit holds for it.
     """
     eta, n_cols = _check_table_args("homogeneous recurrence", eta, mu_start,
                                     n_cols, x, y)

@@ -225,7 +225,7 @@ def _log_head(k: _NodeKernel, t: float) -> tuple[float, float]:
 
 def _log_integrand(k: _NodeKernel, t: float, head: float) -> float:
     """ln of the scaled integrand at t, given head = ``_log_head(k, t)[0]``;
-    -inf where the integrand is zero."""
+    finite at every node, where t > 0 and x t is finite."""
     q = k.x * t
     return head + k.series.log_scaled(q, 2.0 * math.sqrt(q))
 
@@ -381,8 +381,8 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     log_end_weight = math.log(0.5)
     h = (u_lo + spec.u_hi) / (n - 1)
     # ln of each node's u-space integrand without the spacing h, which every
-    # pass changes; the endpoints carry their trapezoid weight 1/2.  Nodes
-    # where the integrand is zero are not stored.
+    # pass changes; the endpoints carry their trapezoid weight 1/2.  The
+    # first pass stores every node.
     logs: list[float] = []
     # Nodes whose bound falls below it are skipped; -inf in the first pass.
     floor = -math.inf
@@ -397,18 +397,13 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
                 skipped += 1
                 continue
             lf = _log_integrand(kernel, t, head)
-            if lf == -math.inf:
-                continue
             if i == 0 or i == n - 1:
                 lf += log_end_weight
             logs.append(lf + scale - shape)
-        if logs:
-            top = max(logs)
-            floor = top - _SKIP_MARGIN
-            yield n, (exp_clipped(top + math.log(h))
-                      * fsum(math.exp(v - top) for v in logs)), skipped
-        else:
-            yield n, 0.0, skipped
+        top = max(logs)
+        floor = top - _SKIP_MARGIN
+        yield n, (exp_clipped(top + math.log(h))
+                  * fsum(math.exp(v - top) for v in logs)), skipped
         fresh = range(1, 2 * n - 1, 2)
         n = 2 * n - 1
         h *= 0.5

@@ -210,20 +210,28 @@ def test_eval_homogeneous_at_eta_zero_matches_series(capsys):
 ], ids=["eval-columns", "sweep-rows", "at-the-limit"])
 def test_recurrence_tables_past_the_entry_limit_are_refused(
         capsys, monkeypatch, command, entries, method):
-    # A query over 10^6 entries is refused by its count before any table is
-    # built; one at the limit reaches the builder.
-    def builder(*args):
-        raise DomainError("builder reached")
+    # The table builders refuse a query over 10^6 entries by its count
+    # before they build anything; one at the limit reaches the building.
+    def build(*args):
+        raise DomainError("building reached")
 
-    monkeypatch.setattr(cli, "nuttall_q_ladder", builder)
-    monkeypatch.setattr(cli, "homogeneous_table", builder)
+    monkeypatch.setattr(nuttall, "_ratio_sweep", build)
     code, out, err = run(capsys, *command, method, "--x", "1", "--y", "1")
     assert code == EXIT_USAGE
     if entries is None:
-        assert err == "domain error: builder reached\n"
+        assert err == "domain error: building reached\n"
     else:
-        assert err == (f"domain error: {method} table of {entries} entries "
-                       f"exceeds the limit of {cli.MAX_TABLE_ENTRIES}\n")
+        what = "ladder" if method == "ladder" else "homogeneous table"
+        assert err == (f"domain error: {what} needs (eta + 1) * n_cols = "
+                       f"{entries} entries, over the limit of "
+                       f"{nuttall.MAX_TABLE_ENTRIES}\n")
+
+
+@pytest.mark.parametrize("text", ["1:2:3:4", "a:b"])
+def test_malformed_range_is_a_usage_error(capsys, text):
+    code, out, err = run(capsys, "sweep", "--x", text)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"usage error: bad range {text!r}")
 
 
 def test_eval_recurrence_needs_integer_eta(capsys):

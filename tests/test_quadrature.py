@@ -710,3 +710,14 @@ def test_quadrature_at_the_box_edges(eta, mu, x, y, ref):
 def test_small_x_window_covers_the_upper_tail(eta, x, ref):
     q = MomentQuery(eta, 50.0, x, 10.0)
     assert moment_by_quadrature(q) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [MomentQuery(0.0, 1.0, 0.0, 800.0),
+                               MomentQuery(1.0, 2.0, 0.0, 1000.0),
+                               MomentQuery(0.0, 1.0, 1.0, 900.0)])
+def test_zero_first_two_passes_stop_at_zero(q):
+    # Far past the mass, every node's term underflows: the first two passes
+    # sum to 0.0, and the rule stops there, as the series' value is 0.0 too.
+    out = tanh_rule_integrate(q)
+    assert (out.value, out.nodes, out.est_error) == (0.0, 65, 0.0)
+    assert nuttall_q_series(q).value == 0.0

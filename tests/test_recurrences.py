@@ -418,6 +418,26 @@ def test_builders_reject_non_integer_n_cols(build, n_cols):
         build(n_cols)
 
 
+@pytest.mark.parametrize("build", [nuttall_q_ladder, homogeneous_table],
+                         ids=["ladder", "homogeneous_table"])
+@pytest.mark.parametrize("eta_max,n_cols", [(1, 10**9), (0, 10**400),
+                                            (10**400, 3)],
+                         ids=["1e9-columns", "1e400-columns", "1e400-rows"])
+def test_builders_refuse_tables_past_the_entry_limit(monkeypatch, build,
+                                                     eta_max, n_cols):
+    # Refused by the count (eta_max + 1) * n_cols before anything is built:
+    # a 10^9-column ladder would first ask for about 8 GB of Bessel ratios.
+    # Ints past the double range are counted as ints, not overflowing float().
+    def sweep(*args):
+        raise AssertionError("table built past the entry limit")
+
+    monkeypatch.setattr(nuttall, "_ratio_sweep", sweep)
+    with pytest.raises(DomainError, match=(
+            rf"needs \(eta \+ 1\) \* n_cols = {(eta_max + 1) * n_cols} "
+            rf"entries, over the limit of {nuttall.MAX_TABLE_ENTRIES}$")):
+        build(eta_max, 1.0, n_cols, 1.0, 1.0)
+
+
 def test_builders_accept_integral_float_n_cols():
     for build in (nuttall_q_ladder, homogeneous_table):
         table = build(2, 1.0, 3.0, 1.0, 1.0)

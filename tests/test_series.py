@@ -252,6 +252,20 @@ def test_closed_tail_work_counts():
     assert nuttall_q_series(MomentQuery(2.0, 3.0, 6.0, 9.0)).terms_used == 38
 
 
+@pytest.mark.parametrize("eta,mu,x,y,terms", [
+    (3.0, 2.0, 5.0, 0.0, 1),     # closed tail at y = 0, before any stop test
+    (12.5, 7.0, 6.0, 3.0, 43),   # real eta: runs on after saturation
+    (4.0, 12.5, 7.0, 9.0, 31),   # closed tail after the Q factor saturates
+    (2.5, 1.0, 20.0, 0.0, 69),   # real eta, saturated from the start
+])
+def test_one_loop_work_counts(eta, mu, x, y, terms):
+    # The Q factor's step stops at saturation, and the closed tail is tried
+    # once, at the top of the next pass; the terms summed one by one stay
+    # those of the loop that held the two phases apart.
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y))
+    assert out.converged and out.terms_used == terms
+
+
 # (m, e, log_scale, m 2^e e^log_scale) from seeded draws, valued by mpmath at
 # 40 digits.
 TIMES_EXP_POINTS = [
