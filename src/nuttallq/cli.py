@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 usage/domain error, 2 convergence failure,
 SIGPIPE ended) when the reader closes standard output early; that last
 case prints nothing to standard error.  All numeric output uses 17
 significant digits and identical invocations produce byte-identical
-output.
+output.  A field that no route measured (the recurrences' est_error and
+terms) is null in JSON, an empty CSV cell, and no line of text.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 
 from .errors import ConvergenceError, DomainError
 from .incgamma import gamma_ratio_q
 from .logscale import exp_clipped
-from .nuttall import (SERIES_TOL, MomentQuery, consistency_deviation,
-                      homogeneous_table, nuttall_q_ladder, nuttall_q_series)
+from .nuttall import (MomentQuery, consistency_deviation, homogeneous_table,
+                      nuttall_q_ladder, nuttall_q_series)
 from .quadrature import tanh_rule_integrate
 
 EXIT_OK = 0
@@ -71,8 +73,36 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+def _fmt(v) -> str:
+    """A field as text and CSV print it: a float to 17 significant digits,
+    None as nothing, and a dict as ``key=value`` pairs."""
+    if isinstance(v, float):
+        return format(v, ".17g")
+    if isinstance(v, dict):
+        return " ".join(f"{k}={_fmt(w)}" for k, w in v.items())
+    return "" if v is None else str(v)
+
+
+def _write_record(record: dict, fmt: str, keys: Iterable[str] = ()) -> None:
+    """One record: sorted JSON, or a ``key value`` line for each of ``keys``
+    (all, by default) whose value is not None."""
+    if fmt == "json":
+        print(json.dumps(record, sort_keys=True))
+        return
+    for key in keys or record:
+        if record[key] is not None:
+            print(key, _fmt(record[key]))
+
+
+def _write_rows(header: tuple[str, ...], rows: Iterable[tuple],
+                fmt: str) -> None:
+    """Rows under ``header``: one JSON list, or CSV lines as they come."""
+    if fmt == "json":
+        print(json.dumps([dict(zip(header, row)) for row in rows]))
+        return
+    print(",".join(header))
+    for row in rows:
+        print(",".join(_fmt(v) for v in row))
 
 
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
@@ -117,8 +147,10 @@ def _axes(args) -> list[list[float]]:
             for name, _ in _DEFAULT_AXES]
 
 
-def _eval_one(q: MomentQuery, method: str) -> tuple[float, int, float, bool]:
-    """(value, terms_or_nodes, est_error, converged) for one evaluation."""
+def _eval_one(q: MomentQuery, method: str
+              ) -> tuple[float, int | None, float | None, bool]:
+    """(value, terms_or_nodes, est_error, converged) for one evaluation;
+    the recurrences measure neither terms nor an error, so give None."""
     if method == "series":
         out = nuttall_q_series(q)
         return out.value, out.terms_used, out.est_error, out.converged
@@ -130,8 +162,7 @@ def _eval_one(q: MomentQuery, method: str) -> tuple[float, int, float, bool]:
     n_cols = max(1, math.ceil(q.mu - 1e-12))
     build = nuttall_q_ladder if method == "ladder" else homogeneous_table
     table = build(q.eta, q.mu - (n_cols - 1), n_cols, q.x, q.y)
-    entries = (table.eta_max + 1) * n_cols
-    return table.entry(table.eta_max, n_cols - 1), entries, SERIES_TOL, True
+    return table.entry(table.eta_max, n_cols - 1), None, None, True
 
 
 def _cmd_eval(args) -> int:
@@ -142,12 +173,8 @@ def _cmd_eval(args) -> int:
         "method": args.method, "value": value, "est_error": est,
         "terms": terms, "converged": converged,
     }
-    if args.format == "json":
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for k in ("value", "method", "terms", "est_error", "converged"):
-            v = record[k]
-            print(f"{k} {_fmt(v) if isinstance(v, float) else v}")
+    _write_record(record, args.format,
+                  ("value", "method", "terms", "est_error", "converged"))
     if not converged:
         print("warning: series did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -177,23 +204,10 @@ def _table2_rows() -> list[tuple[int, float]]:
 
 def _cmd_table(args) -> int:
     if args.which == 1:
-        rows = _table1_rows()
-        if args.format == "json":
-            print(json.dumps([
-                {"eta": r[0], "mu": r[1], "x": r[2], "y": r[3], "value": r[4]}
-                for r in rows]))
-        else:
-            print("eta,mu,x,y,value")
-            for r in rows:
-                print(",".join(_fmt(v) for v in r))
+        _write_rows(("eta", "mu", "x", "y", "value"), _table1_rows(),
+                    args.format)
     else:
-        rows = _table2_rows()
-        if args.format == "json":
-            print(json.dumps([{"N": n, "rel_error": e} for n, e in rows]))
-        else:
-            print("N,rel_error")
-            for n, e in rows:
-                print(f"{n},{_fmt(e)}")
+        _write_rows(("N", "rel_error"), _table2_rows(), args.format)
     return EXIT_OK
 
 
@@ -208,19 +222,23 @@ def _cmd_sweep(args) -> int:
         raise DomainError(
             "ladder/homogeneous sweeps require an integer eta grid")
     failures = 0
-    print("eta,mu,x,y,method,value,est_error,terms")
-    for eta, mu, x, y in itertools.product(etas, mus, xs, ys):
-        q = MomentQuery(eta, mu, x, y)
-        for method in methods:
-            try:
-                value, terms, est, conv = _eval_one(q, method)
-            except ConvergenceError:
-                failures += 1
-                continue
-            if not conv:
-                failures += 1
-            print(",".join((_fmt(eta), _fmt(mu), _fmt(x), _fmt(y), method,
-                            _fmt(value), _fmt(est), str(terms))))
+
+    def rows():
+        nonlocal failures
+        for eta, mu, x, y in itertools.product(etas, mus, xs, ys):
+            q = MomentQuery(eta, mu, x, y)
+            for method in methods:
+                try:
+                    value, terms, est, conv = _eval_one(q, method)
+                except ConvergenceError:
+                    failures += 1
+                    continue
+                if not conv:
+                    failures += 1
+                yield eta, mu, x, y, method, value, est, terms
+
+    _write_rows(("eta", "mu", "x", "y", "method", "value", "est_error",
+                 "terms"), rows(), "csv")
     if failures:
         print(f"warning: {failures} evaluations did not converge",
               file=sys.stderr)
@@ -232,8 +250,9 @@ def _selftest_point(q: MomentQuery) -> float:
     """The deviation at q; inf, a failed check, where it is not finite."""
     if q.x == 0.0:
         # No ladder at x = 0: check the series against the closed form
-        # Gamma(eta+mu, y)/Gamma(mu), built from lgamma so that it shares
-        # no code with the series' own x = 0 branch.
+        # Gamma(eta+mu, y)/Gamma(mu).  Only its gamma ratio, from lgamma,
+        # is independent of the series' own x = 0 branch: gamma_ratio_q is
+        # q_with_log_increment(...)[0], the very call that branch makes.
         closed = (exp_clipped(math.lgamma(q.eta + q.mu) - math.lgamma(q.mu))
                   * gamma_ratio_q(q.eta + q.mu, q.y))
         got = nuttall_q_series(q).value
@@ -247,44 +266,27 @@ def _cmd_selftest(args) -> int:
     etas, mus, xs, ys = _axes(args)
     if not all(float(e).is_integer() and e >= 1.0 for e in etas):
         raise DomainError("selftest requires an eta grid of integers >= 1")
-    etas = sorted({int(e) for e in etas})
-    worst = -1.0
-    worst_at = None
-    n_points = 0
-    failures = 0
-    for eta, mu, x, y in itertools.product(etas, mus, xs, ys):
+    grid = list(itertools.product(sorted({int(e) for e in etas}), mus, xs, ys))
+    worst, worst_at, failures = -1.0, None, 0
+    for eta, mu, x, y in grid:
         q = MomentQuery(float(eta), mu, x, y)
-        n_points += 1
         try:
             dev = _selftest_point(q)
         except ConvergenceError:
             failures += 1
             continue
         if dev > worst:
-            worst = dev
-            worst_at = (eta, mu, x, y)
+            worst, worst_at = dev, {"eta": eta, "mu": mu, "x": x, "y": y}
     passed = failures == 0 and worst <= SELFTEST_THRESHOLD
     record = {
-        "points": n_points,
+        "points": len(grid),
         "convergence_failures": failures,
         "max_deviation": worst,
-        "argmax": {"eta": worst_at[0], "mu": worst_at[1],
-                   "x": worst_at[2], "y": worst_at[3]} if worst_at else None,
+        "argmax": worst_at,
         "threshold": SELFTEST_THRESHOLD,
         "result": "PASS" if passed else "FAIL",
     }
-    if args.format == "json":
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(f"points {n_points}")
-        print(f"convergence_failures {failures}")
-        print(f"max_deviation {_fmt(worst)}")
-        if worst_at:
-            print("argmax eta={} mu={} x={} y={}".format(
-                worst_at[0], _fmt(worst_at[1]), _fmt(worst_at[2]),
-                _fmt(worst_at[3])))
-        print(f"threshold {_fmt(SELFTEST_THRESHOLD)}")
-        print(f"result {record['result']}")
+    _write_record(record, args.format)
     if failures:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK if passed else EXIT_SELFTEST_FAIL
@@ -298,10 +300,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one moment")
-    p_eval.add_argument("--eta", type=float, required=True)
-    p_eval.add_argument("--mu", type=float, required=True)
-    p_eval.add_argument("--x", type=float, required=True)
-    p_eval.add_argument("--y", type=float, required=True)
+    for name in ("eta", "mu", "x", "y"):
+        p_eval.add_argument(f"--{name}", type=float, required=True)
     p_eval.add_argument("--method", choices=METHODS, default="series")
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
     p_eval.set_defaults(func=_cmd_eval)

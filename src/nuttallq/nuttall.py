@@ -5,7 +5,7 @@ The eta-th moment (Nuttall Q-function)
     Q_{eta,mu}(x, y) = x^{(1-mu)/2} int_y^inf t^{eta+(mu-1)/2}
                        e^{-t-x} I_{mu-1}(2 sqrt(x t)) dt
 
-is evaluated three independent ways:
+is evaluated three ways (what they share is listed below):
 
 * ``nuttall_q_series`` - the expansion in incomplete gamma function ratios,
       e^{-x} sum_n x^n/n! * Gamma(eta+mu+n)/Gamma(mu+n) * Q_{eta+mu+n}(y),
@@ -46,6 +46,21 @@ forcing term along a row as a running product with the same factor.
 distance from 1 measures the joint accuracy of everything above; it is the
 library's internal accuracy metric.
 
+The routes are not wholly independent, so their agreement does not check
+what they share:
+
+* quadrature nodes past z = 700 take e^{-z} I from
+  ``bessel.log_poisson_pair_sum``, whose peak log comes from
+  ``incgamma.log_q_increment`` and its ``_log_gamma_prefactor``, the
+  functions behind the series' Q factors;
+* the ladder's forcing term and the quadrature kernel both take the
+  Bessel power series ``bessel._series_sum`` and ``_power_over_gamma``;
+* the ladder and the homogeneous table share their one series seed, their
+  forcing terms and their ratio sweep;
+* ``nuttallq selftest`` checks the series at x = 0 against
+  Gamma(eta+mu)/Gamma(mu) from lgamma times ``gamma_ratio_q``, which is
+  ``q_with_log_increment(...)[0]``, the call the series itself makes there.
+
 The series accepts real eta >= 0.  Both recurrences couple eta to eta-1 down
 to the Marcum base case and therefore require integer eta.
 """
@@ -62,9 +77,8 @@ from .incgamma import (log_gamma_ratio_q, log_pochhammer, log_q_increment,
                        q_with_log_increment)
 from .logscale import exp_clipped
 
-# Relative contribution below which a series term counts as quiet; the CLI
-# also reports it as the recurrence methods' est_error.
-SERIES_TOL = 1e-14
+# Relative contribution below which a series term counts as quiet.
+_SERIES_TOL = 1e-14
 # Terms after which the series gives up and reports non-convergence.
 _MAX_TERMS = 2000
 # Consecutive below-tolerance terms required before the series may stop.
@@ -76,8 +90,9 @@ _FOLD_LIMIT = 1e250
 _INC_RESEED = 1e-300
 # Below this ln Q_{eta+mu}(y), rounded to ~|ln Q| eps, keeps under ten digits.
 _LOG_Q_MIN = -1e6
-# The smallest normal double, and half an ulp of 1.
+# The smallest normal and the largest finite double, and half an ulp of 1.
 _TINY = sys.float_info.min
+_HUGE = sys.float_info.max
 _ULP = 2.0 ** -53
 # An increment below this fraction of the Q factor is below half its ulp.
 _SATURATED = 2.0 ** -60
@@ -94,8 +109,12 @@ _SPLIT = 134217729.0
 
 
 def _require_finite(name: str, v: float) -> None:
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {v!r}")
+    # A comparison, not math.isfinite, which raises OverflowError for an int
+    # past the double range; such an int is not shown in full.
+    if not -_HUGE <= v <= _HUGE:
+        shown = ("an int past the double range" if isinstance(v, int)
+                 else repr(v))
+        raise DomainError(f"{name} must be finite, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -114,9 +133,9 @@ class MomentQuery:
     y: float
 
     def __post_init__(self) -> None:
-        inf = math.inf
-        if (0.0 <= self.eta < inf and 0.0 < self.mu < inf
-                and 0.0 <= self.x < inf and 0.0 <= self.y < inf):
+        huge = _HUGE
+        if (0.0 <= self.eta <= huge and 0.0 < self.mu <= huge
+                and 0.0 <= self.x <= huge and 0.0 <= self.y <= huge):
             return
         for name in ("eta", "mu", "x", "y"):
             _require_finite(name, getattr(self, name))
@@ -354,7 +373,7 @@ def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
     One loop steps the weight of every term, and the Q factor only until it
     has saturated; the closed tail is tried once, at the top of the first
     pass after that.  The value is the running sum the stop test reads."""
-    tol, max_terms, fold_limit = SERIES_TOL, _MAX_TERMS, _FOLD_LIMIT
+    tol, max_terms, fold_limit = _SERIES_TOL, _MAX_TERMS, _FOLD_LIMIT
     em, two_y, sat = eta + mu, 2.0 * y, _SATURATED
     saturated = y == 0.0  # no later increment can change q_cur
     u = 1.0       # running x^n/n! * ratio-growth, relative to the n=0 term

@@ -97,6 +97,52 @@ def test_eval_quadrature_reports_nodes_as_terms(capsys):
     assert record["est_error"] == outcome.est_error
 
 
+EVAL_POINT = ("eval", "--eta", "4", "--mu", "12.5", "--x", "7", "--y", "9")
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_eval_text_lines_are_key_value_pairs(capsys, method):
+    # A reader may split each line once at its first space, as
+    # perfbench/run.py does: no line is a bare key, and the value read back
+    # is the JSON value.
+    code, text, _ = run(capsys, *EVAL_POINT, "--method", method)
+    assert code == EXIT_OK
+    fields = dict(line.split(" ", 1) for line in text.splitlines())
+    _, out, _ = run(capsys, *EVAL_POINT, "--method", method,
+                    "--format", "json")
+    record = json.loads(out)
+    assert float(fields["value"]) == record["value"]
+    assert fields["method"] == method
+    assert list(fields) == [k for k in ("value", "method", "terms",
+                                        "est_error", "converged")
+                            if record[k] is not None]
+
+
+@pytest.mark.parametrize("method", ["ladder", "homogeneous"])
+def test_eval_recurrences_report_no_terms_or_error(capsys, method):
+    # Neither recurrence measures its work or its error: nothing is printed
+    # in their place.
+    code, out, _ = run(capsys, *EVAL_POINT, "--method", method,
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert '"est_error": null' in out and '"terms": null' in out
+    _, text, _ = run(capsys, *EVAL_POINT, "--method", method)
+    assert [line.split()[0] for line in text.splitlines()] == [
+        "value", "method", "converged"]
+
+
+def test_sweep_leaves_the_recurrences_unmeasured_cells_empty(capsys):
+    code, out, _ = run(capsys, "sweep", *EVAL_POINT[1:], "--methods",
+                       "series,ladder,homogeneous,quadrature")
+    assert code == EXIT_OK
+    rows = {r["method"]: r for r in parse_csv(out)}
+    for method in ("ladder", "homogeneous"):
+        assert rows[method]["est_error"] == rows[method]["terms"] == ""
+    for method in ("series", "quadrature"):
+        assert float(rows[method]["est_error"]) >= 0.0
+        assert int(rows[method]["terms"]) >= 1
+
+
 @pytest.mark.parametrize("eta,mu,x,y,mu_start,n_cols", [
     (2, 7.5, 2.0, 3.0, 0.5, 8),
     (3, 4.0, 0.7, 9.0, 1.0, 4),

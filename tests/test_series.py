@@ -110,6 +110,29 @@ def test_underflowed_q_factor_is_carried_by_its_log(eta, mu, x, y, ref):
     assert out.value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+# (eta, mu, x, y, value) with y far above x at x = 50-200: the sum runs
+# 280-610 terms, and its first Q factors Q_{eta+mu+n}(y) lie below the
+# double range.  At y = 1100 the terms they drop weigh enough that the sum
+# is taken again relative to Q_{eta+mu}(y).  The series is 1.3e-13 off at
+# y = 900, so the bound here is 2e-13.  Values: perfbench/reference.py at
+# 40 digits (the same at 60).
+DEEP_TAIL_POINTS = [
+    (0.0, 1.0, 100.0, 900.0, 4.6758721592315245e-176),
+    (0.0, 1.0, 100.0, 950.0, 1.2132546903677065e-190),
+    (0.0, 1.0, 100.0, 1050.0, 2.3524055023198373e-220),
+    (0.0, 1.0, 100.0, 1100.0, 1.865079743586069e-235),
+    (0.0, 3.0, 50.0, 800.0, 1.56605524476685e-196),
+    (1.0, 5.0, 200.0, 1200.0, 2.9808785834556024e-180),
+]
+
+
+@pytest.mark.parametrize("eta,mu,x,y,ref", DEEP_TAIL_POINTS)
+def test_deep_tail_matches_reference(eta, mu, x, y, ref):
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y))
+    assert out.converged
+    assert out.value == pytest.approx(ref, rel=2e-13, abs=0.0)
+
+
 # (eta, mu, x, y, value): integer eta and Q_{eta+mu}(y) >= 1/2, so the sum
 # ends in the closed-form tail once the Q factor saturates.  Values: the
 # series summed at 50 digits with mpmath.gammainc, to 30 digits.
@@ -442,6 +465,17 @@ def test_query_validation():
             args[i] = bad
             with pytest.raises(DomainError, match=f"^{name} must be finite"):
                 MomentQuery(*args)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("field", ["eta", "mu", "x", "y"])
+def test_query_rejects_an_int_past_the_double_range(field, sign):
+    # Not OverflowError from a float conversion, in the checks or later in
+    # the series.
+    args = {"eta": 1.0, "mu": 1.0, "x": 1.0, "y": 1.0, field: sign * 10**400}
+    with pytest.raises(DomainError, match=(
+            f"^{field} must be finite, got an int past the double range$")):
+        MomentQuery(**args)
 
 
 @settings(max_examples=150, deadline=None)
