@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bessel import bessel_i_scaled, bessel_ratio, log_poisson_pair_sum
 from .errors import ConvergenceError, DomainError
@@ -117,40 +117,45 @@ def _require_finite(name: str, v: float) -> None:
         raise DomainError(f"{name} must be finite, got {shown}")
 
 
-@dataclass(frozen=True)
-class MomentQuery:
+class MomentQuery(namedtuple("MomentQuery", "eta mu x y")):
     """Parameter 4-tuple (eta, mu, x, y) for one moment evaluation.
 
     eta: moment order, >= 0 (integer required by the recurrence methods);
     mu:  degrees-of-freedom parameter, > 0;
     x:   non-centrality, >= 0;
     y:   lower integration limit, >= 0.
+
+    A named tuple: it unpacks and indexes, and it compares equal to a plain
+    tuple of the same values, even to a record of another type.
     """
 
-    eta: float
-    mu: float
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, eta: float, mu: float, x: float, y: float) -> MomentQuery:
         huge = _HUGE
-        if (0.0 <= self.eta <= huge and 0.0 < self.mu <= huge
-                and 0.0 <= self.x <= huge and 0.0 <= self.y <= huge):
-            return
-        for name in ("eta", "mu", "x", "y"):
-            _require_finite(name, getattr(self, name))
-        if self.eta < 0.0:
-            raise DomainError(f"eta must be >= 0, got {self.eta!r}")
-        if self.mu <= 0.0:
-            raise DomainError(f"mu must be > 0, got {self.mu!r}")
-        if self.x < 0.0:
-            raise DomainError(f"x must be >= 0, got {self.x!r}")
-        if self.y < 0.0:
-            raise DomainError(f"y must be >= 0, got {self.y!r}")
+        if not (0.0 <= eta <= huge and 0.0 < mu <= huge
+                and 0.0 <= x <= huge and 0.0 <= y <= huge):
+            for name, v in zip(cls._fields, (eta, mu, x, y)):
+                _require_finite(name, v)
+            if eta < 0.0:
+                raise DomainError(f"eta must be >= 0, got {eta!r}")
+            if mu <= 0.0:
+                raise DomainError(f"mu must be > 0, got {mu!r}")
+            if x < 0.0:
+                raise DomainError(f"x must be >= 0, got {x!r}")
+            if y < 0.0:
+                raise DomainError(f"y must be >= 0, got {y!r}")
+        return tuple.__new__(cls, (eta, mu, x, y))
+
+    @classmethod
+    def _make(cls, iterable) -> MomentQuery:
+        # namedtuple's own _make, which _replace calls, builds the tuple
+        # without __new__; build through it, so a replaced field is checked.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SeriesOutcome:
+class SeriesOutcome(namedtuple("SeriesOutcome",
+                               "value terms_used est_error converged")):
     """Series value plus convergence metadata.
 
     value:      Q_{eta,mu}(x, y);
@@ -161,25 +166,27 @@ class SeriesOutcome:
                 0.0 for the exact eta = 0, y = 0 value 1;
     converged:  True where the stop rule or a closed-form tail ended the
                 sum, False where 2000 terms ran out first.
+
+    A named tuple, ``value, terms, err, ok = nuttall_q_series(q)``: it
+    compares equal to a plain tuple of the same values, even to a record of
+    another type.
     """
 
-    value: float
-    terms_used: int
-    est_error: float
-    converged: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RecurrenceTable:
+class RecurrenceTable(namedtuple("RecurrenceTable",
+                                 "eta_max mu_start n_cols values")):
     """Grid of Q_{e, mu_start+m} values built by a recurrence in mu.
 
-    Row e=0 holds Marcum Q values (in [0, 1]).
+    Row e=0 holds Marcum Q values (in [0, 1]); ``values[e][m]`` is
+    Q_{e, mu_start+m}, a tuple of eta_max + 1 rows of n_cols floats.
+
+    A named tuple: it unpacks and indexes, and it compares equal to a plain
+    tuple of the same values, even to a record of another type.
     """
 
-    eta_max: int
-    mu_start: float
-    n_cols: int
-    values: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
     def entry(self, eta: int, col: int) -> float:
         return self.values[eta][col]

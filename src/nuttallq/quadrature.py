@@ -112,8 +112,8 @@ N * 2.9e-20 of itself: below half an ulp for N < ~3800, and at most
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from math import fsum
 
 from .bessel import FixedOrderSeries
@@ -150,8 +150,8 @@ _SKIP_MARGIN = 45.0
 _POWER = 20
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(namedtuple("QuadratureSpec",
+                                "peak lower upper u_lo u_hi")):
     """Truncation window for one integral, the peak of the profile t^g
     e^{-(sqrt t - sqrt x)^2} it was centred on, and the u-range [-u_lo,
     u_hi] of the map t = lower + (upper - lower) v^20, v = (1 + tanh u)/2,
@@ -164,13 +164,12 @@ class QuadratureSpec:
     (beyond ~1e272) that adding its half-width rounds away.  u_hi lies in
     [3, _U_MAX] (see ``_u_end``), and u_lo in (0.8, _U_MAX] from a closed
     form, about 0.96 on the working box (see ``_cut_end``).
+
+    A named tuple: it unpacks and indexes, and it compares equal to a plain
+    tuple of the same values, even to a record of another type.
     """
 
-    peak: float
-    lower: float
-    upper: float
-    u_lo: float
-    u_hi: float
+    __slots__ = ()
 
 
 def _check_oracle_query(q: MomentQuery) -> None:
@@ -410,8 +409,8 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
         h *= 0.5
 
 
-@dataclass(frozen=True)
-class QuadratureOutcome:
+class QuadratureOutcome(namedtuple("QuadratureOutcome",
+                                   "value nodes est_error skipped")):
     """Integral value plus the nodes of the last pass, the estimated
     relative error the stop rule accepted it on, and how many of those
     nodes were skipped.
@@ -420,12 +419,12 @@ class QuadratureOutcome:
     skipped`` is the number of integrand evaluations; ``skipped`` counts
     the nodes whose closed-form bound proved them negligible, so that the
     Bessel series never ran there.
+
+    A named tuple: it unpacks and indexes, and it compares equal to a plain
+    tuple of the same values, even to a record of another type.
     """
 
-    value: float
-    nodes: int
-    est_error: float
-    skipped: int
+    __slots__ = ()
 
 
 def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:

@@ -4,7 +4,6 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -174,11 +173,10 @@ def test_truncation_width_doubling_insensitive(monkeypatch):
     spec = truncation_bounds(q)
     base = tanh_rule_integrate(q).value
     center = max(spec.peak, q.y)
-    wide = replace(spec,
-                   lower=max(q.y, center - 2.0 * (center - spec.lower)
-                             if spec.lower > q.y else q.y),
-                   upper=center + 2.0 * (spec.upper - center),
-                   u_lo=quadrature._U_MAX, u_hi=quadrature._U_MAX)
+    wide = spec._replace(lower=max(q.y, center - 2.0 * (center - spec.lower)
+                                   if spec.lower > q.y else q.y),
+                         upper=center + 2.0 * (spec.upper - center),
+                         u_lo=quadrature._U_MAX, u_hi=quadrature._U_MAX)
     monkeypatch.setattr(quadrature, "truncation_bounds", lambda _: wide)
     assert tanh_rule_integrate(q).value == pytest.approx(base, rel=1e-12, abs=0.0)
 

@@ -478,6 +478,25 @@ def test_query_rejects_an_int_past_the_double_range(field, sign):
         MomentQuery(**args)
 
 
+def test_records_are_frozen_named_tuples():
+    q = MomentQuery(eta=5, mu=10, x=1.2, y=5)
+    assert q == (5, 10, 1.2, 5)
+    # ConvergenceError messages, and the benchmark's, embed {q}.
+    shown = "MomentQuery(eta=1.0, mu=2.0, x=3.0, y=4.0)"
+    assert repr(MomentQuery(1.0, 2.0, 3.0, 4.0)) == shown
+    assert f"{MomentQuery(1.0, 2.0, 3.0, 4.0)}" == shown
+    with pytest.raises(AttributeError):
+        q.eta = 6.0
+    assert hash(MomentQuery(1.0, 2.0, 3.0, 4.0)) == hash(
+        MomentQuery(1.0, 2.0, 3.0, 4.0))
+    # _replace checks its fields as the constructor does.
+    with pytest.raises(DomainError, match="^mu must be > 0"):
+        q._replace(mu=0.0)
+    value, terms, err, ok = nuttall_q_series(q)
+    assert (value, terms, err, ok) == nuttall_q_series(q)
+    assert ok and terms > 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(eta=st.floats(0.0, 30.0), mu=st.floats(0.1, 30.0),
        x=st.floats(0.0, 20.0), y=st.floats(0.0, 20.0))
