@@ -1,8 +1,9 @@
 """Incomplete gamma function ratio Q and its forward-step increment.
 
 Q_mu(y) = Gamma(mu, y) / Gamma(mu) is evaluated by the classical pair:
-a Taylor series for the complementary ratio P when y < mu + 1, and a
-Legendre-type continued fraction for Q otherwise.  The unnormalized
+a Taylor series for the complementary ratio P when y - mu < 1, and a
+Legendre-type continued fraction for Q otherwise.  On the P side at shapes
+below 1/2, where 1 - P cancels, Q comes from its own series instead.  The unnormalized
 Gamma(mu, y) is never formed; only the ratio and log-scaled products leave
 this module, so nothing overflows even where the raw values reach 1e89.
 Q and the increment also leave it as logarithms (``log_gamma_ratio_q``,
@@ -41,6 +42,22 @@ _STIRLING = (
     -3617.0 / 122400.0,
 )
 _STIRLING_MIN = 8.0
+
+# Below this shape, Q on the P-series side is formed without 1 - P.
+_SMALL_SHAPE = 0.5
+# zeta(k) - 1, k = 2, 3, ..., 27: the Taylor coefficients of ln Gamma(2+a).
+_ZETA_M1 = (
+    0.6449340668482264, 0.2020569031595943, 0.08232323371113819,
+    0.03692775514336993, 0.01734306198444914, 0.008349277381922827,
+    0.00407735619794434, 0.0020083928260822143, 0.0009945751278180853,
+    0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
+    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05,
+    7.637197637899763e-06, 3.81729326499984e-06, 1.908212716553939e-06,
+    9.539620338727962e-07, 4.769329867878064e-07, 2.38450502727733e-07,
+    1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
+    1.4901554828365043e-08, 7.45071178983543e-09,
+)
+_EULER_GAMMA = 0.5772156649015329
 
 
 def _validate(shape: float, lower_cut: float) -> None:
@@ -95,6 +112,10 @@ def _log_gamma_prefactor(a: float, y: float) -> float:
     u = (y - a) / a
     if u <= -1.0:
         # y/a underflowed; deep left tail, nothing cancels in the plain form.
+        # E < a (ln(y/a) + 1) < -35 a there, so where lgamma(a) would
+        # overflow E lies far below the double range of e^E.
+        if a > 1e305:
+            return -math.inf
         return -y + a * math.log(y) - math.lgamma(a)
     # 1 + u = y/a rounds away the digits of a small y/a: take its log whole.
     lx = math.log(y / a) - u if u < -0.5 else _log1pmx(u)
@@ -121,22 +142,52 @@ def log_pochhammer(base: float, step: float) -> float:
     shift = 0.0
     if base < _STIRLING_MIN:
         num = den = 1.0
+        factors = 0
         while base < _STIRLING_MIN:
             num *= base
             den *= base + step
             base += 1.0
+            factors += 1
         ratio = num / den
-        # Below 1e-300 (base itself near underflow) take the two logs apart.
+        # Below 1e-300 (base itself near underflow, or den past the double
+        # range) take the two logs apart.  den overflows only where step >
+        # 1e38, and there base + step rounds to step.
         shift = (math.log(ratio) if ratio >= _FPMIN
-                 else math.log(num) - math.log(den))
+                 else math.log(num) - (math.log(den) if den < math.inf
+                                       else factors * math.log(step)))
     return (shift + (base - 0.5) * math.log1p(step / base)
             + step * math.log(base + step) - step
             + (_stirling_correction(base + step) - _stirling_correction(base)))
 
 
+def _small_shape_q(a: float, y: float) -> tuple[float, float]:
+    """(Q(a, y) / a, v), v = a ln y - ln Gamma(1+a), for a < 0.5, y - a < 1.
+
+    There P tends to 1 as a does to 0, so 1 - P cancels.  Instead
+    (DiDonato & Morris, ACM TOMS 12, 1986)
+
+        Q = -expm1(v) - a e^v sum_{n>=1} (-y)^n / (n! (a+n)),
+
+    whose sum has y < 1.5, so that 29 terms take it below 1e-25.  The
+    log-gamma term enters as ln Gamma(1+a)/a, from the Taylor series of ln
+    Gamma(2+a) over a, -log1p(a)/a + 1 - gamma + sum_k (zeta(k) - 1) (-1)^k
+    a^{k-1}/k, k = 2, ..., 27: math.lgamma(1 + a) would take a as 1 + a
+    rounds it, 1e-6 off at a = 1e-10.  Q is returned over a, so that a
+    subnormal a rounds neither v nor Q.
+    """
+    log_gamma = (a * sum(c * (-a) ** j / (j + 2.0)
+                         for j, c in enumerate(_ZETA_M1))
+                 + 1.0 - _EULER_GAMMA - math.log1p(a) / a)
+    w = math.log(y) - log_gamma
+    v = a * w
+    tail = sum((-y) ** n / (math.factorial(n) * (a + n)) for n in range(1, 30))
+    # -expm1(v)/a = -w expm1(v)/v, and expm1(v)/v is 1 where v underflows.
+    return -w * (math.expm1(v) / v if v else 1.0) - math.exp(v) * tail, v
+
+
 def _p_series(a: float, y: float, pref: float) -> float:
     """P(a, y) = 1 - Q(a, y) by its Taylor series, with pref = e^{E(a, y)};
-    requires y < a + 1."""
+    requires y - a < 1."""
     if pref == 0.0:
         return 0.0
     term = 1.0 / a
@@ -153,7 +204,8 @@ def _p_series(a: float, y: float, pref: float) -> float:
 
 def _cont_frac(a: float, y: float) -> float:
     """Q(a, y) / e^{E(a, y)} by the Legendre continued fraction (modified
-    Lentz); requires y >= a + 1."""
+    Lentz); requires y - a >= 1, which keeps y + 1 - a > 0 also where a + 1
+    rounds to a."""
     b = y + 1.0 - a
     c = 1.0 / _FPMIN
     d = 1.0 / b
@@ -187,9 +239,13 @@ def q_with_log_increment(shape: float,
     _validate(shape, lower_cut)
     if lower_cut == 0.0:
         return 1.0, -math.inf
+    p_side = lower_cut - shape < 1.0
+    if p_side and shape < _SMALL_SHAPE:
+        ratio, v = _small_shape_q(shape, lower_cut)
+        return shape * ratio, v - lower_cut
     log_pref = _log_gamma_prefactor(shape, lower_cut)
     pref = exp_clipped(log_pref)
-    if lower_cut < shape + 1.0:
+    if p_side:
         q = 1.0 - _p_series(shape, lower_cut, pref)
     else:
         q = pref * _cont_frac(shape, lower_cut) if pref else 0.0
@@ -211,16 +267,20 @@ def log_gamma_ratio_q(shape: float, lower_cut: float) -> float:
     Where ``gamma_ratio_q`` takes the continued fraction, this adds the log
     of its prefactor to the log of the fraction instead of multiplying the
     two, so ln Q stays finite however deep Q lies below double range.  On
-    the Taylor-series side Q = 1 - P cannot underflow; there the result is
-    log1p(-P), and -inf where P rounds to 1.  lower_cut == 0 gives 0.0.
+    the Taylor-series side below shape 1/2 it is ln a plus the log of
+    ``_small_shape_q``'s Q/a, finite also where Q underflows at a subnormal
+    a; above it Q >= Q(1/2, 3/2) = 0.08, and the result is log1p(-P).
+    lower_cut == 0 gives 0.0.
     """
     _validate(shape, lower_cut)
     if lower_cut == 0.0:
         return 0.0
+    p_side = lower_cut - shape < 1.0
+    if p_side and shape < _SMALL_SHAPE:
+        return math.log(shape) + math.log(_small_shape_q(shape, lower_cut)[0])
     log_pref = _log_gamma_prefactor(shape, lower_cut)
-    if lower_cut < shape + 1.0:
-        p = _p_series(shape, lower_cut, exp_clipped(log_pref))
-        return math.log1p(-p) if p < 1.0 else -math.inf
+    if p_side:
+        return math.log1p(-_p_series(shape, lower_cut, exp_clipped(log_pref)))
     return log_pref + math.log(_cont_frac(shape, lower_cut))
 
 

@@ -40,7 +40,9 @@ Both recurrences take their Bessel data along the columns from one sweep of
 ratios r_mu = I_{mu+1}/I_mu at z = 2 sqrt(xy) (``_ratio_sweep``): one
 continued fraction at the top order, then a stable backward recurrence.
 The homogeneous coefficient is sqrt(y/x) r_mu, and the ladder carries its
-forcing term along a row as a running product with the same factor.
+forcing term along a row as a running product with the same factor.  At
+x = 0 the recurrences hold unchanged, with the limits y/(mu+1) of that
+coefficient and y^mu e^{-y}/Gamma(mu+1) of the forcing term T_mu.
 
 ``consistency_deviation`` rearranges the recurrence into a ratio whose
 distance from 1 measures the joint accuracy of everything above; it is the
@@ -56,10 +58,7 @@ what they share:
 * the ladder's forcing term and the quadrature kernel both take the
   Bessel power series ``bessel._series_sum`` and ``_power_over_gamma``;
 * the ladder and the homogeneous table share their one series seed, their
-  forcing terms and their ratio sweep;
-* ``nuttallq selftest`` checks the series at x = 0 against
-  Gamma(eta+mu)/Gamma(mu) from lgamma times ``gamma_ratio_q``, which is
-  ``q_with_log_increment(...)[0]``, the call the series itself makes there.
+  forcing terms and their ratio sweep.
 
 The series accepts real eta >= 0.  Both recurrences couple eta to eta-1 down
 to the Marcum base case and therefore require integer eta.
@@ -220,6 +219,10 @@ def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
             else:
                 offset += log_frac
         return mant, offset
+    if eta + base > 1e305:
+        # lgamma overflows, and so does the ratio: it exceeds base^20000
+        # where base > 5e304, and else Gamma(eta) min(eta, base), eta > 5e304.
+        return 1.0, math.inf
     return 1.0, math.lgamma(eta + base) - math.lgamma(base)
 
 
@@ -285,7 +288,7 @@ def _scaled_value(total: float, mant: float, log_scale: float) -> float:
         m_total, e_total = math.frexp(total)
         m_mant, e_mant = math.frexp(mant)
         value = _times_exp(m_total * m_mant, e_total + e_mant, log_scale)
-    return value
+    return value if total else 0.0  # not 0 * inf
 
 
 def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
@@ -335,8 +338,7 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
         return SeriesOutcome(1.0, 1, 0.0, True)
 
     # Q_{eta+mu}(y) and the log of its first increment, from one prefactor.
-    q0, log_inc = (q_with_log_increment(eta + mu, y) if y > 0.0
-                   else (1.0, -math.inf))
+    q0, log_inc = q_with_log_increment(eta + mu, y)
     if x == 0.0:
         # Only the n=0 term survives: Gamma(eta+mu, y) / Gamma(mu).
         if q0 < _TINY:
@@ -346,6 +348,10 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
         if eta == 0.0:
             value = min(value, 1.0)
         return SeriesOutcome(value, 1, 1e-16, True)
+    if (x + _MAX_TERMS) * (eta + mu + _MAX_TERMS) > _HUGE:
+        # Past this a term ratio's numerator or denominator overflows.
+        raise DomainError(f"the series cannot take x = {x!r} with eta + mu = "
+                          f"{eta + mu!r}")
 
     closed_tail = q0 >= 0.5 and float(eta).is_integer() and eta <= _MAX_TERMS
     total, log_scale, n, contrib, converged, lost = _sum_terms(
@@ -433,7 +439,10 @@ def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
             scale = 1.0 / u
             running *= scale
             lost *= scale
-            shift += math.log(u)
+            # Only a first step x (eta+mu)/mu can overflow, with mu near 0;
+            # term 0 is then below 1e-308 of term 1, and drops out.
+            shift += (math.log(u) if u < math.inf or n > 1.0
+                      else math.log(x * em) - math.log(mu))
             u = 1.0
         last = u * q_cur
         running += last
@@ -464,19 +473,15 @@ def _is_integer(v: float) -> bool:
     return isinstance(v, int) or float(v).is_integer()
 
 
-def _require_integer_eta(eta: float, what: str) -> int:
-    if not _is_integer(eta):
-        raise DomainError(f"{what} requires integer eta, got {eta!r}")
-    return int(eta)
-
-
 def _check_table_args(what: str, eta_max: int, mu_start: float, n_cols: int,
                       x: float, y: float) -> tuple[int, int]:
     """Validate the arguments the table builders and the row filler share,
     with the checks of ``MomentQuery`` on (eta_max, mu_start, x, y); return
     eta_max and n_cols as ints.  More than MAX_TABLE_ENTRIES entries
     (eta_max + 1) * n_cols are refused before anything is built."""
-    eta_max = _require_integer_eta(eta_max, what)
+    if not _is_integer(eta_max):
+        raise DomainError(f"{what} requires integer eta, got {eta_max!r}")
+    eta_max = int(eta_max)
     if not (_is_integer(n_cols) and n_cols >= 1):
         raise DomainError(f"n_cols must be an integer >= 1, got {n_cols!r}")
     n_cols = int(n_cols)
@@ -484,8 +489,6 @@ def _check_table_args(what: str, eta_max: int, mu_start: float, n_cols: int,
     if entries > MAX_TABLE_ENTRIES:
         raise DomainError(f"{what} needs (eta + 1) * n_cols = {entries} "
                           f"entries, over the limit of {MAX_TABLE_ENTRIES}")
-    if x == 0.0:
-        raise DomainError(f"{what} is undefined at x = 0; use the series path")
     MomentQuery(eta_max, mu_start, x, y)
     return eta_max, n_cols
 
@@ -537,34 +540,37 @@ def _inhom_term(eta: float, mu: float, x: float, y: float) -> float:
     a normal float.  Its exponent comes as a two-part sum hi + lo from
     ``_gap_square``, and e^{-lo} enters as the factor 1 - lo.  Otherwise
     y^eta T_mu is exponentiated from its log, with ln T_mu =
-    ``log_poisson_pair_sum(mu, x, y)``.
+    ``log_poisson_pair_sum(mu, x, y)``.  At x = 0 that log is exactly
+    ln(y^mu e^{-y}/Gamma(mu+1)), the limit of T_mu: its sum is the one term
+    n = 0, whose log is ``log_q_increment(mu, y)``.
     """
     if y == 0.0:
         return 0.0
     z = 2.0 * math.sqrt(x) * math.sqrt(y)  # x y underflows at subnormal x
     i_scaled = bessel_i_scaled(mu, z)
     log_y = math.log(y)
-    l_ratio = log_y - math.log(x)
-    l_pow = 0.5 * mu * l_ratio
     l_y = eta * log_y
-    gap_hi, gap_lo = _gap_square(x, y)
-    # The last two factors are <= 1, so the partial products after the
-    # second fall to the value, and a normal value bounds them from below.
-    if i_scaled >= _TINY and abs(l_ratio) < 700.0 and abs(l_pow) < 680.0 \
-            and abs(l_y) < 680.0 and gap_hi < 700.0 and l_pow + l_y < 700.0:
-        v = ((y / x) ** (0.5 * mu) * y**eta
-             * (math.exp(-gap_hi) * (1.0 - gap_lo)) * i_scaled)
-        if v >= _TINY:
-            return v
+    if i_scaled >= _TINY:  # so x > 0: Itilde_mu(0) is 0.0
+        l_ratio = log_y - math.log(x)
+        l_pow = 0.5 * mu * l_ratio
+        gap_hi, gap_lo = _gap_square(x, y)
+        # The last two factors are <= 1, so the partial products after the
+        # second fall to the value, and a normal value bounds them below.
+        if abs(l_ratio) < 700.0 and abs(l_pow) < 680.0 and abs(l_y) < 680.0 \
+                and gap_hi < 700.0 and l_pow + l_y < 700.0:
+            v = ((y / x) ** (0.5 * mu) * y**eta
+                 * (math.exp(-gap_hi) * (1.0 - gap_lo)) * i_scaled)
+            if v >= _TINY:
+                return v
     return exp_clipped(l_y + log_poisson_pair_sum(mu, x, y))
 
 
-def _ratio_sweep(mu_lo: float, n: int, x: float,
-                 y: float) -> tuple[float, list[float]]:
-    """(sqrt(y/x), [r_nu]) with r_nu = I_{nu+1}(z)/I_nu(z), z = 2 sqrt(xy),
-    at nu = mu_lo, mu_lo+1, ..., mu_lo+n-1: the factor and the ratios whose
-    products are the homogeneous coefficients and the steps of the ladder's
-    forcing term.
+def _ratio_sweep(mu_lo: float, n: int, x: float, y: float) -> list[float]:
+    """[c_nu] with c_nu = sqrt(y/x) r_nu, r_nu = I_{nu+1}(z)/I_nu(z) and z =
+    2 sqrt(xy), at nu = mu_lo, mu_lo+1, ..., mu_lo+n-1: the homogeneous
+    coefficients, which are also the steps T_{nu+1}/T_nu of the ladder's
+    forcing term.  At z = 0 each is its limit y/(nu+1): 0 at y = 0, and at
+    x = 0 the step of T_nu = y^nu e^{-y}/Gamma(nu+1).
 
     One ``bessel_ratio`` continued fraction at the top order, then the
     backward recurrence r_{nu-1} = 1/(2 nu/z + r_nu), from I_{nu-1} -
@@ -572,15 +578,15 @@ def _ratio_sweep(mu_lo: float, n: int, x: float,
     and every term is positive, so the recurrence is stable (Gautschi 1967):
     each step multiplies the relative error by r_{nu-1} r_nu < 1.
     """
-    root = math.sqrt(y) / math.sqrt(x)
     z = 2.0 * math.sqrt(x) * math.sqrt(y)  # x y underflows at subnormal x
-    out = [0.0] * n
     if n <= 0 or z == 0.0:
-        return root, out
+        return [y / (mu_lo + (k + 1)) for k in range(n)]  # [] for n <= 0
+    out = [0.0] * n
     r = out[n - 1] = bessel_ratio(mu_lo + (n - 1), z)
     for k in range(n - 2, -1, -1):
         r = out[k] = 1.0 / (2.0 * (mu_lo + (k + 1)) / z + r)
-    return root, out
+    root = math.sqrt(y) / math.sqrt(x)
+    return [root * r for r in out]
 
 
 def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
@@ -611,25 +617,26 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
 
     The forcing term T comes from ``_inhom_term`` at mu_start, which takes
     its own scaled Bessel value, and is carried along the columns by
-    T_{mu+1} = T_mu sqrt(y/x) r_mu, with the ratios r_mu of one
+    T_{mu+1} = T_mu c_mu, with the coefficients c_mu = sqrt(y/x) r_mu of one
     ``_ratio_sweep``.  Where the running product falls below 1e-300 or
     overflows, or y^e T leaves the normal float range, that entry is seeded
     again from ``_inhom_term``, as the series re-seeds its increment.  Where
     y^{e-1}, T_mu, T_{mu+1} or the stepped entry is not a normal float, the
     row's first entry comes from the series instead.  A series that does
-    not converge raises ConvergenceError.  x = 0 is rejected (the forcing
-    term divides by x^{mu/2}); the series path must be used there instead.
+    not converge raises ConvergenceError.  At x = 0, T_mu and c_mu are
+    their limits y^mu e^{-y}/Gamma(mu+1) and y/(mu+1), and both relations
+    still hold.
     """
     eta_max, n_cols = _check_table_args("ladder", eta_max, mu_start, n_cols,
                                         x, y)
     width = max(n_cols, 3) if eta_max else n_cols
 
-    root, ratios = _ratio_sweep(mu_start, width - 2, x, y)
+    steps = _ratio_sweep(mu_start, width - 2, x, y)
     forcing = []
     t = 0.0  # forces a seed in the first column
     for k in range(width - 1):
         if k:
-            t *= root * ratios[k - 1]
+            t *= steps[k - 1]
         if not _INC_RESEED <= t < math.inf:
             t = _inhom_term(0, mu_start + k, x, y)
         forcing.append(t)
@@ -692,20 +699,19 @@ def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
             f"prev_row has {len(prev_row)} entries, expected n_cols={n_cols}")
 
     return _homogeneous_row(eta, prev_row, seed0, seed1,
-                            *_ratio_sweep(mu_start, n_cols - 2, x, y))
+                            _ratio_sweep(mu_start, n_cols - 2, x, y))
 
 
 def _homogeneous_row(eta: int, prev_row: list[float], seed0: float,
-                     seed1: float, root: float,
-                     ratios: list[float]) -> list[float]:
-    """The row of ``nuttall_q_homogeneous``, len(prev_row) long, with
-    coefficients c = root * r over the ``_ratio_sweep`` ratios r."""
+                     seed1: float, coeffs: list[float]) -> list[float]:
+    """The row of ``nuttall_q_homogeneous``, len(prev_row) long, with the
+    ``_ratio_sweep`` coefficients."""
     out = [seed0]
     if len(prev_row) == 1:
         return out
     out.append(seed1)
     for m in range(2, len(prev_row)):
-        c = root * ratios[m - 2]
+        c = coeffs[m - 2]
         out.append((1.0 + c) * out[m - 1] - c * out[m - 2]
                    + eta * prev_row[m] - eta * c * prev_row[m - 1])
     return out
@@ -728,11 +734,11 @@ def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
     eta_max, n_cols = _check_table_args("homogeneous table", eta_max,
                                         mu_start, n_cols, x, y)
     edge = nuttall_q_ladder(eta_max, mu_start, min(n_cols, 2), x, y).values
-    root, ratios = _ratio_sweep(mu_start, n_cols - 2, x, y)
+    coeffs = _ratio_sweep(mu_start, n_cols - 2, x, y)
     rows = []
     prev = [0.0] * n_cols
     for e, seeds in enumerate(edge):
-        row = _homogeneous_row(e, prev, seeds[0], seeds[-1], root, ratios)
+        row = _homogeneous_row(e, prev, seeds[0], seeds[-1], coeffs)
         prev = [min(v, 1.0) for v in row] if e == 0 else row
         rows.append(tuple(prev))
     return RecurrenceTable(eta_max, mu_start, n_cols, tuple(rows))
@@ -741,21 +747,24 @@ def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
 def consistency_deviation(q: MomentQuery) -> float:
     """Distance from 1 of the rearranged-recurrence ratio.
 
-        | 1 - Q_{eta,mu+1} / (Q_{eta,mu} + eta Q_{eta-1,mu+1} + T) |
+        | 1 - Q_{eta,mu+1} / (Q_{eta,mu} + eta Q_{eta-1,mu+1} + y^eta T_mu) |
 
-    with T the scaled-Bessel forcing term.  All four constituents are
-    produced by the series path; the result is the library's internal
-    accuracy metric (expected at or below ~1e-12 over the working region),
-    and inf where the denominator underflows to 0.
+    with T the scaled-Bessel forcing term, at every x >= 0: at x = 0, T_mu
+    is its limit y^mu e^{-y}/Gamma(mu+1).  The relation holds for real eta,
+    as Gamma(eta+mu+n+1)/Gamma(mu+n+1) = Gamma(eta+mu+n)/Gamma(mu+n) + eta
+    Gamma(eta+mu+n)/Gamma(mu+n+1); its middle term drops at eta = 0, and
+    for 0 < eta < 1 it would need Q_{eta-1}, outside the domain.  All four
+    constituents are produced by the series path; the result is the
+    library's internal accuracy metric (expected at or below ~1e-12 over
+    the working region), and inf where the denominator underflows to 0 or
+    both sides overflow.
     """
-    eta = _require_integer_eta(q.eta, "consistency check")
-    if eta < 1:
-        raise DomainError(f"consistency check requires eta >= 1, got {eta!r}")
-    if q.x == 0.0:
-        raise DomainError("consistency check is undefined at x = 0")
-    mu, x, y = q.mu, q.x, q.y
+    eta, mu, x, y = q
+    if 0.0 < eta < 1.0:
+        raise DomainError(
+            f"consistency check requires eta = 0 or eta >= 1, got {eta!r}")
     num = _series_value(eta, mu + 1.0, x, y)
-    den = (_series_value(eta, mu, x, y)
-           + eta * _series_value(eta - 1.0, mu + 1.0, x, y)
-           + _inhom_term(eta, mu, x, y))
-    return abs(1.0 - num / den) if den else math.inf
+    lower = eta * _series_value(eta - 1.0, mu + 1.0, x, y) if eta else 0.0
+    den = _series_value(eta, mu, x, y) + lower + _inhom_term(eta, mu, x, y)
+    dev = abs(1.0 - num / den) if den else math.inf
+    return math.inf if math.isnan(dev) else dev

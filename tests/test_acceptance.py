@@ -7,10 +7,10 @@ summary lines.
 import math
 import time
 
-from nuttallq import (DomainError, MomentQuery, bessel_ratio,
-                      consistency_deviation, gamma_ratio_q, homogeneous_table,
-                      log_q_increment, marcum_q, moment_by_quadrature,
-                      nuttall_q_ladder, nuttall_q_series)
+from nuttallq import (MomentQuery, bessel_ratio, consistency_deviation,
+                      gamma_ratio_q, homogeneous_table, log_q_increment,
+                      marcum_q, moment_by_quadrature, nuttall_q_ladder,
+                      nuttall_q_series)
 from nuttallq.cli import TABLE1
 
 from oracles import bessel_ratio_by_series
@@ -155,12 +155,16 @@ def test_criterion_6_degenerate_inputs():
     v = marcum_q(1.0, 0.0, 2.0)
     ok &= math.isclose(v, math.exp(-2.0), rel_tol=2e-15)
 
-    # Ladder must refuse x = 0 with a domain error, never a wrong number.
-    try:
-        nuttall_q_ladder(2, 1.0, 5, 0.0, 3.0)
-        ok = False
-        detail.append("ladder accepted x=0")
-    except DomainError:
-        detail.append("ladder rejects x=0")
+    # x = 0 is an ordinary point of both recurrences: never a wrong number,
+    # every entry matches the series.
+    worst = 0.0
+    for build in (nuttall_q_ladder, homogeneous_table):
+        table = build(2, 1.0, 5, 0.0, 3.0)
+        for e in range(3):
+            for m in range(5):
+                ref = nuttall_q_series(MomentQuery(e, 1.0 + m, 0.0, 3.0)).value
+                worst = max(worst, abs(table.entry(e, m) / ref - 1.0))
+    ok &= worst <= 1e-13
+    detail.append(f"x=0 tables rel err {worst:.2e}")
 
     _report("6 degenerate-input suite", ok, "; ".join(detail))

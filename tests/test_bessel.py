@@ -229,6 +229,11 @@ def test_scaled_past_the_term_cap_is_a_convergence_error(z):
         bessel_i_scaled(2.0, z)
 
 
+def test_largest_order_at_a_tiny_argument():
+    # lgamma(1.7e308 + 1) overflows; the value lies far below double range.
+    assert bessel_i_scaled(1.7e308, 1e-300) == 0.0
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         bessel_i_scaled(-1.0, 2.0)

@@ -211,11 +211,16 @@ def test_eval_csv_format_is_a_usage_error(capsys):
     assert out == "" and "usage error" in err
 
 
-def test_eval_ladder_x_zero_is_domain_error(capsys):
-    code, _, err = run(capsys, "eval", "--eta", "1", "--mu", "1",
-                       "--x", "0", "--y", "1", "--method", "ladder")
-    assert code == EXIT_USAGE
-    assert "ladder" in err
+def test_eval_ladder_x_zero_matches_the_series(capsys):
+    values = {}
+    for method in ("series", "ladder"):
+        code, out, err = run(capsys, "eval", "--eta", "1", "--mu", "1",
+                             "--x", "0", "--y", "1", "--method", method,
+                             "--format", "json")
+        assert code == EXIT_OK and err == ""
+        values[method] = json.loads(out)["value"]
+    assert values["ladder"] == pytest.approx(values["series"], rel=1e-13,
+                                             abs=0.0)
 
 
 def test_eval_quadrature_x_overflow_is_domain_error(capsys):
@@ -398,18 +403,53 @@ def test_grid_rejects_an_empty_or_reversed_range(capsys, argv):
     assert "usage error" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("--eta", "0:0.4:2", "--mu", "3", "--x", "1", "--y", "1"),
-    ("--eta", "0", "--mu", "3", "--x", "1", "--y", "1"),
-    ("--eta", "1:2:3", "--mu", "3", "--x", "1", "--y", "1"),
-    ("--steps", "6"),
-], ids=" ".join)
-def test_selftest_rejects_an_eta_grid_of_non_integers_or_zero(capsys, argv):
-    # The grid is checked as given, not rounded onto integers >= 1.
+ETA_GRIDS = [
+    (("--eta", "0:0.4:2", "--mu", "3", "--x", "1", "--y", "1"), True),
+    (("--eta", "0", "--mu", "3", "--x", "1", "--y", "1"), False),
+    (("--eta", "1:2:3", "--mu", "3", "--x", "1", "--y", "1"), False),
+    (("--steps", "6"), False),
+]
+
+
+@pytest.mark.parametrize("argv,refused", ETA_GRIDS,
+                         ids=[" ".join(argv) for argv, _ in ETA_GRIDS])
+def test_selftest_rejects_an_eta_grid_of_non_integers_or_zero(capsys, argv,
+                                                              refused):
+    # The grid is checked as given, not rounded: only an eta in (0, 1),
+    # where the identity would need Q_{eta-1}, is refused, before anything
+    # is printed.  eta = 0 and real eta >= 1, such as the 10.6 of --steps 6,
+    # pass.
     code, out, err = run(capsys, "selftest", *argv)
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "integers >= 1" in err
+    if refused:
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "eta = 0 or eta >= 1" in err
+    else:
+        assert code == EXIT_OK
+        assert "result PASS" in out
+
+
+def test_selftest_argmax_prints_an_integral_eta_as_an_int(capsys):
+    for eta, shown in (("2", 2), ("2.5", 2.5)):
+        code, out, _ = run(capsys, "selftest", "--eta", eta, "--mu", "3",
+                           "--x", "0", "--y", "1", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["argmax"]["eta"] == shown
+        assert f'"eta": {eta}' in out
+
+
+def test_sweep_takes_x_zero_with_every_method(capsys):
+    code, out, err = run(capsys, "sweep", "--eta", "1", "--mu", "2",
+                         "--x", "0:1:2", "--y", "1",
+                         "--methods", "series,ladder,homogeneous")
+    assert code == EXIT_OK and err == ""
+    rows = parse_csv(out)
+    assert [(r["x"], r["method"]) for r in rows] == [
+        (x, m) for x in ("0", "1") for m in ("series", "ladder", "homogeneous")]
+    for x in ("0", "1"):
+        values = [float(r["value"]) for r in rows if r["x"] == x]
+        for v in values[1:]:
+            assert v == pytest.approx(values[0], rel=1e-13, abs=0.0)
 
 
 def test_selftest_degenerate_single_point(capsys):
@@ -431,7 +471,7 @@ def test_selftest_json_region_pass(capsys):
 
 
 def test_selftest_x_zero_region_passes(capsys):
-    # x = 0 points check the series against the lgamma closed form.
+    # x = 0 points run the consistency identity, with T_mu at its limit.
     code, out, _ = run(capsys, "selftest", "--x", "0:20", "--steps", "5",
                        "--format", "json")
     assert code == EXIT_OK
@@ -442,7 +482,7 @@ def test_selftest_x_zero_region_passes(capsys):
 
 
 def test_selftest_routes_x_zero_to_series_check(capsys):
-    # x = 0 grid points must not trigger ladder domain errors.
+    # x = 0 grid points must not raise a domain error.
     code, out, _ = run(capsys, "selftest", "--eta", "2", "--mu", "1:3:2",
                        "--x", "0:1:2", "--y", "1", "--steps", "1")
     assert code == EXIT_OK
@@ -459,8 +499,8 @@ def test_selftest_failure_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("eta,x,y", [
-    (200, 0, 1),    # the closed form and the series both overflow: inf/inf
-    (1, 0, 2000),   # the closed form underflows to 0
+    (200, 0, 1),    # both sides of the identity overflow: inf/inf
+    (1, 0, 2000),   # the consistency ratio's denominator underflows to 0
     (1, 1, 2000),   # the consistency ratio's denominator underflows to 0
 ])
 def test_selftest_fails_a_point_it_cannot_check(capsys, eta, x, y):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuttallq import (DomainError, MomentQuery, gamma_ratio_q,
-                      log_gamma_ratio_q, log_q_increment, nuttall_q_series)
+from nuttallq import (ConvergenceError, DomainError, MomentQuery,
+                      gamma_ratio_q, log_gamma_ratio_q, log_q_increment,
+                      nuttall_q_series)
 from nuttallq import incgamma
 from nuttallq.incgamma import log_pochhammer, q_with_log_increment
 
@@ -272,3 +273,46 @@ def test_domain_errors():
 def test_q_in_unit_interval(shape, y):
     v = gamma_ratio_q(shape, y)
     assert 0.0 <= v <= 1.0
+
+
+# (shape, y, Q_shape(y)) from mpmath.gammainc at 40 digits.  At these small
+# shapes P is within Q of 1, and 1 - P returned -4.4e-16 at the first point
+# and was 9.2e-7, 1.6e-9 and 4.5e-14 off at the others.
+SMALL_SHAPE_POINTS = [
+    (1e-300, 1e-12, 2.7053805451028016046e-299),
+    (1e-10, 1e-12, 2.705380541451484362e-9),
+    (1e-6, 0.5, 5.5977388815563453362e-7),
+    (1e-3, 1e-3, 0.0063123532911397099038),
+]
+
+
+@pytest.mark.parametrize("shape,y,ref", SMALL_SHAPE_POINTS)
+def test_small_shape_q_matches_reference(shape, y, ref):
+    assert gamma_ratio_q(shape, y) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert log_gamma_ratio_q(shape, y) == pytest.approx(math.log(ref),
+                                                        rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_shape=st.floats(-323.0, math.log10(0.999)),
+       y=st.floats(0.0, 2.0))
+def test_small_shape_q_is_never_negative(log_shape, y):
+    shape = max(10.0 ** log_shape, 5e-324)
+    assert 0.0 <= gamma_ratio_q(shape, y) <= 1.0
+
+
+def test_shape_past_one_plus_shape_is_a_convergence_error():
+    # 1e150 + 1 rounds to 1e150: the point stays on the P side, whose terms
+    # never fall, where the continued fraction divided by y + 1 - a = 0.
+    with pytest.raises(ConvergenceError):
+        gamma_ratio_q(1e150, 1e150)
+
+
+@pytest.mark.parametrize("func,value", [
+    (gamma_ratio_q, 1.0),
+    (log_gamma_ratio_q, 0.0),
+    (log_q_increment, -math.inf),
+])
+def test_largest_shape_at_the_smallest_cut(func, value):
+    # lgamma(1.7e308) overflows; e^E lies far below the double range.
+    assert func(1.7e308, 5e-324) == value

@@ -364,9 +364,29 @@ def test_consistency_at_subnormal_x():
     assert consistency_deviation(MomentQuery(2, 3, 1e-320, 0.1)) <= 1e-14
 
 
-def test_ladder_rejects_x_zero():
-    with pytest.raises(DomainError):
-        nuttall_q_ladder(2, 1.0, 5, 0.0, 3.0)
+def test_ladder_at_x_zero_matches_the_series():
+    table = nuttall_q_ladder(2, 1.0, 5, 0.0, 3.0)
+    for e in range(3):
+        for m in range(5):
+            ref = _series(float(e), 1.0 + m, 0.0, 3.0)
+            assert table.entry(e, m) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("mu0", [0.5, 1.0])
+@pytest.mark.parametrize("y", [0.0, 1e-3, 0.1, 1.5, 5.0, 20.0])
+def test_tables_at_x_zero_match_the_series(mu0, y):
+    # At x = 0 the forcing term and the coefficient take their limits
+    # y^mu e^{-y}/Gamma(mu+1) and y/(mu+1); both tables match Gamma(eta+mu,
+    # y)/Gamma(mu) from the series' one-term x = 0 branch.
+    for eta_max, n_cols in ((0, 50), (1, 1), (3, 2), (17, 50), (50, 50)):
+        tables = [build(eta_max, mu0, n_cols, 0.0, y)
+                  for build in (nuttall_q_ladder, homogeneous_table)]
+        for e in range(eta_max + 1):
+            for m in range(n_cols):
+                ref = _series(float(e), mu0 + m, 0.0, y)
+                for table in tables:
+                    assert table.entry(e, m) == pytest.approx(
+                        ref, rel=1e-13, abs=0.0), (e, m)
 
 
 def test_ladder_rejects_bad_dimensions():
@@ -398,8 +418,6 @@ def test_homogeneous_validation():
     prev = [1.0, 1.0, 1.0]
     with pytest.raises(DomainError):
         nuttall_q_homogeneous(0, prev, 1.0, 1.0, 1.0, 1.0, 1.0, 3)
-    with pytest.raises(DomainError):
-        nuttall_q_homogeneous(1, prev, 1.0, 1.0, 0.0, 1.0, 1.0, 3)
     with pytest.raises(DomainError):
         nuttall_q_homogeneous(1, prev, 1.0, 1.0, 1.0, 1.0, 1.0, 4)
     with pytest.raises(DomainError):
@@ -471,7 +489,8 @@ def test_ratio_sweep_matches_per_order_ratios_and_series_oracle():
     for z in zs:
         for n in (1, 2, 37, 200):
             mu0 = rng.uniform(0.5, 251.0 - n)
-            _, ratios = nuttall._ratio_sweep(mu0, n, 0.5 * z, 0.5 * z)
+            # At x = y the coefficient sqrt(y/x) r is the ratio r itself.
+            ratios = nuttall._ratio_sweep(mu0, n, 0.5 * z, 0.5 * z)
             for k, r in enumerate(ratios):
                 order = mu0 + k
                 assert r == pytest.approx(bessel_ratio(order, z), rel=5e-15,
@@ -563,8 +582,6 @@ def test_homogeneous_table_validation():
         homogeneous_table(1.5, 1.0, 5, 1.0, 1.0)
     with pytest.raises(DomainError):
         homogeneous_table(1, 0.0, 5, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        homogeneous_table(1, 1.0, 5, 0.0, 1.0)
 
 
 def test_homogeneous_table_seed_non_convergence_raises(monkeypatch):

@@ -437,13 +437,65 @@ def test_consistency_deviation_vanishing_forcing_term():
     assert consistency_deviation(MomentQuery(1.0, 2.0, 2.0, 0.0)) <= 1e-14
 
 
+def test_consistency_deviation_at_x_zero_eta_zero_and_real_eta():
+    # The identity holds at x = 0 (T_mu is its limit y^mu e^{-y}/Gamma(mu+1)),
+    # at eta = 0 (Marcum) and at real eta >= 1, over the working region.
+    for eta in (0.0, 1.0, 1.5, 2.5, 7.25, 13.0, 30.7, 49.0, 50.0):
+        for mu in (0.5, 1.0, 3.3, 17.0, 50.0):
+            for x in (0.0, 5e-324, 1e-8, 0.1, 5.0, 20.0):
+                for y in (0.0, 0.1, 1.0, 7.5, 20.0):
+                    dev = consistency_deviation(MomentQuery(eta, mu, x, y))
+                    assert dev <= 1e-12, (eta, mu, x, y, dev)
+
+
+def test_series_cannot_take_a_shape_past_one_plus_shape():
+    # eta + mu = 1e300 = y: the P series, whose terms never fall, stalls.
+    with pytest.raises(ConvergenceError):
+        nuttall_q_series(MomentQuery(1e300, 1e150, 1e-300, 1e300))
+
+
+def test_consistency_past_the_term_ratio_range_is_a_domain_error():
+    # x (eta + mu + n) overflows in the series' term ratio; lgamma(1.7e308)
+    # raised OverflowError in the incomplete-gamma prefactor before.
+    with pytest.raises(DomainError, match="the series cannot take x = 0.5"):
+        consistency_deviation(MomentQuery(20, 1.7e308, 0.5, 1e5))
+
+
+def test_series_at_a_small_shape_is_not_negative():
+    # Q_{1e-300}(1e-12) was formed as 1 - P and came out as -4.4e-16.
+    out = nuttall_q_series(MomentQuery(0, 1e-300, 1e-300, 1e-12))
+    assert out.converged
+    assert out.value == pytest.approx(2.7053805451028016e-299, rel=1e-13,
+                                      abs=0.0)
+
+
+def test_series_at_a_subnormal_mu():
+    # The first step x (eta+mu)/mu overflows; term 0 drops out and the sum
+    # starts from term 1, against the 40-digit sum from n = 1 at mu = 0.
+    # The rescale's log of ~745 keeps about 13 digits.
+    out = nuttall_q_series(MomentQuery(0.5, 5e-324, 0.5, 1.0))
+    assert out.converged
+    assert out.value == pytest.approx(0.26299068361878620923, rel=1e-12,
+                                      abs=0.0)
+
+
+def test_series_past_the_double_range_at_both_ends():
+    # Gamma(720)/Gamma(20) ~ e^3890 times Q_720(1e150) ~ e^-1e150 is 0.0, not
+    # 0 * inf; Gamma(1.7e308 + 1e5)/Gamma(1.7e308) overflows, past lgamma.
+    assert nuttall_q_series(MomentQuery(700.0, 20.0, 1e-12, 1e150)).value == 0.0
+    assert nuttall_q_series(MomentQuery(1e5, 1.7e308, 0.0, 0.0)).value \
+        == math.inf
+    # x (eta + mu) overflows in the term ratio, which gave NaN.
+    with pytest.raises(DomainError, match="the series cannot take x = 20.0"):
+        nuttall_q_series(MomentQuery(0.0, 1.7e308, 20.0, 1.0))
+
+
 def test_consistency_domain_errors():
-    with pytest.raises(DomainError):
-        consistency_deviation(MomentQuery(1.0, 1.0, 0.0, 1.0))
+    # Only 0 < eta < 1 is refused; x = 0 and eta = 0 are ordinary points.
+    assert consistency_deviation(MomentQuery(1.0, 1.0, 0.0, 1.0)) <= 1e-12
     with pytest.raises(DomainError):
         consistency_deviation(MomentQuery(0.5, 1.0, 1.0, 1.0))
-    with pytest.raises(DomainError):
-        consistency_deviation(MomentQuery(0.0, 1.0, 1.0, 1.0))
+    assert consistency_deviation(MomentQuery(0.0, 1.0, 1.0, 1.0)) <= 1e-12
 
 
 def test_query_validation():
