@@ -66,14 +66,12 @@ def _power_over_gamma(order: float, arg: float) -> float:
 
 
 def _series_sum(order: float, q: float,
-                groups: list[tuple[float, float, float, float]] | tuple[()]
-                ) -> float:
+                groups: list[tuple[float, float, float, float]]) -> float:
     """S(q) = sum_n q^n / (n! (order+1)_n), q = z^2/4, four terms per stop
     test.  ``groups`` holds the step factors 1/(n (order+n)) in tuples of
     four, n = 1, 2, ...; past its end they are formed as the sum needs them
-    and, where ``groups`` is a list, appended to it.  A one-off sum passes
-    ``()`` and builds no table.  The terms fall once n (order+n) > q, so a
-    test on the last of each four stops at most three terms late."""
+    and appended to it.  The terms fall once n (order+n) > q, so a test on
+    the last of each four stops at most three terms late."""
     term = total = 1.0
     for r0, r1, r2, r3 in groups:
         t0 = term * q * r0
@@ -83,15 +81,13 @@ def _series_sum(order: float, q: float,
         total += t0 + t1 + t2 + term
         if term < total * _SERIES_CUTOFF:
             return total
-    keep = groups.append if isinstance(groups, list) else None
     n = 4 * len(groups)
     while n < _SERIES_MAX_TERMS:
         r0 = 1.0 / ((n + 1) * (order + (n + 1)))
         r1 = 1.0 / ((n + 2) * (order + (n + 2)))
         r2 = 1.0 / ((n + 3) * (order + (n + 3)))
         r3 = 1.0 / ((n + 4) * (order + (n + 4)))
-        if keep:
-            keep((r0, r1, r2, r3))
+        groups.append((r0, r1, r2, r3))
         t0 = term * q * r0
         t1 = t0 * q * r1
         t2 = t1 * q * r2
@@ -202,7 +198,7 @@ def bessel_i_scaled(order: float, arg: float) -> float:
             return 0.0
         # p * sum is I_order(arg) <= I_0(700) ~ 1.5e302, so it cannot
         # overflow; exp(-arg) * p first could underflow to a false 0.0.
-        return math.exp(-arg) * (p * _series_sum(order, arg * arg * 0.25, ()))
+        return math.exp(-arg) * (p * _series_sum(order, arg * arg * 0.25, []))
     half = 0.5 * arg
     return exp_clipped(log_poisson_pair_sum(order, half, half))
 

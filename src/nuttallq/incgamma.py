@@ -14,9 +14,9 @@ whose cancellations are grouped as in DiDonato & Morris (ACM TOMS 12, 1986):
 a ln(y/a) + a - y enters as a (log(1+u) - u), u = (y-a)/a, summed near u = 0
 by the atanh series of log(1+u), and ln Gamma(a) by Stirling's series
 beyond a = 8.  The first forward-step increment is e^{E(a, y)}/a, so
-``q_with_log_increment`` returns Q with the increment's log from the same
-prefactor.  ``log_pochhammer`` applies the same Stirling grouping to
-Gamma(c+f)/Gamma(c).
+``q_with_log_increment`` returns Q, ln Q and the increment's log from one
+branch choice and the same prefactor.  ``log_pochhammer`` applies the same
+Stirling grouping to Gamma(c+f)/Gamma(c).
 """
 
 from __future__ import annotations
@@ -227,29 +227,47 @@ def _cont_frac(a: float, y: float) -> float:
     raise ConvergenceError(f"Q continued fraction stalled for shape={a}, y={y}")
 
 
-def q_with_log_increment(shape: float,
-                         lower_cut: float) -> tuple[float, float]:
-    """(Q_shape(y), ln inc) with inc = y^shape e^{-y} / Gamma(shape+1).
+def q_with_log_increment(shape: float, lower_cut: float
+                         ) -> tuple[float, float, float]:
+    """(Q_shape(y), ln Q_shape(y), ln inc), inc = y^shape e^{-y} /
+    Gamma(shape+1), y = lower_cut, from one branch choice.
 
-    Both come from one prefactor e^{E(shape, y)}: the P series or the
+    Q and inc share one prefactor e^{E(shape, y)}: the P series or the
     continued fraction scales it to Q, and inc = e^{E(shape, y)} / shape, so
-    a caller that steps Q forward pays for E once.  lower_cut == 0 gives
-    (1.0, -inf).
+    a caller that steps Q forward pays for E once.  ln Q stays finite
+    however deep Q lies below double range:
+
+    * on the continued-fraction side it is the log of the prefactor plus
+      the log of the fraction, the two never multiplied;
+    * on the Taylor-series side below shape 1/2 it is ln shape plus the log
+      of ``_small_shape_q``'s Q/shape, finite also where Q underflows at a
+      subnormal shape, and the increment's log comes from its v;
+    * above shape 1/2 on that side Q >= Q(1/2, 3/2) = 0.08, and ln Q is
+      log1p(-P).
+
+    On the continued-fraction side below shape 1/2, E(shape, y) holds
+    lgamma(shape) ~ -ln shape, which would cancel against ln shape, so
+    ln inc is -y + shape ln y - lgamma(1 + shape) there.  lower_cut == 0
+    gives (1.0, 0.0, -inf).
     """
     _validate(shape, lower_cut)
     if lower_cut == 0.0:
-        return 1.0, -math.inf
+        return 1.0, 0.0, -math.inf
     p_side = lower_cut - shape < 1.0
     if p_side and shape < _SMALL_SHAPE:
         ratio, v = _small_shape_q(shape, lower_cut)
-        return shape * ratio, v - lower_cut
+        return (shape * ratio, math.log(shape) + math.log(ratio),
+                v - lower_cut)
     log_pref = _log_gamma_prefactor(shape, lower_cut)
     pref = exp_clipped(log_pref)
     if p_side:
-        q = 1.0 - _p_series(shape, lower_cut, pref)
-    else:
-        q = pref * _cont_frac(shape, lower_cut) if pref else 0.0
-    return q, log_pref - math.log(shape)
+        p = _p_series(shape, lower_cut, pref)
+        return 1.0 - p, math.log1p(-p), log_pref - math.log(shape)
+    frac = _cont_frac(shape, lower_cut)
+    log_inc = (log_pref - math.log(shape) if shape >= _SMALL_SHAPE
+               else (-lower_cut + shape * math.log(lower_cut)
+                     - math.lgamma(1.0 + shape)))
+    return pref * frac, log_pref + math.log(frac), log_inc
 
 
 def gamma_ratio_q(shape: float, lower_cut: float) -> float:
@@ -262,26 +280,9 @@ def gamma_ratio_q(shape: float, lower_cut: float) -> float:
 
 
 def log_gamma_ratio_q(shape: float, lower_cut: float) -> float:
-    """ln Q_shape(y), y = lower_cut: finite where Q_shape(y) underflows.
-
-    Where ``gamma_ratio_q`` takes the continued fraction, this adds the log
-    of its prefactor to the log of the fraction instead of multiplying the
-    two, so ln Q stays finite however deep Q lies below double range.  On
-    the Taylor-series side below shape 1/2 it is ln a plus the log of
-    ``_small_shape_q``'s Q/a, finite also where Q underflows at a subnormal
-    a; above it Q >= Q(1/2, 3/2) = 0.08, and the result is log1p(-P).
-    lower_cut == 0 gives 0.0.
-    """
-    _validate(shape, lower_cut)
-    if lower_cut == 0.0:
-        return 0.0
-    p_side = lower_cut - shape < 1.0
-    if p_side and shape < _SMALL_SHAPE:
-        return math.log(shape) + math.log(_small_shape_q(shape, lower_cut)[0])
-    log_pref = _log_gamma_prefactor(shape, lower_cut)
-    if p_side:
-        return math.log1p(-_p_series(shape, lower_cut, exp_clipped(log_pref)))
-    return log_pref + math.log(_cont_frac(shape, lower_cut))
+    """ln Q_shape(y), y = lower_cut: finite where Q_shape(y) underflows
+    (see ``q_with_log_increment``); lower_cut == 0 gives 0.0."""
+    return q_with_log_increment(shape, lower_cut)[1]
 
 
 def log_q_increment(shape: float, lower_cut: float) -> float:

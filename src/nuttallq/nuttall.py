@@ -72,8 +72,7 @@ from collections import namedtuple
 
 from .bessel import bessel_i_scaled, bessel_ratio, log_poisson_pair_sum
 from .errors import ConvergenceError, DomainError
-from .incgamma import (log_gamma_ratio_q, log_pochhammer, log_q_increment,
-                       q_with_log_increment)
+from .incgamma import log_pochhammer, log_q_increment, q_with_log_increment
 from .logscale import exp_clipped
 
 # Relative contribution below which a series term counts as quiet.
@@ -98,7 +97,7 @@ _SATURATED = 2.0 ** -60
 # Entries (eta_max + 1) * n_cols above which a table is refused before it is
 # built.
 MAX_TABLE_ENTRIES = 10**6
-# Rising products longer than this fall back to the lgamma difference.
+# Rising products longer than this take their log from log_pochhammer.
 _PRODUCT_MAX_FACTORS = 20_000
 # ln 2 = _LN2_HI + _LN2_LO as in fdlibm: the high part ends in 21 zero bits.
 _LN2_HI = 6.93147180369123816490e-01
@@ -200,30 +199,27 @@ def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
     mantissa accurate to a few ulp instead of the ~|log| * eps an
     exp(lgamma-difference) costs.  A fractional part f multiplies in
     Gamma(c+f)/Gamma(c), c = base+m, from ``log_pochhammer``, whose log is
-    of the size of f ln c.
+    of the size of f ln c.  Past 20,000 factors the whole ratio is the
+    offset ``log_pochhammer(base, eta)``.
     """
-    if eta <= _PRODUCT_MAX_FACTORS:
-        m = math.floor(eta)
-        mant = 1.0
-        offset = 0.0
-        for k in range(m):
-            mant *= base + k
-            if mant > 1e280:
-                offset += math.log(mant)
-                mant = 1.0
-        frac = eta - m
-        if frac:
-            log_frac = log_pochhammer(base + m, frac)
-            if abs(log_frac) < 64.0:
-                mant *= math.exp(log_frac)
-            else:
-                offset += log_frac
-        return mant, offset
-    if eta + base > 1e305:
-        # lgamma overflows, and so does the ratio: it exceeds base^20000
-        # where base > 5e304, and else Gamma(eta) min(eta, base), eta > 5e304.
-        return 1.0, math.inf
-    return 1.0, math.lgamma(eta + base) - math.lgamma(base)
+    if eta > _PRODUCT_MAX_FACTORS:
+        return 1.0, log_pochhammer(base, eta)
+    m = math.floor(eta)
+    mant = 1.0
+    offset = 0.0
+    for k in range(m):
+        mant *= base + k
+        if mant > 1e280:
+            offset += math.log(mant)
+            mant = 1.0
+    frac = eta - m
+    if frac:
+        log_frac = log_pochhammer(base + m, frac)
+        if abs(log_frac) < 64.0:
+            mant *= math.exp(log_frac)
+        else:
+            offset += log_frac
+    return mant, offset
 
 
 def _times_exp(m: float, e: int, log_scale: float) -> float:
@@ -326,8 +322,11 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     Where Q factors that underflowed (or lost digits as subnormals) could
     move the sum by more than an ulp, as when Q_{eta+mu+n}(y) underflows
     at every term summed, the sum is taken again with the factors carried
-    relative to Q_{eta+mu}(y) and ln Q_{eta+mu}(y) (``log_gamma_ratio_q``)
-    as one more log offset.
+    relative to Q_{eta+mu}(y) and ln Q_{eta+mu}(y) as one more log offset.
+    At x = 0 only the n = 0 term is left, and a Q_{eta+mu}(y) below the
+    normal range enters by its log alone.  ln Q_{eta+mu}(y) comes from the
+    same ``q_with_log_increment`` call as Q_{eta+mu}(y) and its first
+    increment, so a series call runs the continued fraction at most once.
     """
     eta, mu, x, y = q.eta, q.mu, q.x, q.y
 
@@ -337,34 +336,31 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
         # Integral over the whole half-line: exactly 1.
         return SeriesOutcome(1.0, 1, 0.0, True)
 
-    # Q_{eta+mu}(y) and the log of its first increment, from one prefactor.
-    q0, log_inc = q_with_log_increment(eta + mu, y)
+    # Q_{eta+mu}(y), its log and the log of its first increment, from one
+    # prefactor.
+    q0, q_log, log_inc = q_with_log_increment(eta + mu, y)
     if x == 0.0:
-        # Only the n=0 term survives: Gamma(eta+mu, y) / Gamma(mu).
-        if q0 < _TINY:
-            # Underflowed, or lost digits as a subnormal: take its log.
-            q0, offset = 1.0, offset + log_gamma_ratio_q(eta + mu, y)
-        value = _scaled_value(q0, mant, offset)
-        if eta == 0.0:
-            value = min(value, 1.0)
-        return SeriesOutcome(value, 1, 1e-16, True)
-    if (x + _MAX_TERMS) * (eta + mu + _MAX_TERMS) > _HUGE:
-        # Past this a term ratio's numerator or denominator overflows.
-        raise DomainError(f"the series cannot take x = {x!r} with eta + mu = "
-                          f"{eta + mu!r}")
-
-    closed_tail = q0 >= 0.5 and float(eta).is_integer() and eta <= _MAX_TERMS
-    total, log_scale, n, contrib, converged, lost = _sum_terms(
-        eta, mu, x, y, q0, 0.0, exp_clipped(log_inc), closed_tail)
-    if lost * _TINY > _ULP * total:
-        # Sum again with the Q factors relative to Q_{eta+mu}(y), where its
-        # log (rounded to ~|ln Q| eps) keeps ten digits and the first
-        # step's growth, 1 + inc/Q, fits the headroom a fold of u leaves.
-        q_log = log_gamma_ratio_q(eta + mu, y)
-        inc = exp_clipped(log_inc - q_log)
-        if q_log > _LOG_Q_MIN and inc < 1e300 / _FOLD_LIMIT:
-            total, log_scale, n, contrib, converged, _ = _sum_terms(
-                eta, mu, x, y, 1.0, q_log, inc, False)
+        # Only the n=0 term survives: Gamma(eta+mu, y) / Gamma(mu); one that
+        # underflowed, or lost digits as a subnormal, enters by its log.
+        total, log_scale = (q0, 0.0) if q0 >= _TINY else (1.0, q_log)
+        n, contrib, converged = 0, 0.0, True
+    else:
+        if (x + _MAX_TERMS) * (eta + mu + _MAX_TERMS) > _HUGE:
+            # Past this a term ratio's numerator or denominator overflows.
+            raise DomainError(f"the series cannot take x = {x!r} with "
+                              f"eta + mu = {eta + mu!r}")
+        closed_tail = (q0 >= 0.5 and float(eta).is_integer()
+                       and eta <= _MAX_TERMS)
+        total, log_scale, n, contrib, converged, lost = _sum_terms(
+            eta, mu, x, y, q0, 0.0, exp_clipped(log_inc), closed_tail)
+        if lost * _TINY > _ULP * total:
+            # Sum again with the Q factors relative to Q_{eta+mu}(y), where
+            # its log (rounded to ~|ln Q| eps) keeps ten digits and the first
+            # step's growth, 1 + inc/Q, fits the headroom a fold of u leaves.
+            inc = exp_clipped(log_inc - q_log)
+            if q_log > _LOG_Q_MIN and inc < 1e300 / _FOLD_LIMIT:
+                total, log_scale, n, contrib, converged, _ = _sum_terms(
+                    eta, mu, x, y, 1.0, q_log, inc, False)
     value = _scaled_value(total, mant, offset + log_scale - x)
     if eta == 0.0:
         value = min(value, 1.0)

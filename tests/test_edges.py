@@ -47,9 +47,10 @@ def test_kernels_at_edge_values():
             v = _outcome(func, a, b)
             if not (v is None or v <= 0.0):
                 bad.append((func.__name__, a, b, v))
-        pair = _outcome(q_with_log_increment, a, b)
-        if not (pair is None or (0.0 <= pair[0] <= 1.0 and pair[1] <= 0.0)):
-            bad.append(("q_with_log_increment", a, b, pair))
+        triple = _outcome(q_with_log_increment, a, b)
+        if not (triple is None or (0.0 <= triple[0] <= 1.0
+                                   and triple[1] <= 0.0 and triple[2] <= 0.0)):
+            bad.append(("q_with_log_increment", a, b, triple))
         v = _outcome(log_pochhammer, a, b)
         if v is not None and math.isnan(v):
             bad.append(("log_pochhammer", a, b, v))

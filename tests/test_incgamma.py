@@ -1,6 +1,7 @@
 """Tests for the incomplete gamma ratio, its forward ladder, and gamma ratios."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -155,12 +156,28 @@ def test_log1pmx_against_reference(u, ref):
     (0.3, 1e-5, -3.345712829983207904600558),
 ])
 def test_q_with_log_increment(shape, y, log_inc):
-    # Q as gamma_ratio_q gives it, and the increment's log from the same
-    # prefactor, E(shape, y) - ln shape.
-    q, got = q_with_log_increment(shape, y)
+    # Q as gamma_ratio_q gives it, ln Q as log_gamma_ratio_q gives it, and
+    # the increment's log from the same prefactor, E(shape, y) - ln shape.
+    q, log_q, got = q_with_log_increment(shape, y)
     assert q == gamma_ratio_q(shape, y)
+    assert log_q == log_gamma_ratio_q(shape, y)
     assert got == pytest.approx(log_inc, rel=5e-16, abs=0.0)
-    assert q_with_log_increment(shape, 0.0) == (1.0, -math.inf)
+    assert q_with_log_increment(shape, 0.0) == (1.0, 0.0, -math.inf)
+    # ln Q is the log of Q wherever Q is a normal float: on the
+    # small-shape branch (0.3, 1e-5), the P side (7.5, 3) and the
+    # continued-fraction side (12, 30).  Both are rounded at the size of
+    # ln Q and of the logs summed (ln 0.3 + ln(Q/0.3) on the first).
+    if q >= sys.float_info.min:
+        assert log_q == pytest.approx(math.log(q), rel=4e-16, abs=1e-15)
+
+
+def test_log_increment_at_a_subnormal_shape():
+    # The continued-fraction side below shape 1/2: -y + a ln y - lgamma(1+a)
+    # keeps the digits that ln e^{E(a, y)} - ln a cancels (1.6e-14 off
+    # here).  40 digits from mpmath, y taken as the double it is.
+    ref = -1.399999999999999911182158029987476766109
+    log_inc = q_with_log_increment(5e-324, 1.4)[2]
+    assert log_inc == pytest.approx(ref, rel=1e-16, abs=0.0)
 
 
 # (base, step, ln Gamma(base+step)/Gamma(base)) from mpmath loggamma, 25

@@ -262,6 +262,37 @@ def test_series_forms_one_incomplete_gamma_prefactor(monkeypatch, eta, mu,
     assert calls == [eta + mu]
 
 
+@pytest.mark.parametrize("eta,mu,x,y,passes", [
+    # x = 0 exit: Q_1(712) = e^-712 is subnormal and enters by its log.
+    (0.0, 1.0, 0.0, 712.0, 0),
+    # Q factors subnormal where they carry the sum: the sum is taken again
+    # relative to Q_{eta+mu}(y).
+    (35.0, 0.0715, 0.00507, 891.55, 2),
+])
+def test_series_runs_the_continued_fraction_once(monkeypatch, eta, mu, x, y,
+                                                 passes):
+    # ln Q_{eta+mu}(y) comes from the call that gives Q_{eta+mu}(y), on
+    # either path where the series needs it.
+    if x == 0.0:
+        assert 0.0 < gamma_ratio_q(eta + mu, y) < sys.float_info.min
+    fractions, sums = [], []
+    cont_frac, sum_terms = incgamma._cont_frac, nuttall._sum_terms
+
+    def counted_fraction(*args):
+        fractions.append(args)
+        return cont_frac(*args)
+
+    def counted_sum(*args):
+        sums.append(args)
+        return sum_terms(*args)
+
+    monkeypatch.setattr(incgamma, "_cont_frac", counted_fraction)
+    monkeypatch.setattr(nuttall, "_sum_terms", counted_sum)
+    assert nuttall_q_series(MomentQuery(eta, mu, x, y)).converged
+    assert len(fractions) == 1
+    assert len(sums) == passes
+
+
 def test_closed_tail_work_counts():
     # Saturated after the first step: 2 terms summed, 47 before.
     out = nuttall_q_series(MomentQuery(3.0, 40.0, 10.0, 5.0))
