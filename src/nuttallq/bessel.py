@@ -132,6 +132,28 @@ class FixedOrderSeries:
                         * _series_sum(self.order, q, self._groups))
 
 
+def _runs_past_the_cap(order: float, n0: float) -> bool:
+    """Whether the upward sum of ``log_poisson_pair_sum`` from its peak n0
+    >= 1 surely runs past _SERIES_MAX_TERMS terms before its stop test.
+
+    Step j >= 1 above the peak multiplies the term by c / ((n0+j)
+    (n0+j+order)), where n0 (n0+order) < c <= (n0+1) (n0+1+order).  As
+    x / (1 + x) <= ln(1 + x) <= x, its log lies in [-j kappa, -(j-1)
+    kappa_k] for j <= k, kappa = 1/n0 + 1/(n0+order) and kappa_k = 1/(n0+k)
+    + 1/(n0+k+order).  So the term k steps up is at least e^{-kappa
+    k(k+1)/2} of the peak's, and the k+1 terms summed by then add up to
+    less than 2 + sqrt(pi / (2 kappa_k)) of it.  Where the first stays
+    above twice _SERIES_CUTOFF times the second at k = _SERIES_MAX_TERMS,
+    no term up to there passes the stop test, by a margin that covers the
+    rounding of the running product.
+    """
+    k = _SERIES_MAX_TERMS
+    kappa = 1.0 / n0 + 1.0 / (n0 + order)
+    kappa_k = 1.0 / (n0 + k) + 1.0 / (n0 + k + order)
+    return (0.5 * kappa * k * (k + 1) <= -math.log(
+        2.0 * _SERIES_CUTOFF * (2.0 + math.sqrt(0.5 * math.pi / kappa_k))))
+
+
 def log_poisson_pair_sum(order: float, a: float, b: float) -> float:
     """ln sum_n p(n; a) p(n+order; b), p(k; m) = m^k e^{-m} / Gamma(k+1).
 
@@ -147,9 +169,12 @@ def log_poisson_pair_sum(order: float, a: float, b: float) -> float:
     _validate(order, b)
     c = a * b
     # n0 + 1 = ceil(m), m (m + order) = c.  Where c overflows, m is not
-    # finite and the terms from n = 0 on run out of the term cap.
+    # finite and the terms from n = 0 on would run out of the term cap.
     m = 2.0 * c / (math.sqrt(order * order + 4.0 * c) + order) if c else 0.0
     n = n0 = max(0, math.ceil(m) - 1) if m < math.inf else 0
+    if not m < math.inf or n0 and _runs_past_the_cap(order, n0):
+        raise ConvergenceError(
+            f"Bessel series did not converge for order={order}, a={a}, b={b}")
     peak = ((log_q_increment(n0, a) if n0 else -a)
             + (log_q_increment(n0 + order, b) if n0 + order else -b))
     # total is the open block; done holds the blocks closed before it.
@@ -187,8 +212,8 @@ def bessel_i_scaled(order: float, arg: float) -> float:
     """Exponentially scaled modified Bessel function exp(-z) I_order(z).
 
     Bounded by [0, 1].  Past z = 700 it is exp of ``log_poisson_pair_sum``
-    at a = b = z/2, which raises ConvergenceError from z ~ 7e8 (over
-    100,000 terms).
+    at a = b = z/2, which raises ConvergenceError from z ~ 6.6e8 (over
+    100,000 terms), at once from z ~ 6.8e8.
     """
     _validate(order, arg)
     if arg <= _LINEAR_MAX_ARG and order <= _LINEAR_MAX_ORDER:

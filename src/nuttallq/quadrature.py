@@ -8,21 +8,17 @@ integrand is
     f(t) = t^{eta+mu-1} e^{-t-x} 0F1(; mu; x t) / Gamma(mu),
 
 where 0F1(; mu; q) = sum_n q^n / (n! (mu)_n).  The improper integral is
-truncated to a window [a, b] around the peak of the profile t^g
-e^{-(sqrt t - sqrt x)^2}, mapped from the real line by the power map below,
-and integrated with the trapezoidal rule on nested uniform u-grids of 33,
-65, 129, ... points (n -> 2n - 1) until the estimated error of the last
-pass is small.  For x > 0 the window is the union of two: one for g = eta +
-(mu-1)/2, the integrand's large-t shape, and one for the x = 0 profile
-t^{eta+mu-1} e^{-t}, which the integrand follows while x t is small next to
-mu^2; at x = 0 only the second is needed.  Each refinement halves the
-spacing, so the earlier nodes stay on the grid and their values are
-reused: no node is evaluated twice.  The integrand is always evaluated
-through its logarithm, so profiles reaching 1e89 never overflow a node,
-and by a kernel built once per integral that holds all that depends only
-on (eta, mu, x).  Every node takes one formula, x = 0 and z = 2 sqrt(x t) >
-700 included; no node reaches t = 0, as the map below puts each at t >= a
-+ 9.4e-307 W with a >= 0 and W >= 1.
+truncated to a window [a, b] around the peak of the integrand's shape h
+below, mapped from the real line by the power map below, and integrated
+with the trapezoidal rule on nested uniform u-grids of 17, 33, 65, 129,
+... points (n -> 2n - 1) until the estimated error of the last pass is
+small.  Each refinement halves the spacing, so the earlier nodes stay on
+the grid and their values are reused: no node is evaluated twice.  The
+integrand is always evaluated through its logarithm, so values reaching
+1e89 never overflow a node, and by a kernel built once per integral that
+holds all that depends only on (eta, mu, x).  Every node takes one
+formula, x = 0 and z = 2 sqrt(x t) > 700 included; no node reaches t = 0,
+as the map below puts each at t >= a + 9.4e-307 W with a >= 0 and W >= 1.
 
 Refinement stops at pass k when the relative change d_k between passes k-1
 and k satisfies either
@@ -35,7 +31,35 @@ trapezoidal rule converges exponentially, and halving the spacing roughly
 squares its error (Trefethen & Weideman, SIAM Rev. 56, 2014).  Then d_k is
 about the error of pass k-1, and d_k^2 estimates the error of pass k, so
 the second condition accepts pass k without a confirming pass.  It needs
-d_k to shrink, so it cannot fire before the third pass, at 129 points.
+d_k to shrink, so it cannot fire before the third pass, at 65 points.
+
+The shape.  With nu = mu - 1 and g = eta + mu - 1, the window and the
+u-range both come from
+
+    ln h(t) = g ln t - t + L(x t),
+    L(q) = r - nu - nu ln((nu + r) / (2 nu)),   r = sqrt(nu^2 + 4 q),
+
+(L(q) = 2 sqrt q at nu = 0), the integrand's log up to a constant with ln
+0F1(; mu; q) = ln(Gamma(mu) q^{-nu/2} I_nu(2 sqrt q)) in the leading term
+of Debye's expansion of I_nu (DLMF 10.41.3) and Stirling's of Gamma.  It
+follows the integrand where x t is small next to mu^2 (L(q) ~ q/nu), where
+it is large (L(q) ~ 2 sqrt q - nu/2 ln q + ...), and between, where the
+integrand peaks above both t^g e^{-t} and t^{eta + nu/2} e^{-(sqrt t - sqrt
+x)^2}: sizing the u-range by those two left values up to 9e-10 off at mu
+in [50, 200], x in [1, 100].  As L'(q) = 2 / (nu + r), ln h is concave in
+t, and its slope g/t - 1 + 2x / (nu + r) vanishes where w = 2x / (nu + r)
+solves eta w^2 + (x + nu) w - x = 0, that is at the peak
+
+    t* = g / (1 - w) = eta + (x + nu + R) / 2,   R = sqrt((x + nu)^2 + 4 eta x),
+
+which is g at x = 0, x + nu at eta = 0, and (sqrt x + sqrt(x + 4 eta))^2 / 4
+at mu = 1.  In s = sqrt t, ln h(s^2) has curvature -2 - 2g/s^2 + 4 x nu /
+(r (nu + r)) <= -2, as r^2 >= 4 x s^2 and g >= nu; ``_window`` builds the
+window on that.  For x > 0 the window also reaches down to max(y, (sqrt g
+- sqrt(-ln 1e-16))^2), where that bound starts the window of h at x = 0,
+whose peak g lies below t*: from x ~ 1e33 on, the window of h itself is
+narrower than an ulp of its centre, and the window then still spans the
+nodes whose Bessel series fail there.
 
 Every integral takes the same map,
 
@@ -51,49 +75,60 @@ steeply as t^{eta+mu-1} next to y ~ 0, the window ends at y while the
 integrand is still large there, and a weight that decays only like e^{2u}
 would put about half of all nodes within 0.5% of the window next to y.
 The integrand is never singular at y (mu >= 1), so the rule on the u-grid
-keeps its exponential convergence.  The crowding costs nodes wherever the
-window reaches far below the integrand's mass: where a is small next to
-t, ln t goes like ln W - 20 e^{-2u}, and the integrand's t^{eta+mu-1}
-turns that into a double-exponential rise, steep for eta + mu ~ 90.  So
-the window's lower end is not left where the doubling of its width
-overshot, but bisected back to the profile's 1e-16 drop (``_window``).
-The node forms v^p as e^{-p log1p(e^{-2u})}, so that t and its log weight
-share one log1p and t stays within an ulp: (1 + e^{-2u})^p would round 1 +
-e^{-2u} first and put t up to 16 ulp off as v -> 1, where the peak of a
-large-x integral lies.
+keeps its exponential convergence.  The node forms v^p as e^{-p
+log1p(e^{-2u})}, so that t and its log weight share one log1p and t stays
+within an ulp: (1 + e^{-2u})^p would round 1 + e^{-2u} first and put t up
+to 16 ulp off as v -> 1, where the peak of a large-x integral lies.  Even
+an ulp of t there is 1.5e-8 at t ~ 1e8, next to the integrand's width 2
+sqrt x ~ 2e4, and sqrt t - sqrt x carries it into (sqrt t - sqrt x)^2.  So
+the node also forms t - x from the nearer end of the window, (b - x) + W
+(v^p - 1) or (a - x) + W v^p, and takes sqrt t - sqrt x as (t - x) /
+(sqrt t + sqrt x).
 
-The u-range is [-U_lo, U_hi], each end chosen once per integral.  The
-window already ends where its profiles are 1e-16 of their tops, so with
-v^p saturating near u = 17.6 most nodes of a u-range that long would land
-in the window's outer 0.5% next to b.  The trapezoidal rule converges
-exponentially once the integrand is negligible at both ends.  So the
-upper end starts at U = 3 and grows by 1 up to 17.6 (where tanh U = 1 -
-1e-15) until its outermost node t = a + W v(U)^p lies above every window
-profile's maximum with each profile at or below 1e-16 of it.  Each profile
-is unimodal, so it stays below that bound over the whole dropped piece.
+The u-range is [-U_lo, U_hi], both ends once per integral, in closed form
+from two points of the window: the trapezoidal rule converges
+exponentially once the integrand is negligible at both ends, so the
+u-range stops where h is, and the window's outer part, where the map's
+nodes would crowd, takes none.
+
+The upper end.  Newton steps from above, which stay above it as ln h is
+concave in sqrt t, find a point t_up above the centre c of h on [y, inf)
+at or just above where h falls to 1e-16 of its top.  h is unimodal, so it
+stays below that over the whole dropped piece [t_up, b], and
+
+    U_hi = 1/2 ln(v / (1 - v)),   v = ((t_up - a) / W)^{1/p}.
+
+The window's upper end lies further out, where the curvature bound puts h
+at 1e-32 of its top, so that v^p is not saturated at t_up: with the upper
+end at the 1e-16 point of that bound, 749 of the 1000 integrals of pass 0
+of seeds 1-10 of the benchmark stopped at 65 points, against 804, and 81.1
+nodes per integral were evaluated, against 77.5.
 
 The lower end drops [a, a + d] with d = W v(-U)^p = W / (1 + e^{2U})^p.
-Each profile p(t) is log-concave, since (g ln t - (sqrt t - sqrt x)^2)'' =
--g/t^2 - sqrt(x)/(2 t^{3/2}) <= 0.  So on [c, b], from its centre c to the
-window's upper end, it lies above the exponential chord from its top e^T
-to p(b) = e^{T - delta}, and its mass is at least e^T (b - c) (1 -
-e^{-delta}) / delta, while its dropped piece is at most d e^T.  U_lo is
-the U with
+As h is log-concave in t, on [c, b] it lies above the exponential chord
+from its top e^T to h(b) = e^{T - delta}, so its mass is at least
 
-    d = 1e-16 need,   need = min over the profiles of
-                             (b - c) (1 - e^{-delta}) / delta,
+    e^T need,   need = (b - c) (1 - e^{-delta}) / delta,
 
-that is U_lo = 1/2 ln((W / (1e-16 need))^{1/p} - 1), so the dropped piece
-is at most 1e-16 of each profile's mass, wherever a lies.  On the working
-box that is U_lo ~ 0.96.
+while its dropped piece is at most d times its largest value on [a, a +
+d], h(min(a + d, c)).  ``_lower_cut`` finds the largest d with
 
-Most of a node's cost is the Bessel series, and after the first pass most
-new nodes sit in tails that cannot reach the sum.  So from the second pass
-on a node first bounds its log from above in closed form, and the series
-runs only where that bound comes within 45 of the largest log stored by
-the pass before; the other nodes are skipped.  For mu >= 1, which
-``_check_oracle_query`` enforces, the series S(q) = sum_n q^n / (n!
-(mu)_n), q = x t = z^2/4, obeys
+    ln d + ln h(min(a + d, c)) - T <= ln(1e-16 need),
+
+and U_lo = 1/2 ln((W / d)^{1/p} - 1), so the dropped piece is at most
+1e-16 of the mass of h.  Where the window starts at the top of h (y past
+its peak) that is d = 1e-16 need; where it starts at the drop of h, d
+grows until h(a + d) d reaches 1e-16 need, and -U_lo may lie above 0.  On
+the benchmark's box U_lo lies in [-1.00, 0.98] and U_hi in [1.42, 1.92].
+
+Most of a node's cost is the Bessel series.  So from the second pass on a
+node first bounds its log from above in closed form, and the series runs
+only where that bound comes within 45 of the largest log stored by the
+pass before; the other nodes are skipped.  The sized u-range ends where h
+is at 1e-16 of its top and leaves no node that far down, so this guards
+the full u-range [-17.6, 17.6] that ``truncation_bounds`` falls back to.
+For mu >= 1, which ``_check_oracle_query`` enforces, the series S(q) =
+sum_n q^n / (n! (mu)_n), q = x t = z^2/4, obeys
 
     S(q) <= I_0(z) <= e^z     since (mu)_n >= n!, and
     S(q) <= e^{q/mu}          since (mu)_n >= mu^n,
@@ -128,21 +163,24 @@ _REL_TOL = 1e-12
 # with d^2 at or below this: halving the spacing roughly squares the error
 # of the trapezoidal rule, so d^2 then estimates the error of the pass.
 _SQUARED_TOL = 1e-14
-# Profile drop, relative to its peak, at which the window ends.
+# Drop of the shape, relative to its top, at which the u-range ends.
 _EPS = 1e-16
 _LOG_EPS = math.log(_EPS)
-# Points of the first u-grid; the grids are 33, 65, 129, 257, ...
-_FIRST_GRID = 33
+# Points of the first u-grid; the grids are 17, 33, 65, 129, ...
+_FIRST_GRID = 17
 # Cap on each end of the u-range, where tanh u = 1 - 1e-15.
 _U_MAX = math.atanh(1.0 - 1e-15)
-# The upper end, which ``_u_end`` sizes, starts here and grows by _U_STEP
-# up to _U_MAX.
-_U_FIRST = 3.0
-_U_STEP = 1.0
-_WIDTH_DOUBLINGS = 400
-# The window's lower end is bisected to within 1/1024 of the width the
-# doublings reached, above where the profile drops below _EPS.
-_LOWER_BISECTIONS = 10
+# The integrand's shape is at or below _EPS of its top where sqrt t lies
+# _ROOT_DROP or more from the root of its centre (see ``_window``).
+_ROOT_DROP = math.sqrt(-_LOG_EPS)
+# The window's upper end lies where that bound is at _EPS^2.
+_ROOT_END = math.sqrt(-2.0 * _LOG_EPS)
+# Newton steps that take a window end towards the shape's _EPS drop.
+_NEWTON_STEPS = 3
+# ``_lower_cut`` finds ln d to within this, and takes at most
+# _CUT_ITERATIONS steps.
+_CUT_TOL = 1e-3
+_CUT_ITERATIONS = 50
 # A node is skipped where its bound is below e^-45 ~ 2.9e-20 of the largest
 # term of the pass before.
 _SKIP_MARGIN = 45.0
@@ -152,18 +190,21 @@ _POWER = 20
 
 class QuadratureSpec(namedtuple("QuadratureSpec",
                                 "peak lower upper u_lo u_hi")):
-    """Truncation window for one integral, the peak of the profile t^g
-    e^{-(sqrt t - sqrt x)^2} it was centred on, and the u-range [-u_lo,
-    u_hi] of the map t = lower + (upper - lower) v^20, v = (1 + tanh u)/2,
-    onto it (see the module docstring).  The profile's exponent g is eta +
-    (mu-1)/2, or eta + mu - 1 at x = 0 (see ``truncation_bounds``).
+    """Truncation window for one integral, the peak of the integrand's
+    shape h it was centred on, and the u-range [-u_lo, u_hi] of the map t =
+    lower + (upper - lower) v^20, v = (1 + tanh u)/2, onto it (see the
+    module docstring).
 
     ``truncation_bounds`` returns it, and ``tanh_rule_integrate`` integrates
     over the window and u-range it describes.  y <= lower <= upper always
     holds; lower == upper only where the window's centre is so large
-    (beyond ~1e272) that adding its half-width rounds away.  u_hi lies in
-    [3, _U_MAX] (see ``_u_end``), and u_lo in (0.8, _U_MAX] from a closed
-    form, about 0.96 on the working box (see ``_cut_end``).
+    (beyond ~2e34) that adding its half-width rounds away.  Both ends of
+    the u-range come in closed form from where h falls to 1e-16 of its top:
+    -u_hi < u_lo <= _U_MAX and u_hi <= _U_MAX, with u_lo below 0 where the
+    window starts at the drop of h; on the benchmark's box u_lo lies in
+    [-1.00, 0.98] and u_hi in [1.42, 1.92].  Where the window rounds to
+    zero width, or h does not fall from its centre to the window's upper
+    end, both are _U_MAX.
 
     A named tuple: it unpacks and indexes, and it compares equal to a plain
     tuple of the same values, even to a record of another type.
@@ -176,11 +217,6 @@ def _check_oracle_query(q: MomentQuery) -> None:
     if q.mu < 1.0:
         raise DomainError(
             f"quadrature oracle needs mu >= 1 (Bessel order mu-1 >= 0), got {q.mu!r}")
-
-
-def _log_profile(gamma_exp: float, x: float, t: float) -> float:
-    """ln of the peak-estimate profile t^g e^{-(sqrt t - sqrt x)^2}, t > 0."""
-    return gamma_exp * math.log(t) - (math.sqrt(t) - math.sqrt(x)) ** 2
 
 
 class _NodeKernel:
@@ -207,16 +243,18 @@ class _NodeKernel:
         self.series = FixedOrderSeries(q.mu - 1.0)
 
 
-def _log_head(k: _NodeKernel, t: float) -> tuple[float, float]:
-    """(head, bound) at t: the part of ln f(t) before its series term,
+def _log_head(k: _NodeKernel, t: float, dx: float) -> tuple[float, float]:
+    """(head, bound) at t, given dx = t - x: the part of ln f(t) before its
+    series term,
 
         head = (eta+mu-1) ln t - (sqrt t - sqrt x)^2 - ln Gamma(mu),
 
     and head + min(0, x t / mu - 2 sqrt(x t)), an upper bound on ln f(t)
-    (see the module docstring).
+    (see the module docstring).  sqrt t - sqrt x is formed as dx / (sqrt t +
+    sqrt x), so that it keeps the digits of dx where t lies near x.
     """
     sqrt_t = math.sqrt(t)
-    d = sqrt_t - k.sqrt_x
+    d = dx / (sqrt_t + k.sqrt_x)
     head = k.power * math.log(t) - d * d - k.series.log_gamma
     r = k.sqrt_x * sqrt_t
     gap = r * r / k.mu - 2.0 * r
@@ -224,138 +262,211 @@ def _log_head(k: _NodeKernel, t: float) -> tuple[float, float]:
 
 
 def _log_integrand(k: _NodeKernel, t: float, head: float) -> float:
-    """ln of the scaled integrand at t, given head = ``_log_head(k, t)[0]``;
+    """ln of the scaled integrand at t, given its head from ``_log_head``;
     finite at every node, where t > 0 and x t is finite."""
     q = k.x * t
     return head + k.series.log_scaled(q, 2.0 * math.sqrt(q))
 
 
-def _window(gamma_exp: float, x: float,
-            y: float) -> tuple[float, float, float, float]:
-    """(peak, lower, upper, top): the window in which the profile t^g
-    e^{-(sqrt t - sqrt x)^2}, g = gamma_exp, stays above _EPS times its
-    maximum on [y, inf), and the log of that maximum.
+class _Shape:
+    """ln h(t) = g ln t - t + L(x t), g = eta + mu - 1, the log of the
+    integrand up to a constant, with ln 0F1(; mu; q) in its Debye form
 
-    The peak sits at t* = (sqrt x + sqrt(x + 4 g))^2 / 4, so the maximum on
-    [y, inf) is at max(t*, y); the half-width w around it doubles until the
-    profile at both window ends has dropped below _EPS times that maximum
-    (the lower end needs no test once it hits y).  The lower end is then
-    bisected back towards the centre, _LOWER_BISECTIONS times in (0, w],
-    keeping that drop: the map crowds its nodes next to the lower end (see
-    the module docstring), and an end up to a doubling below the drop left
-    the mass with too few of them.  The upper end keeps its overshoot,
-    which lets ``_u_end`` stop the u-range short of _U_MAX.
-    """
-    if gamma_exp == 0.0:
-        peak = x
-    else:
-        s = 0.5 * (math.sqrt(x) + math.sqrt(x + 4.0 * gamma_exp))
-        peak = s * s
-    center = max(peak, y)
-    g_top = _log_profile(gamma_exp, x, center) if center > 0.0 else 0.0
+        L(q) = r - nu - nu ln((nu + r) / (2 nu)),   r = sqrt(nu^2 + 4 q),
 
-    def dropped(t: float) -> bool:
-        return _log_profile(gamma_exp, x, t) - g_top <= _LOG_EPS
+    nu = mu - 1 (see the module docstring)."""
 
-    w = max(1.0, math.sqrt(center))
-    for _ in range(_WIDTH_DOUBLINGS - 1):
-        if dropped(center + w) and (center - w <= y or dropped(center - w)):
+    __slots__ = ("eta", "g", "x", "nu")
+
+    def __init__(self, eta: float, mu: float, x: float) -> None:
+        self.eta = eta
+        self.g = eta + mu - 1.0
+        self.x = x
+        self.nu = mu - 1.0
+
+    def log_and_slope(self, t: float) -> tuple[float, float]:
+        """(ln h(t), d ln h / dt) at t > 0; L'(q) = 2 / (nu + r)."""
+        x, nu = self.x, self.nu
+        q = x * t
+        ell = rise = 0.0
+        if q > 0.0:
+            # r - nu = 4q / (nu + r), and (nu + r) / (2 nu) = 1 + 2q / (nu
+            # (nu + r)), so that nothing cancels where q << nu^2.
+            nu_r = nu + math.sqrt(nu * nu + 4.0 * q)
+            ell = 4.0 * q / nu_r
+            if nu > 0.0:
+                ell -= nu * math.log1p(2.0 * q / (nu * nu_r))
+            rise = 2.0 * x / nu_r
+        return self.g * math.log(t) - t + ell, self.g / t - 1.0 + rise
+
+    def peak(self) -> float:
+        """Where d ln h / dt = 0: eta + (x + nu + R)/2, R = sqrt((x + nu)^2 +
+        4 eta x) (see the module docstring), formed from halves so that no
+        sum overflows before the peak itself does."""
+        half = 0.5 * self.x + 0.5 * self.nu
+        return self.eta + half + math.hypot(
+            half, math.sqrt(self.eta) * math.sqrt(self.x))
+
+
+def _drop(shape: _Shape, top: float, s: float) -> float:
+    """Newton steps in s = sqrt t towards a point where h falls to _EPS of
+    its top e^top, from an s where it is at or below that: ln h is concave
+    in s, so every step stays on that side.  They stop where rounding puts
+    s at the drop, or where ln h is not finite (past the double range)."""
+    for _ in range(_NEWTON_STEPS):
+        f, slope = shape.log_and_slope(s * s)
+        f -= top + _LOG_EPS
+        if not f < 0.0:
             break
-        w *= 2.0
-    upper, inner = center + w, 0.0
-    # The lower end's drop lies within w of the centre, or below y.
-    for _ in range(_LOWER_BISECTIONS):
-        mid = 0.5 * (inner + w)
-        if center - mid <= y or dropped(center - mid):
-            w = mid
-        else:
-            inner = mid
-    return peak, max(y, center - w), upper, g_top
+        s -= f / (2.0 * s * slope)
+    return s
 
 
-def _node_map(a: float, b: float) -> Callable[[float], tuple[float, float]]:
-    """u -> (t, shape) under the map t = a + W v^p of the window [a, b], W =
-    b - a, v = 1/(1 + e^{-2u}), with shape = 2u + (p+1) ln(1 + e^{-2u}) so
-    that dt/du = 2 p W e^{-shape}.  v^p is formed as e^{-p ln(1 + e^{-2u})},
-    on the one log1p that the shape takes too (see the module docstring).
+def _bound_lower(centre: float, y: float) -> float:
+    """max(y, (sqrt c - _ROOT_DROP)^2) for the centre c, or y where sqrt c <=
+    _ROOT_DROP: the lower end of the window that ``_window`` starts from,
+    formed as an offset from c."""
+    root = math.sqrt(centre)
+    if root <= _ROOT_DROP:
+        return y
+    return max(y, centre - _ROOT_DROP * (2.0 * root - _ROOT_DROP))
+
+
+def _window(shape: _Shape,
+            y: float) -> tuple[float, float, float, float]:
+    """(peak, lower, upper, top): the peak of h, a window [lower, upper] out
+    of which h stays at or below _EPS times its maximum e^top on [y, inf),
+    with lower at y or at most a little below the point where h falls to
+    that, and the log of that maximum.
+
+    The maximum on [y, inf) lies at the centre c = max(peak, y).  As
+    ln h(s^2) has slope 0 at the peak and curvature at most -2 in s = sqrt
+    t (see the module docstring),
+
+        ln h(t) - top <= -(sqrt t - sqrt c)^2
+
+    for every t > 0 where c is the peak, and for t >= c where c = y.  So h
+    is at or below _EPS of its top wherever |sqrt t - sqrt c| >= _ROOT_DROP
+    = sqrt(-ln _EPS).  The lower end starts there, or at y, and ``_drop``
+    takes it up towards the drop; the upper end lies where the bound is at
+    _EPS^2 (see the module docstring).  Both ends are formed as offsets
+    from c, so that a window too narrow for an ulp of c collapses to it.
+    """
+    peak = shape.peak()
+    centre = max(peak, y)
+    root = math.sqrt(centre)
+    top = shape.log_and_slope(centre)[0] if centre > 0.0 else 0.0
+    lower = _bound_lower(centre, y)
+    if lower > 0.0:
+        s = math.sqrt(lower)
+        moved = _drop(shape, top, s)
+        if moved != s:
+            lower = max(lower, moved * moved)
+    return peak, lower, centre + _ROOT_END * (2.0 * root + _ROOT_END), top
+
+
+def _node_map(a: float, b: float,
+              x: float) -> Callable[[float], tuple[float, float, float]]:
+    """u -> (t, warp, t - x) under the map t = a + W v^p of the window [a,
+    b], W = b - a, v = 1/(1 + e^{-2u}), with warp = 2u + (p+1) ln(1 +
+    e^{-2u}) so that dt/du = 2 p W e^{-warp}.  v^p is formed as e^{-p ln(1 +
+    e^{-2u})}, on the one log1p that the warp takes too (see the module
+    docstring).  t - x is taken from the nearer end of the window, as (b -
+    x) + W expm1(-p ln(1 + e^{-2u})) where v^p > 1/2 and (a - x) + W v^p
+    below, so that it does not inherit the rounding of t where t lies near
+    x.
     """
     w = b - a
+    # v^p > 1/2 where p ln(1 + e^{-2u}) < ln 2.
+    upper_half = math.log(2.0) / _POWER
+    a_x, b_x = a - x, b - x
 
-    def node(u: float) -> tuple[float, float]:
+    def node(u: float) -> tuple[float, float, float]:
         log_inv_v = math.log1p(math.exp(-2.0 * u))
-        return (a + w * math.exp(-_POWER * log_inv_v),
-                2.0 * u + (_POWER + 1) * log_inv_v)
+        rise = w * math.exp(-_POWER * log_inv_v)
+        dx = (b_x + w * math.expm1(-_POWER * log_inv_v)
+              if log_inv_v < upper_half else a_x + rise)
+        return a + rise, 2.0 * u + (_POWER + 1) * log_inv_v, dx
     return node
 
 
-def _u_end(profiles: list[tuple[float, float, float, float]],
-           node: Callable[[float], tuple[float, float]]) -> float:
-    """U for the upper end of the u-range: the first of 3, 4, ..., _U_MAX
-    at which the outermost node t = node(U) lies at or above every
-    profile's maximum and has each profile at or below _EPS times it (why
-    that suffices: see the module docstring); _U_MAX where none does.
+def _lower_cut(shape: _Shape, centre: float, top: float, a: float,
+               need: float) -> float:
+    """The largest d, to within a factor e^_CUT_TOL, with
 
-    ``profiles`` holds (g, x, centre, log top) per window profile, the
-    centre being where the profile takes its top on [y, inf).
+        H(ln d) = ln d + ln h(min(a + d, c)) - top - ln(_EPS need) <= 0,
+
+    c the centre and e^top the top of h on [y, inf): then d times the
+    largest value of h on [a, a + d] is at most _EPS e^top need (see the
+    module docstring).  H rises in s = ln d with slope 1 + d (ln h)'(a + d)
+    >= 1, so H(s - H(s)) <= 0 wherever H(s) > 0; Newton steps in s, kept
+    inside the bracket that the steps so far have found, close in on the
+    root from its safe side.
     """
-    u = _U_FIRST
-    while u < _U_MAX:
-        t = node(u)[0]
-        if all(t >= centre and _log_profile(g, x, t) - top <= _LOG_EPS
-               for g, x, centre, top in profiles):
-            return u
-        u += _U_STEP
-    return _U_MAX
+    start = _EPS * need
+    if start >= centre - a:
+        return start
+    lo, hi = math.log(start), math.log(centre - a)
+    log_cap = lo + top
+    s = lo
+    for _ in range(_CUT_ITERATIONS):
+        d = math.exp(s)
+        f, slope = shape.log_and_slope(a + d)
+        excess = s + f - log_cap
+        if excess <= 0.0:
+            lo = s
+        else:
+            hi, lo = s, max(lo, s - excess)
+        step = excess / (1.0 + d * slope)
+        if abs(step) < _CUT_TOL or hi - lo < _CUT_TOL:
+            break
+        s -= step
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+    return math.exp(lo)
 
 
-def _cut_end(profiles: list[tuple[float, float, float, float]], a: float,
-             b: float) -> float:
-    """U for the lower end of the u-range: the U at which the dropped
-    length W v(-U)^p = W / (1 + e^{2U})^p equals the least, over the
-    profiles, of _EPS (b - c) (1 - e^{-delta}) / delta, with c the
-    profile's centre and delta its drop in log from its top to b.  Then the
-    dropped piece is at most _EPS of each profile's mass (see the module
-    docstring).  In closed form U = 1/2 ln((W / (_EPS need))^{1/p} - 1),
-    capped at _U_MAX; need <= W, so U >= 1/2 ln(expm1(ln(1e16) / p)) > 0.8.
-    """
-    need = math.inf
-    for g, x, centre, top in profiles:
-        drop = top - _log_profile(g, x, b)
-        need = min(need, (b - centre) * -math.expm1(-drop) / drop
-                   if drop > 0.0 else 0.0)
-    if need <= 0.0:
-        return _U_MAX
-    return min(_U_MAX, 0.5 * math.log(
-        math.expm1(math.log((b - a) / (_EPS * need)) / _POWER)))
+def _u_range(shape: _Shape, centre: float, top: float, a: float,
+             b: float) -> tuple[float, float]:
+    """(u_lo, u_hi) of the u-range [-u_lo, u_hi] of the map onto the window
+    [a, b], as the module docstring derives them, for h with centre c and
+    top e^top."""
+    drop = top - shape.log_and_slope(b)[0]
+    if not drop > 0.0:
+        return _U_MAX, _U_MAX
+    need = (b - centre) * -math.expm1(-drop) / drop
+    t_up = _drop(shape, top, math.sqrt(centre) + _ROOT_DROP) ** 2
+    d = _lower_cut(shape, centre, top, a, need)
+    # u = 1/2 ln(v / (1 - v)) where W v^p = t - a; 1e-12 is taken off ln
+    # d, so that the rounding of u_lo and of the map's nodes cannot take
+    # the dropped piece past its bound.
+    w = b - a
+    log_v = math.log((t_up - a) / w) / _POWER
+    u_hi = (0.5 * (log_v - math.log(-math.expm1(log_v))) if log_v < 0.0
+            else _U_MAX)
+    log_v = (math.log(d / w) - 1e-12) / _POWER
+    u_lo = 0.5 * (math.log(-math.expm1(log_v)) - log_v)
+    return min(_U_MAX, u_lo), min(_U_MAX, u_hi)
 
 
 def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     """Choose a finite window [a, b] that holds the integrand's mass, and
-    the u-range of the map onto it.
-
-    At x = 0 the integrand is exactly t^{eta+mu-1} e^{-t}, and the window
-    is the one of that profile (g = eta + mu - 1, x = 0).  For x > 0 it is
-    the union of that window and the one of the profile with g = eta +
-    (mu-1)/2 at the given x, which matches the integrand's large-t
-    behaviour; where x t is small next to mu^2 the integrand still follows
-    the x = 0 shape, and the x > 0 window alone would cut off its upper
-    tail for large mu.  ``peak`` is that of the x > 0 profile whenever
-    x > 0.  Every window profile sizes both ends of the u-range: the upper
-    one at its outermost node (``_u_end``), the lower one by its dropped
-    piece (``_cut_end``).
+    the u-range of the map onto it, both from the integrand's shape h (see
+    the module docstring): the window of h (``_window``), reaching down for
+    x > 0 to where the bound of h at x = 0 starts its window too, and the
+    u-range that stops where h falls to 1e-16 of its top (``_u_range``).
+    ``peak`` is the peak of h.
     """
     _check_oracle_query(q)
-    g_zero = q.eta + q.mu - 1.0
-    peak, lower, upper, top0 = _window(g_zero, 0.0, q.y)
-    profiles = [(g_zero, 0.0, max(peak, q.y), top0)]
+    shape = _Shape(q.eta, q.mu, q.x)
+    peak, lower, upper, top = _window(shape, q.y)
+    centre = max(peak, q.y)
     if q.x > 0.0:
-        gamma_exp = q.eta + 0.5 * (q.mu - 1.0)
-        peak, lower_x, upper_x, top = _window(gamma_exp, q.x, q.y)
-        profiles.append((gamma_exp, q.x, max(peak, q.y), top))
-        lower, upper = min(lower, lower_x), max(upper, upper_x)
+        lower = min(lower, _bound_lower(q.eta + q.mu - 1.0, q.y))
+    if upper == lower:
+        return QuadratureSpec(peak, lower, upper, _U_MAX, _U_MAX)
     return QuadratureSpec(peak, lower, upper,
-                          _cut_end(profiles, lower, upper),
-                          _u_end(profiles, _node_map(lower, upper)))
+                          *_u_range(shape, centre, top, lower, upper))
 
 
 def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
@@ -375,8 +486,8 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     of itself (see the module docstring).
     """
     a, b, u_lo = spec.lower, spec.upper, spec.u_lo
-    node = _node_map(a, b)
-    # ln dt/du = scale - shape.
+    node = _node_map(a, b, kernel.x)
+    # ln dt/du = scale - warp.
     scale = math.log(2.0 * _POWER * (b - a))
     log_end_weight = math.log(0.5)
     h = (u_lo + spec.u_hi) / (n - 1)
@@ -390,16 +501,16 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     fresh = range(n)
     while n <= _NODE_CAP:
         for i in fresh:
-            t, shape = node(-u_lo + i * h)
+            t, warp, dx = node(-u_lo + i * h)
             t = min(b, max(a, t))
-            head, bound = _log_head(kernel, t)
-            if bound + scale - shape < floor:
+            head, bound = _log_head(kernel, t, dx)
+            if bound + scale - warp < floor:
                 skipped += 1
                 continue
             lf = _log_integrand(kernel, t, head)
             if i == 0 or i == n - 1:
                 lf += log_end_weight
-            logs.append(lf + scale - shape)
+            logs.append(lf + scale - warp)
         top = max(logs)
         floor = top - _SKIP_MARGIN
         yield n, (exp_clipped(top + math.log(h))
@@ -434,14 +545,14 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     ``truncation_bounds(q)``, maps the real line onto the window by t =
     lower + (upper - lower) v^20, v = (1 + tanh u)/2, and applies the
     trapezoidal rule on nested uniform grids over the u-range.  The upper
-    end of the u-range stops where the profiles at its outermost node, and
-    so over the whole piece it drops, are below 1e-16 of their tops; the
-    lower end stops where its dropped piece is at most 1e-16 of each
-    profile's mass (see the module docstring).  The first
-    grid has 33 points, and each refinement halves the spacing, n -> 2n -
-    1, so a pass visits only its n - 1 new midpoints and reuses the values
-    of every earlier node; from the second pass on, it skips the midpoints
-    that a closed-form bound proves negligible (see ``_nested_passes``).
+    end of the u-range stops where the integrand's shape h, and so over the
+    whole piece it drops, is below 1e-16 of its top; the lower end stops
+    where its dropped piece is at most 1e-16 of the mass of h (see the
+    module docstring).  The first grid has 17 points, and each refinement
+    halves the spacing, n -> 2n - 1, so a pass visits only its n - 1 new
+    midpoints and reuses the values of every earlier node; from the second
+    pass on, it skips the midpoints that a closed-form bound proves
+    negligible (see ``_nested_passes``).
     Refinement stops when the relative change d between two passes is at
     most 1e-12, or is below the change before it with d^2 <= 1e-14 (see the
     module docstring); ``est_error`` is d in the first case and d^2 in the
@@ -449,13 +560,13 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     ConvergenceError.
     Node contributions are combined with exact summation, so results are
     reproducible.  A window that rounds to zero width gives
-    QuadratureOutcome(0.0, 0, 0.0, 0) where it sits at y, past the
-    profile's peak, and raises ConvergenceError where it sits on the peak:
-    there the integral is not negligible, only unresolvable.  An x so
-    large that the node argument x t overflows on the window raises
-    DomainError; one large enough (from about x = 5e8) that the Bessel
-    series of a node cannot converge raises ConvergenceError, and both
-    messages name x and the quadrature route.
+    QuadratureOutcome(0.0, 0, 0.0, 0) where it sits at y, past the peak of
+    h, and raises ConvergenceError where it sits on the peak: there the
+    integral is not negligible, only unresolvable.  An x so large that the
+    node argument x t overflows on the window raises DomainError; one
+    large enough (from about x = 3.3e8) that the Bessel series of a node
+    cannot converge raises ConvergenceError, and both messages name x and
+    the quadrature route.
     """
     spec = truncation_bounds(q)
     if spec.upper == spec.lower:

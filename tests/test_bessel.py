@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from nuttallq import (ConvergenceError, DomainError, bessel_i_scaled,
                       bessel_ratio)
+from nuttallq import bessel
 from nuttallq.bessel import log_poisson_pair_sum
 
 from oracles import bessel_ratio_by_series, maclaurin_bessel_i
@@ -227,6 +229,39 @@ def test_poisson_pair_sum_matches_the_power_series_in_its_box():
 def test_scaled_past_the_term_cap_is_a_convergence_error(z):
     with pytest.raises(ConvergenceError, match="Bessel series did not converge"):
         bessel_i_scaled(2.0, z)
+
+
+def _raise_time(z):
+    """The error raised at e^{-z} I_0(z) and the least time of five calls."""
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError) as exc:
+            log_poisson_pair_sum(0.0, 0.5 * z, 0.5 * z)
+        best = min(best, time.perf_counter() - start)
+    return str(exc.value), best
+
+
+@pytest.mark.parametrize("z", [6.9e8, 7.5e8])
+def test_poisson_pair_sum_past_its_term_cap_raises_at_once(z, monkeypatch):
+    # The upward sum from the peak needs more than its 100,000 terms from z
+    # ~ 6.63e8 on; from 6.79e8 the peak's width proves it before the loop,
+    # which took about 20 ms to reach the same error.
+    message, seconds = _raise_time(z)
+    assert seconds < 1e-3
+    monkeypatch.setattr(bessel, "_runs_past_the_cap", lambda *_: False)
+    with pytest.raises(ConvergenceError) as exc:
+        log_poisson_pair_sum(0.0, 0.5 * z, 0.5 * z)
+    assert str(exc.value) == message
+
+
+def test_poisson_pair_sum_just_inside_its_term_cap_converges():
+    # e^{-z} I_0(z) = e^{-1/2 ln(2 pi z)} (1 + 1/(8z) + 9/(128 z^2) + ...)
+    # (DLMF 10.40.1); the terms left out are below 1e-26 here.
+    z = 6.6e8
+    ref = -0.5 * math.log(2.0 * math.pi * z) + math.log1p(
+        1.0 / (8.0 * z) + 9.0 / (128.0 * z * z))
+    assert abs(log_poisson_pair_sum(0.0, 0.5 * z, 0.5 * z) - ref) <= 1e-12
 
 
 def test_largest_order_at_a_tiny_argument():

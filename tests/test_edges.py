@@ -7,7 +7,8 @@ import random
 
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
                       bessel_i_scaled, bessel_ratio, gamma_ratio_q,
-                      log_gamma_ratio_q, log_q_increment, nuttall_q_series)
+                      log_gamma_ratio_q, log_q_increment, nuttall_q_series,
+                      truncation_bounds)
 from nuttallq.incgamma import log_pochhammer, q_with_log_increment
 
 EDGES = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 20.0, 700.0, 1e5, 1e150,
@@ -72,3 +73,21 @@ def test_series_at_edge_values():
         assert out.value >= 0.0, (q, out)
         if out.value == math.inf:
             assert y <= eta + mu and _log_lower_bound(eta, mu, x) > 712.0, q
+
+
+def test_truncation_bounds_at_edge_values():
+    # Every edge point the quadrature takes (mu >= 1): a window with y <=
+    # lower <= upper and a u-range with -u_hi < u_lo, no field NaN, where
+    # the peak of the integrand's shape, its log or the window's ends
+    # overflow.
+    bad = []
+    for eta, mu, x, y in itertools.product(EDGES, repeat=4):
+        q = _outcome(MomentQuery, eta, mu, x, y)
+        spec = None if q is None or mu < 1.0 else _outcome(truncation_bounds, q)
+        if spec is None:
+            continue
+        if (any(math.isnan(v) for v in spec)
+                or not y <= spec.lower <= spec.upper
+                or not -spec.u_hi < spec.u_lo):
+            bad.append((q, spec))
+    assert bad == []
