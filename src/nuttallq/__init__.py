@@ -7,7 +7,7 @@ truncated tanh-rule quadrature of the defining integral.
 
 from .bessel import bessel_i_scaled, bessel_ratio
 from .errors import ConvergenceError, DomainError
-from .incgamma import gamma_ratio_q, log_gamma_ratio_q, log_q_increment
+from .incgamma import log_q_increment
 from .nuttall import (MomentQuery, RecurrenceTable, SeriesOutcome,
                       consistency_deviation, homogeneous_table, marcum_q,
                       nuttall_q_homogeneous, nuttall_q_ladder,
@@ -29,9 +29,7 @@ __all__ = [
     "bessel_i_scaled",
     "bessel_ratio",
     "consistency_deviation",
-    "gamma_ratio_q",
     "homogeneous_table",
-    "log_gamma_ratio_q",
     "log_q_increment",
     "marcum_q",
     "moment_by_quadrature",

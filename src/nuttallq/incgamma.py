@@ -6,7 +6,7 @@ Legendre-type continued fraction for Q otherwise.  On the P side at shapes
 below 1/2, where 1 - P cancels, Q comes from its own series instead.  The unnormalized
 Gamma(mu, y) is never formed; only the ratio and log-scaled products leave
 this module, so nothing overflows even where the raw values reach 1e89.
-Q and the increment also leave it as logarithms (``log_gamma_ratio_q``,
+Q and the increment also leave it as logarithms (``q_with_log_increment``,
 ``log_q_increment``), which stay finite where the values underflow.
 
 Both branches scale one prefactor e^{E(a, y)}, E = -y + a ln y - ln Gamma(a),
@@ -230,7 +230,11 @@ def _cont_frac(a: float, y: float) -> float:
 def q_with_log_increment(shape: float, lower_cut: float
                          ) -> tuple[float, float, float]:
     """(Q_shape(y), ln Q_shape(y), ln inc), inc = y^shape e^{-y} /
-    Gamma(shape+1), y = lower_cut, from one branch choice.
+    Gamma(shape+1), y = lower_cut, from one branch choice, where Q_shape(y)
+    = Gamma(shape, y)/Gamma(shape) is the incomplete gamma function ratio.
+
+    Q lies in [0, 1], with relative accuracy ~1e-13 or better for shape in
+    (0, 200] and lower_cut in [0, 200].
 
     Q and inc share one prefactor e^{E(shape, y)}: the P series or the
     continued fraction scales it to Q, and inc = e^{E(shape, y)} / shape, so
@@ -268,21 +272,6 @@ def q_with_log_increment(shape: float, lower_cut: float
                else (-lower_cut + shape * math.log(lower_cut)
                      - math.lgamma(1.0 + shape)))
     return pref * frac, log_pref + math.log(frac), log_inc
-
-
-def gamma_ratio_q(shape: float, lower_cut: float) -> float:
-    """Incomplete gamma function ratio Q_shape(y) = Gamma(shape, y)/Gamma(shape).
-
-    Lies in [0, 1]; relative accuracy ~1e-13 or better for shape in (0, 200]
-    and lower_cut in [0, 200].
-    """
-    return q_with_log_increment(shape, lower_cut)[0]
-
-
-def log_gamma_ratio_q(shape: float, lower_cut: float) -> float:
-    """ln Q_shape(y), y = lower_cut: finite where Q_shape(y) underflows
-    (see ``q_with_log_increment``); lower_cut == 0 gives 0.0."""
-    return q_with_log_increment(shape, lower_cut)[1]
 
 
 def log_q_increment(shape: float, lower_cut: float) -> float:

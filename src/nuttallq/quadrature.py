@@ -121,27 +121,12 @@ its peak) that is d = 1e-16 need; where it starts at the drop of h, d
 grows until h(a + d) d reaches 1e-16 need, and -U_lo may lie above 0.  On
 the benchmark's box U_lo lies in [-1.00, 0.98] and U_hi in [1.42, 1.92].
 
-Most of a node's cost is the Bessel series.  So from the second pass on a
-node first bounds its log from above in closed form, and the series runs
-only where that bound comes within 45 of the largest log stored by the
-pass before; the other nodes are skipped.  The sized u-range ends where h
-is at 1e-16 of its top and leaves no node that far down, so this guards
-the full u-range [-17.6, 17.6] that ``truncation_bounds`` falls back to.
-For mu >= 1, which ``_check_oracle_query`` enforces, the series S(q) =
-sum_n q^n / (n! (mu)_n), q = x t = z^2/4, obeys
-
-    S(q) <= I_0(z) <= e^z     since (mu)_n >= n!, and
-    S(q) <= e^{q/mu}          since (mu)_n >= mu^n,
-
-so ln(e^{-z} S(q)) <= min(0, q/mu - z), and
-
-    ln f(t) <= (eta+mu-1) ln t - (sqrt t - sqrt x)^2 - ln Gamma(mu)
-               + min(0, x t / mu - 2 sqrt(x t)),
-
-with equality at x = 0.  A node this skips adds less than e^-45 ~ 2.9e-20
-of the largest term, so N skipped nodes move a pass's sum by less than
-N * 2.9e-20 of itself: below half an ulp for N < ~3800, and at most
-3.0e-14 at the 2^20 node cap.
+Rounding can leave the window unable to resolve h, where ln h sums terms
+so large that their rounding swamps its drop to 1e-16 of its top (from t
+~ 1e17 at x = 0).  Where that shows, ``truncation_bounds`` raises
+ConvergenceError: where h does not fall from the centre to b, a Newton
+step meets a slope that rounds to 0, t_up lies outside (a, b), or a + d
+outside (a, t_up).  A u-range sized there would not hold the mass of h.
 """
 
 from __future__ import annotations
@@ -181,9 +166,6 @@ _NEWTON_STEPS = 3
 # _CUT_ITERATIONS steps.
 _CUT_TOL = 1e-3
 _CUT_ITERATIONS = 50
-# A node is skipped where its bound is below e^-45 ~ 2.9e-20 of the largest
-# term of the pass before.
-_SKIP_MARGIN = 45.0
 # Power p of the map t = a + W v^p.
 _POWER = 20
 
@@ -203,8 +185,7 @@ class QuadratureSpec(namedtuple("QuadratureSpec",
     -u_hi < u_lo <= _U_MAX and u_hi <= _U_MAX, with u_lo below 0 where the
     window starts at the drop of h; on the benchmark's box u_lo lies in
     [-1.00, 0.98] and u_hi in [1.42, 1.92].  Where the window rounds to
-    zero width, or h does not fall from its centre to the window's upper
-    end, both are _U_MAX.
+    zero width, both are _U_MAX.
 
     A named tuple: it unpacks and indexes, and it compares equal to a plain
     tuple of the same values, even to a record of another type.
@@ -233,39 +214,23 @@ class _NodeKernel:
     for every t > 0 and x >= 0 (at x = 0, z = 0 and S = 1).
     """
 
-    __slots__ = ("x", "sqrt_x", "mu", "power", "series")
+    __slots__ = ("x", "sqrt_x", "power", "series")
 
     def __init__(self, q: MomentQuery) -> None:
         self.x = q.x
         self.sqrt_x = math.sqrt(q.x)
-        self.mu = q.mu
         self.power = q.eta + q.mu - 1.0
         self.series = FixedOrderSeries(q.mu - 1.0)
 
 
-def _log_head(k: _NodeKernel, t: float, dx: float) -> tuple[float, float]:
-    """(head, bound) at t, given dx = t - x: the part of ln f(t) before its
-    series term,
-
-        head = (eta+mu-1) ln t - (sqrt t - sqrt x)^2 - ln Gamma(mu),
-
-    and head + min(0, x t / mu - 2 sqrt(x t)), an upper bound on ln f(t)
-    (see the module docstring).  sqrt t - sqrt x is formed as dx / (sqrt t +
-    sqrt x), so that it keeps the digits of dx where t lies near x.
-    """
-    sqrt_t = math.sqrt(t)
-    d = dx / (sqrt_t + k.sqrt_x)
-    head = k.power * math.log(t) - d * d - k.series.log_gamma
-    r = k.sqrt_x * sqrt_t
-    gap = r * r / k.mu - 2.0 * r
-    return head, (head + gap if gap < 0.0 else head)
-
-
-def _log_integrand(k: _NodeKernel, t: float, head: float) -> float:
-    """ln of the scaled integrand at t, given its head from ``_log_head``;
-    finite at every node, where t > 0 and x t is finite."""
+def _log_integrand(k: _NodeKernel, t: float, dx: float) -> float:
+    """ln f(t) of ``_NodeKernel``, given dx = t - x; finite at every node,
+    where t > 0 and x t is finite.  sqrt t - sqrt x is formed as dx / (sqrt
+    t + sqrt x), so that it keeps the digits of dx where t lies near x."""
+    d = dx / (math.sqrt(t) + k.sqrt_x)
     q = k.x * t
-    return head + k.series.log_scaled(q, 2.0 * math.sqrt(q))
+    return (k.power * math.log(t) - d * d - k.series.log_gamma
+            + k.series.log_scaled(q, 2.0 * math.sqrt(q)))
 
 
 class _Shape:
@@ -312,12 +277,17 @@ def _drop(shape: _Shape, top: float, s: float) -> float:
     """Newton steps in s = sqrt t towards a point where h falls to _EPS of
     its top e^top, from an s where it is at or below that: ln h is concave
     in s, so every step stays on that side.  They stop where rounding puts
-    s at the drop, or where ln h is not finite (past the double range)."""
+    s at the drop, or where ln h is not finite (past the double range).
+    Where the slope rounds to 0 no step is defined and the result is nan,
+    which leaves a lower window end where it is and refuses an upper one:
+    there rounding has left h flat below its drop."""
     for _ in range(_NEWTON_STEPS):
         f, slope = shape.log_and_slope(s * s)
         f -= top + _LOG_EPS
         if not f < 0.0:
             break
+        if slope == 0.0:
+            return math.nan
         s -= f / (2.0 * s * slope)
     return s
 
@@ -360,7 +330,7 @@ def _window(shape: _Shape,
     if lower > 0.0:
         s = math.sqrt(lower)
         moved = _drop(shape, top, s)
-        if moved != s:
+        if moved > s:
             lower = max(lower, moved * moved)
     return peak, lower, centre + _ROOT_END * (2.0 * root + _ROOT_END), top
 
@@ -427,24 +397,27 @@ def _lower_cut(shape: _Shape, centre: float, top: float, a: float,
 
 
 def _u_range(shape: _Shape, centre: float, top: float, a: float,
-             b: float) -> tuple[float, float]:
+             b: float) -> tuple[float, float] | None:
     """(u_lo, u_hi) of the u-range [-u_lo, u_hi] of the map onto the window
     [a, b], as the module docstring derives them, for h with centre c and
-    top e^top."""
+    top e^top; None where the window cannot resolve h (see the module
+    docstring)."""
     drop = top - shape.log_and_slope(b)[0]
-    if not drop > 0.0:
-        return _U_MAX, _U_MAX
-    need = (b - centre) * -math.expm1(-drop) / drop
-    t_up = _drop(shape, top, math.sqrt(centre) + _ROOT_DROP) ** 2
-    d = _lower_cut(shape, centre, top, a, need)
-    # u = 1/2 ln(v / (1 - v)) where W v^p = t - a; 1e-12 is taken off ln
-    # d, so that the rounding of u_lo and of the map's nodes cannot take
-    # the dropped piece past its bound.
     w = b - a
-    log_v = math.log((t_up - a) / w) / _POWER
-    u_hi = (0.5 * (log_v - math.log(-math.expm1(log_v))) if log_v < 0.0
-            else _U_MAX)
-    log_v = (math.log(d / w) - 1e-12) / _POWER
+    # v^p = (t - a) / W at the drop t_up of h above its centre.
+    v_up = (_drop(shape, top, math.sqrt(centre) + _ROOT_DROP) ** 2 - a) / w
+    if not (drop > 0.0 and 0.0 < v_up < 1.0):
+        return None
+    need = (b - centre) * -math.expm1(-drop) / drop
+    v_cut = _lower_cut(shape, centre, top, a, need) / w
+    if not 0.0 < v_cut < v_up:
+        return None
+    # u = 1/2 ln(v / (1 - v)); 1e-12 is taken off ln d, so that the
+    # rounding of u_lo and of the map's nodes cannot take the dropped piece
+    # past its bound.
+    log_v = math.log(v_up) / _POWER
+    u_hi = 0.5 * (log_v - math.log(-math.expm1(log_v)))
+    log_v = (math.log(v_cut) - 1e-12) / _POWER
     u_lo = 0.5 * (math.log(-math.expm1(log_v)) - log_v)
     return min(_U_MAX, u_lo), min(_U_MAX, u_hi)
 
@@ -456,6 +429,10 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     x > 0 to where the bound of h at x = 0 starts its window too, and the
     u-range that stops where h falls to 1e-16 of its top (``_u_range``).
     ``peak`` is the peak of h.
+
+    Raises DomainError where the node argument x t overflows on the window,
+    and ConvergenceError where rounding leaves the window unable to
+    resolve h; both messages start ``quadrature cannot take x = ...``.
     """
     _check_oracle_query(q)
     shape = _Shape(q.eta, q.mu, q.x)
@@ -465,25 +442,28 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
         lower = min(lower, _bound_lower(q.eta + q.mu - 1.0, q.y))
     if upper == lower:
         return QuadratureSpec(peak, lower, upper, _U_MAX, _U_MAX)
-    return QuadratureSpec(peak, lower, upper,
-                          *_u_range(shape, centre, top, lower, upper))
+    if not math.isfinite(q.x * upper):
+        raise DomainError(
+            f"quadrature cannot take x = {q.x!r}: the Bessel argument x t "
+            f"overflows on its window up to t = {upper!r}")
+    u_range = _u_range(shape, centre, top, lower, upper)
+    if u_range is None:
+        raise ConvergenceError(
+            f"quadrature cannot take x = {q.x!r} with eta = {q.eta!r}, "
+            f"mu = {q.mu!r}, y = {q.y!r}: rounding leaves its window "
+            f"[{lower!r}, {upper!r}] unable to resolve the integrand")
+    return QuadratureSpec(peak, lower, upper, *u_range)
 
 
 def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
-                   n: int) -> Iterator[tuple[int, float, int]]:
-    """(points, trapezoid sum, skipped) of the trapezoidal rule on the
-    window [a, b] of ``spec`` under the map (``_node_map``) for nested grids
-    of n, 2n - 1, 4n - 3, ... points on its u-range [-u_lo, u_hi], up to the
-    node cap; skipped counts the grid's points whose series never ran.
+                   n: int) -> Iterator[tuple[int, float]]:
+    """(points, trapezoid sum) of the trapezoidal rule on the window [a, b]
+    of ``spec`` under the map (``_node_map``) for nested grids of n, 2n - 1,
+    4n - 3, ... points on its u-range [-u_lo, u_hi], up to the node cap.
 
     Halving the spacing keeps the old nodes at the even indices of the new
-    grid, so a pass visits only its midpoints; its sum is one exact
-    ``fsum`` over every stored node, so reuse adds no rounding.  From the
-    second pass on, a midpoint whose bound from ``_log_head``, plus its log
-    weight, lies more than _SKIP_MARGIN below the largest log of the pass
-    before is neither evaluated nor stored: it is below e^-45 of the
-    largest term, and N such points move the sum by less than N * 2.9e-20
-    of itself (see the module docstring).
+    grid, so a pass evaluates only its midpoints; its sum is one exact
+    ``fsum`` over every stored node, so reuse adds no rounding.
     """
     a, b, u_lo = spec.lower, spec.upper, spec.u_lo
     node = _node_map(a, b, kernel.x)
@@ -492,44 +472,30 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     log_end_weight = math.log(0.5)
     h = (u_lo + spec.u_hi) / (n - 1)
     # ln of each node's u-space integrand without the spacing h, which every
-    # pass changes; the endpoints carry their trapezoid weight 1/2.  The
-    # first pass stores every node.
+    # pass changes; the endpoints carry their trapezoid weight 1/2.
     logs: list[float] = []
-    # Nodes whose bound falls below it are skipped; -inf in the first pass.
-    floor = -math.inf
-    skipped = 0
     fresh = range(n)
     while n <= _NODE_CAP:
         for i in fresh:
             t, warp, dx = node(-u_lo + i * h)
-            t = min(b, max(a, t))
-            head, bound = _log_head(kernel, t, dx)
-            if bound + scale - warp < floor:
-                skipped += 1
-                continue
-            lf = _log_integrand(kernel, t, head)
+            lf = _log_integrand(kernel, min(b, max(a, t)), dx)
             if i == 0 or i == n - 1:
                 lf += log_end_weight
             logs.append(lf + scale - warp)
         top = max(logs)
-        floor = top - _SKIP_MARGIN
         yield n, (exp_clipped(top + math.log(h))
-                  * fsum(math.exp(v - top) for v in logs)), skipped
+                  * fsum(math.exp(v - top) for v in logs))
         fresh = range(1, 2 * n - 1, 2)
         n = 2 * n - 1
         h *= 0.5
 
 
 class QuadratureOutcome(namedtuple("QuadratureOutcome",
-                                   "value nodes est_error skipped")):
-    """Integral value plus the nodes of the last pass, the estimated
-    relative error the stop rule accepted it on, and how many of those
-    nodes were skipped.
-
-    The grids are nested and no node is evaluated twice, so ``nodes -
-    skipped`` is the number of integrand evaluations; ``skipped`` counts
-    the nodes whose closed-form bound proved them negligible, so that the
-    Bessel series never ran there.
+                                   "value nodes est_error")):
+    """Integral value plus the nodes of the last pass and the estimated
+    relative error the stop rule accepted it on.  The grids are nested and
+    no node is evaluated twice, so ``nodes`` is the number of integrand
+    evaluations.
 
     A named tuple: it unpacks and indexes, and it compares equal to a plain
     tuple of the same values, even to a record of another type.
@@ -549,24 +515,25 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     whole piece it drops, is below 1e-16 of its top; the lower end stops
     where its dropped piece is at most 1e-16 of the mass of h (see the
     module docstring).  The first grid has 17 points, and each refinement
-    halves the spacing, n -> 2n - 1, so a pass visits only its n - 1 new
-    midpoints and reuses the values of every earlier node; from the second
-    pass on, it skips the midpoints that a closed-form bound proves
-    negligible (see ``_nested_passes``).
+    halves the spacing, n -> 2n - 1, so a pass evaluates only its n - 1 new
+    midpoints and reuses the values of every earlier node.
     Refinement stops when the relative change d between two passes is at
     most 1e-12, or is below the change before it with d^2 <= 1e-14 (see the
     module docstring); ``est_error`` is d in the first case and d^2 in the
     second.  Non-convergence within the 2^20 node cap raises
-    ConvergenceError.
+    ConvergenceError, and so does the first pass whose sum is not finite,
+    where the integral overflows the double range.
     Node contributions are combined with exact summation, so results are
     reproducible.  A window that rounds to zero width gives
-    QuadratureOutcome(0.0, 0, 0.0, 0) where it sits at y, past the peak of
-    h, and raises ConvergenceError where it sits on the peak: there the
-    integral is not negligible, only unresolvable.  An x so large that the
-    node argument x t overflows on the window raises DomainError; one
+    QuadratureOutcome(0.0, 0, 0.0) where it sits at y, past the peak of h,
+    and raises ConvergenceError where it sits on the peak: there the
+    integral is not negligible, only unresolvable.  ``truncation_bounds``
+    raises before any node is evaluated: ConvergenceError where rounding
+    leaves the window unable to resolve h, and DomainError where x is so
+    large that the node argument x t overflows on the window.  Where x is
     large enough (from about x = 3.3e8) that the Bessel series of a node
-    cannot converge raises ConvergenceError, and both messages name x and
-    the quadrature route.
+    cannot converge, the nodes raise ConvergenceError.  These three
+    messages name x and the quadrature route.
     """
     spec = truncation_bounds(q)
     if spec.upper == spec.lower:
@@ -574,26 +541,23 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
             raise ConvergenceError(
                 f"tanh-rule window around the peak {spec.peak} rounds to "
                 f"zero width for {q}")
-        return QuadratureOutcome(0.0, 0, 0.0, 0)
-    if not math.isfinite(q.x * spec.upper):
-        raise DomainError(
-            f"quadrature cannot take x = {q.x!r}: the Bessel argument x t "
-            f"overflows on its window up to t = {spec.upper!r}")
+        return QuadratureOutcome(0.0, 0, 0.0)
     prev = None
     # The squaring stop needs a change before the current one to compare it
     # with, so it cannot fire on the second pass.
     d_prev = 0.0
     try:
-        for n, cur, skipped in _nested_passes(_NodeKernel(q), spec,
-                                              _FIRST_GRID):
+        for n, cur in _nested_passes(_NodeKernel(q), spec, _FIRST_GRID):
+            if not math.isfinite(cur):
+                break
             if prev is not None:
                 if cur == 0.0 and prev == 0.0:
-                    return QuadratureOutcome(0.0, n, 0.0, skipped)
+                    return QuadratureOutcome(0.0, n, 0.0)
                 d = abs(cur - prev) / abs(cur) if cur != 0.0 else math.inf
                 if d <= _REL_TOL:
-                    return QuadratureOutcome(cur, n, d, skipped)
+                    return QuadratureOutcome(cur, n, d)
                 if d < d_prev and d * d <= _SQUARED_TOL:
-                    return QuadratureOutcome(cur, n, d * d, skipped)
+                    return QuadratureOutcome(cur, n, d * d)
                 d_prev = d
             prev = cur
     except ConvergenceError as exc:
@@ -602,6 +566,10 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
         raise ConvergenceError(
             f"quadrature cannot take x = {q.x!r} on its window up to "
             f"t = {spec.upper!r}: {exc}") from exc
+    if not math.isfinite(cur):
+        raise ConvergenceError(
+            f"tanh-rule quadrature overflows the double range for {q}: its "
+            f"{n}-point pass sums to {cur!r}")
     raise ConvergenceError(
         f"tanh-rule quadrature did not converge within {_NODE_CAP} nodes for {q}")
 

@@ -5,10 +5,13 @@ import itertools
 import math
 import random
 
+import pytest
+
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
-                      bessel_i_scaled, bessel_ratio, gamma_ratio_q,
-                      log_gamma_ratio_q, log_q_increment, nuttall_q_series,
+                      bessel_i_scaled, bessel_ratio, log_q_increment,
+                      nuttall_q_series, tanh_rule_integrate,
                       truncation_bounds)
+from nuttallq import quadrature
 from nuttallq.incgamma import log_pochhammer, q_with_log_increment
 
 EDGES = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 20.0, 700.0, 1e5, 1e150,
@@ -40,14 +43,13 @@ def test_kernels_at_edge_values():
     # and of the increment y^a e^{-y}/Gamma(a+1) at or below 0.
     bad = []
     for a, b in itertools.product(EDGES, EDGES):
-        for func in (gamma_ratio_q, bessel_i_scaled, bessel_ratio):
+        for func in (bessel_i_scaled, bessel_ratio):
             v = _outcome(func, a, b)
             if not (v is None or 0.0 <= v <= 1.0):
                 bad.append((func.__name__, a, b, v))
-        for func in (log_gamma_ratio_q, log_q_increment):
-            v = _outcome(func, a, b)
-            if not (v is None or v <= 0.0):
-                bad.append((func.__name__, a, b, v))
+        v = _outcome(log_q_increment, a, b)
+        if not (v is None or v <= 0.0):
+            bad.append(("log_q_increment", a, b, v))
         triple = _outcome(q_with_log_increment, a, b)
         if not (triple is None or (0.0 <= triple[0] <= 1.0
                                    and triple[1] <= 0.0 and triple[2] <= 0.0)):
@@ -75,6 +77,12 @@ def test_series_at_edge_values():
             assert y <= eta + mu and _log_lower_bound(eta, mu, x) > 712.0, q
 
 
+def _bad_spec(q, spec):
+    return (any(math.isnan(v) for v in spec)
+            or not q.y <= spec.lower <= spec.upper
+            or not -spec.u_hi < spec.u_lo)
+
+
 def test_truncation_bounds_at_edge_values():
     # Every edge point the quadrature takes (mu >= 1): a window with y <=
     # lower <= upper and a u-range with -u_hi < u_lo, no field NaN, where
@@ -84,10 +92,74 @@ def test_truncation_bounds_at_edge_values():
     for eta, mu, x, y in itertools.product(EDGES, repeat=4):
         q = _outcome(MomentQuery, eta, mu, x, y)
         spec = None if q is None or mu < 1.0 else _outcome(truncation_bounds, q)
-        if spec is None:
-            continue
-        if (any(math.isnan(v) for v in spec)
-                or not y <= spec.lower <= spec.upper
-                or not -spec.u_hi < spec.u_lo):
+        if spec is not None and _bad_spec(q, spec):
             bad.append((q, spec))
     assert bad == []
+
+
+def _log_uniform(rng, special, lo, hi):
+    """special with probability 0.1, else 10^U(lo, hi)."""
+    return special if rng.random() < 0.1 else 10.0 ** rng.uniform(lo, hi)
+
+
+def test_truncation_bounds_on_a_log_uniform_sweep():
+    # 5000 seeded queries across the double range, with exact zeros and
+    # mu = 1 drawn on purpose.  Where x t overflows on the window, or
+    # rounding leaves the window unable to resolve the integrand's shape
+    # (its slope rounds to 0, its drop or its lower cut lands outside the
+    # window), truncation_bounds raises DomainError or
+    # ConvergenceError, never a bare ZeroDivisionError or ValueError (33 of
+    # these 5000 did); a spec it returns holds the invariants of the
+    # edge-value test above.
+    rng = random.Random(31)
+    for _ in range(5000):
+        q = MomentQuery(_log_uniform(rng, 0.0, -300.0, 300.0),
+                        _log_uniform(rng, 1.0, 0.0, 300.0),
+                        _log_uniform(rng, 0.0, -320.0, 308.0),
+                        _log_uniform(rng, 0.0, -320.0, 308.0))
+        try:
+            spec = truncation_bounds(q)
+        except (DomainError, ConvergenceError):
+            continue
+        assert not _bad_spec(q, spec), (q, spec)
+
+
+def _counting_nodes(monkeypatch, cap):
+    """Count the integrand's evaluations; more than cap fail the test at
+    once, before a run to the node cap could take seconds."""
+    calls = []
+    log_integrand = quadrature._log_integrand
+
+    def counted(*args):
+        calls.append(args[1])
+        assert len(calls) <= cap, f"more than {cap} node evaluations"
+        return log_integrand(*args)
+
+    monkeypatch.setattr(quadrature, "_log_integrand", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mu", [1e18, 1e30, 1e32, 1e34])
+def test_unresolvable_window_is_refused_before_the_nodes(mu, monkeypatch):
+    # At eta = x = y = 0 the shape's log sums terms of about mu ln mu, whose
+    # ulp exceeds the shape's drop to 1e-16 of its top, and no u-range can
+    # be sized.  Integrating anyway raises a bare ValueError at 1e18 and
+    # 1e32; over the full u-range it runs to the node cap at 1e30 and gives
+    # 2.3e18 for Q = 1 at 1e34.
+    calls = _counting_nodes(monkeypatch, 17)
+    with pytest.raises(ConvergenceError, match=r"^quadrature cannot take "
+                       r"x = 0\.0 with .* unable to resolve the integrand"):
+        tanh_rule_integrate(MomentQuery(0.0, mu, 0.0, 0.0))
+    assert len(calls) <= 17
+
+
+def test_integral_past_the_double_range_is_refused_at_the_first_pass(
+        monkeypatch):
+    # Its series value is inf: every pass sums to inf, so the relative
+    # change is nan and neither stop rule fires.  The first pass, 17 nodes,
+    # raises; run on, every pass up to the 2^20-node cap would sum to inf,
+    # each in about twice the time of the one before.
+    calls = _counting_nodes(monkeypatch, 17)
+    with pytest.raises(ConvergenceError, match=r"overflows the double range"):
+        tanh_rule_integrate(MomentQuery(222.54, 283.74, 2766.97, 0.0))
+    assert len(calls) == 17

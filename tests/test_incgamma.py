@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
-                      gamma_ratio_q, log_gamma_ratio_q, log_q_increment,
-                      nuttall_q_series)
+                      log_q_increment, nuttall_q_series)
 from nuttallq import incgamma
 from nuttallq.incgamma import log_pochhammer, q_with_log_increment
 
@@ -22,9 +21,10 @@ def _shape_ratio(eta, base):
 
 
 def test_closed_form_points():
-    assert gamma_ratio_q(1.0, 1.5) == pytest.approx(math.exp(-1.5), rel=1e-15, abs=0.0)
-    assert gamma_ratio_q(3.0, 0.0) == 1.0
-    assert gamma_ratio_q(2.0, 1.0) == pytest.approx(
+    assert q_with_log_increment(1.0, 1.5)[0] == pytest.approx(
+        math.exp(-1.5), rel=1e-15, abs=0.0)
+    assert q_with_log_increment(3.0, 0.0)[0] == 1.0
+    assert q_with_log_increment(2.0, 1.0)[0] == pytest.approx(
         2.0 * math.exp(-1.0), rel=1e-15, abs=0.0)
 
 
@@ -34,7 +34,7 @@ def test_integer_shape_grid_vs_oracle():
             ref = gamma_q_integer(k, y)
             if ref < 1e-280:
                 continue
-            assert gamma_ratio_q(float(k), y) == pytest.approx(
+            assert q_with_log_increment(float(k), y)[0] == pytest.approx(
                 ref, rel=5e-14, abs=0.0), (k, y)
 
 
@@ -42,16 +42,16 @@ def test_half_integer_shape_grid_vs_oracle():
     for k in (0, 1, 2, 4, 8, 15):
         for y in (0.2, 1.0, 3.0, 7.5, 20.0):
             ref = gamma_q_half_integer(k, y)
-            got = gamma_ratio_q(k + 0.5, y)
+            got = q_with_log_increment(k + 0.5, y)[0]
             assert got == pytest.approx(ref, rel=5e-13, abs=0.0), (k, y)
 
 
 def test_bounds_and_limits():
     for shape in (0.3, 1.0, 7.7, 50.0, 200.0):
-        assert gamma_ratio_q(shape, 0.0) == 1.0
-        assert gamma_ratio_q(shape, 200.0) < 1e-10 or shape > 100.0
+        assert q_with_log_increment(shape, 0.0)[0] == 1.0
+        assert q_with_log_increment(shape, 200.0)[0] < 1e-10 or shape > 100.0
         for y in (0.01, 1.0, 30.0, 200.0):
-            v = gamma_ratio_q(shape, y)
+            v = q_with_log_increment(shape, y)[0]
             assert 0.0 <= v <= 1.0
 
 
@@ -61,12 +61,12 @@ def test_monotonic_grid():
     mus = [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 70.0, 100.0]
     ys = [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 70.0, 100.0]
     for mu in mus:
-        vals = [gamma_ratio_q(mu, y) for y in ys]
+        vals = [q_with_log_increment(mu, y)[0] for y in ys]
         assert all(a > b or a == b == 1.0 for a, b in zip(vals, vals[1:])), \
             f"not decreasing in y at mu={mu}"
         assert vals[0] > vals[-1]
     for y in ys:
-        vals = [gamma_ratio_q(mu, y) for mu in mus]
+        vals = [q_with_log_increment(mu, y)[0] for mu in mus]
         assert all(a < b or a == b == 1.0 for a, b in zip(vals, vals[1:])), \
             f"not increasing in mu at y={y}"
         assert vals[0] < vals[-1]
@@ -97,13 +97,13 @@ def test_increment_closed_forms():
 ])
 def test_logs_of_q_and_increment(shape, y, log_q, log_inc):
     # Both logs are rounded at their own magnitude, ~1e3 here.
-    assert log_gamma_ratio_q(shape, y) == pytest.approx(log_q, rel=0.0,
-                                                        abs=5e-13)
+    assert q_with_log_increment(shape, y)[1] == pytest.approx(log_q, rel=0.0,
+                                                              abs=5e-13)
     assert log_q_increment(shape, y) == pytest.approx(log_inc, rel=0.0,
                                                       abs=5e-13)
     assert math.exp(log_q_increment(shape, y)) == pytest.approx(
         math.exp(log_inc), rel=1e-12, abs=0.0)
-    assert log_gamma_ratio_q(shape, 0.0) == 0.0
+    assert q_with_log_increment(shape, 0.0)[1] == 0.0
     assert log_q_increment(shape, 0.0) == -math.inf
 
 
@@ -156,11 +156,9 @@ def test_log1pmx_against_reference(u, ref):
     (0.3, 1e-5, -3.345712829983207904600558),
 ])
 def test_q_with_log_increment(shape, y, log_inc):
-    # Q as gamma_ratio_q gives it, ln Q as log_gamma_ratio_q gives it, and
-    # the increment's log from the same prefactor, E(shape, y) - ln shape.
+    # Q, ln Q, and the increment's log from the same prefactor, E(shape, y)
+    # - ln shape.
     q, log_q, got = q_with_log_increment(shape, y)
-    assert q == gamma_ratio_q(shape, y)
-    assert log_q == log_gamma_ratio_q(shape, y)
     assert got == pytest.approx(log_inc, rel=5e-16, abs=0.0)
     assert q_with_log_increment(shape, 0.0) == (1.0, 0.0, -math.inf)
     # ln Q is the log of Q wherever Q is a normal float: on the
@@ -213,23 +211,24 @@ def test_log_pochhammer_domain_errors(base, step):
 
 def test_forward_chain_50_vs_direct():
     y = 1.5
-    q = gamma_ratio_q(1.0, y)
+    q = q_with_log_increment(1.0, y)[0]
     for s in range(1, 51):
         q = q + math.exp(log_q_increment(float(s), y))
-    assert q == pytest.approx(gamma_ratio_q(51.0, y), rel=1e-13, abs=0.0)
+    assert q == pytest.approx(q_with_log_increment(51.0, y)[0], rel=1e-13,
+                              abs=0.0)
 
 
 def test_forward_chain_100_vs_direct():
     # A stressed chain that actually crosses the y ~ shape transition.
     for mu0, y in ((0.7, 80.0), (1.0, 1.5), (2.5, 30.0)):
-        q = gamma_ratio_q(mu0, y)
+        q = q_with_log_increment(mu0, y)[0]
         shape = mu0
         for step in range(1, 101):
             q = q + math.exp(log_q_increment(shape, y))
             shape += 1.0
             if step % 10 == 0:
                 assert q == pytest.approx(
-                    gamma_ratio_q(shape, y), rel=1e-12, abs=0.0), \
+                    q_with_log_increment(shape, y)[0], rel=1e-12, abs=0.0), \
                     (mu0, y, step)
 
 
@@ -270,11 +269,11 @@ def test_shape_ratio_large_base_asymptotic():
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        gamma_ratio_q(0.0, 1.0)
+        q_with_log_increment(0.0, 1.0)[0]
     with pytest.raises(DomainError):
-        gamma_ratio_q(-2.0, 1.0)
+        q_with_log_increment(-2.0, 1.0)[0]
     with pytest.raises(DomainError):
-        gamma_ratio_q(2.0, -1.0)
+        q_with_log_increment(2.0, -1.0)[0]
     with pytest.raises(DomainError):
         _shape_ratio(2.0, 0.0)
     with pytest.raises(DomainError):
@@ -288,7 +287,7 @@ def test_domain_errors():
 @settings(max_examples=200, deadline=None)
 @given(shape=st.floats(0.01, 200.0), y=st.floats(0.0, 200.0))
 def test_q_in_unit_interval(shape, y):
-    v = gamma_ratio_q(shape, y)
+    v = q_with_log_increment(shape, y)[0]
     assert 0.0 <= v <= 1.0
 
 
@@ -305,9 +304,9 @@ SMALL_SHAPE_POINTS = [
 
 @pytest.mark.parametrize("shape,y,ref", SMALL_SHAPE_POINTS)
 def test_small_shape_q_matches_reference(shape, y, ref):
-    assert gamma_ratio_q(shape, y) == pytest.approx(ref, rel=1e-13, abs=0.0)
-    assert log_gamma_ratio_q(shape, y) == pytest.approx(math.log(ref),
-                                                        rel=1e-13, abs=0.0)
+    q, log_q, _ = q_with_log_increment(shape, y)
+    assert q == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert log_q == pytest.approx(math.log(ref), rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,19 +314,19 @@ def test_small_shape_q_matches_reference(shape, y, ref):
        y=st.floats(0.0, 2.0))
 def test_small_shape_q_is_never_negative(log_shape, y):
     shape = max(10.0 ** log_shape, 5e-324)
-    assert 0.0 <= gamma_ratio_q(shape, y) <= 1.0
+    assert 0.0 <= q_with_log_increment(shape, y)[0] <= 1.0
 
 
 def test_shape_past_one_plus_shape_is_a_convergence_error():
     # 1e150 + 1 rounds to 1e150: the point stays on the P side, whose terms
     # never fall, where the continued fraction divided by y + 1 - a = 0.
     with pytest.raises(ConvergenceError):
-        gamma_ratio_q(1e150, 1e150)
+        q_with_log_increment(1e150, 1e150)
 
 
 @pytest.mark.parametrize("func,value", [
-    (gamma_ratio_q, 1.0),
-    (log_gamma_ratio_q, 0.0),
+    pytest.param(q_with_log_increment, (1.0, 0.0, -math.inf),
+                 id="q_with_log_increment-triple"),
     (log_q_increment, -math.inf),
 ])
 def test_largest_shape_at_the_smallest_cut(func, value):

@@ -34,9 +34,8 @@ def _map_t(spec, u):
 
 
 def _node_log(k, t):
-    """ln f(t) as a node that runs its series computes it."""
-    head = quadrature._log_head(k, t, t - k.x)[0]
-    return quadrature._log_integrand(k, t, head)
+    """ln f(t) as a node computes it."""
+    return quadrature._log_integrand(k, t, t - k.x)
 
 
 def test_integrand_trivial_origin():
@@ -189,17 +188,19 @@ def test_zero_width_window_integrates_to_zero():
     q = MomentQuery(1.0, 1.0, 1.0, 1e300)
     spec = truncation_bounds(q)
     assert spec.lower == spec.upper == q.y
-    assert tanh_rule_integrate(q) == QuadratureOutcome(0.0, 0, 0.0, 0)
+    assert tanh_rule_integrate(q) == QuadratureOutcome(0.0, 0, 0.0)
     assert nuttall_q_series(q).value == 0.0
 
 
 def test_x_so_large_that_x_t_overflows_is_a_domain_error():
     # x = 1e300 puts the window's upper end near 1e300, so the node argument
-    # x t overflows; the error names x and the route.
+    # x t overflows; the error names x and the route, and truncation_bounds
+    # raises it before it sizes the u-range.
     q = MomentQuery(1.0, 2.0, 1e300, 1.0)
-    assert not math.isfinite(q.x * truncation_bounds(q).upper)
-    with pytest.raises(DomainError, match=r"quadrature .* x = 1e\+300"):
-        tanh_rule_integrate(q)
+    for func in (truncation_bounds, tanh_rule_integrate):
+        with pytest.raises(DomainError, match=r"^quadrature cannot take "
+                           r"x = 1e\+300: the Bessel argument x t overflows"):
+            func(q)
 
 
 def test_nodes_past_z_700_match_the_reference():
@@ -232,14 +233,19 @@ def test_x_zero_profile_is_left_out_far_below_the_peak(x):
 
 @pytest.mark.parametrize("x", [1e12, 1e150])
 def test_x_past_the_bessel_series_is_a_named_convergence_error(x):
-    # x t stays finite, but the node arguments z = 2 sqrt(x t) are so large
-    # that the Bessel series behind the nodes gives up; the error names x
+    # x t stays finite.  At 1e12 the node arguments z = 2 sqrt(x t) are so
+    # large that the Bessel series behind the nodes gives up; at 1e150 the
+    # terms of the shape's log are so large that an ulp of them exceeds its
+    # drop, and the query is refused before any node.  The error names x
     # and the route, not only the kernel.
     q = MomentQuery(1.0, 2.0, x, 1.0)
-    assert math.isfinite(q.x * truncation_bounds(q).upper)
+    assert math.isfinite(q.x * quadrature._window(
+        quadrature._Shape(q.eta, q.mu, q.x), q.y)[2])
+    reason = (r"on its window .*: Bessel series did not converge" if x < 1e100
+              else r"with .*: rounding leaves its window .* unable to resolve")
     with pytest.raises(ConvergenceError,
                        match=rf"^quadrature cannot take x = {re.escape(repr(x))} "
-                             r"on its window .*: Bessel series did not converge"):
+                             + reason):
         tanh_rule_integrate(q)
 
 
@@ -285,7 +291,7 @@ def test_outcome_stops_on_the_first_pass_a_rule_accepts():
         q = MomentQuery(eta, mu, x, y)
         out = tanh_rule_integrate(q)
         values = []
-        for n, value, _ in quadrature._nested_passes(
+        for n, value in quadrature._nested_passes(
                 quadrature._NodeKernel(q), truncation_bounds(q),
                 quadrature._FIRST_GRID):
             values.append(value)
@@ -312,14 +318,14 @@ def test_each_node_is_evaluated_once(eta, mu, x, y, monkeypatch):
     evaluated = []
     log_integrand = quadrature._log_integrand
 
-    def recording(k, t, head):
+    def recording(k, t, dx):
         evaluated.append(t)
-        return log_integrand(k, t, head)
+        return log_integrand(k, t, dx)
 
     monkeypatch.setattr(quadrature, "_log_integrand", recording)
     q = MomentQuery(eta, mu, x, y)
     out = tanh_rule_integrate(q)
-    assert len(evaluated) + out.skipped == out.nodes
+    assert len(evaluated) == out.nodes
     # Every evaluation is a distinct node of the last grid.  Near the
     # window ends the map saturates and neighbouring nodes round to one t,
     # so the check is on multisets.
@@ -342,45 +348,6 @@ BOX_EDGE_POINTS = [
     (50.0, 1.0, 20.0, 0.1, 7.64559590257205552491511486050e+86),
     (0.0, 1.0, 20.0, 20.0, 0.531639139937617665131211120176),
 ]
-
-
-def test_skipping_nodes_changes_no_value(monkeypatch):
-    # Each point twice: over its sized u-range, which ends where the
-    # integrand's shape falls to 1e-16 and so leaves the bound no node to
-    # skip, and over the full u-range [-_U_MAX, _U_MAX], which
-    # truncation_bounds falls back to and whose tails the bound skips.
-    points = [MomentQuery(*p)
-              for p in CONVERGED_PASS_POINTS + [p[:4] for p in BOX_EDGE_POINTS]]
-    sized = {q: truncation_bounds(q) for q in points}
-    full = {q: spec._replace(u_lo=quadrature._U_MAX, u_hi=quadrature._U_MAX)
-            for q, spec in sized.items()}
-    for specs in (sized, full):
-        monkeypatch.setattr(quadrature, "truncation_bounds", specs.get)
-        monkeypatch.setattr(quadrature, "_SKIP_MARGIN", 45.0)
-        skipping = [tanh_rule_integrate(q) for q in points]
-        monkeypatch.setattr(quadrature, "_SKIP_MARGIN", math.inf)
-        for q, out in zip(points, skipping):
-            every = tanh_rule_integrate(q)
-            assert every.skipped == 0
-            assert (out.value, out.nodes) == (every.value, every.nodes), q
-    assert sum(out.skipped for out in skipping) > 0
-
-
-def test_node_bound_is_an_upper_bound():
-    # 4000 (query, t) pairs; with x up to 1500 most have z = 2 sqrt(x t)
-    # > 700, where the series comes from log_poisson_pair_sum.  At x = 0 the
-    # bound is exact.
-    rng = random.Random(11)
-    for _ in range(800):
-        eta = rng.uniform(0.0, 50.0)
-        mu = 1.0 if rng.random() < 0.1 else rng.uniform(1.0, 200.0)
-        x = 0.0 if rng.random() < 0.05 else rng.uniform(0.0, 1500.0)
-        k = quadrature._NodeKernel(MomentQuery(eta, mu, x, 0.0))
-        for _ in range(5):
-            t = rng.uniform(1e-3, 2.0 * x + 4.0 * (eta + mu))
-            head, bound = quadrature._log_head(k, t, t - x)
-            lf = quadrature._log_integrand(k, t, head)
-            assert lf <= bound + 1e-9, (eta, mu, x, t, lf, bound)
 
 
 # y ~ 0 with the integrand still rising as t^{eta+mu-1} next to the
@@ -759,7 +726,7 @@ def test_box_integrals_mostly_stop_at_65_points():
         assert out.value == pytest.approx(nuttall_q_series(q).value,
                                           rel=1e-12, abs=0.0), q
         outs.append(out)
-    assert sum(out.nodes - out.skipped for out in outs) / len(outs) <= 90.0
+    assert sum(out.nodes for out in outs) / len(outs) <= 90.0
     assert sum(out.nodes == 65 for out in outs) >= len(outs) / 2
 
 
@@ -787,7 +754,7 @@ def test_node_doubling_differences_shrink():
         q = MomentQuery(eta, mu, x, y)
         spec = truncation_bounds(q)
         results = []
-        for n, value, _ in quadrature._nested_passes(
+        for n, value in quadrature._nested_passes(
                 quadrature._NodeKernel(q), spec, 64):
             results.append(value)
             if n > 2**13:
