@@ -325,6 +325,10 @@ def test_shape_past_one_plus_shape_is_a_convergence_error():
 
 
 @pytest.mark.parametrize("func,value", [
+    pytest.param(lambda a, y: q_with_log_increment(a, y)[0], 1.0,
+                 id="q_with_log_increment_q-1.0"),
+    pytest.param(lambda a, y: q_with_log_increment(a, y)[1], 0.0,
+                 id="q_with_log_increment_log_q-0.0"),
     pytest.param(q_with_log_increment, (1.0, 0.0, -math.inf),
                  id="q_with_log_increment-triple"),
     (log_q_increment, -math.inf),
