@@ -187,16 +187,23 @@ def _small_shape_q(a: float, y: float) -> tuple[float, float]:
 
 def _p_series(a: float, y: float, pref: float) -> float:
     """P(a, y) = 1 - Q(a, y) by its Taylor series, with pref = e^{E(a, y)};
-    requires y - a < 1."""
+    requires y - a < 1.  The terms are summed four per stop test.  As y < a
+    + 1, they fall from the first step on, so a test on the last of each
+    four stops at most three terms after a test on every term would."""
     if pref == 0.0:
         return 0.0
-    term = 1.0 / a
-    total = term
+    term = total = 1.0 / a
     ap = a
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= y / ap
-        total += term
+    for _ in range(_MAX_ITER // 4):
+        a1 = ap + 1.0
+        a2 = a1 + 1.0
+        a3 = a2 + 1.0
+        ap = a3 + 1.0
+        t1 = term * (y / a1)
+        t2 = t1 * (y / a2)
+        t3 = t2 * (y / a3)
+        term = t3 * (y / ap)
+        total += t1 + t2 + t3 + term
         if term < total * _TOL:
             return pref * total
     raise ConvergenceError(f"P series stalled for shape={a}, y={y}")

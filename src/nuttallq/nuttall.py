@@ -14,9 +14,11 @@ is evaluated three ways (what they share is listed below):
   the increment y^a e^{-y}/Gamma(a+1), itself kept as a running product.
   Its first value comes with Q_{eta+mu}(y) from one incomplete-gamma
   prefactor, and it is re-seeded from its log form whenever it drops below
-  1e-300.  One loop adds the positive terms to a running sum, and stops
-  updating the Q factor once it has reached its last bit; for integer eta
-  the rest of the sum is then closed-form: the weights sum to
+  1e-300.  One loop adds the positive terms to a running sum four at a
+  time, with one stop test per block of four, and stops updating the Q
+  factor once it has reached its last bit; after that a block adds its
+  weights' sum times that factor.  For integer eta the rest of the sum is
+  then closed-form: the weights sum to
   M(eta+mu; mu; x), which Kummer's transformation turns into e^x times a
   polynomial of degree eta.  Q factors that underflow are carried relative
   to Q_{eta+mu}(y), with its log as one more offset.
@@ -79,8 +81,8 @@ from .logscale import exp_clipped
 _SERIES_TOL = 1e-14
 # Terms after which the series gives up and reports non-convergence.
 _MAX_TERMS = 2000
-# Consecutive below-tolerance terms required before the series may stop.
-_QUIET_TERMS = 3
+# The steps of a block of four series terms, which the stop test reads once.
+_BLOCK = range(4)
 # Running-term scale that triggers a renormalization of the partial sums.
 _FOLD_LIMIT = 1e250
 # Below this the running Q increment is re-seeded from its log form, since a
@@ -157,11 +159,13 @@ class SeriesOutcome(namedtuple("SeriesOutcome",
     """Series value plus convergence metadata.
 
     value:      Q_{eta,mu}(x, y);
-    terms_used: terms summed one by one, n = 0 included; a closed-form
+    terms_used: terms summed, n = 0 included: 1, or a multiple of four
+                once the series has summed a block of four; a closed-form
                 tail (see ``nuttall_q_series``) counts none;
-    est_error:  relative contribution of the last term summed, floored at
-                1e-16; 1e-16 where a closed-form tail ended the sum, and
-                0.0 for the exact eta = 0, y = 0 value 1;
+    est_error:  relative contribution of the last term summed, the last of
+                its block, floored at 1e-16; 1e-16 where a closed-form
+                tail ended the sum, and 0.0 for the exact eta = 0, y = 0
+                value 1;
     converged:  True where the stop rule or a closed-form tail ended the
                 sum, False where 2000 terms ran out first.
 
@@ -303,10 +307,12 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     it for n terms (Higham 2002, section 4.2), as much as each term carries
     from its running products: an exact sum would gain nothing.
 
-    Once a + 2 > 2y and the increment is below 2^-60 of the Q factor, every
-    later increment is at most half the one before and below half an ulp of
-    the factor: the factor has saturated and is no longer updated, while
-    the same loop goes on stepping the weights.  For integer eta with
+    The terms are summed in blocks of four, n = 0-3, 4-7, ..., and every
+    check below runs once per block.  Once a + 2 > 2y and the increment is
+    below 2^-60 of the Q factor at the end of a block, every later
+    increment is at most half the one before and below half an ulp of the
+    factor: the factor has saturated and is no longer updated, while the
+    same loop goes on stepping the weights.  For integer eta with
     Q_{eta+mu}(y) >= 1/2, the rest of the series is then known in closed
     form: the weights sum to e^x L (``_kummer_polynomial``), so the terms
     not yet summed add Q * (e^x L - the weights summed so far), and the sum
@@ -314,10 +320,12 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     that subtraction costs at most one bit.  This needs no fold of the
     weights yet, and e^x L in double range.
 
-    Otherwise termination requires the per-term contribution to stay below
-    1e-14 for three consecutive terms after the term peak near n ~ x has
-    been passed.  If that has not happened within 2000 terms (x beyond
-    ~1500), the outcome says so explicitly; it is never a silent value.
+    Otherwise a block ends the sum where each of its last three terms is
+    at most 1e-14 of the sum, after the term peak near n ~ x has been
+    passed: the rule of three consecutive quiet terms, read once per
+    block, so it stops at most three terms after a test on every term
+    would.  If that has not happened within 2000 terms (x beyond ~1500),
+    the outcome says so explicitly; it is never a silent value.
 
     Where Q factors that underflowed (or lost digits as subnormals) could
     move the sum by more than an ulp, as when Q_{eta+mu+n}(y) underflows
@@ -379,9 +387,16 @@ def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
     and the weight of the terms whose Q factor was below the normal range,
     in units of the summed terms.
 
-    One loop steps the weight of every term, and the Q factor only until it
-    has saturated; the closed tail is tried once, at the top of the first
-    pass after that.  The value is the running sum the stop test reads."""
+    The terms come in blocks of four, n = 0-3, 4-7, ..., and the stop test,
+    the cap and the saturation and closed-tail checks run once per block.
+    A block steps the weight of every term, and the Q factor of every term
+    until a block ends with it saturated; the closed tail is tried once,
+    before the next block.  The re-seed of the increment, the count of
+    ``lost`` weight, the hand-off of a Q factor past 2 and the fold stay
+    per term, so a value near overflow or a first step at mu near 0 is
+    folded where it arises.  Once the Q factor has saturated, a block whose
+    weights cannot reach the fold adds their sum times the fixed factor.
+    The value is the running sum the stop test reads."""
     tol, max_terms, fold_limit = _SERIES_TOL, _MAX_TERMS, _FOLD_LIMIT
     em, two_y, sat = eta + mu, 2.0 * y, _SATURATED
     saturated = y == 0.0  # no later increment can change q_cur
@@ -389,9 +404,9 @@ def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
     u_sum = 1.0   # the u of the terms summed so far
     lost = 1.0 if q_cur < _TINY else 0.0
     shift = q_log  # log of the scale of u, q_cur and running
-    running = last = q_cur
-    n = 0.0  # index of the newest term, which is last (a float counter)
-    quiet = 0
+    running = t1 = t2 = t3 = q_cur  # the sum and its three newest terms
+    n = 0.0  # index of the newest term, which is t3 (a float counter)
+    steps = range(3)  # term 0 starts the first block
     converged = False
 
     while True:
@@ -402,47 +417,64 @@ def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
                 if weights < math.inf:
                     running += q_cur * max(0.0, weights - u_sum)
                     return running, shift, int(n), 0.0, True, lost
-        contrib = last / running if running > 0.0 else 0.0
-        if contrib <= tol:
-            quiet += 1
-            if quiet >= _QUIET_TERMS and n > x:
-                converged = True
-                break
-        else:
-            quiet = 0
-        if n + 1.0 >= max_terms:
+        lim = tol * running
+        if t1 <= lim and t2 <= lim and t3 <= lim and n > x:
+            converged = True
             break
-        u *= x * (em + n) / ((n + 1.0) * (mu + n))
+        if n + 5.0 > max_terms:
+            break  # the next block would end past term max_terms - 1
+        if saturated and steps is _BLOCK:
+            r = x * (em + n) / ((n + 1.0) * (mu + n))
+            # The step ratios fall with n, so no weight of the block passes
+            # u r^4 (u itself where r <= 1, and u is below the fold); past
+            # the fold the block takes the steps below, which fold it.
+            if u * (r * r) * (r * r) <= fold_limit:
+                n1, n2, n3 = n + 1.0, n + 2.0, n + 3.0
+                u1 = u * r
+                u2 = u1 * (x * (em + n1) / (n2 * (mu + n1)))
+                u3 = u2 * (x * (em + n2) / (n3 * (mu + n2)))
+                n += 4.0
+                u = u3 * (x * (em + n3) / (n * (mu + n3)))
+                w = u1 + u2 + u3 + u
+                running += q_cur * w
+                u_sum += w
+                t1, t2, t3 = q_cur * u2, q_cur * u3, q_cur * u
+                continue
+        for _ in steps:
+            u *= x * (em + n) / ((n + 1.0) * (mu + n))
+            if not saturated:
+                if inc < _INC_RESEED:
+                    inc = exp_clipped(log_q_increment(em + n, y) - q_log)
+                    if q_cur + inc < _TINY:
+                        lost += u
+                q_cur += inc
+                inc *= y / (em + n + 1.0)
+                if q_cur > 2.0:
+                    # Only a factor carried relative to an underflowed
+                    # Q_{eta+mu}(y) grows past 1: hand its growth to u,
+                    # whose fold keeps it in range.
+                    u *= q_cur
+                    inc /= q_cur
+                    q_cur = 1.0
+            n += 1.0
+            if u > fold_limit:
+                # Rescale by 1/u; the closed tail needs shift == 0, so u_sum,
+                # which only it reads, is left as it is.
+                scale = 1.0 / u
+                running *= scale
+                lost *= scale
+                # Only a first step x (eta+mu)/mu can overflow, with mu near
+                # 0; term 0 is then below 1e-308 of term 1, and drops out.
+                shift += (math.log(u) if u < math.inf or n > 1.0
+                          else math.log(x * em) - math.log(mu))
+                u = 1.0
+            t1, t2, t3 = t2, t3, u * q_cur
+            running += t3
+            u_sum += u
+        steps = _BLOCK
         if not saturated:
-            if inc < _INC_RESEED:
-                inc = exp_clipped(log_q_increment(em + n, y) - q_log)
-                if q_cur + inc < _TINY:
-                    lost += u
-            q_cur += inc
-            inc *= y / (em + n + 1.0)
-            if q_cur > 2.0:
-                # Only a factor carried relative to an underflowed
-                # Q_{eta+mu}(y) grows past 1: hand its growth to u, whose
-                # fold keeps it in range.
-                u *= q_cur
-                inc /= q_cur
-                q_cur = 1.0
-            saturated = inc <= sat * q_cur and em + n + 2.0 > two_y
-        n += 1.0
-        if u > fold_limit:
-            # Rescale by 1/u; the closed tail needs shift == 0, so u_sum,
-            # which only it reads, is left as it is.
-            scale = 1.0 / u
-            running *= scale
-            lost *= scale
-            # Only a first step x (eta+mu)/mu can overflow, with mu near 0;
-            # term 0 is then below 1e-308 of term 1, and drops out.
-            shift += (math.log(u) if u < math.inf or n > 1.0
-                      else math.log(x * em) - math.log(mu))
-            u = 1.0
-        last = u * q_cur
-        running += last
-        u_sum += u
+            saturated = inc <= sat * q_cur and em + n + 1.0 > two_y
+    contrib = t3 / running if running > 0.0 else 0.0
     return running, shift, int(n), contrib, converged, lost
 
 

@@ -523,6 +523,41 @@ def test_homogeneous_table_matches_benchmark_sequence(mu0, n_cols, x, y):
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+# Q_{e, 0.5+m}(19.91931383888671, 17.761621903536163), e = 0, 1, m = 0..15:
+# the doubles nearest the 40-digit values of perfbench/reference.py.
+STOP_RULE_ROWS = (
+    (0.6374484649151156, 0.6968648762481799, 0.7514796084367901,
+     0.8003472422595802, 0.8429128218672859, 0.8790078858072027,
+     0.9088084074601356, 0.9327652572318397, 0.9515202242770469,
+     0.9658204284462126, 0.9764416225166289, 0.9841273027145215,
+     0.9895466656523251, 0.9932710646231818, 0.9957662152456178,
+     0.9973961324806185),
+    (15.317390602100206, 17.069587311311256, 18.791113143245024,
+     20.45942882078546, 22.058375373749683, 23.578490137841648,
+     25.016604143429323, 26.374881908305987, 27.659520766053284,
+     28.879336014095593, 30.044427269855035, 31.165064718316017,
+     32.250868059427646, 33.31029049038911, 34.3503746275828,
+     35.37672073372556),
+)
+
+
+def test_row_fills_where_the_series_stop_rule_shows():
+    # The benchmark's series-seeded row fill takes 32 series values here,
+    # where a looser series stop shows: a stop on the last quiet term of
+    # blocks n = 1-4, 5-8, ... leaves the fill 2.07e-14 off, and the rule
+    # of three quiet terms per block 6.2e-15.
+    x, y = 19.91931383888671, 17.761621903536163
+    fill = _table(TableOp("homogeneous", 1, 0.5, 16, x, y))
+    tables = (homogeneous_table(1, 0.5, 16, x, y).values,
+              nuttall_q_ladder(1, 0.5, 16, x, y).values,
+              (fill[:16], fill[16:]))
+    for rows in tables:
+        for e, row in enumerate(STOP_RULE_ROWS):
+            for m, ref in enumerate(row):
+                assert rows[e][m] == pytest.approx(ref, rel=1e-14,
+                                                   abs=0.0), (e, m)
+
+
 def test_wide_ladder_stays_fast_once_its_forcing_term_underflows():
     # Past mu ~ 250 at (3, 5) the forcing term is below 1e-300, so every
     # column seeds it again from a scaled Bessel value; that value's
@@ -585,15 +620,15 @@ def test_homogeneous_table_validation():
 
 
 def test_homogeneous_table_seed_non_convergence_raises(monkeypatch):
-    # The table's one series call is the Marcum seed Q_{0,1}(10, 3), which
-    # takes 46 terms; the eta = 1 series, which takes 47, is not called.
-    monkeypatch.setattr(nuttall, "_MAX_TERMS", 46)
-    homogeneous_table(1, 1.0, 3, 10.0, 3.0)
-    monkeypatch.setattr(nuttall, "_MAX_TERMS", 45)
+    # The table's one series call is the Marcum seed Q_{0,1}(9, 3), which
+    # takes 44 terms; the eta = 1 series, which takes 48, is not called.
+    monkeypatch.setattr(nuttall, "_MAX_TERMS", 44)
+    homogeneous_table(1, 1.0, 3, 9.0, 3.0)
+    monkeypatch.setattr(nuttall, "_MAX_TERMS", 43)
     with pytest.raises(ConvergenceError):
-        marcum_q(1.0, 10.0, 3.0)
+        marcum_q(1.0, 9.0, 3.0)
     with pytest.raises(ConvergenceError):
-        homogeneous_table(1, 1.0, 3, 10.0, 3.0)
+        homogeneous_table(1, 1.0, 3, 9.0, 3.0)
 
 
 def test_three_method_agreement_region_grid():

@@ -52,7 +52,7 @@ def test_running_increment_deep_in_log_range(eta, mu, x, y, ref):
     (1000.0, 1252, 632121.430504892267664997620336),
     # At y = 500 the terms before the fold carry weight: the value is the
     # whole-line moment mu(mu+1) + 2(mu+1)x + x^2 = 1022110 to 35 digits.
-    (500.0, 1250, 1022110.0),
+    (500.0, 1252, 1022110.0),
 ])
 def test_fold_heavy_points_match_reference(y, terms, ref):
     out = nuttall_q_series(MomentQuery(2.0, 10.0, 1000.0, y))
@@ -295,28 +295,30 @@ def test_series_runs_the_continued_fraction_once(monkeypatch, eta, mu, x, y,
 
 
 def test_closed_tail_work_counts():
-    # Saturated after the first step: 2 terms summed, 47 before.
+    # Saturated in the first block of four: 4 terms summed, 48 without the
+    # closed tail.
     out = nuttall_q_series(MomentQuery(3.0, 40.0, 10.0, 5.0))
-    assert out.converged and out.terms_used == 2
+    assert out.converged and out.terms_used == 4
     assert out.value == pytest.approx(134140.0, rel=1e-14, abs=0.0)
-    # y = 0: saturated from the start, 1 term summed, 71 before.
+    # y = 0: saturated from the start, 1 term summed, 72 without it.
     assert nuttall_q_series(MomentQuery(5.0, 2.5, 20.0, 0.0)).terms_used == 1
     # Real eta, and integer eta with Q_{eta+mu}(y) < 1/2 (y > eta + mu):
-    # no closed tail, and the terms summed one by one as before.
-    assert nuttall_q_series(MomentQuery(2.5, 3.0, 6.0, 4.0)).terms_used == 39
-    assert nuttall_q_series(MomentQuery(2.0, 3.0, 6.0, 9.0)).terms_used == 38
+    # no closed tail, and the sum runs to the stop rule.
+    assert nuttall_q_series(MomentQuery(2.5, 3.0, 6.0, 4.0)).terms_used == 40
+    assert nuttall_q_series(MomentQuery(2.0, 3.0, 6.0, 9.0)).terms_used == 40
 
 
 @pytest.mark.parametrize("eta,mu,x,y,terms", [
     (3.0, 2.0, 5.0, 0.0, 1),     # closed tail at y = 0, before any stop test
-    (12.5, 7.0, 6.0, 3.0, 43),   # real eta: runs on after saturation
-    (4.0, 12.5, 7.0, 9.0, 31),   # closed tail after the Q factor saturates
-    (2.5, 1.0, 20.0, 0.0, 69),   # real eta, saturated from the start
+    (12.5, 7.0, 6.0, 3.0, 44),   # real eta: runs on after saturation
+    (4.0, 12.5, 7.0, 9.0, 32),   # closed tail after the Q factor saturates
+    (2.5, 1.0, 20.0, 0.0, 72),   # real eta, saturated from the start
 ])
 def test_one_loop_work_counts(eta, mu, x, y, terms):
-    # The Q factor's step stops at saturation, and the closed tail is tried
-    # once, at the top of the next pass; the terms summed one by one stay
-    # those of the loop that held the two phases apart.
+    # The terms come in blocks of four, n = 0-3, 4-7, ...: the Q factor's
+    # step stops at the end of the block where it saturates, and the closed
+    # tail is tried once, before the next block.  A stop on the last quiet
+    # term of a block, not three, takes (2.5, 1, 20, 0) to 68 terms.
     out = nuttall_q_series(MomentQuery(eta, mu, x, y))
     assert out.converged and out.terms_used == terms
 
@@ -415,6 +417,23 @@ def test_marcum_equals_series_eta0_bitwise():
 def test_marcum_matches_scipy_ncx2_up_to_x_1500(mu, x, y, ref):
     # Measured worst over these 20 points: 1.98e-13 relative.
     assert marcum_q(mu, x, y) == pytest.approx(ref, rel=2e-13, abs=0.0)
+
+
+def test_marcum_at_half_matches_the_erfc_closed_form():
+    # Q_{0,1/2}(x, y) = (erfc(sqrt y - sqrt x) + erfc(sqrt y + sqrt x))/2,
+    # the tail of (Z + sqrt(2x))^2 past 2y, which shares no code with the
+    # package.  The grid runs the P series at shape 1/2 and the sum before
+    # its Q factor saturates; the worst error was 9.3e-15, at (0.2, 22.25).
+    for i in range(96):
+        x = 0.2 * i
+        for j in range(121):
+            y = 0.25 * j
+            if x == 0.0 and y == 0.0:
+                continue
+            ref = 0.5 * (math.erfc(math.sqrt(y) - math.sqrt(x))
+                         + math.erfc(math.sqrt(y) + math.sqrt(x)))
+            assert marcum_q(0.5, x, y) == pytest.approx(
+                ref, rel=2e-14, abs=0.0), (x, y)
 
 
 def test_marcum_reduction_full_half_line():
