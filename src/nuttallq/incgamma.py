@@ -267,8 +267,10 @@ def q_with_log_increment(shape: float, lower_cut: float
     p_side = lower_cut - shape < 1.0
     if p_side and shape < _SMALL_SHAPE:
         ratio, v = _small_shape_q(shape, lower_cut)
-        return (shape * ratio, math.log(shape) + math.log(ratio),
-                v - lower_cut)
+        # Where P lies below an ulp of 1, rounding can put Q/shape an ulp
+        # above 1/shape, and so Q above 1 and ln Q above 0.
+        return (min(1.0, shape * ratio),
+                min(0.0, math.log(shape) + math.log(ratio)), v - lower_cut)
     log_pref = _log_gamma_prefactor(shape, lower_cut)
     pref = exp_clipped(log_pref)
     if p_side:

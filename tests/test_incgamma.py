@@ -4,7 +4,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
@@ -36,6 +36,52 @@ def test_integer_shape_grid_vs_oracle():
                 continue
             assert q_with_log_increment(float(k), y)[0] == pytest.approx(
                 ref, rel=5e-14, abs=0.0), (k, y)
+
+
+# Q(n, n + 1/2), n = 1, ..., 60, from mpmath at 40 digits: the P side
+# (y - n < 1), half a step below where the continued fraction takes over.
+P_SIDE_INTEGER_SHAPES = (
+    2.231301601484298289332805e-1, 2.872974951836457830933504e-1,
+    3.208471988621340703602294e-1, 3.422959558345910689124103e-1,
+    3.575180024279255273735931e-1, 3.690406835506195755654998e-1,
+    3.781546943234693151402541e-1, 3.855971018271526103491879e-1,
+    3.918234825449395211807346e-1, 3.971325993508106528088605e-1,
+    4.017296104299147968468625e-1, 4.057606888114827470231826e-1,
+    4.093331771230742732392788e-1, 4.125279173822872302102112e-1,
+    4.154071101477916939828476e-1, 4.180195006078754318817087e-1,
+    4.204039036649941269970722e-1, 4.225916622196788034520459e-1,
+    4.246084003495385192837096e-1, 4.264752985794355823879289e-1,
+    4.28210037950905868034446e-1, 4.298275099724423833634399e-1,
+    4.313403581116528993035893e-1, 4.327593961190783701666993e-1,
+    4.340939349810636769897879e-1, 4.353520411884483408780317e-1,
+    4.365407427469878147383168e-1, 4.376661949833611689619569e-1,
+    4.387338151023017218499607e-1, 4.39748392224784103868205e-1,
+    4.407141780183714924796837e-1, 4.416349618396191061842482e-1,
+    4.425141334223963219757096e-1, 4.433547354803029166214726e-1,
+    4.441595080865088051026687e-1, 4.449309263081064427388243e-1,
+    4.456712322741244370371236e-1, 4.463824626247387113557872e-1,
+    4.470664721078510264624613e-1, 4.477249539462040026489459e-1,
+    4.483594574847163539954767e-1, 4.489714035371044494250381e-1,
+    4.495620977780755911866516e-1, 4.501327424685992584379868e-1,
+    4.506844467540410313494535e-1, 4.51218235736005377363407e-1,
+    4.517350584868095375545787e-1, 4.522357951492183690589423e-1,
+    4.527212632423214169192806e-1, 4.531922232763685429942698e-1,
+    4.536493837643154285993896e-1, 4.540934057052190603676225e-1,
+    4.545249066040275975581781e-1, 4.549444640833754338006958e-1,
+    4.553526191354366741024218e-1, 4.557498790554759902247544e-1,
+    4.561367200932749557674873e-1, 4.56513589853948834460245e-1,
+    4.568809094756753553991695e-1, 4.572390756084275506619573e-1,
+)
+
+
+def test_p_series_stops_at_its_tolerance():
+    # 1 - P at integer shapes 1..60 on the P side: within 3.7e-15 of the
+    # 40-digit values.  A P series that stops at 1e-13 of its sum, in place
+    # of its 1e-15, is 9.9e-14 off at n = 55.
+    for n, ref in enumerate(P_SIDE_INTEGER_SHAPES, 1):
+        y = n + 0.5
+        assert q_with_log_increment(float(n), y)[0] == pytest.approx(
+            ref, rel=2e-14, abs=0.0), (n, y)
 
 
 def test_half_integer_shape_grid_vs_oracle():
@@ -312,9 +358,13 @@ def test_small_shape_q_matches_reference(shape, y, ref):
 @settings(max_examples=300, deadline=None)
 @given(log_shape=st.floats(-323.0, math.log10(0.999)),
        y=st.floats(0.0, 2.0))
+# P ~ e^-118 here, far below an ulp of 1: Q was 1 + 2.2e-16 and ln Q 2.2e-16.
+@example(log_shape=-0.75, y=3.156637528402768e-289)
 def test_small_shape_q_is_never_negative(log_shape, y):
     shape = max(10.0 ** log_shape, 5e-324)
-    assert 0.0 <= q_with_log_increment(shape, y)[0] <= 1.0
+    q, log_q, _ = q_with_log_increment(shape, y)
+    assert 0.0 <= q <= 1.0
+    assert log_q <= 0.0
 
 
 def test_shape_past_one_plus_shape_is_a_convergence_error():
