@@ -331,10 +331,13 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     move the sum by more than an ulp, as when Q_{eta+mu+n}(y) underflows
     at every term summed, the sum is taken again with the factors carried
     relative to Q_{eta+mu}(y) and ln Q_{eta+mu}(y) as one more log offset.
-    At x = 0 only the n = 0 term is left, and a Q_{eta+mu}(y) below the
-    normal range enters by its log alone.  ln Q_{eta+mu}(y) comes from the
-    same ``q_with_log_increment`` call as Q_{eta+mu}(y) and its first
-    increment, so a series call runs the continued fraction at most once.
+    Where that log is too low to keep ten digits, or the first step's
+    growth does not fit, the outcome reports non-convergence instead of the
+    sum of underflowed factors.  At x = 0 only the n = 0 term is left, and
+    a Q_{eta+mu}(y) below the normal range enters by its log alone.  ln
+    Q_{eta+mu}(y) comes from the same ``q_with_log_increment`` call as
+    Q_{eta+mu}(y) and its first increment, so a series call runs the
+    continued fraction at most once.
     """
     eta, mu, x, y = q.eta, q.mu, q.x, q.y
 
@@ -369,6 +372,10 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
             if q_log > _LOG_Q_MIN and inc < 1e300 / _FOLD_LIMIT:
                 total, log_scale, n, contrib, converged, _ = _sum_terms(
                     eta, mu, x, y, 1.0, q_log, inc, False)
+            else:
+                # The factors that carry the sum underflowed: its value
+                # is not known.
+                converged = False
     value = _scaled_value(total, mant, offset + log_scale - x)
     if eta == 0.0:
         value = min(value, 1.0)

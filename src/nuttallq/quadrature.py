@@ -60,11 +60,7 @@ solves eta w^2 + (x + nu) w - x = 0, that is at the peak
 which is g at x = 0, x + nu at eta = 0, and (sqrt x + sqrt(x + 4 eta))^2 / 4
 at mu = 1.  In s = sqrt t, ln h(s^2) has curvature -2 - 2g/s^2 + 4 x nu /
 (r (nu + r)) <= -2, as r^2 >= 4 x s^2 and g >= nu; ``_window`` builds the
-window on that.  For x > 0 the window also reaches down to max(y, (sqrt g
-- sqrt(-ln 1e-16))^2), where that bound starts the window of h at x = 0,
-whose peak g lies below t*: from x ~ 1e33 on, the window of h itself is
-narrower than an ulp of its centre, and the window then still spans the
-nodes whose Bessel series fail there.
+window on that, for every x.
 
 Every integral takes the same map,
 
@@ -128,10 +124,15 @@ the benchmark's box U_lo lies in [-1.00, 0.98] and U_hi in [1.42, 1.92].
 
 Rounding can leave the window unable to resolve h, where ln h sums terms
 so large that their rounding swamps its drop to 1e-16 of its top (from t
-~ 1e17 at x = 0).  Where that shows, ``truncation_bounds`` raises
-ConvergenceError: where h does not fall from the centre to b, a Newton
-step meets a slope that rounds to 0, t_up lies outside (a, b), or a + d
-outside (a, t_up).  A u-range sized there would not hold the mass of h.
+~ 1e17 at x = 0), or where the window is narrower than an ulp of its
+centre (beyond ~2e34) and rounds to zero width.  Where that shows,
+``truncation_bounds`` raises ConvergenceError: where the window rounds to
+zero width on the peak of h (y at or below the peak), where h does not
+fall from the centre to b, where a Newton step meets a slope that rounds
+to 0, or where t_up lies outside (a, b) or a + d outside (a, t_up).  A
+u-range sized there would not hold the mass of h.  A zero-width window at
+a y past the peak is not refused: an ulp of y there spans many widths of
+h, so the integral rounds to 0.
 """
 
 from __future__ import annotations
@@ -183,25 +184,19 @@ class QuadratureSpec(namedtuple("QuadratureSpec",
 
     ``truncation_bounds`` returns it, and ``tanh_rule_integrate`` integrates
     over the window and u-range it describes.  y <= lower <= upper always
-    holds; lower == upper only where the window's centre is so large
-    (beyond ~2e34) that adding its half-width rounds away.  Both ends of
-    the u-range come in closed form from where h falls to 1e-16 of its top:
-    -u_hi < u_lo <= _U_MAX and u_hi <= _U_MAX, with u_lo below 0 where the
-    window starts at the drop of h; on the benchmark's box u_lo lies in
-    [-1.00, 0.98] and u_hi in [1.42, 1.92].  Where the window rounds to
-    zero width, both are _U_MAX.
+    holds; lower == upper only where the window sits at a y past the peak
+    that is so large (beyond ~2e34) that adding its half-width rounds away,
+    and then both ends of the u-range are _U_MAX.  Otherwise they come in
+    closed form from where h falls to 1e-16 of its top: -u_hi < u_lo <=
+    _U_MAX and u_hi <= _U_MAX, with u_lo below 0 where the window starts at
+    the drop of h; on the benchmark's box u_lo lies in [-1.00, 0.98] and
+    u_hi in [1.42, 1.92].
 
     A named tuple: it unpacks and indexes, and it compares equal to a plain
     tuple of the same values, even to a record of another type.
     """
 
     __slots__ = ()
-
-
-def _check_oracle_query(q: MomentQuery) -> None:
-    if q.mu < 1.0:
-        raise DomainError(
-            f"quadrature oracle needs mu >= 1 (Bessel order mu-1 >= 0), got {q.mu!r}")
 
 
 class _NodeKernel:
@@ -296,16 +291,6 @@ def _drop(shape: _Shape, top: float, s: float) -> float:
     return s
 
 
-def _bound_lower(centre: float, y: float) -> float:
-    """max(y, (sqrt c - _ROOT_DROP)^2) for the centre c, or y where sqrt c <=
-    _ROOT_DROP: the lower end of the window that ``_window`` starts from,
-    formed as an offset from c."""
-    root = math.sqrt(centre)
-    if root <= _ROOT_DROP:
-        return y
-    return max(y, centre - _ROOT_DROP * (2.0 * root - _ROOT_DROP))
-
-
 def _window(shape: _Shape,
             y: float) -> tuple[float, float, float, float]:
     """(peak, lower, upper, top): the peak of h, a window [lower, upper] out
@@ -330,7 +315,9 @@ def _window(shape: _Shape,
     centre = max(peak, y)
     root = math.sqrt(centre)
     top = shape.log_and_slope(centre)[0] if centre > 0.0 else 0.0
-    lower = _bound_lower(centre, y)
+    lower = y
+    if root > _ROOT_DROP:
+        lower = max(y, centre - _ROOT_DROP * (2.0 * root - _ROOT_DROP))
     if lower > 0.0:
         s = math.sqrt(lower)
         moved = _drop(shape, top, s)
@@ -404,28 +391,31 @@ def _u_range(shape: _Shape, centre: float, top: float, a: float,
 def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     """Choose a finite window [a, b] that holds the integrand's mass, and
     the u-range of the map onto it, both from the integrand's shape h (see
-    the module docstring): the window of h (``_window``), reaching down for
-    x > 0 to where the bound of h at x = 0 starts its window too, and the
-    u-range that stops where h falls to 1e-16 of its top (``_u_range``).
-    ``peak`` is the peak of h.
+    the module docstring): the window of h (``_window``) and the u-range
+    that stops where h falls to 1e-16 of its top (``_u_range``).  ``peak``
+    is the peak of h.  A window that rounds to zero width at a y past the
+    peak is returned with both ends of its u-range at _U_MAX.
 
-    Raises DomainError where the node argument x t overflows on the window,
-    and ConvergenceError where rounding leaves the window unable to
-    resolve h; both messages start ``quadrature cannot take x = ...``.
+    Raises DomainError where mu < 1 (the Bessel order mu - 1 is negative)
+    and where the node argument x t overflows on the window, and
+    ConvergenceError where rounding leaves the window unable to resolve h,
+    a window that rounds to zero width on the peak (y at or below it)
+    included.  All but the first message start ``quadrature cannot take x
+    = ...``.
     """
-    _check_oracle_query(q)
+    if q.mu < 1.0:
+        raise DomainError(
+            f"quadrature oracle needs mu >= 1 (Bessel order mu-1 >= 0), got {q.mu!r}")
     shape = _Shape(q.eta, q.mu, q.x)
     peak, lower, upper, top = _window(shape, q.y)
-    centre = max(peak, q.y)
-    if q.x > 0.0:
-        lower = min(lower, _bound_lower(q.eta + q.mu - 1.0, q.y))
-    if upper == lower:
+    if upper == lower and peak < q.y:
         return QuadratureSpec(peak, lower, upper, _U_MAX, _U_MAX)
     if not math.isfinite(q.x * upper):
         raise DomainError(
             f"quadrature cannot take x = {q.x!r}: the Bessel argument x t "
             f"overflows on its window up to t = {upper!r}")
-    u_range = _u_range(shape, centre, top, lower, upper)
+    u_range = (_u_range(shape, max(peak, q.y), top, lower, upper)
+               if upper > lower else None)
     if u_range is None:
         raise ConvergenceError(
             f"quadrature cannot take x = {q.x!r} with eta = {q.eta!r}, "
@@ -521,23 +511,15 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     cap raises ConvergenceError, and so does the first pass whose sum is not
     finite, where the integral overflows the double range.
     Node contributions are combined with exact summation, so results are
-    reproducible.  A window that rounds to zero width gives
-    QuadratureOutcome(0.0, 0, 0.0) where it sits at y, past the peak of h,
-    and raises ConvergenceError where it sits on the peak: there the
-    integral is not negligible, only unresolvable.  ``truncation_bounds``
-    raises before any node is evaluated: ConvergenceError where rounding
-    leaves the window unable to resolve h, and DomainError where x is so
-    large that the node argument x t overflows on the window.  Where x is
-    large enough (from about x = 3.3e8) that the Bessel series of a node
-    cannot converge, the nodes raise ConvergenceError.  These three
-    messages name x and the quadrature route.
+    reproducible.  A window that rounds to zero width, which
+    ``truncation_bounds`` returns only at a y past the peak of h, gives
+    QuadratureOutcome(0.0, 0, 0.0).  ``truncation_bounds`` raises before
+    any node is evaluated (see there).  Where x is large enough (from about
+    x = 3.3e8) that the Bessel series of a node cannot converge, the nodes
+    raise ConvergenceError, whose message names x and the quadrature route.
     """
     spec = truncation_bounds(q)
     if spec.upper == spec.lower:
-        if spec.peak > q.y:
-            raise ConvergenceError(
-                f"tanh-rule window around the peak {spec.peak} rounds to "
-                f"zero width for {q}")
         return QuadratureOutcome(0.0, 0, 0.0)
     prev = None
     # The squaring stop needs a change before the current one to compare it

@@ -221,12 +221,10 @@ def test_large_x_nodes_give_the_closed_form(x):
 @pytest.mark.parametrize("x", [1e5, 1e6, 1e7])
 def test_x_zero_profile_is_left_out_far_below_the_peak(x):
     # At y = 1 the x = 0 profile t^2 e^{-t} is near its top, but the
-    # integrand there is ~e^{-x}.  The window still reaches down to y, so
-    # the peak lies within 5% of the window next to its upper end (0.5% at
-    # 1e7), where the map's t must keep its digits: with v^20 formed as (1
-    # + e^{-2u})^-20, t is up to 16 ulp off there and 1e7 is 7.1e-14 off.
+    # integrand there is ~e^{-x}.  The window is sized on the integrand's
+    # own shape around its peak near x, for every x, so the profile of x =
+    # 0 takes no part in it.
     q = MomentQuery(1.0, 2.0, x, 1.0)
-    assert truncation_bounds(q).lower == 1.0
     got = tanh_rule_integrate(q).value
     assert got == pytest.approx(x + 2.0, rel=2e-14, abs=0.0)
 
@@ -253,13 +251,41 @@ def test_collapsed_window_on_the_peak_raises():
     # eta = 1e300 puts the peak near 1e300, where the window's half-width
     # rounds away.  The window sits on the peak, not at y, so the integral
     # is not negligible (the series overflows to inf unconverged), and 0.0
-    # would be a silently wrong value.
+    # would be a silently wrong value: truncation_bounds refuses it.
     q = MomentQuery(1e300, 1.0, 1.0, 1.0)
-    spec = truncation_bounds(q)
-    assert spec.lower == spec.upper and spec.peak > q.y
-    with pytest.raises(ConvergenceError):
-        tanh_rule_integrate(q)
+    for func in (truncation_bounds, tanh_rule_integrate):
+        with pytest.raises(ConvergenceError, match=r"^quadrature cannot "
+                           r"take x = 1\.0 .*: rounding leaves its window "
+                           r"\[1e\+300, 1e\+300\] unable to resolve"):
+            func(q)
     assert not nuttall_q_series(q).converged
+
+
+@pytest.mark.parametrize("eta,mu,x,y", [
+    (0.0, 1.0, 1e35, 1e35), (1.0, 2.0, 1e35, 1e35), (0.0, 5.0, 1e40, 1e40)])
+def test_collapsed_window_at_y_on_the_peak_is_refused(eta, mu, x, y):
+    # The peak lies at or just above y = x, and the window around it is
+    # narrower than an ulp of x, so it rounds to zero width at y.  The
+    # integral there is about half of its value over the whole half-line
+    # (about 1/2 at eta = 0), not 0.0.
+    q = MomentQuery(eta, mu, x, y)
+    assert quadrature._Shape(eta, mu, x).peak() >= y
+    for func in (truncation_bounds, tanh_rule_integrate):
+        with pytest.raises(ConvergenceError, match=r"^quadrature cannot take "
+                           rf"x = {re.escape(repr(x))} .*: rounding leaves "
+                           r"its window .* unable to resolve the integrand"):
+            func(q)
+
+
+def test_collapsed_window_one_ulp_past_the_peak_integrates_to_zero():
+    # One ulp of y = 1e35 past the peak x = 1e35 is about 40 standard
+    # deviations of the integrand, sqrt(2 x) wide, so the value is about
+    # e^-812 and rounds to 0.0.
+    y = math.nextafter(1e35, math.inf)
+    q = MomentQuery(0.0, 1.0, 1e35, y)
+    spec = truncation_bounds(q)
+    assert spec.lower == spec.upper == y and spec.peak < y
+    assert tanh_rule_integrate(q) == QuadratureOutcome(0.0, 0, 0.0)
 
 
 CONVERGED_PASS_POINTS = [

@@ -111,6 +111,19 @@ def test_underflowed_q_factor_is_carried_by_its_log(eta, mu, x, y, ref):
     assert out.value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def test_q_factors_below_the_log_range_are_no_converged_zero():
+    # Every Q factor of the first pass underflows, and ln Q_{eta+mu}(y) =
+    # -1.17e6 lies below the range where the sum can be taken again
+    # relative to Q_{eta+mu}(y).  The value is 3.379147236901578e-267 (the
+    # series summed at 30 digits with mpmath.gammainc, 108 terms); 0.0 is
+    # not it, so the outcome says that the series did not converge.
+    eta, mu, x, y = 109999.0, 1.0, 1e-3, 1.57e6
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y))
+    assert not out.converged
+    with pytest.raises(ConvergenceError):
+        nuttall._series_value(eta, mu, x, y)
+
+
 # (eta, mu, x, y, value) with y far above x at x = 50-200: the sum runs
 # 280-610 terms, and its first Q factors Q_{eta+mu+n}(y) lie below the
 # double range.  At y = 1100 the terms they drop weigh enough that the sum
