@@ -141,6 +141,8 @@ def _add_axes(parser: argparse.ArgumentParser) -> None:
 
 def _axes(args) -> list[list[float]]:
     """The eta, mu, x and y grid values of a ``sweep`` or ``selftest``."""
+    if args.steps < 1:
+        raise _UsageError(f"--steps must be >= 1, got {args.steps}")
     return [_linspace(*_parse_range(getattr(args, name), args.steps))
             for name, _ in _DEFAULT_AXES]
 

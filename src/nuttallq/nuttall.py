@@ -20,8 +20,9 @@ is evaluated three ways (what they share is listed below):
   weights' sum times that factor.  For integer eta the rest of the sum is
   then closed-form: the weights sum to
   M(eta+mu; mu; x), which Kummer's transformation turns into e^x times a
-  polynomial of degree eta.  Q factors that underflow are carried relative
-  to Q_{eta+mu}(y), with its log as one more offset.
+  polynomial of degree eta.  Where Q_{eta+mu}(y) is below the normal
+  range, the Q factors and the sum are carried times an exact power of
+  two, taken from its log and applied once at the end.
 * ``nuttall_q_ladder`` - the inhomogeneous recurrence in mu, written with the
   scaled Bessel function so the forcing term never forms e^{-x-y} I_mu
   directly, fills each row from its first entry.  Only Q_{0,mu} comes from
@@ -88,12 +89,17 @@ _FOLD_LIMIT = 1e250
 # Below this the running Q increment is re-seeded from its log form, since a
 # multiply cannot climb back out of underflow or recover subnormal digits.
 _INC_RESEED = 1e-300
-# Below this ln Q_{eta+mu}(y), rounded to ~|ln Q| eps, keeps under ten digits.
+# Below this ln Q_{eta+mu}(y), rounded to ~|ln Q| eps, keeps under ten
+# digits, and 2^eq of the same size no longer splits exactly against the
+# two-part ln 2; a series with x > 0 reports non-convergence there.
 _LOG_Q_MIN = -1e6
-# The smallest normal and the largest finite double, and half an ulp of 1.
+# A Q factor carried times 2^eq that passes 2^_Q_SCALE_BITS hands that
+# power of two to eq.
+_Q_SCALE_BITS = 64
+_Q_SCALE_MAX = 2.0 ** _Q_SCALE_BITS
+# The smallest normal and the largest finite double.
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
-_ULP = 2.0 ** -53
 # An increment below this fraction of the Q factor is below half its ulp.
 _SATURATED = 2.0 ** -60
 # Entries (eta_max + 1) * n_cols above which a table is refused before it is
@@ -167,7 +173,9 @@ class SeriesOutcome(namedtuple("SeriesOutcome",
                 tail ended the sum, and 0.0 for the exact eta = 0, y = 0
                 value 1;
     converged:  True where the stop rule or a closed-form tail ended the
-                sum, False where 2000 terms ran out first.
+                sum, False where 2000 terms ran out first, or where x > 0
+                and ln Q_{eta+mu}(y) is below -1e6, too low to keep ten
+                digits.
 
     A named tuple, ``value, terms, err, ok = nuttall_q_series(q)``: it
     compares equal to a plain tuple of the same values, even to a record of
@@ -235,8 +243,9 @@ def _times_exp(m: float, e: int, log_scale: float) -> float:
     1.5], however far out of double range 2^e and e^log_scale are, and only
     the final ``ldexp`` rounds to a subnormal or to zero where the value
     itself is that small.  Values far past either end of the double range
-    return inf or 0.0 at once; as e is the sum of two doubles' exponents,
-    that also keeps |k| below 4000.
+    return inf or 0.0 at once.  That also keeps |k| below 2^21, as e is
+    the sum of two doubles' exponents and the series' power-of-two scale,
+    which ``_LOG_Q_MIN`` keeps below 1.45e6 in size.
     """
     log_value = log_scale + e * math.log(2.0)
     if log_value > 712.0:
@@ -272,22 +281,23 @@ def _kummer_polynomial(eta: float, mu: float, x: float) -> float:
     return total
 
 
-def _scaled_value(total: float, mant: float, log_scale: float) -> float:
-    """total * mant * e^log_scale, also where a factor leaves double range.
+def _scaled_value(total: float, mant: float, e: int, log_scale: float
+                  ) -> float:
+    """total mant 2^e e^log_scale, also where a factor leaves double range.
 
     total * mant can overflow before e^log_scale brings the value back into
     range (119! times 7.6e111 at (119, 1, 100, 400)), and e^log_scale can
     underflow, or lose digits as a subnormal, where total * mant would bring
-    it back.  There both keep their own binary exponents, and only
-    log_scale is exponentiated: ln(total) + ln(mant) would add two more logs
-    of up to ~700, each rounded to ~700 eps.
+    it back.  There, and wherever e is not 0, both keep their own binary
+    exponents, and only log_scale is exponentiated: ln(total) + ln(mant)
+    would add two more logs of up to ~700, each rounded to ~700 eps.
     """
-    factor = exp_clipped(log_scale)
+    factor = 0.0 if e else exp_clipped(log_scale)  # 2^e: the exact way
     value = total * mant * factor
     if total > 0.0 and not (factor >= _TINY and _TINY <= value < math.inf):
         m_total, e_total = math.frexp(total)
         m_mant, e_mant = math.frexp(mant)
-        value = _times_exp(m_total * m_mant, e_total + e_mant, log_scale)
+        value = _times_exp(m_total * m_mant, e_total + e_mant + e, log_scale)
     return value if total else 0.0  # not 0 * inf
 
 
@@ -327,17 +337,27 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     would.  If that has not happened within 2000 terms (x beyond ~1500),
     the outcome says so explicitly; it is never a silent value.
 
-    Where Q factors that underflowed (or lost digits as subnormals) could
-    move the sum by more than an ulp, as when Q_{eta+mu+n}(y) underflows
-    at every term summed, the sum is taken again with the factors carried
-    relative to Q_{eta+mu}(y) and ln Q_{eta+mu}(y) as one more log offset.
-    Where that log is too low to keep ten digits, or the first step's
-    growth does not fit, the outcome reports non-convergence instead of the
-    sum of underflowed factors.  At x = 0 only the n = 0 term is left, and
-    a Q_{eta+mu}(y) below the normal range enters by its log alone.  ln
-    Q_{eta+mu}(y) comes from the same ``q_with_log_increment`` call as
-    Q_{eta+mu}(y) and its first increment, so a series call runs the
-    continued fraction at most once.
+    Where Q_{eta+mu}(y) is below the normal range, the Q factors, their
+    increments and the running sum are carried times 2^eq, an exact power
+    of two: the integer eq comes once from the larger of ln Q_{eta+mu}(y)
+    and the log of its first increment, and eq ln 2 is taken off each log
+    before it is exponentiated, with fdlibm's two-part ln 2.  The increment
+    is re-seeded wherever its value inc 2^eq is below 1e-300, as elsewhere.
+    Each time the carried factor passes 2^64, that power of two moves from
+    it, the increment and the sum into eq, which the final value takes
+    unrounded through ``_times_exp``.
+    Where ln Q_{eta+mu}(y) is below -1e6, too low to keep ten digits, the
+    outcome reports non-convergence.  At x = 0 only the n = 0 term is
+    left, and a Q_{eta+mu}(y) below the normal range enters by its log
+    alone.  ln Q_{eta+mu}(y) comes from the same ``q_with_log_increment``
+    call as Q_{eta+mu}(y) and its first increment, so a series call runs
+    the continued fraction at most once.
+
+    The re-seed, the move of powers of two into eq and the fold of the
+    weights run per term, so a value near overflow or a first step at mu
+    near 0 is folded where it arises.  Once the Q factor has saturated, a
+    block whose weights cannot reach the fold adds their sum times the
+    fixed factor.
     """
     eta, mu, x, y = q.eta, q.mu, q.x, q.y
 
@@ -350,139 +370,111 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     # Q_{eta+mu}(y), its log and the log of its first increment, from one
     # prefactor.
     q0, q_log, log_inc = q_with_log_increment(eta + mu, y)
+    eq = 0  # the power of two the Q factors and the sum are carried times
     if x == 0.0:
         # Only the n=0 term survives: Gamma(eta+mu, y) / Gamma(mu); one that
         # underflowed, or lost digits as a subnormal, enters by its log.
-        total, log_scale = (q0, 0.0) if q0 >= _TINY else (1.0, q_log)
+        running, shift = (q0, 0.0) if q0 >= _TINY else (1.0, q_log)
         n, contrib, converged = 0, 0.0, True
     else:
         if (x + _MAX_TERMS) * (eta + mu + _MAX_TERMS) > _HUGE:
             # Past this a term ratio's numerator or denominator overflows.
             raise DomainError(f"the series cannot take x = {x!r} with "
                               f"eta + mu = {eta + mu!r}")
+        tol, max_terms, fold_limit = _SERIES_TOL, _MAX_TERMS, _FOLD_LIMIT
+        em, two_y, sat = eta + mu, 2.0 * y, _SATURATED
+        q_cur = q0
+        if q0 < _TINY and q_log > _LOG_Q_MIN:
+            # The larger of Q_{eta+mu}(y) and its increment lands near 1.
+            eq = round(max(q_log, log_inc) / math.log(2.0))
+            q_cur = exp_clipped((q_log - eq * _LN2_HI) - eq * _LN2_LO)
+        inc = exp_clipped((log_inc - eq * _LN2_HI) - eq * _LN2_LO)
+        # 1e-300 2^-eq; past 2^1900 every carried increment is below it.
+        reseed_at = math.ldexp(_INC_RESEED, min(-eq, 1900))
         closed_tail = (q0 >= 0.5 and float(eta).is_integer()
                        and eta <= _MAX_TERMS)
-        total, log_scale, n, contrib, converged, lost = _sum_terms(
-            eta, mu, x, y, q0, 0.0, exp_clipped(log_inc), closed_tail)
-        if lost * _TINY > _ULP * total:
-            # Sum again with the Q factors relative to Q_{eta+mu}(y), where
-            # its log (rounded to ~|ln Q| eps) keeps ten digits and the first
-            # step's growth, 1 + inc/Q, fits the headroom a fold of u leaves.
-            inc = exp_clipped(log_inc - q_log)
-            if q_log > _LOG_Q_MIN and inc < 1e300 / _FOLD_LIMIT:
-                total, log_scale, n, contrib, converged, _ = _sum_terms(
-                    eta, mu, x, y, 1.0, q_log, inc, False)
-            else:
-                # The factors that carry the sum underflowed: its value
-                # is not known.
-                converged = False
-    value = _scaled_value(total, mant, offset + log_scale - x)
+        saturated = y == 0.0  # no later increment can change q_cur
+        u = 1.0       # running x^n/n! * ratio-growth, relative to the n=0 term
+        u_sum = 1.0   # the u of the terms summed so far
+        shift = 0.0   # log of the scale of u and running
+        running = t1 = t2 = t3 = q_cur  # the sum and its three newest terms
+        n = 0.0  # index of the newest term, which is t3 (a float counter)
+        steps = range(3)  # term 0 starts the first block
+        converged = False
+
+        while True:
+            if saturated and closed_tail:
+                closed_tail = False
+                if shift == 0.0:
+                    weights = exp_clipped(x) * _kummer_polynomial(eta, mu, x)
+                    if weights < math.inf:
+                        running += q_cur * max(0.0, weights - u_sum)
+                        t3, converged = 0.0, True  # no term is left out
+                        break
+            lim = tol * running
+            if t1 <= lim and t2 <= lim and t3 <= lim and n > x:
+                converged = True
+                break
+            if n + 5.0 > max_terms:
+                break  # the next block would end past term max_terms - 1
+            if saturated and steps is _BLOCK:
+                r = x * (em + n) / ((n + 1.0) * (mu + n))
+                # The step ratios fall with n, so no weight of the block
+                # passes u r^4 (u itself where r <= 1, and u is below the
+                # fold); past the fold the block takes the steps below,
+                # which fold it.
+                if u * (r * r) * (r * r) <= fold_limit:
+                    n1, n2, n3 = n + 1.0, n + 2.0, n + 3.0
+                    u1 = u * r
+                    u2 = u1 * (x * (em + n1) / (n2 * (mu + n1)))
+                    u3 = u2 * (x * (em + n2) / (n3 * (mu + n2)))
+                    n += 4.0
+                    u = u3 * (x * (em + n3) / (n * (mu + n3)))
+                    w = u1 + u2 + u3 + u
+                    running += q_cur * w
+                    u_sum += w
+                    t1, t2, t3 = q_cur * u2, q_cur * u3, q_cur * u
+                    continue
+            for _ in steps:
+                u *= x * (em + n) / ((n + 1.0) * (mu + n))
+                if not saturated:
+                    if inc < reseed_at:
+                        inc = exp_clipped((log_q_increment(em + n, y)
+                                           - eq * _LN2_HI) - eq * _LN2_LO)
+                    q_cur += inc
+                    inc *= y / (em + n + 1.0)
+                    if q_cur > _Q_SCALE_MAX:
+                        # Only a factor carried times 2^eq grows past 1.  As
+                        # at a fold, the newest terms keep their old scale,
+                        # which can only put the stop off by a block.
+                        q_cur, inc = q_cur / _Q_SCALE_MAX, inc / _Q_SCALE_MAX
+                        running /= _Q_SCALE_MAX
+                        eq += _Q_SCALE_BITS
+                        reseed_at = math.ldexp(_INC_RESEED, min(-eq, 1900))
+                n += 1.0
+                if u > fold_limit:
+                    # Rescale by 1/u; the closed tail needs shift == 0, so
+                    # u_sum, which only it reads, is left as it is.
+                    running *= 1.0 / u
+                    # Only a first step x (eta+mu)/mu can overflow, with mu
+                    # near 0; term 0 is then below 1e-308 of term 1, and
+                    # drops out.
+                    shift += (math.log(u) if u < math.inf or n > 1.0
+                              else math.log(x * em) - math.log(mu))
+                    u = 1.0
+                t1, t2, t3 = t2, t3, u * q_cur
+                running += t3
+                u_sum += u
+            steps = _BLOCK
+            if not saturated:
+                saturated = inc <= sat * q_cur and em + n + 1.0 > two_y
+        contrib = t3 / running if running > 0.0 else 0.0
+        converged = converged and q_log > _LOG_Q_MIN
+    value = _scaled_value(running, mant, eq, offset + shift - x)
     if eta == 0.0:
         value = min(value, 1.0)
     est_error = max(contrib, 1e-16)
-    return SeriesOutcome(value, n + 1, est_error, converged)
-
-
-def _sum_terms(eta: float, mu: float, x: float, y: float, q_cur: float,
-               q_log: float, inc: float, closed_tail: bool
-               ) -> tuple[float, float, int, float, bool, float]:
-    """The series loop of ``nuttall_q_series``, from x > 0 and the first Q
-    factor Q_{eta+mu}(y) = q_cur e^q_log with increment inc e^q_log (one
-    below 1e-300 is seeded again from its log).  Returns the summed terms,
-    the log of their scale, the index of the last term, its relative
-    contribution, whether the stop rule or the closed tail ended the sum,
-    and the weight of the terms whose Q factor was below the normal range,
-    in units of the summed terms.
-
-    The terms come in blocks of four, n = 0-3, 4-7, ..., and the stop test,
-    the cap and the saturation and closed-tail checks run once per block.
-    A block steps the weight of every term, and the Q factor of every term
-    until a block ends with it saturated; the closed tail is tried once,
-    before the next block.  The re-seed of the increment, the count of
-    ``lost`` weight, the hand-off of a Q factor past 2 and the fold stay
-    per term, so a value near overflow or a first step at mu near 0 is
-    folded where it arises.  Once the Q factor has saturated, a block whose
-    weights cannot reach the fold adds their sum times the fixed factor.
-    The value is the running sum the stop test reads."""
-    tol, max_terms, fold_limit = _SERIES_TOL, _MAX_TERMS, _FOLD_LIMIT
-    em, two_y, sat = eta + mu, 2.0 * y, _SATURATED
-    saturated = y == 0.0  # no later increment can change q_cur
-    u = 1.0       # running x^n/n! * ratio-growth, relative to the n=0 term
-    u_sum = 1.0   # the u of the terms summed so far
-    lost = 1.0 if q_cur < _TINY else 0.0
-    shift = q_log  # log of the scale of u, q_cur and running
-    running = t1 = t2 = t3 = q_cur  # the sum and its three newest terms
-    n = 0.0  # index of the newest term, which is t3 (a float counter)
-    steps = range(3)  # term 0 starts the first block
-    converged = False
-
-    while True:
-        if saturated and closed_tail:
-            closed_tail = False
-            if shift == 0.0:
-                weights = exp_clipped(x) * _kummer_polynomial(eta, mu, x)
-                if weights < math.inf:
-                    running += q_cur * max(0.0, weights - u_sum)
-                    return running, shift, int(n), 0.0, True, lost
-        lim = tol * running
-        if t1 <= lim and t2 <= lim and t3 <= lim and n > x:
-            converged = True
-            break
-        if n + 5.0 > max_terms:
-            break  # the next block would end past term max_terms - 1
-        if saturated and steps is _BLOCK:
-            r = x * (em + n) / ((n + 1.0) * (mu + n))
-            # The step ratios fall with n, so no weight of the block passes
-            # u r^4 (u itself where r <= 1, and u is below the fold); past
-            # the fold the block takes the steps below, which fold it.
-            if u * (r * r) * (r * r) <= fold_limit:
-                n1, n2, n3 = n + 1.0, n + 2.0, n + 3.0
-                u1 = u * r
-                u2 = u1 * (x * (em + n1) / (n2 * (mu + n1)))
-                u3 = u2 * (x * (em + n2) / (n3 * (mu + n2)))
-                n += 4.0
-                u = u3 * (x * (em + n3) / (n * (mu + n3)))
-                w = u1 + u2 + u3 + u
-                running += q_cur * w
-                u_sum += w
-                t1, t2, t3 = q_cur * u2, q_cur * u3, q_cur * u
-                continue
-        for _ in steps:
-            u *= x * (em + n) / ((n + 1.0) * (mu + n))
-            if not saturated:
-                if inc < _INC_RESEED:
-                    inc = exp_clipped(log_q_increment(em + n, y) - q_log)
-                    if q_cur + inc < _TINY:
-                        lost += u
-                q_cur += inc
-                inc *= y / (em + n + 1.0)
-                if q_cur > 2.0:
-                    # Only a factor carried relative to an underflowed
-                    # Q_{eta+mu}(y) grows past 1: hand its growth to u,
-                    # whose fold keeps it in range.
-                    u *= q_cur
-                    inc /= q_cur
-                    q_cur = 1.0
-            n += 1.0
-            if u > fold_limit:
-                # Rescale by 1/u; the closed tail needs shift == 0, so u_sum,
-                # which only it reads, is left as it is.
-                scale = 1.0 / u
-                running *= scale
-                lost *= scale
-                # Only a first step x (eta+mu)/mu can overflow, with mu near
-                # 0; term 0 is then below 1e-308 of term 1, and drops out.
-                shift += (math.log(u) if u < math.inf or n > 1.0
-                          else math.log(x * em) - math.log(mu))
-                u = 1.0
-            t1, t2, t3 = t2, t3, u * q_cur
-            running += t3
-            u_sum += u
-        steps = _BLOCK
-        if not saturated:
-            saturated = inc <= sat * q_cur and em + n + 1.0 > two_y
-    contrib = t3 / running if running > 0.0 else 0.0
-    return running, shift, int(n), contrib, converged, lost
+    return SeriesOutcome(value, int(n) + 1, est_error, converged)
 
 
 def marcum_q(mu: float, x: float, y: float) -> float:

@@ -403,6 +403,19 @@ def test_grid_rejects_an_empty_or_reversed_range(capsys, argv):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "selftest"])
+def test_steps_below_one_names_the_option(capsys, command):
+    # Not a bad range on a default axis that the command line never named.
+    code, out, err = run(capsys, command, "--steps", "0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "usage error: --steps must be >= 1, got 0\n"
+    # A steps count given on an axis keeps its bad-range message.
+    code, out, err = run(capsys, command, "--eta", "1:49:0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("usage error: bad range '1:49:0': steps must be >= 1, "
+                   "got 0\n")
+
+
 ETA_GRIDS = [
     (("--eta", "0:0.4:2", "--mu", "3", "--x", "1", "--y", "1"), True),
     (("--eta", "0", "--mu", "3", "--x", "1", "--y", "1"), False),

@@ -112,9 +112,9 @@ def test_underflowed_q_factor_is_carried_by_its_log(eta, mu, x, y, ref):
 
 
 def test_q_factors_below_the_log_range_are_no_converged_zero():
-    # Every Q factor of the first pass underflows, and ln Q_{eta+mu}(y) =
-    # -1.17e6 lies below the range where the sum can be taken again
-    # relative to Q_{eta+mu}(y).  The value is 3.379147236901578e-267 (the
+    # Every Q factor underflows, and ln Q_{eta+mu}(y) = -1.17e6 lies below
+    # the range where it keeps ten digits and where a power of two can
+    # carry the factors.  The value is 3.379147236901578e-267 (the
     # series summed at 30 digits with mpmath.gammainc, 108 terms); 0.0 is
     # not it, so the outcome says that the series did not converge.
     eta, mu, x, y = 109999.0, 1.0, 1e-3, 1.57e6
@@ -124,12 +124,13 @@ def test_q_factors_below_the_log_range_are_no_converged_zero():
         nuttall._series_value(eta, mu, x, y)
 
 
-# (eta, mu, x, y, value) with y far above x at x = 50-200: the sum runs
-# 280-610 terms, and its first Q factors Q_{eta+mu+n}(y) lie below the
-# double range.  At y = 1100 the terms they drop weigh enough that the sum
-# is taken again relative to Q_{eta+mu}(y).  The series is 1.3e-13 off at
-# y = 900, so the bound here is 2e-13.  Values: perfbench/reference.py at
-# 40 digits (the same at 60).
+# (eta, mu, x, y, value) with y far above x: the sum runs 180-610 terms,
+# and its first Q factors Q_{eta+mu+n}(y) lie below the double range, so
+# they are carried times a power of two taken from ln Q_{eta+mu}(y).  The
+# series is 1.3e-13 off at y = 900, so the bound here is 2e-13.  The last
+# three rows were 3.3e-13 to 4.0e-13 off while the sum was taken once in
+# plain floats and again relative to Q_{eta+mu}(y).  Values:
+# perfbench/reference.py at 40 digits (the same at 60).
 DEEP_TAIL_POINTS = [
     (0.0, 1.0, 100.0, 900.0, 4.6758721592315245e-176),
     (0.0, 1.0, 100.0, 950.0, 1.2132546903677065e-190),
@@ -137,6 +138,12 @@ DEEP_TAIL_POINTS = [
     (0.0, 1.0, 100.0, 1100.0, 1.865079743586069e-235),
     (0.0, 3.0, 50.0, 800.0, 1.56605524476685e-196),
     (1.0, 5.0, 200.0, 1200.0, 2.9808785834556024e-180),
+    (56.0, 16.36808187858616, 135.28184860020087, 1757.2305443424295,
+     1.1799983867689512e-210),
+    (17.0, 0.7740687102409236, 13.21747082039406, 980.9613183070655,
+     1.857325934752736e-284),
+    (48.11363096924225, 98.99818972597103, 85.82301142984046,
+     1480.5177744436596, 8.262903303790879e-163),
 ]
 
 
@@ -276,35 +283,28 @@ def test_series_forms_one_incomplete_gamma_prefactor(monkeypatch, eta, mu,
     assert calls == [eta + mu]
 
 
-@pytest.mark.parametrize("eta,mu,x,y,passes", [
+@pytest.mark.parametrize("eta,mu,x,y", [
     # x = 0 exit: Q_1(712) = e^-712 is subnormal and enters by its log.
-    (0.0, 1.0, 0.0, 712.0, 0),
-    # Q factors subnormal where they carry the sum: the sum is taken again
-    # relative to Q_{eta+mu}(y).
-    (35.0, 0.0715, 0.00507, 891.55, 2),
+    (0.0, 1.0, 0.0, 712.0),
+    # Q factors subnormal where they carry the sum: they are carried times
+    # a power of two taken from ln Q_{eta+mu}(y).
+    (35.0, 0.0715, 0.00507, 891.55),
 ])
-def test_series_runs_the_continued_fraction_once(monkeypatch, eta, mu, x, y,
-                                                 passes):
+def test_series_runs_the_continued_fraction_once(monkeypatch, eta, mu, x, y):
     # ln Q_{eta+mu}(y) comes from the call that gives Q_{eta+mu}(y), on
     # either path where the series needs it.
     if x == 0.0:
         assert 0.0 < q_with_log_increment(eta + mu, y)[0] < sys.float_info.min
-    fractions, sums = [], []
-    cont_frac, sum_terms = incgamma._cont_frac, nuttall._sum_terms
+    fractions = []
+    cont_frac = incgamma._cont_frac
 
     def counted_fraction(*args):
         fractions.append(args)
         return cont_frac(*args)
 
-    def counted_sum(*args):
-        sums.append(args)
-        return sum_terms(*args)
-
     monkeypatch.setattr(incgamma, "_cont_frac", counted_fraction)
-    monkeypatch.setattr(nuttall, "_sum_terms", counted_sum)
     assert nuttall_q_series(MomentQuery(eta, mu, x, y)).converged
     assert len(fractions) == 1
-    assert len(sums) == passes
 
 
 def test_closed_tail_work_counts():
