@@ -8,12 +8,14 @@ integrand is
     f(t) = t^{eta+mu-1} e^{-t-x} 0F1(; mu; x t) / Gamma(mu),
 
 where 0F1(; mu; q) = sum_n q^n / (n! (mu)_n).  The improper integral is
-truncated to a window [a, b] around the peak of the integrand's shape h
-below, mapped from the real line by the power map below, and integrated
+truncated to a window [a, b], a = y, that ends past the peak of the
+integrand's shape h below, mapped from the real line by the power map
+below, and integrated
 with the trapezoidal rule on nested uniform u-grids of 17, 33, 65, 129,
 ... points (n -> 2n - 1) until the estimated error of the last pass is
 small.  Each refinement halves the spacing, so the earlier nodes stay on
-the grid and their values are reused: no node is evaluated twice.  The
+the grid and their values are reused: no node is evaluated or
+exponentiated twice.  The
 integrand is always evaluated through its logarithm, so values reaching
 1e89 never overflow a node, and by a kernel built once per integral that
 holds all that depends only on (eta, mu, x).  Every node takes one
@@ -33,10 +35,10 @@ about the error of pass k-1, and d_k^2 estimates the error of pass k, so
 the second condition accepts pass k without a confirming pass.  It needs
 d_k to shrink, so it cannot fire before the third pass, at 65 points.
 The estimate d_k^2 overstates the error: on pass 0 of seeds 1-10 of the
-benchmark, the 141 integrals that it accepts at 65 points with d_k^2 in
-(1e-14, 1e-12] are within 2.8e-14 of the series, and the worst of all 1000
-integrals, 945 of them at 65 points, stays 7.4e-14 off, as with a 1e-14
-target that took 804 at 65 points.  So both rules share the one tolerance.
+benchmark, it accepts 303 integrals at 65 points with d_k^2 in (1e-14,
+1e-12], and the worst of all 1000 integrals, 945 of them at 65 points,
+stays 8.1e-14 off the series, about as with a 1e-14 target that took 804
+at 65 points.  So both rules share the one tolerance.
 
 The shape.  With nu = mu - 1 and g = eta + mu - 1, the window and the
 u-range both come from
@@ -59,8 +61,8 @@ solves eta w^2 + (x + nu) w - x = 0, that is at the peak
 
 which is g at x = 0, x + nu at eta = 0, and (sqrt x + sqrt(x + 4 eta))^2 / 4
 at mu = 1.  In s = sqrt t, ln h(s^2) has curvature -2 - 2g/s^2 + 4 x nu /
-(r (nu + r)) <= -2, as r^2 >= 4 x s^2 and g >= nu; ``_window`` builds the
-window on that, for every x.
+(r (nu + r)) <= -2, as r^2 >= 4 x s^2 and g >= nu; ``_window`` puts the
+window's upper end on that, for every x.
 
 Every integral takes the same map,
 
@@ -71,8 +73,8 @@ Every integral takes the same map,
 whose weight decays like e^{-2u} as u -> inf, as the tanh map's does, and
 like e^{2pu} = e^{40u} as u -> -inf: at a it is a polynomial end map of
 the kind of Sidi's sin^m transformations (Sidi 1993).  The lower end needs
-that: wherever y lies in the integrand's mass, or the integrand rises
-steeply as t^{eta+mu-1} next to y ~ 0, the window ends at y while the
+that: the window starts at y, and wherever y lies in the integrand's mass,
+or the integrand rises steeply as t^{eta+mu-1} next to y ~ 0, the
 integrand is still large there, and a weight that decays only like e^{2u}
 would put about half of all nodes within 0.5% of the window next to y.
 The integrand is never singular at y (mu >= 1), so the rule on the u-grid
@@ -118,21 +120,25 @@ d], h(min(a + d, c)).  ``_lower_cut`` finds the largest d with
 
 and U_lo = 1/2 ln((W / d)^{1/p} - 1), so the dropped piece is at most
 1e-16 of the mass of h.  Where the window starts at the top of h (y past
-its peak) that is d = 1e-16 need; where it starts at the drop of h, d
-grows until h(a + d) d reaches 1e-16 need, and -U_lo may lie above 0.  On
-the benchmark's box U_lo lies in [-1.00, 0.98] and U_hi in [1.42, 1.92].
+its peak) that is d = 1e-16 need; where it starts below the peak, d grows
+until h(a + d) d reaches 1e-16 need, however far below the mass y lies,
+and -U_lo may lie above 0.  On the benchmark's box U_lo lies in [-1.06,
+0.98] and U_hi in [1.42, 1.94].
 
 Rounding can leave the window unable to resolve h, where ln h sums terms
-so large that their rounding swamps its drop to 1e-16 of its top (from t
-~ 1e17 at x = 0), or where the window is narrower than an ulp of its
-centre (beyond ~2e34) and rounds to zero width.  Where that shows,
-``truncation_bounds`` raises ConvergenceError: where the window rounds to
-zero width on the peak of h (y at or below the peak), where h does not
-fall from the centre to b, where a Newton step meets a slope that rounds
-to 0, or where t_up lies outside (a, b) or a + d outside (a, t_up).  A
-u-range sized there would not hold the mass of h.  A zero-width window at
-a y past the peak is not refused: an ulp of y there spans many widths of
-h, so the integral rounds to 0.
+so large that their rounding swamps its drop to 1e-16 of its top, or where
+the window is narrower than an ulp of its centre (beyond ~2e34) and rounds
+to zero width.  ``truncation_bounds`` then raises ConvergenceError before
+any node.  Where the window sits on the peak (y at or below it), one rule
+states the cause: at the centre c, ln h sums g ln c and -c, and it refuses
+where their ulp, 2^-52 max(|g ln c|, c), exceeds the drop -ln 1e-16 ~ 36.8
+(at x = 0 from mu ~ 4.6e15).  From c ~ 1.7e17 that holds for every g and x,
+so it takes in every window that rounds to zero width on the peak.  It
+also refuses where h does not fall from the centre to b, where a Newton
+step meets a slope that rounds to 0, or where t_up lies outside (a, b) or
+a + d outside (a, t_up).  A u-range sized there would not hold the mass of
+h.  A zero-width window at a y past the peak is not refused: an ulp of y
+there spans many widths of h, so the integral rounds to 0.
 """
 
 from __future__ import annotations
@@ -161,11 +167,12 @@ _FIRST_GRID = 17
 # Cap on each end of the u-range, where tanh u = 1 - 1e-15.
 _U_MAX = math.atanh(1.0 - 1e-15)
 # The integrand's shape is at or below _EPS of its top where sqrt t lies
-# _ROOT_DROP or more from the root of its centre (see ``_window``).
+# _ROOT_DROP or more above the root of its centre (see ``_window``).
 _ROOT_DROP = math.sqrt(-_LOG_EPS)
 # The window's upper end lies where that bound is at _EPS^2.
 _ROOT_END = math.sqrt(-2.0 * _LOG_EPS)
-# Newton steps that take a window end towards the shape's _EPS drop.
+# Newton steps that take the upper end of the u-range towards the shape's
+# _EPS drop.
 _NEWTON_STEPS = 3
 # ``_lower_cut`` finds ln d to within this, and takes at most
 # _CUT_ITERATIONS steps.
@@ -173,6 +180,8 @@ _CUT_TOL = 1e-3
 _CUT_ITERATIONS = 50
 # Power p of the map t = a + W v^p.
 _POWER = 20
+# Relative spacing of doubles: an ulp of m is at most _ULP m.
+_ULP = 2.0**-52
 
 
 class QuadratureSpec(namedtuple("QuadratureSpec",
@@ -183,14 +192,14 @@ class QuadratureSpec(namedtuple("QuadratureSpec",
     module docstring).
 
     ``truncation_bounds`` returns it, and ``tanh_rule_integrate`` integrates
-    over the window and u-range it describes.  y <= lower <= upper always
-    holds; lower == upper only where the window sits at a y past the peak
-    that is so large (beyond ~2e34) that adding its half-width rounds away,
-    and then both ends of the u-range are _U_MAX.  Otherwise they come in
-    closed form from where h falls to 1e-16 of its top: -u_hi < u_lo <=
-    _U_MAX and u_hi <= _U_MAX, with u_lo below 0 where the window starts at
-    the drop of h; on the benchmark's box u_lo lies in [-1.00, 0.98] and
-    u_hi in [1.42, 1.92].
+    over the window and u-range it describes.  lower is y, and lower <=
+    upper always holds; lower == upper only where the window sits at a y
+    past the peak that is so large (beyond ~2e34) that adding its
+    half-width rounds away, and then both ends of the u-range are _U_MAX.
+    Otherwise they come in closed form from where h falls to 1e-16 of its
+    top: -u_hi < u_lo <= _U_MAX and u_hi <= _U_MAX, with u_lo below 0 where
+    y lies far enough below the peak; on the benchmark's box u_lo lies in
+    [-1.06, 0.98] and u_hi in [1.42, 1.94].
 
     A named tuple: it unpacks and indexes, and it compares equal to a plain
     tuple of the same values, even to a record of another type.
@@ -273,12 +282,12 @@ class _Shape:
 
 
 def _drop(shape: _Shape, top: float, s: float) -> float:
-    """Newton steps in s = sqrt t towards a point where h falls to _EPS of
-    its top e^top, from an s where it is at or below that: ln h is concave
-    in s, so every step stays on that side.  They stop where rounding puts
-    s at the drop, or where ln h is not finite (past the double range).
-    Where the slope rounds to 0 no step is defined and the result is nan,
-    which leaves a lower window end where it is and refuses an upper one:
+    """Newton steps in s = sqrt t, from above, towards the point above the
+    centre of h where h falls to _EPS of its top e^top, from an s where it
+    is at or below that: ln h is concave in s, so every step stays above
+    the drop.  They stop where rounding puts s at the drop, or where ln h
+    is not finite (past the double range).  Where the slope rounds to 0 no
+    step is defined and the result is nan, which refuses the u-range:
     there rounding has left h flat below its drop."""
     for _ in range(_NEWTON_STEPS):
         f, slope = shape.log_and_slope(s * s)
@@ -291,12 +300,10 @@ def _drop(shape: _Shape, top: float, s: float) -> float:
     return s
 
 
-def _window(shape: _Shape,
-            y: float) -> tuple[float, float, float, float]:
-    """(peak, lower, upper, top): the peak of h, a window [lower, upper] out
-    of which h stays at or below _EPS times its maximum e^top on [y, inf),
-    with lower at y or at most a little below the point where h falls to
-    that, and the log of that maximum.
+def _window(shape: _Shape, y: float) -> tuple[float, float, float]:
+    """(peak, upper, top): the peak of h, the upper end of the window [y,
+    upper], above which h stays at or below _EPS^2 times its maximum e^top
+    on [y, inf), and the log of that maximum.
 
     The maximum on [y, inf) lies at the centre c = max(peak, y).  As
     ln h(s^2) has slope 0 at the peak and curvature at most -2 in s = sqrt
@@ -304,26 +311,15 @@ def _window(shape: _Shape,
 
         ln h(t) - top <= -(sqrt t - sqrt c)^2
 
-    for every t > 0 where c is the peak, and for t >= c where c = y.  So h
-    is at or below _EPS of its top wherever |sqrt t - sqrt c| >= _ROOT_DROP
-    = sqrt(-ln _EPS).  The lower end starts there, or at y, and ``_drop``
-    takes it up towards the drop; the upper end lies where the bound is at
-    _EPS^2 (see the module docstring).  Both ends are formed as offsets
-    from c, so that a window too narrow for an ulp of c collapses to it.
+    for every t >= c, so h is at or below _EPS^2 of its top wherever sqrt t
+    - sqrt c >= _ROOT_END = sqrt(-2 ln _EPS).  The upper end lies there,
+    formed as an offset from c, so that a window too narrow for an ulp of c
+    collapses to it.
     """
     peak = shape.peak()
     centre = max(peak, y)
-    root = math.sqrt(centre)
     top = shape.log_and_slope(centre)[0] if centre > 0.0 else 0.0
-    lower = y
-    if root > _ROOT_DROP:
-        lower = max(y, centre - _ROOT_DROP * (2.0 * root - _ROOT_DROP))
-    if lower > 0.0:
-        s = math.sqrt(lower)
-        moved = _drop(shape, top, s)
-        if moved > s:
-            lower = max(lower, moved * moved)
-    return peak, lower, centre + _ROOT_END * (2.0 * root + _ROOT_END), top
+    return peak, centre + _ROOT_END * (2 * math.sqrt(centre) + _ROOT_END), top
 
 
 def _lower_cut(shape: _Shape, centre: float, top: float, a: float,
@@ -389,39 +385,45 @@ def _u_range(shape: _Shape, centre: float, top: float, a: float,
 
 
 def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
-    """Choose a finite window [a, b] that holds the integrand's mass, and
+    """Choose a finite window [y, b] that holds the integrand's mass, and
     the u-range of the map onto it, both from the integrand's shape h (see
-    the module docstring): the window of h (``_window``) and the u-range
-    that stops where h falls to 1e-16 of its top (``_u_range``).  ``peak``
-    is the peak of h.  A window that rounds to zero width at a y past the
-    peak is returned with both ends of its u-range at _U_MAX.
+    the module docstring): the upper end of the window (``_window``) and
+    the u-range that stops where h falls to 1e-16 of its top (``_u_range``).
+    ``peak`` is the peak of h.  A window that rounds to zero width at a y
+    past the peak is returned with both ends of its u-range at _U_MAX.
 
     Raises DomainError where mu < 1 (the Bessel order mu - 1 is negative)
     and where the node argument x t overflows on the window, and
-    ConvergenceError where rounding leaves the window unable to resolve h,
-    a window that rounds to zero width on the peak (y at or below it)
-    included.  All but the first message start ``quadrature cannot take x
-    = ...``.
+    ConvergenceError where rounding leaves the window unable to resolve h:
+    where the window sits on the peak (peak >= y) and the ulp of the terms
+    of ln h at its centre c, 2^-52 max(|g ln c|, c), exceeds the drop -ln
+    1e-16 of h that the u-range ends at, and where ``_u_range`` finds no
+    u-range.  All but the first message start ``quadrature cannot take x =
+    ...``.
     """
     if q.mu < 1.0:
         raise DomainError(
             f"quadrature oracle needs mu >= 1 (Bessel order mu-1 >= 0), got {q.mu!r}")
     shape = _Shape(q.eta, q.mu, q.x)
-    peak, lower, upper, top = _window(shape, q.y)
-    if upper == lower and peak < q.y:
-        return QuadratureSpec(peak, lower, upper, _U_MAX, _U_MAX)
+    peak, upper, top = _window(shape, q.y)
+    if upper == q.y and peak < q.y:
+        return QuadratureSpec(peak, q.y, upper, _U_MAX, _U_MAX)
     if not math.isfinite(q.x * upper):
         raise DomainError(
             f"quadrature cannot take x = {q.x!r}: the Bessel argument x t "
             f"overflows on its window up to t = {upper!r}")
-    u_range = (_u_range(shape, max(peak, q.y), top, lower, upper)
-               if upper > lower else None)
+    centre = max(peak, q.y)
+    # On the peak, rounding swamps the drop of h where an ulp of the terms
+    # of ln h at c exceeds it (see the module docstring).
+    swamped = peak >= max(q.y, 1.0) and _ULP * max(
+        shape.g * math.log(centre), centre) > -_LOG_EPS
+    u_range = None if swamped else _u_range(shape, centre, top, q.y, upper)
     if u_range is None:
         raise ConvergenceError(
             f"quadrature cannot take x = {q.x!r} with eta = {q.eta!r}, "
             f"mu = {q.mu!r}, y = {q.y!r}: rounding leaves its window "
-            f"[{lower!r}, {upper!r}] unable to resolve the integrand")
-    return QuadratureSpec(peak, lower, upper, *u_range)
+            f"[{q.y!r}, {upper!r}] unable to resolve the integrand")
+    return QuadratureSpec(peak, q.y, upper, *u_range)
 
 
 def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
@@ -440,7 +442,12 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
 
     Halving the spacing keeps the old nodes at the even indices of the new
     grid, so a pass evaluates only its midpoints; its sum is one exact
-    ``fsum`` over every stored node, so reuse adds no rounding.
+    ``fsum`` over every stored node.  Each node is exponentiated once, and
+    stored as e^{ln term - ref}, ref the largest log so far: a pass whose
+    largest log lies above ref moves ref there and rescales the stored
+    terms by one factor.  So every stored term is at most 1 and their sum
+    at least 1, and the scale e^{ref + ln h} of the sum lies within a
+    factor of the node count of the value.
     """
     a, b, u_lo = spec.lower, spec.upper, spec.u_lo
     w = b - a
@@ -451,11 +458,13 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     log_end_weight = math.log(0.5)
     exp, log1p, expm1 = math.exp, math.log1p, math.expm1
     h = (u_lo + spec.u_hi) / (n - 1)
-    # ln of each node's u-space integrand without the spacing h, which every
-    # pass changes; the endpoints carry their trapezoid weight 1/2.
-    logs: list[float] = []
+    # Each node's u-space integrand without the spacing h, which every pass
+    # changes, over e^ref; the endpoints carry their trapezoid weight 1/2.
+    terms: list[float] = []
+    ref = -math.inf
     fresh = range(n)
     while n <= _NODE_CAP:
+        logs = []
         for i in fresh:
             u = -u_lo + i * h
             log_inv_v = log1p(exp(-2.0 * u))
@@ -469,8 +478,12 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
                 lf += log_end_weight
             logs.append(lf + scale - (2.0 * u + (_POWER + 1) * log_inv_v))
         top = max(logs)
-        yield n, (exp_clipped(top + math.log(h))
-                  * fsum(exp(v - top) for v in logs))
+        if top > ref:
+            factor = exp(ref - top)
+            terms = [v * factor for v in terms]
+            ref = top
+        terms.extend([exp(v - ref) for v in logs])
+        yield n, exp_clipped(ref + math.log(h)) * fsum(terms)
         fresh = range(1, 2 * n - 1, 2)
         n = 2 * n - 1
         h *= 0.5

@@ -79,12 +79,12 @@ def test_series_at_edge_values():
 
 def _bad_spec(q, spec):
     return (any(math.isnan(v) for v in spec)
-            or not q.y <= spec.lower <= spec.upper
+            or not q.y == spec.lower <= spec.upper
             or not -spec.u_hi < spec.u_lo)
 
 
 def test_truncation_bounds_at_edge_values():
-    # Every edge point the quadrature takes (mu >= 1): a window with y <=
+    # Every edge point the quadrature takes (mu >= 1): a window with y ==
     # lower <= upper and a u-range with -u_hi < u_lo, no field NaN, where
     # the peak of the integrand's shape, its log or the window's ends
     # overflow.
@@ -139,18 +139,29 @@ def _counting_nodes(monkeypatch, cap):
     return calls
 
 
-@pytest.mark.parametrize("mu", [1e18, 1e30, 1e32, 1e34])
+@pytest.mark.parametrize("mu", [1e16, 1e18, 1e30, 1e32, 1e33, 1e34])
 def test_unresolvable_window_is_refused_before_the_nodes(mu, monkeypatch):
     # At eta = x = y = 0 the shape's log sums terms of about mu ln mu, whose
-    # ulp exceeds the shape's drop to 1e-16 of its top, and no u-range can
-    # be sized.  Integrating anyway raises a bare ValueError at 1e18 and
-    # 1e32; over the full u-range it runs to the node cap at 1e30 and gives
-    # 2.3e18 for Q = 1 at 1e34.
-    calls = _counting_nodes(monkeypatch, 17)
+    # ulp exceeds the shape's drop to 1e-16 of its top from mu ~ 4.6e15, and
+    # no u-range can be sized.  Integrating anyway runs to the node cap at
+    # 1e16 and 1e30, raises a bare ValueError at 1e18 and 1e32, overflows
+    # the double range at 1e33 and gives 2.3e18 for Q = 1 at 1e34.
+    calls = _counting_nodes(monkeypatch, 0)
     with pytest.raises(ConvergenceError, match=r"^quadrature cannot take "
                        r"x = 0\.0 with .* unable to resolve the integrand"):
         tanh_rule_integrate(MomentQuery(0.0, mu, 0.0, 0.0))
-    assert len(calls) <= 17
+    assert calls == []
+
+
+@pytest.mark.parametrize("mu,error", [(1e3, 1e-12), (1e5, 1e-9),
+                                      (1e8, 1e-6)])
+def test_large_mu_below_the_refusal_still_integrates(mu, error):
+    # The shape's terms at mu ln mu ~ 7e3 to 1.8e9 round far below its drop,
+    # so the window is not refused.  The node logs cancel terms of that
+    # size, so the value, exactly 1, is only as good as their rounding.
+    out = tanh_rule_integrate(MomentQuery(0.0, mu, 0.0, 0.0))
+    assert out.nodes == 65
+    assert out.value == pytest.approx(1.0, rel=error, abs=0.0)
 
 
 def test_integral_past_the_double_range_is_refused_at_the_first_pass(

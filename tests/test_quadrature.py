@@ -156,7 +156,7 @@ def test_truncation_peak_formula():
     spec = truncation_bounds(MomentQuery(1.0, 1.0, 1.2, 5.0))
     expected = (math.sqrt(1.2) + math.sqrt(1.2 + 4.0)) ** 2 / 4.0
     assert spec.peak == pytest.approx(expected, rel=1e-15, abs=0.0)
-    assert spec.lower >= 5.0
+    assert spec.lower == 5.0
 
 
 def test_truncation_profile_below_eps_at_ends():
@@ -174,9 +174,7 @@ def test_truncation_width_doubling_insensitive(monkeypatch):
     spec = truncation_bounds(q)
     base = tanh_rule_integrate(q).value
     center = max(spec.peak, q.y)
-    wide = spec._replace(lower=max(q.y, center - 2.0 * (center - spec.lower)
-                                   if spec.lower > q.y else q.y),
-                         upper=center + 2.0 * (spec.upper - center),
+    wide = spec._replace(upper=center + 2.0 * (spec.upper - center),
                          u_lo=quadrature._U_MAX, u_hi=quadrature._U_MAX)
     monkeypatch.setattr(quadrature, "truncation_bounds", lambda _: wide)
     assert tanh_rule_integrate(q).value == pytest.approx(base, rel=1e-12, abs=0.0)
@@ -238,7 +236,7 @@ def test_x_past_the_bessel_series_is_a_named_convergence_error(x):
     # and the route, not only the kernel.
     q = MomentQuery(1.0, 2.0, x, 1.0)
     assert math.isfinite(q.x * quadrature._window(
-        quadrature._Shape(q.eta, q.mu, q.x), q.y)[2])
+        quadrature._Shape(q.eta, q.mu, q.x), q.y)[1])
     reason = (r"on its window .*: Bessel series did not converge" if x < 1e100
               else r"with .*: rounding leaves its window .* unable to resolve")
     with pytest.raises(ConvergenceError,
@@ -249,14 +247,16 @@ def test_x_past_the_bessel_series_is_a_named_convergence_error(x):
 
 def test_collapsed_window_on_the_peak_raises():
     # eta = 1e300 puts the peak near 1e300, where the window's half-width
-    # rounds away.  The window sits on the peak, not at y, so the integral
-    # is not negligible (the series overflows to inf unconverged), and 0.0
-    # would be a silently wrong value: truncation_bounds refuses it.
+    # above it rounds away, so the window [y, upper] ends at the peak.  The
+    # integral there is not negligible (the series overflows to inf
+    # unconverged), and 0.0 would be a silently wrong value: an ulp of the
+    # shape's terms at the peak exceeds its drop, and truncation_bounds
+    # refuses it.
     q = MomentQuery(1e300, 1.0, 1.0, 1.0)
     for func in (truncation_bounds, tanh_rule_integrate):
         with pytest.raises(ConvergenceError, match=r"^quadrature cannot "
                            r"take x = 1\.0 .*: rounding leaves its window "
-                           r"\[1e\+300, 1e\+300\] unable to resolve"):
+                           r"\[1\.0, 1e\+300\] unable to resolve"):
             func(q)
     assert not nuttall_q_series(q).converged
 
@@ -275,6 +275,26 @@ def test_collapsed_window_at_y_on_the_peak_is_refused(eta, mu, x, y):
                            rf"x = {re.escape(repr(x))} .*: rounding leaves "
                            r"its window .* unable to resolve the integrand"):
             func(q)
+
+
+@pytest.mark.parametrize("x", [1e34, 2e34])
+def test_flat_shape_one_ulp_past_the_peak_is_refused(x, monkeypatch):
+    # The window is a few ulps of y wide, and at the Newton step towards
+    # the drop of the shape above y its slope rounds to 0: no step is
+    # defined, and no u-range is sized.
+    dropped = []
+    drop = quadrature._drop
+
+    def recording(*args):
+        dropped.append(drop(*args))
+        return dropped[-1]
+
+    monkeypatch.setattr(quadrature, "_drop", recording)
+    q = MomentQuery(0.0, 1.0, x, math.nextafter(x, math.inf))
+    with pytest.raises(ConvergenceError, match=r"^quadrature cannot take "
+                       rf"x = {re.escape(repr(x))} .* unable to resolve"):
+        truncation_bounds(q)
+    assert len(dropped) == 1 and math.isnan(dropped[0])
 
 
 def test_collapsed_window_one_ulp_past_the_peak_integrates_to_zero():
@@ -592,28 +612,6 @@ def test_cut_lower_end_drops_below_eps_of_the_integral():
                 <= math.log(quadrature._EPS)), q
 
 
-def test_window_lower_end_sits_at_the_profile_drop():
-    # Where the window of the integrand's shape h starts above y, h there
-    # is at its _EPS drop, up to rounding, or below it, and 1/64 of the
-    # width nearer the centre it is still above: Newton's steps reach the
-    # drop from the closed-form end below it.
-    raised = 0
-    for q in _cut_points():
-        c, top = _shape_centre_top(q)
-        shape = quadrature._Shape(q.eta, q.mu, q.x)
-        peak, lower, _, top_w = quadrature._window(shape, q.y)
-        assert c == max(peak, q.y), q
-        assert top_w == pytest.approx(top, rel=1e-13, abs=1e-13), q
-        if lower <= q.y:
-            continue
-        raised += 1
-        w = c - lower
-        drop = math.log(1e-16)
-        assert _shape_log(q, lower) - top <= drop + 1e-12, q
-        assert _shape_log(q, c - w * 63 / 64) - top > drop, q
-    assert raised >= 100
-
-
 def test_cut_end_is_the_closed_form_of_its_bound():
     # The dropped length d = W / (1 + e^{2U})^20 times the largest value of
     # the integrand's shape h on [a, a + d] is at most _EPS times the mass
@@ -718,6 +716,44 @@ def test_power_map_weight_is_dt_du(monkeypatch):
     _, total = _record_nodes(monkeypatch, spec, 0.0, 5)
     width = _decimal_node(spec, spec.u_hi) - _decimal_node(spec, -spec.u_lo)
     assert total == pytest.approx(float(width), rel=1e-7, abs=0.0)
+
+
+def _pass_sums(monkeypatch, spec, first, later, passes):
+    """Trapezoid sums of the first ``passes`` passes of ``_nested_passes``
+    on spec, with ln f = first at the nodes of the first pass and later at
+    every node after them."""
+    calls = []
+
+    def stepped(k, t, dx):
+        calls.append(t)
+        return first if len(calls) <= quadrature._FIRST_GRID else later
+
+    monkeypatch.setattr(quadrature, "_log_integrand", stepped)
+    kernel = quadrature._NodeKernel(MomentQuery(1.0, 2.0, 0.0, 1.0))
+    sums = []
+    for _, total in quadrature._nested_passes(kernel, spec,
+                                              quadrature._FIRST_GRID):
+        sums.append(total)
+        if len(sums) == passes:
+            return sums
+
+
+@pytest.mark.parametrize("later", [0.0, -500.0])
+def test_stored_terms_follow_a_later_pass_far_above_the_first(monkeypatch,
+                                                               later):
+    # Every node is exponentiated once, against the largest log so far:
+    # near -1000 after the first pass.  Stored against it, a node at 0 would
+    # overflow, and the scale e^-1000 of a sum of nodes at -500 would
+    # underflow; the rise rescales the stored terms.  The k-th pass then
+    # sums e^later times the flat sums less the first pass's share, one
+    # 2^k-th of the flat first pass.
+    spec = QuadratureSpec(20.0, 0.0, 40.0, 7.0, quadrature._U_MAX)
+    flat = _pass_sums(monkeypatch, spec, 0.0, 0.0, 3)
+    sums = _pass_sums(monkeypatch, spec, -1000.0, later, 3)
+    for k in (1, 2):
+        assert sums[k] == pytest.approx(
+            math.exp(later) * (flat[k] - flat[0] / 2 ** k), rel=1e-12,
+            abs=0.0), k
 
 
 # The u-range [4.48, 5.18] on the window [a, b] = [1, 1.0016e8] of a

@@ -375,6 +375,8 @@ def test_times_exp_stays_in_range_on_the_way():
     assert nuttall._times_exp(0.5, 0, 1e300) == math.inf
     assert nuttall._times_exp(0.5, 0, -1e300) == 0.0
     assert nuttall._times_exp(0.5, 1030, 0.0) == math.inf
+    # Its log, 710.5, passes the early return, and only ldexp overflows.
+    assert nuttall._times_exp(0.99, 1025, 0.0) == math.inf
     # m in [1/4, 1), e in [-2100, 2100] and log_scale such that the value is
     # a normal float: within 2.5e-16 of m 2^e e^log_scale from 40-digit
     # mpmath.
