@@ -72,6 +72,7 @@ def _series_sum(order: float, q: float,
     four, n = 1, 2, ...; past its end they are formed as the sum needs them
     and appended to it.  The terms fall once n (order+n) > q, so a test on
     the last of each four stops at most three terms late."""
+    cutoff = _SERIES_CUTOFF
     term = total = 1.0
     for r0, r1, r2, r3 in groups:
         t0 = term * q * r0
@@ -79,7 +80,7 @@ def _series_sum(order: float, q: float,
         t2 = t1 * q * r2
         term = t2 * q * r3
         total += t0 + t1 + t2 + term
-        if term < total * _SERIES_CUTOFF:
+        if term < total * cutoff:
             return total
     n = 4 * len(groups)
     while n < _SERIES_MAX_TERMS:
@@ -93,7 +94,7 @@ def _series_sum(order: float, q: float,
         t2 = t1 * q * r2
         term = t2 * q * r3
         total += t0 + t1 + t2 + term
-        if term < total * _SERIES_CUTOFF:
+        if term < total * cutoff:
             return total
         n += 4
     raise ConvergenceError(

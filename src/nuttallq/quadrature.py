@@ -23,10 +23,13 @@ formula, x = 0 and z = 2 sqrt(x t) > 700 included; no node reaches t = 0,
 as the map below puts each at t >= a + 9.4e-307 W with a >= 0 and W >= 1.
 
 Refinement stops at pass k when the relative change d_k between passes k-1
-and k satisfies either
+and k satisfies, in this order,
 
-    d_k <= 1e-12                       (two passes agree), or
-    d_k < d_{k-1} and d_k^2 <= 1e-12   (the error squares).
+    d_k <= 1e-12                           (two passes agree),
+    d_k < d_{k-1} and d_k^2 <= 1e-12       (the error squares), or
+    0 < d_k < d_{k-1} < 1 and d_k^rho <= 1e-12,
+        rho = min(3, ln d_k / ln d_{k-1})  (the error's exponent grows
+                                            at the measured rate).
 
 Once the integrand is negligible at both ends of the u-range, the
 trapezoidal rule converges exponentially, and halving the spacing roughly
@@ -36,9 +39,24 @@ the second condition accepts pass k without a confirming pass.  It needs
 d_k to shrink, so it cannot fire before the third pass, at 65 points.
 The estimate d_k^2 overstates the error: on pass 0 of seeds 1-10 of the
 benchmark, it accepts 303 integrals at 65 points with d_k^2 in (1e-14,
-1e-12], and the worst of all 1000 integrals, 945 of them at 65 points,
-stays 8.1e-14 off the series, about as with a 1e-14 target that took 804
-at 65 points.  So both rules share the one tolerance.
+1e-12], and the worst of all 1000 integrals stays 8.1e-14 off the series,
+about as with a 1e-14 target that took 804 at 65 points.  So all rules
+share the one tolerance.
+
+Squaring is the rate of an integrand analytic in a strip about the real
+u-axis, whose error is about e^{-2 pi s / h} for a strip of half-width s
+and spacing h.  One that is entire and decays like a Gaussian in u has an
+error of about e^{-pi^2 / h^2}, whose exponent grows fourfold per halving.
+The passes measure the rate: rho = ln d_k / ln d_{k-1} is the growth of
+the exponent from pass k-1 to pass k, and d_k^rho then estimates the
+error of pass k.  The third condition takes it where it exceeds 2,
+capped at 3, below the 4 of the Gaussian, so that an odd ratio of two
+changes cannot claim more.  Passes that change by 3e-2, 1.3e-6 and
+1.8e-15 give rho = 3.9 at 65 points, d^2 = 1.7e-12 and d^3 = 2.2e-18,
+and the 129-point pass confirms the 65-point value to 1.8e-15.  On pass 0 of seeds 1-10 of the benchmark, 999 of the 1000
+integrals stop at 65 points (945 without the third condition), 65.06
+nodes per integral; the 54 it stops earlier move by at most 1.5e-14, and
+the worst error against the series stays 8.1e-14.
 
 The shape.  With nu = mu - 1 and g = eta + mu - 1, the window and the
 u-range both come from
@@ -159,6 +177,10 @@ _NODE_CAP = 2**20
 # with d^2 at or below it: halving the spacing roughly squares the error of
 # the trapezoidal rule, so d^2 then estimates the error of the pass.
 _REL_TOL = 1e-12
+# Where the passes show the error's exponent growing faster, by the rate
+# rho = ln d / ln d_prev, d^rho estimates it instead; rho is capped here,
+# below the 4 of an integrand that is Gaussian in u.
+_MAX_RATE = 3.0
 # Drop of the shape, relative to its top, at which the u-range ends.
 _EPS = 1e-16
 _LOG_EPS = math.log(_EPS)
@@ -182,6 +204,8 @@ _CUT_ITERATIONS = 50
 _POWER = 20
 # Relative spacing of doubles: an ulp of m is at most _ULP m.
 _ULP = 2.0**-52
+# The least normal double; below it a pass's scale has lost digits.
+_MIN_NORMAL = 2.0**-1022
 
 
 class QuadratureSpec(namedtuple("QuadratureSpec",
@@ -219,26 +243,33 @@ class _NodeKernel:
         ln f(t) = (eta+mu-1) ln t - (sqrt t - sqrt x)^2 - ln Gamma(mu)
                   + ln(e^{-z} S(x t)),
 
-    for every t > 0 and x >= 0 (at x = 0, z = 0 and S = 1).
+    for every t > 0 and x >= 0 (at x = 0, z = 0 and S = 1).  The kernel
+    holds ln Gamma(mu) and the bound ``log_scaled`` of that series in its
+    own slots, so that a node reads each with one attribute lookup.
     """
 
-    __slots__ = ("x", "sqrt_x", "power", "series")
+    __slots__ = ("x", "sqrt_x", "power", "log_gamma", "log_scaled")
 
     def __init__(self, q: MomentQuery) -> None:
         self.x = q.x
         self.sqrt_x = math.sqrt(q.x)
         self.power = q.eta + q.mu - 1.0
-        self.series = FixedOrderSeries(q.mu - 1.0)
+        series = FixedOrderSeries(q.mu - 1.0)
+        self.log_gamma = series.log_gamma
+        self.log_scaled = series.log_scaled
+
+
+_sqrt, _log = math.sqrt, math.log
 
 
 def _log_integrand(k: _NodeKernel, t: float, dx: float) -> float:
     """ln f(t) of ``_NodeKernel``, given dx = t - x; finite at every node,
     where t > 0 and x t is finite.  sqrt t - sqrt x is formed as dx / (sqrt
     t + sqrt x), so that it keeps the digits of dx where t lies near x."""
-    d = dx / (math.sqrt(t) + k.sqrt_x)
+    d = dx / (_sqrt(t) + k.sqrt_x)
     q = k.x * t
-    return (k.power * math.log(t) - d * d - k.series.log_gamma
-            + k.series.log_scaled(q, 2.0 * math.sqrt(q)))
+    return (k.power * _log(t) - d * d - k.log_gamma
+            + k.log_scaled(q, 2.0 * _sqrt(q)))
 
 
 class _Shape:
@@ -447,7 +478,10 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     largest log lies above ref moves ref there and rescales the stored
     terms by one factor.  So every stored term is at most 1 and their sum
     at least 1, and the scale e^{ref + ln h} of the sum lies within a
-    factor of the node count of the value.
+    factor of the node count of the value.  Where that scale is below the
+    normal range, it has lost digits, and its product with the sum would
+    round a second time; there the pass takes e^{ref + ln h + ln sum}
+    instead, one rounding to the subnormal value.
     """
     a, b, u_lo = spec.lower, spec.upper, spec.u_lo
     w = b - a
@@ -457,6 +491,7 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     scale = math.log(2.0 * _POWER * w)
     log_end_weight = math.log(0.5)
     exp, log1p, expm1 = math.exp, math.log1p, math.expm1
+    neg_power, warp_power = -_POWER, _POWER + 1
     h = (u_lo + spec.u_hi) / (n - 1)
     # Each node's u-space integrand without the spacing h, which every pass
     # changes, over e^ref; the endpoints carry their trapezoid weight 1/2.
@@ -465,25 +500,32 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     fresh = range(n)
     while n <= _NODE_CAP:
         logs = []
+        last = n - 1
         for i in fresh:
             u = -u_lo + i * h
             log_inv_v = log1p(exp(-2.0 * u))
-            log_vp = -_POWER * log_inv_v
+            log_vp = neg_power * log_inv_v
             rise = w * exp(log_vp)
             dx = (b_x + w * expm1(log_vp) if log_inv_v < upper_half
                   else a_x + rise)
             # rise >= 0, so only the upper end can round past the window.
-            lf = _log_integrand(kernel, min(b, a + rise), dx)
-            if i == 0 or i == n - 1:
+            t = a + rise
+            lf = _log_integrand(kernel, t if t < b else b, dx)
+            if i == 0 or i == last:
                 lf += log_end_weight
-            logs.append(lf + scale - (2.0 * u + (_POWER + 1) * log_inv_v))
+            logs.append(lf + scale - (2.0 * u + warp_power * log_inv_v))
         top = max(logs)
         if top > ref:
             factor = exp(ref - top)
             terms = [v * factor for v in terms]
             ref = top
         terms.extend([exp(v - ref) for v in logs])
-        yield n, exp_clipped(ref + math.log(h)) * fsum(terms)
+        log_size = ref + math.log(h)
+        size = exp_clipped(log_size)
+        # A scale below the normal range has lost digits: it is taken with
+        # the sum in one exponential, so that the value rounds once.
+        yield n, (size * fsum(terms) if size >= _MIN_NORMAL
+                  else exp_clipped(log_size + math.log(fsum(terms))))
         fresh = range(1, 2 * n - 1, 2)
         n = 2 * n - 1
         h *= 0.5
@@ -493,7 +535,8 @@ class QuadratureOutcome(namedtuple("QuadratureOutcome",
                                    "value nodes est_error")):
     """Integral value plus the nodes of the last pass and the estimated
     relative error the stop rule accepted it on: the change d from the pass
-    before, or its square d^2, either at most 1e-12.  The grids are nested
+    before, its square d^2, or d^rho at the measured rate rho in (2, 3]
+    (see the module docstring), each at most 1e-12.  The grids are nested
     and no node is evaluated twice, so ``nodes`` is the number of integrand
     evaluations.
 
@@ -518,9 +561,10 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     halves the spacing, n -> 2n - 1, so a pass evaluates only its n - 1 new
     midpoints and reuses the values of every earlier node.
     Refinement stops when the relative change d between two passes is at
-    most 1e-12, or is below the change before it with d^2 <= 1e-12 (see the
-    module docstring); ``est_error`` is d in the first case and d^2 in the
-    second, so at most 1e-12 in both.  Non-convergence within the 2^20 node
+    most 1e-12, or is below the change d_prev before it with d^2 <= 1e-12,
+    or, where d_prev < 1, with d^rho <= 1e-12, rho = min(3, ln d / ln
+    d_prev) (see the module docstring); ``est_error`` is d, d^2 or d^rho,
+    so at most 1e-12 in each case.  Non-convergence within the 2^20 node
     cap raises ConvergenceError, and so does the first pass whose sum is not
     finite, where the integral overflows the double range.
     Node contributions are combined with exact summation, so results are
@@ -535,8 +579,8 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     if spec.upper == spec.lower:
         return QuadratureOutcome(0.0, 0, 0.0)
     prev = None
-    # The squaring stop needs a change before the current one to compare it
-    # with, so it cannot fire on the second pass.
+    # The squaring and rate stops need a change before the current one to
+    # compare it with, so they cannot fire on the second pass.
     d_prev = 0.0
     try:
         for n, cur in _nested_passes(_NodeKernel(q), spec, _FIRST_GRID):
@@ -550,6 +594,10 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
                     return QuadratureOutcome(cur, n, d)
                 if d < d_prev and d * d <= _REL_TOL:
                     return QuadratureOutcome(cur, n, d * d)
+                if 0.0 < d < d_prev < 1.0:
+                    est = d ** min(_MAX_RATE, math.log(d) / math.log(d_prev))
+                    if est <= _REL_TOL:
+                        return QuadratureOutcome(cur, n, est)
                 d_prev = d
             prev = cur
     except ConvergenceError as exc:

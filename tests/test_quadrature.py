@@ -15,7 +15,7 @@ from nuttallq import (ConvergenceError, DomainError, MomentQuery,
                       moment_by_quadrature, nuttall_q_series,
                       tanh_rule_integrate, truncation_bounds)
 from nuttallq import quadrature
-from nuttallq.bessel import log_poisson_pair_sum
+from nuttallq.bessel import FixedOrderSeries, log_poisson_pair_sum
 
 from oracles import EDGE_POINTS, naive_integrand
 
@@ -145,6 +145,30 @@ def test_node_kernel_sums_past_its_table(mu):
         _assert_kernel_matches(k, 0.0, mu, x, t)
         values.append(_node_log(k, t))
     assert values[1] == values[2]
+
+
+def test_node_log_is_the_documented_sum_bit_for_bit():
+    # ln f(t) = (eta+mu-1) ln t - d^2 - ln Gamma(mu) + ln(e^{-z} S(x t)),
+    # d = (t - x) / (sqrt t + sqrt x), summed left to right: the kernel's
+    # cached parts change no node's arithmetic.  z spans both sides of 700,
+    # and x = 0 takes the same sum with z = 0.
+    rng = random.Random(17)
+    for i in range(200):
+        eta = rng.uniform(0.0, 50.0)
+        mu = rng.uniform(1.0, 200.0)
+        x = 0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-2.0, 4.0)
+        k = quadrature._NodeKernel(MomentQuery(eta, mu, x, 0.0))
+        series = FixedOrderSeries(mu - 1.0)
+        for _ in range(4):
+            z = rng.uniform(0.0, 1400.0)
+            t = z * z / (4.0 * x) if x > 0.0 else rng.uniform(1e-3, 1e3)
+            d = (t - x) / (math.sqrt(t) + math.sqrt(x))
+            q = x * t
+            expected = ((eta + mu - 1.0) * math.log(t) - d * d
+                        - series.log_gamma
+                        + series.log_scaled(q, 2.0 * math.sqrt(q)))
+            assert quadrature._log_integrand(k, t, t - x) == expected, (
+                eta, mu, x, t)
 
 
 def test_truncation_gamma_zero_peak_is_x_exactly():
@@ -328,14 +352,31 @@ def test_outcome_reports_the_converged_pass(eta, mu, x, y):
     assert 0.0 <= out.est_error <= 1e-12
 
 
+# (eta, mu, x, y, value): integrals whose passes change by about 3e-2,
+# 1e-6, 1e-15, so that the error's exponent grows about fourfold per
+# halving of the spacing.  The squaring stop misses their 65-point pass by
+# a hair (d^2 ~ 2e-12), and without the rate stop they took 129 points, to
+# the value given here.
+RATE_STOP_POINTS = [
+    (2.6369724772923466, 24.603533322108103, 15.391002007309368,
+     14.72977760619944, 18033.50855049661),
+    (0.0, 37.67105371186827, 1.7102187038152676, 18.448031333288885,
+     0.9999773673605432),
+    (24.0, 13.900118893820583, 0.16777329389058088, 17.57299224708682,
+     2.654433118612627e+33),
+]
+
+
 def test_outcome_stops_on_the_first_pass_a_rule_accepts():
-    # Replays the passes up to the one returned: no earlier pass meets
-    # either stop rule, both at the module's one tolerance, and the
-    # returned one reports d where two passes agree and d^2 where the error
-    # squares.  Both rules occur here.
+    # Replays the passes up to the one returned: no earlier pass meets any
+    # stop rule, all at the module's one tolerance, and the returned one
+    # reports d where two passes agree, d^2 where the error squares and
+    # d^rho, rho = min(3, ln d / ln d_prev), where the passes show a faster
+    # rate.  All three rules occur here.
     tol = quadrature._REL_TOL
     used = set()
-    for eta, mu, x, y in CONVERGED_PASS_POINTS + [(4.0, 12.5, 7.0, 9.0)]:
+    for eta, mu, x, y in (CONVERGED_PASS_POINTS + [(4.0, 12.5, 7.0, 9.0)]
+                          + [p[:4] for p in RATE_STOP_POINTS]):
         q = MomentQuery(eta, mu, x, y)
         out = tanh_rule_integrate(q)
         values = []
@@ -352,13 +393,70 @@ def test_outcome_stops_on_the_first_pass_a_rule_accepts():
                 return "agree", d[k]
             if k and d[k] < d[k - 1] and d[k] ** 2 <= tol:
                 return "square", d[k] ** 2
+            if k and 0.0 < d[k] < d[k - 1] < 1.0:
+                rate = d[k] ** min(3.0, math.log(d[k]) / math.log(d[k - 1]))
+                if rate <= tol:
+                    return "rate", rate
             return None
 
         assert [estimate(k) for k in range(len(d) - 1)] == [None] * (len(d) - 1)
         rule, est = estimate(len(d) - 1)
         assert (out.value, out.est_error) == (values[-1], est)
         used.add(rule)
-    assert used == {"agree", "square"}
+    assert used == {"agree", "square", "rate"}
+
+
+@pytest.mark.parametrize("eta,mu,x,y,value", RATE_STOP_POINTS)
+def test_rate_stop_accepts_the_65_point_pass(eta, mu, x, y, value):
+    q = MomentQuery(eta, mu, x, y)
+    out = tanh_rule_integrate(q)
+    assert out.nodes == 65
+    assert out.value == pytest.approx(value, rel=2e-14, abs=0.0)
+    assert out.value == pytest.approx(nuttall_q_series(q).value, rel=1e-13,
+                                      abs=0.0)
+
+
+def _stop_on_pass_sums(monkeypatch, sums):
+    """``tanh_rule_integrate`` at a benign point, with passes of 17, 33, 65,
+    ... points that sum to ``sums``."""
+    def passes(kernel, spec, n):
+        for value in sums:
+            yield n, value
+            n = 2 * n - 1
+
+    monkeypatch.setattr(quadrature, "_nested_passes", passes)
+    return tanh_rule_integrate(MomentQuery(1.0, 1.0, 0.1, 1.5))
+
+
+def _sums_with_changes(changes):
+    """Pass sums from 1.0 whose relative changes d are about ``changes``."""
+    sums = [1.0]
+    for d in changes:
+        sums.append(sums[-1] / (1.0 - d))
+    return sums
+
+
+@pytest.mark.parametrize("d_prev,d", [(1e-1, 1e-5), (1e-2, 1e-5)])
+def test_rate_stop_takes_d_to_the_measured_rate(monkeypatch, d_prev, d):
+    # d^2 = 1e-10 misses the squaring stop.  rho = 5 is capped at 3, and
+    # rho = 2.5 is taken as it is.
+    sums = _sums_with_changes([d_prev, d])
+    d_prev, d = (abs(b - a) / abs(b) for a, b in zip(sums, sums[1:]))
+    rho = min(3.0, math.log(d) / math.log(d_prev))
+    assert _stop_on_pass_sums(monkeypatch, sums) == (sums[-1], 65, d ** rho)
+
+
+@pytest.mark.parametrize("sums", [
+    # rho = 3.5 would give d^rho = 5.6e-13, but the cap of 3 gives 3.2e-11.
+    _sums_with_changes([1e-1, 10.0**-3.5]),
+    # d = 1e-5 after d = 1 (a first pass of 0): ln d_prev = 0 gives no rate.
+    [0.0, 1.0, 1.0 / (1.0 - 1e-5)],
+    # d does not fall: 1/2, then 1/2.
+    [1.0, 2.0, 4.0],
+])
+def test_rate_stop_does_not_fire(monkeypatch, sums):
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        _stop_on_pass_sums(monkeypatch, sums)
 
 
 @pytest.mark.parametrize("eta,mu,x,y", CONVERGED_PASS_POINTS)
@@ -928,3 +1026,19 @@ def test_zero_first_two_passes_stop_at_zero(q):
     out = tanh_rule_integrate(q)
     assert (out.value, out.nodes, out.est_error) == (0.0, 33, 0.0)
     assert nuttall_q_series(q).value == 0.0
+
+
+@pytest.mark.parametrize("q", [
+    MomentQuery(8.0, 48.824145004271145, 0.026622748927577745,
+                981.0205852362354),
+    MomentQuery(0.0, 127.86485320174184, 4.775028624845298,
+                1174.194094774518),
+])
+def test_subnormal_pass_sums_round_once(q):
+    # The value is below the normal range, and so is the scale of each pass.
+    # Taking scale and sum in one exponential rounds once: the value is the
+    # series' to its last digit, at 65 points.  Rounded twice, these were
+    # 2e-4 off, after 33 and 129 points.
+    out = tanh_rule_integrate(q)
+    assert 0.0 < out.value < 1e-318
+    assert (out.value, out.nodes) == (nuttall_q_series(q).value, 65)
