@@ -8,19 +8,22 @@ integrand is
     f(t) = t^{eta+mu-1} e^{-t-x} 0F1(; mu; x t) / Gamma(mu),
 
 where 0F1(; mu; q) = sum_n q^n / (n! (mu)_n).  The improper integral is
-truncated to a window [a, b], a = y, that ends past the peak of the
-integrand's shape h below, mapped from the real line by the power map
-below, and integrated
-with the trapezoidal rule on nested uniform u-grids of 17, 33, 65, 129,
-... points (n -> 2n - 1) until the estimated error of the last pass is
-small.  Each refinement halves the spacing, so the earlier nodes stay on
-the grid and their values are reused: no node is evaluated or
-exponentiated twice.  The
-integrand is always evaluated through its logarithm, so values reaching
-1e89 never overflow a node, and by a kernel built once per integral that
-holds all that depends only on (eta, mu, x).  Every node takes one
-formula, x = 0 and z = 2 sqrt(x t) > 700 included; no node reaches t = 0,
-as the map below puts each at t >= a + 9.4e-307 W with a >= 0 and W >= 1.
+truncated to a window that holds the mass of the integrand's shape h
+below, and integrated with the trapezoidal rule on nested uniform u-grids
+(n -> 2n - 1) until the estimated error of the last pass is small.  Where
+y lies below that mass, the window is free: it spans the two drops of h
+to 1e-16 of its top in s = sqrt t, and the rule runs in s, t = s^2, on
+grids of 9, 17, 33, ... points.  Elsewhere the window is cut: it starts
+at y and ends past the peak of h, and the rule runs on the power map
+below, on grids of 17, 33, 65, ... points.  Each refinement halves the
+spacing, so the earlier nodes stay on the grid and their values are
+reused: no node is evaluated or exponentiated twice.  The integrand is
+always evaluated through its logarithm, so values reaching 1e89 never
+overflow a node, and by a kernel built once per integral that holds all
+that depends only on (eta, mu, x).  Every node takes one formula, x = 0
+and z = 2 sqrt(x t) > 700 included; no node reaches t = 0, as the power
+map puts each at t >= a + 9.4e-307 W with a >= 0 and W >= 1, and a free
+window starts above (sqrt c - 6.07)^2 > 0.
 
 Refinement stops at pass k when the relative change d_k between passes k-1
 and k satisfies, in this order,
@@ -36,12 +39,13 @@ trapezoidal rule converges exponentially, and halving the spacing roughly
 squares its error (Trefethen & Weideman, SIAM Rev. 56, 2014).  Then d_k is
 about the error of pass k-1, and d_k^2 estimates the error of pass k, so
 the second condition accepts pass k without a confirming pass.  It needs
-d_k to shrink, so it cannot fire before the third pass, at 65 points.
-The estimate d_k^2 overstates the error: on pass 0 of seeds 1-10 of the
-benchmark, it accepts 303 integrals at 65 points with d_k^2 in (1e-14,
-1e-12], and the worst of all 1000 integrals stays 8.1e-14 off the series,
-about as with a 1e-14 target that took 804 at 65 points.  So all rules
-share the one tolerance.
+d_k to shrink, so it cannot fire before the third pass, at 33 points on
+a free window and 65 on a cut one.  The estimate d_k^2 overstates the
+error: on pass 0 of seeds 1-10 of the benchmark, with cut windows only,
+it accepted 303 integrals at 65 points with d_k^2 in (1e-14, 1e-12], and
+the worst of all 1000 integrals stayed 8.1e-14 off the series, about as
+with a 1e-14 target that took 804 at 65 points.  So all rules share the
+one tolerance.
 
 Squaring is the rate of an integrand analytic in a strip about the real
 u-axis, whose error is about e^{-2 pi s / h} for a strip of half-width s
@@ -53,10 +57,11 @@ error of pass k.  The third condition takes it where it exceeds 2,
 capped at 3, below the 4 of the Gaussian, so that an odd ratio of two
 changes cannot claim more.  Passes that change by 3e-2, 1.3e-6 and
 1.8e-15 give rho = 3.9 at 65 points, d^2 = 1.7e-12 and d^3 = 2.2e-18,
-and the 129-point pass confirms the 65-point value to 1.8e-15.  On pass 0 of seeds 1-10 of the benchmark, 999 of the 1000
-integrals stop at 65 points (945 without the third condition), 65.06
-nodes per integral; the 54 it stops earlier move by at most 1.5e-14, and
-the worst error against the series stays 8.1e-14.
+and the 129-point pass confirms the 65-point value to 1.8e-15.  On pass
+0 of seeds 1-10 of the benchmark, 589 of the 1000 integrals take a free
+window and stop at 33 points, and all but one of the rest stop at 65,
+46.22 nodes per integral (65.06 with cut windows only); the worst error
+against the series is 8.0e-14.
 
 The shape.  With nu = mu - 1 and g = eta + mu - 1, the window and the
 u-range both come from
@@ -80,9 +85,46 @@ solves eta w^2 + (x + nu) w - x = 0, that is at the peak
 which is g at x = 0, x + nu at eta = 0, and (sqrt x + sqrt(x + 4 eta))^2 / 4
 at mu = 1.  In s = sqrt t, ln h(s^2) has curvature -2 - 2g/s^2 + 4 x nu /
 (r (nu + r)) <= -2, as r^2 >= 4 x s^2 and g >= nu; ``_window`` puts the
-window's upper end on that, for every x.
+cut window's upper end on that, for every x.
 
-Every integral takes the same map,
+The free window.  With c the peak of h and e^T its top, an integral takes
+the window [s_lo^2, s_hi^2] between the two drops of h to 1e-16 of its
+top in s = sqrt t, dropping [y, s_lo^2] and [s_hi^2, inf), where all four
+of these hold:
+
+- y < c and sqrt c > _ROOT_DROP = sqrt(-ln 1e-16) ~ 6.07, so that the
+  window stays clear of t = 0, the branch point of t^{eta+mu-1}: without
+  it, s0 below is 0 at y = 0, and the search for the lower drop starts at
+  t = 0, where ln t is not defined;
+- ln h at s0 = max(sqrt y, sqrt c - _ROOT_DROP) is below T + ln 1e-16,
+  so that y lies below the mass (the curvature bound puts h at or below
+  that at sqrt c - _ROOT_DROP);
+- 2^-52 max(g ln c, c) <= 1e-13: each node's log carries rounding of
+  about that relative size, which the 33 points of a free window average
+  less than the 65 of a cut one.  With 1e-12 in its place, on a
+  3000-point box with mu up to 200, 234 values exceeded 1e-13 of the
+  series against 220, and where the rounding lay above 1e-13 their root
+  mean square error rose by 5%.  At (0, mu, 0, 0) from mu ~ 1e15, where
+  that rounding swamps the stop rule, a free window returned 0.93 for 1;
+- x s_hi^2 <= 350^2, so that every node's Bessel factor is its power
+  series (z <= 700).  Under the rounding bound it binds only for x from
+  about 165 to 450, where free windows that ran past z = 700 stayed within
+  4.4e-14 of the series on 189 seeded points; it keeps free windows on
+  the one Bessel route.
+
+``_drop`` finds both ends by Newton steps in s, s_hi from sqrt c +
+_ROOT_DROP and s_lo from s0, where h is at or below its drop: ln h is
+concave in s, so the steps stay outside the drops, and h stays below
+1e-16 of its top over both dropped pieces.  The rule runs on the u-range
+[s_lo, s_hi] of the map t = u^2, whose log weight is ln 2u and which
+forms t - x as (u - sqrt x)(u + sqrt x).  No end map is needed: in s, ln
+h has curvature at most -2, so h falls like a Gaussian at both ends, and
+the trapezoidal rule converges geometrically (Trefethen & Weideman).  The
+first grid has 9 points, so that the squaring stop can accept the
+33-point pass; from 5 points, 3 of the 1000 integrals of pass 0 of seeds
+1-10 of the benchmark stopped at 17 points, 2e-8 off.
+
+A cut window takes the map
 
     t = a + W v^p,  p = 20,  W = b - a,
     v = (1 + tanh u)/2 = 1/(1 + e^{-2u}),
@@ -106,16 +148,17 @@ the node also forms t - x from the nearer end of the window, (b - x) + W
 (v^p - 1) or (a - x) + W v^p, and takes sqrt t - sqrt x as (t - x) /
 (sqrt t + sqrt x).
 
-The u-range is [-U_lo, U_hi], both ends once per integral, in closed form
+Its u-range is [-U_lo, U_hi], both ends once per integral, in closed form
 from two points of the window: the trapezoidal rule converges
 exponentially once the integrand is negligible at both ends, so the
 u-range stops where h is, and the window's outer part, where the map's
 nodes would crowd, takes none.
 
-The upper end.  Newton steps from above, which stay above it as ln h is
-concave in sqrt t, find a point t_up above the centre c of h on [y, inf)
-at or just above where h falls to 1e-16 of its top.  h is unimodal, so it
-stays below that over the whole dropped piece [t_up, b], and
+The upper end.  Newton steps from above (``_drop``), which stay above it
+as ln h is concave in sqrt t, find a point t_up above the centre c of h
+on [y, inf) at or just above where h falls to 1e-16 of its top.  h is
+unimodal, so it stays below that over the whole dropped piece [t_up, b],
+and
 
     U_hi = 1/2 ln(v / (1 - v)),   v = ((t_up - a) / W)^{1/p}.
 
@@ -143,7 +186,7 @@ until h(a + d) d reaches 1e-16 need, however far below the mass y lies,
 and -U_lo may lie above 0.  On the benchmark's box U_lo lies in [-1.06,
 0.98] and U_hi in [1.42, 1.94].
 
-Rounding can leave the window unable to resolve h, where ln h sums terms
+Rounding can leave a cut window unable to resolve h, where ln h sums terms
 so large that their rounding swamps its drop to 1e-16 of its top, or where
 the window is narrower than an ulp of its centre (beyond ~2e34) and rounds
 to zero width.  ``truncation_bounds`` then raises ConvergenceError before
@@ -163,7 +206,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from math import fsum
 
 from .bessel import FixedOrderSeries
@@ -184,8 +227,15 @@ _MAX_RATE = 3.0
 # Drop of the shape, relative to its top, at which the u-range ends.
 _EPS = 1e-16
 _LOG_EPS = math.log(_EPS)
-# Points of the first u-grid; the grids are 17, 33, 65, 129, ...
+# Points of the first u-grid of a cut window, whose grids are 17, 33, 65,
+# 129, ..., and of a free window, whose grids are 9, 17, 33, ...
 _FIRST_GRID = 17
+_FREE_FIRST_GRID = 9
+# A node's Bessel factor is its power series up to z = 2 sqrt(x t) = 700.
+_SERIES_MAX_XT = 350.0**2
+# A free window needs the relative rounding of the node logs at or below
+# this (see the module docstring).
+_FREE_ROUNDING = 1e-13
 # Cap on each end of the u-range, where tanh u = 1 - 1e-15.
 _U_MAX = math.atanh(1.0 - 1e-15)
 # The integrand's shape is at or below _EPS of its top where sqrt t lies
@@ -206,24 +256,28 @@ _POWER = 20
 _ULP = 2.0**-52
 # The least normal double; below it a pass's scale has lost digits.
 _MIN_NORMAL = 2.0**-1022
+_LOG_HALF = math.log(0.5)
 
 
 class QuadratureSpec(namedtuple("QuadratureSpec",
                                 "peak lower upper u_lo u_hi")):
     """Truncation window for one integral, the peak of the integrand's
-    shape h it was centred on, and the u-range [-u_lo, u_hi] of the map t =
-    lower + (upper - lower) v^20, v = (1 + tanh u)/2, onto it (see the
-    module docstring).
+    shape h it was centred on, and the u-range [-u_lo, u_hi] of the map
+    onto it (see the module docstring).
 
     ``truncation_bounds`` returns it, and ``tanh_rule_integrate`` integrates
-    over the window and u-range it describes.  lower is y, and lower <=
-    upper always holds; lower == upper only where the window sits at a y
-    past the peak that is so large (beyond ~2e34) that adding its
-    half-width rounds away, and then both ends of the u-range are _U_MAX.
-    Otherwise they come in closed form from where h falls to 1e-16 of its
-    top: -u_hi < u_lo <= _U_MAX and u_hi <= _U_MAX, with u_lo below 0 where
-    y lies far enough below the peak; on the benchmark's box u_lo lies in
-    [-1.06, 0.98] and u_hi in [1.42, 1.94].
+    over the window and u-range it describes.  lower > y marks a free
+    window, between the drops of h to 1e-16 of its top: its map is t =
+    u^2, and its u-range is [sqrt lower, sqrt upper], -u_lo = sqrt lower >
+    0 and u_hi = sqrt upper, each squared to give the end.  Otherwise the
+    window is cut: lower is y, and its map is t = lower + (upper - lower)
+    v^20, v = (1 + tanh u)/2.  lower <= upper always holds; lower == upper
+    only where a cut window sits at a y past the peak that is so large
+    (beyond ~2e34) that adding its half-width rounds away, and then both
+    ends of the u-range are _U_MAX.  Otherwise they come in closed form
+    from where h falls to 1e-16 of its top: -u_hi < u_lo <= _U_MAX and
+    u_hi <= _U_MAX, with u_lo below 0 where y lies far enough below the
+    peak.
 
     A named tuple: it unpacks and indexes, and it compares equal to a plain
     tuple of the same values, even to a record of another type.
@@ -260,6 +314,8 @@ class _NodeKernel:
 
 
 _sqrt, _log = math.sqrt, math.log
+# node_logs(u0, h, fresh, last) of ``_nested_passes``.
+_NodeLogs = Callable[[float, float, range, int], list[float]]
 
 
 def _log_integrand(k: _NodeKernel, t: float, dx: float) -> float:
@@ -313,13 +369,14 @@ class _Shape:
 
 
 def _drop(shape: _Shape, top: float, s: float) -> float:
-    """Newton steps in s = sqrt t, from above, towards the point above the
-    centre of h where h falls to _EPS of its top e^top, from an s where it
-    is at or below that: ln h is concave in s, so every step stays above
-    the drop.  They stop where rounding puts s at the drop, or where ln h
-    is not finite (past the double range).  Where the slope rounds to 0 no
-    step is defined and the result is nan, which refuses the u-range:
-    there rounding has left h flat below its drop."""
+    """Newton steps in s = sqrt t towards the point where h falls to _EPS
+    of its top e^top, from an s on one side of its centre where it is at or
+    below that: ln h is concave in s, so every step stays on that side of
+    the drop, above it from above and below it from below.  They stop
+    where rounding puts s at the drop, or where ln h is not finite (past
+    the double range).  Where the slope rounds to 0 no step is defined and
+    the result is nan, which refuses the window: there rounding has left h
+    flat below its drop."""
     for _ in range(_NEWTON_STEPS):
         f, slope = shape.log_and_slope(s * s)
         f -= top + _LOG_EPS
@@ -415,13 +472,36 @@ def _u_range(shape: _Shape, centre: float, top: float, a: float,
     return min(_U_MAX, u_lo), min(_U_MAX, u_hi)
 
 
+def _free_window(shape: _Shape, peak: float, top: float, x: float,
+                 y: float) -> QuadratureSpec | None:
+    """The free window of h for a y below its peak, with top e^top there:
+    [s_lo^2, s_hi^2] between the two _EPS drops of h in s = sqrt t, with
+    the u-range [s_lo, s_hi] of the map t = u^2; None where one of its
+    four conditions fails (see the module docstring)."""
+    root = math.sqrt(peak)
+    s0 = max(math.sqrt(y), root - _ROOT_DROP)
+    if not (root > _ROOT_DROP
+            and _ULP * max(shape.g * math.log(peak), peak) <= _FREE_ROUNDING
+            and shape.log_and_slope(s0 * s0)[0] < top + _LOG_EPS):
+        return None
+    s_lo = _drop(shape, top, s0)
+    s_hi = _drop(shape, top, root + _ROOT_DROP)
+    lower, upper = s_lo * s_lo, s_hi * s_hi
+    if y < lower and x * upper <= _SERIES_MAX_XT:
+        return QuadratureSpec(peak, lower, upper, -s_lo, s_hi)
+    return None
+
+
 def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
-    """Choose a finite window [y, b] that holds the integrand's mass, and
-    the u-range of the map onto it, both from the integrand's shape h (see
-    the module docstring): the upper end of the window (``_window``) and
-    the u-range that stops where h falls to 1e-16 of its top (``_u_range``).
-    ``peak`` is the peak of h.  A window that rounds to zero width at a y
-    past the peak is returned with both ends of its u-range at _U_MAX.
+    """Choose a finite window that holds the integrand's mass, and the
+    u-range of the map onto it, both from the integrand's shape h (see the
+    module docstring): a free window between the drops of h to 1e-16 of
+    its top where y lies below its mass and the four conditions of the
+    module docstring hold (``_free_window``), and otherwise a cut window
+    [y, b] (``_window``) with the u-range that stops where h falls to 1e-16
+    of its top (``_u_range``).  ``peak`` is the peak of h.  A window that
+    rounds to zero width at a y past the peak is returned with both ends of
+    its u-range at _U_MAX.
 
     Raises DomainError where mu < 1 (the Bessel order mu - 1 is negative)
     and where the node argument x t overflows on the window, and
@@ -429,8 +509,9 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     where the window sits on the peak (peak >= y) and the ulp of the terms
     of ln h at its centre c, 2^-52 max(|g ln c|, c), exceeds the drop -ln
     1e-16 of h that the u-range ends at, and where ``_u_range`` finds no
-    u-range.  All but the first message start ``quadrature cannot take x =
-    ...``.
+    u-range.  The DomainError for x t starts ``quadrature cannot take x =
+    ...``, and the ConvergenceError ``quadrature cannot take eta = ...``,
+    with mu, x and y after it.
     """
     if q.mu < 1.0:
         raise DomainError(
@@ -448,21 +529,22 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     # of ln h at c exceeds it (see the module docstring).
     swamped = peak >= max(q.y, 1.0) and _ULP * max(
         shape.g * math.log(centre), centre) > -_LOG_EPS
+    if not swamped and peak > q.y:
+        free = _free_window(shape, peak, top, q.x, q.y)
+        if free is not None:
+            return free
     u_range = None if swamped else _u_range(shape, centre, top, q.y, upper)
     if u_range is None:
         raise ConvergenceError(
-            f"quadrature cannot take x = {q.x!r} with eta = {q.eta!r}, "
-            f"mu = {q.mu!r}, y = {q.y!r}: rounding leaves its window "
+            f"quadrature cannot take eta = {q.eta!r}, mu = {q.mu!r}, "
+            f"x = {q.x!r}, y = {q.y!r}: rounding leaves its window "
             f"[{q.y!r}, {upper!r}] unable to resolve the integrand")
     return QuadratureSpec(peak, q.y, upper, *u_range)
 
 
-def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
-                   n: int) -> Iterator[tuple[int, float]]:
-    """(points, trapezoid sum) of the trapezoidal rule on the window [a, b]
-    of ``spec`` under the map t = a + W v^p, W = b - a, for nested grids of
-    n, 2n - 1, 4n - 3, ... points on its u-range [-u_lo, u_hi], up to the
-    node cap.
+def _power_map(kernel: _NodeKernel, spec: QuadratureSpec) -> _NodeLogs:
+    """The node logs of a cut window [a, b] under the map t = a + W v^p, W =
+    b - a (see ``_nested_passes``).
 
     A node at u takes v^p as e^{-p ln(1 + e^{-2u})}, on the one log1p that
     its log weight ln dt/du = ln(2 p W) - warp, warp = 2u + (p+1) ln(1 +
@@ -470,6 +552,70 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     nearer end of the window: (b - x) + W expm1(-p ln(1 + e^{-2u})) where
     v^p > 1/2 and (a - x) + W v^p below, so that it does not inherit the
     rounding of t where t lies near x.
+    """
+    a, b = spec.lower, spec.upper
+    w = b - a
+    a_x, b_x = a - kernel.x, b - kernel.x
+    # v^p > 1/2 where p ln(1 + e^{-2u}) < ln 2.
+    upper_half = math.log(2.0) / _POWER
+    scale = math.log(2.0 * _POWER * w)
+    exp, log1p, expm1 = math.exp, math.log1p, math.expm1
+    neg_power, warp_power = -_POWER, _POWER + 1
+
+    def node_logs(u0: float, h: float, fresh: range, last: int) -> list[float]:
+        logs = []
+        for i in fresh:
+            u = u0 + i * h
+            log_inv_v = log1p(exp(-2.0 * u))
+            log_vp = neg_power * log_inv_v
+            rise = w * exp(log_vp)
+            dx = (b_x + w * expm1(log_vp) if log_inv_v < upper_half
+                  else a_x + rise)
+            # rise >= 0, so only the upper end can round past the window.
+            t = a + rise
+            lf = _log_integrand(kernel, t if t < b else b, dx)
+            if i == 0 or i == last:
+                lf += _LOG_HALF
+            logs.append(lf + scale - (2.0 * u + warp_power * log_inv_v))
+        return logs
+    return node_logs
+
+
+def _root_map(kernel: _NodeKernel) -> _NodeLogs:
+    """The node logs of a free window under the map t = s^2, whose log
+    weight is ln dt/ds = ln 2s; t - x is formed as (s - sqrt x)(s + sqrt
+    x)."""
+    sqrt_x = kernel.sqrt_x
+
+    def node_logs(s0: float, h: float, fresh: range, last: int) -> list[float]:
+        logs = []
+        for i in fresh:
+            s = s0 + i * h
+            lf = _log_integrand(kernel, s * s, (s - sqrt_x) * (s + sqrt_x))
+            if i == 0 or i == last:
+                lf += _LOG_HALF
+            logs.append(lf + _log(2.0 * s))
+        return logs
+    return node_logs
+
+
+def _node_map(q: MomentQuery, spec: QuadratureSpec) -> tuple[_NodeLogs, int]:
+    """The node logs of the map onto the window of spec, and its first
+    grid: t = s^2 from 9 points on a free window (lower > y), the power map
+    from 17 on a cut one."""
+    kernel = _NodeKernel(q)
+    if spec.lower > q.y:
+        return _root_map(kernel), _FREE_FIRST_GRID
+    return _power_map(kernel, spec), _FIRST_GRID
+
+
+def _nested_passes(node_logs: _NodeLogs, spec: QuadratureSpec,
+                   n: int) -> Iterator[tuple[int, float]]:
+    """(points, trapezoid sum) of the trapezoidal rule on the u-range
+    [-u_lo, u_hi] of ``spec``, for nested grids of n, 2n - 1, 4n - 3, ...
+    points, up to the node cap.  ``node_logs(u0, h, fresh, last)`` gives
+    the log of each fresh node's u-space integrand, f(t) dt/du at u = u0 +
+    i h, with the trapezoid weight 1/2 at the endpoints i = 0 and i = last.
 
     Halving the spacing keeps the old nodes at the even indices of the new
     grid, so a pass evaluates only its midpoints; its sum is one exact
@@ -483,37 +629,16 @@ def _nested_passes(kernel: _NodeKernel, spec: QuadratureSpec,
     round a second time; there the pass takes e^{ref + ln h + ln sum}
     instead, one rounding to the subnormal value.
     """
-    a, b, u_lo = spec.lower, spec.upper, spec.u_lo
-    w = b - a
-    a_x, b_x = a - kernel.x, b - kernel.x
-    # v^p > 1/2 where p ln(1 + e^{-2u}) < ln 2.
-    upper_half = math.log(2.0) / _POWER
-    scale = math.log(2.0 * _POWER * w)
-    log_end_weight = math.log(0.5)
-    exp, log1p, expm1 = math.exp, math.log1p, math.expm1
-    neg_power, warp_power = -_POWER, _POWER + 1
-    h = (u_lo + spec.u_hi) / (n - 1)
+    u0 = -spec.u_lo
+    exp = math.exp
+    h = (spec.u_lo + spec.u_hi) / (n - 1)
     # Each node's u-space integrand without the spacing h, which every pass
-    # changes, over e^ref; the endpoints carry their trapezoid weight 1/2.
+    # changes, over e^ref.
     terms: list[float] = []
     ref = -math.inf
     fresh = range(n)
     while n <= _NODE_CAP:
-        logs = []
-        last = n - 1
-        for i in fresh:
-            u = -u_lo + i * h
-            log_inv_v = log1p(exp(-2.0 * u))
-            log_vp = neg_power * log_inv_v
-            rise = w * exp(log_vp)
-            dx = (b_x + w * expm1(log_vp) if log_inv_v < upper_half
-                  else a_x + rise)
-            # rise >= 0, so only the upper end can round past the window.
-            t = a + rise
-            lf = _log_integrand(kernel, t if t < b else b, dx)
-            if i == 0 or i == last:
-                lf += log_end_weight
-            logs.append(lf + scale - (2.0 * u + warp_power * log_inv_v))
+        logs = node_logs(u0, h, fresh, n - 1)
         top = max(logs)
         if top > ref:
             factor = exp(ref - top)
@@ -551,15 +676,18 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     """Integrate the scaled integrand by the tanh rule.
 
     Takes the window [lower, upper] and the u-range [-u_lo, u_hi] from
-    ``truncation_bounds(q)``, maps the real line onto the window by t =
-    lower + (upper - lower) v^20, v = (1 + tanh u)/2, and applies the
-    trapezoidal rule on nested uniform grids over the u-range.  The upper
-    end of the u-range stops where the integrand's shape h, and so over the
-    whole piece it drops, is below 1e-16 of its top; the lower end stops
-    where its dropped piece is at most 1e-16 of the mass of h (see the
-    module docstring).  The first grid has 17 points, and each refinement
-    halves the spacing, n -> 2n - 1, so a pass evaluates only its n - 1 new
-    midpoints and reuses the values of every earlier node.
+    ``truncation_bounds(q)`` and applies the trapezoidal rule on nested
+    uniform grids over the u-range.  On a free window (lower > y), whose
+    ends lie where the integrand's shape h has fallen to 1e-16 of its top,
+    the map is t = u^2 and the first grid has 9 points.  On a cut window
+    the map is t = lower + (upper - lower) v^20, v = (1 + tanh u)/2, and the
+    first grid has 17 points: the upper end of the u-range stops where h,
+    and so over the whole piece it drops, is below 1e-16 of its top, and
+    the lower end where its dropped piece is at most 1e-16 of the mass of
+    h (see the module docstring).  Each refinement halves the spacing, n
+    -> 2n - 1, so a pass evaluates only its n - 1 new midpoints and reuses
+    the values of every earlier node; the squaring stop can first accept
+    the pass of 33 points on a free window and of 65 on a cut one.
     Refinement stops when the relative change d between two passes is at
     most 1e-12, or is below the change d_prev before it with d^2 <= 1e-12,
     or, where d_prev < 1, with d^rho <= 1e-12, rho = min(3, ln d / ln
@@ -578,12 +706,13 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     spec = truncation_bounds(q)
     if spec.upper == spec.lower:
         return QuadratureOutcome(0.0, 0, 0.0)
+    node_logs, n = _node_map(q, spec)
     prev = None
     # The squaring and rate stops need a change before the current one to
     # compare it with, so they cannot fire on the second pass.
     d_prev = 0.0
     try:
-        for n, cur in _nested_passes(_NodeKernel(q), spec, _FIRST_GRID):
+        for n, cur in _nested_passes(node_logs, spec, n):
             if not math.isfinite(cur):
                 break
             if prev is not None:

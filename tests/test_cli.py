@@ -237,7 +237,8 @@ def test_eval_quadrature_huge_x_is_a_named_convergence_failure(capsys):
     assert code == EXIT_NO_CONVERGENCE
     assert out == ""
     assert err.startswith(
-        "convergence failure: quadrature cannot take x = 1e+150")
+        "convergence failure: quadrature cannot take eta = 1.0, mu = 2.0, "
+        "x = 1e+150, y = 1.0: rounding leaves its window")
 
 
 def test_eval_homogeneous_at_eta_zero_matches_series(capsys):

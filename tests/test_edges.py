@@ -78,14 +78,21 @@ def test_series_at_edge_values():
 
 
 def _bad_spec(q, spec):
-    return (any(math.isnan(v) for v in spec)
-            or not q.y == spec.lower <= spec.upper
-            or not -spec.u_hi < spec.u_lo)
+    if any(math.isnan(v) for v in spec):
+        return True
+    if spec.lower > q.y:
+        # A free window, on the map t = u^2 over [sqrt lower, sqrt upper].
+        return not (0.0 < -spec.u_lo < spec.u_hi
+                    and spec.u_lo * spec.u_lo == spec.lower
+                    and spec.u_hi * spec.u_hi == spec.upper)
+    return not (q.y == spec.lower <= spec.upper and -spec.u_hi < spec.u_lo)
 
 
 def test_truncation_bounds_at_edge_values():
-    # Every edge point the quadrature takes (mu >= 1): a window with y ==
-    # lower <= upper and a u-range with -u_hi < u_lo, no field NaN, where
+    # Every edge point the quadrature takes (mu >= 1): a cut window with y
+    # == lower <= upper and a u-range with -u_hi < u_lo, or a free window
+    # with y < lower whose u-range [sqrt lower, sqrt upper] squares to its
+    # ends, no field NaN, where
     # the peak of the integrand's shape, its log or the window's ends
     # overflow.
     bad = []
@@ -148,7 +155,8 @@ def test_unresolvable_window_is_refused_before_the_nodes(mu, monkeypatch):
     # the double range at 1e33 and gives 2.3e18 for Q = 1 at 1e34.
     calls = _counting_nodes(monkeypatch, 0)
     with pytest.raises(ConvergenceError, match=r"^quadrature cannot take "
-                       r"x = 0\.0 with .* unable to resolve the integrand"):
+                       r"eta = 0\.0, mu = .*, x = 0\.0, y = 0\.0: .* unable "
+                       r"to resolve the integrand"):
         tanh_rule_integrate(MomentQuery(0.0, mu, 0.0, 0.0))
     assert calls == []
 

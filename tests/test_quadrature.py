@@ -33,6 +33,12 @@ def _map_t(spec, u):
     return min(b, max(a, t))
 
 
+def _node_t(q, spec, u):
+    """t at u under the map of spec's window: t = u^2 on a free window
+    (lower > y), the power map of ``_map_t`` on a cut one."""
+    return u * u if spec.lower > q.y else _map_t(spec, u)
+
+
 def _node_log(k, t):
     """ln f(t) as a node computes it."""
     return quadrature._log_integrand(k, t, t - k.x)
@@ -261,11 +267,13 @@ def test_x_past_the_bessel_series_is_a_named_convergence_error(x):
     q = MomentQuery(1.0, 2.0, x, 1.0)
     assert math.isfinite(q.x * quadrature._window(
         quadrature._Shape(q.eta, q.mu, q.x), q.y)[1])
-    reason = (r"on its window .*: Bessel series did not converge" if x < 1e100
-              else r"with .*: rounding leaves its window .* unable to resolve")
+    named = re.escape(repr(x))
+    reason = (rf"x = {named} on its window .*: Bessel series did not converge"
+              if x < 1e100 else
+              rf"eta = 1\.0, mu = 2\.0, x = {named}, y = 1\.0: rounding "
+              r"leaves its window .* unable to resolve")
     with pytest.raises(ConvergenceError,
-                       match=rf"^quadrature cannot take x = {re.escape(repr(x))} "
-                             + reason):
+                       match=r"^quadrature cannot take " + reason):
         tanh_rule_integrate(q)
 
 
@@ -275,11 +283,13 @@ def test_collapsed_window_on_the_peak_raises():
     # integral there is not negligible (the series overflows to inf
     # unconverged), and 0.0 would be a silently wrong value: an ulp of the
     # shape's terms at the peak exceeds its drop, and truncation_bounds
-    # refuses it.
+    # refuses it.  eta put the peak there, so the message names every
+    # parameter and blames none.
     q = MomentQuery(1e300, 1.0, 1.0, 1.0)
     for func in (truncation_bounds, tanh_rule_integrate):
         with pytest.raises(ConvergenceError, match=r"^quadrature cannot "
-                           r"take x = 1\.0 .*: rounding leaves its window "
+                           r"take eta = 1e\+300, mu = 1\.0, x = 1\.0, "
+                           r"y = 1\.0: rounding leaves its window "
                            r"\[1\.0, 1e\+300\] unable to resolve"):
             func(q)
     assert not nuttall_q_series(q).converged
@@ -296,8 +306,9 @@ def test_collapsed_window_at_y_on_the_peak_is_refused(eta, mu, x, y):
     assert quadrature._Shape(eta, mu, x).peak() >= y
     for func in (truncation_bounds, tanh_rule_integrate):
         with pytest.raises(ConvergenceError, match=r"^quadrature cannot take "
-                           rf"x = {re.escape(repr(x))} .*: rounding leaves "
-                           r"its window .* unable to resolve the integrand"):
+                           rf"eta = .*, x = {re.escape(repr(x))}, y = .*: "
+                           r"rounding leaves its window .* unable to "
+                           r"resolve the integrand"):
             func(q)
 
 
@@ -316,7 +327,8 @@ def test_flat_shape_one_ulp_past_the_peak_is_refused(x, monkeypatch):
     monkeypatch.setattr(quadrature, "_drop", recording)
     q = MomentQuery(0.0, 1.0, x, math.nextafter(x, math.inf))
     with pytest.raises(ConvergenceError, match=r"^quadrature cannot take "
-                       rf"x = {re.escape(repr(x))} .* unable to resolve"):
+                       rf"eta = .*, x = {re.escape(repr(x))}, .* unable to "
+                       r"resolve"):
         truncation_bounds(q)
     assert len(dropped) == 1 and math.isnan(dropped[0])
 
@@ -343,10 +355,12 @@ def test_outcome_reports_the_converged_pass(eta, mu, x, y):
     q = MomentQuery(eta, mu, x, y)
     out = tanh_rule_integrate(q)
     assert out.value == moment_by_quadrature(q)
-    # Nested grids: n0 = _FIRST_GRID points, then n -> 2n - 1, so
-    # (n0 - 1) 2^k + 1 after k refinements (k >= 1: the first pass has
-    # nothing to compare against).
-    step = quadrature._FIRST_GRID - 1
+    # Nested grids: n0 points, 9 on a free window and 17 on a cut one, then
+    # n -> 2n - 1, so (n0 - 1) 2^k + 1 after k refinements (k >= 1: the
+    # first pass has nothing to compare against).
+    free = truncation_bounds(q).lower > q.y
+    step = (quadrature._FREE_FIRST_GRID if free
+            else quadrature._FIRST_GRID) - 1
     k = ((out.nodes - 1) // step).bit_length() - 1
     assert k >= 1 and out.nodes == step * 2**k + 1
     assert 0.0 <= out.est_error <= 1e-12
@@ -372,17 +386,19 @@ def test_outcome_stops_on_the_first_pass_a_rule_accepts():
     # stop rule, all at the module's one tolerance, and the returned one
     # reports d where two passes agree, d^2 where the error squares and
     # d^rho, rho = min(3, ln d / ln d_prev), where the passes show a faster
-    # rate.  All three rules occur here.
+    # rate.  All three rules occur here; (0, 5, 5, 0), whose value is 1,
+    # stops where two passes agree.
     tol = quadrature._REL_TOL
     used = set()
-    for eta, mu, x, y in (CONVERGED_PASS_POINTS + [(4.0, 12.5, 7.0, 9.0)]
+    for eta, mu, x, y in (CONVERGED_PASS_POINTS
+                          + [(4.0, 12.5, 7.0, 9.0), (0.0, 5.0, 5.0, 0.0)]
                           + [p[:4] for p in RATE_STOP_POINTS]):
         q = MomentQuery(eta, mu, x, y)
         out = tanh_rule_integrate(q)
         values = []
-        for n, value in quadrature._nested_passes(
-                quadrature._NodeKernel(q), truncation_bounds(q),
-                quadrature._FIRST_GRID):
+        spec = truncation_bounds(q)
+        node_logs, first = quadrature._node_map(q, spec)
+        for n, value in quadrature._nested_passes(node_logs, spec, first):
             values.append(value)
             if n == out.nodes:
                 break
@@ -419,7 +435,7 @@ def test_rate_stop_accepts_the_65_point_pass(eta, mu, x, y, value):
 def _stop_on_pass_sums(monkeypatch, sums):
     """``tanh_rule_integrate`` at a benign point, with passes of 17, 33, 65,
     ... points that sum to ``sums``."""
-    def passes(kernel, spec, n):
+    def passes(node_logs, spec, n):
         for value in sums:
             yield n, value
             n = 2 * n - 1
@@ -477,7 +493,7 @@ def test_each_node_is_evaluated_once(eta, mu, x, y, monkeypatch):
     # so the check is on multisets.
     spec = truncation_bounds(q)
     h = (spec.u_lo + spec.u_hi) / (out.nodes - 1)
-    grid = Counter(_map_t(spec, -spec.u_lo + i * h)
+    grid = Counter(_node_t(q, spec, -spec.u_lo + i * h)
                    for i in range(out.nodes))
     assert not Counter(evaluated) - grid
 
@@ -589,22 +605,34 @@ def test_u_range_ends_are_sized_by_the_outermost_node():
     # The outermost node t = t(u_hi) lies above the centre of the
     # integrand's shape h with h at or below _EPS of its top there, and
     # 0.05 less in u leaves h above that: u_hi sits at the drop, not past
-    # it.  The lower end's dropped piece is checked in
+    # it.  On a free window the same holds of the lowest node t(-u_lo) =
+    # u_lo^2 below the centre, and 0.05 more in u.  A cut window's dropped
+    # lower piece is checked in
     # test_cut_lower_end_drops_below_eps_of_the_integral, and its bound in
     # test_cut_end_is_the_closed_form_of_its_bound.
+    free_ends = 0
     for eta, mu, x, y in CONVERGED_PASS_POINTS + [
             p[:4] for p in RISING_NEAR_ZERO_POINTS]:
         q = MomentQuery(eta, mu, x, y)
         spec = truncation_bounds(q)
         c, top = _shape_centre_top(q)
 
-        def small_at(u):
-            t = _map_t(spec, u)
-            return t >= c and _shape_log(q, t) - top <= math.log(1e-16) + 1e-12
+        def small_at(u, above=True):
+            t = _node_t(q, spec, u)
+            return ((t >= c) == above
+                    and _shape_log(q, t) - top <= math.log(1e-16) + 1e-12)
 
-        assert -spec.u_lo < spec.u_hi < quadrature._U_MAX, q
+        free = spec.lower > q.y
+        if free:
+            free_ends += 1
+            assert 0.0 < -spec.u_lo < spec.u_hi, q
+            assert small_at(-spec.u_lo, above=False), q
+            assert not small_at(-spec.u_lo + 0.05, above=False), q
+        else:
+            assert -spec.u_lo < spec.u_hi < quadrature._U_MAX, q
         assert small_at(spec.u_hi), q
         assert not small_at(spec.u_hi - 0.05), q
+    assert free_ends >= 1
 
 
 def _points_where_x_t_nears_mu_squared():
@@ -643,18 +671,20 @@ def test_shape_peak_is_where_its_slope_vanishes():
 
 
 def test_u_range_holds_the_integrand_above_1e_14_of_its_peak():
-    # A scan of the integrand over its window: every t where it is above
-    # 1e-14 of the scan's largest value lies inside [t(-u_lo), t(u_hi)].
+    # A scan of the integrand over [y, b], b the upper end of the cut
+    # window: every t where it is above 1e-14 of the scan's largest value
+    # lies inside [t(-u_lo), t(u_hi)], whether the window is cut or free.
     for q in _cut_points()[::5] + _points_where_x_t_nears_mu_squared():
         spec = truncation_bounds(q)
         k = quadrature._NodeKernel(q)
-        a, b = spec.lower, spec.upper
+        a = q.y
+        b = quadrature._window(quadrature._Shape(q.eta, q.mu, q.x), q.y)[1]
         ts = [a + (b - a) * (i + 0.5) / 400 for i in range(400)]
         logs = [_node_log(k, t) for t in ts]
         top = max(logs)
         inside = [t for t, v in zip(ts, logs) if v - top > math.log(1e-14)]
-        assert (_map_t(spec, -spec.u_lo) <= min(inside)
-                and max(inside) <= _map_t(spec, spec.u_hi)), q
+        assert (_node_t(q, spec, -spec.u_lo) <= min(inside)
+                and max(inside) <= _node_t(q, spec, spec.u_hi)), q
 
 
 def test_window_holds_the_mass_where_x_t_nears_mu_squared_at_large_mu():
@@ -691,8 +721,9 @@ def test_cut_lower_end_drops_below_eps_of_the_integral():
     # The map leaves out [lower, lower + d], d = W v(-u_lo)^20 with W
     # the window's width; d is often below an ulp of lower.  That piece, d
     # times the integrand's largest value on a scan of it, is below _EPS of
-    # the integral.
-    points = _cut_points()
+    # the integral.  Free windows are checked in
+    # test_free_window_drops_below_eps_of_the_integral.
+    points = [q for q in _cut_points() if truncation_bounds(q).lower == q.y]
     assert len(points) >= 60
     for q in points:
         spec = truncation_bounds(q)
@@ -710,6 +741,92 @@ def test_cut_lower_end_drops_below_eps_of_the_integral():
                 <= math.log(quadrature._EPS)), q
 
 
+def test_free_window_drops_below_eps_of_the_integral():
+    # A free window leaves out [y, lower] and [upper, b], b the upper end
+    # of the cut window, above which the integrand's shape is below _EPS^2
+    # of its top.  Each piece, on a 400-point trapezoid scan in t, is below
+    # _EPS of the integral.
+    free = 0
+    for q in _cut_points()[::2]:
+        spec = truncation_bounds(q)
+        if spec.lower == q.y:
+            continue
+        free += 1
+        k = quadrature._NodeKernel(q)
+        b = quadrature._window(quadrature._Shape(q.eta, q.mu, q.x), q.y)[1]
+        value = tanh_rule_integrate(q).value
+        for lo, hi in ((q.y, spec.lower), (spec.upper, b)):
+            ts = [lo + (hi - lo) * i / 400 for i in range(401)]
+            fs = [math.exp(_node_log(k, max(t, math.ulp(0.0)))) for t in ts]
+            piece = (hi - lo) / 400 * (math.fsum(fs) - (fs[0] + fs[-1]) / 2)
+            assert piece <= quadrature._EPS * value, (q, lo, hi)
+    assert free >= 80, free
+
+
+# (eta, mu, x, y): y = 0 lies below the mass, but the peak, near t = 18
+# and 12, lies within _ROOT_DROP of 0 in sqrt t, so the curvature bound
+# puts no drop of the shape below it at t > 0.  These take a cut window; a
+# free window would start its search for the lower drop at t = 0, the
+# branch point of t^{eta+mu-1}.
+NEAR_ZERO_PEAK_POINTS = [
+    (0.0, 2.9431713132297257, 16.428864422404455, 0.0),
+    (0.0, 5.2707493379472945, 8.217039297972473, 0.0),
+]
+
+
+@pytest.mark.parametrize("eta,mu,x,y", NEAR_ZERO_PEAK_POINTS)
+def test_free_window_stays_clear_of_t_zero(eta, mu, x, y):
+    q = MomentQuery(eta, mu, x, y)
+    assert tanh_rule_integrate(q).value == pytest.approx(
+        nuttall_q_series(q).value, rel=1e-13, abs=0.0)
+
+
+# (0, mu, 0, 0) at mu = 10^(3 + k/2): the value, 1 up to the rounding of
+# node logs of about mu ln mu, and the node count of its cut window.
+LARGE_MU_CUT_OUTCOMES = [
+    (1.0000000000004206, 65), (1.0000000000015985, 65),
+    (0.9999999999992443, 65), (0.9999999999754051, 65),
+    (1.0000000002055354, 65), (0.9999999996673933, 65),
+    (1.0000000007251688, 65), (0.9999999932613134, 65),
+    (1.0000000103378799, 65), (1.000000067694483, 65),
+    (0.9999998257918193, 65), (0.9999997113578735, 65),
+    (1.0000005400096816, 65), (1.0000108485025618, 65),
+    (1.0000059521266715, 257), (0.999876267870231, 257),
+]
+
+
+@pytest.mark.parametrize("k", range(26))
+def test_large_mu_at_x_zero_keeps_its_cut_window(k):
+    # The node logs round at 2^-52 mu ln mu, above the 1e-13 a free window
+    # needs from mu ~ 70, so every half-decade from 1e3 to 3.2e15 keeps the
+    # cut window and its outcome: the values and node counts above up to
+    # mu = 3.2e10; past it the passes differ by rounding alone and run to
+    # 65,537 nodes or to the node cap.  A free window there returned 0.93
+    # at mu = 1e15 and 3.3e8 at 4.5e15.
+    q = MomentQuery(0.0, 10.0 ** (3 + k / 2), 0.0, 0.0)
+    assert truncation_bounds(q).lower == q.y
+    if k < len(LARGE_MU_CUT_OUTCOMES):
+        out = tanh_rule_integrate(q)
+        assert (out.value, out.nodes) == LARGE_MU_CUT_OUTCOMES[k]
+
+
+@pytest.mark.parametrize("eta,mu,x,y", [
+    (47.0, 36.541762543500596, 19.511900608372187, 19.78895311732377),
+    (49.0, 34.65406010504813, 18.7813986540499, 0.0),
+    (0.0, 87.41810628175409, 34.56075251169736, 6.241625241631289),
+])
+def test_free_window_first_grid_lets_no_pass_stop_before_33_points(
+        eta, mu, x, y):
+    # From a first grid of 5 points the 9- and 17-point passes of these
+    # free windows changed little enough for the squaring stop to accept
+    # 17 points, 2e-8 off; the first grid of 9 points takes them to 33.
+    q = MomentQuery(eta, mu, x, y)
+    out = tanh_rule_integrate(q)
+    assert truncation_bounds(q).lower > q.y and out.nodes == 33
+    assert out.value == pytest.approx(nuttall_q_series(q).value, rel=1e-13,
+                                      abs=0.0)
+
+
 def test_cut_end_is_the_closed_form_of_its_bound():
     # The dropped length d = W / (1 + e^{2U})^20 times the largest value of
     # the integrand's shape h on [a, a + d] is at most _EPS times the mass
@@ -717,9 +834,18 @@ def test_cut_end_is_the_closed_form_of_its_bound():
     # delta its log drop from c to b), up to rounding, and 0.05 less in U
     # breaks it.  Where the window starts at the top of h, y past its peak,
     # h is at its top on [a, a + d], and U is the closed form of the bound.
+    # Free windows take most points with y below the mass, where -u_lo
+    # lies above 0; the low box eta in [0, 10], mu in [1, 20], x in [0, 10],
+    # y in [0, 2] puts the peak below _ROOT_DROP^2, where they stay cut.
+    rng = random.Random(43)
+    low = [MomentQuery(rng.uniform(0.0, 10.0), rng.uniform(1.0, 20.0),
+                       rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0))
+           for _ in range(150)]
     closed, negative = 0, 0
-    for q in _cut_points():
+    for q in _cut_points() + low:
         spec = truncation_bounds(q)
+        if spec.lower > q.y:
+            continue
         a, b = spec.lower, spec.upper
         c, top = _shape_centre_top(q)
         delta = top - _shape_log(q, b)
@@ -781,11 +907,12 @@ def _record_nodes(monkeypatch, spec, x, passes):
 
     monkeypatch.setattr(quadrature, "_log_integrand", recording)
     kernel = quadrature._NodeKernel(MomentQuery(1.0, 2.0, x, 1.0))
+    node_logs = quadrature._power_map(kernel, spec)
     n = quadrature._FIRST_GRID
     h = (spec.u_lo + spec.u_hi) / (n - 1)
     us = [-spec.u_lo + i * h for i in range(n)]
     for k, (points, total) in enumerate(
-            quadrature._nested_passes(kernel, spec, n), 1):
+            quadrature._nested_passes(node_logs, spec, n), 1):
         if k == passes:
             break
         n, h = 2 * n - 1, 0.5 * h
@@ -829,8 +956,8 @@ def _pass_sums(monkeypatch, spec, first, later, passes):
     monkeypatch.setattr(quadrature, "_log_integrand", stepped)
     kernel = quadrature._NodeKernel(MomentQuery(1.0, 2.0, 0.0, 1.0))
     sums = []
-    for _, total in quadrature._nested_passes(kernel, spec,
-                                              quadrature._FIRST_GRID):
+    for _, total in quadrature._nested_passes(
+            quadrature._power_map(kernel, spec), spec, quadrature._FIRST_GRID):
         sums.append(total)
         if len(sums) == passes:
             return sums
@@ -894,11 +1021,12 @@ def test_large_x_value_holds_as_the_u_range_moves(k, monkeypatch):
         q.x + 2.0, rel=1e-14, abs=0.0)
 
 
-def test_box_integrals_mostly_stop_at_65_points():
+def test_box_integrals_mostly_stop_at_the_first_squaring_pass():
     # 300 seeded points of the benchmark's box: the u-range cut to the
-    # integrand at both ends lets the squaring stop accept at 65 points.
-    # Before, 102 nodes per integral were evaluated and almost every
-    # integral ran to 129.
+    # integrand at both ends lets the squaring stop accept at 65 points,
+    # and a free window, on its grids from 9 points, at 33.  Before cut
+    # windows, 102 nodes per integral were evaluated and almost every
+    # integral ran to 129; with cut windows alone, about 65.
     rng = random.Random(31)
     outs = []
     for _ in range(300):
@@ -907,9 +1035,11 @@ def test_box_integrals_mostly_stop_at_65_points():
         out = tanh_rule_integrate(q)
         assert out.value == pytest.approx(nuttall_q_series(q).value,
                                           rel=1e-12, abs=0.0), q
-        outs.append(out)
-    assert sum(out.nodes for out in outs) / len(outs) <= 90.0
-    assert sum(out.nodes == 65 for out in outs) >= len(outs) / 2
+        free = truncation_bounds(q).lower > q.y
+        outs.append((out.nodes, 33 if free else 65, free))
+    assert sum(nodes for nodes, _, _ in outs) / len(outs) <= 90.0
+    assert sum(nodes == first for nodes, first, _ in outs) >= len(outs) / 2
+    assert sum(free for _, _, free in outs) >= len(outs) / 3
 
 
 def test_squaring_stop_at_its_looser_target_keeps_box_values_to_1e_13():
@@ -961,7 +1091,7 @@ def test_node_doubling_differences_shrink():
         spec = truncation_bounds(q)
         results = []
         for n, value in quadrature._nested_passes(
-                quadrature._NodeKernel(q), spec, 64):
+                quadrature._node_map(q, spec)[0], spec, 64):
             results.append(value)
             if n > 2**13:
                 break
