@@ -3,6 +3,13 @@
 Three mutually validating evaluation routes for Q_{eta,mu}(x, y): a series
 in incomplete gamma function ratios, stable recurrence ladders in mu, and a
 truncated tanh-rule quadrature of the defining integral.
+
+``import nuttallq`` loads the series and recurrence routes, the Bessel and
+incomplete-gamma kernels and the errors.  The quadrature route,
+``nuttallq.quadrature``, loads on first use: the first access to one of
+its five public names (``QuadratureOutcome``, ``QuadratureSpec``,
+``moment_by_quadrature``, ``tanh_rule_integrate``, ``truncation_bounds``)
+imports it, so that a command that never integrates does not compile it.
 """
 
 from .bessel import bessel_i_scaled, bessel_ratio
@@ -12,9 +19,6 @@ from .nuttall import (MomentQuery, RecurrenceTable, SeriesOutcome,
                       consistency_deviation, homogeneous_table, marcum_q,
                       nuttall_q_homogeneous, nuttall_q_ladder,
                       nuttall_q_series)
-from .quadrature import (QuadratureOutcome, QuadratureSpec,
-                         moment_by_quadrature, tanh_rule_integrate,
-                         truncation_bounds)
 
 __version__ = "0.1.0"
 
@@ -39,3 +43,20 @@ __all__ = [
     "tanh_rule_integrate",
     "truncation_bounds",
 ]
+
+_QUADRATURE_NAMES = frozenset({"QuadratureOutcome", "QuadratureSpec",
+                               "moment_by_quadrature", "tanh_rule_integrate",
+                               "truncation_bounds"})
+
+
+def __getattr__(name: str):
+    """A quadrature name, from ``nuttallq.quadrature`` on its first access
+    (PEP 562); any other missing name raises AttributeError."""
+    if name in _QUADRATURE_NAMES:
+        from . import quadrature
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _QUADRATURE_NAMES)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -28,7 +27,6 @@ from collections.abc import Iterable
 from .errors import ConvergenceError, DomainError
 from .nuttall import (MomentQuery, consistency_deviation, homogeneous_table,
                       nuttall_q_ladder, nuttall_q_series)
-from .quadrature import tanh_rule_integrate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,6 +83,7 @@ def _write_record(record: dict, fmt: str, keys: Iterable[str] = ()) -> None:
     """One record: sorted JSON, or a ``key value`` line for each of ``keys``
     (all, by default) whose value is not None."""
     if fmt == "json":
+        import json
         print(json.dumps(record, sort_keys=True))
         return
     for key in keys or record:
@@ -96,6 +95,7 @@ def _write_rows(header: tuple[str, ...], rows: Iterable[tuple],
                 fmt: str) -> None:
     """Rows under ``header``: one JSON list, or CSV lines as they come."""
     if fmt == "json":
+        import json
         print(json.dumps([dict(zip(header, row)) for row in rows]))
         return
     print(",".join(header))
@@ -155,6 +155,7 @@ def _eval_one(q: MomentQuery, method: str
         out = nuttall_q_series(q)
         return out.value, out.terms_used, out.est_error, out.converged
     if method == "quadrature":
+        from .quadrature import tanh_rule_integrate
         out = tanh_rule_integrate(q)
         return out.value, out.nodes, out.est_error, True
     # The table recurs up to mu from mu_start in (0, 1] (up to a 1e-12

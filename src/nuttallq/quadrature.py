@@ -89,7 +89,7 @@ cut window's upper end on that, for every x.
 
 The free window.  With c the peak of h and e^T its top, an integral takes
 the window [s_lo^2, s_hi^2] between the two drops of h to 1e-16 of its
-top in s = sqrt t, dropping [y, s_lo^2] and [s_hi^2, inf), where all four
+top in s = sqrt t, dropping [y, s_lo^2] and [s_hi^2, inf), where all three
 of these hold:
 
 - y < c and sqrt c > _ROOT_DROP = sqrt(-ln 1e-16) ~ 6.07, so that the
@@ -105,12 +105,7 @@ of these hold:
   3000-point box with mu up to 200, 234 values exceeded 1e-13 of the
   series against 220, and where the rounding lay above 1e-13 their root
   mean square error rose by 5%.  At (0, mu, 0, 0) from mu ~ 1e15, where
-  that rounding swamps the stop rule, a free window returned 0.93 for 1;
-- x s_hi^2 <= 350^2, so that every node's Bessel factor is its power
-  series (z <= 700).  Under the rounding bound it binds only for x from
-  about 165 to 450, where free windows that ran past z = 700 stayed within
-  4.4e-14 of the series on 189 seeded points; it keeps free windows on
-  the one Bessel route.
+  that rounding swamps the stop rule, a free window returned 0.93 for 1.
 
 ``_drop`` finds both ends by Newton steps in s, s_hi from sqrt c +
 _ROOT_DROP and s_lo from s0, where h is at or below its drop: ln h is
@@ -231,8 +226,6 @@ _LOG_EPS = math.log(_EPS)
 # 129, ..., and of a free window, whose grids are 9, 17, 33, ...
 _FIRST_GRID = 17
 _FREE_FIRST_GRID = 9
-# A node's Bessel factor is its power series up to z = 2 sqrt(x t) = 700.
-_SERIES_MAX_XT = 350.0**2
 # A free window needs the relative rounding of the node logs at or below
 # this (see the module docstring).
 _FREE_ROUNDING = 1e-13
@@ -472,12 +465,12 @@ def _u_range(shape: _Shape, centre: float, top: float, a: float,
     return min(_U_MAX, u_lo), min(_U_MAX, u_hi)
 
 
-def _free_window(shape: _Shape, peak: float, top: float, x: float,
+def _free_window(shape: _Shape, peak: float, top: float,
                  y: float) -> QuadratureSpec | None:
     """The free window of h for a y below its peak, with top e^top there:
     [s_lo^2, s_hi^2] between the two _EPS drops of h in s = sqrt t, with
     the u-range [s_lo, s_hi] of the map t = u^2; None where one of its
-    four conditions fails (see the module docstring)."""
+    three conditions fails (see the module docstring)."""
     root = math.sqrt(peak)
     s0 = max(math.sqrt(y), root - _ROOT_DROP)
     if not (root > _ROOT_DROP
@@ -487,7 +480,7 @@ def _free_window(shape: _Shape, peak: float, top: float, x: float,
     s_lo = _drop(shape, top, s0)
     s_hi = _drop(shape, top, root + _ROOT_DROP)
     lower, upper = s_lo * s_lo, s_hi * s_hi
-    if y < lower and x * upper <= _SERIES_MAX_XT:
+    if y < lower:
         return QuadratureSpec(peak, lower, upper, -s_lo, s_hi)
     return None
 
@@ -496,7 +489,7 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     """Choose a finite window that holds the integrand's mass, and the
     u-range of the map onto it, both from the integrand's shape h (see the
     module docstring): a free window between the drops of h to 1e-16 of
-    its top where y lies below its mass and the four conditions of the
+    its top where y lies below its mass and the three conditions of the
     module docstring hold (``_free_window``), and otherwise a cut window
     [y, b] (``_window``) with the u-range that stops where h falls to 1e-16
     of its top (``_u_range``).  ``peak`` is the peak of h.  A window that
@@ -530,7 +523,7 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     swamped = peak >= max(q.y, 1.0) and _ULP * max(
         shape.g * math.log(centre), centre) > -_LOG_EPS
     if not swamped and peak > q.y:
-        free = _free_window(shape, peak, top, q.x, q.y)
+        free = _free_window(shape, peak, top, q.y)
         if free is not None:
             return free
     u_range = None if swamped else _u_range(shape, centre, top, q.y, upper)

@@ -577,14 +577,81 @@ def test_closed_stdout_exits_without_a_traceback(argv, buffered):
     assert proc.returncode == EXIT_BROKEN_PIPE
 
 
+def _fresh_python(code, *args):
+    """stdout of ``code`` in a fresh interpreter that finds this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nuttallq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # Together they cost about 14% of a cold start, and no record needs them.
     code = ("import sys; before = set(sys.modules); import nuttallq.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    env = dict(os.environ, PYTHONPATH=str(Path(nuttallq.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    added = set(_fresh_python(code).split())
     assert "nuttallq.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+# Runs ``python -m nuttallq`` on the given arguments, as ``-m`` does, then
+# prints its exit code and the loaded modules on a last line.
+_COLD_CLI = """
+import runpy, sys
+sys.argv = ["nuttallq", *sys.argv[1:]]
+try:
+    runpy.run_module("nuttallq", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(sys.modules))
+"""
+
+
+def _cold_eval(*argv):
+    """(printed output, loaded modules) of a cold ``nuttallq eval``."""
+    out = _fresh_python(_COLD_CLI, "eval", "--eta", "4", "--mu", "12.5",
+                        "--x", "7", "--y", "9", *argv)
+    printed, _, last = out.rstrip("\n").rpartition("\n")
+    code, *modules = last.split()
+    assert code == "0", out
+    return printed + "\n", set(modules)
+
+
+@pytest.mark.parametrize("method", ["series", "ladder", "homogeneous"])
+def test_cold_eval_loads_neither_quadrature_nor_json(method):
+    # A start compiles every module it loads from source where bytecode is
+    # not written, so a route it does not run only costs it time.
+    printed, modules = _cold_eval("--method", method)
+    assert printed.startswith("value ")
+    assert "nuttallq.cli" in modules
+    assert not modules & {"nuttallq.quadrature", "json"}
+
+
+def test_cold_quadrature_json_eval_loads_both_and_prints_the_same():
+    printed, modules = _cold_eval("--method", "quadrature", "--format", "json")
+    assert {"nuttallq.quadrature", "json"} <= modules
+    assert printed == (
+        '{"converged": true, "est_error": 3.4397784232318763e-15, '
+        '"eta": 4.0, "method": "quadrature", "mu": 12.5, "terms": 65, '
+        '"value": 212594.85644679956, "x": 7.0, "y": 9.0}\n')
+
+
+def test_package_loads_quadrature_on_first_use():
+    code = ("import sys, nuttallq; "
+            "print('nuttallq.quadrature' in sys.modules); "
+            "from nuttallq import (QuadratureOutcome, QuadratureSpec, "
+            "moment_by_quadrature, tanh_rule_integrate, truncation_bounds); "
+            "from nuttallq import quadrature as qm; "
+            "print(QuadratureOutcome is qm.QuadratureOutcome, "
+            "QuadratureSpec is qm.QuadratureSpec, "
+            "moment_by_quadrature is qm.moment_by_quadrature, "
+            "tanh_rule_integrate is qm.tanh_rule_integrate, "
+            "truncation_bounds is qm.truncation_bounds)")
+    assert _fresh_python(code).split() == ["False"] + ["True"] * 5
+
+
+def test_package_dir_and_missing_names():
+    assert set(nuttallq.__all__) <= set(dir(nuttallq))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nuttallq.no_such_name

@@ -827,6 +827,46 @@ def test_free_window_first_grid_lets_no_pass_stop_before_33_points(
                                       abs=0.0)
 
 
+def test_free_windows_past_z_700_stop_at_33_points():
+    # Free windows whose top node t = upper takes its Bessel factor past
+    # z = 2 sqrt(x t) = 700, off the power series: eta 0, an integer or
+    # real up to 5, mu in [1, 5], x in [150, 420], y in [0, 100].  Each
+    # stops at 33 nodes within 1e-13 of the series, as the ones below 700.
+    rng = random.Random(5)
+    points = []
+    for _ in range(2000):
+        kind = rng.randrange(3)
+        eta = (0.0, float(rng.randint(1, 5)), rng.uniform(0.0, 5.0))[kind]
+        q = MomentQuery(eta, rng.uniform(1.0, 5.0), rng.uniform(150.0, 420.0),
+                        rng.uniform(0.0, 100.0))
+        spec = truncation_bounds(q)
+        if spec.lower > q.y and 2.0 * math.sqrt(q.x * spec.upper) > 700.0:
+            points.append(q)
+            if len(points) == 300:
+                break
+    assert len(points) == 300, len(points)
+    for q in points:
+        out = tanh_rule_integrate(q)
+        assert out.nodes == 33, q
+        assert out.value == pytest.approx(nuttall_q_series(q).value,
+                                          rel=1e-13, abs=0.0), q
+
+
+@pytest.mark.parametrize("eta,mu,x,y,free", [
+    (4.0, 12.5, 7.0, 9.0, False),
+    (7.0, 48.8, 7.1, 1.85, True),
+])
+def test_node_cap_raises(monkeypatch, eta, mu, x, y, free):
+    # With the cap at 17 nodes, a cut window has its 17-point pass and a
+    # free one its 9- and 17-point passes, and neither stops there.
+    q = MomentQuery(eta, mu, x, y)
+    assert (truncation_bounds(q).lower > q.y) is free
+    monkeypatch.setattr(quadrature, "_NODE_CAP", 17)
+    with pytest.raises(ConvergenceError,
+                       match="did not converge within 17 nodes"):
+        tanh_rule_integrate(q)
+
+
 def test_cut_end_is_the_closed_form_of_its_bound():
     # The dropped length d = W / (1 + e^{2U})^20 times the largest value of
     # the integrand's shape h on [a, a + d] is at most _EPS times the mass
