@@ -44,19 +44,16 @@ __all__ = [
     "truncation_bounds",
 ]
 
-_QUADRATURE_NAMES = frozenset({"QuadratureOutcome", "QuadratureSpec",
-                               "moment_by_quadrature", "tanh_rule_integrate",
-                               "truncation_bounds"})
-
 
 def __getattr__(name: str):
-    """A quadrature name, from ``nuttallq.quadrature`` on its first access
-    (PEP 562); any other missing name raises AttributeError."""
-    if name in _QUADRATURE_NAMES:
+    """A name of ``__all__`` not bound at import, from
+    ``nuttallq.quadrature`` on its first access (PEP 562); any other
+    missing name raises AttributeError."""
+    if name in __all__:
         from . import quadrature
         return getattr(quadrature, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _QUADRATURE_NAMES)
+    return sorted(set(globals()) | set(__all__))

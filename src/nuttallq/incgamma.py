@@ -212,21 +212,25 @@ def _p_series(a: float, y: float, pref: float) -> float:
 def _cont_frac(a: float, y: float) -> float:
     """Q(a, y) / e^{E(a, y)} by the Legendre continued fraction (modified
     Lentz); requires y - a >= 1, which keeps y + 1 - a > 0 also where a + 1
-    rounds to a."""
+    rounds to a.
+
+    No denominator needs a floor, and C starts infinite, as in
+    ``bessel_ratio``.  With w = y - a >= 1, the fraction has b_i = w + 1 +
+    2i and a_i = -i (i - a), and both denominators, D_i = b_i + a_i /
+    D_{i-1} from D_0 = b_0 and C_i = b_i + a_i / C_{i-1} from C_1 = b_1,
+    stay at or above b_i/2 >= 1 by induction: where a_i >= 0 they are at
+    least b_i, and where a_i < 0, b_i - 2|a_i| / b_{i-1} >= b_i/2 holds, as
+    b_i b_{i-1} = (w + 2i)^2 - 1 >= 4i^2 + 4i >= 4i (i - a).
+    """
     b = y + 1.0 - a
-    c = 1.0 / _FPMIN
+    c = math.inf
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
+        d = 1.0 / (an * d + b)
         c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _TOL:

@@ -439,16 +439,16 @@ def _lower_cut(shape: _Shape, centre: float, top: float, a: float,
     return math.exp(lo)
 
 
-def _u_range(shape: _Shape, centre: float, top: float, a: float,
-             b: float) -> tuple[float, float] | None:
+def _u_range(shape: _Shape, centre: float, top: float, a: float, b: float,
+             t_up: float) -> tuple[float, float] | None:
     """(u_lo, u_hi) of the u-range [-u_lo, u_hi] of the map onto the window
     [a, b], as the module docstring derives them, for h with centre c and
-    top e^top; None where the window cannot resolve h (see the module
-    docstring)."""
+    top e^top, and t_up the drop of h to _EPS of its top above c; None
+    where the window cannot resolve h (see the module docstring)."""
     drop = top - shape.log_and_slope(b)[0]
     w = b - a
-    # v^p = (t - a) / W at the drop t_up of h above its centre.
-    v_up = (_drop(shape, top, math.sqrt(centre) + _ROOT_DROP) ** 2 - a) / w
+    # v^p = (t - a) / W at t_up.
+    v_up = (t_up - a) / w
     if not (drop > 0.0 and 0.0 < v_up < 1.0):
         return None
     need = (b - centre) * -math.expm1(-drop) / drop
@@ -465,46 +465,32 @@ def _u_range(shape: _Shape, centre: float, top: float, a: float,
     return min(_U_MAX, u_lo), min(_U_MAX, u_hi)
 
 
-def _free_window(shape: _Shape, peak: float, top: float,
-                 y: float) -> QuadratureSpec | None:
-    """The free window of h for a y below its peak, with top e^top there:
-    [s_lo^2, s_hi^2] between the two _EPS drops of h in s = sqrt t, with
-    the u-range [s_lo, s_hi] of the map t = u^2; None where one of its
-    three conditions fails (see the module docstring)."""
-    root = math.sqrt(peak)
-    s0 = max(math.sqrt(y), root - _ROOT_DROP)
-    if not (root > _ROOT_DROP
-            and _ULP * max(shape.g * math.log(peak), peak) <= _FREE_ROUNDING
-            and shape.log_and_slope(s0 * s0)[0] < top + _LOG_EPS):
-        return None
-    s_lo = _drop(shape, top, s0)
-    s_hi = _drop(shape, top, root + _ROOT_DROP)
-    lower, upper = s_lo * s_lo, s_hi * s_hi
-    if y < lower:
-        return QuadratureSpec(peak, lower, upper, -s_lo, s_hi)
-    return None
-
-
 def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     """Choose a finite window that holds the integrand's mass, and the
     u-range of the map onto it, both from the integrand's shape h (see the
-    module docstring): a free window between the drops of h to 1e-16 of
-    its top where y lies below its mass and the three conditions of the
-    module docstring hold (``_free_window``), and otherwise a cut window
-    [y, b] (``_window``) with the u-range that stops where h falls to 1e-16
-    of its top (``_u_range``).  ``peak`` is the peak of h.  A window that
-    rounds to zero width at a y past the peak is returned with both ends of
-    its u-range at _U_MAX.
+    module docstring); ``peak`` is the peak of h.  With b the upper end of
+    the cut window [y, b] of ``_window``, c the centre of h on [y, inf)
+    and r = 2^-52 max(g ln c, c) the rounding of the terms of ln h there,
+    the window is decided in this order:
+
+    - one that rounds to zero width at a y past the peak is returned with
+      both ends of its u-range at _U_MAX;
+    - on the peak (peak >= y), one is refused where r exceeds the drop -ln
+      1e-16 of h that the u-range ends at;
+    - ``_drop`` finds s_hi, where h falls to 1e-16 of its top above c, in
+      s = sqrt t;
+    - where the three conditions of the module docstring hold (r <= 1e-13
+      among them) and y lies below the lower drop s_lo^2 of h, the window
+      is free, [s_lo^2, s_hi^2];
+    - otherwise it is [y, b], with the u-range of ``_u_range`` up to t_up =
+      s_hi^2, and it is refused where there is none.
 
     Raises DomainError where mu < 1 (the Bessel order mu - 1 is negative)
-    and where the node argument x t overflows on the window, and
-    ConvergenceError where rounding leaves the window unable to resolve h:
-    where the window sits on the peak (peak >= y) and the ulp of the terms
-    of ln h at its centre c, 2^-52 max(|g ln c|, c), exceeds the drop -ln
-    1e-16 of h that the u-range ends at, and where ``_u_range`` finds no
-    u-range.  The DomainError for x t starts ``quadrature cannot take x =
-    ...``, and the ConvergenceError ``quadrature cannot take eta = ...``,
-    with mu, x and y after it.
+    and where the node argument x t overflows on the window [y, b], and
+    ConvergenceError where the window is refused, as rounding leaves it
+    unable to resolve h.  The DomainError for x t starts ``quadrature
+    cannot take x = ...``, and the ConvergenceError ``quadrature cannot
+    take eta = ...``, with mu, x and y after it.
     """
     if q.mu < 1.0:
         raise DomainError(
@@ -517,22 +503,30 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
         raise DomainError(
             f"quadrature cannot take x = {q.x!r}: the Bessel argument x t "
             f"overflows on its window up to t = {upper!r}")
-    centre = max(peak, q.y)
-    # On the peak, rounding swamps the drop of h where an ulp of the terms
-    # of ln h at c exceeds it (see the module docstring).
-    swamped = peak >= max(q.y, 1.0) and _ULP * max(
-        shape.g * math.log(centre), centre) > -_LOG_EPS
-    if not swamped and peak > q.y:
-        free = _free_window(shape, peak, top, q.y)
-        if free is not None:
-            return free
-    u_range = None if swamped else _u_range(shape, centre, top, q.y, upper)
-    if u_range is None:
-        raise ConvergenceError(
-            f"quadrature cannot take eta = {q.eta!r}, mu = {q.mu!r}, "
-            f"x = {q.x!r}, y = {q.y!r}: rounding leaves its window "
-            f"[{q.y!r}, {upper!r}] unable to resolve the integrand")
-    return QuadratureSpec(peak, q.y, upper, *u_range)
+    c = max(peak, q.y)
+    root = math.sqrt(c)
+    # c is 0 only at (eta, mu, x, y) = (0, 1, 0, 0).
+    rounding = _ULP * max(shape.g * math.log(c), c) if c > 0.0 else 0.0
+    # On the peak, the window is refused where that rounding swamps the
+    # drop of h to _EPS of its top.
+    if not (peak >= q.y and rounding > -_LOG_EPS):
+        s_hi = _drop(shape, top, root + _ROOT_DROP)
+        s0 = max(math.sqrt(q.y), root - _ROOT_DROP)
+        if (peak > q.y and root > _ROOT_DROP and rounding <= _FREE_ROUNDING
+                and shape.log_and_slope(s0 * s0)[0] < top + _LOG_EPS):
+            s_lo = _drop(shape, top, s0)
+            if q.y < s_lo * s_lo:
+                return QuadratureSpec(peak, s_lo * s_lo, s_hi * s_hi, -s_lo,
+                                      s_hi)
+        # t_up is s_hi ** 2, the pow that cut windows were validated with:
+        # s_hi * s_hi can differ from it in the last bit.
+        u_range = _u_range(shape, c, top, q.y, upper, s_hi ** 2)
+        if u_range is not None:
+            return QuadratureSpec(peak, q.y, upper, *u_range)
+    raise ConvergenceError(
+        f"quadrature cannot take eta = {q.eta!r}, mu = {q.mu!r}, "
+        f"x = {q.x!r}, y = {q.y!r}: rounding leaves its window "
+        f"[{q.y!r}, {upper!r}] unable to resolve the integrand")
 
 
 def _power_map(kernel: _NodeKernel, spec: QuadratureSpec) -> _NodeLogs:

@@ -311,6 +311,19 @@ def test_table1_rows_and_golden_entry(capsys):
     assert float(row5["value"]) == pytest.approx(419098.1927146542, rel=5e-14, abs=0.0)
 
 
+def test_table1_stall_exit_code(capsys, monkeypatch):
+    # A golden row whose series does not converge fails the whole table:
+    # nothing is printed.
+    def stalled(q):
+        return nuttall.nuttall_q_series(q)._replace(converged=False)
+
+    monkeypatch.setattr(cli, "nuttall_q_series", stalled)
+    code, out, err = run(capsys, "table", "1")
+    assert code == EXIT_NO_CONVERGENCE
+    assert out == ""
+    assert err.startswith("convergence failure: table 1 series stalled at ")
+
+
 def test_table1_json_carries_the_csv_values(capsys):
     code, out, _ = run(capsys, "table", "1", "--format", "json")
     assert code == EXIT_OK

@@ -374,6 +374,17 @@ def test_shape_past_one_plus_shape_is_a_convergence_error():
         q_with_log_increment(1e150, 1e150)
 
 
+def test_continued_fraction_stall_is_a_convergence_error():
+    # Far past the box (shape <= 200), at y = shape + 1 the fraction needs
+    # more than its 10,000 terms from shape ~ 1e10; at 1e9 it still
+    # converges, within 1e-14 of mpmath.
+    q, _, _ = q_with_log_increment(1e9, 1e9 + 1)
+    assert q == pytest.approx(0.4999831791165293, rel=1e-14, abs=0.0)
+    with pytest.raises(ConvergenceError,
+                       match=r"^Q continued fraction stalled for shape="):
+        q_with_log_increment(1e10, 1e10 + 1)
+
+
 @pytest.mark.parametrize("func,value", [
     pytest.param(lambda a, y: q_with_log_increment(a, y)[0], 1.0,
                  id="q_with_log_increment_q-1.0"),

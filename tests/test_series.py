@@ -418,6 +418,15 @@ def test_non_convergence_is_explicit(monkeypatch):
         marcum_q(2.0, 15.0, 3.0)
 
 
+def test_continued_fraction_stall_reaches_the_caller():
+    # Q_{eta+mu}(y) at shape 1e10 and y = shape + 1 stalls (see
+    # test_continued_fraction_stall_is_a_convergence_error); the series
+    # raises it, not a value.
+    with pytest.raises(ConvergenceError,
+                       match=r"^Q continued fraction stalled for shape="):
+        nuttall_q_series(MomentQuery(0.0, 1e10, 0.0, 1e10 + 1))
+
+
 def test_marcum_trivial_points():
     assert marcum_q(4.0, 7.0, 0.0) == 1.0
     assert marcum_q(1.0, 0.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-15, abs=0.0)
