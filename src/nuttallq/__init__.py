@@ -15,16 +15,17 @@ imports it, so that a command that never integrates does not compile it.
 from .bessel import bessel_i_scaled, bessel_ratio
 from .errors import ConvergenceError, DomainError
 from .incgamma import log_q_increment
-from .nuttall import (MomentQuery, RecurrenceTable, SeriesOutcome,
-                      consistency_deviation, homogeneous_table, marcum_q,
-                      nuttall_q_homogeneous, nuttall_q_ladder,
-                      nuttall_q_series)
+from .nuttall import (Evaluation, MomentQuery, RecurrenceTable,
+                      SeriesOutcome, consistency_deviation, evaluate,
+                      homogeneous_table, marcum_q, nuttall_q_homogeneous,
+                      nuttall_q_ladder, nuttall_q_series)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
     "DomainError",
+    "Evaluation",
     "MomentQuery",
     "QuadratureOutcome",
     "QuadratureSpec",
@@ -33,6 +34,7 @@ __all__ = [
     "bessel_i_scaled",
     "bessel_ratio",
     "consistency_deviation",
+    "evaluate",
     "homogeneous_table",
     "log_q_increment",
     "marcum_q",

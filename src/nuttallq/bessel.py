@@ -71,7 +71,12 @@ def _series_sum(order: float, q: float,
     test.  ``groups`` holds the step factors 1/(n (order+n)) in tuples of
     four, n = 1, 2, ...; past its end they are formed as the sum needs them
     and appended to it.  The terms fall once n (order+n) > q, so a test on
-    the last of each four stops at most three terms late."""
+    the last of each four stops at most three terms late.
+
+    No public caller reaches the ConvergenceError at the end: both callers
+    stop at z <= 700, so q <= 122,500, and there the sum ends after 472
+    terms at order 0 and sooner at a higher order, far below the cap of
+    _SERIES_MAX_TERMS.  The raise stays as the loop's guard."""
     cutoff = _SERIES_CUTOFF
     term = total = 1.0
     for r0, r1, r2, r3 in groups:

@@ -19,22 +19,19 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import sys
 from collections.abc import Iterable
 
 from .errors import ConvergenceError, DomainError
-from .nuttall import (MomentQuery, consistency_deviation, homogeneous_table,
-                      nuttall_q_ladder, nuttall_q_series)
+from .nuttall import (METHODS, MomentQuery, consistency_deviation, evaluate,
+                      homogeneous_table, nuttall_q_series)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_SELFTEST_FAIL = 3
 EXIT_BROKEN_PIPE = 141
-
-METHODS = ("series", "ladder", "homogeneous", "quadrature")
 
 # Golden fixture, reference table 1: (eta, mu, x, y, double-precision value,
 # 50-digit value) rows.
@@ -147,36 +144,11 @@ def _axes(args) -> list[list[float]]:
             for name, _ in _DEFAULT_AXES]
 
 
-def _eval_one(q: MomentQuery, method: str
-              ) -> tuple[float, int | None, float | None, bool]:
-    """(value, terms_or_nodes, est_error, converged) for one evaluation;
-    the recurrences measure neither terms nor an error, so give None."""
-    if method == "series":
-        out = nuttall_q_series(q)
-        return out.value, out.terms_used, out.est_error, out.converged
-    if method == "quadrature":
-        from .quadrature import tanh_rule_integrate
-        out = tanh_rule_integrate(q)
-        return out.value, out.nodes, out.est_error, True
-    # The table recurs up to mu from mu_start in (0, 1] (up to a 1e-12
-    # slack); the builders check eta and the table's size.
-    n_cols = max(1, math.ceil(q.mu - 1e-12))
-    build = nuttall_q_ladder if method == "ladder" else homogeneous_table
-    table = build(q.eta, q.mu - (n_cols - 1), n_cols, q.x, q.y)
-    return table.entry(table.eta_max, n_cols - 1), None, None, True
-
-
 def _cmd_eval(args) -> int:
     q = MomentQuery(args.eta, args.mu, args.x, args.y)
-    value, terms, est, converged = _eval_one(q, args.method)
-    record = {
-        "eta": q.eta, "mu": q.mu, "x": q.x, "y": q.y,
-        "method": args.method, "value": value, "est_error": est,
-        "terms": terms, "converged": converged,
-    }
-    _write_record(record, args.format,
-                  ("value", "method", "terms", "est_error", "converged"))
-    if not converged:
+    ev = evaluate(q, args.method)
+    _write_record({**q._asdict(), **ev._asdict()}, args.format, ev._fields)
+    if not ev.converged:
         print("warning: series did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -230,13 +202,13 @@ def _cmd_sweep(args) -> int:
             q = MomentQuery(eta, mu, x, y)
             for method in methods:
                 try:
-                    value, terms, est, conv = _eval_one(q, method)
+                    ev = evaluate(q, method)
                 except ConvergenceError:
                     failures += 1
                     continue
-                if not conv:
+                if not ev.converged:
                     failures += 1
-                yield eta, mu, x, y, method, value, est, terms
+                yield eta, mu, x, y, method, ev.value, ev.est_error, ev.terms
 
     _write_rows(("eta", "mu", "x", "y", "method", "value", "est_error",
                  "terms"), rows(), "csv")

@@ -51,6 +51,10 @@ coefficient and y^mu e^{-y}/Gamma(mu+1) of the forcing term T_mu.
 distance from 1 measures the joint accuracy of everything above; it is the
 library's internal accuracy metric.
 
+``evaluate`` takes a route by its name and gives an ``Evaluation``; it is
+the one place that turns a method name into a route call, and the CLI's
+``eval`` and ``sweep`` print through it.
+
 The routes are not wholly independent, so their agreement does not check
 what they share:
 
@@ -200,6 +204,30 @@ class RecurrenceTable(namedtuple("RecurrenceTable",
 
     def entry(self, eta: int, col: int) -> float:
         return self.values[eta][col]
+
+
+# The routes ``evaluate`` takes by name.
+METHODS = ("series", "ladder", "homogeneous", "quadrature")
+
+
+class Evaluation(namedtuple("Evaluation",
+                            "value method terms est_error converged")):
+    """One value by a named route, as ``evaluate`` gives it.
+
+    value:     Q_{eta,mu}(x, y);
+    method:    the route, one of ``METHODS``;
+    terms:     the series' ``terms_used`` or the quadrature's ``nodes``;
+               None for the recurrences, which count no work;
+    est_error: the series' or the quadrature's ``est_error``; None for the
+               recurrences, which estimate none;
+    converged: the series' flag; True for the other routes, which raise
+               ConvergenceError where they fail.
+
+    A named tuple: it unpacks and indexes, and it compares equal to a plain
+    tuple of the same values, even to a record of another type.
+    """
+
+    __slots__ = ()
 
 
 def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
@@ -769,6 +797,33 @@ def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
         prev = [min(v, 1.0) for v in row] if e == 0 else row
         rows.append(tuple(prev))
     return RecurrenceTable(eta_max, mu_start, n_cols, tuple(rows))
+
+
+def evaluate(q: MomentQuery, method: str) -> Evaluation:
+    """Q_{eta,mu}(x, y) by the route ``method`` names, one of ``METHODS``.
+
+    The recurrences build a table of eta + 1 rows and n_cols = ceil(mu)
+    columns, at least one, where mu up to 1e-12 above an integer counts as
+    that integer.  It starts at mu_start = mu - (n_cols - 1), in (0, 1] up
+    to that slack, and its last entry is the value; the builders check eta
+    and the table's size.  An unknown method raises DomainError, and a
+    route's own failures raise as the route raises them.
+    """
+    if method == "series":
+        out = nuttall_q_series(q)
+        return Evaluation(out.value, method, out.terms_used, out.est_error,
+                          out.converged)
+    if method == "quadrature":
+        from .quadrature import tanh_rule_integrate
+        out = tanh_rule_integrate(q)
+        return Evaluation(out.value, method, out.nodes, out.est_error, True)
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}")
+    n_cols = max(1, math.ceil(q.mu - 1e-12))
+    build = nuttall_q_ladder if method == "ladder" else homogeneous_table
+    table = build(q.eta, q.mu - (n_cols - 1), n_cols, q.x, q.y)
+    return Evaluation(table.entry(table.eta_max, n_cols - 1), method, None,
+                      None, True)
 
 
 def consistency_deviation(q: MomentQuery) -> float:

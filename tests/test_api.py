@@ -1,9 +1,19 @@
-"""The public API is what the evaluators use."""
+"""The public API is what the evaluators use, and ``evaluate`` is the one
+entry point that takes a route by name."""
 
 import ast
+import math
 from pathlib import Path
 
+import pytest
+
 import nuttallq
+from nuttallq import (DomainError, Evaluation, MomentQuery, evaluate,
+                      homogeneous_table, nuttall_q_ladder, nuttall_q_series,
+                      tanh_rule_integrate)
+
+from oracles import EDGE_POINTS
+from test_cli import _fresh_python
 
 # The benchmark's workloads call these three through their modules, and no
 # function of the package calls them.
@@ -38,3 +48,69 @@ def test_every_public_name_is_a_record_an_error_or_used():
         if name not in called and name not in CALLED_FROM_OUTSIDE:
             unused.append(name)
     assert unused == []
+
+
+# The CLI's smoke point, and the edge points that the recurrences take.
+EVALUATE_POINTS = [(4.0, 12.5, 7.0, 9.0)] + [
+    p[:4] for p in EDGE_POINTS if float(p[0]).is_integer()]
+
+
+def _last_table_entry(build, q):
+    """Q_{eta,mu} as the last entry of the table that ``build`` makes from
+    mu_start = mu - (n_cols - 1)."""
+    n_cols = max(1, math.ceil(q.mu - 1e-12))
+    table = build(q.eta, q.mu - (n_cols - 1), n_cols, q.x, q.y)
+    return table.entry(table.eta_max, n_cols - 1)
+
+
+@pytest.mark.parametrize("point", EVALUATE_POINTS)
+def test_evaluate_gives_each_routes_own_output(point):
+    q = MomentQuery(*point)
+    series = nuttall_q_series(q)
+    quad = tanh_rule_integrate(q)
+    expected = {
+        "series": (series.value, "series", series.terms_used,
+                   series.est_error, series.converged),
+        "quadrature": (quad.value, "quadrature", quad.nodes, quad.est_error,
+                       True),
+        "ladder": (_last_table_entry(nuttall_q_ladder, q), "ladder", None,
+                   None, True),
+        "homogeneous": (_last_table_entry(homogeneous_table, q),
+                        "homogeneous", None, None, True),
+    }
+    assert set(expected) == set(nuttallq.nuttall.METHODS)
+    for method, want in expected.items():
+        got = evaluate(q, method)
+        assert type(got) is Evaluation
+        assert got._fields == ("value", "method", "terms", "est_error",
+                               "converged")
+        assert tuple(got) == want
+
+
+def test_evaluate_refuses_an_unknown_method():
+    with pytest.raises(DomainError) as exc:
+        evaluate(MomentQuery(4.0, 12.5, 7.0, 9.0), "bogus")
+    assert str(exc.value) == "unknown method 'bogus'"
+
+
+@pytest.mark.parametrize("point", [(0.5, 3.0, 1.0, 1.0),  # real eta
+                                   (1.0, 1e9, 1.0, 1.0)])  # entry limit
+def test_evaluate_passes_on_a_ladders_refusal(point):
+    with pytest.raises(DomainError):
+        evaluate(MomentQuery(*point), "ladder")
+
+
+def test_evaluate_reports_a_series_that_ran_out_of_terms():
+    ev = evaluate(MomentQuery(2.0, 10.0, 3000.0, 1000.0), "series")
+    assert ev.method == "series" and ev.converged is False
+
+
+@pytest.mark.parametrize("method,loads", [("series", False),
+                                          ("ladder", False),
+                                          ("homogeneous", False),
+                                          ("quadrature", True)])
+def test_evaluate_loads_quadrature_only_to_integrate(method, loads):
+    code = ("import sys, nuttallq; "
+            "nuttallq.evaluate(nuttallq.MomentQuery(4, 12.5, 7, 9), sys.argv[1]); "
+            "print('nuttallq.quadrature' in sys.modules)")
+    assert _fresh_python(code, method) == f"{loads}\n"

@@ -231,6 +231,15 @@ def test_scaled_past_the_term_cap_is_a_convergence_error(z):
         bessel_i_scaled(2.0, z)
 
 
+def test_power_series_past_its_term_cap_is_a_convergence_error():
+    # No public caller gets here: both stop at z <= 700, q <= 122,500.  At
+    # q = 1e12 the terms still rise at the cap of 100,000.
+    with pytest.raises(ConvergenceError) as exc:
+        bessel._series_sum(0.0, 1e12, [])
+    assert str(exc.value) == ("Bessel series did not converge for "
+                              "order=0.0, q=1000000000000.0")
+
+
 def _raise_time(z):
     """The error raised at e^{-z} I_0(z) and the least time of five calls."""
     best = math.inf
