@@ -7,3 +7,7 @@ class DomainError(ValueError):
 
 class ConvergenceError(ArithmeticError):
     """An iterative evaluation failed to converge within its cap."""
+
+
+class UsageError(Exception):
+    """A command line the CLI cannot run: a bad argument or range."""

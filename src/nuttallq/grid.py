@@ -1,0 +1,167 @@
+"""The CLI's ``table``, ``sweep`` and ``selftest`` commands.
+
+``cli`` imports this module only when one of them runs, so that ``eval``
+does not compile it.  ``table 2`` and ``selftest`` import the recurrences
+where they run them, and ``table 1`` runs the series alone.
+"""
+
+from __future__ import annotations
+
+import itertools
+import sys
+from collections.abc import Iterable
+
+from .cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SELFTEST_FAIL, TABLE1,
+                  format_field, write_record)
+from .errors import ConvergenceError, DomainError, UsageError
+from .nuttall import METHODS, MomentQuery, evaluate, nuttall_q_series
+
+TABLE2_ETA = 2
+TABLE2_X = 2.0
+TABLE2_Y = 3.0
+TABLE2_NS = (10, 20, 30, 40, 50, 60)
+
+SELFTEST_THRESHOLD = 1e-12
+
+
+def _write_rows(header: tuple[str, ...], rows: Iterable[tuple],
+                fmt: str) -> None:
+    """Rows under ``header``: one JSON list, or CSV lines as they come."""
+    if fmt == "json":
+        import json
+        print(json.dumps([dict(zip(header, row)) for row in rows]))
+        return
+    print(",".join(header))
+    for row in rows:
+        print(",".join(format_field(v) for v in row))
+
+
+def _linspace(lo: float, hi: float, steps: int) -> list[float]:
+    if steps == 1:
+        return [lo]
+    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+
+
+def _parse_range(text: str, steps_default: int) -> tuple[float, float, int]:
+    """(lo, hi, steps) from ``lo[:hi[:steps]]``; lo <= hi and steps >= 1."""
+    parts = text.split(":")
+    try:
+        if len(parts) == 1:
+            lo = hi = float(parts[0])
+            steps = 1
+        elif len(parts) == 2:
+            lo, hi, steps = float(parts[0]), float(parts[1]), steps_default
+        elif len(parts) == 3:
+            lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        else:
+            raise UsageError(f"bad range {text!r}: expected lo[:hi[:steps]]")
+    except ValueError as exc:
+        raise UsageError(f"bad range {text!r}: {exc}") from exc
+    if not lo <= hi:
+        raise UsageError(f"bad range {text!r}: lo must be <= hi")
+    if steps < 1:
+        raise UsageError(f"bad range {text!r}: steps must be >= 1, got {steps}")
+    return lo, hi, steps
+
+
+def _axes(args) -> list[list[float]]:
+    """The eta, mu, x and y grid values of a ``sweep`` or ``selftest``."""
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    return [_linspace(*_parse_range(getattr(args, name), args.steps))
+            for name in MomentQuery._fields]
+
+
+def _table1_rows() -> list[tuple[float, ...]]:
+    rows = []
+    for eta, mu, x, y, _, _ in TABLE1:
+        out = nuttall_q_series(MomentQuery(eta, mu, x, y))
+        if not out.converged:
+            raise ConvergenceError(f"table 1 series stalled at {(eta, mu, x, y)}")
+        rows.append((eta, mu, x, y, out.value))
+    return rows
+
+
+def _table2_rows() -> list[tuple[int, float]]:
+    from .recurrence import homogeneous_table
+    x, y = TABLE2_X, TABLE2_Y
+    table = homogeneous_table(TABLE2_ETA, 1.0, max(TABLE2_NS), x, y)
+    out = []
+    for n in TABLE2_NS:
+        series = nuttall_q_series(MomentQuery(TABLE2_ETA, float(n), x, y))
+        rel = abs(1.0 - series.value / table.entry(TABLE2_ETA, n - 1))
+        out.append((n, rel))
+    return out
+
+
+def table(args) -> int:
+    if args.which == 1:
+        _write_rows(("eta", "mu", "x", "y", "value"), _table1_rows(),
+                    args.format)
+    else:
+        _write_rows(("N", "rel_error"), _table2_rows(), args.format)
+    return EXIT_OK
+
+
+def sweep(args) -> int:
+    etas, mus, xs, ys = _axes(args)
+    methods = args.methods.split(",")
+    for m in methods:
+        if m not in METHODS:
+            raise DomainError(f"unknown method {m!r}")
+    needs_integer_eta = any(m in ("ladder", "homogeneous") for m in methods)
+    if needs_integer_eta and not all(float(e).is_integer() for e in etas):
+        raise DomainError(
+            "ladder/homogeneous sweeps require an integer eta grid")
+    failures = 0
+
+    def rows():
+        nonlocal failures
+        for eta, mu, x, y in itertools.product(etas, mus, xs, ys):
+            q = MomentQuery(eta, mu, x, y)
+            for method in methods:
+                try:
+                    ev = evaluate(q, method)
+                except ConvergenceError:
+                    failures += 1
+                    continue
+                if not ev.converged:
+                    failures += 1
+                yield eta, mu, x, y, method, ev.value, ev.est_error, ev.terms
+
+    _write_rows(("eta", "mu", "x", "y", "method", "value", "est_error",
+                 "terms"), rows(), "csv")
+    if failures:
+        print(f"warning: {failures} evaluations did not converge",
+              file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
+
+
+def selftest(args) -> int:
+    from .recurrence import consistency_deviation
+    etas, mus, xs, ys = _axes(args)
+    grid = list(itertools.product(sorted(set(etas)), mus, xs, ys))
+    worst, worst_at, failures = -1.0, None, 0
+    for eta, mu, x, y in grid:
+        try:
+            dev = consistency_deviation(MomentQuery(eta, mu, x, y))
+        except ConvergenceError:
+            failures += 1
+            continue
+        if dev > worst:
+            worst, worst_at = dev, {"eta": int(eta) if eta.is_integer()
+                                    else eta, "mu": mu, "x": x, "y": y}
+    passed = failures == 0 and worst <= SELFTEST_THRESHOLD
+    record = {
+        "points": len(grid),
+        "convergence_failures": failures,
+        "max_deviation": worst,
+        "argmax": worst_at,
+        "threshold": SELFTEST_THRESHOLD,
+        "result": "PASS" if passed else "FAIL",
+    }
+    write_record(record, args.format)
+    if failures:
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK if passed else EXIT_SELFTEST_FAIL

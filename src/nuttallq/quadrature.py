@@ -1,7 +1,7 @@
 """Brute-force evaluation of the defining moment integral.
 
 Cross-check for the series/recurrence evaluators (what it shares with them
-is listed in the ``nuttall`` module docstring).  With the
+is listed in the ``nuttallq`` package docstring).  With the
 x^{(1-mu)/2} factor cancelled against the power series of I_{mu-1}, the
 integrand is
 

@@ -13,7 +13,7 @@ from nuttallq import (DomainError, Evaluation, MomentQuery, evaluate,
                       tanh_rule_integrate)
 
 from oracles import EDGE_POINTS
-from test_cli import _fresh_python
+from test_cli import COLD_STARTS, ON_DEMAND, _fresh_python
 
 # The benchmark's workloads call these three through their modules, and no
 # function of the package calls them.
@@ -110,7 +110,61 @@ def test_evaluate_reports_a_series_that_ran_out_of_terms():
                                           ("homogeneous", False),
                                           ("quadrature", True)])
 def test_evaluate_loads_quadrature_only_to_integrate(method, loads):
+    # The library loads the modules that the CLI's eval of the route loads.
     code = ("import sys, nuttallq; "
             "nuttallq.evaluate(nuttallq.MomentQuery(4, 12.5, 7, 9), sys.argv[1]); "
-            "print('nuttallq.quadrature' in sys.modules)")
-    assert _fresh_python(code, method) == f"{loads}\n"
+            "print(*sorted(sys.modules))")
+    modules = set(_fresh_python(code, method).split())
+    assert modules & ON_DEMAND == COLD_STARTS[f"eval-{method}"][1]
+    assert ("nuttallq.quadrature" in modules) is loads
+
+
+# The package modules that a module must not import at its top level: the
+# series runs without the Bessel kernel and the other routes, quadrature
+# without the recurrences, and the CLI loads a route, and the grid commands,
+# only where a command runs them.
+NOT_AT_TOP_LEVEL = {
+    "__init__": {"bessel", "recurrence", "quadrature"},
+    "nuttall": {"bessel", "recurrence", "quadrature"},
+    "quadrature": {"recurrence"},
+    "cli": {"bessel", "recurrence", "quadrature", "grid"},
+    "grid": {"bessel", "recurrence", "quadrature"},
+}
+
+
+def _top_level_imports(module):
+    """The package modules that ``module`` imports outside any function or
+    class body."""
+    path = Path(nuttallq.__file__).parent / f"{module}.py"
+    found = set()
+    todo = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(a.name for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names])
+            found.update(n.split(".")[1] for n in names
+                         if n.startswith("nuttallq."))
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(NOT_AT_TOP_LEVEL))
+def test_routes_load_only_what_they_run(module):
+    assert not _top_level_imports(module) & NOT_AT_TOP_LEVEL[module]
+
+
+def test_top_level_import_walk_finds_what_is_there():
+    # It finds the imports a module makes at its top level, and none that a
+    # function makes (``evaluate`` imports quadrature in its branch).
+    assert _top_level_imports("cli") >= {"errors", "nuttall"}
+    assert "quadrature" not in _top_level_imports("nuttall")
+    assert {"bessel", "nuttall"} <= _top_level_imports("recurrence")

@@ -13,7 +13,7 @@ import pytest
 import nuttallq
 from nuttallq import (DomainError, MomentQuery, homogeneous_table,
                       tanh_rule_integrate)
-from nuttallq import cli, nuttall
+from nuttallq import cli, grid, nuttall, recurrence
 from nuttallq.cli import (EXIT_BROKEN_PIPE, EXIT_NO_CONVERGENCE, EXIT_OK,
                           EXIT_SELFTEST_FAIL, EXIT_USAGE, main)
 
@@ -267,7 +267,7 @@ def test_recurrence_tables_past_the_entry_limit_are_refused(
     def build(*args):
         raise DomainError("building reached")
 
-    monkeypatch.setattr(nuttall, "_ratio_sweep", build)
+    monkeypatch.setattr(recurrence, "_ratio_sweep", build)
     code, out, err = run(capsys, *command, method, "--x", "1", "--y", "1")
     assert code == EXIT_USAGE
     if entries is None:
@@ -276,7 +276,7 @@ def test_recurrence_tables_past_the_entry_limit_are_refused(
         what = "ladder" if method == "ladder" else "homogeneous table"
         assert err == (f"domain error: {what} needs (eta + 1) * n_cols = "
                        f"{entries} entries, over the limit of "
-                       f"{nuttall.MAX_TABLE_ENTRIES}\n")
+                       f"{recurrence.MAX_TABLE_ENTRIES}\n")
 
 
 @pytest.mark.parametrize("text", ["1:2:3:4", "a:b"])
@@ -317,7 +317,7 @@ def test_table1_stall_exit_code(capsys, monkeypatch):
     def stalled(q):
         return nuttall.nuttall_q_series(q)._replace(converged=False)
 
-    monkeypatch.setattr(cli, "nuttall_q_series", stalled)
+    monkeypatch.setattr(grid, "nuttall_q_series", stalled)
     code, out, err = run(capsys, "table", "1")
     assert code == EXIT_NO_CONVERGENCE
     assert out == ""
@@ -517,8 +517,7 @@ def test_selftest_routes_x_zero_to_series_check(capsys):
 
 
 def test_selftest_failure_exit_code(capsys, monkeypatch):
-    import nuttallq.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "SELFTEST_THRESHOLD", 1e-20)
+    monkeypatch.setattr(grid, "SELFTEST_THRESHOLD", 1e-20)
     code, out, _ = run(capsys, "selftest", "--eta", "1", "--mu", "1",
                        "--x", "1", "--y", "1", "--steps", "1")
     assert code == EXIT_SELFTEST_FAIL
@@ -621,24 +620,52 @@ print(code, *sorted(sys.modules))
 """
 
 
-def _cold_eval(*argv):
-    """(printed output, loaded modules) of a cold ``nuttallq eval``."""
-    out = _fresh_python(_COLD_CLI, "eval", "--eta", "4", "--mu", "12.5",
-                        "--x", "7", "--y", "9", *argv)
+def _cold_start(*argv):
+    """(printed output, loaded modules) of a cold ``nuttallq`` run."""
+    out = _fresh_python(_COLD_CLI, *argv)
     printed, _, last = out.rstrip("\n").rpartition("\n")
     code, *modules = last.split()
     assert code == "0", out
     return printed + "\n", set(modules)
 
 
-@pytest.mark.parametrize("method", ["series", "ladder", "homogeneous"])
-def test_cold_eval_loads_neither_quadrature_nor_json(method):
-    # A start compiles every module it loads from source where bytecode is
-    # not written, so a route it does not run only costs it time.
-    printed, modules = _cold_eval("--method", method)
-    assert printed.startswith("value ")
+_EVAL = ("eval", "--eta", "4", "--mu", "12.5", "--x", "7", "--y", "9")
+
+
+def _cold_eval(*argv):
+    """(printed output, loaded modules) of a cold ``nuttallq eval``."""
+    return _cold_start(*_EVAL, *argv)
+
+
+# The modules that a cold start loads only where its command runs them.  A
+# start compiles every module it loads from source where bytecode is not
+# written, so a route it does not run only costs it time.
+ON_DEMAND = {"json", "nuttallq.bessel", "nuttallq.grid",
+             "nuttallq.quadrature", "nuttallq.recurrence"}
+_RECURRENCES = {"nuttallq.bessel", "nuttallq.recurrence"}
+# Each command's arguments and the modules of ON_DEMAND it loads: the series
+# loads none, and the grid commands load ``grid``.
+COLD_STARTS = {
+    "eval-series": (_EVAL, set()),
+    "eval-series-json": (_EVAL + ("--format", "json"), {"json"}),
+    "eval-ladder": (_EVAL + ("--method", "ladder"), _RECURRENCES),
+    "eval-homogeneous": (_EVAL + ("--method", "homogeneous"), _RECURRENCES),
+    "eval-quadrature": (_EVAL + ("--method", "quadrature"),
+                        {"nuttallq.bessel", "nuttallq.quadrature"}),
+    "table-1": (("table", "1"), {"nuttallq.grid"}),
+    "table-2": (("table", "2"), {"nuttallq.grid"} | _RECURRENCES),
+    "sweep": (("sweep", "--steps", "1"), {"nuttallq.grid"}),
+    "selftest": (("selftest", "--steps", "1"),
+                 {"nuttallq.grid"} | _RECURRENCES),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COLD_STARTS))
+def test_cold_start_loads_only_the_route_it_runs(command):
+    argv, loads = COLD_STARTS[command]
+    _, modules = _cold_start(*argv)
     assert "nuttallq.cli" in modules
-    assert not modules & {"nuttallq.quadrature", "json"}
+    assert modules & ON_DEMAND == loads
 
 
 def test_cold_quadrature_json_eval_loads_both_and_prints_the_same():
@@ -668,3 +695,46 @@ def test_package_dir_and_missing_names():
     assert set(nuttallq.__all__) <= set(dir(nuttallq))
     with pytest.raises(AttributeError, match="no_such_name"):
         nuttallq.no_such_name
+
+
+# The names ``nuttallq`` serves from ``recurrence`` and ``bessel``, and those
+# that moved from ``nuttall`` to ``recurrence``.
+_PACKAGE_LAZY = {"recurrence": ("RecurrenceTable", "consistency_deviation",
+                                "homogeneous_table", "nuttall_q_homogeneous",
+                                "nuttall_q_ladder"),
+                 "bessel": ("bessel_i_scaled", "bessel_ratio")}
+_MOVED_FROM_NUTTALL = ("MAX_TABLE_ENTRIES", "RecurrenceTable",
+                       "consistency_deviation", "homogeneous_table",
+                       "nuttall_q_homogeneous", "nuttall_q_ladder")
+
+
+def test_package_loads_recurrences_and_bessel_on_first_use():
+    code = f"""
+import importlib, sys, nuttallq
+print("nuttallq.recurrence" in sys.modules, "nuttallq.bessel" in sys.modules)
+for module, names in {_PACKAGE_LAZY!r}.items():
+    mod = importlib.import_module("nuttallq." + module)
+    print(*(getattr(nuttallq, n) is getattr(mod, n) for n in names))
+"""
+    n_names = sum(map(len, _PACKAGE_LAZY.values()))
+    assert _fresh_python(code).split() == ["False"] * 2 + ["True"] * n_names
+
+
+def test_moved_names_resolve_from_nuttall_and_stay_bound():
+    # Listed in dir() before any use, bound in the module on first access,
+    # and the very objects of ``recurrence``.
+    code = """
+import sys
+from nuttallq import nuttall
+names = sys.argv[1:]
+print("nuttallq.recurrence" in sys.modules, set(names) <= set(dir(nuttall)),
+      any(n in vars(nuttall) for n in names))
+got = [getattr(nuttall, n) for n in names]
+from nuttallq import recurrence
+print(all(g is getattr(recurrence, n) is vars(nuttall)[n]
+          for g, n in zip(got, names)))
+"""
+    out = _fresh_python(code, *_MOVED_FROM_NUTTALL)
+    assert out.split() == ["False", "True", "False", "True"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nuttall.no_such_name

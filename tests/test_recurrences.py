@@ -12,7 +12,7 @@ from nuttallq import (ConvergenceError, DomainError, MomentQuery,
                       consistency_deviation, homogeneous_table, marcum_q,
                       nuttall_q_homogeneous, nuttall_q_ladder,
                       nuttall_q_series)
-from nuttallq import nuttall
+from nuttallq import nuttall, recurrence
 from nuttallq.bessel import bessel_ratio
 from oracles import bessel_ratio_by_series
 
@@ -101,7 +101,7 @@ def test_tables_take_one_ratio_sweep(monkeypatch, n_cols, x, y):
     calls = {"bessel_ratio": 0, "bessel_i_scaled": 0}
 
     def counted(name):
-        kernel = getattr(nuttall, name)
+        kernel = getattr(recurrence, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -109,7 +109,7 @@ def test_tables_take_one_ratio_sweep(monkeypatch, n_cols, x, y):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(nuttall, name, counted(name))
+        monkeypatch.setattr(recurrence, name, counted(name))
     prev = [marcum_q(0.5 + m, x, y) for m in range(n_cols)]
     nuttall_q_homogeneous(1, prev, _series(1.0, 0.5, x, y),
                           _series(1.0, 1.5, x, y), x, y, 0.5, n_cols)
@@ -271,7 +271,7 @@ def test_ladder_forcing_term_past_z_700(eta_max, mu0, x, y, ref):
 ])
 def test_forcing_term_at_a_large_exponent(x, y, ref):
     # A plain exp of the rounded exponent is 6.7e-14 off here.
-    got = nuttall._inhom_term(0, 1.0, x, y)
+    got = recurrence._inhom_term(0, 1.0, x, y)
     assert got == pytest.approx(ref, rel=2e-14, abs=0.0)
 
 
@@ -449,10 +449,10 @@ def test_builders_refuse_tables_past_the_entry_limit(monkeypatch, build,
     def sweep(*args):
         raise AssertionError("table built past the entry limit")
 
-    monkeypatch.setattr(nuttall, "_ratio_sweep", sweep)
+    monkeypatch.setattr(recurrence, "_ratio_sweep", sweep)
     with pytest.raises(DomainError, match=(
             rf"needs \(eta \+ 1\) \* n_cols = {(eta_max + 1) * n_cols} "
-            rf"entries, over the limit of {nuttall.MAX_TABLE_ENTRIES}$")):
+            rf"entries, over the limit of {recurrence.MAX_TABLE_ENTRIES}$")):
         build(eta_max, 1.0, n_cols, 1.0, 1.0)
 
 
@@ -490,7 +490,7 @@ def test_ratio_sweep_matches_per_order_ratios_and_series_oracle():
         for n in (1, 2, 37, 200):
             mu0 = rng.uniform(0.5, 251.0 - n)
             # At x = y the coefficient sqrt(y/x) r is the ratio r itself.
-            ratios = nuttall._ratio_sweep(mu0, n, 0.5 * z, 0.5 * z)
+            ratios = recurrence._ratio_sweep(mu0, n, 0.5 * z, 0.5 * z)
             for k, r in enumerate(ratios):
                 order = mu0 + k
                 assert r == pytest.approx(bessel_ratio(order, z), rel=5e-15,
@@ -581,7 +581,7 @@ def test_homogeneous_table_makes_one_ratio_sweep(monkeypatch):
         calls.append((order, z))
         return bessel_ratio(order, z)
 
-    monkeypatch.setattr(nuttall, "bessel_ratio", counting)
+    monkeypatch.setattr(recurrence, "bessel_ratio", counting)
     for eta_max in (1, 5, 20):
         calls.clear()
         homogeneous_table(eta_max, 0.5, 12, 3.0, 7.0)

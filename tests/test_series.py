@@ -121,7 +121,7 @@ def test_q_factors_below_the_log_range_are_no_converged_zero():
     out = nuttall_q_series(MomentQuery(eta, mu, x, y))
     assert not out.converged
     with pytest.raises(ConvergenceError):
-        nuttall._series_value(eta, mu, x, y)
+        nuttall.series_value(eta, mu, x, y)
 
 
 # (eta, mu, x, y, value) with y far above x: the sum runs 180-610 terms,
