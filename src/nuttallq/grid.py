@@ -113,12 +113,13 @@ def sweep(args) -> int:
     if needs_integer_eta and not all(float(e).is_integer() for e in etas):
         raise DomainError(
             "ladder/homogeneous sweeps require an integer eta grid")
+    # Every query is built, and so checked, before the header is printed.
+    queries = [MomentQuery(*p) for p in itertools.product(etas, mus, xs, ys)]
     failures = 0
 
     def rows():
         nonlocal failures
-        for eta, mu, x, y in itertools.product(etas, mus, xs, ys):
-            q = MomentQuery(eta, mu, x, y)
+        for q in queries:
             for method in methods:
                 try:
                     ev = evaluate(q, method)
@@ -127,7 +128,7 @@ def sweep(args) -> int:
                     continue
                 if not ev.converged:
                     failures += 1
-                yield eta, mu, x, y, method, ev.value, ev.est_error, ev.terms
+                yield *q, method, ev.value, ev.est_error, ev.terms
 
     _write_rows(("eta", "mu", "x", "y", "method", "value", "est_error",
                  "terms"), rows(), "csv")
@@ -156,7 +157,7 @@ def selftest(args) -> int:
     record = {
         "points": len(grid),
         "convergence_failures": failures,
-        "max_deviation": worst,
+        "max_deviation": None if worst_at is None else worst,
         "argmax": worst_at,
         "threshold": SELFTEST_THRESHOLD,
         "result": "PASS" if passed else "FAIL",

@@ -41,11 +41,9 @@ about the error of pass k-1, and d_k^2 estimates the error of pass k, so
 the second condition accepts pass k without a confirming pass.  It needs
 d_k to shrink, so it cannot fire before the third pass, at 33 points on
 a free window and 65 on a cut one.  The estimate d_k^2 overstates the
-error: on pass 0 of seeds 1-10 of the benchmark, with cut windows only,
-it accepted 303 integrals at 65 points with d_k^2 in (1e-14, 1e-12], and
-the worst of all 1000 integrals stayed 8.1e-14 off the series, about as
-with a 1e-14 target that took 804 at 65 points.  So all rules share the
-one tolerance.
+error, so the integrals it accepts between a 1e-14 and a 1e-12 target
+stay about as close to the series as with the tighter one (``CHANGES.md``
+records the run).  So all rules share the one tolerance.
 
 Squaring is the rate of an integrand analytic in a strip about the real
 u-axis, whose error is about e^{-2 pi s / h} for a strip of half-width s
@@ -113,8 +111,9 @@ forms t - x as (u - sqrt x)(u + sqrt x).  No end map is needed: in s, ln
 h has curvature at most -2, so h falls like a Gaussian at both ends, and
 the trapezoidal rule converges geometrically (Trefethen & Weideman).  The
 first grid has 9 points, so that the squaring stop can accept the
-33-point pass; from 5 points, 3 of the 1000 integrals of pass 0 of seeds
-1-10 of the benchmark stopped at 17 points, 2e-8 off.
+33-point pass and no earlier one: from a first grid of 5 points, some
+integrals stopped at 17 points, far from their value (``CHANGES.md``
+records how many).
 
 A cut window takes the map
 
@@ -156,9 +155,9 @@ and
 
 The window's upper end lies further out, where the curvature bound puts h
 at 1e-32 of its top, so that v^p is not saturated at t_up: with the upper
-end at the 1e-16 point of that bound, 749 of the 1000 integrals of pass 0
-of seeds 1-10 of the benchmark stopped at 65 points, against 804, and 81.1
-nodes per integral were evaluated, against 77.5.
+end at the 1e-16 point of that bound, fewer integrals stop at 65 points
+and more nodes are evaluated per integral (``CHANGES.md`` records the
+counts).
 
 The lower end drops [a, a + d] with d = W v(-U)^p = W / (1 + e^{2U})^p.
 As h is log-concave in t, on [c, b] it lies above the exponential chord

@@ -187,7 +187,7 @@ def test_eval_non_convergence_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "eval", "--eta", "2", "--mu", "2",
                        "--x", "15", "--y", "3")
     assert code == EXIT_NO_CONVERGENCE
-    assert "converge" in err
+    assert err == "warning: series did not converge\n"
 
 
 @pytest.mark.parametrize("flag", ["--tol=1e-12", "--max-terms=500"])
@@ -286,6 +286,14 @@ def test_malformed_range_is_a_usage_error(capsys, text):
     assert err.startswith(f"usage error: bad range {text!r}")
 
 
+@pytest.mark.parametrize("axis", [("--mu", "0"), ("--x", "-1")])
+def test_sweep_axis_outside_the_domain_prints_nothing(capsys, axis):
+    # Every query of the grid is built before the CSV header.
+    code, out, err = run(capsys, "sweep", *axis, "--steps", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("domain error: ")
+
+
 def test_eval_recurrence_needs_integer_eta(capsys):
     code, _, err = run(capsys, "eval", "--eta", "1.5", "--mu", "2",
                        "--x", "1", "--y", "1", "--method", "homogeneous")
@@ -334,6 +342,7 @@ def test_table1_json_carries_the_csv_values(capsys):
     for record, row in zip(records, rows):
         assert sorted(record) == ["eta", "mu", "value", "x", "y"]
         assert all(record[k] == float(row[k]) for k in record)
+        assert all(math.isfinite(v) for v in record.values())
 
 
 def test_table2_errors_within_bound(capsys):
@@ -345,6 +354,11 @@ def test_table2_errors_within_bound(capsys):
         assert float(r["rel_error"]) <= 1e-13
     row30 = next(r for r in rows if r["N"] == "30")
     assert float(row30["rel_error"]) <= 1e-13
+    code, out, _ = run(capsys, "table", "2", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out) == [{"N": int(r["N"]),
+                                "rel_error": float(r["rel_error"])}
+                               for r in rows]
 
 
 def test_table_output_is_deterministic(capsys):
@@ -356,13 +370,14 @@ def test_table_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_sweep_csv_columns_and_agreement(capsys):
-    code, out, _ = run(capsys, "sweep", "--eta", "2:4:2", "--mu", "3:9:2",
-                       "--x", "1:5:2", "--y", "2:6:2",
+def _sweep_every_method(capsys, *axes):
+    """The CSV of a sweep by all four methods over a grid of two points per
+    axis: it exits 0, and at every point each method agrees with the
+    series."""
+    code, out, _ = run(capsys, "sweep", *axes,
                        "--methods", "series,ladder,homogeneous,quadrature")
     assert code == EXIT_OK
     rows = parse_csv(out)
-    assert out.splitlines()[0] == "eta,mu,x,y,method,value,est_error,terms"
     assert len(rows) == 2 * 2 * 2 * 2 * 4
     by_point = {}
     for r in rows:
@@ -372,6 +387,17 @@ def test_sweep_csv_columns_and_agreement(capsys):
         ref = vals["series"]
         for method, v in vals.items():
             assert v == pytest.approx(ref, rel=1e-10, abs=0.0), (key, method)
+    return out
+
+
+def test_sweep_csv_columns_and_agreement(capsys):
+    out = _sweep_every_method(capsys, "--eta", "2:4:2", "--mu", "3:9:2",
+                              "--x", "1:5:2", "--y", "2:6:2")
+    assert out.splitlines()[0] == "eta,mu,x,y,method,value,est_error,terms"
+
+
+def test_sweep_default_grid_takes_every_method(capsys):
+    _sweep_every_method(capsys, "--steps", "2")
 
 
 def test_sweep_is_deterministic(capsys):
@@ -435,6 +461,7 @@ ETA_GRIDS = [
     (("--eta", "0", "--mu", "3", "--x", "1", "--y", "1"), False),
     (("--eta", "1:2:3", "--mu", "3", "--x", "1", "--y", "1"), False),
     (("--steps", "6"), False),
+    (("--eta", "0:49", "--x", "0:20", "--steps", "6"), False),
 ]
 
 
@@ -499,13 +526,14 @@ def test_selftest_json_region_pass(capsys):
 
 def test_selftest_x_zero_region_passes(capsys):
     # x = 0 points run the consistency identity, with T_mu at its limit.
-    code, out, _ = run(capsys, "selftest", "--x", "0:20", "--steps", "5",
-                       "--format", "json")
-    assert code == EXIT_OK
-    record = json.loads(out)
-    assert record["result"] == "PASS"
-    assert record["convergence_failures"] == 0
-    assert record["max_deviation"] <= 1e-12
+    for steps in ("3", "5"):
+        code, out, _ = run(capsys, "selftest", "--x", "0:20", "--steps",
+                           steps, "--format", "json")
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert record["result"] == "PASS"
+        assert record["convergence_failures"] == 0
+        assert record["max_deviation"] <= 1e-12
 
 
 def test_selftest_routes_x_zero_to_series_check(capsys):
@@ -545,15 +573,21 @@ def test_selftest_fails_a_point_it_cannot_check(capsys, eta, x, y):
 
 
 def test_selftest_convergence_failure_exit_code(capsys, monkeypatch):
+    # No point converged, so there is no deviation to report: null in JSON
+    # and no line of text, as for argmax.
     monkeypatch.setattr(nuttall, "_MAX_TERMS", 4)
-    code, out, _ = run(capsys, "selftest", "--eta", "2", "--mu", "2",
-                       "--x", "15", "--y", "3", "--steps", "1",
-                       "--format", "json")
+    argv = ("selftest", "--eta", "2", "--mu", "2", "--x", "15", "--y", "3",
+            "--steps", "1")
+    code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == EXIT_NO_CONVERGENCE
     record = json.loads(out)
     assert record["points"] == record["convergence_failures"] == 1
-    assert record["argmax"] is None
+    assert record["argmax"] is None and record["max_deviation"] is None
     assert record["result"] == "FAIL"
+    code, text, _ = run(capsys, *argv)
+    assert code == EXIT_NO_CONVERGENCE
+    assert [line.split()[0] for line in text.splitlines()] == [
+        "points", "convergence_failures", "threshold", "result"]
 
 
 def test_numbers_printed_with_17_significant_digits(capsys):
@@ -655,7 +689,10 @@ COLD_STARTS = {
     "table-1": (("table", "1"), {"nuttallq.grid"}),
     "table-2": (("table", "2"), {"nuttallq.grid"} | _RECURRENCES),
     "sweep": (("sweep", "--steps", "1"), {"nuttallq.grid"}),
-    "selftest": (("selftest", "--steps", "1"),
+    "sweep-recurrences": (("sweep", "--steps", "2", "--methods",
+                           "series,ladder,homogeneous"),
+                          {"nuttallq.grid"} | _RECURRENCES),
+    "selftest": (("selftest", "--steps", "2"),
                  {"nuttallq.grid"} | _RECURRENCES),
 }
 
@@ -666,6 +703,8 @@ def test_cold_start_loads_only_the_route_it_runs(command):
     _, modules = _cold_start(*argv)
     assert "nuttallq.cli" in modules
     assert modules & ON_DEMAND == loads
+    # No record needs dataclasses; with inspect it took about 14% of a start.
+    assert not modules & {"dataclasses", "inspect"}
 
 
 def test_cold_quadrature_json_eval_loads_both_and_prints_the_same():

@@ -305,10 +305,10 @@ def test_collapsed_window_at_y_on_the_peak_is_refused(eta, mu, x, y):
     q = MomentQuery(eta, mu, x, y)
     assert quadrature._Shape(eta, mu, x).peak() >= y
     for func in (truncation_bounds, tanh_rule_integrate):
-        with pytest.raises(ConvergenceError, match=r"^quadrature cannot take "
-                           rf"eta = .*, x = {re.escape(repr(x))}, y = .*: "
-                           r"rounding leaves its window .* unable to "
-                           r"resolve the integrand"):
+        with pytest.raises(ConvergenceError, match="^" + re.escape(
+                f"quadrature cannot take eta = {eta!r}, mu = {mu!r}, "
+                f"x = {x!r}, y = {y!r}: rounding leaves its window ")
+                + r".* unable to resolve the integrand"):
             func(q)
 
 
@@ -378,6 +378,9 @@ RATE_STOP_POINTS = [
      0.9999773673605432),
     (24.0, 13.900118893820583, 0.16777329389058088, 17.57299224708682,
      2.654433118612627e+33),
+    # A box corner whose passes change by 3e-2, then 1.3e-6 (d^2 = 1.7e-12,
+    # d^3 = 2e-18); its value is the 40-digit one of BOX_EDGE_POINTS.
+    (0.0, 50.0, 0.0, 20.0, 0.999999987541073920),
 ]
 
 
@@ -429,6 +432,28 @@ def test_rate_stop_accepts_the_65_point_pass(eta, mu, x, y, value):
     assert out.nodes == 65
     assert out.value == pytest.approx(value, rel=2e-14, abs=0.0)
     assert out.value == pytest.approx(nuttall_q_series(q).value, rel=1e-13,
+                                      abs=0.0)
+
+
+# (eta, mu, x, y, bound): cut windows whose 65-point pass a stop rule
+# accepts within bound of the series.  At (1, 3, 400, 300) the nodes span
+# z = 693 to 1046, across the 700 switch of the Bessel series behind them,
+# and the squaring stop accepts (d^2 = 2.8e-13).  (0, 20, 5, 0) is a
+# Marcum Q of exactly 1, where two passes agree.  At x = 0 the nodes take
+# the same formula with z = 0.
+CUT_65_POINT_STOPS = [
+    (1.0, 3.0, 400.0, 300.0, 1e-13),
+    (0.0, 20.0, 5.0, 0.0, 1e-14),
+    (2.0, 5.0, 0.0, 3.0, 1e-13),
+]
+
+
+@pytest.mark.parametrize("eta,mu,x,y,bound", CUT_65_POINT_STOPS)
+def test_cut_window_stops_at_65_points(eta, mu, x, y, bound):
+    q = MomentQuery(eta, mu, x, y)
+    out = tanh_rule_integrate(q)
+    assert truncation_bounds(q).lower == q.y and out.nodes == 65
+    assert out.value == pytest.approx(nuttall_q_series(q).value, rel=bound,
                                       abs=0.0)
 
 
@@ -814,6 +839,8 @@ def test_large_mu_at_x_zero_keeps_its_cut_window(k):
     (47.0, 36.541762543500596, 19.511900608372187, 19.78895311732377),
     (49.0, 34.65406010504813, 18.7813986540499, 0.0),
     (0.0, 87.41810628175409, 34.56075251169736, 6.241625241631289),
+    # y lies below the mass, and the squaring stop accepts 33 points.
+    (7.0, 48.8, 7.1, 1.85),
 ])
 def test_free_window_first_grid_lets_no_pass_stop_before_33_points(
         eta, mu, x, y):

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
-                      consistency_deviation, homogeneous_table, marcum_q,
-                      nuttall_q_homogeneous, nuttall_q_ladder,
+                      consistency_deviation, evaluate, homogeneous_table,
+                      marcum_q, nuttall_q_homogeneous, nuttall_q_ladder,
                       nuttall_q_series)
 from nuttallq import nuttall, recurrence
 from nuttallq.bessel import bessel_ratio
@@ -387,6 +387,31 @@ def test_tables_at_x_zero_match_the_series(mu0, y):
                 for table in tables:
                     assert table.entry(e, m) == pytest.approx(
                         ref, rel=1e-13, abs=0.0), (e, m)
+
+
+# (eta, mu, x, y, bound): points at which the value ``evaluate`` takes
+# from a table's last entry stays within bound of the series: at eta = 50,
+# at mu = 1, where the table is one column, at eta = 0, where the
+# homogeneous table recurs row 0, at x = 0, where the forcing term and the
+# coefficient take their limits, at subnormal x, where y/x overflows and
+# x y underflows, and at (800, 30), where the ladder's forcing term drops
+# below 1e-300 at column 94 and is seeded again.
+ENTRY_VS_SERIES_POINTS = [
+    (50.0, 30.5, 20.0, 0.1, 1e-12),
+    (1.0, 1.0, 0.1, 1.5, 1e-13),
+    (0.0, 5.5, 2.0, 3.0, 1e-13),
+    (2.0, 5.0, 0.0, 3.0, 1e-13),
+    (1.0, 8.0, 5e-324, 1.0, 1e-13),
+    (2.0, 96.0, 800.0, 30.0, 1e-13),
+]
+
+
+@pytest.mark.parametrize("method", ["ladder", "homogeneous"])
+@pytest.mark.parametrize("eta,mu,x,y,bound", ENTRY_VS_SERIES_POINTS)
+def test_evaluate_by_the_tables_matches_the_series(eta, mu, x, y, bound,
+                                                   method):
+    got = evaluate(MomentQuery(eta, mu, x, y), method).value
+    assert got == pytest.approx(_series(eta, mu, x, y), rel=bound, abs=0.0)
 
 
 def test_ladder_rejects_bad_dimensions():

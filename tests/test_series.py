@@ -156,7 +156,8 @@ def test_deep_tail_matches_reference(eta, mu, x, y, ref):
 
 # (eta, mu, x, y, value): integer eta and Q_{eta+mu}(y) >= 1/2, so the sum
 # ends in the closed-form tail once the Q factor saturates.  Values: the
-# series summed at 50 digits with mpmath.gammainc, to 30 digits.
+# series summed at 50 digits with mpmath.gammainc, to 30 digits; in the last
+# two rows, the double nearest the 40-digit value of perfbench/reference.py.
 CLOSED_TAIL_POINTS = [
     (0.0, 4.0, 6.0, 2.5, 0.993833653648206570611433038045),  # L = 1
     (0.0, 30.0, 2.0, 1.0, 1.0),  # 1 - 2e-34
@@ -169,6 +170,11 @@ CLOSED_TAIL_POINTS = [
     # the sum; just below, the guard leaves every term to the loop.
     (2.0, 3.0, 5.0, 4.669908882795983, 74.7485587934246404484005673129),
     (2.0, 3.0, 5.0, 4.671908882795984, 74.7443186164361850219113913397),
+    # Q_5(9) = 0.055: the sum stops before its Q factor saturates.
+    (2.0, 3.0, 6.0, 9.0, 73.0858793033661),
+    # eta + mu = y: the incomplete-gamma prefactor takes log(1+u) - u at
+    # u = 0, where its atanh series must end at once.
+    (2.0, 10.0, 3.0, 12.0, 144.14000814259214),
 ]
 
 
@@ -256,6 +262,9 @@ REAL_ETA_POINTS = [
     (37.17000160254667, 45.68870087136494,
      3.0992702848306726, 18.862023298901022,
      7.58231034973047316514424651853e+67),
+    # y = 0: a sum saturated from the start, 72 terms.  The double nearest
+    # the 40-digit value of perfbench/reference.py.
+    (2.5, 1.0, 20.0, 0.0, 2379.447521093276),
 ]
 
 
