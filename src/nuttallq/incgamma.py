@@ -27,6 +27,8 @@ from .errors import ConvergenceError, DomainError
 from .logscale import exp_clipped
 
 _TOL = 1e-15
+# The P series stops where its unsummed tail is below this fraction of Q.
+_Q_TOL = 2.0 ** -56
 _MAX_ITER = 10_000
 _FPMIN = 1e-300
 
@@ -187,9 +189,17 @@ def _small_shape_q(a: float, y: float) -> tuple[float, float]:
 
 def _p_series(a: float, y: float, pref: float) -> float:
     """P(a, y) = 1 - Q(a, y) by its Taylor series, with pref = e^{E(a, y)};
-    requires y - a < 1.  The terms are summed four per stop test.  As y < a
-    + 1, they fall from the first step on, so a test on the last of each
-    four stops at most three terms after a test on every term would."""
+    requires y - a < 1, and a >= 1/2, where Q >= 0.08.
+
+    The sum stops where a bound of its whole unsummed tail is below 2^-56
+    of Q = 1 - P, the value the caller keeps.  The step ratios y/(a+k) fall
+    with k and, as y < a + 1, are all below 1, so the terms after the
+    newest one, term, add at most term (r + r^2 + ...) = term r / (1 - r),
+    r = y/(ap+1) the next ratio.  Q then lies within 2^-56 of itself before
+    rounding, and ln Q = log1p(-P) within about 2^-56 absolute.  Where P is
+    far below Q this ends the sum within a few terms.  The terms are summed
+    four per stop test, so a test on the last of each four stops at most
+    three terms after a test on every term would."""
     if pref == 0.0:
         return 0.0
     term = total = 1.0 / a
@@ -204,7 +214,10 @@ def _p_series(a: float, y: float, pref: float) -> float:
         t3 = t2 * (y / a3)
         term = t3 * (y / ap)
         total += t1 + t2 + t3 + term
-        if term < total * _TOL:
+        r = y / (ap + 1.0)
+        # The bound times 1 - r: where a + 1 rounds to a, r can round to 1,
+        # and that sum then runs into the stall below.
+        if pref * term * r < _Q_TOL * (1.0 - pref * total) * (1.0 - r):
             return pref * total
     raise ConvergenceError(f"P series stalled for shape={a}, y={y}")
 
@@ -258,7 +271,10 @@ def q_with_log_increment(shape: float, lower_cut: float
       of ``_small_shape_q``'s Q/shape, finite also where Q underflows at a
       subnormal shape, and the increment's log comes from its v;
     * above shape 1/2 on that side Q >= Q(1/2, 3/2) = 0.08, and ln Q is
-      log1p(-P).
+      log1p(-P).  The P series leaves out less than 2^-56 of Q, so ln Q
+      carries an absolute error of about 2^-56 there, which is what
+      e^{ln Q} needs: where P is far below Q, ln Q ~ -P keeps fewer
+      digits than P.
 
     On the continued-fraction side below shape 1/2, E(shape, y) holds
     lgamma(shape) ~ -ln shape, which would cancel against ln shape, so

@@ -73,8 +73,9 @@ _Q_SCALE_MAX = 2.0 ** _Q_SCALE_BITS
 # The smallest normal and the largest finite double.
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
-# An increment below this fraction of the Q factor is below half its ulp.
-_SATURATED = 2.0 ** -60
+# Half an ulp of q is more than 2^-54 q, so an increment of at most this
+# fraction of q rounds away in q + inc, and later ones that halve do too.
+_SATURATED = 2.0 ** -55
 # Rising products longer than this take their log from log_pochhammer.
 _PRODUCT_MAX_FACTORS = 20_000
 # ln 2 = _LN2_HI + _LN2_LO as in fdlibm: the high part ends in 21 zero bits.
@@ -240,7 +241,10 @@ def _kummer_polynomial(eta: float, mu: float, x: float) -> float:
 
     By Kummer's transformation (DLMF 13.2.39), e^x L = M(eta+mu; mu; x) =
     sum_n x^n/n! (eta+mu)_n/(mu)_n, the sum of the series' weights.  The
-    sum stops where the terms left add less than 2^-60 of it.
+    sum stops at a term of at most 2^-55 of it where the ratios have fallen
+    to 1/2: each later term is at most half the one before, so together
+    they add at most that term, less than half an ulp of the sum, and the
+    sum is the one that adding them would give.
     """
     sat = _SATURATED
     term = total = 1.0
@@ -294,16 +298,17 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
 
     The terms are summed in blocks of four, n = 0-3, 4-7, ..., and every
     check below runs once per block.  Once a + 2 > 2y and the increment is
-    below 2^-60 of the Q factor at the end of a block, every later
-    increment is at most half the one before and below half an ulp of the
-    factor: the factor has saturated and is no longer updated, while the
-    same loop goes on stepping the weights.  For integer eta with
-    Q_{eta+mu}(y) >= 1/2, the rest of the series is then known in closed
-    form: the weights sum to e^x L (``_kummer_polynomial``), so the terms
-    not yet summed add Q * (e^x L - the weights summed so far), and the sum
-    stops there.  The guard keeps the whole sum at e^x L / 2 or more, so
-    that subtraction costs at most one bit.  This needs no fold of the
-    weights yet, and e^x L in double range.
+    at most 2^-55 of the Q factor at the end of a block, that increment is
+    below half an ulp of the factor, which is more than 2^-54 of it, and
+    every later one is at most half the one before: adding them leaves the
+    factor as it is, bit for bit.  The factor has saturated and is no
+    longer updated, while the same loop goes on stepping the weights.  For
+    integer eta with Q_{eta+mu}(y) >= 1/2, the rest of the series is then
+    known in closed form: the weights sum to e^x L (``_kummer_polynomial``),
+    so the terms not yet summed add Q * (e^x L - the weights summed so
+    far), and the sum stops there.  The guard keeps the whole sum at e^x L
+    / 2 or more, so that subtraction costs at most one bit.  This needs no
+    fold of the weights yet, and e^x L in double range.
 
     Otherwise a block ends the sum where each of its last three terms is
     at most 1e-14 of the sum, after the term peak near n ~ x has been
@@ -358,14 +363,14 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
                               f"eta + mu = {eta + mu!r}")
         tol, max_terms, fold_limit = _SERIES_TOL, _MAX_TERMS, _FOLD_LIMIT
         em, two_y, sat = eta + mu, 2.0 * y, _SATURATED
-        q_cur = q0
+        q_cur, reseed_at = q0, _INC_RESEED
         if q0 < _TINY and q_log > _LOG_Q_MIN:
             # The larger of Q_{eta+mu}(y) and its increment lands near 1.
             eq = round(max(q_log, log_inc) / math.log(2.0))
             q_cur = exp_clipped((q_log - eq * _LN2_HI) - eq * _LN2_LO)
+            # 1e-300 2^-eq; past 2^1900 every carried increment is below it.
+            reseed_at = math.ldexp(_INC_RESEED, min(-eq, 1900))
         inc = exp_clipped((log_inc - eq * _LN2_HI) - eq * _LN2_LO)
-        # 1e-300 2^-eq; past 2^1900 every carried increment is below it.
-        reseed_at = math.ldexp(_INC_RESEED, min(-eq, 1900))
         closed_tail = (q0 >= 0.5 and float(eta).is_integer()
                        and eta <= _MAX_TERMS)
         saturated = y == 0.0  # no later increment can change q_cur

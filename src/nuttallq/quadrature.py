@@ -96,11 +96,11 @@ of these hold:
   that at sqrt c - _ROOT_DROP);
 - 2^-52 max(g ln c, c) <= 1e-13: each node's log carries rounding of
   about that relative size, which the 33 points of a free window average
-  less than the 65 of a cut one.  With 1e-12 in its place, on a
-  3000-point box with mu up to 200, 234 values exceeded 1e-13 of the
-  series against 220, and where the rounding lay above 1e-13 their root
-  mean square error rose by 5%.  At (0, mu, 0, 0) from mu ~ 1e15, where
-  that rounding swamps the stop rule, a free window returned 0.93 for 1.
+  less than the 65 of a cut one.  With 1e-12 in its place, more values
+  lie over 1e-13 from the series, and where the rounding lies above 1e-13
+  their root mean square error rises (``CHANGES.md`` records the run).
+  At (0, mu, 0, 0) from mu ~ 1e15, where that rounding swamps the stop
+  rule, a free window returned 0.93 for 1.
 
 ``_drop`` finds both ends by Newton steps in s, s_hi from sqrt c +
 _ROOT_DROP and s_lo from s0, where h is at or below its drop: ln h is

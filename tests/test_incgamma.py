@@ -75,13 +75,45 @@ P_SIDE_INTEGER_SHAPES = (
 
 
 def test_p_series_stops_at_its_tolerance():
-    # 1 - P at integer shapes 1..60 on the P side: within 3.7e-15 of the
-    # 40-digit values.  A P series that stops at 1e-13 of its sum, in place
-    # of its 1e-15, is 9.9e-14 off at n = 55.
+    # 1 - P at integer shapes 1..60 on the P side: within 3.4e-15 of the
+    # 40-digit values.  A P series that stops where its tail is below 1e-13
+    # of Q, in place of 2^-56, is 9.9e-14 off at n = 55.
     for n, ref in enumerate(P_SIDE_INTEGER_SHAPES, 1):
         y = n + 0.5
         assert q_with_log_increment(float(n), y)[0] == pytest.approx(
             ref, rel=2e-14, abs=0.0), (n, y)
+
+
+# (shape, y, Q, ln Q) from mpmath at 40 digits, at both ends of the P
+# series' range: four points where P is far below Q, so that the sum ends
+# within a few terms, and three at y = shape + 0.99, next to the continued
+# fraction's side, where it sums longest.
+P_SERIES_ENDS = (
+    (50.0, 5.0, 9.999999999999999999999999999999781894079e-1,
+     -2.181059214078488759501715248479872941809e-32),
+    (120.0, 20.0, 1.0, -4.905027004477119248442865357104544657775e-52),
+    (20.0, 10.0, 9.965456580241431923178337419472015797956e-1,
+     -3.460321990414991110998954954935846706871e-3),
+    (7.3, 3.0, 9.751441737721456437197215002726609766673e-1,
+     -2.516994838052587688949806331137457712343e-2),
+    (0.5, 1.49, 8.429927240325933718012162986079868940149e-2,
+     -2.473382045052389432238925206093288535503),
+    (7.3, 8.29, 3.179342548932066281696668594466348717065e-1,
+     -1.145910663195628905799818541335345654765),
+    (60.0, 60.99, 4.324642877912178079949602157617237006438e-1,
+     -8.382555276004229932891392712948306609145e-1),
+)
+
+
+@pytest.mark.parametrize("shape, y, q_ref, log_q_ref", P_SERIES_ENDS)
+def test_p_series_stop_keeps_q_and_its_log(shape, y, q_ref, log_q_ref):
+    # The unsummed tail is below 2^-56 of Q; the prefactor's few ulp of P
+    # enter Q = 1 - P, and ln Q, as absolute errors.  Here both are within
+    # 6.3e-16 in Q.  A series stopping one group of four early is 1.4e-14
+    # off at (7.3, 3) and 2.0e-15 at (7.3, 8.29).
+    q, log_q, _ = q_with_log_increment(shape, y)
+    assert abs(q - q_ref) <= 1e-15
+    assert abs(log_q - log_q_ref) <= 1e-15 / q_ref
 
 
 def test_half_integer_shape_grid_vs_oracle():

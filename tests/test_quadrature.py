@@ -333,6 +333,20 @@ def test_flat_shape_one_ulp_past_the_peak_is_refused(x, monkeypatch):
     assert len(dropped) == 1 and math.isnan(dropped[0])
 
 
+def test_lower_cut_past_the_window_is_refused(monkeypatch):
+    # ``_u_range`` refuses a lower cut outside (0, v_up) of its window; no
+    # input is known to reach that exit, so a cut at the window's far end,
+    # v = 1, stands in.
+    q = MomentQuery(2.0, 5.0, 3.0, 10.0)
+    spec = truncation_bounds(q)
+    assert spec.lower == q.y  # a cut window, sized by ``_u_range``
+    monkeypatch.setattr(quadrature, "_lower_cut",
+                        lambda *args: spec.upper - q.y)
+    with pytest.raises(ConvergenceError, match=r"^quadrature cannot take "
+                       r"eta = 2\.0, mu = 5\.0, x = 3\.0, y = 10\.0: "):
+        truncation_bounds(q)
+
+
 def test_collapsed_window_one_ulp_past_the_peak_integrates_to_zero():
     # One ulp of y = 1e35 past the peak x = 1e35 is about 40 standard
     # deviations of the integrand, sqrt(2 x) wide, so the value is about
