@@ -10,9 +10,11 @@ maps them and lists what they share).  This module holds the first:
 
 * ``nuttall_q_series`` - the expansion in incomplete gamma function ratios,
       e^{-x} sum_n x^n/n! * Gamma(eta+mu+n)/Gamma(mu+n) * Q_{eta+mu+n}(y),
-  with every per-term factor produced incrementally: one multiply for the
-  Poisson weight, one for the gamma ratio, and for the Q factor one add of
-  the increment y^a e^{-y}/Gamma(a+1), itself kept as a running product.
+  with every per-term factor produced incrementally: the Poisson weight
+  and the gamma ratio as one running product, stepped by x/(n+1) times
+  (eta+mu+n)/(mu+n), or by x/(n+1) alone at eta = 0, where the gamma ratio
+  is 1; and for the Q factor one add of the increment y^a
+  e^{-y}/Gamma(a+1), itself kept as a running product.
   Its first value comes with Q_{eta+mu}(y) from one incomplete-gamma
   prefactor, and it is re-seeded from its log form whenever it drops below
   1e-300.  One loop adds the positive terms to a running sum four at a
@@ -333,19 +335,30 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     call as Q_{eta+mu}(y) and its first increment, so a series call runs
     the continued fraction at most once.
 
+    The weights x^n/n! (eta+mu)_n/(mu)_n, each term's factor relative to n
+    = 0, are one running product, stepped by x/(n+1) times
+    (eta+mu+n)/(mu+n).  x/(n+1) cannot overflow, and (eta+mu+n)/(mu+n) only
+    at n = 0 with mu near 0, where the fold takes the first step's log from
+    its factors.  A fused step x (eta+mu+n) / ((n+1)(mu+n)) would underflow
+    in its numerator at mu near 0 and drop every term after n = 0.  At eta
+    = 0 the second quotient is 1 and is not formed, and neither is the
+    gamma ratio.
+
     The re-seed, the move of powers of two into eq and the fold of the
     weights run per term, so a value near overflow or a first step at mu
     near 0 is folded where it arises.  Once the Q factor has saturated, a
     block whose weights cannot reach the fold adds their sum times the
     fixed factor.
     """
-    eta, mu, x, y = q.eta, q.mu, q.x, q.y
+    eta, mu, x, y = q
 
-    mant, offset = _gamma_ratio_parts(eta, mu)
-
-    if eta == 0.0 and y == 0.0:
-        # Integral over the whole half-line: exactly 1.
-        return SeriesOutcome(1.0, 1, 0.0, True)
+    if eta == 0.0:
+        if y == 0.0:
+            # Integral over the whole half-line: exactly 1.
+            return SeriesOutcome(1.0, 1, 0.0, True)
+        mant, offset = 1.0, 0.0  # Gamma(mu)/Gamma(mu)
+    else:
+        mant, offset = _gamma_ratio_parts(eta, mu)
 
     # Q_{eta+mu}(y), its log and the log of its first increment, from one
     # prefactor.
@@ -358,7 +371,9 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
         n, contrib, converged = 0, 0.0, True
     else:
         if (x + _MAX_TERMS) * (eta + mu + _MAX_TERMS) > _HUGE:
-            # Past this a term ratio's numerator or denominator overflows.
+            # Past this a fused step's numerator x (eta+mu+n) overflowed.
+            # The split step below forms no such product, so the refusal is
+            # wider than the step needs; lifting it would widen the domain.
             raise DomainError(f"the series cannot take x = {x!r} with "
                               f"eta + mu = {eta + mu!r}")
         tol, max_terms, fold_limit = _SERIES_TOL, _MAX_TERMS, _FOLD_LIMIT
@@ -398,25 +413,35 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
             if n + 5.0 > max_terms:
                 break  # the next block would end past term max_terms - 1
             if saturated and steps is _BLOCK:
-                r = x * (em + n) / ((n + 1.0) * (mu + n))
+                n1, n2, n3 = n + 1.0, n + 2.0, n + 3.0
+                r = x / n1
+                if eta:
+                    r *= (em + n) / (mu + n)
                 # The step ratios fall with n, so no weight of the block
                 # passes u r^4 (u itself where r <= 1, and u is below the
                 # fold); past the fold the block takes the steps below,
                 # which fold it.
                 if u * (r * r) * (r * r) <= fold_limit:
-                    n1, n2, n3 = n + 1.0, n + 2.0, n + 3.0
                     u1 = u * r
-                    u2 = u1 * (x * (em + n1) / (n2 * (mu + n1)))
-                    u3 = u2 * (x * (em + n2) / (n3 * (mu + n2)))
                     n += 4.0
-                    u = u3 * (x * (em + n3) / (n * (mu + n3)))
+                    if eta:
+                        u2 = u1 * (x / n2 * ((em + n1) / (mu + n1)))
+                        u3 = u2 * (x / n3 * ((em + n2) / (mu + n2)))
+                        u = u3 * (x / n * ((em + n3) / (mu + n3)))
+                    else:
+                        u2 = u1 * (x / n2)
+                        u3 = u2 * (x / n3)
+                        u = u3 * (x / n)
                     w = u1 + u2 + u3 + u
                     running += q_cur * w
                     u_sum += w
                     t1, t2, t3 = q_cur * u2, q_cur * u3, q_cur * u
                     continue
             for _ in steps:
-                u *= x * (em + n) / ((n + 1.0) * (mu + n))
+                if eta:
+                    u *= x / (n + 1.0) * ((em + n) / (mu + n))
+                else:
+                    u *= x / (n + 1.0)
                 if not saturated:
                     if inc < reseed_at:
                         inc = exp_clipped((log_q_increment(em + n, y)
@@ -435,12 +460,24 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
                 if u > fold_limit:
                     # Rescale by 1/u; the closed tail needs shift == 0, so
                     # u_sum, which only it reads, is left as it is.
-                    running *= 1.0 / u
-                    # Only a first step x (eta+mu)/mu can overflow, with mu
-                    # near 0; term 0 is then below 1e-308 of term 1, and
-                    # drops out.
-                    shift += (math.log(u) if u < math.inf or n > 1.0
-                              else math.log(x * em) - math.log(mu))
+                    if u < math.inf or n > 1.0:
+                        log_u = math.log(u)
+                        running *= 1.0 / u
+                    else:
+                        # Only a first step x ((eta+mu)/mu) can overflow,
+                        # with mu near 0, also where (eta+mu)/mu alone does
+                        # and x brings it back.  Its log comes from the
+                        # factors' mantissas and binary exponents, so no
+                        # product leaves the range and no log of a factor
+                        # far from 1 rounds; term 0 is rescaled by it, and
+                        # drops out only where it is below the range.
+                        (mx, ex), (me, ee), (mm, e_mu) = (
+                            math.frexp(x), math.frexp(em), math.frexp(mu))
+                        k = ex + ee - e_mu
+                        log_u = (math.log(mx * me / mm) + k * _LN2_HI
+                                 + k * _LN2_LO)
+                        running *= exp_clipped(-log_u)
+                    shift += log_u
                     u = 1.0
                 t1, t2, t3 = t2, t3, u * q_cur
                 running += t3

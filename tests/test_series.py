@@ -1,6 +1,7 @@
 """Tests for the series evaluator, the Marcum base case, and the errRR metric."""
 
 import math
+import random
 import sys
 
 import pytest
@@ -539,28 +540,88 @@ def test_series_cannot_take_a_shape_past_one_plus_shape():
 
 
 def test_consistency_past_the_term_ratio_range_is_a_domain_error():
-    # x (eta + mu + n) overflows in the series' term ratio; lgamma(1.7e308)
-    # raised OverflowError in the incomplete-gamma prefactor before.
+    # The series refuses (x + 2000)(eta + mu + 2000) past the double range;
+    # lgamma(1.7e308) raised OverflowError in the incomplete-gamma prefactor
+    # before.
     with pytest.raises(DomainError, match="the series cannot take x = 0.5"):
         consistency_deviation(MomentQuery(20, 1.7e308, 0.5, 1e5))
 
 
 def test_series_at_a_small_shape_is_not_negative():
-    # Q_{1e-300}(1e-12) was formed as 1 - P and came out as -4.4e-16.
+    # Q_{1e-300}(1e-12) was formed as 1 - P and came out as -4.4e-16.  The
+    # value is the whole sum, not term 0 alone (2.7053805451028016e-299),
+    # which x (eta + mu) = 1e-600 underflowing in the step left.
     out = nuttall_q_series(MomentQuery(0, 1e-300, 1e-300, 1e-12))
     assert out.converged
-    assert out.value == pytest.approx(2.7053805451028016e-299, rel=1e-13,
-                                      abs=0.0)
+    assert out.value == pytest.approx(2.80538054510270160707256251112e-299,
+                                      rel=1e-13, abs=0.0)
+
+
+# (eta, mu, x, y, value) with mu near 0, where x (eta + mu) lies below the
+# normal range: a step that formed it dropped or truncated every term after
+# n = 0 (0.0 at the first point, 4.89e-202 at the second, 5.8e-6 and
+# 1.2e-6 off at the third and fourth, 4.0e-7 at the last).  Values: 30
+# digits of the sum of ``perfbench/reference.py`` at 40 digits.
+SMALL_MU_POINTS = [
+    (0.0, 5e-324, 0.5, 1.0, 0.180690027274838589684394948454),
+    (0.0, 1e-200, 3e-150, 2.0, 4.06005849709838096598405155556e-151),
+    (0.0, 1e-160, 1e-160, 0.5, 1.1663042544887942220974691785e-160),
+    (0.0, 2e-308, 1e-10, 1e-5, 9.99990000000000869758931618511e-11),
+    (1e-20, 1e-300, 1e-300, 1e-12, 2.8053805451027016066912376875e-299),
+]
+
+
+@pytest.mark.parametrize("eta,mu,x,y,ref", SMALL_MU_POINTS)
+def test_series_at_mu_near_zero_keeps_every_term(eta, mu, x, y, ref):
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y))
+    assert out.converged
+    assert out.value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_recurrences_at_mu_near_zero_take_the_series_value():
+    # One column at mu = 1e-200: both tables are seeded by the series.
+    q = MomentQuery(0.0, 1e-200, 3e-150, 2.0)
+    value = nuttall_q_series(q).value
+    assert value == pytest.approx(SMALL_MU_POINTS[1][4], rel=1e-13, abs=0.0)
+    for method in ("ladder", "homogeneous"):
+        assert nuttall.evaluate(q, method).value == value
+
+
+def test_marcum_step_matches_the_general_step():
+    # At eta = 1e-300, eta + mu rounds to mu, so the general step
+    # x/(n+1) ((eta+mu+n)/(mu+n)) and its gamma ratio are the eta = 0 ones
+    # times 1.0; only the closed tail (integer eta) and the clip at 1 tell
+    # the two apart.  Worst here 1.2e-15 (1102 of 2000 values differ).
+    rng = random.Random(45)
+    worst = 0.0
+    for _ in range(2000):
+        mu = rng.uniform(1e-3, 50.0)
+        x, y = rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0)
+        ref = nuttall_q_series(MomentQuery(1e-300, mu, x, y)).value
+        worst = max(worst, abs(marcum_q(mu, x, y) - ref) / ref)
+    assert worst <= 3e-15
 
 
 def test_series_at_a_subnormal_mu():
-    # The first step x (eta+mu)/mu overflows; term 0 drops out and the sum
-    # starts from term 1, against the 40-digit sum from n = 1 at mu = 0.
+    # The first step x ((eta+mu)/mu) overflows; term 0, below 1e-308 of
+    # term 1, adds nothing, against the 40-digit sum from n = 1 at mu = 0.
     # The rescale's log of ~745 keeps about 13 digits.
     out = nuttall_q_series(MomentQuery(0.5, 5e-324, 0.5, 1.0))
     assert out.converged
     assert out.value == pytest.approx(0.26299068361878620923, rel=1e-12,
                                       abs=0.0)
+
+
+def test_series_first_step_past_the_range_keeps_term_0():
+    # (eta+mu)/mu = 100/5e-324 overflows, but the first step x ((eta+mu)/mu)
+    # is 200, so term 0 is 1/200 of term 1 and must stay in the sum.  Its
+    # log from the factors' mantissas and exponents is within 1.2e-15 here;
+    # ln x + ln(eta+mu) - ln mu, two logs of ~744 that cancel, was 7.4e-14
+    # off.  Value: 30 digits of the 40-digit sum.
+    out = nuttall_q_series(MomentQuery(100.0, 5e-324, 1e-323, 1.0))
+    assert out.converged
+    assert out.value == pytest.approx(9.2679646583535486577535892591e-166,
+                                      rel=1e-14, abs=0.0)
 
 
 def test_series_past_the_double_range_at_both_ends():
@@ -569,7 +630,8 @@ def test_series_past_the_double_range_at_both_ends():
     assert nuttall_q_series(MomentQuery(700.0, 20.0, 1e-12, 1e150)).value == 0.0
     assert nuttall_q_series(MomentQuery(1e5, 1.7e308, 0.0, 0.0)).value \
         == math.inf
-    # x (eta + mu) overflows in the term ratio, which gave NaN.
+    # (x + 2000)(eta + mu + 2000) past the double range is refused; a step
+    # that formed x (eta + mu + n) overflowed there and gave NaN.
     with pytest.raises(DomainError, match="the series cannot take x = 20.0"):
         nuttall_q_series(MomentQuery(0.0, 1.7e308, 20.0, 1.0))
 
