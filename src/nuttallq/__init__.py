@@ -22,8 +22,11 @@ they share:
   ``bessel.log_poisson_pair_sum``, whose peak log comes from
   ``incgamma.log_q_increment`` and its ``_log_gamma_prefactor``, the
   functions behind the series' Q factors;
-* the ladder's forcing term and the quadrature kernel both take the
-  Bessel power series ``bessel._series_sum`` and ``_power_over_gamma``;
+* the ladder's forcing term and the quadrature kernel both take
+  ``bessel._power_over_gamma``, and the quadrature nodes below the switch
+  to Hankel's expansion, z < max(21, (4 (mu-1)^2 - 1)/16), also the
+  Bessel power series ``bessel._series_sum``; the nodes from there to z =
+  700 take ``bessel._hankel_sum``, which only quadrature runs;
 * the ladder and the homogeneous table share their one series seed, their
   forcing terms and their ratio sweep;
 * both recurrences take their series values from ``nuttall.series_value``.

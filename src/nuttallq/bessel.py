@@ -7,6 +7,15 @@ overflow on the way out.  Where the scaled form underflows, and past z =
 700, ``log_poisson_pair_sum`` at a = b = z/2 gives its logarithm as a sum
 of products of Poisson probabilities.
 
+Quadrature's nodes need that factor at one order and many arguments, and
+take it from ``FixedOrderSeries``: by the power series below the switch
+max(21, (4 order^2 - 1)/16), by Hankel's asymptotic expansion (DLMF
+10.40.1) from there to z = 700, where it ends in a few dozen terms while
+the power series needs O(z), and by the Poisson-pair sum past 700.  The
+switch is a rule of the order alone; ``FixedOrderSeries`` says why.
+``bessel_i_scaled``, which the recurrences use, keeps the power series up
+to z = 700.
+
 All routines accept real (not just integer) order >= 0 and argument >= 0.
 """
 
@@ -31,6 +40,13 @@ _LINEAR_MAX_ORDER = 20_000.0
 
 _SERIES_CUTOFF = 5e-18
 _SERIES_MAX_TERMS = 100_000
+# Hankel's expansion replaces the power series from this argument on, or
+# from (4 order^2 - 1)/16 where that is larger (see ``FixedOrderSeries``).
+# Past that switch no sum needed more than 40 terms; the cap guards the
+# loop.
+_HANKEL_MIN_ARG = 21.0
+_HANKEL_MAX_TERMS = 64
+_TWO_PI = 2.0 * math.pi
 # Terms per separately summed block of a Poisson-pair sum: only sums with
 # z past ~5e4 run that long, so shorter ones are summed as a plain loop.
 _SUM_BLOCK = 1000
@@ -106,34 +122,116 @@ def _series_sum(order: float, q: float,
         f"Bessel series did not converge for order={order}, q={q}")
 
 
+def _hankel_sum(order: float, z: float,
+                groups: list[tuple[float, float, float, float]]) -> float:
+    """H(z) = sum_k (-1)^k a_k(order) z^-k of Hankel's expansion e^{-z}
+    I_order(z) ~ H(z) / sqrt(2 pi z) (DLMF 10.40.1), four terms per stop
+    test.  Term k is term k-1 times the step -(4 order^2 - (2k-1)^2) / (8k)
+    over z; ``groups`` holds the steps in tuples of four, k = 1, 2, ...,
+    and past its end they are formed as the sum needs them and appended to
+    it, as in ``_series_sum``.
+
+    The expansion diverges: its terms fall only while (2k-1)^2 / (8k) stays
+    below about z.  Its one caller takes it where z >= max(21, (4 order^2
+    - 1)/16) (see ``FixedOrderSeries``); there no term exceeds 2 in size,
+    and the terms fall below _SERIES_CUTOFF of the sum before they turn,
+    within _HANKEL_MAX_TERMS.  The raise stays as the loop's guard."""
+    cutoff = _SERIES_CUTOFF
+    w = 1.0 / z
+    term = total = 1.0
+    for s0, s1, s2, s3 in groups:
+        t0 = term * w * s0
+        t1 = t0 * w * s1
+        t2 = t1 * w * s2
+        term = t2 * w * s3
+        total += t0 + t1 + t2 + term
+        if abs(term) < total * cutoff:
+            return total
+    k = 4 * len(groups)
+    m = 4.0 * order * order
+    while k < _HANKEL_MAX_TERMS:
+        s0 = ((2 * k + 1) ** 2 - m) / (8 * (k + 1))
+        s1 = ((2 * k + 3) ** 2 - m) / (8 * (k + 2))
+        s2 = ((2 * k + 5) ** 2 - m) / (8 * (k + 3))
+        s3 = ((2 * k + 7) ** 2 - m) / (8 * (k + 4))
+        groups.append((s0, s1, s2, s3))
+        t0 = term * w * s0
+        t1 = t0 * w * s1
+        t2 = t1 * w * s2
+        term = t2 * w * s3
+        total += t0 + t1 + t2 + term
+        if abs(term) < total * cutoff:
+            return total
+        k += 4
+    raise ConvergenceError(
+        f"Bessel Hankel expansion did not converge for order={order}, z={z}")
+
+
 class FixedOrderSeries:
-    """``_series_sum`` at one order and many arguments, on one table of step
-    factors that the sums extend as they need: I_order(z) = (z/2)^order
-    S(z^2/4) / Gamma(order+1) (DLMF 10.25.2).  ``log_gamma`` is ln
-    Gamma(order+1), from the product of ``_power_over_gamma`` while 1/Gamma
-    stays a normal float (there it is within 6e-14 of the true value,
-    math.lgamma within 1.7e-13).
+    """ln(e^{-z} S(z^2/4)) at one order and many arguments z, with
+    I_order(z) = (z/2)^order S(z^2/4) / Gamma(order+1) (DLMF 10.25.2), by
+    one of three sums, each on its own table of steps that the sums extend
+    as they need:
+
+    - below ``hankel_from``, the power series ``_series_sum``;
+    - from ``hankel_from`` = max(21, (4 order^2 - 1)/16) to z = 700,
+      Hankel's expansion ``_hankel_sum``;
+    - past z = 700, ``log_poisson_pair_sum``.
+
+    The switch to Hankel's expansion is fixed per order, not searched per
+    call or per integral.  On the positive real axis the expansion leaves
+    out a part of relative size about e^{-2z}, 5.7e-19 at z = 21.  Its
+    first step (4 order^2 - 1)/(8z) is at most 2 from (4 order^2 - 1)/16
+    on, and each later step is smaller until the terms turn, so no term
+    exceeds 2 and the alternating sum loses at most a few bits.  Past the
+    switch, at every order up to 52.9 and every argument up to ten times
+    the switch or 700, the terms fall below _SERIES_CUTOFF of the sum
+    before they turn; with 20 in place of 21 they do not (order 8
+    converges only from z ~ 20.45).
+
+    The Hankel value is formed as the float H / (sqrt(2 pi z) (z/2)^order
+    / Gamma(order+1)) and its log taken once, as the power series' value
+    is.  The sum of logs ln Gamma(order+1) - order ln(z/2) - ln(2 pi z)/2
+    + ln H cancels terms of about order ln order, and was up to twice as
+    far from mpmath (``CHANGES.md`` records both).
+
+    ``log_gamma`` is ln Gamma(order+1), from the product of
+    ``_power_over_gamma`` while 1/Gamma stays a normal float (there it is
+    within 6e-14 of the true value, math.lgamma within 1.7e-13).
     """
 
     def __init__(self, order: float) -> None:
         _validate(order, 0.0)
         self.order = order
-        self.log_gamma = (-math.log(_power_over_gamma(order, 2.0))
-                          if order < 170.0 else math.lgamma(order + 1.0))
+        # 1/Gamma(order+1); past order 170 it underflows, and there
+        # hankel_from lies past z = 700, so the Hankel branch never reads it.
+        self._inv_gamma = (_power_over_gamma(order, 2.0) if order < 170.0
+                           else 0.0)
+        self.log_gamma = (-math.log(self._inv_gamma) if order < 170.0
+                          else math.lgamma(order + 1.0))
         self._groups: list[tuple[float, float, float, float]] = []
+        self.hankel_from = max(_HANKEL_MIN_ARG,
+                               (4.0 * order * order - 1.0) / 16.0)
+        self._hankel_groups: list[tuple[float, float, float, float]] = []
 
     def log_scaled(self, q: float, z: float) -> float:
         """ln(e^{-z} S(q)) for z = 2 sqrt(q) >= 0.
 
         For z <= 700, S(q) <= I_0(z) < 1.5e302 and e^{-z} S(q) >= e^{-700}
-        stay normal floats, so the product is formed before the log.
-        Beyond that it is formed from ``log_poisson_pair_sum`` at a = b =
+        stay normal floats, so the product is formed before the log; on
+        the Hankel branch, (z/2)^order and Gamma(order+1) stay below 1e135
+        as order <= 52.9 there.  Beyond that it is formed from ``log_poisson_pair_sum`` at a = b =
         z/2, which raises DomainError for an infinite z.
         """
         if z > _LINEAR_MAX_ARG:
             half = 0.5 * z
             return (log_poisson_pair_sum(self.order, half, half)
                     + self.log_gamma - self.order * math.log(half))
+        if z >= self.hankel_from:
+            return math.log(
+                _hankel_sum(self.order, z, self._hankel_groups)
+                / (self._inv_gamma * math.sqrt(_TWO_PI * z)
+                   * (0.5 * z) ** self.order))
         return math.log(math.exp(-z)
                         * _series_sum(self.order, q, self._groups))
 

@@ -58,6 +58,10 @@ changes cannot claim more.  Passes that change by 3e-2, 1.3e-6 and
 and the 129-point pass confirms the 65-point value to 1.8e-15.  How many
 integrals of the benchmark stop where is recorded in ``CHANGES.md``.
 
+These estimates count truncation, not rounding.  The reported
+``est_error`` is the accepted estimate or a rounding floor from the size
+of the node logs' terms, whichever is larger (see ``QuadratureOutcome``).
+
 The shape.  With nu = mu - 1 and g = eta + mu - 1, the window and the
 u-range both come from
 
@@ -242,6 +246,11 @@ _CUT_ITERATIONS = 50
 _POWER = 20
 # Relative spacing of doubles: an ulp of m is at most _ULP m.
 _ULP = 2.0**-52
+# ``est_error`` is at least _FLOOR_FACTOR times the rounding r of the node
+# logs' terms (``_rounding``), and at least _FLOOR_MIN, the rounding of the
+# value's own few steps where r is below an ulp (see ``QuadratureOutcome``).
+_FLOOR_FACTOR = 4.0
+_FLOOR_MIN = 2.0**-47
 # The least normal double; below it a pass's scale has lost digits.
 _MIN_NORMAL = 2.0**-1022
 _LOG_HALF = math.log(0.5)
@@ -460,6 +469,13 @@ def _u_range(shape: _Shape, centre: float, top: float, a: float, b: float,
     return min(_U_MAX, u_lo), min(_U_MAX, u_hi)
 
 
+def _rounding(g: float, c: float) -> float:
+    """r = 2^-52 max(g ln c, c), the rounding of the terms g ln t and -t of
+    ln h at its centre c; c is 0 only at (eta, mu, x, y) = (0, 1, 0, 0),
+    where r is 0."""
+    return _ULP * max(g * math.log(c), c) if c > 0.0 else 0.0
+
+
 def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
     """Choose a finite window that holds the integrand's mass, and the
     u-range of the map onto it, both from the integrand's shape h (see the
@@ -500,8 +516,7 @@ def truncation_bounds(q: MomentQuery) -> QuadratureSpec:
             f"overflows on its window up to t = {upper!r}")
     c = max(peak, q.y)
     root = math.sqrt(c)
-    # c is 0 only at (eta, mu, x, y) = (0, 1, 0, 0).
-    rounding = _ULP * max(shape.g * math.log(c), c) if c > 0.0 else 0.0
+    rounding = _rounding(shape.g, c)
     # On the peak, the window is refused where that rounding swamps the
     # drop of h to _EPS of its top.
     if not (peak >= q.y and rounding > -_LOG_EPS):
@@ -640,12 +655,28 @@ def _nested_passes(node_logs: _NodeLogs, spec: QuadratureSpec,
 
 class QuadratureOutcome(namedtuple("QuadratureOutcome",
                                    "value nodes est_error")):
-    """Integral value plus the nodes of the last pass and the estimated
-    relative error the stop rule accepted it on: the change d from the pass
-    before, its square d^2, or d^rho at the measured rate rho in (2, 3]
-    (see the module docstring), each at most 1e-12.  The grids are nested
-    and no node is evaluated twice, so ``nodes`` is the number of integrand
-    evaluations.
+    """Integral value plus the nodes of the last pass and its estimated
+    relative error.  ``est_error`` is the larger of two parts:
+
+    - the estimate the stop rule accepted the pass on: the change d from
+      the pass before, its square d^2, or d^rho at the measured rate rho in
+      (2, 3] (see the module docstring), each at most 1e-12;
+    - the rounding floor max(4 r, 2^-47), r = 2^-52 max(g ln c, c) the
+      rounding of the terms of the node logs at the window's centre c =
+      max(peak, y), g = eta + mu - 1.  Past mu ~ 1e3 those terms of about
+      mu ln mu cancel, and their rounding, not the rule's estimate, sets the
+      error: at (0, 1e5, 0, 0), whose value is 1, the error is 2.1e-10
+      where the rule's estimate is 1.2e-21.  Where c is about 1, r lies
+      below an ulp, and 2^-47 covers the value's own roundings.  The factor
+      4 and 2^-47 come from a measurement against a 40-digit reference
+      (``CHANGES.md`` records it).
+
+    On the box eta in [0, 50], mu in [1, 50], x, y in [0, 20] r stays near
+    1e-13, so ``est_error`` stays at or below 1e-12; past it the floor is
+    reported as it is, above 1e-12 from mu ~ 1e3 at x = 0.  A value of 0.0
+    (every node underflowed) and a window that rounds to zero width report
+    0.0.  The grids are nested and no node is evaluated twice, so ``nodes``
+    is the number of integrand evaluations.
 
     A named tuple: it unpacks and indexes, and it compares equal to a plain
     tuple of the same values, even to a record of another type.
@@ -674,9 +705,10 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     most 1e-12, or is below the change d_prev before it with d^2 <= 1e-12,
     or, where d_prev < 1, with d^rho <= 1e-12, rho = min(3, ln d / ln
     d_prev) (see the module docstring); ``est_error`` is d, d^2 or d^rho,
-    so at most 1e-12 in each case.  Non-convergence within the 2^20 node
-    cap raises ConvergenceError, and so does the first pass whose sum is not
-    finite, where the integral overflows the double range.
+    or the rounding floor of ``QuadratureOutcome`` where that is larger.
+    Non-convergence within the 2^20 node cap raises ConvergenceError, and
+    so does the first pass whose sum is not finite, where the integral
+    overflows the double range.
     Node contributions are combined with exact summation, so results are
     reproducible.  A window that rounds to zero width, which
     ``truncation_bounds`` returns only at a y past the peak of h, gives
@@ -688,6 +720,8 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     spec = truncation_bounds(q)
     if spec.upper == spec.lower:
         return QuadratureOutcome(0.0, 0, 0.0)
+    floor = max(_FLOOR_FACTOR * _rounding(q.eta + q.mu - 1.0,
+                                          max(spec.peak, q.y)), _FLOOR_MIN)
     node_logs, n = _node_map(q, spec)
     prev = None
     # The squaring and rate stops need a change before the current one to
@@ -702,13 +736,13 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
                     return QuadratureOutcome(0.0, n, 0.0)
                 d = abs(cur - prev) / abs(cur) if cur != 0.0 else math.inf
                 if d <= _REL_TOL:
-                    return QuadratureOutcome(cur, n, d)
+                    return QuadratureOutcome(cur, n, max(d, floor))
                 if d < d_prev and d * d <= _REL_TOL:
-                    return QuadratureOutcome(cur, n, d * d)
+                    return QuadratureOutcome(cur, n, max(d * d, floor))
                 if 0.0 < d < d_prev < 1.0:
                     est = d ** min(_MAX_RATE, math.log(d) / math.log(d_prev))
                     if est <= _REL_TOL:
-                        return QuadratureOutcome(cur, n, est)
+                        return QuadratureOutcome(cur, n, max(est, floor))
                 d_prev = d
             prev = cur
     except ConvergenceError as exc:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nuttallq import (ConvergenceError, DomainError, bessel_i_scaled,
                       bessel_ratio)
 from nuttallq import bessel
-from nuttallq.bessel import log_poisson_pair_sum
+from nuttallq.bessel import FixedOrderSeries, log_poisson_pair_sum
 
 from oracles import bessel_ratio_by_series, maclaurin_bessel_i
 
@@ -271,6 +271,82 @@ def test_poisson_pair_sum_just_inside_its_term_cap_converges():
     ref = -0.5 * math.log(2.0 * math.pi * z) + math.log1p(
         1.0 / (8.0 * z) + 9.0 / (128.0 * z * z))
     assert abs(log_poisson_pair_sum(0.0, 0.5 * z, 0.5 * z) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("order,z,ref", [
+    # ln(e^{-z} S(z^2/4)) = ln(e^{-z} I_order(z)) + ln Gamma(order+1) - order
+    # ln(z/2), from mpmath.besseli at 40 digits.  The Hankel branch takes
+    # every point but (20, 99.93): the floor of 21 binds at (8, 21) and (9,
+    # 21), (4 order^2 - 1)/16 = 99.9375 lies between 99.93 and 99.94,
+    # (48.2146, 586.697) lies just above it at order 48, (0, 700) is the
+    # branch's last argument, and at order 1/2 the expansion ends after
+    # its first term.
+    (8.0, 21.0, -12.1831868432558541705712329059),
+    (9.0, 21.0, -12.7403865633004478927703524161),
+    (20.0, 99.93, -41.1154775466539281640313650927),
+    (20.0, 99.94, -41.1173287549975659826132555868),
+    (20.0, 100.0, -41.1284325326087658435390598237),
+    (48.2146, 586.697, -138.504862490122200208429912563),
+    (0.0, 700.0, -4.19430000155655092319714355836),
+    (0.5, 21.0, -3.73766961828336830649278232825),
+])
+def test_fixed_order_log_matches_mpmath_on_both_sides_of_the_hankel_switch(
+        order, z, ref):
+    # The power series' own error at these points is at most an ulp of the
+    # value (at (20, 100) and (0.5, 21)), and so is the bound.
+    got = FixedOrderSeries(order).log_scaled(0.25 * z * z, z)
+    assert abs(got - ref) <= math.ulp(ref)
+
+
+@pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 8.0, 9.0, 20.0, 30.5, 41.7,
+                                   48.2146, 52.9])
+def test_hankel_branch_meets_the_power_series_at_its_switch(order):
+    # Just below hankel_from the series gives the value and just above it
+    # Hankel's expansion; the same object with its switch moved past z
+    # gives the other branch at the same z.  Against 40-digit mpmath the
+    # series is up to two ulps off at these points (2.84e-14 at order 41.7,
+    # ~6e-14 in absolute terms at order 48 elsewhere, so no fixed bound
+    # fits every order), and the Hankel branch at most one.
+    series = FixedOrderSeries(order)
+    switch = series.hankel_from
+    assert switch == max(21.0, (4.0 * order * order - 1.0) / 16.0) <= 700.0
+    for z in (switch * (1.0 - 2.0**-40), switch * (1.0 + 2.0**-40)):
+        got = series.log_scaled(0.25 * z * z, z)
+        series.hankel_from = 0.0 if z < switch else math.inf
+        other = series.log_scaled(0.25 * z * z, z)
+        series.hankel_from = switch
+        assert abs(got - other) <= 2.0 * math.ulp(got), (order, z)
+
+
+def test_hankel_switch_rule_converges_with_terms_at_most_two():
+    # Orders 0 to 52.9, where the switch lies at or below z = 700, and
+    # arguments from the switch up to ten times it, capped at 700: every sum
+    # stops before its term cap, and no term, 1 being the first, exceeds 2
+    # in size.  That is what the divisor 16 buys; the floor of 21 keeps the
+    # dropped e^{-2z} part below 5.7e-19.  The sum itself, sqrt(2 pi z)
+    # e^{-z} I_order(z), lies near e^{-order^2 / (2z)} >= e^{-2}, so its
+    # alternating terms lose at most a few bits.
+    for i in range(0, 530, 7):
+        order = 0.1 * i
+        switch = max(21.0, (4.0 * order * order - 1.0) / 16.0)
+        for j in range(5):
+            z = switch + (min(700.0, 10.0 * switch) - switch) * j / 4
+            steps = []
+            total = bessel._hankel_sum(order, z, steps)
+            term, largest = 1.0, 1.0
+            for step in itertools.chain.from_iterable(steps):
+                term *= step / z
+                largest = max(largest, abs(term))
+            assert largest <= 2.0 and 0.13 < total < 1.01, (order, z)
+
+
+def test_hankel_sum_past_its_switch_is_a_convergence_error():
+    # No caller gets here: at order 8 the expansion converges only from z
+    # ~ 20.45, and below it its terms turn before they reach the cutoff.
+    with pytest.raises(ConvergenceError) as exc:
+        bessel._hankel_sum(8.0, 20.0, [])
+    assert str(exc.value) == ("Bessel Hankel expansion did not converge for "
+                              "order=8.0, z=20.0")
 
 
 def test_largest_order_at_a_tiny_argument():

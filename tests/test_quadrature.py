@@ -398,13 +398,23 @@ RATE_STOP_POINTS = [
 ]
 
 
+def _floor(q):
+    """The least est_error at q: 4 r, r = 2^-52 max(g ln c, c) at the
+    window's centre c = max(peak, y), g = eta + mu - 1, and at least
+    2^-47."""
+    c = max(truncation_bounds(q).peak, q.y)
+    r = 2.0**-52 * max((q.eta + q.mu - 1.0) * math.log(c), c) if c else 0.0
+    return max(4.0 * r, 2.0**-47)
+
+
 def test_outcome_stops_on_the_first_pass_a_rule_accepts():
     # Replays the passes up to the one returned: no earlier pass meets any
     # stop rule, all at the module's one tolerance, and the returned one
     # reports d where two passes agree, d^2 where the error squares and
     # d^rho, rho = min(3, ln d / ln d_prev), where the passes show a faster
-    # rate.  All three rules occur here; (0, 5, 5, 0), whose value is 1,
-    # stops where two passes agree.
+    # rate, each raised to the rounding floor of ``_floor``.  All three
+    # rules occur here; (0, 5, 5, 0), whose value is 1, stops where two
+    # passes agree.
     tol = quadrature._REL_TOL
     used = set()
     for eta, mu, x, y in (CONVERGED_PASS_POINTS
@@ -434,7 +444,7 @@ def test_outcome_stops_on_the_first_pass_a_rule_accepts():
 
         assert [estimate(k) for k in range(len(d) - 1)] == [None] * (len(d) - 1)
         rule, est = estimate(len(d) - 1)
-        assert (out.value, out.est_error) == (values[-1], est)
+        assert (out.value, out.est_error) == (values[-1], max(est, _floor(q)))
         used.add(rule)
     assert used == {"agree", "square", "rate"}
 
@@ -473,13 +483,16 @@ def test_cut_window_stops_at_65_points(eta, mu, x, y, bound):
 
 def _stop_on_pass_sums(monkeypatch, sums):
     """``tanh_rule_integrate`` at a benign point, with passes of 17, 33, 65,
-    ... points that sum to ``sums``."""
+    ... points that sum to ``sums``, and no rounding floor, so that
+    est_error is the stop rule's own estimate."""
     def passes(node_logs, spec, n):
         for value in sums:
             yield n, value
             n = 2 * n - 1
 
     monkeypatch.setattr(quadrature, "_nested_passes", passes)
+    monkeypatch.setattr(quadrature, "_FLOOR_FACTOR", 0.0)
+    monkeypatch.setattr(quadrature, "_FLOOR_MIN", 0.0)
     return tanh_rule_integrate(MomentQuery(1.0, 1.0, 0.1, 1.5))
 
 
@@ -499,6 +512,44 @@ def test_rate_stop_takes_d_to_the_measured_rate(monkeypatch, d_prev, d):
     d_prev, d = (abs(b - a) / abs(b) for a, b in zip(sums, sums[1:]))
     rho = min(3.0, math.log(d) / math.log(d_prev))
     assert _stop_on_pass_sums(monkeypatch, sums) == (sums[-1], 65, d ** rho)
+
+
+@pytest.mark.parametrize("mu,x", [(mu, 0.0) for mu in (
+    1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10)] + [(mu, mu) for mu in (
+    1e3, 1e4, 1e5, 1e6)])
+def test_est_error_bounds_the_error_where_mu_is_large(mu, x):
+    # Q_{0,mu}(x, 0) = 1.  A node's log sums terms of about mu ln mu that
+    # cancel, and their rounding, not the stop rule's estimate, sets the
+    # error: at (0, 1e5, 0, 0) it is 2.1e-10, where the stop rule's
+    # estimate is 1.2e-21.  est_error, at its floor here, lies 5x to 108x
+    # above the error at these points, and above 1e-12 from mu = 1e3.
+    q = MomentQuery(0.0, mu, x, 0.0)
+    out = tanh_rule_integrate(q)
+    assert out.est_error >= _floor(q) > 1e-12
+    assert abs(out.value - 1.0) <= out.est_error
+
+
+@pytest.mark.parametrize("eta,mu,x,y,ref", [
+    # The points of the benchmark's box (eta in [0, 50], mu in [1, 50], x, y
+    # in [0, 20]) whose error came nearest est_error, in 2000 seeded points
+    # (pass 0 of seeds 1-20 of quadrature-points) and 200 with eta <= 3,
+    # mu <= 3, x <= 2 and y <= 3.  30-digit values of the gammainc series
+    # of ``perfbench/reference.py``, at 60 digits.
+    (20.62943699782735, 1.6838419758586642, 18.421513611757916,
+     5.839562990045114, 7.7852398853556326650212453087e+31),
+    (11.0, 9.990499873780669, 19.978805344159145, 1.3519460124230824,
+     214295192367481535.535862671661),
+    (2.0, 2.832060037269674, 1.6916861210719774, 0.6421819321604064,
+     26.6776343474891028443346428479),
+    (1.0, 1.9926264434147944, 0.5103084801136217, 1.8788240959545908,
+     2.02680450334952211693175851764),
+])
+def test_est_error_bounds_the_error_on_the_box(eta, mu, x, y, ref):
+    # The error lay at most 0.32 of est_error on all 2200 points: where the
+    # window's centre c is about 1, its rounding r is below an ulp, and the
+    # floor of 2^-47 covers errors of up to 9 ulps.
+    out = tanh_rule_integrate(MomentQuery(eta, mu, x, y))
+    assert abs(out.value - ref) / ref <= out.est_error <= 1e-12
 
 
 @pytest.mark.parametrize("sums", [

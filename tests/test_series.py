@@ -449,7 +449,8 @@ def test_marcum_equals_series_eta0_bitwise():
 
 @pytest.mark.parametrize("mu,x,y,ref", NCX2_SF_POINTS)
 def test_marcum_matches_scipy_ncx2_up_to_x_1500(mu, x, y, ref):
-    # Measured worst over these 20 points: 1.98e-13 relative.
+    # Measured worst over these 20 points: 1.99187e-13 relative, at
+    # (180.22282718518625, 1133.5204151308526, 1423.5379946309617).
     assert marcum_q(mu, x, y) == pytest.approx(ref, rel=2e-13, abs=0.0)
 
 
