@@ -370,12 +370,6 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
         running, shift = (q0, 0.0) if q0 >= _TINY else (1.0, q_log)
         n, contrib, converged = 0, 0.0, True
     else:
-        if (x + _MAX_TERMS) * (eta + mu + _MAX_TERMS) > _HUGE:
-            # Past this a fused step's numerator x (eta+mu+n) overflowed.
-            # The split step below forms no such product, so the refusal is
-            # wider than the step needs; lifting it would widen the domain.
-            raise DomainError(f"the series cannot take x = {x!r} with "
-                              f"eta + mu = {eta + mu!r}")
         tol, max_terms, fold_limit = _SERIES_TOL, _MAX_TERMS, _FOLD_LIMIT
         em, two_y, sat = eta + mu, 2.0 * y, _SATURATED
         q_cur, reseed_at = q0, _INC_RESEED

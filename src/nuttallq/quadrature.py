@@ -15,7 +15,7 @@ y lies below that mass, the window is free: it spans the two drops of h
 to 1e-16 of its top in s = sqrt t, and the rule runs in s, t = s^2, on
 grids of 9, 17, 33, ... points.  Elsewhere the window is cut: it starts
 at y and ends past the peak of h, and the rule runs on the power map
-below, on grids of 17, 33, 65, ... points.  Each refinement halves the
+below, on grids of 15, 29, 57, ... points.  Each refinement halves the
 spacing, so the earlier nodes stay on the grid and their values are
 reused: no node is evaluated or exponentiated twice.  The integrand is
 always evaluated through its logarithm, so values reaching 1e89 never
@@ -40,7 +40,7 @@ squares its error (Trefethen & Weideman, SIAM Rev. 56, 2014).  Then d_k is
 about the error of pass k-1, and d_k^2 estimates the error of pass k, so
 the second condition accepts pass k without a confirming pass.  It needs
 d_k to shrink, so it cannot fire before the third pass, at 33 points on
-a free window and 65 on a cut one.  The estimate d_k^2 overstates the
+a free window and 57 on a cut one.  The estimate d_k^2 overstates the
 error, so the integrals it accepts between a 1e-14 and a 1e-12 target
 stay about as close to the series as with the tighter one (``CHANGES.md``
 records the run).  So all rules share the one tolerance.
@@ -53,10 +53,20 @@ The passes measure the rate: rho = ln d_k / ln d_{k-1} is the growth of
 the exponent from pass k-1 to pass k, and d_k^rho then estimates the
 error of pass k.  The third condition takes it where it exceeds 2,
 capped at 3, below the 4 of the Gaussian, so that an odd ratio of two
-changes cannot claim more.  Passes that change by 3e-2, 1.3e-6 and
-1.8e-15 give rho = 3.9 at 65 points, d^2 = 1.7e-12 and d^3 = 2.2e-18,
-and the 129-point pass confirms the 65-point value to 1.8e-15.  How many
+changes cannot claim more.  Passes that change by 7.5e-2, 2.3e-5 and
+3.6e-15 give rho = 4.1 at 57 points, d^2 = 5.5e-10 and d^3 = 1.3e-14,
+and the 113-point pass confirms the 57-point value to 3.6e-15.  How many
 integrals of the benchmark stop where is recorded in ``CHANGES.md``.
+
+A cut window's first grid has 15 points.  The rate stop then accepts
+about half of the box's cut windows, most at 57 points, often after a
+change that is still pre-asymptotic (d_{k-1} up to 0.1), on an estimate
+up to 9.9e-13.  Their values lie within 4.4e-14 of the series, under a
+twentieth of the tolerance: the margin comes from the 57-point pass's own
+accuracy, not from the estimate.  From a first grid of 13 or 11
+points the same stops accept passes of 49 and 41 points from changes up
+to 0.17 and 0.3, and some values lie 2.7e-12 and 2.8e-9 off
+(``CHANGES.md`` records the scan).
 
 These estimates count truncation, not rounding.  The reported
 ``est_error`` is the accepted estimate or a rounding floor from the size
@@ -100,7 +110,7 @@ of these hold:
   that at sqrt c - _ROOT_DROP);
 - 2^-52 max(g ln c, c) <= 1e-13: each node's log carries rounding of
   about that relative size, which the 33 points of a free window average
-  less than the 65 of a cut one.  With 1e-12 in its place, more values
+  less than the 57 of a cut one.  With 1e-12 in its place, more values
   lie over 1e-13 from the series, and where the rounding lies above 1e-13
   their root mean square error rises (``CHANGES.md`` records the run).
   At (0, mu, 0, 0) from mu ~ 1e15, where that rounding swamps the stop
@@ -159,9 +169,9 @@ and
 
 The window's upper end lies further out, where the curvature bound puts h
 at 1e-32 of its top, so that v^p is not saturated at t_up: with the upper
-end at the 1e-16 point of that bound, fewer integrals stop at 65 points
-and more nodes are evaluated per integral (``CHANGES.md`` records the
-counts).
+end at the 1e-16 point of that bound, fewer integrals stop at their
+third pass and more nodes are evaluated per integral (``CHANGES.md``
+records the counts).
 
 The lower end drops [a, a + d] with d = W v(-U)^p = W / (1 + e^{2U})^p.
 As h is log-concave in t, on [c, b] it lies above the exponential chord
@@ -221,9 +231,11 @@ _MAX_RATE = 3.0
 # Drop of the shape, relative to its top, at which the u-range ends.
 _EPS = 1e-16
 _LOG_EPS = math.log(_EPS)
-# Points of the first u-grid of a cut window, whose grids are 17, 33, 65,
-# 129, ..., and of a free window, whose grids are 9, 17, 33, ...
-_FIRST_GRID = 17
+# Points of the first u-grid of a cut window, whose grids are 15, 29, 57,
+# 113, ..., and of a free window, whose grids are 9, 17, 33, ...  From 15,
+# the stop rule first meets the 57-point pass, which lies within 1e-13 of
+# the series on the box (see the module docstring).
+_FIRST_GRID = 15
 _FREE_FIRST_GRID = 9
 # A free window needs the relative rounding of the node logs at or below
 # this (see the module docstring).
@@ -599,7 +611,7 @@ def _root_map(kernel: _NodeKernel) -> _NodeLogs:
 def _node_map(q: MomentQuery, spec: QuadratureSpec) -> tuple[_NodeLogs, int]:
     """The node logs of the map onto the window of spec, and its first
     grid: t = s^2 from 9 points on a free window (lower > y), the power map
-    from 17 on a cut one."""
+    from 15 on a cut one."""
     kernel = _NodeKernel(q)
     if spec.lower > q.y:
         return _root_map(kernel), _FREE_FIRST_GRID
@@ -665,8 +677,8 @@ class QuadratureOutcome(namedtuple("QuadratureOutcome",
       rounding of the terms of the node logs at the window's centre c =
       max(peak, y), g = eta + mu - 1.  Past mu ~ 1e3 those terms of about
       mu ln mu cancel, and their rounding, not the rule's estimate, sets the
-      error: at (0, 1e5, 0, 0), whose value is 1, the error is 2.1e-10
-      where the rule's estimate is 1.2e-21.  Where c is about 1, r lies
+      error: at (0, 1e5, 0, 0), whose value is 1, the error is 3.1e-10
+      where the rule's estimate is 2.7e-22.  Where c is about 1, r lies
       below an ulp, and 2^-47 covers the value's own roundings.  The factor
       4 and 2^-47 come from a measurement against a 40-digit reference
       (``CHANGES.md`` records it).
@@ -694,13 +706,13 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     ends lie where the integrand's shape h has fallen to 1e-16 of its top,
     the map is t = u^2 and the first grid has 9 points.  On a cut window
     the map is t = lower + (upper - lower) v^20, v = (1 + tanh u)/2, and the
-    first grid has 17 points: the upper end of the u-range stops where h,
+    first grid has 15 points: the upper end of the u-range stops where h,
     and so over the whole piece it drops, is below 1e-16 of its top, and
     the lower end where its dropped piece is at most 1e-16 of the mass of
     h (see the module docstring).  Each refinement halves the spacing, n
     -> 2n - 1, so a pass evaluates only its n - 1 new midpoints and reuses
     the values of every earlier node; the squaring stop can first accept
-    the pass of 33 points on a free window and of 65 on a cut one.
+    the pass of 33 points on a free window and of 57 on a cut one.
     Refinement stops when the relative change d between two passes is at
     most 1e-12, or is below the change d_prev before it with d^2 <= 1e-12,
     or, where d_prev < 1, with d^rho <= 1e-12, rho = min(3, ln d / ln

@@ -321,6 +321,11 @@ def _homogeneous_row(eta: int, prev_row: list[float], seed0: float,
         c = coeffs[m - 2]
         out.append((1.0 + c) * out[m - 1] - c * out[m - 2]
                    + eta * prev_row[m] - eta * c * prev_row[m - 1])
+    # Past the double range the step forms (1+c) inf - c inf.  Entries grow
+    # along a row and up the columns, so one that meets inf is inf; a nan
+    # carries to the end of the row, so its last entry shows it.
+    if math.isnan(out[-1]):
+        out = [math.inf if math.isnan(v) else v for v in out]
     return out
 
 

@@ -675,3 +675,34 @@ def test_three_method_agreement_region_grid():
                     assert lad == pytest.approx(s, rel=1e-12, abs=0.0), (eta, m, x, y)
                     assert hom == pytest.approx(s, rel=1e-12, abs=0.0), (eta, m, x, y)
                     assert hom == pytest.approx(lad, rel=1e-12, abs=0.0), (eta, m, x, y)
+
+
+@pytest.mark.parametrize("eta,mu,x,y", [(150, 150, 5, 3), (170, 3, 5, 3)])
+def test_values_past_the_double_range_are_inf_not_nan(eta, mu, x, y):
+    # The series and the ladder give inf, the value past the double range;
+    # the homogeneous step met that edge as (1+c) inf - c inf and gave nan
+    # with converged=True.  Quadrature raises.
+    q = MomentQuery(eta, mu, x, y)
+    values = {m: evaluate(q, m).value for m in ("series", "ladder",
+                                                "homogeneous")}
+    assert values == {"series": math.inf, "ladder": math.inf,
+                      "homogeneous": math.inf}
+    with pytest.raises(ConvergenceError, match="overflows the double range"):
+        evaluate(q, "quadrature")
+
+
+def test_homogeneous_table_is_the_ladder_where_rows_overflow():
+    # Seeded points with eta in [60, 200], where the rows run past the
+    # double range: no entry is nan, and each agrees with the ladder's.
+    rng = random.Random(3)
+    overflowed = 0
+    for _ in range(40):
+        eta, mu = rng.randint(60, 200), float(rng.randint(1, 200))
+        x, y = rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0)
+        ladder = nuttall_q_ladder(eta, mu, 8, x, y).values
+        table = homogeneous_table(eta, mu, 8, x, y).values
+        for lrow, hrow in zip(ladder, table):
+            for lv, hv in zip(lrow, hrow):
+                assert hv == pytest.approx(lv, rel=1e-12, abs=0.0), (eta, mu)
+        overflowed += math.inf in table[-1]
+    assert overflowed >= 10, overflowed

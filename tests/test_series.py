@@ -540,12 +540,11 @@ def test_series_cannot_take_a_shape_past_one_plus_shape():
         nuttall_q_series(MomentQuery(1e300, 1e150, 1e-300, 1e300))
 
 
-def test_consistency_past_the_term_ratio_range_is_a_domain_error():
-    # The series refuses (x + 2000)(eta + mu + 2000) past the double range;
-    # lgamma(1.7e308) raised OverflowError in the incomplete-gamma prefactor
-    # before.
-    with pytest.raises(DomainError, match="the series cannot take x = 0.5"):
-        consistency_deviation(MomentQuery(20, 1.7e308, 0.5, 1e5))
+def test_consistency_past_the_double_range_is_inf():
+    # Both sides overflow, so the deviation is inf; lgamma(1.7e308) raised
+    # OverflowError in the incomplete-gamma prefactor before.
+    assert consistency_deviation(MomentQuery(20, 1.7e308, 0.5, 1e5)) \
+        == math.inf
 
 
 def test_series_at_a_small_shape_is_not_negative():
@@ -631,10 +630,12 @@ def test_series_past_the_double_range_at_both_ends():
     assert nuttall_q_series(MomentQuery(700.0, 20.0, 1e-12, 1e150)).value == 0.0
     assert nuttall_q_series(MomentQuery(1e5, 1.7e308, 0.0, 0.0)).value \
         == math.inf
-    # (x + 2000)(eta + mu + 2000) past the double range is refused; a step
-    # that formed x (eta + mu + n) overflowed there and gave NaN.
-    with pytest.raises(DomainError, match="the series cannot take x = 20.0"):
-        nuttall_q_series(MomentQuery(0.0, 1.7e308, 20.0, 1.0))
+    # x (eta + mu + n) past the double range: the steps do not form it, as
+    # one that did overflowed there and gave NaN.
+    out = nuttall_q_series(MomentQuery(0.0, 1.7e308, 20.0, 1.0))
+    assert (out.value, out.converged) == (1.0, True)
+    assert nuttall_q_series(MomentQuery(20.0, 1.7e308, 0.5, 1e5)).value \
+        == math.inf
 
 
 def test_consistency_domain_errors():
