@@ -25,8 +25,10 @@ they share:
 * the ladder's forcing term and the quadrature kernel both take
   ``bessel._power_over_gamma``, and the quadrature nodes below the switch
   to Hankel's expansion, z < max(21, (4 (mu-1)^2 - 1)/16), also the
-  Bessel power series ``bessel._series_sum``; the nodes from there to z =
-  700 take ``bessel._hankel_sum``, which only quadrature runs;
+  Bessel power series, the loop ``bessel._four_term_sum`` on the steps of
+  ``bessel._series_steps``; the nodes from there to z = 700 run the same
+  loop on Hankel's steps ``bessel._hankel_steps``, which only quadrature
+  forms;
 * the ladder and the homogeneous table share their one series seed, their
   forcing terms and their ratio sweep;
 * both recurrences take their series values from ``nuttall.series_value``.

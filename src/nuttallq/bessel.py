@@ -14,7 +14,9 @@ max(21, (4 order^2 - 1)/16), by Hankel's asymptotic expansion (DLMF
 the power series needs O(z), and by the Poisson-pair sum past 700.  The
 switch is a rule of the order alone; ``FixedOrderSeries`` says why.
 ``bessel_i_scaled``, which the recurrences use, keeps the power series up
-to z = 700.
+to z = 700.  The power series and Hankel's expansion run one loop,
+``_four_term_sum``, each with its own steps; only quadrature forms
+Hankel's.
 
 All routines accept real (not just integer) order >= 0 and argument >= 0.
 """
@@ -22,6 +24,7 @@ All routines accept real (not just integer) order >= 0 and argument >= 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .errors import ConvergenceError, DomainError
 from .incgamma import log_q_increment
@@ -50,6 +53,8 @@ _TWO_PI = 2.0 * math.pi
 # Terms per separately summed block of a Poisson-pair sum: only sums with
 # z past ~5e4 run that long, so shorter ones are summed as a plain loop.
 _SUM_BLOCK = 1000
+# Four steps of a sum of ``_four_term_sum``, the terms between stop tests.
+_Steps = tuple[float, float, float, float]
 
 
 def _validate(order: float, arg: float) -> None:
@@ -81,63 +86,22 @@ def _power_over_gamma(order: float, arg: float) -> float:
     return p
 
 
-def _series_sum(order: float, q: float,
-                groups: list[tuple[float, float, float, float]]) -> float:
-    """S(q) = sum_n q^n / (n! (order+1)_n), q = z^2/4, four terms per stop
-    test.  ``groups`` holds the step factors 1/(n (order+n)) in tuples of
-    four, n = 1, 2, ...; past its end they are formed as the sum needs them
-    and appended to it.  The terms fall once n (order+n) > q, so a test on
-    the last of each four stops at most three terms late.
+def _four_term_sum(w: float, groups: list[_Steps],
+                   steps: Callable[[float, float, int], _Steps],
+                   order: float, arg: float) -> float:
+    """sum_k t_k, t_0 = 1 and t_k = t_{k-1} w s_k, four terms per stop
+    test: the power series S(q) = sum_n q^n / (n! (order+1)_n) with w =
+    arg = q and ``_series_steps``, or Hankel's expansion H(z) with w = 1/z,
+    arg = z and ``_hankel_steps``.
 
-    No public caller reaches the ConvergenceError at the end: both callers
-    stop at z <= 700, so q <= 122,500, and there the sum ends after 472
-    terms at order 0 and sooner at a higher order, far below the cap of
-    _SERIES_MAX_TERMS.  The raise stays as the loop's guard."""
+    ``groups`` holds the steps s_k in tuples of four, k = 1, 2, ...; past
+    its end ``steps(order, arg, n)`` forms s_{n+1} to s_{n+4} as the sum
+    needs them, and they are appended to it.  The builder raises
+    ConvergenceError past its term cap, naming arg.  The sum stops once
+    the last term of a four lies within _SERIES_CUTOFF of it in size;
+    written as two comparisons, the test of a positive term costs one
+    while it fails."""
     cutoff = _SERIES_CUTOFF
-    term = total = 1.0
-    for r0, r1, r2, r3 in groups:
-        t0 = term * q * r0
-        t1 = t0 * q * r1
-        t2 = t1 * q * r2
-        term = t2 * q * r3
-        total += t0 + t1 + t2 + term
-        if term < total * cutoff:
-            return total
-    n = 4 * len(groups)
-    while n < _SERIES_MAX_TERMS:
-        r0 = 1.0 / ((n + 1) * (order + (n + 1)))
-        r1 = 1.0 / ((n + 2) * (order + (n + 2)))
-        r2 = 1.0 / ((n + 3) * (order + (n + 3)))
-        r3 = 1.0 / ((n + 4) * (order + (n + 4)))
-        groups.append((r0, r1, r2, r3))
-        t0 = term * q * r0
-        t1 = t0 * q * r1
-        t2 = t1 * q * r2
-        term = t2 * q * r3
-        total += t0 + t1 + t2 + term
-        if term < total * cutoff:
-            return total
-        n += 4
-    raise ConvergenceError(
-        f"Bessel series did not converge for order={order}, q={q}")
-
-
-def _hankel_sum(order: float, z: float,
-                groups: list[tuple[float, float, float, float]]) -> float:
-    """H(z) = sum_k (-1)^k a_k(order) z^-k of Hankel's expansion e^{-z}
-    I_order(z) ~ H(z) / sqrt(2 pi z) (DLMF 10.40.1), four terms per stop
-    test.  Term k is term k-1 times the step -(4 order^2 - (2k-1)^2) / (8k)
-    over z; ``groups`` holds the steps in tuples of four, k = 1, 2, ...,
-    and past its end they are formed as the sum needs them and appended to
-    it, as in ``_series_sum``.
-
-    The expansion diverges: its terms fall only while (2k-1)^2 / (8k) stays
-    below about z.  Its one caller takes it where z >= max(21, (4 order^2
-    - 1)/16) (see ``FixedOrderSeries``); there no term exceeds 2 in size,
-    and the terms fall below _SERIES_CUTOFF of the sum before they turn,
-    within _HANKEL_MAX_TERMS.  The raise stays as the loop's guard."""
-    cutoff = _SERIES_CUTOFF
-    w = 1.0 / z
     term = total = 1.0
     for s0, s1, s2, s3 in groups:
         t0 = term * w * s0
@@ -145,38 +109,73 @@ def _hankel_sum(order: float, z: float,
         t2 = t1 * w * s2
         term = t2 * w * s3
         total += t0 + t1 + t2 + term
-        if abs(term) < total * cutoff:
+        if term < total * cutoff and -term < total * cutoff:
             return total
-    k = 4 * len(groups)
-    m = 4.0 * order * order
-    while k < _HANKEL_MAX_TERMS:
-        s0 = ((2 * k + 1) ** 2 - m) / (8 * (k + 1))
-        s1 = ((2 * k + 3) ** 2 - m) / (8 * (k + 2))
-        s2 = ((2 * k + 5) ** 2 - m) / (8 * (k + 3))
-        s3 = ((2 * k + 7) ** 2 - m) / (8 * (k + 4))
-        groups.append((s0, s1, s2, s3))
+    while True:
+        s0, s1, s2, s3 = group = steps(order, arg, 4 * len(groups))
+        groups.append(group)
         t0 = term * w * s0
         t1 = t0 * w * s1
         t2 = t1 * w * s2
         term = t2 * w * s3
         total += t0 + t1 + t2 + term
-        if abs(term) < total * cutoff:
+        if term < total * cutoff and -term < total * cutoff:
             return total
-        k += 4
-    raise ConvergenceError(
-        f"Bessel Hankel expansion did not converge for order={order}, z={z}")
+
+
+def _series_steps(order: float, q: float, n: int) -> _Steps:
+    """The power series' steps 1/(k (order+k)), k = n+1 to n+4.  Its terms
+    fall once k (order+k) > q, so a stop test on the last of each four
+    stops at most three terms late.
+
+    No public caller reaches the ConvergenceError: ``FixedOrderSeries``
+    and ``bessel_i_scaled`` take the power series at z <= 700, so q <=
+    122,500, and there the sum ends after 472 terms at order 0 and sooner
+    at a higher order, far below the cap of _SERIES_MAX_TERMS.  The raise
+    stays as the loop's guard."""
+    if n >= _SERIES_MAX_TERMS:
+        raise ConvergenceError(
+            f"Bessel series did not converge for order={order}, q={q}")
+    return (1.0 / ((n + 1) * (order + (n + 1))),
+            1.0 / ((n + 2) * (order + (n + 2))),
+            1.0 / ((n + 3) * (order + (n + 3))),
+            1.0 / ((n + 4) * (order + (n + 4))))
+
+
+def _hankel_steps(order: float, z: float, n: int) -> _Steps:
+    """Hankel's steps ((2k-1)^2 - 4 order^2)/(8k), k = n+1 to n+4, of the
+    expansion e^{-z} I_order(z) ~ H(z) / sqrt(2 pi z) (DLMF 10.40.1):
+    term k of H is term k-1 times the step over z.
+
+    The expansion diverges: its terms fall only while (2k-1)^2 / (8k)
+    stays below about z.  ``FixedOrderSeries`` takes it where z >= max(21,
+    (4 order^2 - 1)/16); there no term exceeds 2 in size, and the terms
+    fall below _SERIES_CUTOFF of the sum before they turn, within
+    _HANKEL_MAX_TERMS.  The raise stays as the loop's guard."""
+    if n >= _HANKEL_MAX_TERMS:
+        raise ConvergenceError(
+            f"Bessel Hankel expansion did not converge for order={order}, z={z}")
+    m = 4.0 * order * order
+    return (((2 * n + 1) ** 2 - m) / (8 * (n + 1)),
+            ((2 * n + 3) ** 2 - m) / (8 * (n + 2)),
+            ((2 * n + 5) ** 2 - m) / (8 * (n + 3)),
+            ((2 * n + 7) ** 2 - m) / (8 * (n + 4)))
 
 
 class FixedOrderSeries:
     """ln(e^{-z} S(z^2/4)) at one order and many arguments z, with
     I_order(z) = (z/2)^order S(z^2/4) / Gamma(order+1) (DLMF 10.25.2), by
-    one of three sums, each on its own table of steps that the sums extend
-    as they need:
+    one of three sums:
 
-    - below ``hankel_from``, the power series ``_series_sum``;
+    - below ``hankel_from``, the power series;
     - from ``hankel_from`` = max(21, (4 order^2 - 1)/16) to z = 700,
-      Hankel's expansion ``_hankel_sum``;
+      Hankel's expansion;
     - past z = 700, ``log_poisson_pair_sum``.
+
+    The first two run the one loop ``_four_term_sum``, each on its own
+    table of steps (``_series_steps``, ``_hankel_steps``), which the loop
+    extends as the sums need; the ladder's ``bessel_i_scaled`` runs the
+    same loop on the power series' steps.
 
     The switch to Hankel's expansion is fixed per order, not searched per
     call or per integral.  On the positive real axis the expansion leaves
@@ -209,10 +208,10 @@ class FixedOrderSeries:
                            else 0.0)
         self.log_gamma = (-math.log(self._inv_gamma) if order < 170.0
                           else math.lgamma(order + 1.0))
-        self._groups: list[tuple[float, float, float, float]] = []
+        self._groups: list[_Steps] = []
         self.hankel_from = max(_HANKEL_MIN_ARG,
                                (4.0 * order * order - 1.0) / 16.0)
-        self._hankel_groups: list[tuple[float, float, float, float]] = []
+        self._hankel_groups: list[_Steps] = []
 
     def log_scaled(self, q: float, z: float) -> float:
         """ln(e^{-z} S(q)) for z = 2 sqrt(q) >= 0.
@@ -229,11 +228,12 @@ class FixedOrderSeries:
                     + self.log_gamma - self.order * math.log(half))
         if z >= self.hankel_from:
             return math.log(
-                _hankel_sum(self.order, z, self._hankel_groups)
+                _four_term_sum(1.0 / z, self._hankel_groups, _hankel_steps,
+                               self.order, z)
                 / (self._inv_gamma * math.sqrt(_TWO_PI * z)
                    * (0.5 * z) ** self.order))
-        return math.log(math.exp(-z)
-                        * _series_sum(self.order, q, self._groups))
+        return math.log(math.exp(-z) * _four_term_sum(
+            q, self._groups, _series_steps, self.order, q))
 
 
 def _runs_past_the_cap(order: float, n0: float) -> bool:
@@ -327,7 +327,9 @@ def bessel_i_scaled(order: float, arg: float) -> float:
             return 0.0
         # p * sum is I_order(arg) <= I_0(700) ~ 1.5e302, so it cannot
         # overflow; exp(-arg) * p first could underflow to a false 0.0.
-        return math.exp(-arg) * (p * _series_sum(order, arg * arg * 0.25, []))
+        q = arg * arg * 0.25
+        return math.exp(-arg) * (p * _four_term_sum(q, [], _series_steps,
+                                                    order, q))
     half = 0.5 * arg
     return exp_clipped(log_poisson_pair_sum(order, half, half))
 

@@ -323,8 +323,8 @@ class _NodeKernel:
 
 
 _sqrt, _log = math.sqrt, math.log
-# node_logs(u0, h, fresh, last) of ``_nested_passes``.
-_NodeLogs = Callable[[float, float, range, int], list[float]]
+# node_logs(u0, h, fresh) of ``_nested_passes``.
+_NodeLogs = Callable[[float, float, range], list[float]]
 
 
 def _log_integrand(k: _NodeKernel, t: float, dx: float) -> float:
@@ -571,7 +571,7 @@ def _power_map(kernel: _NodeKernel, spec: QuadratureSpec) -> _NodeLogs:
     exp, log1p, expm1 = math.exp, math.log1p, math.expm1
     neg_power, warp_power = -_POWER, _POWER + 1
 
-    def node_logs(u0: float, h: float, fresh: range, last: int) -> list[float]:
+    def node_logs(u0: float, h: float, fresh: range) -> list[float]:
         logs = []
         for i in fresh:
             u = u0 + i * h
@@ -583,8 +583,6 @@ def _power_map(kernel: _NodeKernel, spec: QuadratureSpec) -> _NodeLogs:
             # rise >= 0, so only the upper end can round past the window.
             t = a + rise
             lf = _log_integrand(kernel, t if t < b else b, dx)
-            if i == 0 or i == last:
-                lf += _LOG_HALF
             logs.append(lf + scale - (2.0 * u + warp_power * log_inv_v))
         return logs
     return node_logs
@@ -596,13 +594,11 @@ def _root_map(kernel: _NodeKernel) -> _NodeLogs:
     x)."""
     sqrt_x = kernel.sqrt_x
 
-    def node_logs(s0: float, h: float, fresh: range, last: int) -> list[float]:
+    def node_logs(s0: float, h: float, fresh: range) -> list[float]:
         logs = []
         for i in fresh:
             s = s0 + i * h
             lf = _log_integrand(kernel, s * s, (s - sqrt_x) * (s + sqrt_x))
-            if i == 0 or i == last:
-                lf += _LOG_HALF
             logs.append(lf + _log(2.0 * s))
         return logs
     return node_logs
@@ -622,9 +618,10 @@ def _nested_passes(node_logs: _NodeLogs, spec: QuadratureSpec,
                    n: int) -> Iterator[tuple[int, float]]:
     """(points, trapezoid sum) of the trapezoidal rule on the u-range
     [-u_lo, u_hi] of ``spec``, for nested grids of n, 2n - 1, 4n - 3, ...
-    points, up to the node cap.  ``node_logs(u0, h, fresh, last)`` gives
-    the log of each fresh node's u-space integrand, f(t) dt/du at u = u0 +
-    i h, with the trapezoid weight 1/2 at the endpoints i = 0 and i = last.
+    points, up to the node cap.  ``node_logs(u0, h, fresh)`` gives the log
+    of each fresh node's u-space integrand, f(t) dt/du at u = u0 + i h for
+    i in fresh; the first pass adds the trapezoid weight 1/2 to the logs of
+    its endpoints, which no later pass evaluates again.
 
     Halving the spacing keeps the old nodes at the even indices of the new
     grid, so a pass evaluates only its midpoints; its sum is one exact
@@ -647,7 +644,11 @@ def _nested_passes(node_logs: _NodeLogs, spec: QuadratureSpec,
     ref = -math.inf
     fresh = range(n)
     while n <= _NODE_CAP:
-        logs = node_logs(u0, h, fresh, n - 1)
+        logs = node_logs(u0, h, fresh)
+        if not terms:
+            # The first pass: the trapezoid weight 1/2 at both ends.
+            logs[0] += _LOG_HALF
+            logs[-1] += _LOG_HALF
         top = max(logs)
         if top > ref:
             factor = exp(ref - top)

@@ -235,7 +235,7 @@ def test_power_series_past_its_term_cap_is_a_convergence_error():
     # No public caller gets here: both stop at z <= 700, q <= 122,500.  At
     # q = 1e12 the terms still rise at the cap of 100,000.
     with pytest.raises(ConvergenceError) as exc:
-        bessel._series_sum(0.0, 1e12, [])
+        bessel._four_term_sum(1e12, [], bessel._series_steps, 0.0, 1e12)
     assert str(exc.value) == ("Bessel series did not converge for "
                               "order=0.0, q=1000000000000.0")
 
@@ -332,7 +332,8 @@ def test_hankel_switch_rule_converges_with_terms_at_most_two():
         for j in range(5):
             z = switch + (min(700.0, 10.0 * switch) - switch) * j / 4
             steps = []
-            total = bessel._hankel_sum(order, z, steps)
+            total = bessel._four_term_sum(1.0 / z, steps,
+                                          bessel._hankel_steps, order, z)
             term, largest = 1.0, 1.0
             for step in itertools.chain.from_iterable(steps):
                 term *= step / z
@@ -344,7 +345,8 @@ def test_hankel_sum_past_its_switch_is_a_convergence_error():
     # No caller gets here: at order 8 the expansion converges only from z
     # ~ 20.45, and below it its terms turn before they reach the cutoff.
     with pytest.raises(ConvergenceError) as exc:
-        bessel._hankel_sum(8.0, 20.0, [])
+        bessel._four_term_sum(1.0 / 20.0, [], bessel._hankel_steps, 8.0,
+                              20.0)
     assert str(exc.value) == ("Bessel Hankel expansion did not converge for "
                               "order=8.0, z=20.0")
 

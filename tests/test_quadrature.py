@@ -471,15 +471,15 @@ def test_rate_stop_accepts_the_65_point_pass(eta, mu, x, y, value):
 # rate stop accepts (d^3 = 5.6e-15).  (0, 20, 5, 0) is a Marcum Q of
 # exactly 1, where two passes agree.  At x = 0 the nodes take the same
 # formula with z = 0, and the squaring stop accepts (d^2 = 6.8e-13).
-CUT_65_POINT_STOPS = [
+CUT_PASS_2_STOPS = [
     (1.0, 3.0, 400.0, 300.0, 1e-13),
     (0.0, 20.0, 5.0, 0.0, 1e-14),
     (2.0, 5.0, 0.0, 3.0, 1e-13),
 ]
 
 
-@pytest.mark.parametrize("eta,mu,x,y,bound", CUT_65_POINT_STOPS)
-def test_cut_window_stops_at_65_points(eta, mu, x, y, bound):
+@pytest.mark.parametrize("eta,mu,x,y,bound", CUT_PASS_2_STOPS)
+def test_cut_window_stops_at_pass_2(eta, mu, x, y, bound):
     q = MomentQuery(eta, mu, x, y)
     out = tanh_rule_integrate(q)
     assert truncation_bounds(q).lower == q.y and out.nodes == pass_points(2)
@@ -1055,25 +1055,35 @@ def test_cut_end_is_the_closed_form_of_its_bound():
     assert closed >= 5 and negative >= 100, (closed, negative)
 
 
-def test_most_cut_integrals_stop_within_129_points():
-    points = _cut_points()
-    short = [tanh_rule_integrate(q).nodes <= 129 for q in points]
+def test_most_cut_integrals_stop_within_pass_3():
+    points = [q for q in _cut_points() if truncation_bounds(q).lower == q.y]
+    short = [tanh_rule_integrate(q).nodes <= pass_points(3) for q in points]
     assert sum(short) >= 0.9 * len(points), (sum(short), len(points))
+
+
+# Cut windows at y ~ 0, where t^{eta+mu-1} rises from the window's lower
+# end; the other points of the test below take free windows.
+HIGH_POWER_CUT_POINTS = [
+    (44.0, 80.0, 4.87, 0.0), (0.0, 150.0, 7.66, 0.0),
+    (47.1, 120.0, 11.0, 2.45), (2.0, 1.5, 0.3, 0.0),
+]
 
 
 @pytest.mark.parametrize("eta,mu,x,y", [
     (47.1, 46.0, 11.0, 2.45), (36.0, 33.2, 8.49, 0.0),
     (0.0, 34.4, 7.66, 0.0), (50.0, 21.9, 9.07, 8.72),
     (41.0, 38.4, 1.95, 8.25), (44.0, 40.9, 4.87, 0.0),
-])
+] + HIGH_POWER_CUT_POINTS)
 def test_high_power_integrals_stop_within_129_points(eta, mu, x, y):
     # t^{eta+mu-1} rises over tens of decades below the mass.  A lower end
     # left a doubling below the profile's drop (the integrand e^-140 to
-    # e^-300 there) crowded the map's nodes where it is negligible, and
-    # these took 257 points.
+    # e^-300 there) crowded a cut window's nodes where it is negligible,
+    # and such integrals took 257 points; the cut windows here take 57.
     q = MomentQuery(eta, mu, x, y)
     out = tanh_rule_integrate(q)
-    assert out.nodes <= 129, q
+    cut = (eta, mu, x, y) in HIGH_POWER_CUT_POINTS
+    assert (truncation_bounds(q).lower == q.y) == cut, q
+    assert out.nodes <= pass_points(3), q
     assert out.value == pytest.approx(nuttall_q_series(q).value, rel=1e-10,
                                       abs=0.0)
 
