@@ -1,12 +1,12 @@
 """Moments of the partial non-central chi-squared distribution (Nuttall Q).
 
 Three mutually validating evaluation routes for Q_{eta,mu}(x, y), one
-module each:
+module each, with the records they take and give in a fourth:
 
+* ``nuttallq.query`` - the records ``MomentQuery`` and ``Evaluation``, and
+  ``evaluate``, which takes any route by name;
 * ``nuttallq.nuttall`` - the series in incomplete gamma function ratios
-  (``nuttall_q_series``, ``marcum_q``), the records ``MomentQuery``,
-  ``SeriesOutcome`` and ``Evaluation``, and ``evaluate``, which takes any
-  route by name;
+  (``nuttall_q_series``, ``marcum_q``) and its record ``SeriesOutcome``;
 * ``nuttallq.recurrence`` - the stable recurrence ladders in mu
   (``nuttall_q_ladder``, ``homogeneous_table``, ``nuttall_q_homogeneous``)
   and ``consistency_deviation``;
@@ -33,17 +33,17 @@ they share:
   forcing terms and their ratio sweep;
 * both recurrences take their series values from ``nuttall.series_value``.
 
-``import nuttallq`` loads the series, the incomplete gamma kernel and the
-errors.  The recurrences, the quadrature and the Bessel kernel load on
-first use: the first access to one of their names in ``__all__`` imports
-the module that holds it (``_LAZY``), so that a command that never runs a
-route does not compile it.
+``import nuttallq`` loads the errors and ``query``.  The series, the
+incomplete gamma kernel, the recurrences, the quadrature and the Bessel
+kernel load on first use: the first access to one of their names in
+``__all__`` imports the module that holds it (``_LAZY``), so that a command
+that never runs a route does not compile it.  ``bessel`` imports
+``incgamma`` only in ``log_poisson_pair_sum``, so quadrature compiles no
+line of the series unless a node passes z = 700.
 """
 
 from .errors import ConvergenceError, DomainError
-from .incgamma import log_q_increment
-from .nuttall import (Evaluation, MomentQuery, SeriesOutcome, evaluate,
-                      marcum_q, nuttall_q_series)
+from .query import Evaluation, MomentQuery, evaluate
 
 __version__ = "0.1.0"
 
@@ -73,6 +73,10 @@ __all__ = [
 
 # The names of ``__all__`` not bound at import, and the module of each.
 _LAZY = {
+    "SeriesOutcome": "nuttall",
+    "marcum_q": "nuttall",
+    "nuttall_q_series": "nuttall",
+    "log_q_increment": "incgamma",
     "QuadratureOutcome": "quadrature",
     "QuadratureSpec": "quadrature",
     "moment_by_quadrature": "quadrature",

@@ -27,7 +27,6 @@ import math
 from collections.abc import Callable
 
 from .errors import ConvergenceError, DomainError
-from .incgamma import log_q_increment
 from .logscale import exp_clipped
 
 # Modified Lentz parameters for the ratio continued fraction.
@@ -279,6 +278,9 @@ def log_poisson_pair_sum(order: float, a: float, b: float) -> float:
     if not m < math.inf or n0 and _runs_past_the_cap(order, n0):
         raise ConvergenceError(
             f"Bessel series did not converge for order={order}, a={a}, b={b}")
+    # Imported here, the one use in this module, so that quadrature below
+    # z = 700 runs without compiling the incomplete gamma kernel.
+    from .incgamma import log_q_increment
     peak = ((log_q_increment(n0, a) if n0 else -a)
             + (log_q_increment(n0 + order, b) if n0 + order else -b))
     # total is the open block; done holds the blocks closed before it.

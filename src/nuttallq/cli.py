@@ -27,7 +27,7 @@ import sys
 from collections.abc import Iterable
 
 from .errors import ConvergenceError, DomainError, UsageError
-from .nuttall import METHODS, MomentQuery, evaluate
+from .query import METHODS, MomentQuery, evaluate
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -14,7 +14,8 @@ from collections.abc import Iterable
 from .cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SELFTEST_FAIL, TABLE1,
                   format_field, write_record)
 from .errors import ConvergenceError, DomainError, UsageError
-from .nuttall import METHODS, MomentQuery, evaluate, nuttall_q_series
+from .nuttall import nuttall_q_series
+from .query import METHODS, MomentQuery, evaluate
 
 TABLE2_ETA = 2
 TABLE2_X = 2.0

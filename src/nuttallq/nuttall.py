@@ -31,11 +31,11 @@ maps them and lists what they share).  This module holds the first:
 value or ConvergenceError, as the recurrences in ``recurrence`` take it.
 The series accepts real eta >= 0.
 
-``evaluate`` takes a route by its name and gives an ``Evaluation``; it is
-the one place that turns a method name into a route call, and the CLI's
-``eval`` and ``sweep`` print through it.  It imports ``recurrence`` and
-``quadrature`` only in the branch that runs them, so a series evaluation
-loads neither, nor ``bessel``.
+The series takes its point as a ``MomentQuery``, from ``query``, which also
+holds ``evaluate``: that module imports this one only where it runs the
+series, so a command that runs another route compiles no line of it, nor
+of ``incgamma``.  ``MomentQuery``, ``Evaluation``, ``METHODS`` and
+``evaluate`` still resolve from this module.
 
 The recurrence names that lived here (``nuttall_q_ladder``,
 ``nuttall_q_homogeneous``, ``homogeneous_table``, ``RecurrenceTable``,
@@ -49,9 +49,10 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .incgamma import log_pochhammer, log_q_increment, q_with_log_increment
 from .logscale import exp_clipped
+from .query import METHODS, Evaluation, MomentQuery, evaluate
 
 # Relative contribution below which a series term counts as quiet.
 _SERIES_TOL = 1e-14
@@ -72,9 +73,8 @@ _LOG_Q_MIN = -1e6
 # power of two to eq.
 _Q_SCALE_BITS = 64
 _Q_SCALE_MAX = 2.0 ** _Q_SCALE_BITS
-# The smallest normal and the largest finite double.
+# The smallest normal double.
 _TINY = sys.float_info.min
-_HUGE = sys.float_info.max
 # Half an ulp of q is more than 2^-54 q, so an increment of at most this
 # fraction of q rounds away in q + inc, and later ones that halve do too.
 _SATURATED = 2.0 ** -55
@@ -83,52 +83,6 @@ _PRODUCT_MAX_FACTORS = 20_000
 # ln 2 = _LN2_HI + _LN2_LO as in fdlibm: the high part ends in 21 zero bits.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
-
-
-def _require_finite(name: str, v: float) -> None:
-    # A comparison, not math.isfinite, which raises OverflowError for an int
-    # past the double range; such an int is not shown in full.
-    if not -_HUGE <= v <= _HUGE:
-        shown = ("an int past the double range" if isinstance(v, int)
-                 else repr(v))
-        raise DomainError(f"{name} must be finite, got {shown}")
-
-
-class MomentQuery(namedtuple("MomentQuery", "eta mu x y")):
-    """Parameter 4-tuple (eta, mu, x, y) for one moment evaluation.
-
-    eta: moment order, >= 0 (integer required by the recurrence methods);
-    mu:  degrees-of-freedom parameter, > 0;
-    x:   non-centrality, >= 0;
-    y:   lower integration limit, >= 0.
-
-    A named tuple: it unpacks and indexes, and it compares equal to a plain
-    tuple of the same values, even to a record of another type.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, eta: float, mu: float, x: float, y: float) -> MomentQuery:
-        huge = _HUGE
-        if not (0.0 <= eta <= huge and 0.0 < mu <= huge
-                and 0.0 <= x <= huge and 0.0 <= y <= huge):
-            for name, v in zip(cls._fields, (eta, mu, x, y)):
-                _require_finite(name, v)
-            if eta < 0.0:
-                raise DomainError(f"eta must be >= 0, got {eta!r}")
-            if mu <= 0.0:
-                raise DomainError(f"mu must be > 0, got {mu!r}")
-            if x < 0.0:
-                raise DomainError(f"x must be >= 0, got {x!r}")
-            if y < 0.0:
-                raise DomainError(f"y must be >= 0, got {y!r}")
-        return tuple.__new__(cls, (eta, mu, x, y))
-
-    @classmethod
-    def _make(cls, iterable) -> MomentQuery:
-        # namedtuple's own _make, which _replace calls, builds the tuple
-        # without __new__; build through it, so a replaced field is checked.
-        return cls(*iterable)
 
 
 class SeriesOutcome(namedtuple("SeriesOutcome",
@@ -156,30 +110,6 @@ class SeriesOutcome(namedtuple("SeriesOutcome",
     __slots__ = ()
 
 
-# The routes ``evaluate`` takes by name.
-METHODS = ("series", "ladder", "homogeneous", "quadrature")
-
-
-class Evaluation(namedtuple("Evaluation",
-                            "value method terms est_error converged")):
-    """One value by a named route, as ``evaluate`` gives it.
-
-    value:     Q_{eta,mu}(x, y);
-    method:    the route, one of ``METHODS``;
-    terms:     the series' ``terms_used`` or the quadrature's ``nodes``;
-               None for the recurrences, which count no work;
-    est_error: the series' or the quadrature's ``est_error``; None for the
-               recurrences, which estimate none;
-    converged: the series' flag; True for the other routes, which raise
-               ConvergenceError where they fail.
-
-    A named tuple: it unpacks and indexes, and it compares equal to a plain
-    tuple of the same values, even to a record of another type.
-    """
-
-    __slots__ = ()
-
-
 def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
     """Gamma(eta+base)/Gamma(base) as (mantissa, log_offset).
 
@@ -189,8 +119,12 @@ def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
     mantissa accurate to a few ulp instead of the ~|log| * eps an
     exp(lgamma-difference) costs.  A fractional part f multiplies in
     Gamma(c+f)/Gamma(c), c = base+m, from ``log_pochhammer``, whose log is
-    of the size of f ln c.  Past 20,000 factors the whole ratio is the
-    offset ``log_pochhammer(base, eta)``.
+    of the size of f ln c, and goes into the offset where that log is 64
+    or more in size.  At c near 0 the log is about ln(c/(c+f)) instead, and
+    the ratio goes in as c/(c+f) times e^{ln (c+1)_f}, both in the mantissa,
+    where c/(c+f) is normal: at c = 1e-300, f = 1e-20 the log of -644.7
+    would carry 5e-14 of rounding into the value.  Past 20,000 factors the
+    whole ratio is the offset ``log_pochhammer(base, eta)``.
     """
     if eta > _PRODUCT_MAX_FACTORS:
         return 1.0, log_pochhammer(base, eta)
@@ -204,9 +138,14 @@ def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
             mant = 1.0
     frac = eta - m
     if frac:
-        log_frac = log_pochhammer(base + m, frac)
+        c = base + m
+        log_frac = log_pochhammer(c, frac)
         if abs(log_frac) < 64.0:
             mant *= math.exp(log_frac)
+        elif c < 1.0 and c / (c + frac) >= _TINY:
+            # (c)_f = c/(c+f) (c+1)_f: the first factor, which holds all of
+            # a log this far below 0, enters the mantissa unrounded by a log.
+            mant *= c / (c + frac) * math.exp(log_pochhammer(c + 1.0, frac))
         else:
             offset += log_frac
     return mant, offset
@@ -504,34 +443,6 @@ def series_value(eta: float, mu: float, x: float, y: float) -> float:
         raise ConvergenceError(
             f"series did not converge at eta={eta}, mu={mu}, x={x}, y={y}")
     return out.value
-
-
-def evaluate(q: MomentQuery, method: str) -> Evaluation:
-    """Q_{eta,mu}(x, y) by the route ``method`` names, one of ``METHODS``.
-
-    The recurrences build a table of eta + 1 rows and n_cols = ceil(mu)
-    columns, at least one, where mu up to 1e-12 above an integer counts as
-    that integer.  It starts at mu_start = mu - (n_cols - 1), in (0, 1] up
-    to that slack, and its last entry is the value; the builders check eta
-    and the table's size.  An unknown method raises DomainError, and a
-    route's own failures raise as the route raises them.
-    """
-    if method == "series":
-        out = nuttall_q_series(q)
-        return Evaluation(out.value, method, out.terms_used, out.est_error,
-                          out.converged)
-    if method == "quadrature":
-        from .quadrature import tanh_rule_integrate
-        out = tanh_rule_integrate(q)
-        return Evaluation(out.value, method, out.nodes, out.est_error, True)
-    if method not in METHODS:
-        raise DomainError(f"unknown method {method!r}")
-    from .recurrence import homogeneous_table, nuttall_q_ladder
-    n_cols = max(1, math.ceil(q.mu - 1e-12))
-    build = nuttall_q_ladder if method == "ladder" else homogeneous_table
-    table = build(q.eta, q.mu - (n_cols - 1), n_cols, q.x, q.y)
-    return Evaluation(table.entry(table.eta_max, n_cols - 1), method, None,
-                      None, True)
 
 
 # The public names that moved to ``recurrence``.

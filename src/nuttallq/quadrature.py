@@ -28,7 +28,7 @@ window starts above (sqrt c - 6.07)^2 > 0.
 Refinement stops at pass k when the relative change d_k between passes k-1
 and k satisfies, in this order,
 
-    d_k <= 1e-12                           (two passes agree),
+    d_k <= max(1e-12, floor)               (two passes agree),
     d_k < d_{k-1} and d_k^2 <= 1e-12       (the error squares), or
     0 < d_k < d_{k-1} < 1 and d_k^rho <= 1e-12,
         rho = min(3, ln d_k / ln d_{k-1})  (the error's exponent grows
@@ -43,7 +43,15 @@ d_k to shrink, so it cannot fire before the third pass, at 33 points on
 a free window and 57 on a cut one.  The estimate d_k^2 overstates the
 error, so the integrals it accepts between a 1e-14 and a 1e-12 target
 stay about as close to the series as with the tighter one (``CHANGES.md``
-records the run).  So all rules share the one tolerance.
+records the run).  So all rules share the one tolerance, except that
+the first also accepts a change at the rounding floor of the node logs
+(see ``QuadratureOutcome``), which no later pass can bring lower: at
+(0, 10^10.5, 0, 0), where the floor is 6.8e-4, it accepts a change of
+1.8e-5 at 113 points, where a change below 1e-12 came by chance at 28,673.
+On the box the floor stays below 1e-12.  Where the floor reaches 1, any
+change would pass and the value would hold no digit, so the second pass
+raises ConvergenceError (at x = 0 from mu ~ 3.6e13), unless it and the
+first both sum to 0, as where y lies far past the mass.
 
 Squaring is the rate of an integrand analytic in a strip about the real
 u-axis, whose error is about e^{-2 pi s / h} for a strip of half-width s
@@ -216,7 +224,7 @@ from math import fsum
 from .bessel import FixedOrderSeries
 from .errors import ConvergenceError, DomainError
 from .logscale import exp_clipped
-from .nuttall import MomentQuery
+from .query import MomentQuery
 
 _NODE_CAP = 2**20
 # Two passes that agree to this relative change end the refinement, and so
@@ -263,6 +271,9 @@ _ULP = 2.0**-52
 # value's own few steps where r is below an ulp (see ``QuadratureOutcome``).
 _FLOOR_FACTOR = 4.0
 _FLOOR_MIN = 2.0**-47
+# A floor at or above this leaves the value no digit: a nonzero integral
+# is refused.
+_FLOOR_LIMIT = 1.0
 # The least normal double; below it a pass's scale has lost digits.
 _MIN_NORMAL = 2.0**-1022
 _LOG_HALF = math.log(0.5)
@@ -673,7 +684,8 @@ class QuadratureOutcome(namedtuple("QuadratureOutcome",
 
     - the estimate the stop rule accepted the pass on: the change d from
       the pass before, its square d^2, or d^rho at the measured rate rho in
-      (2, 3] (see the module docstring), each at most 1e-12;
+      (2, 3] (see the module docstring), each at most 1e-12, or d at most
+      the rounding floor below;
     - the rounding floor max(4 r, 2^-47), r = 2^-52 max(g ln c, c) the
       rounding of the terms of the node logs at the window's centre c =
       max(peak, y), g = eta + mu - 1.  Past mu ~ 1e3 those terms of about
@@ -686,7 +698,8 @@ class QuadratureOutcome(namedtuple("QuadratureOutcome",
 
     On the box eta in [0, 50], mu in [1, 50], x, y in [0, 20] r stays near
     1e-13, so ``est_error`` stays at or below 1e-12; past it the floor is
-    reported as it is, above 1e-12 from mu ~ 1e3 at x = 0.  A value of 0.0
+    reported as it is, above 1e-12 from mu ~ 1e3 at x = 0, up to the limit
+    of 1 where ``tanh_rule_integrate`` refuses.  A value of 0.0
     (every node underflowed) and a window that rounds to zero width report
     0.0.  The grids are nested and no node is evaluated twice, so ``nodes``
     is the number of integrand evaluations.
@@ -715,13 +728,16 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     the values of every earlier node; the squaring stop can first accept
     the pass of 33 points on a free window and of 57 on a cut one.
     Refinement stops when the relative change d between two passes is at
-    most 1e-12, or is below the change d_prev before it with d^2 <= 1e-12,
-    or, where d_prev < 1, with d^rho <= 1e-12, rho = min(3, ln d / ln
-    d_prev) (see the module docstring); ``est_error`` is d, d^2 or d^rho,
-    or the rounding floor of ``QuadratureOutcome`` where that is larger.
+    most 1e-12 or the rounding floor of ``QuadratureOutcome``, or is below
+    the change d_prev before it with d^2 <= 1e-12, or, where d_prev < 1,
+    with d^rho <= 1e-12, rho = min(3, ln d / ln d_prev) (see the module
+    docstring); ``est_error`` is d, d^2 or d^rho, or that floor where it
+    is larger.
     Non-convergence within the 2^20 node cap raises ConvergenceError, and
     so does the first pass whose sum is not finite, where the integral
-    overflows the double range.
+    overflows the double range, and so does the second pass where the
+    rounding floor is 1 or more, which leaves the value no digit, unless
+    both passes sum to 0.
     Node contributions are combined with exact summation, so results are
     reproducible.  A window that rounds to zero width, which
     ``truncation_bounds`` returns only at a y past the peak of h, gives
@@ -735,6 +751,9 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
         return QuadratureOutcome(0.0, 0, 0.0)
     floor = max(_FLOOR_FACTOR * _rounding(q.eta + q.mu - 1.0,
                                           max(spec.peak, q.y)), _FLOOR_MIN)
+    # A change at the rounding floor is the nodes' own rounding: a later
+    # pass cannot bring it lower.
+    tol = max(_REL_TOL, floor)
     node_logs, n = _node_map(q, spec)
     prev = None
     # The squaring and rate stops need a change before the current one to
@@ -747,8 +766,10 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
             if prev is not None:
                 if cur == 0.0 and prev == 0.0:
                     return QuadratureOutcome(0.0, n, 0.0)
+                if floor >= _FLOOR_LIMIT:
+                    break
                 d = abs(cur - prev) / abs(cur) if cur != 0.0 else math.inf
-                if d <= _REL_TOL:
+                if d <= tol:
                     return QuadratureOutcome(cur, n, max(d, floor))
                 if d < d_prev and d * d <= _REL_TOL:
                     return QuadratureOutcome(cur, n, max(d * d, floor))
@@ -768,6 +789,11 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
         raise ConvergenceError(
             f"tanh-rule quadrature overflows the double range for {q}: its "
             f"{n}-point pass sums to {cur!r}")
+    if floor >= _FLOOR_LIMIT:
+        raise ConvergenceError(
+            f"quadrature cannot take eta = {q.eta!r}, mu = {q.mu!r}, "
+            f"x = {q.x!r}, y = {q.y!r}: the rounding floor {floor!r} of its "
+            f"node logs leaves the value no digit")
     raise ConvergenceError(
         f"tanh-rule quadrature did not converge within {_NODE_CAP} nodes for {q}")
 

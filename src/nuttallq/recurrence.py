@@ -44,7 +44,8 @@ from collections import namedtuple
 from .bessel import bessel_i_scaled, bessel_ratio, log_poisson_pair_sum
 from .errors import DomainError
 from .logscale import exp_clipped
-from .nuttall import MomentQuery, series_value
+from .nuttall import series_value
+from .query import MomentQuery
 
 # The smallest normal double.
 _TINY = sys.float_info.min

@@ -78,7 +78,7 @@ def test_evaluate_gives_each_routes_own_output(point):
         "homogeneous": (_last_table_entry(homogeneous_table, q),
                         "homogeneous", None, None, True),
     }
-    assert set(expected) == set(nuttallq.nuttall.METHODS)
+    assert set(expected) == set(nuttallq.query.METHODS)
     for method, want in expected.items():
         got = evaluate(q, method)
         assert type(got) is Evaluation
@@ -120,14 +120,18 @@ def test_evaluate_loads_quadrature_only_to_integrate(method, loads):
 
 
 # The package modules that a module must not import at its top level: the
-# series runs without the Bessel kernel and the other routes, quadrature
-# without the recurrences, and the CLI loads a route, and the grid commands,
-# only where a command runs them.
+# records and ``evaluate`` hold no route, the series runs without the Bessel
+# kernel and the other routes, quadrature and the Bessel kernel without the
+# series and the recurrences, and the CLI loads a route, and the grid
+# commands, only where a command runs them.
+_ROUTES = {"bessel", "incgamma", "nuttall", "quadrature", "recurrence"}
 NOT_AT_TOP_LEVEL = {
-    "__init__": {"bessel", "recurrence", "quadrature"},
+    "__init__": _ROUTES,
+    "query": _ROUTES,
     "nuttall": {"bessel", "recurrence", "quadrature"},
-    "quadrature": {"recurrence"},
-    "cli": {"bessel", "recurrence", "quadrature", "grid"},
+    "bessel": {"incgamma", "nuttall", "recurrence", "quadrature"},
+    "quadrature": {"incgamma", "nuttall", "recurrence"},
+    "cli": _ROUTES | {"grid"},
     "grid": {"bessel", "recurrence", "quadrature"},
 }
 
@@ -164,7 +168,9 @@ def test_routes_load_only_what_they_run(module):
 
 def test_top_level_import_walk_finds_what_is_there():
     # It finds the imports a module makes at its top level, and none that a
-    # function makes (``evaluate`` imports quadrature in its branch).
-    assert _top_level_imports("cli") >= {"errors", "nuttall"}
-    assert "quadrature" not in _top_level_imports("nuttall")
-    assert {"bessel", "nuttall"} <= _top_level_imports("recurrence")
+    # function makes (``evaluate`` imports each route in its branch, and
+    # ``log_poisson_pair_sum`` imports ``incgamma``).
+    assert _top_level_imports("cli") >= {"errors", "query"}
+    assert _top_level_imports("query") == {"errors"}
+    assert "incgamma" not in _top_level_imports("bessel")
+    assert {"bessel", "nuttall", "query"} <= _top_level_imports("recurrence")

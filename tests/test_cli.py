@@ -243,6 +243,20 @@ def test_eval_quadrature_huge_x_is_a_named_convergence_failure(capsys):
         "x = 1e+150, y = 1.0: rounding leaves its window")
 
 
+def test_eval_quadrature_past_its_rounding_floor_is_a_convergence_failure(
+        capsys):
+    # At x = 0 the rounding floor of the node logs passes 1 from mu ~
+    # 3.6e13; this point once printed 71.78 (the value is 1) as converged.
+    code, out, err = run(capsys, "eval", "--eta", "0", "--mu",
+                         "3.1622776601683795e15", "--x", "0", "--y", "0",
+                         "--method", "quadrature")
+    assert code == EXIT_NO_CONVERGENCE
+    assert out == ""
+    assert err.startswith(
+        "convergence failure: quadrature cannot take eta = 0.0, "
+        "mu = 3162277660168379.5, x = 0.0, y = 0.0: the rounding floor ")
+
+
 def test_eval_homogeneous_at_eta_zero_matches_series(capsys):
     # The homogeneous table recurs row 0 as well.
     values = {}
@@ -677,25 +691,29 @@ def _cold_eval(*argv):
 # start compiles every module it loads from source where bytecode is not
 # written, so a route it does not run only costs it time.
 ON_DEMAND = {"json", "nuttallq.bessel", "nuttallq.grid",
-             "nuttallq.quadrature", "nuttallq.recurrence"}
-_RECURRENCES = {"nuttallq.bessel", "nuttallq.recurrence"}
-# Each command's arguments and the modules of ON_DEMAND it loads: the series
-# loads none, and the grid commands load ``grid``.
+             "nuttallq.incgamma", "nuttallq.nuttall", "nuttallq.quadrature",
+             "nuttallq.recurrence"}
+_SERIES = {"nuttallq.incgamma", "nuttallq.nuttall"}
+_RECURRENCES = _SERIES | {"nuttallq.bessel", "nuttallq.recurrence"}
+_GRID = _SERIES | {"nuttallq.grid"}
+# Each command's arguments and the modules of ON_DEMAND it loads: a series
+# eval loads the series (``nuttall`` and ``incgamma``), a quadrature eval
+# ``bessel`` and ``quadrature`` alone, a recurrence eval the series and
+# ``bessel`` too, and the grid commands ``grid`` and the series.
 COLD_STARTS = {
-    "eval-series": (_EVAL, set()),
-    "eval-series-json": (_EVAL + ("--format", "json"), {"json"}),
+    "eval-series": (_EVAL, _SERIES),
+    "eval-series-json": (_EVAL + ("--format", "json"), _SERIES | {"json"}),
     "eval-ladder": (_EVAL + ("--method", "ladder"), _RECURRENCES),
     "eval-homogeneous": (_EVAL + ("--method", "homogeneous"), _RECURRENCES),
     "eval-quadrature": (_EVAL + ("--method", "quadrature"),
                         {"nuttallq.bessel", "nuttallq.quadrature"}),
-    "table-1": (("table", "1"), {"nuttallq.grid"}),
-    "table-2": (("table", "2"), {"nuttallq.grid"} | _RECURRENCES),
-    "sweep": (("sweep", "--steps", "1"), {"nuttallq.grid"}),
+    "table-1": (("table", "1"), _GRID),
+    "table-2": (("table", "2"), _GRID | _RECURRENCES),
+    "sweep": (("sweep", "--steps", "1"), _GRID),
     "sweep-recurrences": (("sweep", "--steps", "2", "--methods",
                            "series,ladder,homogeneous"),
-                          {"nuttallq.grid"} | _RECURRENCES),
-    "selftest": (("selftest", "--steps", "2"),
-                 {"nuttallq.grid"} | _RECURRENCES),
+                          _GRID | _RECURRENCES),
+    "selftest": (("selftest", "--steps", "2"), _GRID | _RECURRENCES),
 }
 
 
@@ -731,6 +749,21 @@ def test_package_loads_quadrature_on_first_use():
             "tanh_rule_integrate is qm.tanh_rule_integrate, "
             "truncation_bounds is qm.truncation_bounds)")
     assert _fresh_python(code).split() == ["False"] + ["True"] * 5
+
+
+def test_package_loads_the_series_on_first_use():
+    code = ("import sys, nuttallq; "
+            "print('nuttallq.nuttall' in sys.modules, "
+            "'nuttallq.incgamma' in sys.modules); "
+            "from nuttallq import (SeriesOutcome, log_q_increment, marcum_q, "
+            "nuttall_q_series); "
+            "from nuttallq import incgamma, nuttall; "
+            "print(SeriesOutcome is nuttall.SeriesOutcome, "
+            "marcum_q is nuttall.marcum_q, "
+            "nuttall_q_series is nuttall.nuttall_q_series, "
+            "log_q_increment is incgamma.log_q_increment, "
+            "nuttallq.MomentQuery is nuttall.MomentQuery)")
+    assert _fresh_python(code).split() == ["False"] * 2 + ["True"] * 5
 
 
 def test_package_dir_and_missing_names():

@@ -456,7 +456,7 @@ def test_outcome_stops_on_the_first_pass_a_rule_accepts():
 
 
 @pytest.mark.parametrize("eta,mu,x,y,value", RATE_STOP_POINTS)
-def test_rate_stop_accepts_the_65_point_pass(eta, mu, x, y, value):
+def test_rate_stop_accepts_pass_2(eta, mu, x, y, value):
     q = MomentQuery(eta, mu, x, y)
     out = tanh_rule_integrate(q)
     assert out.nodes == pass_points(2)
@@ -929,7 +929,7 @@ LARGE_MU_CUT_OUTCOMES = [
     (1.000000025341652, 2), (1.0000000496051966, 2),
     (0.9999998566143973, 2), (0.9999995270001254, 2),
     (1.0000009392403881, 2), (1.0000068336109147, 2),
-    (1.000008152066575, 3), (0.9998985039211759, 11),
+    (1.000008152066575, 3), (0.9999038192499137, 3),
 ]
 
 
@@ -937,19 +937,40 @@ LARGE_MU_CUT_OUTCOMES = [
 def test_large_mu_at_x_zero_keeps_its_cut_window(k):
     # The node logs round at 2^-52 mu ln mu, above the 1e-13 a free window
     # needs from mu ~ 70, so every half-decade from 1e3 to 3.2e15 keeps the
-    # cut window and its outcome: the values and passes above up to mu =
-    # 3.2e10, each within its est_error of 1.  From 1e10 the passes differ
-    # by rounding near 1e-4, and a change below 1e-12 comes by chance: at
-    # 3.2e10 after 12 passes (28,673 nodes), at 1e11 and 3.2e11 after 4,
-    # and from 1e12 not before the node cap.  A free window there returned
-    # 0.93 at mu = 1e15 and 3.3e8 at 4.5e15.
+    # cut window.  The values and passes above run up to mu = 3.2e10.  From
+    # 1e10 the passes differ by rounding near 1e-4, and the stop accepts
+    # the first change at or below the rounding floor: at 3.2e10 that is
+    # pass 3, where a change below 1e-12 came by chance after 12 passes
+    # (28,673 nodes), and from 1e12, where it came not before the node cap,
+    # passes 1 to 3.  Up to 3.2e13 the value lies within its est_error of
+    # 1.  From 1e14 the floor (2.9 to 100) would accept any change, and the
+    # integral is refused: there it gave 71.8 at 3.2e15.  A free window
+    # there returned 0.93 at mu = 1e15 and 3.3e8 at 4.5e15.
     q = MomentQuery(0.0, 10.0 ** (3 + k / 2), 0.0, 0.0)
     assert truncation_bounds(q).lower == q.y
+    if k >= 22:
+        with pytest.raises(ConvergenceError, match=(
+                r"^quadrature cannot take eta = 0\.0, mu = .*, x = 0\.0, "
+                r"y = 0\.0: the rounding floor .* leaves the value no digit$")):
+            tanh_rule_integrate(q)
+        return
+    out = tanh_rule_integrate(q)
     if k < len(LARGE_MU_CUT_OUTCOMES):
-        out = tanh_rule_integrate(q)
         value, k_pass = LARGE_MU_CUT_OUTCOMES[k]
         assert (out.value, out.nodes) == (value, pass_points(k_pass))
-        assert abs(out.value - 1.0) <= out.est_error
+    assert out.nodes <= pass_points(3)
+    assert abs(out.value - 1.0) <= out.est_error < 1.0
+
+
+@pytest.mark.parametrize("eta,mu,x,y", [
+    (0.0, 1e3, 0.0, 2e15), (0.0, 1.0, 0.0, 1.2e15), (3.0, 5.0, 2.0, 5e15),
+    (0.0, 1e15, 0.0, 1.1e15),
+])
+def test_floor_past_one_still_gives_an_underflowed_integral(eta, mu, x, y):
+    # y far past the mass: the rounding floor at y is 1.1 to 31, but every
+    # node underflows, and the value 0.0 holds no rounding to refuse.
+    out = tanh_rule_integrate(MomentQuery(eta, mu, x, y))
+    assert out == (0.0, pass_points(1), 0.0)
 
 
 @pytest.mark.parametrize("eta,mu,x,y", [
@@ -1074,7 +1095,7 @@ HIGH_POWER_CUT_POINTS = [
     (0.0, 34.4, 7.66, 0.0), (50.0, 21.9, 9.07, 8.72),
     (41.0, 38.4, 1.95, 8.25), (44.0, 40.9, 4.87, 0.0),
 ] + HIGH_POWER_CUT_POINTS)
-def test_high_power_integrals_stop_within_129_points(eta, mu, x, y):
+def test_high_power_integrals_stop_within_pass_3(eta, mu, x, y):
     # t^{eta+mu-1} rises over tens of decades below the mass.  A lower end
     # left a doubling below the profile's drop (the integrand e^-140 to
     # e^-300 there) crowded a cut window's nodes where it is negligible,

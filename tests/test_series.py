@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuttallq import (ConvergenceError, DomainError, MomentQuery,
-                      consistency_deviation, log_q_increment, marcum_q,
-                      nuttall_q_ladder, nuttall_q_series)
+                      consistency_deviation, evaluate, log_q_increment,
+                      marcum_q, nuttall_q_ladder, nuttall_q_series)
 from nuttallq import incgamma, nuttall
 from nuttallq.incgamma import q_with_log_increment
 from nuttallq.cli import TABLE1
@@ -578,13 +578,33 @@ def test_series_at_mu_near_zero_keeps_every_term(eta, mu, x, y, ref):
     assert out.value == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+# (eta, mu, x, y, value) with real eta and mu near 0, where Gamma(eta+mu)/
+# Gamma(mu) ~ mu/eta is far below 1: its log of ~-645 and ~-460, rounded,
+# put 5.4e-14, 4.7e-14 and 1.4e-14 of error into the value.  Values: 30
+# digits of the reference sum of ``perfbench/reference.py`` at 40 digits,
+# which 60 digits confirm to 1e-41.
+TINY_BASE_POINTS = [
+    (1e-20, 1e-300, 1e-300, 1e-12, 2.8053805451027016066912376875e-299),
+    (0.3, 1e-300, 1e-300, 1e-12, 3.88820238851669817193672590161e-300),
+    (1e-20, 1e-200, 0.0, 1e-12, 2.70538054510280148796592427276e-199),
+]
+
+
+@pytest.mark.parametrize("eta,mu,x,y,ref", TINY_BASE_POINTS)
+def test_series_at_a_tiny_base_keeps_the_gamma_ratio_in_its_mantissa(
+        eta, mu, x, y, ref):
+    out = nuttall_q_series(MomentQuery(eta, mu, x, y))
+    assert out.converged
+    assert out.value == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
 def test_recurrences_at_mu_near_zero_take_the_series_value():
     # One column at mu = 1e-200: both tables are seeded by the series.
     q = MomentQuery(0.0, 1e-200, 3e-150, 2.0)
     value = nuttall_q_series(q).value
     assert value == pytest.approx(SMALL_MU_POINTS[1][4], rel=1e-13, abs=0.0)
     for method in ("ladder", "homogeneous"):
-        assert nuttall.evaluate(q, method).value == value
+        assert evaluate(q, method).value == value
 
 
 def test_marcum_step_matches_the_general_step():
