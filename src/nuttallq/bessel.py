@@ -49,9 +49,6 @@ _SERIES_MAX_TERMS = 100_000
 _HANKEL_MIN_ARG = 21.0
 _HANKEL_MAX_TERMS = 64
 _TWO_PI = 2.0 * math.pi
-# Terms per separately summed block of a Poisson-pair sum: only sums with
-# z past ~5e4 run that long, so shorter ones are summed as a plain loop.
-_SUM_BLOCK = 1000
 # Four steps of a sum of ``_four_term_sum``, the terms between stop tests.
 _Steps = tuple[float, float, float, float]
 
@@ -264,9 +261,9 @@ def log_poisson_pair_sum(order: float, a: float, b: float) -> float:
     I_order(z) at a = b = z/2.  Its terms lie in [0, 1] and are summed as
     plain floats outward from the largest, at the first n where ab <= (n+1)
     (n+order+1), whose log comes from ``log_q_increment`` (p(0; m) = e^{-m}).
-    The terms go into blocks of ``_SUM_BLOCK`` that are summed on their own
-    and then added up, so the tail terms of a long sum, each below half an
-    ulp of the whole, are not rounded away one by one.
+    The terms are added once, by ``math.fsum``, so the tail terms of a long
+    sum, each below half an ulp of the whole, are not rounded away one by
+    one; the running float ``total`` serves only the stop tests.
     """
     _validate(order, a)
     _validate(order, b)
@@ -283,35 +280,26 @@ def log_poisson_pair_sum(order: float, a: float, b: float) -> float:
     from .incgamma import log_q_increment
     peak = ((log_q_increment(n0, a) if n0 else -a)
             + (log_q_increment(n0 + order, b) if n0 + order else -b))
-    # total is the open block; done holds the blocks closed before it.
-    done = 0.0
+    terms = [1.0]
     total = term = 1.0
-    close = n0 + _SUM_BLOCK
     for _ in range(_SERIES_MAX_TERMS):
         n += 1
         term *= c / (n * (n + order))
+        terms.append(term)
         total += term
-        if term < (done + total) * _SERIES_CUTOFF:
+        if term < total * _SERIES_CUTOFF:
             break
-        if n == close:
-            done += total
-            total = 0.0
-            close += _SUM_BLOCK
     else:
         raise ConvergenceError(
             f"Bessel series did not converge for order={order}, a={a}, b={b}")
     # The terms below the peak fall at least as fast as those above it.
     term = 1.0
-    close = n0 - _SUM_BLOCK
-    while n0 > 0 and term >= (done + total) * _SERIES_CUTOFF:
+    while n0 > 0 and term >= total * _SERIES_CUTOFF:
         term *= n0 * (n0 + order) / c
         n0 -= 1
+        terms.append(term)
         total += term
-        if n0 == close:
-            done += total
-            total = 0.0
-            close -= _SUM_BLOCK
-    return peak + math.log(done + total)
+    return peak + math.log(math.fsum(terms))
 
 
 def bessel_i_scaled(order: float, arg: float) -> float:

@@ -2,19 +2,21 @@
 
 ``cli`` imports this module only when one of them runs, so that ``eval``
 does not compile it.  ``table 2`` and ``selftest`` import the recurrences
-where they run them, and ``table 1`` runs the series alone.
+where they run them, and the tables the series; ``table 1`` runs the
+series alone.  A sweep reaches each route through ``evaluate``, so a
+quadrature sweep compiles no series.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from collections.abc import Iterable
 
-from .cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SELFTEST_FAIL, TABLE1,
-                  format_field, write_record)
+from .cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SELFTEST_FAIL,
+                  EXIT_USAGE, TABLE1, format_field, write_record)
 from .errors import ConvergenceError, DomainError, UsageError
-from .nuttall import nuttall_q_series
 from .query import METHODS, MomentQuery, evaluate
 
 TABLE2_ETA = 2
@@ -38,9 +40,12 @@ def _write_rows(header: tuple[str, ...], rows: Iterable[tuple],
 
 
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
+    """``steps`` points from ``lo`` to ``hi``, which end the axis exactly:
+    neither is formed from (hi - lo), which can round, overflow or be nan."""
     if steps == 1:
         return [lo]
-    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    inner = (lo + i * (hi - lo) / (steps - 1) for i in range(1, steps - 1))
+    return [lo, *inner, hi]
 
 
 def _parse_range(text: str, steps_default: int) -> tuple[float, float, int]:
@@ -74,6 +79,7 @@ def _axes(args) -> list[list[float]]:
 
 
 def _table1_rows() -> list[tuple[float, ...]]:
+    from .nuttall import nuttall_q_series
     rows = []
     for eta, mu, x, y, _, _ in TABLE1:
         out = nuttall_q_series(MomentQuery(eta, mu, x, y))
@@ -84,6 +90,7 @@ def _table1_rows() -> list[tuple[float, ...]]:
 
 
 def _table2_rows() -> list[tuple[int, float]]:
+    from .nuttall import nuttall_q_series
     from .recurrence import homogeneous_table
     x, y = TABLE2_X, TABLE2_Y
     table = homogeneous_table(TABLE2_ETA, 1.0, max(TABLE2_NS), x, y)
@@ -93,6 +100,22 @@ def _table2_rows() -> list[tuple[int, float]]:
         rel = abs(1.0 - series.value / table.entry(TABLE2_ETA, n - 1))
         out.append((n, rel))
     return out
+
+
+def _check_grid(axes: list[list[float]]) -> None:
+    """Raise the DomainError of the first grid point, in product order,
+    that ``MomentQuery`` refuses, without building the grid.
+
+    ``MomentQuery`` checks each field against an interval of its own, so a
+    point is refused where one of its values is.  The first refused point
+    then takes the first refused value of the last axis that holds one,
+    and the first value of every other axis; checking the axes from the
+    last back, each value with the others at their first, meets it first.
+    """
+    first = [axis[0] for axis in axes]
+    for k in reversed(range(len(axes))):
+        for v in axes[k]:
+            MomentQuery(*first[:k], v, *first[k + 1:])
 
 
 def table(args) -> int:
@@ -105,27 +128,35 @@ def table(args) -> int:
 
 
 def sweep(args) -> int:
-    etas, mus, xs, ys = _axes(args)
+    axes = _axes(args)
     methods = args.methods.split(",")
     for m in methods:
         if m not in METHODS:
             raise DomainError(f"unknown method {m!r}")
     needs_integer_eta = any(m in ("ladder", "homogeneous") for m in methods)
-    if needs_integer_eta and not all(float(e).is_integer() for e in etas):
+    if needs_integer_eta and not all(float(e).is_integer() for e in axes[0]):
         raise DomainError(
             "ladder/homogeneous sweeps require an integer eta grid")
-    # Every query is built, and so checked, before the header is printed.
-    queries = [MomentQuery(*p) for p in itertools.product(etas, mus, xs, ys)]
-    failures = 0
+    # Every point is checked before the header is printed; each query is
+    # built as it is evaluated.  A route's refusal of a point leaves out
+    # its row and is counted, as a convergence failure is.
+    _check_grid(axes)
+    failures = refused = 0
+    first_refusal = None
 
     def rows():
-        nonlocal failures
-        for q in queries:
+        nonlocal failures, refused, first_refusal
+        for point in itertools.product(*axes):
+            q = MomentQuery(*point)
             for method in methods:
                 try:
                     ev = evaluate(q, method)
                 except ConvergenceError:
                     failures += 1
+                    continue
+                except DomainError as exc:
+                    refused += 1
+                    first_refusal = first_refusal or exc
                     continue
                 if not ev.converged:
                     failures += 1
@@ -136,16 +167,19 @@ def sweep(args) -> int:
     if failures:
         print(f"warning: {failures} evaluations did not converge",
               file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    if refused:
+        print(f"domain error: {refused} evaluations were refused; "
+              f"the first: {first_refusal}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_NO_CONVERGENCE if failures else EXIT_OK
 
 
 def selftest(args) -> int:
     from .recurrence import consistency_deviation
     etas, mus, xs, ys = _axes(args)
-    grid = list(itertools.product(sorted(set(etas)), mus, xs, ys))
+    axes = sorted(set(etas)), mus, xs, ys
     worst, worst_at, failures = -1.0, None, 0
-    for eta, mu, x, y in grid:
+    for eta, mu, x, y in itertools.product(*axes):
         try:
             dev = consistency_deviation(MomentQuery(eta, mu, x, y))
         except ConvergenceError:
@@ -156,7 +190,7 @@ def selftest(args) -> int:
                                     else eta, "mu": mu, "x": x, "y": y}
     passed = failures == 0 and worst <= SELFTEST_THRESHOLD
     record = {
-        "points": len(grid),
+        "points": math.prod(map(len, axes)),
         "convergence_failures": failures,
         "max_deviation": None if worst_at is None else worst,
         "argmax": worst_at,

@@ -132,7 +132,7 @@ NOT_AT_TOP_LEVEL = {
     "bessel": {"incgamma", "nuttall", "recurrence", "quadrature"},
     "quadrature": {"incgamma", "nuttall", "recurrence"},
     "cli": _ROUTES | {"grid"},
-    "grid": {"bessel", "recurrence", "quadrature"},
+    "grid": {"bessel", "incgamma", "nuttall", "recurrence", "quadrature"},
 }
 
 

@@ -1,18 +1,21 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
 import ast
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import nuttallq
-from nuttallq import (DomainError, MomentQuery, homogeneous_table,
-                      tanh_rule_integrate)
+from nuttallq import (DomainError, Evaluation, MomentQuery,
+                      homogeneous_table, tanh_rule_integrate)
 from nuttallq import cli, grid, nuttall, recurrence
 from nuttallq.cli import (EXIT_BROKEN_PIPE, EXIT_NO_CONVERGENCE, EXIT_OK,
                           EXIT_SELFTEST_FAIL, EXIT_USAGE, main)
@@ -279,7 +282,8 @@ def test_eval_homogeneous_at_eta_zero_matches_series(capsys):
 def test_recurrence_tables_past_the_entry_limit_are_refused(
         capsys, monkeypatch, command, entries, method):
     # The table builders refuse a query over 10^6 entries by its count
-    # before they build anything; one at the limit reaches the building.
+    # before they build anything; one at the limit reaches the building.  A
+    # sweep prints its header, leaves the refused row out and counts it.
     def build(*args):
         raise DomainError("building reached")
 
@@ -290,8 +294,10 @@ def test_recurrence_tables_past_the_entry_limit_are_refused(
         assert err == "domain error: building reached\n"
     else:
         what = "ladder" if method == "ladder" else "homogeneous table"
-        assert err == (f"domain error: {what} needs (eta + 1) * n_cols = "
-                       f"{entries} entries, over the limit of "
+        counted = ("1 evaluations were refused; the first: "
+                   if command[0] == "sweep" else "")
+        assert err == (f"domain error: {counted}{what} needs (eta + 1) * "
+                       f"n_cols = {entries} entries, over the limit of "
                        f"{recurrence.MAX_TABLE_ENTRIES}\n")
 
 
@@ -304,10 +310,119 @@ def test_malformed_range_is_a_usage_error(capsys, text):
 
 @pytest.mark.parametrize("axis", [("--mu", "0"), ("--x", "-1")])
 def test_sweep_axis_outside_the_domain_prints_nothing(capsys, axis):
-    # Every query of the grid is built before the CSV header.
+    # Every point of the grid is checked before the CSV header.
     code, out, err = run(capsys, "sweep", *axis, "--steps", "2")
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("domain error: ")
+
+
+@pytest.mark.parametrize("argv,last_y,err", [
+    (("--eta", "1", "--mu", "1", "--x", "1", "--y", "3.8:12.4:10",
+      "--steps", "1"), 12.4, ""),
+    (("--y", "0:inf", "--steps", "2"), None,
+     "domain error: y must be finite, got inf\n"),
+    (("--x=-1e308:1e308", "--steps", "3"), None,
+     "domain error: x must be >= 0, got -1e+308\n"),
+], ids=["rounding", "infinite-hi", "overflowing-width"])
+def test_grid_axes_end_exactly_at_lo_and_hi(capsys, argv, last_y, err):
+    # An end formed as lo + (steps - 1) (hi - lo) / (steps - 1) rounded to
+    # 12.400000000000002, and was nan where hi - lo is inf (0 * inf) or
+    # overflows, which named nan and not the bad end.
+    code, out, got = run(capsys, "sweep", *argv)
+    assert got == err
+    if last_y is None:
+        assert (code, out) == (EXIT_USAGE, "")
+    else:
+        assert code == EXIT_OK
+        assert float(parse_csv(out)[-1]["y"]) == last_y
+
+
+@pytest.mark.parametrize("argv,methods,refusal", [
+    (("--eta", "1", "--mu", "0.5:2", "--x", "1", "--y", "1", "--steps", "2",
+      "--methods", "series,quadrature"),
+     ["series", "series", "quadrature"],
+     "quadrature oracle needs mu >= 1 (Bessel order mu-1 >= 0), got 0.5"),
+    (("--eta", "1:1e6:2", "--mu", "1", "--x", "1", "--y", "1", "--steps",
+      "1", "--methods", "series,ladder"),
+     ["series", "ladder", "series"],
+     "ladder needs (eta + 1) * n_cols = 1000001 entries, over the limit of "
+     "1000000"),
+], ids=["quadrature-below-mu-one", "ladder-past-its-entry-limit"])
+def test_sweep_counts_evaluations_a_route_refuses(capsys, argv, methods,
+                                                  refusal):
+    # The refused row is left out and the sweep goes on to the end of the
+    # grid; it stopped at the refusal, and lost every later row.
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == EXIT_USAGE
+    assert [r["method"] for r in parse_csv(out)] == methods
+    assert err == ("domain error: 1 evaluations were refused; the first: "
+                   f"{refusal}\n")
+
+
+def test_sweep_reports_refusals_after_non_convergence(capsys, monkeypatch):
+    # Both lines are printed; the refusal's exit code wins.
+    monkeypatch.setattr(nuttall, "_MAX_TERMS", 4)
+    code, out, err = run(capsys, "sweep", "--eta", "2", "--mu", "0.5",
+                         "--x", "15", "--y", "3",
+                         "--methods", "series,quadrature")
+    assert code == EXIT_USAGE
+    assert [r["method"] for r in parse_csv(out)] == ["series"]
+    assert err.splitlines() == [
+        "warning: 1 evaluations did not converge",
+        "domain error: 1 evaluations were refused; the first: quadrature "
+        "oracle needs mu >= 1 (Bessel order mu-1 >= 0), got 0.5"]
+
+
+def _first_refusal(check):
+    """The message of the DomainError that ``check()`` raises, or None."""
+    try:
+        check()
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def test_grid_check_refuses_the_point_the_whole_grid_would():
+    # The check before a sweep's header raises on the first point, in
+    # product order, that building every query would have raised on.
+    rng = random.Random(7)
+    refused = (-1.0, 0.0, math.inf, math.nan)
+    for _ in range(500):
+        axes = [[rng.choice(refused) if rng.random() < 0.15 else
+                 rng.uniform(0.5, 5.0) for _ in range(rng.randint(1, 3))]
+                for _ in range(4)]
+        whole = _first_refusal(
+            lambda: [MomentQuery(*p) for p in itertools.product(*axes)])
+        assert _first_refusal(lambda: grid._check_grid(axes)) == whole, axes
+
+
+def _grid_peak_bytes(monkeypatch, command):
+    """Peak traced bytes of ``command`` on a 12^4-point grid, with its
+    routes stubbed out and its output thrown away, after a one-point run
+    has made the allocations that any first run makes."""
+    monkeypatch.setattr(grid, "evaluate",
+                        lambda q, method: Evaluation(1.0, method, 1, 0.0,
+                                                     True))
+    monkeypatch.setattr(recurrence, "consistency_deviation", lambda q: 0.0)
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        main([command, "--steps", "1"])
+        tracemalloc.start()
+        try:
+            code = main([command, "--eta", "1:12", "--mu", "1:12", "--x",
+                         "1:12", "--y", "1:12", "--steps", "12"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == EXIT_OK
+    return peak
+
+
+@pytest.mark.parametrize("command", ["sweep", "selftest"])
+def test_grid_commands_keep_no_list_of_points(monkeypatch, command):
+    # A list of the 20,736 points peaked at about 1.9 MB (sweep) and 1.7 MB
+    # (selftest) on CPython 3.11; taken one at a time, at under 0.1 MB.
+    assert _grid_peak_bytes(monkeypatch, command) < 300_000
 
 
 def test_eval_recurrence_needs_integer_eta(capsys):
@@ -337,11 +452,13 @@ def test_table1_rows_and_golden_entry(capsys):
 
 def test_table1_stall_exit_code(capsys, monkeypatch):
     # A golden row whose series does not converge fails the whole table:
-    # nothing is printed.
-    def stalled(q):
-        return nuttall.nuttall_q_series(q)._replace(converged=False)
+    # nothing is printed.  ``grid`` imports the series where it runs it.
+    series = nuttall.nuttall_q_series
 
-    monkeypatch.setattr(grid, "nuttall_q_series", stalled)
+    def stalled(q):
+        return series(q)._replace(converged=False)
+
+    monkeypatch.setattr(nuttall, "nuttall_q_series", stalled)
     code, out, err = run(capsys, "table", "1")
     assert code == EXIT_NO_CONVERGENCE
     assert out == ""
@@ -699,7 +816,7 @@ _GRID = _SERIES | {"nuttallq.grid"}
 # Each command's arguments and the modules of ON_DEMAND it loads: a series
 # eval loads the series (``nuttall`` and ``incgamma``), a quadrature eval
 # ``bessel`` and ``quadrature`` alone, a recurrence eval the series and
-# ``bessel`` too, and the grid commands ``grid`` and the series.
+# ``bessel`` too, and the grid commands ``grid`` and the routes they run.
 COLD_STARTS = {
     "eval-series": (_EVAL, _SERIES),
     "eval-series-json": (_EVAL + ("--format", "json"), _SERIES | {"json"}),
@@ -710,6 +827,9 @@ COLD_STARTS = {
     "table-1": (("table", "1"), _GRID),
     "table-2": (("table", "2"), _GRID | _RECURRENCES),
     "sweep": (("sweep", "--steps", "1"), _GRID),
+    "sweep-quadrature": (("sweep", "--steps", "1", "--methods", "quadrature"),
+                         {"nuttallq.grid", "nuttallq.bessel",
+                          "nuttallq.quadrature"}),
     "sweep-recurrences": (("sweep", "--steps", "2", "--methods",
                            "series,ladder,homogeneous"),
                           _GRID | _RECURRENCES),
