@@ -47,49 +47,21 @@ from .query import Evaluation, MomentQuery, evaluate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "DomainError",
-    "Evaluation",
-    "MomentQuery",
-    "QuadratureOutcome",
-    "QuadratureSpec",
-    "RecurrenceTable",
-    "SeriesOutcome",
-    "bessel_i_scaled",
-    "bessel_ratio",
-    "consistency_deviation",
-    "evaluate",
-    "homogeneous_table",
-    "log_q_increment",
-    "marcum_q",
-    "moment_by_quadrature",
-    "nuttall_q_homogeneous",
-    "nuttall_q_ladder",
-    "nuttall_q_series",
-    "tanh_rule_integrate",
-    "truncation_bounds",
-]
+# The names not bound at import, by the module that holds them.
+_LAZY = {name: module for module, names in {
+    "nuttall": ("SeriesOutcome", "marcum_q", "nuttall_q_series"),
+    "incgamma": ("log_q_increment",),
+    "quadrature": ("QuadratureOutcome", "QuadratureSpec",
+                   "moment_by_quadrature", "tanh_rule_integrate",
+                   "truncation_bounds"),
+    "recurrence": ("RecurrenceTable", "consistency_deviation",
+                   "homogeneous_table", "nuttall_q_homogeneous",
+                   "nuttall_q_ladder"),
+    "bessel": ("bessel_i_scaled", "bessel_ratio"),
+}.items() for name in names}
 
-# The names of ``__all__`` not bound at import, and the module of each.
-_LAZY = {
-    "SeriesOutcome": "nuttall",
-    "marcum_q": "nuttall",
-    "nuttall_q_series": "nuttall",
-    "log_q_increment": "incgamma",
-    "QuadratureOutcome": "quadrature",
-    "QuadratureSpec": "quadrature",
-    "moment_by_quadrature": "quadrature",
-    "tanh_rule_integrate": "quadrature",
-    "truncation_bounds": "quadrature",
-    "RecurrenceTable": "recurrence",
-    "consistency_deviation": "recurrence",
-    "homogeneous_table": "recurrence",
-    "nuttall_q_homogeneous": "recurrence",
-    "nuttall_q_ladder": "recurrence",
-    "bessel_i_scaled": "bessel",
-    "bessel_ratio": "bessel",
-}
+__all__ = sorted(["ConvergenceError", "DomainError", "Evaluation",
+                  "MomentQuery", "evaluate", *_LAZY])
 
 
 def __getattr__(name: str):

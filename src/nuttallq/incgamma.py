@@ -44,6 +44,10 @@ _STIRLING = (
     -3617.0 / 122400.0,
 )
 _STIRLING_MIN = 8.0
+# Past this u = (y-a)/a, E(a, y) takes ln(y/a) whole: a (log1p(u) - u) of
+# the rounded u loses about a u^2/(1+u) eps, and from u ~ 1.25 on more than
+# the whole log's a ln(y/a) - y + a (a 40-digit sweep of a in [8, 2000]).
+_WHOLE_LOG_U = 1.5
 
 # Below this shape, Q on the P-series side is formed without 1 - P.
 _SMALL_SHAPE = 0.5
@@ -107,7 +111,9 @@ def _log_gamma_prefactor(a: float, y: float) -> float:
     This exponent carries the whole magnitude of both incomplete-gamma
     branches and of the forward-recurrence increment, so it is assembled
     from ln(1+u) - u, u = (y-a)/a, and the Stirling remainder instead of
-    raw lgamma once a is large enough for that to pay off.
+    raw lgamma once a is large enough for that to pay off.  Past u = 1.5
+    it sums a ln(y/a), -y, a and the rest exactly (``math.fsum``) instead:
+    there the rounding of u costs more than the cancellation.
     """
     if a < _STIRLING_MIN:
         return -y + a * math.log(y) - math.lgamma(a)
@@ -119,11 +125,13 @@ def _log_gamma_prefactor(a: float, y: float) -> float:
         if a > 1e305:
             return -math.inf
         return -y + a * math.log(y) - math.lgamma(a)
+    half_log = 0.5 * math.log(a / (2.0 * math.pi))
+    if u > _WHOLE_LOG_U:
+        return math.fsum((a * math.log(y / a), -y, a, half_log,
+                          -_stirling_correction(a)))
     # 1 + u = y/a rounds away the digits of a small y/a: take its log whole.
     lx = math.log(y / a) - u if u < -0.5 else _log1pmx(u)
-    return (a * lx
-            + 0.5 * math.log(a / (2.0 * math.pi))
-            - _stirling_correction(a))
+    return a * lx + half_log - _stirling_correction(a)
 
 
 def log_pochhammer(base: float, step: float) -> float:

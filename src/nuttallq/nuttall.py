@@ -23,9 +23,11 @@ maps them and lists what they share).  This module holds the first:
   weights' sum times that factor.  For integer eta the rest of the sum is
   then closed-form: the weights sum to
   M(eta+mu; mu; x), which Kummer's transformation turns into e^x times a
-  polynomial of degree eta.  Where Q_{eta+mu}(y) is below the normal
-  range, the Q factors and the sum are carried times an exact power of
-  two, taken from its log and applied once at the end.
+  polynomial of degree eta.  The sum keeps one scale, an exact power of
+  two applied once at the end: that of the gamma ratio's rising product,
+  that of the weights, moved out of them whenever they pass 1e250, and,
+  where Q_{eta+mu}(y) is below the normal range, that of the Q factors,
+  taken from its log.
 
 ``marcum_q`` is the series at eta = 0, and ``series_value`` the series'
 value or ConvergenceError, as the recurrences in ``recurrence`` take it.
@@ -110,45 +112,58 @@ class SeriesOutcome(namedtuple("SeriesOutcome",
     __slots__ = ()
 
 
-def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, float]:
-    """Gamma(eta+base)/Gamma(base) as (mantissa, log_offset).
+def _gamma_ratio_parts(eta: float, base: float) -> tuple[float, int, float]:
+    """Gamma(eta+base)/Gamma(base) as (mantissa, exponent, log_offset).
 
-    value = mantissa * exp(log_offset).  The integer part m of eta uses the
-    rising product base (base+1) ... (base+m-1), folding into the offset
-    only when the running product threatens double range; that keeps the
-    mantissa accurate to a few ulp instead of the ~|log| * eps an
-    exp(lgamma-difference) costs.  A fractional part f multiplies in
-    Gamma(c+f)/Gamma(c), c = base+m, from ``log_pochhammer``, whose log is
-    of the size of f ln c, and goes into the offset where that log is 64
-    or more in size.  At c near 0 the log is about ln(c/(c+f)) instead, and
-    the ratio goes in as c/(c+f) times e^{ln (c+1)_f}, both in the mantissa,
-    where c/(c+f) is normal: at c = 1e-300, f = 1e-20 the log of -644.7
-    would carry 5e-14 of rounding into the value.  Past 20,000 factors the
-    whole ratio is the offset ``log_pochhammer(base, eta)``.
+    value = mantissa * 2^exponent * exp(log_offset).  The integer part m of
+    eta uses the rising product base (base+1) ... (base+m-1), whose binary
+    exponent moves into ``exponent``, an exact rescale, wherever it passes
+    1e280, or 1e300 over base + m where that is lower, so that no multiply
+    leaves the range (at base = 1.2e31, eta = 10 the tenth would); a
+    subnormal base enters it by its mantissa and exponent.  So the mantissa
+    keeps the few ulp of its multiplies, where an exp(lgamma-difference) or
+    a log of the product costs ~|log| eps, and a multiply into the
+    subnormal range loses digits (3.0e-5 of the series' value at mu =
+    3e-320, eta = 2.5).
+    A fractional part f multiplies in Gamma(c+f)/Gamma(c), c = base+m, from
+    ``log_pochhammer``, whose log is of the size of f ln c, and goes into
+    the offset where that log is 64 or more in size.  At c near 0 the log
+    is about ln(c/(c+f)) instead, and the ratio goes in as c/(c+f) times
+    e^{ln (c+1)_f}, with c's binary exponent in ``exponent`` and the rest
+    in the mantissa: at c = 1e-300, f = 1e-20 the log of -644.7 would carry
+    5e-14 of rounding into the value.  Past 20,000 factors the whole ratio
+    is the offset ``log_pochhammer(base, eta)``.
     """
     if eta > _PRODUCT_MAX_FACTORS:
-        return 1.0, log_pochhammer(base, eta)
+        return 1.0, 0, log_pochhammer(base, eta)
     m = math.floor(eta)
-    mant = 1.0
-    offset = 0.0
+    frac = eta - m
+    mant, exponent, offset = 1.0, 0, 0.0
+    if m and base < _TINY:
+        # (b)_m = b (b+1)_{m-1}: a subnormal b enters by its mantissa and
+        # exponent, where a multiply into the subnormal range drops digits.
+        (mant, exponent), base, m = math.frexp(base), base + 1.0, m - 1
+    limit = min(1e280, 1e300 / (base + m))  # base + m passes every factor
     for k in range(m):
         mant *= base + k
-        if mant > 1e280:
-            offset += math.log(mant)
-            mant = 1.0
-    frac = eta - m
+        if mant > limit:
+            mant, e = math.frexp(mant)
+            exponent += e
     if frac:
         c = base + m
         log_frac = log_pochhammer(c, frac)
         if abs(log_frac) < 64.0:
             mant *= math.exp(log_frac)
-        elif c < 1.0 and c / (c + frac) >= _TINY:
+        elif c < 1.0:
             # (c)_f = c/(c+f) (c+1)_f: the first factor, which holds all of
-            # a log this far below 0, enters the mantissa unrounded by a log.
-            mant *= c / (c + frac) * math.exp(log_pochhammer(c + 1.0, frac))
+            # a log this far below 0, enters unrounded by a log, as c's
+            # mantissa over c+f, so a subnormal c keeps its digits too.
+            m_c, e = math.frexp(c)
+            mant *= m_c / (c + frac) * math.exp(log_pochhammer(c + 1.0, frac))
+            exponent += e
         else:
             offset += log_frac
-    return mant, offset
+    return mant, exponent, offset
 
 
 def _times_exp(m: float, e: int, log_scale: float) -> float:
@@ -160,9 +175,15 @@ def _times_exp(m: float, e: int, log_scale: float) -> float:
     1.5], however far out of double range 2^e and e^log_scale are, and only
     the final ``ldexp`` rounds to a subnormal or to zero where the value
     itself is that small.  Values far past either end of the double range
-    return inf or 0.0 at once.  That also keeps |k| below 2^21, as e is
-    the sum of two doubles' exponents and the series' power-of-two scale,
-    which ``_LOG_Q_MIN`` keeps below 1.45e6 in size.
+    return inf or 0.0 at once.
+
+    The series passes log_scale = offset - x, its logs that arrive as logs
+    less x.  At x = 0 an underflowed ln Q_{eta+mu}(y) is in the offset, and
+    a gamma exponent e past 2^21 (mu from ~4e31 at 20,000 factors) can bring
+    that value back into range with |k| past 2^21.  So k's nearest multiple
+    of 2^21 is taken off first, its product with the high part exact too:
+    r keeps fdlibm's accuracy to |k| < 2^31, past any e the series can
+    reach (below 2^25 in size).
     """
     log_value = log_scale + e * math.log(2.0)
     if log_value > 712.0:
@@ -170,7 +191,8 @@ def _times_exp(m: float, e: int, log_scale: float) -> float:
     if log_value < -747.0:
         return 0.0
     k = round(log_scale / math.log(2.0))
-    r = (log_scale - k * _LN2_HI) - k * _LN2_LO
+    k_hi = (k + (1 << 20)) >> 21 << 21  # 0 wherever |k| < 2^20
+    r = ((log_scale - k_hi * _LN2_HI) - (k - k_hi) * _LN2_HI) - k * _LN2_LO
     try:
         return math.ldexp(m * math.exp(r), e + k)
     except OverflowError:
@@ -232,10 +254,16 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     increment is then a running product, inc_{a+1} = inc_a * y/(a+1),
     re-seeded from its log form (``log_q_increment``) whenever it falls
     below 1e-300, where multiplies lose digits.  The terms go into one
-    running sum against a floating log offset, which is applied once at the
-    end.  They are positive, so the sum's rounding is at most (n-1) eps of
-    it for n terms (Higham 2002, section 4.2), as much as each term carries
-    from its running products: an exact sum would gain nothing.
+    running sum, carried times an exact power of two 2^(scale + eq) and a
+    factor e^(offset - x), both applied once at the end: scale holds the
+    binary exponents moved out of the gamma ratio (``_gamma_ratio_parts``)
+    and of the weights, eq those of the Q factors, and offset only logs
+    that arrive as logs, the gamma ratio's ``log_pochhammer`` parts and,
+    at x = 0, an underflowed ln Q_{eta+mu}(y).  No running product is
+    rescaled by its log.  The terms are positive, so the sum's rounding is
+    at most (n-1) eps of it for n terms (Higham 2002, section 4.2), as much
+    as each term carries from its running products: an exact sum would
+    gain nothing.
 
     The terms are summed in blocks of four, n = 0-3, 4-7, ..., and every
     check below runs once per block.  Once a + 2 > 2y and the increment is
@@ -276,12 +304,15 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
 
     The weights x^n/n! (eta+mu)_n/(mu)_n, each term's factor relative to n
     = 0, are one running product, stepped by x/(n+1) times
-    (eta+mu+n)/(mu+n).  x/(n+1) cannot overflow, and (eta+mu+n)/(mu+n) only
-    at n = 0 with mu near 0, where the fold takes the first step's log from
-    its factors.  A fused step x (eta+mu+n) / ((n+1)(mu+n)) would underflow
-    in its numerator at mu near 0 and drop every term after n = 0.  At eta
-    = 0 the second quotient is 1 and is not formed, and neither is the
-    gamma ratio.
+    (eta+mu+n)/(mu+n).  Past 1e250 the weights and the sum move the
+    weight's binary exponent into scale, which ends the closed-form tail:
+    its weights' sum would need it too.  The fold takes the new weight's
+    mantissa and exponent from those of the old weight and of the step's
+    factors, as the weight, or the step itself, can overflow: at n = 0 with
+    mu near 0 by (eta+mu)/mu, and at x near the double max.  A fused step x
+    (eta+mu+n) / ((n+1)(mu+n)) would underflow in its numerator at mu near
+    0 and drop every term after n = 0.  At eta = 0 the second quotient is 1
+    and is not formed, and neither is the gamma ratio.
 
     The re-seed, the move of powers of two into eq and the fold of the
     weights run per term, so a value near overflow or a first step at mu
@@ -291,22 +322,24 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
     """
     eta, mu, x, y = q
 
+    # The gamma ratio, mant 2^scale e^offset; scale takes the weights' folds.
     if eta == 0.0:
         if y == 0.0:
             # Integral over the whole half-line: exactly 1.
             return SeriesOutcome(1.0, 1, 0.0, True)
-        mant, offset = 1.0, 0.0  # Gamma(mu)/Gamma(mu)
+        mant, scale, offset = 1.0, 0, 0.0  # Gamma(mu)/Gamma(mu)
     else:
-        mant, offset = _gamma_ratio_parts(eta, mu)
+        mant, scale, offset = _gamma_ratio_parts(eta, mu)
 
     # Q_{eta+mu}(y), its log and the log of its first increment, from one
     # prefactor.
     q0, q_log, log_inc = q_with_log_increment(eta + mu, y)
-    eq = 0  # the power of two the Q factors and the sum are carried times
+    eq = 0  # the power of two the Q factors are carried times
     if x == 0.0:
         # Only the n=0 term survives: Gamma(eta+mu, y) / Gamma(mu); one that
         # underflowed, or lost digits as a subnormal, enters by its log.
-        running, shift = (q0, 0.0) if q0 >= _TINY else (1.0, q_log)
+        running, offset = ((q0, offset) if q0 >= _TINY
+                           else (1.0, offset + q_log))
         n, contrib, converged = 0, 0.0, True
     else:
         tol, max_terms, fold_limit = _SERIES_TOL, _MAX_TERMS, _FOLD_LIMIT
@@ -324,7 +357,6 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
         saturated = y == 0.0  # no later increment can change q_cur
         u = 1.0       # running x^n/n! * ratio-growth, relative to the n=0 term
         u_sum = 1.0   # the u of the terms summed so far
-        shift = 0.0   # log of the scale of u and running
         running = t1 = t2 = t3 = q_cur  # the sum and its three newest terms
         n = 0.0  # index of the newest term, which is t3 (a float counter)
         steps = range(3)  # term 0 starts the first block
@@ -333,12 +365,11 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
         while True:
             if saturated and closed_tail:
                 closed_tail = False
-                if shift == 0.0:
-                    weights = exp_clipped(x) * _kummer_polynomial(eta, mu, x)
-                    if weights < math.inf:
-                        running += q_cur * max(0.0, weights - u_sum)
-                        t3, converged = 0.0, True  # no term is left out
-                        break
+                weights = exp_clipped(x) * _kummer_polynomial(eta, mu, x)
+                if weights < math.inf:
+                    running += q_cur * max(0.0, weights - u_sum)
+                    t3, converged = 0.0, True  # no term is left out
+                    break
             lim = tol * running
             if t1 <= lim and t2 <= lim and t3 <= lim and n > x:
                 converged = True
@@ -371,6 +402,7 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
                     t1, t2, t3 = q_cur * u2, q_cur * u3, q_cur * u
                     continue
             for _ in steps:
+                u_prev = u
                 if eta:
                     u *= x / (n + 1.0) * ((em + n) / (mu + n))
                 else:
@@ -391,27 +423,22 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
                         reseed_at = math.ldexp(_INC_RESEED, min(-eq, 1900))
                 n += 1.0
                 if u > fold_limit:
-                    # Rescale by 1/u; the closed tail needs shift == 0, so
-                    # u_sum, which only it reads, is left as it is.
-                    if u < math.inf or n > 1.0:
-                        log_u = math.log(u)
-                        running *= 1.0 / u
-                    else:
-                        # Only a first step x ((eta+mu)/mu) can overflow,
-                        # with mu near 0, also where (eta+mu)/mu alone does
-                        # and x brings it back.  Its log comes from the
-                        # factors' mantissas and binary exponents, so no
-                        # product leaves the range and no log of a factor
-                        # far from 1 rounds; term 0 is rescaled by it, and
-                        # drops out only where it is below the range.
-                        (mx, ex), (me, ee), (mm, e_mu) = (
-                            math.frexp(x), math.frexp(em), math.frexp(mu))
-                        k = ex + ee - e_mu
-                        log_u = (math.log(mx * me / mm) + k * _LN2_HI
-                                 + k * _LN2_LO)
-                        running *= exp_clipped(-log_u)
-                    shift += log_u
-                    u = 1.0
+                    # Rescale the sum by 2^-k, exactly, with k the binary
+                    # exponent of the new u, which keeps its mantissa.
+                    # Both come from those of the old u and of the step's
+                    # factors, so no product leaves the range where u, or
+                    # the step itself, overflowed: (eta+mu)/mu at mu near
+                    # 0, which x brings back, or x near the double max.
+                    # Term 0 is rescaled too, and drops out only where it
+                    # is below the range.
+                    j = n - 1.0  # the step's index
+                    (m0, e0), (mx, ex), (me, ee), (mm, e_mu) = map(
+                        math.frexp, (u_prev, x / n, em + j, mu + j))
+                    u, k = m0 * mx * me / mm, e0 + ex + ee - e_mu
+                    running, scale = math.ldexp(running, -k), scale + k
+                    # u_sum, which only the closed tail reads, keeps the
+                    # old scale, so the closed tail is off.
+                    closed_tail = False
                 t1, t2, t3 = t2, t3, u * q_cur
                 running += t3
                 u_sum += u
@@ -420,7 +447,7 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
                 saturated = inc <= sat * q_cur and em + n + 1.0 > two_y
         contrib = t3 / running if running > 0.0 else 0.0
         converged = converged and q_log > _LOG_Q_MIN
-    value = _scaled_value(running, mant, eq, offset + shift - x)
+    value = _scaled_value(running, mant, scale + eq, offset - x)
     if eta == 0.0:
         value = min(value, 1.0)
     est_error = max(contrib, 1e-16)

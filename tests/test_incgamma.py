@@ -185,6 +185,20 @@ def test_logs_of_q_and_increment(shape, y, log_q, log_inc):
     assert log_q_increment(shape, 0.0) == -math.inf
 
 
+def test_prefactor_far_above_the_shape_takes_the_whole_log():
+    # At y = 7.9 a, a (log1p(u) - u) of the rounded u = (y-a)/a left E
+    # 1.8e-13 and ln Q 1.5e-13 off; a ln(y/a) - y + a, summed exactly, keeps
+    # them within 6.6e-14 and 3.6e-14.  Against the rounded references that
+    # is at most an ulp of ~870 (1.14e-13), where E was two ulps off.  25
+    # digits of -y + a ln y - ln Gamma(a) and of ln Q from mpmath at 40
+    # digits, a and y taken as the doubles they are.
+    a, y = 180.22282718518625, 1423.5379946309617
+    assert incgamma._log_gamma_prefactor(a, y) == pytest.approx(
+        -869.1697679643207928405457, rel=0.0, abs=1.2e-13)
+    assert q_with_log_increment(a, y)[1] == pytest.approx(
+        -876.2962240897540269157216, rel=0.0, abs=1.2e-13)
+
+
 @pytest.mark.parametrize("shape,y,log_inc", [
     # y far below shape: 25 digits of shape ln y - y - ln Gamma(shape+1)
     # from mpmath at 40 digits, y taken as the double it is.

@@ -347,7 +347,9 @@ def test_one_loop_work_counts(eta, mu, x, y, terms):
 
 
 # (m, e, log_scale, m 2^e e^log_scale) from seeded draws, valued by mpmath at
-# 40 digits.
+# 40 digits; in the last three, valued at 50 digits, k = round(log_scale /
+# ln 2) is past 3.03e6, where k times the 32-bit high part of ln 2 needs
+# more than 53 bits: one such product left 2.3e-10, 2.3e-10 and 1.6e-9.
 TIMES_EXP_POINTS = [
     (0.5211420811855564, 1836, -1576.7266996843657, 4.408826816685029e-133),
     (0.4199835124244499, -2053, 1295.0845716822491, 1.1395521971744463e-56),
@@ -373,6 +375,9 @@ TIMES_EXP_POINTS = [
     (0.9225747252027443, -1830, 1323.916558752851, 1.1214126586233799e+24),
     (0.7445247135134414, 1176, -668.3457428619247, 4.210036785551248e+63),
     (0.6081075790028408, -1520, 668.7030148775808, 4.289596085508492e-168),
+    (0.75, 3_100_001, -2148756.652883011, 1.012394105786002387772411),
+    (0.75, -4_000_037, 2772614.168685462, 0.6140480647498477032756213),
+    (0.75, 30_000_001, -20794416.009945538, 0.8288781901709743801616016),
 ]
 
 
@@ -387,9 +392,9 @@ def test_times_exp_stays_in_range_on_the_way():
     assert nuttall._times_exp(0.5, 1030, 0.0) == math.inf
     # Its log, 710.5, passes the early return, and only ldexp overflows.
     assert nuttall._times_exp(0.99, 1025, 0.0) == math.inf
-    # m in [1/4, 1), e in [-2100, 2100] and log_scale such that the value is
-    # a normal float: within 2.5e-16 of m 2^e e^log_scale from 40-digit
-    # mpmath.
+    # m in [1/4, 1), e in [-2100, 2100] or far past it, and log_scale such
+    # that the value is a normal float: within 2.5e-16 of m 2^e e^log_scale
+    # from mpmath.
     for m, e, log_scale, ref in TIMES_EXP_POINTS:
         assert nuttall._times_exp(m, e, log_scale) == pytest.approx(
             ref, rel=2.5e-16, abs=0.0), (m, e, log_scale)
@@ -449,8 +454,8 @@ def test_marcum_equals_series_eta0_bitwise():
 
 @pytest.mark.parametrize("mu,x,y,ref", NCX2_SF_POINTS)
 def test_marcum_matches_scipy_ncx2_up_to_x_1500(mu, x, y, ref):
-    # Measured worst over these 20 points: 1.99187e-13 relative, at
-    # (180.22282718518625, 1133.5204151308526, 1423.5379946309617).
+    # Measured worst over these 20 points: 1.5734e-13 relative, at
+    # (165.18025996881596, 1051.2766741143453, 1450.8586202531158).
     assert marcum_q(mu, x, y) == pytest.approx(ref, rel=2e-13, abs=0.0)
 
 
@@ -582,11 +587,19 @@ def test_series_at_mu_near_zero_keeps_every_term(eta, mu, x, y, ref):
 # Gamma(mu) ~ mu/eta is far below 1: its log of ~-645 and ~-460, rounded,
 # put 5.4e-14, 4.7e-14 and 1.4e-14 of error into the value.  Values: 30
 # digits of the reference sum of ``perfbench/reference.py`` at 40 digits,
-# which 60 digits confirm to 1e-41.
+# which 60 digits confirm to 1e-41.  At (0.5, 1e-300, 0.5, 1) the first
+# weight step x ((eta+mu)/mu) = 2.5e299 passes the fold too, whose log of
+# ~690 put 2.7e-14 of error into the value; its value is the mu -> 0 sum
+# of ``test_series_at_a_subnormal_mu``, which mu = 1e-300 moves by ~1e-300.
+# In the last two rows the rising product starts at a subnormal mu, whose
+# lost digits left the values 2.0e-8 and 3.0e-5 off.
 TINY_BASE_POINTS = [
     (1e-20, 1e-300, 1e-300, 1e-12, 2.8053805451027016066912376875e-299),
     (0.3, 1e-300, 1e-300, 1e-12, 3.88820238851669817193672590161e-300),
     (1e-20, 1e-200, 0.0, 1e-12, 2.70538054510280148796592427276e-199),
+    (0.5, 1e-300, 0.5, 1.0, 0.26299068361878620923),
+    (1.75, 1.3e-316, 0.7, 1.1, 1.3162147800894708136316576266),
+    (2.5, 3e-320, 2.0, 1.5, 17.8879305045877565056791734027),
 ]
 
 
@@ -625,17 +638,74 @@ def test_marcum_step_matches_the_general_step():
 def test_series_at_a_subnormal_mu():
     # The first step x ((eta+mu)/mu) overflows; term 0, below 1e-308 of
     # term 1, adds nothing, against the 40-digit sum from n = 1 at mu = 0.
-    # The rescale's log of ~745 keeps about 13 digits.
+    # The rescale is the exact power of two of the step's factors, and the
+    # gamma ratio's mu/(mu+eta) keeps mu's exponent apart: 6.3e-16 off,
+    # where logs of ~745 for both left 6.1e-14.
     out = nuttall_q_series(MomentQuery(0.5, 5e-324, 0.5, 1.0))
     assert out.converged
-    assert out.value == pytest.approx(0.26299068361878620923, rel=1e-12,
+    assert out.value == pytest.approx(0.26299068361878620923, rel=2e-15,
                                       abs=0.0)
+
+
+def test_series_fold_at_a_tiny_mu_keeps_a_small_sum_normal():
+    # mu = 1e-300 puts ~1.8e-300 in the gamma ratio's mantissa and the
+    # first step's ~2.5e299 in the fold; with Q_{1/2}(50) ~ 1e-23 their
+    # product with the sum was subnormal before the fold's e^{690} brought
+    # it back, 9.8e-7 off.  Its power of two now joins the others: 1.4e-15.
+    # Value: 30 digits of a 40-digit sum, which 60 digits confirm.
+    out = nuttall_q_series(MomentQuery(0.5, 1e-300, 0.5, 50.0))
+    assert out.converged
+    assert out.value == pytest.approx(2.4398853737470073682434888131e-19,
+                                      rel=5e-15, abs=0.0)
+
+
+def test_series_with_a_rising_gamma_product_past_1e280():
+    # Gamma(180)/Gamma(30) ~ 2.6e299: the rising product moves its binary
+    # exponent out exactly past 1e280, where a log of ~645 left 1.2e-14 of
+    # error.  Value: 30 digits of a 50-digit sum, which 70 digits confirm.
+    out = nuttall_q_series(MomentQuery(150.0, 30.0, 1.0, 1.0))
+    assert out.converged
+    assert out.value == pytest.approx(1.25750391142133938847512896815e298,
+                                      rel=2e-15, abs=0.0)
+
+
+def test_gamma_ratio_folds_before_a_multiply_leaves_the_range():
+    # At base = 1.2e31 nine factors make 5.2e279, below 1e280, and the
+    # tenth carried the product to inf.  The fold limit is 1e300 over
+    # base + m there, so the ratio keeps its value, and with Q_{mu+10}(y) ~
+    # 2.7e-6 so does the moment, 1.7e305: within a few ulp of the exact
+    # rising product times the package's own Q (mpmath's Q is out of reach
+    # at a shape of 1.2e31).
+    mu = 1.2e31
+    exact = rising_product_int(10, int(mu))
+    mant, exponent, offset = nuttall._gamma_ratio_parts(10.0, mu)
+    assert offset == 0.0
+    assert math.ldexp(mant, exponent - 1100) == pytest.approx(
+        exact / 2**1100, rel=1e-15, abs=0.0)
+    y = (mu + 10.0) + 4.5 * math.sqrt(mu + 10.0)
+    out = nuttall_q_series(MomentQuery(10.0, mu, 0.0, y))
+    q = q_with_log_increment(mu + 10.0, y)[0]
+    assert out.converged
+    assert out.value == pytest.approx(math.ldexp(exact / 2**1100 * q, 1100),
+                                      rel=1e-15, abs=0.0)
+
+
+def test_series_weight_step_past_the_range_folds_exactly():
+    # At x = 1.7e308 the weight step at n = 1, 8.5e307 * 11, overflows by
+    # itself.  The fold takes the new weight from the old one and the
+    # step's factors, so nothing becomes inf or NaN: the outcome is that
+    # of x = 1e307, 2000 terms that stop short of the peak at n ~ x, their
+    # sum with e^{-x} far below the range (where an inf weight made the
+    # value inf, or 0.0 with est_error NaN), reported as not converged.
+    out = nuttall_q_series(MomentQuery(20.0, 1.0, 1.7e308, 1.0))
+    assert out == nuttall_q_series(MomentQuery(20.0, 1.0, 1e307, 1.0))
+    assert out == (0.0, 2000, 1.0, False)
 
 
 def test_series_first_step_past_the_range_keeps_term_0():
     # (eta+mu)/mu = 100/5e-324 overflows, but the first step x ((eta+mu)/mu)
     # is 200, so term 0 is 1/200 of term 1 and must stay in the sum.  Its
-    # log from the factors' mantissas and exponents is within 1.2e-15 here;
+    # mantissa and power of two from the factors' own leave 6.5e-16 here;
     # ln x + ln(eta+mu) - ln mu, two logs of ~744 that cancel, was 7.4e-14
     # off.  Value: 30 digits of the 40-digit sum.
     out = nuttall_q_series(MomentQuery(100.0, 5e-324, 1e-323, 1.0))
