@@ -18,28 +18,28 @@ ratios) and ``bessel`` (scaled Bessel functions and their ratios).  The
 routes are not wholly independent, so their agreement does not check what
 they share:
 
-* quadrature nodes past z = 700 take e^{-z} I from
-  ``bessel.log_poisson_pair_sum``, whose peak log comes from
-  ``incgamma.log_q_increment`` and its ``_log_gamma_prefactor``, the
-  functions behind the series' Q factors;
-* the ladder's forcing term and the quadrature kernel both take
-  ``bessel._power_over_gamma``, and the quadrature nodes below the switch
-  to Hankel's expansion, z < max(21, (4 (mu-1)^2 - 1)/16), also the
-  Bessel power series, the loop ``bessel._four_term_sum`` on the steps of
-  ``bessel._series_steps``; the nodes from there to z = 700 run the same
-  loop on Hankel's steps ``bessel._hankel_steps``, which only quadrature
-  forms;
+* the ladder's forcing term and the quadrature kernel share the Bessel
+  kernel: ``bessel._power_over_gamma``, the power series (the loop
+  ``bessel._four_term_sum`` on the steps of ``bessel._series_steps``),
+  Hankel's steps ``bessel._hankel_steps`` and, past z = 700,
+  ``bessel.log_scaled_asymptotic``.  The nodes take them through
+  ``FixedOrderSeries`` at order mu - 1, with the power series below the
+  switch to Hankel's expansion, z < max(21, (4 (mu-1)^2 - 1)/16); the
+  forcing term through ``bessel_i_scaled``, and through
+  ``FixedOrderSeries`` in its log form;
 * the ladder and the homogeneous table share their one series seed, their
   forcing terms and their ratio sweep;
-* both recurrences take their series values from ``nuttall.series_value``.
+* both recurrences take their series values from ``nuttall.series_value``,
+  and the forcing term's log takes ``incgamma.log_q_increment`` where z <=
+  700.
 
 ``import nuttallq`` loads the errors and ``query``.  The series, the
 incomplete gamma kernel, the recurrences, the quadrature and the Bessel
 kernel load on first use: the first access to one of their names in
 ``__all__`` imports the module that holds it (``_LAZY``), so that a command
-that never runs a route does not compile it.  ``bessel`` imports
-``incgamma`` only in ``log_poisson_pair_sum``, so quadrature compiles no
-line of the series unless a node passes z = 700.
+that never runs a route does not compile it.  ``bessel`` imports nothing
+from ``incgamma``, so quadrature compiles no line of the series at any
+node.
 """
 
 from .errors import ConvergenceError, DomainError

@@ -69,7 +69,8 @@ _FOLD_LIMIT = 1e250
 _INC_RESEED = 1e-300
 # Below this ln Q_{eta+mu}(y), rounded to ~|ln Q| eps, keeps under ten
 # digits, and 2^eq of the same size no longer splits exactly against the
-# two-part ln 2; a series with x > 0 reports non-convergence there.
+# two-part ln 2; the series reports non-convergence there, at x = 0 too,
+# where that log enters the value.
 _LOG_Q_MIN = -1e6
 # A Q factor carried times 2^eq that passes 2^_Q_SCALE_BITS hands that
 # power of two to eq.
@@ -100,8 +101,8 @@ class SeriesOutcome(namedtuple("SeriesOutcome",
                 tail ended the sum, and 0.0 for the exact eta = 0, y = 0
                 value 1;
     converged:  True where the stop rule or a closed-form tail ended the
-                sum, False where 2000 terms ran out first, or where x > 0
-                and ln Q_{eta+mu}(y) is below -1e6, too low to keep ten
+                sum, False where 2000 terms ran out first, or where
+                ln Q_{eta+mu}(y) is below -1e6, too low to keep ten
                 digits.
 
     A named tuple, ``value, terms, err, ok = nuttall_q_series(q)``: it
@@ -446,7 +447,7 @@ def nuttall_q_series(q: MomentQuery) -> SeriesOutcome:
             if not saturated:
                 saturated = inc <= sat * q_cur and em + n + 1.0 > two_y
         contrib = t3 / running if running > 0.0 else 0.0
-        converged = converged and q_log > _LOG_Q_MIN
+    converged = converged and q_log > _LOG_Q_MIN
     value = _scaled_value(running, mant, scale + eq, offset - x)
     if eta == 0.0:
         value = min(value, 1.0)

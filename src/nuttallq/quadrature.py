@@ -742,9 +742,7 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     reproducible.  A window that rounds to zero width, which
     ``truncation_bounds`` returns only at a y past the peak of h, gives
     QuadratureOutcome(0.0, 0, 0.0).  ``truncation_bounds`` raises before
-    any node is evaluated (see there).  Where x is large enough (from about
-    x = 3.3e8) that the Bessel series of a node cannot converge, the nodes
-    raise ConvergenceError, whose message names x and the quadrature route.
+    any node is evaluated (see there).
     """
     spec = truncation_bounds(q)
     if spec.upper == spec.lower:
@@ -759,32 +757,25 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     # The squaring and rate stops need a change before the current one to
     # compare it with, so they cannot fire on the second pass.
     d_prev = 0.0
-    try:
-        for n, cur in _nested_passes(node_logs, spec, n):
-            if not math.isfinite(cur):
+    for n, cur in _nested_passes(node_logs, spec, n):
+        if not math.isfinite(cur):
+            break
+        if prev is not None:
+            if cur == 0.0 and prev == 0.0:
+                return QuadratureOutcome(0.0, n, 0.0)
+            if floor >= _FLOOR_LIMIT:
                 break
-            if prev is not None:
-                if cur == 0.0 and prev == 0.0:
-                    return QuadratureOutcome(0.0, n, 0.0)
-                if floor >= _FLOOR_LIMIT:
-                    break
-                d = abs(cur - prev) / abs(cur) if cur != 0.0 else math.inf
-                if d <= tol:
-                    return QuadratureOutcome(cur, n, max(d, floor))
-                if d < d_prev and d * d <= _REL_TOL:
-                    return QuadratureOutcome(cur, n, max(d * d, floor))
-                if 0.0 < d < d_prev < 1.0:
-                    est = d ** min(_MAX_RATE, math.log(d) / math.log(d_prev))
-                    if est <= _REL_TOL:
-                        return QuadratureOutcome(cur, n, max(est, floor))
-                d_prev = d
-            prev = cur
-    except ConvergenceError as exc:
-        # Only a node's Bessel series raises it here; its argument grows
-        # with x, so say which x and route gave up.
-        raise ConvergenceError(
-            f"quadrature cannot take x = {q.x!r} on its window up to "
-            f"t = {spec.upper!r}: {exc}") from exc
+            d = abs(cur - prev) / abs(cur) if cur != 0.0 else math.inf
+            if d <= tol:
+                return QuadratureOutcome(cur, n, max(d, floor))
+            if d < d_prev and d * d <= _REL_TOL:
+                return QuadratureOutcome(cur, n, max(d * d, floor))
+            if 0.0 < d < d_prev < 1.0:
+                est = d ** min(_MAX_RATE, math.log(d) / math.log(d_prev))
+                if est <= _REL_TOL:
+                    return QuadratureOutcome(cur, n, max(est, floor))
+            d_prev = d
+        prev = cur
     if not math.isfinite(cur):
         raise ConvergenceError(
             f"tanh-rule quadrature overflows the double range for {q}: its "

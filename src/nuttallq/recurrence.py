@@ -41,8 +41,10 @@ import math
 import sys
 from collections import namedtuple
 
-from .bessel import bessel_i_scaled, bessel_ratio, log_poisson_pair_sum
+from .bessel import (FixedOrderSeries, bessel_i_scaled, bessel_ratio,
+                     log_scaled_asymptotic)
 from .errors import DomainError
+from .incgamma import log_q_increment
 from .logscale import exp_clipped
 from .nuttall import series_value
 from .query import MomentQuery
@@ -140,6 +142,31 @@ def _gap_square(x: float, y: float) -> tuple[float, float]:
     return _two_sum(sq, sq_lo + (2.0 * d + d_lo) * d_lo)
 
 
+def _log_forcing(mu: float, x: float, y: float) -> float:
+    """ln T_mu, T_mu = (y/x)^{mu/2} e^{-(sqrt x - sqrt y)^2} Itilde_mu(z)
+    with z = 2 sqrt(xy), the log of the Poisson-pair sum sum_n p(n; x)
+    p(n+mu; y), p(k; m) = m^k e^{-m} / Gamma(k+1).
+
+    - Past z = 700 it is (mu/2) ln(y/x) - (sqrt x - sqrt y)^2 +
+      ``log_scaled_asymptotic(mu, z)``, with y/x under one log where it is
+      a normal float: a difference of two logs was 3.7e-14 off at mu =
+      30.5, x = 8e7, y = 8.0015e7.
+    - Up to z = 700 it is ln(y^mu e^{-y}/Gamma(mu+1)) + z - x + ln(e^{-z}
+      S(xy)), the first term from ``log_q_increment(mu, y)`` and the last
+      from ``FixedOrderSeries(mu)`` (-y at mu = 0, where the shape of
+      ``log_q_increment`` is 0).  At x = 0 the other two are 0, and the
+      log is that of the limit y^mu e^{-y}/Gamma(mu+1) of T_mu.
+    """
+    z = 2.0 * math.sqrt(x) * math.sqrt(y)  # x y underflows at subnormal x
+    if z <= 700.0:  # FixedOrderSeries forms e^{-z} S before its log here
+        return ((log_q_increment(mu, y) if mu else -y) + (z - x)
+                + FixedOrderSeries(mu).log_scaled(x * y, z))
+    l_ratio = (math.log(y / x) if _TINY <= y / x < math.inf
+               else math.log(y) - math.log(x))
+    gap_hi, gap_lo = _gap_square(x, y)
+    return 0.5 * mu * l_ratio - gap_hi - gap_lo + log_scaled_asymptotic(mu, z)
+
+
 def _inhom_term(eta: float, mu: float, x: float, y: float) -> float:
     """(y/x)^{mu/2} y^eta e^{-(sqrt x - sqrt y)^2} Itilde_mu(2 sqrt(xy)).
 
@@ -147,10 +174,8 @@ def _inhom_term(eta: float, mu: float, x: float, y: float) -> float:
     is used while each factor, y/x included, and each partial product stays
     a normal float.  Its exponent comes as a two-part sum hi + lo from
     ``_gap_square``, and e^{-lo} enters as the factor 1 - lo.  Otherwise
-    y^eta T_mu is exponentiated from its log, with ln T_mu =
-    ``log_poisson_pair_sum(mu, x, y)``.  At x = 0 that log is exactly
-    ln(y^mu e^{-y}/Gamma(mu+1)), the limit of T_mu: its sum is the one term
-    n = 0, whose log is ``log_q_increment(mu, y)``.
+    y^eta T_mu is exponentiated from its log, with ln T_mu from
+    ``_log_forcing``.
     """
     if y == 0.0:
         return 0.0
@@ -170,7 +195,7 @@ def _inhom_term(eta: float, mu: float, x: float, y: float) -> float:
                  * (math.exp(-gap_hi) * (1.0 - gap_lo)) * i_scaled)
             if v >= _TINY:
                 return v
-    return exp_clipped(l_y + log_poisson_pair_sum(mu, x, y))
+    return exp_clipped(l_y + _log_forcing(mu, x, y))
 
 
 def _ratio_sweep(mu_lo: float, n: int, x: float, y: float) -> list[float]:

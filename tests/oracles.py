@@ -10,6 +10,7 @@ checks two genuinely different computations.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import fsum
 
@@ -43,6 +44,35 @@ def hyp_sum(order: float, z: float) -> float:
         total += term
         if term < total * 1e-18:
             return total
+
+
+def log_scaled_bessel_i(order: float, z: float) -> float:
+    """ln(e^{-z} I_order(z)) from the power series in 40-digit decimals.
+
+    (z/2)^order S(z^2/4) / Gamma(order+1), with S the sum of ``hyp_sum``
+    and Gamma(order+1) = Gamma(f+1) (f+1) (f+2) ... (order) for the fraction
+    f of the order, math.gamma giving only Gamma(f+1): no asymptotic form,
+    no float recurrence and no log of a rounded product, so nothing is
+    shared with ``nuttallq.bessel``.  Its terms rise to n ~ z/2, so keep z
+    to a few thousand.
+    """
+    if z == 0.0:
+        return 0.0 if order == 0.0 else -math.inf
+    with localcontext() as ctx:
+        ctx.prec = 40
+        whole = int(order)
+        nu, half = Decimal(order), Decimal(z) / 2
+        gamma = Decimal(math.gamma(order - whole + 1.0))
+        for k in range(whole):
+            gamma *= nu - k
+        q = half * half
+        term = total = Decimal(1)
+        n = 0
+        while term > total * Decimal("1e-42"):
+            n += 1
+            term = term * q / (n * (nu + n))
+            total += term
+        return float(nu * half.ln() - Decimal(z) + total.ln() - gamma.ln())
 
 
 def bessel_ratio_by_series(order: float, z: float) -> float:

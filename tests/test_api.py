@@ -169,8 +169,22 @@ def test_routes_load_only_what_they_run(module):
 def test_top_level_import_walk_finds_what_is_there():
     # It finds the imports a module makes at its top level, and none that a
     # function makes (``evaluate`` imports each route in its branch, and
-    # ``log_poisson_pair_sum`` imports ``incgamma``).
+    # ``nuttall.__getattr__`` imports ``recurrence``).
     assert _top_level_imports("cli") >= {"errors", "query"}
     assert _top_level_imports("query") == {"errors"}
-    assert "incgamma" not in _top_level_imports("bessel")
+    assert "recurrence" not in _top_level_imports("nuttall")
     assert {"bessel", "nuttall", "query"} <= _top_level_imports("recurrence")
+
+
+def test_bessel_imports_incgamma_nowhere():
+    # Not at the top level and not in a function either: the Bessel kernel
+    # takes no code from the kernel of the series.
+    path = Path(nuttallq.__file__).parent / "bessel.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.name for a in node.names)
+    assert "errors" in names
+    assert not [n for n in names if "incgamma" in n]

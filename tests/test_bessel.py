@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import time
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from nuttallq import (ConvergenceError, DomainError, bessel_i_scaled,
                       bessel_ratio)
-from nuttallq import bessel
-from nuttallq.bessel import FixedOrderSeries, log_poisson_pair_sum
+from nuttallq import bessel, recurrence
+from nuttallq.bessel import FixedOrderSeries, log_scaled_asymptotic
 
 from oracles import bessel_ratio_by_series, maclaurin_bessel_i
 
@@ -122,8 +123,10 @@ def test_three_term_identity_scaled():
 
 
 def _log_scaled(order, z):
-    """ln(exp(-z) I_order(z)) as the pair sum at a = b = z/2."""
-    return log_poisson_pair_sum(order, 0.5 * z, 0.5 * z)
+    """ln(exp(-z) I_order(z)) as the log of the Poisson-pair sum at a = b =
+    z/2, which the ladder's forcing term takes: by the power series up to z
+    = 700, by ``log_scaled_asymptotic`` past it."""
+    return recurrence._log_forcing(order, 0.5 * z, 0.5 * z)
 
 
 def test_log_helper_matches_scaled():
@@ -186,15 +189,16 @@ PAIR_SUM_POINTS = [
 
 @pytest.mark.parametrize("order,a,b,ref", PAIR_SUM_POINTS)
 def test_poisson_pair_sum_at_unequal_arguments(order, a, b, ref):
-    assert abs(log_poisson_pair_sum(order, a, b) - ref) <= 3e-13
+    assert abs(recurrence._log_forcing(order, a, b) - ref) <= 3e-13
 
 
-# ln sum_n p(n; a) p(n+order; b) for long sums, about 2.5e4 to 1.5e5 terms:
-# rows (order, a, b, value), 40 digits of ln((b/a)^{order/2} e^{-a-b}
-# I_order(2 sqrt(ab))) from mpmath.besseli at 40 digits, which agrees with
-# the same at 60 digits to 4e-33.  Added up term by term, each tail term
-# below half an ulp of the sum was rounded away on its own, and the sum was
-# up to 1.2e-13 off at z = 3e8.
+# ln sum_n p(n; a) p(n+order; b) where the sum has about 2.5e4 to 1.5e5
+# terms of note, and Hankel's expansion takes it in a few: rows (order, a,
+# b, value), 40 digits of ln((b/a)^{order/2} e^{-a-b} I_order(2 sqrt(ab)))
+# from mpmath.besseli at 40 digits, which agrees with the same at 60 digits
+# to 4e-33.  A sum of its terms, added up one by one, was up to 1.2e-13 off
+# at z = 3e8, as each tail term below half an ulp of the sum was rounded
+# away on its own.
 LONG_PAIR_SUMS = [
     (0.0, 5e6, 5e6, -8.977986346183832010843234723624069525256),
     (2.5, 1e7, 1.0005e7, -9.948904022695713609831705072343025685134),
@@ -212,23 +216,44 @@ LONG_PAIR_SUMS = [
 
 @pytest.mark.parametrize("order,a,b,ref", LONG_PAIR_SUMS)
 def test_poisson_pair_sum_keeps_its_tail_terms(order, a, b, ref):
-    assert abs(log_poisson_pair_sum(order, a, b) - ref) <= 2.5e-14
+    assert abs(recurrence._log_forcing(order, a, b) - ref) <= 2.5e-14
 
 
 def test_poisson_pair_sum_matches_the_power_series_in_its_box():
     for order, z in itertools.product((0.0, 0.5, 3.0, 40.0, 250.0),
                                       (0.01, 1.0, 30.0, 400.0, 700.0)):
         if order < 250.0 or z >= 30.0:  # else e^{-z} I_250(z) underflows
-            got = log_poisson_pair_sum(order, 0.5 * z, 0.5 * z)
+            got = _log_scaled(order, z)
             assert abs(got - math.log(bessel_i_scaled(order, z))) <= 1e-13
-    assert log_poisson_pair_sum(3.0, 2.0, 0.0) == -math.inf
-    assert log_poisson_pair_sum(0.0, 0.0, 0.0) == 0.0
+    assert recurrence._log_forcing(3.0, 2.0, 0.0) == -math.inf
+    assert recurrence._log_forcing(0.0, 0.0, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("z", [1e9, 1e200, 1.7e308])
-def test_scaled_past_the_term_cap_is_a_convergence_error(z):
-    with pytest.raises(ConvergenceError, match="Bessel series did not converge"):
-        bessel_i_scaled(2.0, z)
+def _hankel_log(order, z):
+    """ln(e^{-z} I_order(z)) from the first three terms of Hankel's
+    expansion (DLMF 10.40.1); past z = 6e8 at orders up to 2 the terms left
+    out are below 1e-26 of it."""
+    m = 4.0 * order * order
+    return -0.5 * (math.log(2.0 * math.pi) + math.log(z)) + math.log1p(
+        (1.0 - m) / (8.0 * z) + (1.0 - m) * (9.0 - m) / (128.0 * z * z))
+
+
+@pytest.mark.parametrize("order,z", [(0.0, 6.9e8), (0.0, 7.5e8), (2.0, 1e9),
+                                     (2.0, 1e200), (2.0, 1.7e308)])
+def test_scaled_far_past_the_power_series_follows_hankel(order, z):
+    # Where the Poisson-pair sum that served here ran past its cap of
+    # 100,000 terms and raised ConvergenceError, Hankel's expansion gives
+    # the value in a few terms, at once.
+    ref = _hankel_log(order, z)
+    assert abs(log_scaled_asymptotic(order, z) - ref) <= 4e-16 * abs(ref)
+    assert bessel_i_scaled(order, z) == pytest.approx(
+        math.exp(ref), rel=4e-16 * abs(ref) + 1e-15, abs=0.0)
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        bessel_i_scaled(order, z)
+        best = min(best, time.perf_counter() - start)
+    assert best < 1e-3
 
 
 def test_power_series_past_its_term_cap_is_a_convergence_error():
@@ -240,37 +265,12 @@ def test_power_series_past_its_term_cap_is_a_convergence_error():
                               "order=0.0, q=1000000000000.0")
 
 
-def _raise_time(z):
-    """The error raised at e^{-z} I_0(z) and the least time of five calls."""
-    best = math.inf
-    for _ in range(5):
-        start = time.perf_counter()
-        with pytest.raises(ConvergenceError) as exc:
-            log_poisson_pair_sum(0.0, 0.5 * z, 0.5 * z)
-        best = min(best, time.perf_counter() - start)
-    return str(exc.value), best
-
-
-@pytest.mark.parametrize("z", [6.9e8, 7.5e8])
-def test_poisson_pair_sum_past_its_term_cap_raises_at_once(z, monkeypatch):
-    # The upward sum from the peak needs more than its 100,000 terms from z
-    # ~ 6.63e8 on; from 6.79e8 the peak's width proves it before the loop,
-    # which took about 20 ms to reach the same error.
-    message, seconds = _raise_time(z)
-    assert seconds < 1e-3
-    monkeypatch.setattr(bessel, "_runs_past_the_cap", lambda *_: False)
-    with pytest.raises(ConvergenceError) as exc:
-        log_poisson_pair_sum(0.0, 0.5 * z, 0.5 * z)
-    assert str(exc.value) == message
-
-
 def test_poisson_pair_sum_just_inside_its_term_cap_converges():
-    # e^{-z} I_0(z) = e^{-1/2 ln(2 pi z)} (1 + 1/(8z) + 9/(128 z^2) + ...)
-    # (DLMF 10.40.1); the terms left out are below 1e-26 here.
+    # z = 6.6e8 was the last argument at which the sum of Poisson products
+    # that served here stayed within its 100,000 terms; Hankel's expansion
+    # now takes it in a few.
     z = 6.6e8
-    ref = -0.5 * math.log(2.0 * math.pi * z) + math.log1p(
-        1.0 / (8.0 * z) + 9.0 / (128.0 * z * z))
-    assert abs(log_poisson_pair_sum(0.0, 0.5 * z, 0.5 * z) - ref) <= 1e-12
+    assert abs(_log_scaled(0.0, z) - _hankel_log(0.0, z)) <= 1e-12
 
 
 @pytest.mark.parametrize("order,z,ref", [
@@ -349,6 +349,71 @@ def test_hankel_sum_past_its_switch_is_a_convergence_error():
                               20.0)
     assert str(exc.value) == ("Bessel Hankel expansion did not converge for "
                               "order=8.0, z=20.0")
+
+
+def test_debye_polynomials_follow_their_recursion():
+    # U_1 to U_3 as DLMF 10.41.10 lists them.  U_k has degree 3k, and
+    # U_k(1) is (-1)^k times the coefficient of 1/z^k in Stirling's series
+    # for Gamma(z), 1/12, 1/288 and -139/51840 (DLMF 5.11.3).
+    u = bessel._debye_polynomials()
+    assert [len(c) for c in u] == [3 * k + 1 for k in range(12)]
+    assert u[1] == [0.0, 3 / 24, 0.0, -5 / 24]
+    assert u[2] == [0.0, 0.0, 81 / 1152, 0.0, -462 / 1152, 0.0, 385 / 1152]
+    assert u[3] == [0.0, 0.0, 0.0, 30375 / 414720, 0.0, -369603 / 414720,
+                    0.0, 765765 / 414720, 0.0, -425425 / 414720]
+    assert [math.fsum(c) for c in u[1:4]] == pytest.approx(
+        [-1 / 12, 1 / 288, 139 / 51840], rel=0.0, abs=1e-15)
+
+
+# (order, z, ln(e^{-z} I_order(z))) at seeded points with order in [53,
+# 1e4] and z in [700, 2e4] below the Hankel switch, where Debye's
+# expansion serves, from mpmath.besseli at 40 digits.
+DEBYE_POINTS = [
+    (90.7505, 1479.74, -7.35153700730883783980921260394),
+    (159.474, 1626.61, -12.4296097756457847723728913572),
+    (186.337, 5487.03, -8.38793034287219792555586475727),
+    (559.199, 10748.2, -20.1043564888427059686775245909),
+    (774.539, 12508.4, -29.6096214806347585503274208155),
+    (1236.11, 4522.83, -173.033973640770455004785915986),
+    (1921.11, 6827.19, -273.901300363071491960285544818),
+    (2436.58, 9192.25, -326.577653568590622816536603551),
+    (2712.71, 5000.72, -724.384882261196137013601505407),
+    (3213.79, 4392.12, -1135.40834965359017200592110617),
+]
+
+
+def _debye_bound(ref):
+    return max(2e-14, 4.0 * sys.float_info.epsilon * abs(ref))
+
+
+@pytest.mark.parametrize("order,z,ref", DEBYE_POINTS)
+def test_asymptotic_log_below_the_hankel_switch(order, z, ref):
+    assert z < bessel._hankel_switch(order)
+    assert abs(log_scaled_asymptotic(order, z) - ref) <= _debye_bound(ref)
+
+
+# (order, z, ln(e^{-z} I_order(z))) past order 20,000, where
+# ``bessel_i_scaled`` leaves the power series at every argument, from
+# mpmath.besseli at 40 digits.  The first three values are normal floats;
+# the last two lie far below the double range, where the value is 0.0.
+LARGE_ORDER_POINTS = [
+    (20000.5, 3e5, -673.679206461787001010418163907),
+    (21000.0, 4e5, -558.492725582201838959734923045),
+    (22222.25, 3.6e5, -692.972050378123814216262150037),
+    (25000.0, 700.0, -82418.531667580354834799126336),
+    (1e5, 1.0, -1120614.9399526164210707825716),
+]
+
+
+@pytest.mark.parametrize("order,z,ref", LARGE_ORDER_POINTS)
+def test_scaled_past_order_twenty_thousand(order, z, ref):
+    assert abs(log_scaled_asymptotic(order, z) - ref) <= _debye_bound(ref)
+    got = bessel_i_scaled(order, z)
+    if ref > -700.0:
+        assert abs(math.log(got) - ref) <= _debye_bound(ref)
+    else:
+        assert got == 0.0
+    assert bessel_i_scaled(order, 0.0) == 0.0
 
 
 def test_largest_order_at_a_tiny_argument():

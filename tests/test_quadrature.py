@@ -4,6 +4,7 @@ import decimal
 import math
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -15,9 +16,9 @@ from nuttallq import (ConvergenceError, DomainError, MomentQuery,
                       moment_by_quadrature, nuttall_q_series,
                       tanh_rule_integrate, truncation_bounds)
 from nuttallq import quadrature
-from nuttallq.bessel import FixedOrderSeries, log_poisson_pair_sum
+from nuttallq.bessel import FixedOrderSeries
 
-from oracles import EDGE_POINTS, naive_integrand
+from oracles import EDGE_POINTS, log_scaled_bessel_i, naive_integrand
 
 
 def _profile(gamma_exp, x, t):
@@ -97,8 +98,7 @@ def _node_log_without_kernel(eta, mu, x, t):
         terms = [0.5 * (1.0 - mu) * math.log(x),
                  (eta + 0.5 * (mu - 1.0)) * math.log(t),
                  -(math.sqrt(t) - math.sqrt(x)) ** 2,
-                 log_poisson_pair_sum(mu - 1.0, math.sqrt(x * t),
-                                      math.sqrt(x * t))]
+                 log_scaled_bessel_i(mu - 1.0, 2.0 * math.sqrt(x * t))]
     kernel_terms = [(eta + mu - 1.0) * math.log(t), math.lgamma(mu)]
     return sum(terms), max(abs(v) for v in terms + kernel_terms)
 
@@ -265,24 +265,42 @@ def test_x_zero_profile_is_left_out_far_below_the_peak(x):
     assert got == pytest.approx(x + 2.0, rel=2e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("x", [1e12, 1e150])
+@pytest.mark.parametrize("x", [1e150])
 def test_x_past_the_bessel_series_is_a_named_convergence_error(x):
-    # x t stays finite.  At 1e12 the node arguments z = 2 sqrt(x t) are so
-    # large that the Bessel series behind the nodes gives up; at 1e150 the
-    # terms of the shape's log are so large that an ulp of them exceeds its
-    # drop, and the query is refused before any node.  The error names x
-    # and the route, not only the kernel.
+    # x t stays finite, but the terms of the shape's log are so large that
+    # an ulp of them exceeds its drop, and the query is refused before any
+    # node.  The error names every parameter.
     q = MomentQuery(1.0, 2.0, x, 1.0)
     assert math.isfinite(q.x * quadrature._window(
         quadrature._Shape(q.eta, q.mu, q.x), q.y)[1])
-    named = re.escape(repr(x))
-    reason = (rf"x = {named} on its window .*: Bessel series did not converge"
-              if x < 1e100 else
-              rf"eta = 1\.0, mu = 2\.0, x = {named}, y = 1\.0: rounding "
-              r"leaves its window .* unable to resolve")
-    with pytest.raises(ConvergenceError,
-                       match=r"^quadrature cannot take " + reason):
+    with pytest.raises(ConvergenceError, match=(
+            rf"^quadrature cannot take eta = 1\.0, mu = 2\.0, "
+            rf"x = {re.escape(repr(x))}, y = 1\.0: rounding leaves its "
+            r"window .* unable to resolve")):
         tanh_rule_integrate(q)
+
+
+def test_x_far_past_the_power_series_integrates():
+    # The node arguments z = 2 sqrt(x t) lie near 2e12, where the sum of
+    # Poisson products that once gave the nodes' Bessel factor ran past its
+    # term cap and the integral raised; Hankel's expansion takes them.
+    # Q_{1,2}(x, 1) is x + 2 less a part below t = 1 of order e^{-x}.
+    out = tanh_rule_integrate(MomentQuery(1.0, 2.0, 1e12, 1.0))
+    assert abs(out.value / (1e12 + 2.0) - 1.0) <= out.est_error < 1e-3
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_far_x_at_mu_equal_to_x_integrates_to_one(k):
+    # Q_{0,mu}(mu, 0) = 1, at mu = x from 1e8 to 1e10 by half-decades: the
+    # nodes' Bessel order is mu - 1 and their arguments lie near 2 mu, far
+    # below the Hankel switch, so Debye's expansion takes them.  At 1e8 the
+    # sum of Poisson products that served there took over a second, and
+    # from 3.2e8 on it ran past its term cap and raised.
+    mu = 10.0 ** (8 + k / 2)
+    start = time.perf_counter()
+    out = tanh_rule_integrate(MomentQuery(0.0, mu, mu, 0.0))
+    assert time.perf_counter() - start < 0.05
+    assert abs(out.value - 1.0) <= out.est_error < 1e-3
 
 
 def test_collapsed_window_on_the_peak_raises():

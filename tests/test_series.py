@@ -125,6 +125,19 @@ def test_q_factors_below_the_log_range_are_no_converged_zero():
         nuttall.series_value(eta, mu, x, y)
 
 
+def test_x_zero_below_the_log_range_is_no_converged_value():
+    # At x = 0 the value is the one term Gamma(eta+mu, y) / Gamma(mu), which
+    # enters by ln Q_{eta+mu}(y) = -1454263.47 where it underflows.  An ulp
+    # of that log is 2.3e-10, so the value 3.7e-12 keeps about ten digits,
+    # and the outcome says that the series did not converge, as it does at
+    # x = 1e-300.
+    for x in (0.0, 1e-300):
+        q = MomentQuery(19985.0, 4e31, x, 4.0000000000010785e31)
+        assert not nuttall_q_series(q).converged
+        with pytest.raises(ConvergenceError):
+            nuttall.series_value(*q)
+
+
 # (eta, mu, x, y, value) with y far above x: the sum runs 180-610 terms,
 # and its first Q factors Q_{eta+mu+n}(y) lie below the double range, so
 # they are carried times a power of two taken from ln Q_{eta+mu}(y).  The
