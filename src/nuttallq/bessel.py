@@ -95,31 +95,27 @@ def _four_term_sum(w: float, groups: list[_Steps],
 
     ``groups`` holds the steps s_k in tuples of four, k = 1, 2, ...; past
     its end ``steps(order, arg, n)`` forms s_{n+1} to s_{n+4} as the sum
-    needs them, and they are appended to it.  The builder raises
+    needs them, and they are appended to it: one body walks the table as
+    it stands, then each group appended, so a cached table and a fresh
+    one give the same sum bit for bit.  The builder raises
     ConvergenceError past its term cap, naming arg.  The sum stops once
     the last term of a four lies within _SERIES_CUTOFF of it in size;
     written as two comparisons, the test of a positive term costs one
     while it fails."""
     cutoff = _SERIES_CUTOFF
     term = total = 1.0
-    for s0, s1, s2, s3 in groups:
-        t0 = term * w * s0
-        t1 = t0 * w * s1
-        t2 = t1 * w * s2
-        term = t2 * w * s3
-        total += t0 + t1 + t2 + term
-        if term < total * cutoff and -term < total * cutoff:
-            return total
+    walk = groups
     while True:
-        s0, s1, s2, s3 = group = steps(order, arg, 4 * len(groups))
-        groups.append(group)
-        t0 = term * w * s0
-        t1 = t0 * w * s1
-        t2 = t1 * w * s2
-        term = t2 * w * s3
-        total += t0 + t1 + t2 + term
-        if term < total * cutoff and -term < total * cutoff:
-            return total
+        for s0, s1, s2, s3 in walk:
+            t0 = term * w * s0
+            t1 = t0 * w * s1
+            t2 = t1 * w * s2
+            term = t2 * w * s3
+            total += t0 + t1 + t2 + term
+            if term < total * cutoff and -term < total * cutoff:
+                return total
+        groups.append(steps(order, arg, 4 * len(groups)))
+        walk = groups[-1:]
 
 
 def _series_steps(order: float, q: float, n: int) -> _Steps:
@@ -341,7 +337,10 @@ def bessel_ratio(order: float, arg: float) -> float:
     z/(2(order+1)), C infinite) rather than from a floor value that would
     swamp a tiny ratio; every later denominator is positive.  The value
     lies in [0, 1), tends to z/(2(order+1)) as z -> 0, and arg == 0
-    returns exactly 0.
+    returns exactly 0.  Where a denominator 2(order+j)/z overflows, the
+    rest of the fraction would move f by about z^2/(4(order+1)(order+2))
+    relative, far below an ulp, so f is returned as it stands; carried on,
+    inf times 0 would give nan, which never passes the stop test.
     """
     _validate(order, arg)
     if arg == 0.0:
@@ -350,6 +349,8 @@ def bessel_ratio(order: float, arg: float) -> float:
     c = math.inf
     for j in range(2, _LENTZ_MAX_ITER + 1):
         b = 2.0 * (order + j) / arg
+        if b == math.inf:
+            return f
         d = 1.0 / (b + d)
         c = b + 1.0 / c
         delta = c * d

@@ -36,13 +36,12 @@ The series accepts real eta >= 0.
 The series takes its point as a ``MomentQuery``, from ``query``, which also
 holds ``evaluate``: that module imports this one only where it runs the
 series, so a command that runs another route compiles no line of it, nor
-of ``incgamma``.  ``MomentQuery``, ``Evaluation``, ``METHODS`` and
-``evaluate`` still resolve from this module.
+of ``incgamma``.
 
-The recurrence names that lived here (``nuttall_q_ladder``,
-``nuttall_q_homogeneous``, ``homogeneous_table``, ``RecurrenceTable``,
-``MAX_TABLE_ENTRIES``, ``consistency_deviation``) still resolve from this
-module: the first access loads ``recurrence`` and binds the name here.
+The two recurrence builders that lived here, ``nuttall_q_ladder`` and
+``nuttall_q_homogeneous``, still resolve from this module, as the
+benchmark's workloads call them: the first access loads ``recurrence``
+and binds the name here.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from collections import namedtuple
 from .errors import ConvergenceError
 from .incgamma import log_pochhammer, log_q_increment, q_with_log_increment
 from .logscale import exp_clipped
-from .query import METHODS, Evaluation, MomentQuery, evaluate
+from .query import MomentQuery
 
 # Relative contribution below which a series term counts as quiet.
 _SERIES_TOL = 1e-14
@@ -473,10 +472,8 @@ def series_value(eta: float, mu: float, x: float, y: float) -> float:
     return out.value
 
 
-# The public names that moved to ``recurrence``.
-_MOVED = frozenset({"MAX_TABLE_ENTRIES", "RecurrenceTable",
-                    "consistency_deviation", "homogeneous_table",
-                    "nuttall_q_homogeneous", "nuttall_q_ladder"})
+# The recurrence builders still served from here (see the docstring).
+_MOVED = frozenset({"nuttall_q_homogeneous", "nuttall_q_ladder"})
 
 
 def __getattr__(name: str):

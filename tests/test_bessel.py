@@ -80,9 +80,11 @@ def test_ratio_cf_vs_series_quotient_region():
 
 # (order, z) with z/(2(order+1)) below 1e-15: where a floor value in the
 # continued fraction would swamp the ratio.  z^2/(4(order+1)(order+2)), the
-# relative size of the next term, is below 1e-17 at every point.
+# relative size of the next term, is below 1e-17 at every point.  At the
+# last three, 2(order+2)/z overflows, where inf times 0 would give nan.
 TINY_RATIO_POINTS = [(0.0, 1e-16), (0.0, 1e-20), (40.0, 1e-14),
-                     (0.5, 1e-200), (1e300, 1.0)]
+                     (0.5, 1e-200), (1e300, 1.0),
+                     (10.0, 1e-307), (0.5, 5e-324), (1e308, 1e-300)]
 
 
 @pytest.mark.parametrize("order,z", TINY_RATIO_POINTS)
@@ -316,6 +318,40 @@ def test_hankel_branch_meets_the_power_series_at_its_switch(order):
         other = series.log_scaled(0.25 * z * z, z)
         series.hankel_from = switch
         assert abs(got - other) <= 2.0 * math.ulp(got), (order, z)
+
+
+@pytest.mark.parametrize("order", [0.0, 8.5, 40.0])
+def test_step_table_state_never_changes_a_sum(order):
+    # One instance called at rising arguments, one at falling arguments and
+    # a fresh one per argument, on the power series' branch and on
+    # Hankel's: their logs are equal bit for bit, whatever the cached step
+    # tables hold.
+    switch = FixedOrderSeries(order).hankel_from
+    zs = [1e-3, 0.5, 3.0, 0.5 * switch, switch * (1.0 - 2.0**-40),
+          switch, 1.5 * switch, min(700.0, 3.0 * switch)]
+
+    def logs(series, args):
+        return {z: series.log_scaled(0.25 * z * z, z) for z in args}
+
+    fresh = {z: FixedOrderSeries(order).log_scaled(0.25 * z * z, z)
+             for z in zs}
+    assert (logs(FixedOrderSeries(order), zs)
+            == logs(FixedOrderSeries(order), reversed(zs)) == fresh)
+    # A fresh list ends with exactly the groups its sum needed: handed back,
+    # it gives the same sum and does not grow; cut by its last group, it
+    # grows that group back.
+    for z in zs:
+        q = 0.25 * z * z
+        w, arg, steps = ((1.0 / z, z, bessel._hankel_steps) if z >= switch
+                         else (q, q, bessel._series_steps))
+        groups = []
+        total = bessel._four_term_sum(w, groups, steps, order, arg)
+        needed = list(groups)
+        assert needed == [steps(order, arg, 4 * i)
+                          for i in range(len(needed))]
+        for table in (groups, groups[:-1]):
+            assert bessel._four_term_sum(w, table, steps, order, arg) == total
+            assert table == needed, (order, z)
 
 
 def test_hankel_switch_rule_converges_with_terms_at_most_two():

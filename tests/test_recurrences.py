@@ -500,6 +500,19 @@ def test_homogeneous_table_tiny_bessel_ratios():
                 _series(float(e), 1.0 + m, x, y), rel=1e-14, abs=0.0), (e, m)
 
 
+@pytest.mark.parametrize("x,y", [(1e-310, 1e-310), (5e-324, 5e-324),
+                                 (1e-300, 1e-316)])
+def test_tables_at_subnormal_bessel_arguments_match_the_series(x, y):
+    # z = 2 sqrt(xy) is so small that 2(nu+2)/z overflows in the ratio's
+    # continued fraction, where inf times 0 would give nan.
+    for build in (nuttall_q_ladder, homogeneous_table):
+        table = build(3, 1.0, 6, x, y)
+        for e in range(4):
+            for m in range(6):
+                assert table.entry(e, m) == _series(float(e), 1.0 + m, x, y), (
+                    build.__name__, e, m)
+
+
 def test_ratio_sweep_matches_per_order_ratios_and_series_oracle():
     # Runs of 1 to 200 orders from seeded starts in [0.5, 250], at z from
     # the subnormal-x value 2 sqrt(5e-324) and the tiny-ratio z of the test
