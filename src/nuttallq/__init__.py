@@ -19,16 +19,20 @@ routes are not wholly independent, so their agreement does not check what
 they share:
 
 * the ladder's forcing term and the quadrature kernel share the Bessel
-  kernel: ``bessel._power_over_gamma``, the power series (the loop
+  kernel: its argument check ``bessel._validate``,
+  ``bessel._power_over_gamma``, the power series (the loop
   ``bessel._four_term_sum`` on the steps of ``bessel._series_steps``),
-  Hankel's steps ``bessel._hankel_steps`` and, past z = 700,
-  ``bessel.log_scaled_asymptotic``.  The nodes take them through
+  Hankel's steps ``bessel._hankel_steps`` from the order's switch
+  ``bessel._hankel_switch`` and, past z = 700,
+  ``bessel.log_scaled_asymptotic`` with its Debye polynomials
+  ``bessel._debye_polynomials``.  The nodes take them through
   ``FixedOrderSeries`` at order mu - 1, with the power series below the
   switch to Hankel's expansion, z < max(21, (4 (mu-1)^2 - 1)/16); the
   forcing term through ``bessel_i_scaled``, and through
   ``FixedOrderSeries`` in its log form;
-* the ladder and the homogeneous table share their one series seed, their
-  forcing terms and their ratio sweep;
+* the ladder and the homogeneous table share one row loop, and with it
+  their one series seed, their forcing terms, their ratio sweep and
+  columns 0 and 1 of every row;
 * both recurrences take their series values from ``nuttall.series_value``,
   and the forcing term's log takes ``incgamma.log_q_increment`` where z <=
   700.

@@ -133,10 +133,6 @@ def sweep(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise DomainError(f"unknown method {m!r}")
-    needs_integer_eta = any(m in ("ladder", "homogeneous") for m in methods)
-    if needs_integer_eta and not all(float(e).is_integer() for e in axes[0]):
-        raise DomainError(
-            "ladder/homogeneous sweeps require an integer eta grid")
     # Every point is checked before the header is printed; each query is
     # built as it is evaluated.  A route's refusal of a point leaves out
     # its row and is counted, as a convergence failure is.

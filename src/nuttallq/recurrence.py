@@ -12,10 +12,14 @@ homogeneous three-term recurrence, which build a ``RecurrenceTable``.
   positive, hence stable forward.
 * ``nuttall_q_homogeneous`` - the three-term recurrence whose coefficient is
   a Bessel-function ratio, so no raw Bessel magnitudes appear at all;
-  ``homogeneous_table`` drives it row by row, row 0 included, from the
-  first two columns of the ladder's table.  The two tables then share their
-  one series call and their forcing terms, so their agreement checks the
-  two recurrences in mu, not the boundary.
+  ``homogeneous_table`` drives it row by row, row 0 included.
+
+Both tables are built by one row loop, ``_table``.  Each row takes its
+columns 0 and 1 from the ladder's step in eta and along the row; the ladder
+steps on to the row's end, and the homogeneous table fills the rest by its
+recurrence.  The two tables thus share their one series call, their
+forcing terms, their ratio sweep and, bit for bit, columns 0 and 1, so
+their agreement checks the two recurrences in mu, not the boundary.
 
 Both recurrences take their Bessel data along the columns from one sweep of
 ratios r_mu = I_{mu+1}/I_mu at z = 2 sqrt(xy) (``_ratio_sweep``): one
@@ -222,6 +226,70 @@ def _ratio_sweep(mu_lo: float, n: int, x: float, y: float) -> list[float]:
     return [root * r for r in out]
 
 
+def _table(what: str, eta_max: int, mu_start: float, n_cols: int,
+           x: float, y: float, homogeneous: bool) -> RecurrenceTable:
+    """The row loop of ``nuttall_q_ladder`` and, with ``homogeneous`` set,
+    of ``homogeneous_table``; ``what`` names the builder in its errors.
+
+    Each row takes column 0 from the step in eta, or from the series, and
+    column 1 from the ladder's step along the row: the columns that the
+    next row's step in eta reads.  The ladder steps on to the row's end,
+    and the homogeneous table fills the rest by ``_homogeneous_row``.  One
+    ``_ratio_sweep`` gives both the forcing term's steps and the
+    homogeneous coefficients."""
+    eta_max, n_cols = _check_table_args(what, eta_max, mu_start, n_cols, x, y)
+    width = max(n_cols, 3) if eta_max else n_cols
+    # Columns stepped by the ladder, and forcing terms carried: the eta
+    # step needs T at mu_start and mu_start+1.
+    cols, n_forcing = ((min(width, 2), min(width - 1, 2)) if homogeneous
+                       else (width, width - 1))
+
+    steps = _ratio_sweep(mu_start, width - 2, x, y)
+    forcing = []
+    t = 0.0  # forces a seed in the first column
+    for k in range(n_forcing):
+        if k:
+            t *= steps[k - 1]
+        if not _INC_RESEED <= t < math.inf:
+            t = _inhom_term(0, mu_start + k, x, y)
+        forcing.append(t)
+
+    # The forcing part of the eta step, over y^{e-1}: x T_{mu+1} + mu T_mu.
+    lift = 0.0
+    if eta_max and forcing[0] >= _TINY and forcing[1] >= _TINY:
+        lift = x * forcing[1] + mu_start * forcing[0]
+
+    rows: list[list[float]] = []
+    prev = [0.0] * width
+    y_below = 1.0  # y^{e-1}
+    for e in range(eta_max + 1):
+        try:
+            y_e = y**e
+        except OverflowError:
+            y_e = math.inf
+        carry = _TINY <= y_e < math.inf
+        seed = math.nan
+        if e and lift > 0.0 and _TINY <= y_below < math.inf:
+            seed = ((e - 1 + mu_start) * prev[0] + x * prev[1]
+                    + y_below * lift)
+        if not _TINY <= seed < math.inf:
+            seed = series_value(e, mu_start, x, y)
+        row = [seed]
+        for m in range(1, cols):
+            t0 = forcing[m - 1]
+            t = t0 * y_e
+            if not (carry and t0 >= _TINY and _TINY <= t < math.inf):
+                t = _inhom_term(e, mu_start + (m - 1), x, y)
+            row.append(row[m - 1] + e * prev[m] + t)
+        if homogeneous:
+            row = _homogeneous_row(e, prev, row[0], row[-1], steps)
+        prev = [min(v, 1.0) for v in row] if e == 0 else row
+        rows.append(prev)
+        y_below = y_e
+    return RecurrenceTable(eta_max, mu_start, n_cols,
+                           tuple(tuple(r[:n_cols]) for r in rows))
+
+
 def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
                      x: float, y: float) -> RecurrenceTable:
     """Build the table Q_{e, mu_start+m} by the scaled inhomogeneous ladder.
@@ -260,52 +328,7 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
     their limits y^mu e^{-y}/Gamma(mu+1) and y/(mu+1), and both relations
     still hold.
     """
-    eta_max, n_cols = _check_table_args("ladder", eta_max, mu_start, n_cols,
-                                        x, y)
-    width = max(n_cols, 3) if eta_max else n_cols
-
-    steps = _ratio_sweep(mu_start, width - 2, x, y)
-    forcing = []
-    t = 0.0  # forces a seed in the first column
-    for k in range(width - 1):
-        if k:
-            t *= steps[k - 1]
-        if not _INC_RESEED <= t < math.inf:
-            t = _inhom_term(0, mu_start + k, x, y)
-        forcing.append(t)
-
-    # The forcing part of the eta step, over y^{e-1}: x T_{mu+1} + mu T_mu.
-    lift = 0.0
-    if eta_max and forcing[0] >= _TINY and forcing[1] >= _TINY:
-        lift = x * forcing[1] + mu_start * forcing[0]
-
-    rows: list[list[float]] = []
-    prev = [0.0] * width
-    y_below = 1.0  # y^{e-1}
-    for e in range(eta_max + 1):
-        try:
-            y_e = y**e
-        except OverflowError:
-            y_e = math.inf
-        carry = _TINY <= y_e < math.inf
-        seed = math.nan
-        if e and lift > 0.0 and _TINY <= y_below < math.inf:
-            seed = ((e - 1 + mu_start) * prev[0] + x * prev[1]
-                    + y_below * lift)
-        if not _TINY <= seed < math.inf:
-            seed = series_value(e, mu_start, x, y)
-        row = [seed]
-        for m in range(1, width):
-            t0 = forcing[m - 1]
-            t = t0 * y_e
-            if not (carry and t0 >= _TINY and _TINY <= t < math.inf):
-                t = _inhom_term(e, mu_start + (m - 1), x, y)
-            row.append(row[m - 1] + e * prev[m] + t)
-        prev = [min(v, 1.0) for v in row] if e == 0 else row
-        rows.append(prev)
-        y_below = y_e
-    return RecurrenceTable(eta_max, mu_start, n_cols,
-                           tuple(tuple(r[:n_cols]) for r in rows))
+    return _table("ladder", eta_max, mu_start, n_cols, x, y, False)
 
 
 def nuttall_q_homogeneous(eta: int, prev_row: list[float], seed0: float,
@@ -360,26 +383,17 @@ def homogeneous_table(eta_max: int, mu_start: float, n_cols: int,
     """Build the table Q_{e, mu_start+m} by the homogeneous recurrence.
 
     The counterpart of ``nuttall_q_ladder``, with the same arguments and
-    checks.  Its boundary, column 0 of every row and column 1 where n_cols
-    > 1, is the first min(n_cols, 2) columns of the ladder's table, so a
-    table takes one series call, at (0, mu_start).  Every row, row 0 with
-    eta = 0 and a row of zeros below it included, is then filled by the
-    recurrence of ``nuttall_q_homogeneous`` from the row below; row 0 is
-    clipped to 1 like marcum_q.  The coefficients depend on the column
-    alone, so every row takes them from one ratio sweep per table.  A
-    series that does not converge raises ConvergenceError.
+    checks, built in the ladder's row loop.  Columns 0 and 1 of each row
+    come from the ladder's steps in eta and along the row, so they equal
+    the ladder's bit for bit, and a table takes one series call, at (0,
+    mu_start).  The rest of every row, row 0 with eta = 0 and a row of
+    zeros below it included, is filled by the recurrence of
+    ``nuttall_q_homogeneous`` from the row below; row 0 is clipped to 1
+    like marcum_q.  The coefficients depend on the column alone and are
+    the steps of the ladder's forcing term, so the table takes one ratio
+    sweep.  A series that does not converge raises ConvergenceError.
     """
-    eta_max, n_cols = _check_table_args("homogeneous table", eta_max,
-                                        mu_start, n_cols, x, y)
-    edge = nuttall_q_ladder(eta_max, mu_start, min(n_cols, 2), x, y).values
-    coeffs = _ratio_sweep(mu_start, n_cols - 2, x, y)
-    rows = []
-    prev = [0.0] * n_cols
-    for e, seeds in enumerate(edge):
-        row = _homogeneous_row(e, prev, seeds[0], seeds[-1], coeffs)
-        prev = [min(v, 1.0) for v in row] if e == 0 else row
-        rows.append(tuple(prev))
-    return RecurrenceTable(eta_max, mu_start, n_cols, tuple(rows))
+    return _table("homogeneous table", eta_max, mu_start, n_cols, x, y, True)
 
 
 def consistency_deviation(q: MomentQuery) -> float:

@@ -15,10 +15,11 @@ from nuttallq import (DomainError, Evaluation, MomentQuery, evaluate,
 from oracles import EDGE_POINTS
 from test_cli import COLD_STARTS, ON_DEMAND, _fresh_python
 
-# The benchmark's workloads call these three through their modules, and no
-# function of the package calls them.
+# The benchmark's workloads call these four through their modules, and no
+# function of the package calls them by name: ``evaluate`` reaches
+# ``nuttall_q_ladder`` as a value, not by a call to it.
 CALLED_FROM_OUTSIDE = {"marcum_q", "moment_by_quadrature",
-                       "nuttall_q_homogeneous"}
+                       "nuttall_q_homogeneous", "nuttall_q_ladder"}
 
 
 def _called_by_another_function():
@@ -188,3 +189,116 @@ def test_bessel_imports_incgamma_nowhere():
             names.update(a.name for a in node.names)
     assert "errors" in names
     assert not [n for n in names if "incgamma" in n]
+
+
+# What the series and quadrature may both reach: the query record and its
+# check, the two errors, and the clipped exp.
+SERIES_QUADRATURE_SHARE = {
+    "query.MomentQuery", "query.MomentQuery.__new__",
+    "query.MomentQuery._make", "query._require_finite",
+    "errors.DomainError", "errors.ConvergenceError", "logscale.exp_clipped"}
+
+
+def _package_imports(node):
+    """{bound name: (module, name)} of the package's relative imports in
+    ``node``; name is None where a module itself is bound."""
+    bound = {}
+    for imp in ast.walk(node):
+        if isinstance(imp, ast.ImportFrom) and imp.level == 1:
+            for alias in imp.names:
+                bound[alias.asname or alias.name] = (
+                    (imp.module, alias.name) if imp.module
+                    else (alias.name, None))
+    return bound
+
+
+def _call_graph():
+    """(defs, resolve): every function, class and method of the package by
+    its dotted name 'module.name' or 'module.Class.method', and a function
+    that resolves a name of a module to such a key through its imports."""
+    defs, top = {}, {}
+    for path in Path(nuttallq.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = path.stem
+        top[module] = _package_imports(ast.Module(
+            body=[n for n in tree.body if isinstance(n, ast.ImportFrom)],
+            type_ignores=[]))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        defs[f"{module}.{node.name}.{sub.name}"] = sub
+
+    def resolve(module, name):
+        key = f"{module}.{name}"
+        if key in defs:
+            return key
+        source, imported = top[module].get(name, (None, None))
+        return resolve(source, imported) if imported else None
+
+    return defs, resolve
+
+
+def _reachable(graph, entry):
+    """The dotted names that ``entry`` reaches in ``_call_graph()``: every
+    package function or class that a reached body names, directly or
+    through an import (in the module or in that body), and every method of
+    a reached class."""
+    defs, resolve = graph
+    todo, seen = [entry], set()
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        node, module = defs[key], key.split(".")[0]
+        local = _package_imports(node)
+        if isinstance(node, ast.ClassDef):
+            todo += [k for k in defs if k.startswith(key + ".")]
+        for sub in ast.walk(node):
+            found = None
+            if isinstance(sub, ast.Name) and sub.id in local:
+                source, name = local[sub.id]
+                found = name and resolve(source, name)
+            elif isinstance(sub, ast.Name):
+                found = resolve(module, sub.id)
+            elif (isinstance(sub, ast.Attribute)
+                  and isinstance(sub.value, ast.Name)):
+                # module.name, for a module bound by ``from . import module``
+                source, name = local.get(sub.value.id, (None, None))
+                found = source and name is None and resolve(source, sub.attr)
+            if found:
+                todo.append(found)
+    return seen
+
+
+def test_series_and_quadrature_share_only_the_records_errors_and_exp():
+    # Their agreement checks both routes only where they share no code.
+    # The message lists what each recurrence table shares with either
+    # route; README's list of shared code names the same.
+    graph = _call_graph()
+    series = _reachable(graph, "nuttall.nuttall_q_series")
+    quad = _reachable(graph, "quadrature.tanh_rule_integrate")
+    assert {"incgamma.q_with_log_increment", "nuttall._times_exp"} <= series
+    assert {"bessel.FixedOrderSeries.log_scaled", "quadrature._lower_cut",
+            "bessel._four_term_sum"} <= quad
+    tables = {entry: _reachable(graph, f"recurrence.{entry}")
+              for entry in ("nuttall_q_ladder", "homogeneous_table")}
+    shares = "; ".join(
+        f"{entry} with the {route}: "
+        f"{sorted(reached & other - SERIES_QUADRATURE_SHARE)}"
+        for entry, reached in tables.items()
+        for route, other in (("series", series), ("quadrature", quad)))
+    assert series & quad == SERIES_QUADRATURE_SHARE, shares
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    listed = readme[readme.index("The routes share some"):
+                    readme.index("The three routes,")]
+    for entry, reached in tables.items():
+        assert "nuttall.series_value" in reached, entry
+        bessel_shares = {k.split(".")[1] for k in reached & quad
+                         if k.startswith("bessel.")}
+        unlisted = sorted(n for n in bessel_shares if n not in listed)
+        assert bessel_shares and not unlisted, (unlisted, shares)

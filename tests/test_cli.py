@@ -347,11 +347,17 @@ def test_grid_axes_end_exactly_at_lo_and_hi(capsys, argv, last_y, err):
      ["series", "ladder", "series"],
      "ladder needs (eta + 1) * n_cols = 1000001 entries, over the limit of "
      "1000000"),
-], ids=["quadrature-below-mu-one", "ladder-past-its-entry-limit"])
+    (("--eta", "0:1:3", "--mu", "2", "--x", "1", "--y", "1",
+      "--methods", "series,ladder"),
+     ["series", "ladder", "series", "series", "ladder"],
+     "ladder requires integer eta, got 0.5"),
+], ids=["quadrature-below-mu-one", "ladder-past-its-entry-limit",
+        "ladder-at-a-real-eta"])
 def test_sweep_counts_evaluations_a_route_refuses(capsys, argv, methods,
                                                   refusal):
     # The refused row is left out and the sweep goes on to the end of the
-    # grid; it stopped at the refusal, and lost every later row.
+    # grid; it stopped at the refusal, and lost every later row.  A real eta
+    # in a recurrence sweep stopped it before its first row.
     code, out, err = run(capsys, "sweep", *argv)
     assert code == EXIT_USAGE
     assert [r["method"] for r in parse_csv(out)] == methods

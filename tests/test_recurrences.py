@@ -96,8 +96,9 @@ def test_ladder_calls_the_series_once_per_table(monkeypatch, eta_max, n_cols):
 @pytest.mark.parametrize("n_cols", [1, 2, 3, 30])
 def test_tables_take_one_ratio_sweep(monkeypatch, n_cols, x, y):
     # Inside the box: one continued fraction per homogeneous row call, and
-    # one continued fraction and one scaled Bessel value per ladder, whose
-    # eta step needs T at mu_start and mu_start+1 at any n_cols.
+    # one continued fraction and one scaled Bessel value per table of
+    # either kind, whose eta step needs T at mu_start and mu_start+1 at any
+    # n_cols.
     calls = {"bessel_ratio": 0, "bessel_i_scaled": 0}
 
     def counted(name):
@@ -114,9 +115,10 @@ def test_tables_take_one_ratio_sweep(monkeypatch, n_cols, x, y):
     nuttall_q_homogeneous(1, prev, _series(1.0, 0.5, x, y),
                           _series(1.0, 1.5, x, y), x, y, 0.5, n_cols)
     assert calls == {"bessel_ratio": int(n_cols > 2), "bessel_i_scaled": 0}
-    calls.update(bessel_ratio=0)
-    nuttall_q_ladder(3, 0.5, n_cols, x, y)
-    assert calls == {"bessel_ratio": 1, "bessel_i_scaled": 1}
+    for build in (nuttall_q_ladder, homogeneous_table):
+        calls.update(bessel_ratio=0, bessel_i_scaled=0)
+        build(3, 0.5, n_cols, x, y)
+        assert calls == {"bessel_ratio": 1, "bessel_i_scaled": 1}, build
 
 
 # Q_{0, mu0+m}(x, y) at the corners of the working box.  30-digit values
@@ -610,9 +612,9 @@ def test_wide_ladder_stays_fast_once_its_forcing_term_underflows():
 
 
 def test_homogeneous_table_makes_one_ratio_sweep(monkeypatch):
-    # The coefficients depend on the column alone, so the six recurred rows
-    # share one continued fraction at the top order; the ladder that builds
-    # the boundary takes one more, at any eta_max.
+    # The coefficients depend on the column alone and are the steps of the
+    # forcing term that columns 0 and 1 take, so every row of the table
+    # shares one continued fraction at the top order, at any eta_max.
     calls = []
 
     def counting(order, z):
@@ -623,7 +625,22 @@ def test_homogeneous_table_makes_one_ratio_sweep(monkeypatch):
     for eta_max in (1, 5, 20):
         calls.clear()
         homogeneous_table(eta_max, 0.5, 12, 3.0, 7.0)
-        assert len(calls) == 2, eta_max
+        assert len(calls) == 1, eta_max
+
+
+@pytest.mark.parametrize("x,y", [(0.1, 1.5), (2.0, 3.0), (17.3, 0.4),
+                                 (19.9, 17.8), (0.0, 5.0)])
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 4, 12, 37])
+@pytest.mark.parametrize("eta_max", [0, 1, 3, 10])
+def test_homogeneous_table_takes_columns_0_and_1_from_the_ladder(eta_max,
+                                                                 n_cols, x, y):
+    # Both tables step the ladder along columns 0 and 1 in one row loop, with
+    # the forcing term stepped by the one ratio sweep, so those columns are
+    # the same floats.  Taken from a second, narrower ladder with its own
+    # sweep, 5 of these 990 entries differed.
+    ladder = nuttall_q_ladder(eta_max, 0.5, n_cols, x, y).values
+    table = homogeneous_table(eta_max, 0.5, n_cols, x, y).values
+    assert [row[:2] for row in table] == [row[:2] for row in ladder]
 
 
 @pytest.mark.parametrize("eta_max,n_cols", [(0, 1), (0, 30), (3, 1), (3, 2),
