@@ -51,7 +51,10 @@ the first also accepts a change at the rounding floor of the node logs
 On the box the floor stays below 1e-12.  Where the floor reaches 1, any
 change would pass and the value would hold no digit, so the second pass
 raises ConvergenceError (at x = 0 from mu ~ 3.6e13), unless it and the
-first both sum to 0, as where y lies far past the mass.
+first both sum to 0, as where y lies far past the mass.  Each refusal is
+raised at the pass that finds it: that one at the second pass, and the
+overflow refusal at the first pass whose sum is not finite.  Passes that
+run out without a stop have met the node cap, the third refusal.
 
 Squaring is the rate of an integrand analytic in a strip about the real
 u-axis, whose error is about e^{-2 pi s / h} for a strip of half-width s
@@ -733,11 +736,12 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     with d^rho <= 1e-12, rho = min(3, ln d / ln d_prev) (see the module
     docstring); ``est_error`` is d, d^2 or d^rho, or that floor where it
     is larger.
-    Non-convergence within the 2^20 node cap raises ConvergenceError, and
-    so does the first pass whose sum is not finite, where the integral
-    overflows the double range, and so does the second pass where the
-    rounding floor is 1 or more, which leaves the value no digit, unless
-    both passes sum to 0.
+    Each refusal is a ConvergenceError raised at the pass that finds it:
+    the first pass whose sum is not finite, where the integral overflows
+    the double range, and the second pass where the rounding floor is 1 or
+    more, which leaves the value no digit, unless both passes sum to 0.
+    Only passes that reach the 2^20 node cap without a stop leave the loop,
+    and raise the third.
     Node contributions are combined with exact summation, so results are
     reproducible.  A window that rounds to zero width, which
     ``truncation_bounds`` returns only at a y past the peak of h, gives
@@ -759,32 +763,30 @@ def tanh_rule_integrate(q: MomentQuery) -> QuadratureOutcome:
     d_prev = 0.0
     for n, cur in _nested_passes(node_logs, spec, n):
         if not math.isfinite(cur):
-            break
+            raise ConvergenceError(
+                f"tanh-rule quadrature overflows the double range for {q}: "
+                f"its {n}-point pass sums to {cur!r}")
         if prev is not None:
             if cur == 0.0 and prev == 0.0:
                 return QuadratureOutcome(0.0, n, 0.0)
             if floor >= _FLOOR_LIMIT:
-                break
+                raise ConvergenceError(
+                    f"quadrature cannot take eta = {q.eta!r}, mu = {q.mu!r}, "
+                    f"x = {q.x!r}, y = {q.y!r}: the rounding floor {floor!r} "
+                    f"of its node logs leaves the value no digit")
             d = abs(cur - prev) / abs(cur) if cur != 0.0 else math.inf
             if d <= tol:
                 return QuadratureOutcome(cur, n, max(d, floor))
-            if d < d_prev and d * d <= _REL_TOL:
-                return QuadratureOutcome(cur, n, max(d * d, floor))
-            if 0.0 < d < d_prev < 1.0:
-                est = d ** min(_MAX_RATE, math.log(d) / math.log(d_prev))
+            if d < d_prev:
+                # The error squares, or its exponent grows at the rate the
+                # two changes measure (d > tol > 0 here).
+                est = d * d
+                if est > _REL_TOL and d_prev < 1.0:
+                    est = d ** min(_MAX_RATE, math.log(d) / math.log(d_prev))
                 if est <= _REL_TOL:
                     return QuadratureOutcome(cur, n, max(est, floor))
             d_prev = d
         prev = cur
-    if not math.isfinite(cur):
-        raise ConvergenceError(
-            f"tanh-rule quadrature overflows the double range for {q}: its "
-            f"{n}-point pass sums to {cur!r}")
-    if floor >= _FLOOR_LIMIT:
-        raise ConvergenceError(
-            f"quadrature cannot take eta = {q.eta!r}, mu = {q.mu!r}, "
-            f"x = {q.x!r}, y = {q.y!r}: the rounding floor {floor!r} of its "
-            f"node logs leaves the value no digit")
     raise ConvergenceError(
         f"tanh-rule quadrature did not converge within {_NODE_CAP} nodes for {q}")
 

@@ -61,6 +61,10 @@ _INC_RESEED = 1e-300
 # Entries (eta_max + 1) * n_cols above which a table is refused before it is
 # built.
 MAX_TABLE_ENTRIES = 10**6
+# A ladder entry's sum s + t rounds to s where t is below half an ulp of s,
+# which is above 2^-54 s; a term bounded at or below this times s is not
+# derived, and half of 2^-54 leaves room for the rounding of that bound.
+_NEGLIGIBLE = 2.0**-55
 # 2^27 + 1: Veltkamp's constant, which splits a double into two 26-bit halves.
 _SPLIT = 134217729.0
 
@@ -274,12 +278,16 @@ def _table(what: str, eta_max: int, mu_start: float, n_cols: int,
                     + y_below * lift)
         if not _TINY <= seed < math.inf:
             seed = series_value(e, mu_start, x, y)
+        # A forcing term that is not a normal product is below this.
+        bound = _TINY * max(1.0, y_e)
         row = [seed]
         for m in range(1, cols):
             t0 = forcing[m - 1]
             t = t0 * y_e
             if not (carry and t0 >= _TINY and _TINY <= t < math.inf):
-                t = _inhom_term(e, mu_start + (m - 1), x, y)
+                s = row[m - 1] + e * prev[m]
+                t = (_inhom_term(e, mu_start + (m - 1), x, y)
+                     if bound > _NEGLIGIBLE * s else 0.0)
             row.append(row[m - 1] + e * prev[m] + t)
         if homogeneous:
             row = _homogeneous_row(e, prev, row[0], row[-1], steps)
@@ -321,7 +329,15 @@ def nuttall_q_ladder(eta_max: int, mu_start: float, n_cols: int,
     T_{mu+1} = T_mu c_mu, with the coefficients c_mu = sqrt(y/x) r_mu of one
     ``_ratio_sweep``.  Where the running product falls below 1e-300 or
     overflows, or y^e T leaves the normal float range, that entry is seeded
-    again from ``_inhom_term``, as the series re-seeds its increment.  Where
+    again from ``_inhom_term``, as the series re-seeds its increment, but
+    only where the seed can change the entry.  A fresh T below the normal
+    range is below the least normal double, and T <= 1, so a term that is
+    not a normal product is below that double times max(1, y^e).  Where
+    this bound is at most 2^-55 of the entry's other part s = Q_{e,mu} + e
+    Q_{e-1,mu+1}, below half an ulp of s, s + y^e T rounds to s, and the
+    entry is s, the same float, with no term derived.  The bound comes from
+    y^e, not from the product: where T is 0 or subnormal, the product says
+    nothing of y^e T at y^e near 1e300.  Where
     y^{e-1}, T_mu, T_{mu+1} or the stepped entry is not a normal float, the
     row's first entry comes from the series instead.  A series that does
     not converge raises ConvergenceError.  At x = 0, T_mu and c_mu are

@@ -471,6 +471,25 @@ def test_table1_stall_exit_code(capsys, monkeypatch):
     assert err.startswith("convergence failure: table 1 series stalled at ")
 
 
+def test_table2_stall_exit_code(capsys, monkeypatch):
+    # A stalled series at eta = 2 fails table 2 as table 1 fails: its value,
+    # even one close to the table's, is not printed as an error.
+    series = nuttall.nuttall_q_series
+
+    def stalled(q):
+        out = series(q)
+        if q.eta != 2:
+            return out
+        return out._replace(value=out.value * (1.0 + 1e-9), converged=False)
+
+    monkeypatch.setattr(nuttall, "nuttall_q_series", stalled)
+    code, out, err = run(capsys, "table", "2")
+    assert code == EXIT_NO_CONVERGENCE
+    assert out == ""
+    assert err.startswith("convergence failure: series did not converge at "
+                          "eta=2, mu=10.0, ")
+
+
 def test_table1_json_carries_the_csv_values(capsys):
     code, out, _ = run(capsys, "table", "1", "--format", "json")
     assert code == EXIT_OK
@@ -666,6 +685,18 @@ def test_selftest_degenerate_single_point(capsys):
     assert code == EXIT_OK
     assert "points 1" in out
     assert "result PASS" in out
+
+
+def test_selftest_walks_its_grid_as_sweep_does(capsys):
+    # An axis of repeated values is walked as given: four points, as
+    # the same axes give four rows of a sweep.
+    axes = ("--eta", "3:3:4", "--mu", "2", "--x", "1", "--y", "1")
+    code, out, _ = run(capsys, "selftest", *axes, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["points"] == 4
+    code, out, _ = run(capsys, "sweep", *axes, "--methods", "series")
+    assert code == EXIT_OK
+    assert len(parse_csv(out)) == 4
 
 
 def test_selftest_json_region_pass(capsys):

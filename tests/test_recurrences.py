@@ -611,6 +611,50 @@ def test_wide_ladder_stays_fast_once_its_forcing_term_underflows():
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _hex_rows(table):
+    return [[float.hex(v) for v in row] for row in table.values]
+
+
+@pytest.mark.parametrize("eta,mu_start,n_cols,x,y,calls_without", [
+    (5, 0.3, 601, 0.38, 0.0133, 3579),
+    (8, 0.5, 401, 700.0, 75.0, 1261),
+])
+def test_ladder_derives_a_forcing_term_only_where_it_can_change_its_entry(
+        monkeypatch, eta, mu_start, n_cols, x, y, calls_without):
+    # A term that is not a normal product is bounded by the least normal
+    # double times max(1, y^e); where that bound is negligible next to the
+    # rest of the entry, the term is not derived, and the entry is the
+    # same float.  With the factor at 0 every such term is derived.
+    calls = []
+    inhom_term = recurrence._inhom_term
+
+    def counting(*args):
+        calls.append(args)
+        return inhom_term(*args)
+
+    monkeypatch.setattr(recurrence, "_inhom_term", counting)
+    skipping = nuttall_q_ladder(eta, mu_start, n_cols, x, y)
+    skipped_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(recurrence, "_NEGLIGIBLE", 0.0)
+    deriving = nuttall_q_ladder(eta, mu_start, n_cols, x, y)
+    assert len(calls) == calls_without
+    assert skipped_calls < calls_without // 5
+    assert _hex_rows(skipping) == _hex_rows(deriving)
+
+
+def test_wide_ladder_stays_fast_where_its_forcing_terms_are_negligible():
+    # At mu ~ 3361 the forcing terms of the upper rows are not normal
+    # products, and far below half an ulp of their entries: none of them
+    # is derived from a scaled Bessel value.
+    q = MomentQuery(57, 3361.035848648838, 741.6753853144928,
+                    75.69016252586843)
+    start = time.perf_counter()
+    value = evaluate(q, "ladder").value
+    assert time.perf_counter() - start < 5.0
+    assert float.hex(value) == "0x1.bbbe87a9fceccp+684"
+
+
 def test_homogeneous_table_makes_one_ratio_sweep(monkeypatch):
     # The coefficients depend on the column alone and are the steps of the
     # forcing term that columns 0 and 1 take, so every row of the table
